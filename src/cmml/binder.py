@@ -1,19 +1,22 @@
 """Bind a DataBundle to an EerSchema: referential integrity, subtype
 membership resolution, and classification of every null cell as unknown
 (imputable) vs not-applicable (never imputed).
+
+Binding tags the null cells in place: every ``None`` that ``read_csv`` left
+in a bound table becomes the ``values.UNKNOWN`` or ``values.NOT_APPLICABLE``
+singleton, so later stages read the class from the cell itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from . import eer
 from . import expr as ex
 from .diagnostics import Report
 from .tabular import DataBundle, Table, read_csv
-from .values import NOT_APPLICABLE_TAG, UNKNOWN_TAG, is_null
+from .values import NOT_APPLICABLE, UNKNOWN, is_null
 
 
 @dataclass
@@ -30,16 +33,13 @@ class RelationshipCardinality:
 @dataclass
 class BoundModel:
     schema: eer.EerSchema
+    # tagged in place by bind: once the table checks pass, no cell is None
     bundle: DataBundle
     report: Report
-    # relationship -> child key tuple -> parent key value
-    fk_index: dict[str, dict[tuple, object]] = field(default_factory=dict)
     # relationship -> parent key value -> child row indexes
     children_of: dict[str, dict[object, list[int]]] = field(default_factory=dict)
     # generalization -> supertype key tuple -> set of member subtype names
     subtype_membership: dict[str, dict[tuple, set[str]]] = field(default_factory=dict)
-    # (table, row index, column name) -> "unknown" | "not_applicable"
-    null_class: dict[tuple[str, int, str], str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -83,7 +83,7 @@ def row_dict(table: Table, row: list) -> dict:
 
 
 def bind(schema: eer.EerSchema, bundle: DataBundle) -> BoundModel:
-    """Validate the data against the schema and classify every null cell.
+    """Validate the data against the schema and tag every null cell in place.
 
     Error diagnostics (missing tables, duplicate keys, dangling foreign keys,
     disjointness violations) block planning; warnings do not.
@@ -126,13 +126,6 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
     return ok
 
 
-def _key_index(table: Table) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for i, row in enumerate(table.rows):
-        out.setdefault(table.key_tuple(row), i)
-    return out
-
-
 def _index_relationships(bound: BoundModel) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
     for rel in schema.relationships:
@@ -151,7 +144,6 @@ def _index_relationships(bound: BoundModel) -> None:
             continue
         fk = rel.fk_columns[0]
         parent_keys = {row[parent.column_index(parent_ent.key_names[0])] for row in parent.rows}
-        fk_map: dict[tuple, object] = {}
         children: dict[object, list[int]] = {}
         fk_idx = child.column_index(fk)
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
@@ -170,7 +162,6 @@ def _index_relationships(bound: BoundModel) -> None:
                           f"{child_name}: row {i + 1} column {fk!r} = {v!r} matches no {parent_name} key",
                           f"{child_name}:{i + 1}")
                 continue
-            fk_map[child.key_tuple(row)] = v
             children.setdefault(v, []).append(i)
         if child_end.min >= 1:
             for pk in sorted(parent_keys - set(children), key=repr):
@@ -183,7 +174,6 @@ def _index_relationships(bound: BoundModel) -> None:
                     rep.warning("cardinality",
                                 f"{parent_name} {pk!r} has {len(rows)} {child_name} partners "
                                 f"in {rel.name} (declared max 1)")
-        bound.fk_index[rel.name] = fk_map
         bound.children_of[rel.name] = children
 
 
@@ -229,24 +219,28 @@ def _resolve_memberships(bound: BoundModel) -> None:
 
 
 def _classify_nulls(bound: BoundModel) -> None:
-    """Assign exactly one class to every null cell, in spec priority order."""
+    """Replace every null cell with exactly one tag, in spec priority order.
+
+    A row's tags are all computed from the untagged row before any is
+    written, so applicable_when predicates see the cells as read.
+    """
     schema, rep = bound.schema, bound.report
     for ent in schema.entities:
         table = bound.bundle.table(ent.name)
         cols = {a.name: a for a in schema.effective_columns(ent.name)}
-        gens = schema.generalizations_of(ent.name)
         for i, row in enumerate(table.rows):
             ctx = None
             key = table.key_tuple(row)
+            tags = []
             for j, (colname, _) in enumerate(table.columns):
                 if not is_null(row[j]):
                     continue
-                tag = UNKNOWN_TAG
+                tag = UNKNOWN
                 gen, st = schema.subtype_owner(ent.name, colname)
                 if gen is not None:
                     members = bound.subtype_membership.get(gen.name, {}).get(key, set())
                     if st.name not in members:
-                        bound.null_class[(ent.name, i, colname)] = NOT_APPLICABLE_TAG
+                        tags.append((j, NOT_APPLICABLE))
                         continue
                 attr = cols.get(colname)
                 if attr is not None and attr.applicable_when is not None:
@@ -258,23 +252,18 @@ def _classify_nulls(bound: BoundModel) -> None:
                                     f"{ent.name}: row {i + 1}: applicable_when of {colname!r} is null; "
                                     "cell classified unknown", f"{ent.name}:{i + 1}")
                     elif not applicable:
-                        tag = NOT_APPLICABLE_TAG
-                bound.null_class[(ent.name, i, colname)] = tag
-        _classify_membership_tables(bound, ent, gens)
-
-
-def _classify_membership_tables(bound: BoundModel, ent, gens) -> None:
-    for gen in gens:
+                        tag = NOT_APPLICABLE
+                tags.append((j, tag))
+            for j, tag in tags:
+                row[j] = tag
+    # members listed in a subtype's own table: every missing cell is unknown
+    for gen in schema.generalizations:
         for st in gen.subtypes:
-            if not st.from_table:
-                continue
-            mt = bound.bundle.table(st.name)
-            if mt is None:
-                continue
-            for i, row in enumerate(mt.rows):
-                for j, (colname, _) in enumerate(mt.columns):
-                    if is_null(row[j]):
-                        bound.null_class[(st.name, i, colname)] = UNKNOWN_TAG
+            if st.from_table:
+                for row in bound.bundle.table(st.name).rows:
+                    for j, v in enumerate(row):
+                        if is_null(v):
+                            row[j] = UNKNOWN
 
 
 def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:

@@ -102,7 +102,7 @@ def cmd_validate(args) -> int:
     if args.json:
         out = {
             "ok": bound.ok,
-            "diagnostics": bound.report.to_json(),
+            "diagnostics": bound.report.to_dicts(),
             "cardinalities": [
                 {"relationship": c.relationship, "declared_min": c.declared_min,
                  "declared_max": c.declared_max, "observed_min": c.observed_min,
@@ -114,7 +114,7 @@ def cmd_validate(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
         for c in cards:
-            status = "ok" if c.conformant else f"VIOLATED ({c.violations} rows)"
+            status = "ok" if c.conformant else f"VIOLATED ({len(c.violations)} rows)"
             _log(args, f"{c.relationship}: declared ({c.declared_min},{c.declared_max}) "
                        f"observed ({c.observed_min},{c.observed_max}) {status}")
     if not bound.ok:

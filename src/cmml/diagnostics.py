@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 
@@ -50,11 +49,6 @@ class Report:
     def render(self) -> str:
         return "\n".join(d.render() for d in self.diagnostics)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"severity": d.severity, "code": d.code, "message": d.message, "location": d.location}
-                for d in self.diagnostics
-            ],
-            indent=2,
-        )
+    def to_dicts(self) -> list[dict]:
+        """One ``{severity, code, message, location}`` object per diagnostic."""
+        return [asdict(d) for d in self.diagnostics]

@@ -22,7 +22,7 @@ from . import expr as ex
 from .binder import BoundModel
 from .planner import PlanOptions, TransformationPlan
 from .tabular import Table, table_to_csv_bytes
-from .values import NOT_APPLICABLE, NOT_APPLICABLE_TAG, UNKNOWN, Null, is_null
+from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null
 
 KIND_SUMMARY_ORDER = ("numeric", "nominal", "boolean", "text", "date")
 NUMERIC_AGG_ORDER = ("mean", "sum", "min", "max")
@@ -146,8 +146,8 @@ def _null_for(min_participation: int) -> Null:
 
 
 def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Frame]:
-    """Working frames from the bundle; null cells become tagged nulls per the
-    binder's classification."""
+    """Working frames from the bound bundle, columns in effective-column order.
+    Null cells arrive already tagged by the binder."""
     frames: dict[str, Frame] = {}
     for name in entities:
         ent = bound.schema.entity(name)
@@ -164,15 +164,8 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Frame]:
                 emit=a.kind != "identifier",
                 subtype=(gen.name, st.name) if st else None,
             ))
-        rows = []
-        for i, src in enumerate(table.rows):
-            row = []
-            for c, v in zip(cols, (src[table.column_index(c.name)] for c in cols)):
-                if v is None:
-                    tag = bound.null_class.get((name, i, c.name), "unknown")
-                    v = NOT_APPLICABLE if tag == NOT_APPLICABLE_TAG else UNKNOWN
-                row.append(v)
-            rows.append(row)
+        idx = [table.column_index(c.name) for c in cols]
+        rows = [[src[i] for i in idx] for src in table.rows]
         frames[name] = Frame(name, cols, rows, list(ent.key_names))
     return frames
 
@@ -182,15 +175,16 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Frame]:
 
 
 class _Execution:
-    def __init__(self, plan: TransformationPlan, bound: BoundModel, clock: _dt.date):
-        self.plan = plan
+    def __init__(self, bound: BoundModel, binding: eer.TargetBinding, clock: _dt.date,
+                 plan: Optional[TransformationPlan] = None):
+        self.plan = plan  # None when only derivations run (flatten_naive)
         self.bound = bound
         self.clock = clock
         self.warnings: list[str] = []
-        self.frames = build_frames(bound, list(plan.binding.predictor_entities))
+        self.frames = build_frames(bound, list(binding.predictor_entities))
         self.datasets: dict[str, Frame] = {}
-        self.dropped: dict[str, int] = {}
         self.emitted: dict[str, TrainingDataset] = {}
+        self.dataset_records: dict[str, list[dict]] = {}
 
     # -- related-rows provider -------------------------------------------------
 
@@ -425,21 +419,13 @@ class _Execution:
 
     def _join_membership_table(self, frame: Frame, gen: eer.Generalization, st: eer.Subtype) -> None:
         mt = self.bound.bundle.table(st.name)
-        by_key = {mt.key_tuple(r): (i, r) for i, r in enumerate(mt.rows)}
+        by_key = {mt.key_tuple(r): r for r in mt.rows}
         for a in st.attributes:
             src = mt.column_index(a.name)
             values = []
             for row in frame.rows:
-                hit = by_key.get(frame.key_tuple(row))
-                if hit is None:
-                    values.append(NOT_APPLICABLE)
-                    continue
-                i, mrow = hit
-                v = mrow[src]
-                if v is None:
-                    tag = self.bound.null_class.get((st.name, i, a.name), "unknown")
-                    v = NOT_APPLICABLE if tag == NOT_APPLICABLE_TAG else UNKNOWN
-                values.append(v)
+                mrow = by_key.get(frame.key_tuple(row))
+                values.append(NOT_APPLICABLE if mrow is None else mrow[src])
             frame.add_column(Column(
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name], source_attributes=[f"{st.name}.{a.name}"],
@@ -549,7 +535,6 @@ class _Execution:
             dropped_null_target=dropped,
         )
         self.emitted[name] = ds
-        self.dataset_records = getattr(self, "dataset_records", {})
         self.dataset_records[name] = records
         return ds
 
@@ -604,7 +589,7 @@ def execute(plan: TransformationPlan, bound: BoundModel, options: PlanOptions,
     if not bound.ok:
         raise ValueError("bound model has error diagnostics; fix the data before executing")
     clock = clock or _dt.date.today()
-    st = _Execution(plan, bound, clock)
+    st = _Execution(bound, plan.binding, clock, plan)
     for step in plan.steps:
         k = step.kind
         if k == "derive_attr":
@@ -643,7 +628,7 @@ def _warn_target_leakage(plan: TransformationPlan, bound: BoundModel, st: _Execu
         rel = bound.schema.relationship(agg.relationship)
         if rel is not None and agg.attribute:
             leaked.add(f"{rel.child_entity()}.{agg.attribute}")
-    for records in getattr(st, "dataset_records", {}).values():
+    for records in st.dataset_records.values():
         for rec in records:
             if rec["role"] == "predictor" and leaked & set(rec["source_attributes"]):
                 st.warnings.append(
@@ -661,7 +646,7 @@ def _build_manifest(plan, bound, options, st: _Execution, datasets) -> dict:
         for name, t in sorted(bound.bundle.tables.items())
     }
     schema_text = dsl.print_schema(bound.schema).text
-    records = getattr(st, "dataset_records", {})
+    records = st.dataset_records
     return {
         "tool_version": __version__,
         "seed": options.seed,
@@ -730,13 +715,8 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     per row exactly as a naive export would."""
     clock = clock or _dt.date.today()
     schema = bound.schema
-    frames = build_frames(bound, list(binding.predictor_entities))
-    exec_shim = _Execution.__new__(_Execution)
-    exec_shim.bound = bound
-    exec_shim.frames = frames
-    exec_shim.clock = clock
-    exec_shim.warnings = []
-    exec_shim.plan = None
+    derivations = _Execution(bound, binding, clock)
+    frames = derivations.frames
     for name in binding.predictor_entities:
         ent = schema.entity(name)
         for has_agg in (False, True):
@@ -744,7 +724,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
                 if a.derivation is None:
                     continue
                 if bool(ex.referenced_aggregates(a.derivation)) is has_agg:
-                    _Execution.derive_attr(exec_shim, name, a.name)
+                    derivations.derive_attr(name, a.name)
 
     def cols_of(entity: str) -> list[tuple[str, int, Column]]:
         frame = frames[entity]

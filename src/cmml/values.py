@@ -3,6 +3,9 @@
 A null that is "unknown" is applicable but missing and may be imputed; a
 "not_applicable" null is structurally absent (wrong subtype, failed
 applicability predicate, absent optional partner) and must never be imputed.
+
+``parse_cell`` reads an empty field as ``None``; ``binder.bind`` then
+replaces every ``None`` in the bound tables with one of the two singletons.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import random
 
 from cmml import binder, eer
 from cmml.tabular import DataBundle, Table
+from cmml.values import is_null
 from conftest import parse_full
 
 KINDS = ("numeric", "nominal", "boolean", "text")
@@ -175,7 +176,7 @@ class Case:
 
     def keys_with_target(self):
         rows, ti = self.root_rows()
-        return {k for k, r in rows.items() if r[ti] is not None}
+        return {k for k, r in rows.items() if not is_null(r[ti])}
 
     def member_keys(self, subtype):
         rows, _ = self.root_rows()

@@ -1,5 +1,6 @@
 from cmml import binder
-from cmml.values import NOT_APPLICABLE_TAG, UNKNOWN_TAG
+from cmml.tabular import table_to_csv_bytes
+from cmml.values import NOT_APPLICABLE, UNKNOWN
 from conftest import parse_full
 
 
@@ -123,15 +124,16 @@ def test_null_classification_priority(tmp_path):
               "c,3,5,,,,\n"),        # employed null -> predicate null -> unknown
     }, tmp_path)
     assert bound.ok, bound.report.render()
-    nc = bound.null_class
-    assert nc[("E", 0, "salary")] == UNKNOWN_TAG
-    assert nc[("E", 1, "salary")] == NOT_APPLICABLE_TAG
-    assert nc[("E", 2, "salary")] == UNKNOWN_TAG
+    table = bound.bundle.table("E")
+    rows = {r[0]: dict(zip(table.column_names, r)) for r in table.rows}
+    assert rows["a"]["salary"] is UNKNOWN
+    assert rows["b"]["salary"] is NOT_APPLICABLE
+    assert rows["c"]["salary"] is UNKNOWN
     # sibling-subtype columns are not applicable to non-members
-    assert nc[("E", 0, "b_only")] == NOT_APPLICABLE_TAG
-    assert nc[("E", 1, "s_only")] == NOT_APPLICABLE_TAG
+    assert rows["a"]["b_only"] is NOT_APPLICABLE
+    assert rows["b"]["s_only"] is NOT_APPLICABLE
     # plain missing value with no predicate in play -> unknown
-    assert nc[("E", 1, "employed")] == UNKNOWN_TAG if ("E", 1, "employed") in nc else True
+    assert rows["c"]["employed"] is UNKNOWN
 
 
 def test_null_predicate_produces_diagnostic(tmp_path):
@@ -186,3 +188,34 @@ def test_from_table_subtype_membership(tmp_path):
     }, tmp_path)
     assert bound.ok, bound.report.render()
     assert bound.subtype_membership["G"] == {("a",): {"S"}, ("b",): {"R"}}
+
+
+def test_bind_tags_every_null_cell_in_place(tmp_path):
+    text = SUBTYPED.replace("task T", """
+        generalization H of E overlap {
+          subtype S from table { attr extra: numeric attr note: text }
+          subtype R from table { attr other: numeric }
+        }
+        task T""")
+    tables = {
+        "E": ("id,t,size,employed,salary,s_only,b_only\n"
+              "a,1,5,true,,7,\n"
+              "b,,20,false,,,\n"
+              "c,3,5,,,,\n"),
+        "S": "id,extra,note\na,,hi\nc,4,\n",
+        "R": "id,other\nb,\n",
+    }
+    schema = parse_full(text)
+    for name, csv_text in tables.items():
+        (tmp_path / f"{name}.csv").write_text(csv_text, encoding="utf-8")
+    bundle, rep = binder.load_bundle(schema, tmp_path)
+    assert rep.ok, rep.render()
+    before = {name: table_to_csv_bytes(t) for name, t in bundle.tables.items()}
+    bound = binder.bind(schema, bundle)
+    assert bound.ok, bound.report.render()
+    assert set(bound.bundle.tables) == {"E", "S", "R"}
+    for name, table in bound.bundle.tables.items():
+        assert not any(v is None for row in table.rows for v in row), name
+        assert table_to_csv_bytes(table) == before[name]
+    assert bound.bundle.table("S").rows == [["a", UNKNOWN, "hi"], ["c", 4.0, UNKNOWN]]
+    assert bound.bundle.table("R").rows == [["b", UNKNOWN]]

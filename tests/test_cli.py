@@ -35,6 +35,35 @@ def test_validate_json(capsys):
     assert places["conformant"] is True
 
 
+def _example_without_customer_400_orders(tmp_path):
+    for f in EXAMPLE_DATA.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    orders = tmp_path / "ORDER.csv"
+    lines = orders.read_text().splitlines(keepends=True)
+    orders.write_text("".join(line for line in lines if ",400," not in line))
+    return tmp_path
+
+
+def test_validate_json_diagnostics_are_objects(tmp_path, capsys):
+    data = _example_without_customer_400_orders(tmp_path)
+    assert run("validate", "--schema", str(EXAMPLE_SCHEMA),
+               "--data-dir", str(data), "--json", "--quiet") == 0
+    doc = json.loads(capsys.readouterr().out)
+    diags = doc["diagnostics"]
+    assert isinstance(diags, list) and diags
+    for d in diags:
+        assert set(d) == {"severity", "code", "message", "location"}
+    assert any(d["code"] == "mandatory-participation" and "400" in d["message"]
+               for d in diags)
+
+
+def test_validate_text_counts_violations(tmp_path, capsys):
+    data = _example_without_customer_400_orders(tmp_path)
+    assert run("validate", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(data)) == 0
+    err = capsys.readouterr().err
+    assert "PLACES: declared (1,N) observed (0,4) VIOLATED (1 rows)" in err
+
+
 def test_validate_dangling_fk_exit_1(tmp_path, capsys):
     for f in EXAMPLE_DATA.iterdir():
         (tmp_path / f.name).write_bytes(f.read_bytes())

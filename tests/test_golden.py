@@ -118,34 +118,32 @@ def _example(tmp_path):
     return EXAMPLE_SCHEMA, EXAMPLE_DATA, "PREDICT_LTV"
 
 
+def _write(tmp_path, tables, schema_text):
+    for name, table in tables.items():
+        write_csv(table, tmp_path / f"{name}.csv")
+    schema = tmp_path / "schema.cmml"
+    schema.write_text(schema_text, encoding="utf-8")
+    return schema
+
+
 def _synth(seed):
     def build(tmp_path):
         bundle = evalkit.synth_generate(evalkit.SynthSpec(), seed)
-        for name, table in bundle.tables.items():
-            write_csv(table, tmp_path / f"{name}.csv")
-        schema = tmp_path / "synthetic.cmml"
-        schema.write_text(evalkit.SYNTH_SCHEMA_TEXT, encoding="utf-8")
-        return schema, tmp_path, "PREDICT_LTV"
+        return _write(tmp_path, bundle.tables, evalkit.SYNTH_SCHEMA_TEXT), tmp_path, "PREDICT_LTV"
     return build
 
 
 def _propgen(seed):
     def build(tmp_path):
         case = Case(seed)
-        for name, table in case.bundle.tables.items():
-            write_csv(table, tmp_path / f"{name}.csv")
-        schema = tmp_path / "case.cmml"
-        schema.write_text(case._schema_text(), encoding="utf-8")
-        return schema, tmp_path, "T"
+        return _write(tmp_path, case.bundle.tables, case._schema_text()), tmp_path, "T"
     return build
 
 
 def _from_table(tmp_path):
     for name, text in FROM_TABLE_DATA.items():
         (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
-    schema = tmp_path / "tiers.cmml"
-    schema.write_text(FROM_TABLE_SCHEMA, encoding="utf-8")
-    return schema, tmp_path, "T"
+    return _write(tmp_path, {}, FROM_TABLE_SCHEMA), tmp_path, "T"
 
 
 CASES = {
