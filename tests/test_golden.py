@@ -1,5 +1,6 @@
-"""Golden-output gate: SHA-256 of every byte `prepare`, `flatten` and
-`plan --json` write, for fixed inputs and a pinned clock.
+"""Golden-output gate: SHA-256 of every byte `prepare`, `flatten`,
+`plan --json` and `evaluate --json` write, for fixed inputs and a pinned
+clock.
 
 A refactor must leave these digests unchanged. A change that alters output
 on purpose updates the digests in the same commit and says why.
@@ -58,6 +59,8 @@ GOLDEN = {
             "e5aa121ba2082eaddf55100cc9d2a81d51842b4b9b1072c1e754dc9fe48178dc",
     },
     "propgen_1": {
+        "evaluate.json":
+            "398a4e184916320e4d7a879865c900fec57d35af860ca260f1e63e171212d941",
         "flatten/ds0.csv":
             "5ed620bd673434e1dabb490b213db416ae4cc8ca0813c7fd9c5e77c33548738b",
         "plan.json":
@@ -79,6 +82,18 @@ GOLDEN = {
         "prepare/manifest.json":
             "170c17709b2a9d9914e093e5e580d4d34f457d60638b0fc4fe57fbd36e0961d1",
     },
+    "propgen_36": {
+        "evaluate.json":
+            "cdd575ebea4e927ac249d06045bb4954ef312357324488729add23b7cd8a6526",
+        "flatten/ds0.csv":
+            "416551d0818899910fe4c8a3a19e058b5acd1c6c317ca191d59f9699c43424e0",
+        "plan.json":
+            "57787de213697af83d8284f588f07a59ab95f832806c2df11b8d50f968f5ae45",
+        "prepare/T.csv":
+            "392ff7798f39c096952f6507f0a4b373ed448f350b4be42f40179d5e886150de",
+        "prepare/manifest.json":
+            "9d87c2c036e753b2f36b58f5b228b154f64bef1bf2150be9e176f5fbef8224ec",
+    },
     "propgen_5": {
         "flatten/ds0.csv":
             "c60d28b4c8a8d324b23b383aa93acc3d1a3f8a452377d9275f0cc0c42c4d2c4b",
@@ -92,6 +107,8 @@ GOLDEN = {
             "01c437038c33e34c30dfebb0a36f836931986db20563a2c8e3f5c3d3b5bd10fc",
     },
     "synth_1": {
+        "evaluate.json":
+            "e2f1816495ec673bd2839c609053e561345dabc3ec5ec1a67de21e3de7806cf7",
         "flatten/ds0.csv":
             "8f860f4658869527e4dc48d9d4214515015743de39fdd39e0bbe86e5b7075bb3",
         "plan.json":
@@ -102,6 +119,8 @@ GOLDEN = {
             "3b79e8a06b069a355d1f617cadaf265eb0d8d45db829e230714695d37a9a0dde",
     },
     "synth_2": {
+        "evaluate.json":
+            "caea83dfb20bdfb31a71006dd2bfd1169439ea60cef05cc4ec08f0c162bd3150",
         "flatten/ds0.csv":
             "c7ab65481c4a80b1dc59401b41014643ad02ae08d088fd24811581796cb896e8",
         "plan.json":
@@ -153,15 +172,21 @@ CASES = {
     "propgen_1": _propgen(1),    # no generalization, 1:1 edge, impute none
     "propgen_5": _propgen(5),    # disjoint split, grandchild, 1:N and 1:1 edges
     "propgen_12": _propgen(12),  # overlap split, grandchild
+    "propgen_36": _propgen(36),  # no generalization, 1:N and 1:1 edges, grandchild
     "from_table": _from_table,
 }
+
+
+# Cases whose task emits a single dataset, so `evaluate` runs on them. The
+# example has fewer keys than folds.
+EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36"}
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(build, tmp_path, capsys) -> dict[str, str]:
+def _digests(build, tmp_path, capsys, evaluate: bool) -> dict[str, str]:
     data = tmp_path / "data"
     data.mkdir()
     schema, data_dir, task = build(data)
@@ -177,10 +202,14 @@ def _digests(build, tmp_path, capsys) -> dict[str, str]:
     capsys.readouterr()
     assert cli.main(["plan", *common, "--json"]) == 0
     out["plan.json"] = _sha(capsys.readouterr().out.encode("utf-8"))
+    if evaluate:
+        assert cli.main(["evaluate", *common, "--data-dir", str(data_dir), "--json",
+                         "--folds", "5", "--range", "100"]) == 0
+        out["evaluate.json"] = _sha(capsys.readouterr().out.encode("utf-8"))
     return out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CMML_TODAY", "2019-06-01")
-    assert _digests(CASES[name], tmp_path, capsys) == GOLDEN[name]
+    assert _digests(CASES[name], tmp_path, capsys, name in EVALUATED) == GOLDEN[name]
