@@ -188,49 +188,49 @@ class OneHotDesign:
     """Design-matrix builder over a Table: numeric columns pass through
     (train-mean filled), booleans become 0/1, nominals are one-hot encoded
     with the lexically last category dropped as reference level. Keys,
-    identifiers, dates and text are excluded."""
+    identifiers, dates and text are excluded.
+
+    Columns are encoded once, at construction: numeric as floats (nan =
+    null), boolean as 0/1 and nominal as codes into the sorted category list
+    (-1 = null). ``fit`` and ``transform`` take an integer array of row
+    indexes into the table; ``fit`` takes the means and the kept categories
+    from the rows it is given. Features are ordered numeric, boolean, then
+    nominal, each category in sorted order.
+    """
 
     def __init__(self, table: Table, target_column: str, key_columns: Sequence[str]):
         skip = set(key_columns) | {target_column}
-        self.numeric: list[int] = []
-        self.boolean: list[int] = []
-        self.nominal: list[int] = []
+        columns: dict[str, list[list]] = {"numeric": [], "boolean": [], "nominal": []}
         for i, (name, kind) in enumerate(table.columns):
-            if name in skip:
-                continue
-            if kind == "numeric":
-                self.numeric.append(i)
-            elif kind == "boolean":
-                self.boolean.append(i)
-            elif kind == "nominal":
-                self.nominal.append(i)
-        self.columns = table.columns
-        self.means: dict[int, float] = {}
-        self.categories: dict[int, list[str]] = {}
+            if name not in skip and kind in columns:
+                columns[kind].append([r[i] for r in table.rows])
 
-    def fit(self, rows: Sequence[list]) -> "OneHotDesign":
-        for i in self.numeric:
-            vals = [float(r[i]) for r in rows if not is_null(r[i])]
-            self.means[i] = float(sum(vals)) / len(vals) if vals else 0.0
-        for i in self.nominal:
-            cats = sorted({r[i] for r in rows if not is_null(r[i])})
-            self.categories[i] = cats[:-1]  # drop lexically last as reference
+        def block(cols: list[list[float]]) -> np.ndarray:  # one column per list
+            return np.array(cols, dtype=float).reshape(len(cols), len(table.rows)).T
+
+        self.numeric = block([[math.nan if is_null(v) else float(v) for v in col]
+                              for col in columns["numeric"]])
+        self.boolean = block([[1.0 if v is True else 0.0 for v in col]
+                              for col in columns["boolean"]])
+        self.nominal: list[np.ndarray] = []
+        for col in columns["nominal"]:
+            code = {c: j for j, c in enumerate(sorted({v for v in col if not is_null(v)}))}
+            self.nominal.append(np.array([code.get(v, -1) for v in col], dtype=np.int64))
+
+    def fit(self, rows: np.ndarray) -> "OneHotDesign":
+        known = [col[~np.isnan(col)].tolist() for col in self.numeric[rows].T]
+        # Python sum, in row order: np.sum's pairwise summation changes the last bits
+        self.means = np.array([sum(k) / len(k) if k else 0.0 for k in known], dtype=float)
+        seen = [np.unique(codes[rows]) for codes in self.nominal]
+        self.kept = [s[s >= 0][:-1] for s in seen]  # drop lexically last as reference
         return self
 
-    def transform(self, rows: Sequence[list]) -> np.ndarray:
-        out = []
-        for r in rows:
-            vec: list[float] = []
-            for i in self.numeric:
-                v = r[i]
-                vec.append(self.means.get(i, 0.0) if is_null(v) else float(v))
-            for i in self.boolean:
-                vec.append(1.0 if r[i] is True else 0.0)
-            for i in self.nominal:
-                for cat in self.categories.get(i, []):
-                    vec.append(1.0 if r[i] == cat else 0.0)
-            out.append(vec)
-        return np.asarray(out, dtype=float) if out else np.zeros((0, 0))
+    def transform(self, rows: np.ndarray) -> np.ndarray:
+        numeric = self.numeric[rows]
+        blocks = [np.where(np.isnan(numeric), self.means, numeric), self.boolean[rows]]
+        for codes, kept in zip(self.nominal, self.kept):
+            blocks.append((codes[rows][:, None] == kept[None, :]).astype(float))
+        return np.hstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +353,26 @@ class ComparisonReport:
         }
 
 
+def _fold_ids(dataset, fold_of: dict) -> tuple[list, np.ndarray, np.ndarray]:
+    """One pass over a dataset's rows: the key of each row, the target as
+    floats (nan = null) and the fold of each row (-1 = key not folded)."""
+    table = dataset.table
+    k = table.column_index(dataset.key_columns[0])
+    t = table.column_index(dataset.target_column)
+    keys = [r[k] for r in table.rows]
+    target = np.array([math.nan if is_null(r[t]) else float(r[t]) for r in table.rows],
+                      dtype=float)
+    fold = np.array([fold_of.get(key, -1) for key in keys], dtype=np.int64)
+    return keys, target, fold
+
+
+def _fit_predict(design: OneHotDesign, target: np.ndarray, train: np.ndarray,
+                 test: np.ndarray, ridge: float) -> list[float]:
+    design.fit(train)
+    beta = ols_fit(design.transform(train), target[train], ridge=ridge)
+    return ols_predict(beta, design.transform(test)).tolist()
+
+
 def compare_datasets(ds0: FlatDataset, tds: TrainingDataset, value_range: float,
                      folds: int = 5, seed: int = 0, ridge: float = 1e-6) -> ComparisonReport:
     """k-fold out-of-sample comparison at equal grain.
@@ -360,6 +380,11 @@ def compare_datasets(ds0: FlatDataset, tds: TrainingDataset, value_range: float,
     Folds partition the target-bearing entity keys (an entity never straddles
     folds). Flat-dataset row predictions are averaged per entity key before
     scoring, then paired absolute errors feed the signed-rank test.
+
+    Each dataset's keys, targets, folds and design columns are encoded once;
+    a fold selects its train and test rows by index, so the cost is linear in
+    the rows of both datasets. Flat rows whose key is not in ``tds`` are in
+    no fold. Test rows with a null target are not scored.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -367,46 +392,35 @@ def compare_datasets(ds0: FlatDataset, tds: TrainingDataset, value_range: float,
         raise ValueError("comparison requires a single-column entity key")
 
     t_key = tds.table.column_index(tds.key_columns[0])
-    t_tgt = tds.table.column_index(tds.target_column)
-    f_key = ds0.table.column_index(ds0.key_columns[0])
-    f_tgt = ds0.table.column_index(ds0.target_column)
-
     keys = sorted({r[t_key] for r in tds.table.rows})
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     shuffled = list(keys)
     random.Random(seed).shuffle(shuffled)
     fold_of = {k: i % folds for i, k in enumerate(shuffled)}
+    fold_sizes = [len(shuffled[f::folds]) for f in range(folds)]
 
-    actual = {r[t_key]: float(r[t_tgt]) for r in tds.table.rows if not is_null(r[t_tgt])}
-    flat_rows_of: dict[object, list[list]] = {}
-    for r in ds0.table.rows:
-        flat_rows_of.setdefault(r[f_key], []).append(r)
+    t_keys, t_y, t_fold = _fold_ids(tds, fold_of)
+    f_keys, f_y, f_fold = _fold_ids(ds0, fold_of)
+    t_known = ~np.isnan(t_y)
+    f_known = ~np.isnan(f_y) & (f_fold >= 0)  # rows of keys in no fold never train
+    actual = {k: y for k, y, known in zip(t_keys, t_y.tolist(), t_known) if known}
+    t_design = OneHotDesign(tds.table, tds.target_column, tds.key_columns)
+    f_design = OneHotDesign(ds0.table, ds0.target_column, ds0.key_columns)
 
     tds_pred: dict[object, float] = {}
     ds0_pred: dict[object, float] = {}
-    fold_sizes = [0] * folds
     for f in range(folds):
-        train_keys = {k for k in keys if fold_of[k] != f}
-        test_keys = [k for k in keys if fold_of[k] == f]
-        fold_sizes[f] = len(test_keys)
+        test = np.flatnonzero(t_known & (t_fold == f))
+        preds = _fit_predict(t_design, t_y, np.flatnonzero(t_known & (t_fold != f)), test, ridge)
+        for i, p in zip(test.tolist(), preds):
+            tds_pred[t_keys[i]] = p
 
-        t_train = [r for r in tds.table.rows if r[t_key] in train_keys and not is_null(r[t_tgt])]
-        t_test = [r for r in tds.table.rows if r[t_key] in test_keys and not is_null(r[t_tgt])]
-        design = OneHotDesign(tds.table, tds.target_column, tds.key_columns).fit(t_train)
-        beta = ols_fit(design.transform(t_train), [float(r[t_tgt]) for r in t_train], ridge=ridge)
-        for r, p in zip(t_test, ols_predict(beta, design.transform(t_test))):
-            tds_pred[r[t_key]] = float(p)
-
-        f_train = [r for r in ds0.table.rows if r[f_key] in train_keys and not is_null(r[f_tgt])]
-        f_design = OneHotDesign(ds0.table, ds0.target_column, ds0.key_columns).fit(f_train)
-        f_beta = ols_fit(f_design.transform(f_train), [float(r[f_tgt]) for r in f_train],
-                         ridge=ridge)
+        test = np.flatnonzero(f_fold == f)
+        preds = _fit_predict(f_design, f_y, np.flatnonzero(f_known & (f_fold != f)), test, ridge)
         per_key: dict[object, list[float]] = {}
-        test_rows = [r for r in ds0.table.rows if r[f_key] in set(test_keys)]
-        if test_rows:
-            for r, p in zip(test_rows, ols_predict(f_beta, f_design.transform(test_rows))):
-                per_key.setdefault(r[f_key], []).append(float(p))
+        for i, p in zip(test.tolist(), preds):
+            per_key.setdefault(f_keys[i], []).append(p)
         for k, ps in per_key.items():
             ds0_pred[k] = sum(ps) / len(ps)
 

@@ -1,11 +1,14 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from cmml import evalkit
+from cmml.engine import FlatDataset, TrainingDataset
 from cmml.tabular import Table
+from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +132,8 @@ def test_one_hot_design():
                     ["b", None, "blue", False, 0.0],
                     ["c", 3.0, "green", True, 0.0]],
               key_columns=["id"])
-    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(t.rows)
-    X = d.transform(t.rows)
+    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(3))
+    X = d.transform(np.arange(3))
     # columns: num, flag, cat in {blue, green} (red dropped as lexically last)
     assert X.shape == (3, 4)
     assert X[1, 0] == 2.0  # null numeric filled with train mean (1+3)/2
@@ -225,3 +228,165 @@ def test_compare_datasets_fold_validation():
         evalkit.compare_datasets(flat, tds, 100.0, folds=1)
     with pytest.raises(ValueError):
         evalkit.compare_datasets(flat, tds, 100.0, folds=11)
+
+
+# ---------------------------------------------------------------------------
+# Encoded design and fold selection edge cases
+
+
+def _design_table(rows):
+    return Table("T", [("id", "identifier"), ("num", "numeric"), ("flag", "boolean"),
+                       ("cat", "nominal"), ("y", "numeric")], rows=rows, key_columns=["id"])
+
+
+def test_one_hot_design_category_seen_only_in_test_is_all_zeros():
+    t = _design_table([["a", 1.0, True, "red", 0.0],
+                       ["b", 2.0, False, "blue", 0.0],
+                       ["c", 3.0, True, "green", 0.0],
+                       ["d", 4.0, False, "amber", 0.0]])
+    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(3))
+    X = d.transform(np.array([3, 1]))
+    # columns: num, flag, cat in {blue, green}; amber sorts first but was never trained
+    assert X.shape == (2, 4)
+    assert list(X[0]) == [4.0, 0.0, 0.0, 0.0]
+    assert list(X[1]) == [2.0, 0.0, 1.0, 0.0]
+
+
+def test_one_hot_design_numeric_without_known_train_value_fills_zero():
+    t = _design_table([["a", None, True, "red", 0.0],
+                       ["b", UNKNOWN, False, "red", 0.0],
+                       ["c", 5.0, True, "red", 0.0]])
+    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(2))
+    assert list(d.transform(np.arange(3))[:, 0]) == [0.0, 0.0, 5.0]
+
+
+def test_one_hot_design_tagged_nulls_act_like_none():
+    t = _design_table([["a", None, None, None, 0.0],
+                       ["b", UNKNOWN, UNKNOWN, UNKNOWN, 0.0],
+                       ["c", NOT_APPLICABLE, NOT_APPLICABLE, NOT_APPLICABLE, 0.0],
+                       ["d", 1.0, True, "x", 0.0],
+                       ["e", 4.0, True, "y", 0.0]])
+    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(5))
+    X = d.transform(np.arange(5))
+    # columns: num (mean of the known 1 and 4), flag, cat x (y dropped as reference)
+    assert X.shape == (5, 3)
+    for i in range(3):
+        assert list(X[i]) == [2.5, 0.0, 0.0]
+    assert list(X[3]) == [1.0, 1.0, 1.0]
+    assert list(X[4]) == [4.0, 1.0, 0.0]
+
+
+def _reference_design(table, train, test):
+    """Row-at-a-time encoding: train-mean fill, 0/1 booleans, one-hot over the
+    sorted train categories minus the last; the columnar design must match it."""
+    kinds = [(i, kind) for i, (name, kind) in enumerate(table.columns)
+             if name not in ("id", "y")]
+    train_rows = [table.rows[i] for i in train]
+    means, cats = {}, {}
+    for i, kind in kinds:
+        known = [r[i] for r in train_rows if not is_null(r[i])]
+        if kind == "numeric":
+            means[i] = sum(known) / len(known) if known else 0.0
+        elif kind == "nominal":
+            cats[i] = sorted(set(known))[:-1]
+    out = []
+    for r in (table.rows[i] for i in test):
+        vec = [means[i] if is_null(r[i]) else r[i] for i, kind in kinds if kind == "numeric"]
+        vec += [1.0 if r[i] is True else 0.0 for i, kind in kinds if kind == "boolean"]
+        for i, kind in kinds:
+            if kind == "nominal":
+                vec += [1.0 if r[i] == c else 0.0 for c in cats[i]]
+        out.append(vec)
+    return out
+
+
+def test_one_hot_design_matches_row_reference():
+    rng = random.Random(5)
+    nulls = (None, UNKNOWN, NOT_APPLICABLE)
+    values = {"numeric": lambda: round(rng.uniform(-50, 50), 3),
+              "boolean": lambda: rng.random() < 0.5,
+              "nominal": lambda: rng.choice(("red", "green", "blue", "amber")),
+              "text": lambda: "note"}
+    columns = [("id", "identifier"), ("n1", "numeric"), ("c1", "nominal"), ("b1", "boolean"),
+               ("n2", "numeric"), ("txt", "text"), ("c2", "nominal"), ("y", "numeric")]
+    for _ in range(20):
+        rows = [[f"r{j}"] + [rng.choice(nulls) if rng.random() < 0.3 else values[kind]()
+                             for _, kind in columns[1:-1]] + [0.0]
+                for j in range(rng.randint(1, 30))]
+        t = Table("T", columns, rows=rows, key_columns=["id"])
+        idx = list(range(len(rows)))
+        rng.shuffle(idx)
+        cut = rng.randint(0, len(idx))
+        train, test = sorted(idx[:cut]), sorted(idx[cut:])
+        d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.array(train, dtype=int))
+        X = d.transform(np.array(test, dtype=int))
+        assert X.tolist() == _reference_design(t, train, test)
+
+
+def _pair(tds_rows, flat_rows):
+    columns = [("id", "identifier"), ("x", "numeric"), ("y", "numeric")]
+    tds = TrainingDataset("T", Table("T", columns, rows=tds_rows, key_columns=["id"]),
+                          "y", ["id"])
+    flat = FlatDataset(Table("ds0", columns, rows=flat_rows, key_columns=["id"]), ["id"], "y")
+    return flat, tds
+
+
+def test_compare_datasets_fold_without_scorable_rows():
+    # k0 and k5 have no target, and with seed 13 they make up one whole fold
+    y = [UNKNOWN if i % 5 == 0 else 2.0 * i for i in range(10)]
+    flat, tds = _pair([[f"k{i}", float(i), y[i]] for i in range(10)],
+                      [[f"k{i}", float(i) + d, y[i]] for i in range(10) for d in (0.0, 0.5)])
+    rep = evalkit.compare_datasets(flat, tds, 20.0, folds=5, seed=13)
+    assert rep.fold_sizes == [2, 2, 2, 2, 2]
+    assert rep.n_entities == 8
+    design = evalkit.OneHotDesign(tds.table, "y", ["id"]).fit(np.arange(10))
+    assert design.transform(np.arange(0)).shape == (0, 1)
+
+
+def test_compare_datasets_ignores_flat_rows_without_prepared_key(monkeypatch):
+    tds_rows = [[f"k{i}", float(i), 3.0 * i + (i % 3)] for i in range(12)]
+    flat_rows = [[f"k{i}", float(i) + d, tds_rows[i][2]] for i in range(12) for d in (0.0, 1.0)]
+    orphans = [["zz", 1e6, -1e6], ["zz", -1e6, 1e6], ["yy", 7.0, UNKNOWN]]
+
+    def run(rows):
+        seen = []
+        real = evalkit.OneHotDesign.transform
+
+        def transform(self, idx):
+            seen.append(idx.tolist())
+            return real(self, idx)
+
+        monkeypatch.setattr(evalkit.OneHotDesign, "transform", transform)
+        flat, tds = _pair(tds_rows, rows)
+        rep = evalkit.compare_datasets(flat, tds, 40.0, folds=3, seed=2)
+        monkeypatch.undo()
+        return rep.to_dict(), seen
+
+    base, base_seen = run(flat_rows)
+    with_orphans, orphan_seen = run(flat_rows + orphans)
+    assert with_orphans == base
+    assert orphan_seen == base_seen  # no orphan row index in any train or test set
+
+
+def test_compare_datasets_linear_at_scale():
+    rng = random.Random(0)
+    keys, tds_rows, flat_rows = 20_000, [], []
+    for i in range(keys):
+        totals = [round(rng.uniform(10, 100), 2) for _ in range(rng.randint(1, 8))]
+        y = 3.0 * sum(totals) / len(totals) + 2.0 * len(totals) + rng.gauss(0, 15)
+        key = f"C{i:05d}"
+        tds_rows.append([key, float(len(totals)), rng.choice(("F", "M")), y])
+        flat_rows += [[key, t, rng.choice(("Online", "Phone", "Store")), y] for t in totals]
+    tds = TrainingDataset("T", Table("T", [("id", "identifier"), ("n", "numeric"),
+                                           ("g", "nominal"), ("y", "numeric")],
+                                     rows=tds_rows, key_columns=["id"]), "y", ["id"])
+    flat = FlatDataset(Table("ds0", [("id", "identifier"), ("total", "numeric"),
+                                     ("channel", "nominal"), ("y", "numeric")],
+                             rows=flat_rows, key_columns=["id"]), ["id"], "y")
+    assert 85_000 < len(flat_rows) < 95_000
+    t0 = time.perf_counter()
+    rep = evalkit.compare_datasets(flat, tds, 400.0, folds=5, seed=0)
+    elapsed = time.perf_counter() - t0
+    assert rep.n_entities == keys
+    # on a 2-core host the quadratic version took about 85 s here, this one under 1 s
+    assert elapsed < 15.0, f"compare_datasets took {elapsed:.1f} s at {keys} keys"
