@@ -35,6 +35,43 @@ FROM_TABLE_DATA = {
     "TRIAL": "id,days_left\nb,\nc,10\ne,4\n",
 }
 
+# The target sits on the N side of PLACES, so both `prepare` and `flatten`
+# hop from ORDER to its one CUSTOMER (the parent carries the fk). Order o4
+# has no customer, customer c3 has no PROFILE, and o2 has no LINE.
+N_SIDE_SCHEMA = """
+entity CUSTOMER {
+  key cust_id: identifier
+  attr region: nominal
+  attr vip: boolean
+}
+entity ORDER {
+  key order_id: identifier
+  attr total: numeric
+  attr placed: date
+  derived attr age: numeric = years_between(placed, today())
+}
+entity LINE {
+  key line_id: identifier
+  attr qty: numeric
+}
+entity PROFILE {
+  key profile_id: identifier
+  attr score: numeric
+}
+relationship PLACES { CUSTOMER (0,1) -- (0,N) ORDER via cust_id }
+relationship CONTAINS { ORDER (1,1) -- (0,N) LINE via order_id }
+relationship HAS { CUSTOMER (0,1) -- (0,1) PROFILE via cust_id }
+task T { target ORDER.total }
+"""
+N_SIDE_DATA = {
+    "CUSTOMER": "cust_id,region,vip\nc1,north,true\nc2,,false\nc3,south,\n",
+    "ORDER": ("order_id,total,placed,cust_id\no1,10,2018-01-05,c1\no2,25.5,2018-02-01,c1\n"
+              "o3,,2018-03-01,c2\no4,40,,\no5,7,2018-05-09,c3\no6,10,2018-01-05,c2\n"),
+    "LINE": ("line_id,qty,order_id\nl1,1,o1\nl2,2,o1\nl3,,o3\nl4,3,o4\nl5,1,o5\n"
+             "l6,1,o6\nl7,2,o4\n"),
+    "PROFILE": "profile_id,score,cust_id\np1,0.5,c1\np2,,c2\n",
+}
+
 GOLDEN = {
     "example": {
         "flatten/ds0.csv":
@@ -57,6 +94,16 @@ GOLDEN = {
             "ccfd57897bec319ad2e576dd79dcfc4e19927631bf69a204d7e0bd17667da492",
         "prepare/manifest.json":
             "e5aa121ba2082eaddf55100cc9d2a81d51842b4b9b1072c1e754dc9fe48178dc",
+    },
+    "n_side_target": {
+        "flatten/ds0.csv":
+            "a705dc22099b9b14b88a4d6ce51cf36f77fe6c7024f0bb466aeef5f1eb7bcd26",
+        "plan.json":
+            "35ffc7570414d713d9ba537f50f44c8aa1244a2226e790ab3cbe4e026f3efe8e",
+        "prepare/T.csv":
+            "b559278cac9729bf23b3114ef2fdbefe8bf82970a78174d10797cb6e8de44e2a",
+        "prepare/manifest.json":
+            "1291fd2bab464868951d1ffd6d8425718c9bdd82e4a2974aa83204846e70328c",
     },
     "propgen_1": {
         "evaluate.json":
@@ -159,10 +206,12 @@ def _propgen(seed):
     return build
 
 
-def _from_table(tmp_path):
-    for name, text in FROM_TABLE_DATA.items():
-        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
-    return _write(tmp_path, {}, FROM_TABLE_SCHEMA), tmp_path, "T"
+def _inline(schema_text, data):
+    def build(tmp_path):
+        for name, text in data.items():
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+        return _write(tmp_path, {}, schema_text), tmp_path, "T"
+    return build
 
 
 CASES = {
@@ -173,7 +222,8 @@ CASES = {
     "propgen_5": _propgen(5),    # disjoint split, grandchild, 1:N and 1:1 edges
     "propgen_12": _propgen(12),  # overlap split, grandchild
     "propgen_36": _propgen(36),  # no generalization, 1:N and 1:1 edges, grandchild
-    "from_table": _from_table,
+    "from_table": _inline(FROM_TABLE_SCHEMA, FROM_TABLE_DATA),
+    "n_side_target": _inline(N_SIDE_SCHEMA, N_SIDE_DATA),
 }
 
 
