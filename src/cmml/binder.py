@@ -15,7 +15,7 @@ from pathlib import Path
 from . import eer
 from . import expr as ex
 from .diagnostics import Report
-from .tabular import DataBundle, Table, read_csv
+from .tabular import DataBundle, read_csv
 from .values import NOT_APPLICABLE, UNKNOWN, is_null
 
 
@@ -78,10 +78,6 @@ def load_bundle(schema: eer.EerSchema, data_dir: str | Path) -> tuple[DataBundle
     return bundle, rep
 
 
-def row_dict(table: Table, row: list) -> dict:
-    return dict(zip(table.column_names, row))
-
-
 def bind(schema: eer.EerSchema, bundle: DataBundle) -> BoundModel:
     """Validate the data against the schema and tag every null cell in place.
 
@@ -107,8 +103,7 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
             ok = False
             continue
         seen: dict[tuple, int] = {}
-        for i, row in enumerate(table.rows):
-            key = table.key_tuple(row)
+        for i, key in enumerate(table.keys()):
             if any(is_null(k) for k in key):
                 rep.error("null-key", f"{ent.name}: row {i + 1} has a null key cell", f"{ent.name}:{i + 1}")
                 continue
@@ -181,12 +176,11 @@ def _resolve_memberships(bound: BoundModel) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
     for gen in schema.generalizations:
         sup = bundle.table(gen.supertype)
-        membership: dict[tuple, set[str]] = {sup.key_tuple(r): set() for r in sup.rows}
+        sup_keys = list(sup.keys())
+        membership: dict[tuple, set[str]] = {k: set() for k in sup_keys}
         for st in gen.subtypes:
             if st.from_table:
-                mt = bundle.table(st.name)
-                for i, row in enumerate(mt.rows):
-                    key = mt.key_tuple(row)
+                for i, key in enumerate(bundle.table(st.name).keys()):
                     if key not in membership:
                         rep.error("dangling-member",
                                   f"{st.name}: row {i + 1} key {key} matches no {gen.supertype} instance",
@@ -194,8 +188,9 @@ def _resolve_memberships(bound: BoundModel) -> None:
                         continue
                     membership[key].add(st.name)
             else:
-                for i, row in enumerate(sup.rows):
-                    ctx = row_dict(sup, row)
+                names = sup.column_names
+                for i, (row, key) in enumerate(zip(sup.rows, sup_keys)):
+                    ctx = dict(zip(names, row))
                     verdict = ex.eval_expr(st.membership, ctx)
                     if is_null(verdict):
                         rep.warning("membership-null",
@@ -203,7 +198,7 @@ def _resolve_memberships(bound: BoundModel) -> None:
                                     "is null; treated as non-member", f"{gen.supertype}:{i + 1}")
                         continue
                     if verdict:
-                        membership[sup.key_tuple(row)].add(st.name)
+                        membership[key].add(st.name)
         if gen.mode == "disjoint":
             for key, names in membership.items():
                 if len(names) > 1:
@@ -227,29 +222,36 @@ def _classify_nulls(bound: BoundModel) -> None:
     schema, rep = bound.schema, bound.report
     for ent in schema.entities:
         table = bound.bundle.table(ent.name)
-        cols = {a.name: a for a in schema.effective_columns(ent.name)}
+        names = table.column_names
+        attrs = {a.name: a for a in schema.effective_columns(ent.name)}
+        # per column: (owning subtype, its membership map) or None, and applicable_when
+        rules = []
+        for colname in names:
+            gen, st = schema.subtype_owner(ent.name, colname)
+            owner = (st.name, bound.subtype_membership.get(gen.name, {})) if gen is not None else None
+            attr = attrs.get(colname)
+            rules.append((owner, attr.applicable_when if attr is not None else None))
+        key_idx = [table.column_index(k) for k in table.key_columns]
         for i, row in enumerate(table.rows):
+            nulls = [j for j, v in enumerate(row) if is_null(v)]
+            if not nulls:
+                continue
             ctx = None
-            key = table.key_tuple(row)
+            key = tuple(row[k] for k in key_idx)
             tags = []
-            for j, (colname, _) in enumerate(table.columns):
-                if not is_null(row[j]):
+            for j in nulls:
+                owner, applicable_when = rules[j]
+                if owner is not None and owner[0] not in owner[1].get(key, ()):
+                    tags.append((j, NOT_APPLICABLE))
                     continue
                 tag = UNKNOWN
-                gen, st = schema.subtype_owner(ent.name, colname)
-                if gen is not None:
-                    members = bound.subtype_membership.get(gen.name, {}).get(key, set())
-                    if st.name not in members:
-                        tags.append((j, NOT_APPLICABLE))
-                        continue
-                attr = cols.get(colname)
-                if attr is not None and attr.applicable_when is not None:
+                if applicable_when is not None:
                     if ctx is None:
-                        ctx = row_dict(table, row)
-                    applicable = ex.eval_expr(attr.applicable_when, ctx)
+                        ctx = dict(zip(names, row))
+                    applicable = ex.eval_expr(applicable_when, ctx)
                     if is_null(applicable):
                         rep.warning("applicability-null",
-                                    f"{ent.name}: row {i + 1}: applicable_when of {colname!r} is null; "
+                                    f"{ent.name}: row {i + 1}: applicable_when of {names[j]!r} is null; "
                                     "cell classified unknown", f"{ent.name}:{i + 1}")
                     elif not applicable:
                         tag = NOT_APPLICABLE

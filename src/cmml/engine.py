@@ -14,8 +14,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, replace
+from operator import getitem
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from . import dsl, eer
 from . import expr as ex
@@ -100,9 +101,17 @@ class Frame:
                 return i
         raise KeyError(name)
 
-    def key_tuple(self, row: list) -> tuple:
+    def keys(self) -> Iterator[tuple]:
+        """Every row's key tuple, in row order."""
         idx = [self.col_index(k) for k in self.key_names]
-        return tuple(row[i] for i in idx)
+        return (tuple([row[i] for i in idx]) for row in self.rows)
+
+    def order_key(self) -> Callable[[int], tuple]:
+        """Sort key of a row index: the repr of the row's key. A parent's
+        children and an emitted dataset's rows are put in this order."""
+        idx = [self.col_index(k) for k in self.key_names]
+        rows = self.rows
+        return lambda i: tuple([repr(rows[i][k]) for k in idx])
 
     def unique_name(self, name: str, warnings: list[str]) -> str:
         taken = {c.name for c in self.columns}
@@ -119,10 +128,6 @@ class Frame:
         self.columns.append(col)
         for row, v in zip(self.rows, values):
             row.append(v)
-
-    def copy(self) -> "Frame":
-        return Frame(self.entity, [c.clone() for c in self.columns],
-                     [list(r) for r in self.rows], list(self.key_names))
 
 
 @dataclass
@@ -188,14 +193,13 @@ class _Execution:
 
     # -- related-rows provider -------------------------------------------------
 
-    def _related(self, entity: str, row: list):
-        frame = self.frames[entity]
+    def _related(self, entity: str, key: tuple):
+        pk = key[0] if len(key) == 1 else key
 
         def provider(rel_name: str):
             rel = self.bound.schema.relationship(rel_name)
             if rel is None or rel.parent_entity() != entity:
                 raise ValueError(f"entity {entity} cannot aggregate over relationship {rel_name!r}")
-            pk = frame.key_tuple(row)[0] if len(frame.key_names) == 1 else frame.key_tuple(row)
             child = self.frames[rel.child_entity()]
             idxs = self.bound.children_of.get(rel_name, {}).get(pk, [])
             names = [c.name for c in child.columns]
@@ -211,9 +215,9 @@ class _Execution:
         names = [c.name for c in frame.columns]
         diags: list[str] = []
         values = []
-        for row in frame.rows:
+        for row, key in zip(frame.rows, frame.keys()):
             ctx = dict(zip(names, row))
-            values.append(ex.eval_expr(attr.derivation, ctx, self._related(entity, row),
+            values.append(ex.eval_expr(attr.derivation, ctx, self._related(entity, key),
                                        self.clock, diags))
         for d in sorted(set(diags)):
             self.warnings.append(f"{entity}.{attr_name}: {d}")
@@ -243,7 +247,7 @@ class _Execution:
         if rel.child_entity() == child:
             # partner carries the fk; look partners up by parent key
             children = self.bound.children_of.get(rel_name, {})
-            pkeys = [pframe.key_tuple(r)[0] for r in pframe.rows]
+            pkeys = [k[0] for k in pframe.keys()]
             partner_idx = []
             for pk in pkeys:
                 idxs = children.get(pk, [])
@@ -252,7 +256,7 @@ class _Execution:
         else:
             # parent carries the fk (many-to-one hop toward the one side)
             fk_i = pframe.col_index(rel.fk_columns[0])
-            ckey = {cframe.key_tuple(r)[0]: i for i, r in enumerate(cframe.rows)}
+            ckey = {k[0]: i for i, k in enumerate(cframe.keys())}
             partner_idx = []
             for row in pframe.rows:
                 v = row[fk_i]
@@ -274,13 +278,10 @@ class _Execution:
         pframe = self.frames[parent]
         cframe = self.frames[child]
         children = self.bound.children_of.get(rel_name, {})
-        pkeys = [pframe.key_tuple(r)[0] for r in pframe.rows]
+        pkeys = [k[0] for k in pframe.keys()]
         # child rows per parent, in child key order (stable concat/versioning)
-        groups: dict[object, list[int]] = {}
-        for pk in pkeys:
-            idxs = list(children.get(pk, []))
-            idxs.sort(key=lambda i: tuple(repr(v) for v in cframe.key_tuple(cframe.rows[i])))
-            groups[pk] = idxs
+        order = cframe.order_key()
+        groups = {pk: sorted(children.get(pk, ()), key=order) for pk in pkeys}
 
         def add(col: Column, values: list) -> None:
             pframe.add_column(col, values, self.warnings)
@@ -401,16 +402,16 @@ class _Execution:
         gen = schema.generalization(gen_name)
         root = self.frames[self.plan.binding.target_entity]
         membership = self.bound.subtype_membership.get(gen_name, {})
+        root_members = [membership.get(k, ()) for k in root.keys()]
         for st in gen.subtypes:
             name = f"{self.plan.task}_{st.name}"
-            frame = root.copy()
-            keep_rows = [r for r in frame.rows if st.name in membership.get(frame.key_tuple(r), set())]
-            frame.rows = keep_rows
             # sibling subtypes' columns are excluded entirely
-            keep_cols = [i for i, c in enumerate(frame.columns)
+            keep_cols = [i for i, c in enumerate(root.columns)
                          if c.subtype is None or c.subtype[0] != gen_name or c.subtype[1] == st.name]
-            frame.columns = [frame.columns[i] for i in keep_cols]
-            frame.rows = [[r[i] for i in keep_cols] for r in frame.rows]
+            frame = Frame(root.entity, [root.columns[i].clone() for i in keep_cols],
+                          [[r[i] for i in keep_cols]
+                           for r, members in zip(root.rows, root_members) if st.name in members],
+                          list(root.key_names))
             if st.from_table:
                 self._join_membership_table(frame, gen, st)
             if not frame.rows:
@@ -419,13 +420,11 @@ class _Execution:
 
     def _join_membership_table(self, frame: Frame, gen: eer.Generalization, st: eer.Subtype) -> None:
         mt = self.bound.bundle.table(st.name)
-        by_key = {mt.key_tuple(r): r for r in mt.rows}
+        by_key = dict(zip(mt.keys(), mt.rows))
+        mrows = [by_key.get(k) for k in frame.keys()]
         for a in st.attributes:
             src = mt.column_index(a.name)
-            values = []
-            for row in frame.rows:
-                mrow = by_key.get(frame.key_tuple(row))
-                values.append(NOT_APPLICABLE if mrow is None else mrow[src])
+            values = [NOT_APPLICABLE if mrow is None else mrow[src] for mrow in mrows]
             frame.add_column(Column(
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name], source_attributes=[f"{st.name}.{a.name}"],
@@ -517,15 +516,11 @@ class _Execution:
             })
 
         target_ci = target_col[1]
-        kept, dropped = [], 0
-        for row in frame.rows:
-            if is_null(row[target_ci]):
-                dropped += 1
-            else:
-                kept.append(row)
-        kept.sort(key=lambda r: tuple(repr(v) for v in frame.key_tuple(r)))
+        kept = [i for i, row in enumerate(frame.rows) if not is_null(row[target_ci])]
+        dropped = len(frame.rows) - len(kept)
+        kept.sort(key=frame.order_key())
         # tagged nulls survive in memory (CSV renders both tags as empty)
-        out_rows = [[row[ci] for _, ci, _ in ordered] for row in kept]
+        out_rows = [[frame.rows[i][ci] for _, ci, _ in ordered] for i in kept]
         table = Table(name, final_cols, out_rows,
                       key_columns=[final_cols[i][0] for i in range(len(key_cols))])
         ds = TrainingDataset(
@@ -693,8 +688,8 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
     """Deterministic, seed-independent holdout: split by key digest."""
     train, test = [], []
     threshold = int(fraction * 2**32)
-    for row in ds.table.rows:
-        key = "|".join(str(v) for v in ds.table.key_tuple(row))
+    for row, key_cells in zip(ds.table.rows, ds.table.keys()):
+        key = "|".join(str(v) for v in key_cells)
         h = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:4], "big")
         (test if h < threshold else train).append(row)
     for suffix, rows in (("train", train), ("test", test)):
@@ -706,6 +701,27 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
 
 # ---------------------------------------------------------------------------
 # Naive flat dataset (no summarization)
+
+
+def _project_and_rank(frame: Frame) -> tuple[list[tuple[str, str]], list[tuple], list[int]]:
+    """The frame's output columns, each row's output cells (nulls as None)
+    and each row's dense rank by the reprs of those cells. The all-null row
+    of an absent partner is appended last, so index -1 addresses it."""
+    keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
+    columns = []
+    for ci in keep:
+        c = frame.columns[ci]
+        final = c.name if c.prefixed else feature_name(c.name, [c.origin_entities[0]], "raw")
+        columns.append((final, c.kind))
+    cells = [tuple([None if isinstance(row[ci], Null) else row[ci] for ci in keep])
+             for row in frame.rows]
+    cells.append((None,) * len(keep))
+    # No repr contains NUL and NUL sorts below every other character, so
+    # joining on it orders and equates rows exactly as tuples of reprs would,
+    # in one string per row.
+    printed = ["\0".join(map(repr, r)) for r in cells]
+    rank_of = {r: k for k, r in enumerate(sorted(set(printed)))}
+    return columns, cells, [rank_of[r] for r in printed]
 
 
 def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
@@ -726,75 +742,44 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
                 if bool(ex.referenced_aggregates(a.derivation)) is has_agg:
                     derivations.derive_attr(name, a.name)
 
-    def cols_of(entity: str) -> list[tuple[str, int, Column]]:
-        frame = frames[entity]
-        out = []
-        for ci, c in enumerate(frame.columns):
-            if c.consumed:
-                continue
-            final = c.name if c.prefixed else feature_name(c.name, [c.origin_entities[0]], "raw")
-            out.append((final, ci, c))
-        return out
-
+    # Each joined row is a tuple of row indexes, one per entity in join order,
+    # with -1 for an absent partner. partners[i] lists the partner rows of
+    # parent row i; partners[-1] = [-1] carries an absent parent's absence on.
     root = binding.target_entity
-    acc_cols: list[tuple[str, str]] = []
-    col_map: list[tuple[str, int]] = []  # (entity, column index in its frame)
-    for final, ci, c in cols_of(root):
-        acc_cols.append((final, c.kind))
-        col_map.append((root, ci))
-    acc_rows: list[dict[str, list]] = [{root: row} for row in frames[root].rows]
-
+    entities = [root] + [edge.child for edge in binding.spanning_tree]
+    position = {name: k for k, name in enumerate(entities)}
+    acc: list[tuple] = [(i,) for i in range(len(frames[root].rows))]
     for edge in binding.spanning_tree:
         rel = schema.relationship(edge.relationship)
-        child = edge.child
-        cframe = frames[child]
-        new_rows = []
-        if rel.child_entity() == child:
+        pframe, cframe = frames[edge.parent], frames[edge.child]
+        if rel.child_entity() == edge.child:
+            # partners stay in binder order: the final sort fixes the output order
             children = bound.children_of.get(edge.relationship, {})
-            pframe = frames[edge.parent]
-            for bundle_row in acc_rows:
-                prow = bundle_row[edge.parent]
-                if prow is None:
-                    new_rows.append({**bundle_row, child: None})
-                    continue
-                pk = pframe.key_tuple(prow)[0]
-                idxs = children.get(pk, [])
-                idxs = sorted(idxs, key=lambda i: tuple(repr(v) for v in cframe.key_tuple(cframe.rows[i])))
-                if not idxs:
-                    new_rows.append({**bundle_row, child: None})
-                else:
-                    for i in idxs:
-                        new_rows.append({**bundle_row, child: cframe.rows[i]})
+            partners = [children.get(k[0]) or [-1] for k in pframe.keys()]
         else:
-            pframe = frames[edge.parent]
+            # the parent carries the fk: at most one partner; keys are never null
             fk_i = pframe.col_index(rel.fk_columns[0])
-            ckey = {cframe.key_tuple(r)[0]: r for r in cframe.rows}
-            for bundle_row in acc_rows:
-                prow = bundle_row[edge.parent]
-                if prow is None:
-                    new_rows.append({**bundle_row, child: None})
-                    continue
-                v = prow[fk_i]
-                new_rows.append({**bundle_row, child: ckey.get(v) if not is_null(v) else None})
-        acc_rows = new_rows
-        for final, ci, c in cols_of(child):
-            acc_cols.append((final, c.kind))
-            col_map.append((child, ci))
+            ckey = {k[0]: i for i, k in enumerate(cframe.keys())}
+            partners = [[ckey.get(row[fk_i], -1)] for row in pframe.rows]
+        partners.append([-1])
+        p = position[edge.parent]
+        acc = [t + (c,) for t in acc for c in partners[t[p]]]
 
-    out_rows = []
-    for bundle_row in acc_rows:
-        row = []
-        for entity, ci in col_map:
-            src = bundle_row.get(entity)
-            if src is None:
-                row.append(None)
-            else:
-                v = src[ci]
-                row.append(None if is_null(v) else v)
-        out_rows.append(row)
+    columns: list[tuple[str, str]] = []
+    cells: list[list[tuple]] = []
+    ranks: list[list[int]] = []
+    for name in entities:
+        entity_columns, entity_cells, entity_ranks = _project_and_rank(frames[name])
+        columns += entity_columns
+        cells.append(entity_cells)
+        ranks.append(entity_ranks)
+    # Blocks have a fixed width per entity, so sorting by the tuple of ranks
+    # orders the output rows by the reprs of all their cells, left to right.
+    acc.sort(key=lambda t: tuple(map(getitem, ranks, t)))
+    # one exact-size list per row, from the concatenated cell tuples
+    out_rows = [list(sum(map(getitem, cells, t), ())) for t in acc]
     root_keys = [feature_name(k, [root], "raw") for k in frames[root].key_names]
-    out_rows.sort(key=lambda r: tuple(repr(v) for v in r))
-    table = Table("ds0", acc_cols, out_rows, key_columns=root_keys)
+    table = Table("ds0", columns, out_rows, key_columns=root_keys)
     return FlatDataset(
         table=table,
         key_columns=root_keys,

@@ -8,13 +8,14 @@ unknown/not-applicable distinction is assigned by the binder, never here.
 from __future__ import annotations
 
 import csv
+import datetime as _dt
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .diagnostics import Report
-from .values import format_cell, parse_cell
+from .values import Null, format_cell, format_float, parse_cell
 
 
 @dataclass
@@ -31,9 +32,10 @@ class Table:
     def column_index(self, name: str) -> int:
         return self.column_names.index(name)
 
-    def key_tuple(self, row: list) -> tuple:
+    def keys(self) -> Iterator[tuple]:
+        """Every row's key tuple, in row order."""
         idx = [self.column_index(k) for k in self.key_columns]
-        return tuple(row[i] for i in idx)
+        return (tuple([row[i] for i in idx]) for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -106,12 +108,32 @@ def read_csv(path: str | Path, name: str, columns: Iterable[tuple[str, str]],
     return table, rep
 
 
+# Exact cell types that csv.writer already writes as format_cell would: it
+# applies str() (a date's str() is its ISO form) and writes None as empty.
+_CSV_NATIVE = frozenset({str, int, type(None), _dt.date})
+
+
+def _bool_text(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def _null_text(v: Null) -> str:
+    return ""
+
+
+_FORMAT_BY_TYPE = {float: format_float, bool: _bool_text, Null: _null_text}
+
+
 def table_to_csv_bytes(table: Table) -> bytes:
+    """Serialize with format_cell's text for every cell. Cells are dispatched
+    on their exact type; any other type (a datetime, a subclass) goes through
+    format_cell itself."""
+    fmt = _FORMAT_BY_TYPE.get
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.column_names)
-    for row in table.rows:
-        writer.writerow([format_cell(v) for v in row])
+    writer.writerows([v if type(v) in _CSV_NATIVE else (fmt(type(v)) or format_cell)(v) for v in row]
+                     for row in table.rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -122,4 +144,4 @@ def write_csv(table: Table, path: str | Path) -> None:
 def distinct_key_count(table: Table) -> int:
     if not table.key_columns:
         raise ValueError(f"table {table.name!r} has no key columns set")
-    return len({table.key_tuple(r) for r in table.rows})
+    return len(set(table.keys()))

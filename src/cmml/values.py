@@ -11,6 +11,7 @@ replaces every ``None`` in the bound tables with one of the two singletons.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 
 UNKNOWN_TAG = "unknown"
 NOT_APPLICABLE_TAG = "not_applicable"
@@ -44,6 +45,13 @@ def is_null(v: object) -> bool:
     return v is None or isinstance(v, Null)
 
 
+def format_float(v: float) -> str:
+    """Integral floats below 1e15 print without a fraction; others as repr."""
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
 def format_cell(v: object) -> str:
     """Render a cell for CSV output. Nulls of either tag become the empty field."""
     if is_null(v):
@@ -51,9 +59,7 @@ def format_cell(v: object) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if v == int(v) and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
+        return format_float(v)
     if isinstance(v, int):
         return str(v)
     if isinstance(v, _dt.date):
@@ -69,7 +75,10 @@ def parse_cell(text: str, kind: str):
     if text == "":
         return None
     if kind == "numeric":
-        return float(text)
+        v = float(text)
+        if not math.isfinite(v):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return v
     if kind == "boolean":
         if text == "true":
             return True

@@ -74,6 +74,25 @@ def test_validate_dangling_fk_exit_1(tmp_path, capsys):
     assert "999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "prepare", "flatten"])
+@pytest.mark.parametrize("total", ["nan", "inf"])
+def test_non_finite_numeric_cell_exit_1(command, total, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in EXAMPLE_DATA.iterdir():
+        (data / f.name).write_bytes(f.read_bytes())
+    orders = data / "ORDER.csv"
+    orders.write_text(orders.read_text().replace("1002,35,", f"1002,{total},"))
+    argv = [command, "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(data)]
+    if command != "validate":
+        argv += ["--task", "PREDICT_LTV", "--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "bad-cell" in err and "ORDER:2:total" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_task_exit_1(capsys):
     assert run("plan", "--schema", str(EXAMPLE_SCHEMA), "--task", "NOPE") == 1
 

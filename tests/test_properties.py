@@ -4,10 +4,11 @@ import re
 
 import pytest
 
-from cmml import engine, planner
-from cmml.values import NOT_APPLICABLE, UNKNOWN
-from conftest import CLOCK
+from cmml import binder, eer, engine, planner
+from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
+from conftest import CLOCK, parse_full
 from propgen import Case
+from test_golden import N_SIDE_DATA
 
 N_CASES = 120
 SEEDS = range(N_CASES)
@@ -109,3 +110,90 @@ def test_manifest_completeness_and_naming(seed):
                 cat = f["transform"]["params"]["category"]
                 safe = re.sub(r"[^A-Za-z0-9_]+", "_", cat)
                 assert f["name"].endswith(f"_{safe}_count")
+
+
+def _nested_loop_flatten(bound, binding):
+    """Reference naive join: for every joined row and every tree edge, scan
+    all rows of the child entity for partners; no indexes, no ranking."""
+    schema = bound.schema
+    frames = engine.build_frames(bound, list(binding.predictor_entities))
+    root = binding.target_entity
+    entities = [root] + [e.child for e in binding.spanning_tree]
+    joined = [{root: row} for row in frames[root].rows]
+    for edge in binding.spanning_tree:
+        rel = schema.relationship(edge.relationship)
+        pf, cf = frames[edge.parent], frames[edge.child]
+        fk = rel.fk_columns[0]
+        if rel.child_entity() == edge.child:
+            p_i, c_i = pf.col_index(pf.key_names[0]), cf.col_index(fk)
+        else:
+            p_i, c_i = pf.col_index(fk), cf.col_index(cf.key_names[0])
+        out = []
+        for j in joined:
+            prow = j[edge.parent]
+            hits = [c for c in cf.rows if prow is not None and not is_null(prow[p_i])
+                    and c[c_i] == prow[p_i]]
+            hits.sort(key=lambda c: repr(c[cf.col_index(cf.key_names[0])]))
+            out.extend({**j, edge.child: c} for c in hits or [None])
+        joined = out
+    columns = [engine.feature_name(c.name, [c.origin_entities[0]], "raw")
+               for e in entities for c in frames[e].columns]
+    rows = []
+    for j in joined:
+        row = []
+        for e in entities:
+            width = len(frames[e].columns)
+            src = j[e] if j[e] is not None else [None] * width
+            row.extend(None if is_null(v) else v for v in src)
+        rows.append(row)
+    rows.sort(key=lambda r: tuple(repr(v) for v in r))
+    return columns, rows
+
+
+def _check_flatten_matches_nested_loop(bound, binding):
+    flat = engine.flatten_naive(bound, binding, clock=CLOCK)
+    columns, rows = _nested_loop_flatten(bound, binding)
+    assert flat.table.column_names == columns
+    assert flat.table.rows == rows  # same multiset, in the same order
+    printed = [tuple(repr(v) for v in r) for r in flat.table.rows]
+    assert printed == sorted(printed)
+
+
+@pytest.mark.parametrize("seed", range(1, 61))
+def test_flatten_naive_matches_nested_loop_join(seed):
+    case = Case(seed)
+    assert not any(a.derivation for e in case.schema.entities for a in e.attributes)
+    _check_flatten_matches_nested_loop(case.bound, case.binding)
+
+
+# The N-side golden schema without its derivation, with every key declared
+# after an attribute: the output order then differs from key order (o5's
+# total 7 prints after 40, o4's line l7 before l4).
+N_SIDE_KEYS_LAST = """
+entity CUSTOMER { attr region: nominal key cust_id: identifier attr vip: boolean }
+entity ORDER { attr total: numeric key order_id: identifier attr placed: date }
+entity LINE { attr qty: numeric key line_id: identifier }
+entity PROFILE { attr score: numeric key profile_id: identifier }
+relationship PLACES { CUSTOMER (0,1) -- (0,N) ORDER via cust_id }
+relationship CONTAINS { ORDER (1,1) -- (0,N) LINE via order_id }
+relationship HAS { CUSTOMER (0,1) -- (0,1) PROFILE via cust_id }
+task T { target ORDER.total }
+"""
+
+
+def test_flatten_naive_matches_nested_loop_join_n_side_target(tmp_path):
+    # ORDER carries the fk to its one CUSTOMER; order o4 has no customer and
+    # customer c3 has no PROFILE
+    for name, text in N_SIDE_DATA.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    schema = parse_full(N_SIDE_KEYS_LAST)
+    bundle, rep = binder.load_bundle(schema, tmp_path)
+    assert rep.ok, rep.render()
+    bound = binder.bind(schema, bundle)
+    assert bound.ok, bound.report.render()
+    binding = eer.resolve_target(schema, schema.task("T"))
+    assert any(schema.relationship(e.relationship).child_entity() != e.child
+               for e in binding.spanning_tree)
+    _check_flatten_matches_nested_loop(bound, binding)
+    rows = engine.flatten_naive(bound, binding, clock=CLOCK).table.rows
+    assert [r[1] for r in rows] == ["o1", "o1", "o6", "o2", "o4", "o4", "o5", "o3"]

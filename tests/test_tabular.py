@@ -1,7 +1,13 @@
+import csv
 import datetime as dt
+import io
+import random
+
+import pytest
 
 from cmml.tabular import (Table, distinct_key_count, read_csv,
                           table_to_csv_bytes, write_csv)
+from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell
 
 
 def _write(tmp_path, name, text):
@@ -64,3 +70,43 @@ def test_distinct_key_count():
     t = Table("T", [("id", "identifier"), ("v", "numeric")],
               rows=[["a", 1.0], ["a", 2.0], ["b", 3.0]], key_columns=["id"])
     assert distinct_key_count(t) == 2
+
+
+class _Text(str):
+    pass
+
+
+CELL_POOL = [
+    True, False, 0, 7, -12, 0.0, -0.0, 1.5, -3.0, 48.0, 1e15, 1e15 - 1, -1e15, 2.5e-7, 1e300,
+    0.1 + 0.2, dt.date(2019, 4, 21), dt.datetime(2019, 4, 21, 13, 5), UNKNOWN, NOT_APPLICABLE,
+    None, "", "plain", "a,b", 'say "hi"', "two\nlines", " padded ", "caf\u00e9", _Text("sub"),
+]
+
+
+def _reference_csv_bytes(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.column_names)
+    for row in table.rows:
+        writer.writerow([format_cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_table_to_csv_bytes_matches_per_cell_format_cell(seed):
+    rng = random.Random(seed)
+    width = rng.randint(1, 6)
+    table = Table("T", [(f"c{j}", "text") for j in range(width)],
+                  rows=[[rng.choice(CELL_POOL) for _ in range(width)]
+                        for _ in range(rng.randint(0, 40))])
+    assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
+
+
+def test_table_to_csv_bytes_every_pooled_cell():
+    table = Table("T", [("c", "text")], rows=[[v] for v in CELL_POOL])
+    assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
+    lines = table_to_csv_bytes(table).decode("utf-8")
+    assert "\n1000000000000000.0\n" in lines  # 1e15 keeps its repr
+    assert "\n999999999999999\n" in lines
+    # a datetime goes through format_cell (isoformat), not str()
+    assert "\n2019-04-21T13:05:00\n" in lines

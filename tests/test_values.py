@@ -60,6 +60,18 @@ def test_parse_cell_rejects_malformed(text, kind):
         parse_cell(text, kind)
 
 
+@pytest.mark.parametrize("text", ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999"])
+def test_parse_cell_rejects_non_finite_numeric(text):
+    # float() accepts these, but format_cell cannot print them back
+    with pytest.raises(ValueError, match="finite"):
+        parse_cell(text, "numeric")
+
+
+def test_parse_cell_keeps_finite_extremes():
+    assert parse_cell("1.7976931348623157e308", "numeric") == 1.7976931348623157e308
+    assert parse_cell("-0", "numeric") == 0.0
+
+
 def test_format_parse_round_trip():
     for v, kind in [(48.5, "numeric"), (True, "boolean"),
                     (dt.date(2019, 4, 21), "date"), ("Online", "nominal")]:
