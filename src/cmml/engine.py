@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from operator import getitem
@@ -21,7 +22,7 @@ from typing import Callable, Iterator, Optional
 from . import dsl, eer
 from . import expr as ex
 from .binder import BoundModel
-from .planner import PlanOptions, TransformationPlan
+from .planner import PlanOptions, TransformationPlan, derivation_order
 from .tabular import Table, table_to_csv_bytes
 from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null
 
@@ -87,6 +88,13 @@ class Column:
                        source_attributes=list(self.source_attributes),
                        params=dict(self.params), guidelines=list(self.guidelines))
 
+    def output_name(self) -> str:
+        """The column's name in an output dataset (G1): a prefixed name is
+        final; any other is prefixed with the column's origin entity."""
+        if self.prefixed:
+            return self.name
+        return feature_name(self.name, self.origin_entities[:1], "raw")
+
 
 @dataclass
 class Frame:
@@ -139,13 +147,6 @@ class TrainingDataset:
     dropped_null_target: int = 0
 
 
-@dataclass
-class FlatDataset:
-    table: Table
-    key_columns: list[str]
-    target_column: str
-
-
 def _null_for(min_participation: int) -> Null:
     return NOT_APPLICABLE if min_participation == 0 else UNKNOWN
 
@@ -191,21 +192,18 @@ class _Execution:
         self.emitted: dict[str, TrainingDataset] = {}
         self.dataset_records: dict[str, list[dict]] = {}
 
-    # -- related-rows provider -------------------------------------------------
-
-    def _related(self, entity: str, key: tuple):
-        pk = key[0] if len(key) == 1 else key
-
-        def provider(rel_name: str):
-            rel = self.bound.schema.relationship(rel_name)
-            if rel is None or rel.parent_entity() != entity:
-                raise ValueError(f"entity {entity} cannot aggregate over relationship {rel_name!r}")
-            child = self.frames[rel.child_entity()]
-            idxs = self.bound.children_of.get(rel_name, {}).get(pk, [])
-            names = [c.name for c in child.columns]
-            return [dict(zip(names, child.rows[i])) for i in idxs]
-
-        return provider
+    def _partners(self, parent: str, child: str, rel_name: str) -> list[list[int]]:
+        """For each row of the parent frame, its partner rows in the child
+        frame: the rows whose foreign key holds its key (binder order), or
+        the one row that its own foreign key names. Do not mutate the lists."""
+        rel = self.bound.schema.relationship(rel_name)
+        pframe = self.frames[parent]
+        if rel.child_entity() == child:
+            children = self.bound.children_of.get(rel_name, {})
+            return [children.get(k[0], []) for k in pframe.keys()]
+        fk_i = pframe.col_index(rel.fk_columns[0])
+        ckey = {k[0]: i for i, k in enumerate(self.frames[child].keys())}
+        return [[ckey[v]] if v in ckey else [] for v in (row[fk_i] for row in pframe.rows)]
 
     def derive_attr(self, entity: str, attr_name: str) -> None:
         schema = self.bound.schema
@@ -213,12 +211,29 @@ class _Execution:
         attr = ent.attr(attr_name)
         frame = self.frames[entity]
         names = [c.name for c in frame.columns]
+        # relationship -> (child column names, child rows, partners per row)
+        related: dict[str, tuple[list[str], list[list], list[list[int]]]] = {}
+        for agg in ex.referenced_aggregates(attr.derivation):
+            rel = schema.relationship(agg.relationship)
+            if rel is None or rel.parent_entity() != entity:
+                raise ValueError(f"entity {entity} cannot aggregate over relationship "
+                                 f"{agg.relationship!r}")
+            child = self.frames[rel.child_entity()]
+            related[agg.relationship] = ([c.name for c in child.columns], child.rows,
+                                         self._partners(entity, child.entity, agg.relationship))
+
+        def rows_of(rel_name: str) -> list[dict]:  # of row r, the row being derived
+            child_names, child_rows, partners = related[rel_name]
+            return [dict(zip(child_names, child_rows[i])) for i in partners[r]]
+
         diags: list[str] = []
         values = []
-        for row, key in zip(frame.rows, frame.keys()):
-            ctx = dict(zip(names, row))
-            values.append(ex.eval_expr(attr.derivation, ctx, self._related(entity, key),
+        for r, row in enumerate(frame.rows):
+            values.append(ex.eval_expr(attr.derivation, dict(zip(names, row)), rows_of,
                                        self.clock, diags))
+        replaced = _finite(values)
+        if replaced:
+            diags.append(f"{replaced} non-finite value(s) set to unknown")
         for d in sorted(set(diags)):
             self.warnings.append(f"{entity}.{attr_name}: {d}")
         sources = [f"{entity}.{a}" for a in sorted(ex.referenced_attrs(attr.derivation))]
@@ -244,24 +259,11 @@ class _Execution:
         rel = self.bound.schema.relationship(rel_name)
         pframe = self.frames[parent]
         cframe = self.frames[child]
-        if rel.child_entity() == child:
-            # partner carries the fk; look partners up by parent key
-            children = self.bound.children_of.get(rel_name, {})
-            pkeys = [k[0] for k in pframe.keys()]
-            partner_idx = []
-            for pk in pkeys:
-                idxs = children.get(pk, [])
-                partner_idx.append(idxs[0] if idxs else None)
-            absent_null = _null_for(rel.end_of(child).min)
-        else:
-            # parent carries the fk (many-to-one hop toward the one side)
-            fk_i = pframe.col_index(rel.fk_columns[0])
-            ckey = {k[0]: i for i, k in enumerate(cframe.keys())}
-            partner_idx = []
-            for row in pframe.rows:
-                v = row[fk_i]
-                partner_idx.append(ckey.get(v) if not is_null(v) else None)
-            absent_null = _null_for(rel.end_of(child).min if not rel.is_one_to_one else 0)
+        partners = self._partners(parent, child, rel_name)
+        min_partners = rel.end_of(child).min
+        if rel.is_one_to_one and rel.child_entity() != child:
+            min_partners = 0
+        absent_null = _null_for(min_partners)
         for ci, col in enumerate(cframe.columns):
             if not col.emit or col.consumed or col.kind == "identifier":
                 continue
@@ -270,18 +272,16 @@ class _Execution:
                 new.name = feature_name(new.name, [child], "raw")
                 new.prefixed = True
             new.params = dict(new.params, relationship=rel_name)
-            values = [cframe.rows[pi][ci] if pi is not None else absent_null for pi in partner_idx]
+            values = [cframe.rows[p[0]][ci] if p else absent_null for p in partners]
             pframe.add_column(new, values, self.warnings)
 
     def summarize_child(self, parent: str, child: str, rel_name: str,
                         agg_set: tuple[str, ...], top_k: int) -> None:
         pframe = self.frames[parent]
         cframe = self.frames[child]
-        children = self.bound.children_of.get(rel_name, {})
-        pkeys = [k[0] for k in pframe.keys()]
-        # child rows per parent, in child key order (stable concat/versioning)
+        # child rows per parent row, in child key order (stable concat/versioning)
         order = cframe.order_key()
-        groups = {pk: sorted(children.get(pk, ()), key=order) for pk in pkeys}
+        groups = [sorted(p, key=order) for p in self._partners(parent, child, rel_name)]
 
         def add(col: Column, values: list) -> None:
             pframe.add_column(col, values, self.warnings)
@@ -291,7 +291,7 @@ class _Execution:
             origin_entities=[child], source_attributes=[f"{child}.*"],
             transform="count", params={"relationship": rel_name},
             guidelines=["G4"], prefixed=True,
-        ), [float(len(groups[pk])) for pk in pkeys])
+        ), [float(len(g)) for g in groups])
 
         numeric_aggs = tuple(a for a in NUMERIC_AGG_ORDER if a in agg_set)
         for want_kind in KIND_SUMMARY_ORDER:
@@ -302,31 +302,25 @@ class _Execution:
                 # they surface only when their own entity's datasets are split
                 if col.subtype is not None:
                     continue
+                cells = [[cframe.rows[i][ci] for i in g] for g in groups]
                 if want_kind == "numeric":
-                    self._summarize_numeric(col, ci, cframe, groups, pkeys, numeric_aggs,
-                                            child, rel_name, add)
+                    self._summarize_numeric(col, cells, numeric_aggs, child, rel_name, add)
                 elif want_kind == "nominal":
-                    self._summarize_nominal(col, ci, cframe, groups, pkeys, top_k,
-                                            child, rel_name, add)
+                    self._summarize_nominal(col, ci, cframe, cells, top_k, child, rel_name, add)
                 elif want_kind == "boolean":
-                    values = [float(sum(1 for i in groups[pk]
-                                        if cframe.rows[i][ci] is True)) for pk in pkeys]
+                    values = [float(sum(1 for v in c if v is True)) for c in cells]
                     add(self._agg_col(col, child, rel_name, "true_count", "numeric"), values)
                 elif want_kind == "text":
                     values = []
-                    for pk in pkeys:
-                        parts = [cframe.rows[i][ci] for i in groups[pk]
-                                 if not is_null(cframe.rows[i][ci])]
+                    for c in cells:
+                        parts = [v for v in c if not is_null(v)]
                         values.append("\n".join(parts) if parts else UNKNOWN)
                     add(self._agg_col(col, child, rel_name, "concat", "text"), values)
                 elif want_kind == "date":
+                    known = [[v for v in c if not is_null(v)] for c in cells]
                     for agg in ("min", "max"):
-                        values = []
-                        for pk in pkeys:
-                            vals = [cframe.rows[i][ci] for i in groups[pk]
-                                    if not is_null(cframe.rows[i][ci])]
-                            values.append((min(vals) if agg == "min" else max(vals))
-                                          if vals else UNKNOWN)
+                        values = [(min(vals) if agg == "min" else max(vals)) if vals else UNKNOWN
+                                  for vals in known]
                         add(self._agg_col(col, child, rel_name, agg, "date"), values)
 
     def _agg_col(self, col: Column, child: str, rel_name: str, transform: str,
@@ -347,14 +341,11 @@ class _Execution:
             subtype=col.subtype,
         )
 
-    def _summarize_numeric(self, col, ci, cframe, groups, pkeys, numeric_aggs,
-                           child, rel_name, add) -> None:
-        per_parent = {pk: [cframe.rows[i][ci] for i in groups[pk]
-                           if not is_null(cframe.rows[i][ci])] for pk in pkeys}
+    def _summarize_numeric(self, col, cells, numeric_aggs, child, rel_name, add) -> None:
+        known = [[v for v in c if not is_null(v)] for c in cells]
         for agg in numeric_aggs:
             values = []
-            for pk in pkeys:
-                vals = per_parent[pk]
+            for vals in known:
                 if agg == "sum":
                     values.append(float(sum(vals)))
                 elif not vals:
@@ -365,10 +356,14 @@ class _Execution:
                     values.append(min(vals))
                 else:
                     values.append(max(vals))
-            add(self._agg_col(col, child, rel_name, agg, "numeric"), values)
+            new = self._agg_col(col, child, rel_name, agg, "numeric")
+            replaced = _finite(values)
+            if replaced:
+                self.warnings.append(
+                    f"{new.name}: {replaced} non-finite value(s) set to unknown")
+            add(new, values)
 
-    def _summarize_nominal(self, col, ci, cframe, groups, pkeys, top_k,
-                           child, rel_name, add) -> None:
+    def _summarize_nominal(self, col, ci, cframe, cells, top_k, child, rel_name, add) -> None:
         freq: dict[str, int] = {}
         for row in cframe.rows:
             v = row[ci]
@@ -377,23 +372,22 @@ class _Execution:
         ordered = sorted(freq, key=lambda c: (-freq[c], c))
         kept = ordered[:top_k]
         pooled = set(ordered[top_k:])
-        counts = {pk: {} for pk in pkeys}
-        other = {pk: 0 for pk in pkeys}
-        for pk in pkeys:
-            for i in groups[pk]:
-                v = cframe.rows[i][ci]
+        counts = [{} for _ in cells]
+        other = [0] * len(cells)
+        for r, c in enumerate(cells):
+            for v in c:
                 if is_null(v):
                     continue
                 if v in pooled:
-                    other[pk] += 1
+                    other[r] += 1
                 else:
-                    counts[pk][v] = counts[pk].get(v, 0) + 1
+                    counts[r][v] = counts[r].get(v, 0) + 1
         for cat in kept:
             add(self._agg_col(col, child, rel_name, "category_count", "numeric", category=cat),
-                [float(counts[pk].get(cat, 0)) for pk in pkeys])
+                [float(n.get(cat, 0)) for n in counts])
         if pooled:
             add(self._agg_col(col, child, rel_name, "category_count", "numeric", category="OTHER"),
-                [float(other[pk]) for pk in pkeys])
+                [float(n) for n in other])
 
     # -- splitting / imputation / emission --------------------------------------
 
@@ -461,6 +455,10 @@ class _Execution:
                     self.warnings.append(
                         f"dataset {name}: column {col.name!r} has no known values; left null")
                     continue
+            if _non_finite(fill):
+                self.warnings.append(
+                    f"dataset {name}: column {col.name!r} has a non-finite fill; left null")
+                continue
             for i in unknown_idx:
                 frame.rows[i][ci] = fill
             col.imputed_cells += len(unknown_idx)
@@ -472,7 +470,6 @@ class _Execution:
 
     def emit(self, name: str) -> TrainingDataset:
         frame = self._ensure_dataset(name)
-        root_entity = self.plan.binding.target_entity
         target_attr = self.plan.binding.target_attr
         key_names = frame.key_names
         key_cols, pred_cols, target_col = [], [], None
@@ -491,12 +488,7 @@ class _Execution:
         records = []
         names_taken: set[str] = set()
         for col, ci, role in ordered:
-            if col.prefixed:
-                final = col.name
-            else:
-                origin = col.subtype[1] if col.subtype else root_entity
-                final = feature_name(col.name, [origin], "raw" if col.transform.startswith("imputed")
-                                     or col.transform == "raw" else col.transform)
+            final = col.output_name()
             base = final
             n = 2
             while final in names_taken:
@@ -532,6 +524,22 @@ class _Execution:
         self.emitted[name] = ds
         self.dataset_records[name] = records
         return ds
+
+
+def _non_finite(v: object) -> bool:
+    """An overflow to ±inf, or nan: never written to a numeric cell."""
+    return isinstance(v, float) and not math.isfinite(v)
+
+
+def _finite(values: list) -> int:
+    """Replace each non-finite value in ``values`` with UNKNOWN; return how
+    many were replaced."""
+    replaced = 0
+    for i, v in enumerate(values):
+        if _non_finite(v):
+            values[i] = UNKNOWN
+            replaced += 1
+    return replaced
 
 
 def _parse_constant(text: str, kind: str):
@@ -708,11 +716,7 @@ def _project_and_rank(frame: Frame) -> tuple[list[tuple[str, str]], list[tuple],
     and each row's dense rank by the reprs of those cells. The all-null row
     of an absent partner is appended last, so index -1 addresses it."""
     keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
-    columns = []
-    for ci in keep:
-        c = frame.columns[ci]
-        final = c.name if c.prefixed else feature_name(c.name, [c.origin_entities[0]], "raw")
-        columns.append((final, c.kind))
+    columns = [(frame.columns[ci].output_name(), frame.columns[ci].kind) for ci in keep]
     cells = [tuple([None if isinstance(row[ci], Null) else row[ci] for ci in keep])
              for row in frame.rows]
     cells.append((None,) * len(keep))
@@ -725,42 +729,28 @@ def _project_and_rank(frame: Frame) -> tuple[list[tuple[str, str]], list[tuple],
 
 
 def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
-                  clock: Optional[_dt.date] = None) -> FlatDataset:
+                  clock: Optional[_dt.date] = None) -> TrainingDataset:
     """Left-join chain along the spanning tree at the deepest grain, with
-    derived attributes evaluated and G1 naming applied; the target repeats
-    per row exactly as a naive export would."""
-    clock = clock or _dt.date.today()
-    schema = bound.schema
-    derivations = _Execution(bound, binding, clock)
-    frames = derivations.frames
-    for name in binding.predictor_entities:
-        ent = schema.entity(name)
-        for has_agg in (False, True):
-            for a in ent.attributes:
-                if a.derivation is None:
-                    continue
-                if bool(ex.referenced_aggregates(a.derivation)) is has_agg:
-                    derivations.derive_attr(name, a.name)
+    derived attributes evaluated in the plan's order and G1 naming applied;
+    the target repeats per row exactly as a naive export would."""
+    st = _Execution(bound, binding, clock or _dt.date.today())
+    for entity, attr in derivation_order(bound.schema, binding):
+        st.derive_attr(entity, attr.name)
+    frames = st.frames
+    root = binding.target_entity
+    root_frame = frames[root]
+    target = root_frame.columns[root_frame.col_index(binding.target_attr)]
+    target.consumed = False  # kept even when a derivation reads it, as emit keeps it
 
     # Each joined row is a tuple of row indexes, one per entity in join order,
     # with -1 for an absent partner. partners[i] lists the partner rows of
-    # parent row i; partners[-1] = [-1] carries an absent parent's absence on.
-    root = binding.target_entity
+    # parent row i in binder order (the final sort fixes the output order);
+    # partners[-1] = [-1] carries an absent parent's absence on.
     entities = [root] + [edge.child for edge in binding.spanning_tree]
     position = {name: k for k, name in enumerate(entities)}
-    acc: list[tuple] = [(i,) for i in range(len(frames[root].rows))]
+    acc: list[tuple] = [(i,) for i in range(len(root_frame.rows))]
     for edge in binding.spanning_tree:
-        rel = schema.relationship(edge.relationship)
-        pframe, cframe = frames[edge.parent], frames[edge.child]
-        if rel.child_entity() == edge.child:
-            # partners stay in binder order: the final sort fixes the output order
-            children = bound.children_of.get(edge.relationship, {})
-            partners = [children.get(k[0]) or [-1] for k in pframe.keys()]
-        else:
-            # the parent carries the fk: at most one partner; keys are never null
-            fk_i = pframe.col_index(rel.fk_columns[0])
-            ckey = {k[0]: i for i, k in enumerate(cframe.keys())}
-            partners = [[ckey.get(row[fk_i], -1)] for row in pframe.rows]
+        partners = [p or [-1] for p in st._partners(edge.parent, edge.child, edge.relationship)]
         partners.append([-1])
         p = position[edge.parent]
         acc = [t + (c,) for t in acc for c in partners[t[p]]]
@@ -778,10 +768,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     acc.sort(key=lambda t: tuple(map(getitem, ranks, t)))
     # one exact-size list per row, from the concatenated cell tuples
     out_rows = [list(sum(map(getitem, cells, t), ())) for t in acc]
-    root_keys = [feature_name(k, [root], "raw") for k in frames[root].key_names]
-    table = Table("ds0", columns, out_rows, key_columns=root_keys)
-    return FlatDataset(
-        table=table,
-        key_columns=root_keys,
-        target_column=feature_name(binding.target_attr, [root], "raw"),
-    )
+    root_keys = [root_frame.columns[root_frame.col_index(k)].output_name()
+                 for k in root_frame.key_names]
+    return TrainingDataset("ds0", Table("ds0", columns, out_rows, key_columns=root_keys),
+                           target_column=target.output_name(), key_columns=root_keys)

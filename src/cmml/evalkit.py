@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dsl, eer
-from .engine import FlatDataset, TrainingDataset
+from .engine import TrainingDataset
 from .values import is_null
 from .tabular import DataBundle, Table
 
@@ -373,7 +373,7 @@ def _fit_predict(design: OneHotDesign, target: np.ndarray, train: np.ndarray,
     return ols_predict(beta, design.transform(test)).tolist()
 
 
-def compare_datasets(ds0: FlatDataset, tds: TrainingDataset, value_range: float,
+def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: float,
                      folds: int = 5, seed: int = 0, ridge: float = 1e-6) -> ComparisonReport:
     """k-fold out-of-sample comparison at equal grain.
 

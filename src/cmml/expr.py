@@ -25,9 +25,9 @@ import datetime as _dt
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .values import UNKNOWN, Null, is_null
+from .values import UNKNOWN, format_float, is_null
 
 AGG_KINDS = ("count", "sum", "mean", "min", "max")
 FN_NAMES = ("years_between", "days_between", "today", "abs", "if")
@@ -210,7 +210,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "number":
             self.next()
-            return Literal(float(t.text))
+            v = float(t.text)
+            if not math.isfinite(v):
+                raise ExprSyntaxError(f"number {t.text} is not finite", t.line, t.col)
+            return Literal(v)
         if t.kind == "string":
             self.next()
             body = t.text[1:-1]
@@ -294,7 +297,7 @@ def _pp(e: Expr, parent_prec: int) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, float):
-            return str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+            return format_float(v)
         if isinstance(v, _dt.date):
             return f'"{v.isoformat()}"'
         return f'"{v}"'
@@ -550,35 +553,25 @@ def _eval_aggregate(expr: Aggregate, row, related, diagnostics):
     raise ValueError(f"bad aggregate {expr.kind!r}")
 
 
+def _nodes(expr: Expr) -> Iterator[Expr]:
+    """Every node of the expression tree (an aggregate is a leaf)."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Binary):
+            stack.extend((e.lhs, e.rhs))
+        elif isinstance(e, Unary):
+            stack.append(e.operand)
+        elif isinstance(e, Call):
+            stack.extend(e.args)
+
+
 def referenced_attrs(expr: Expr) -> set[str]:
     """Names of same-entity attributes the expression reads directly
     (aggregate targets live on related entities and are excluded)."""
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, AttrRef):
-            out.add(e.name)
-        elif isinstance(e, Binary):
-            stack.extend((e.lhs, e.rhs))
-        elif isinstance(e, Unary):
-            stack.append(e.operand)
-        elif isinstance(e, Call):
-            stack.extend(e.args)
-    return out
+    return {e.name for e in _nodes(expr) if isinstance(e, AttrRef)}
 
 
 def referenced_aggregates(expr: Expr) -> list[Aggregate]:
-    out: list[Aggregate] = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Aggregate):
-            out.append(e)
-        elif isinstance(e, Binary):
-            stack.extend((e.lhs, e.rhs))
-        elif isinstance(e, Unary):
-            stack.append(e.operand)
-        elif isinstance(e, Call):
-            stack.extend(e.args)
-    return out
+    return [e for e in _nodes(expr) if isinstance(e, Aggregate)]

@@ -64,9 +64,10 @@ def compile_plan(bound_or_schema, task: eer.TaskDecl, options: Optional[PlanOpti
 
     Step order: non-aggregate derivations on every tree entity; bottom-up
     child summarization (deepest edges first, one-partner hops joined in
-    place); aggregate-bearing derivations on the target entity; one-to-one
-    joins at the target entity; subtype split; per-dataset imputation;
-    emission.
+    place, each child's aggregate-bearing derivations just before it);
+    aggregate-bearing derivations on the target entity; one-to-one joins at
+    the target entity; subtype split; per-dataset imputation; emission. The
+    derivations thus run in `derivation_order`.
     """
     schema: eer.EerSchema = getattr(bound_or_schema, "schema", bound_or_schema)
     options = options or PlanOptions.from_task(task)
@@ -83,33 +84,24 @@ def compile_plan(bound_or_schema, task: eer.TaskDecl, options: Optional[PlanOpti
     steps: list[PlanStep] = []
     notes: list[str] = list(binding.warnings)
 
-    # (a) non-aggregate derivations, breadth-first entity order
-    for entity in binding.predictor_entities:
-        for a in schema.entity(entity).attributes:
-            if a.derivation is not None and not ex.referenced_aggregates(a.derivation):
-                steps.append(PlanStep("derive_attr", ("G2",),
-                                      {"entity": entity, "attribute": a.name,
-                                       "expression": ex.pretty_print(a.derivation)}))
+    # (a) non-aggregate derivations; aggregate-bearing ones wait for their
+    # entity's slot in (b) or (c)
+    with_agg: dict[str, list[PlanStep]] = {}
+    for entity, a in derivation_order(schema, binding):
+        step = PlanStep("derive_attr", ("G2",), {"entity": entity, "attribute": a.name,
+                                                 "expression": ex.pretty_print(a.derivation)})
+        if ex.referenced_aggregates(a.derivation):
+            with_agg.setdefault(entity, []).append(step)
+        else:
+            steps.append(step)
 
     # (b) bottom-up along the spanning tree; aggregate-bearing derivations on a
     # child run once its own subtree is summarized, just before it is consumed
-    depth = {root: 0}
-    for e in binding.spanning_tree:
-        depth[e.child] = depth[e.parent] + 1
-    deep_edges = sorted(
-        (e for e in binding.spanning_tree),
-        key=lambda e: (-depth[e.child],
-                       [x.child for x in binding.spanning_tree].index(e.child)),
-    )
     root_joins: list[eer.TreeEdge] = []
-    for edge in deep_edges:
+    for edge in _deepest_first(binding):
         rel = schema.relationship(edge.relationship)
         child_per_parent = rel.end_of(edge.child).max
-        for a in schema.entity(edge.child).attributes:
-            if a.derivation is not None and ex.referenced_aggregates(a.derivation):
-                steps.append(PlanStep("derive_attr", ("G2",),
-                                      {"entity": edge.child, "attribute": a.name,
-                                       "expression": ex.pretty_print(a.derivation)}))
+        steps += with_agg.get(edge.child, [])
         if child_per_parent == "N":
             steps.append(PlanStep("summarize_child", ("G4",), {
                 "parent": edge.parent, "child": edge.child,
@@ -126,11 +118,7 @@ def compile_plan(bound_or_schema, task: eer.TaskDecl, options: Optional[PlanOpti
             }))
 
     # (c) aggregate-bearing derivations on the target entity
-    for a in schema.entity(root).attributes:
-        if a.derivation is not None and ex.referenced_aggregates(a.derivation):
-            steps.append(PlanStep("derive_attr", ("G2",),
-                                  {"entity": root, "attribute": a.name,
-                                   "expression": ex.pretty_print(a.derivation)}))
+    steps += with_agg.get(root, [])
 
     # (d) one-to-one joins at the target entity
     for edge in root_joins:
@@ -157,6 +145,32 @@ def compile_plan(bound_or_schema, task: eer.TaskDecl, options: Optional[PlanOpti
 
     return TransformationPlan(task=task.name, binding=binding, steps=tuple(steps),
                               outputs=outputs, options=options, notes=tuple(notes))
+
+
+def _deepest_first(binding: eer.TargetBinding) -> list[eer.TreeEdge]:
+    """Tree edges by decreasing depth of their child; ties keep tree order."""
+    depth = {binding.target_entity: 0}
+    for e in binding.spanning_tree:
+        depth[e.child] = depth[e.parent] + 1
+    return sorted(binding.spanning_tree, key=lambda e: -depth[e.child])
+
+
+def derivation_order(schema: eer.EerSchema, binding: eer.TargetBinding
+                     ) -> list[tuple[str, eer.Attribute]]:
+    """Every derived attribute of the binding's tree as (entity, attribute),
+    in the order the plan derives them: the non-aggregate ones entity by
+    entity in breadth-first order, then the aggregate-bearing ones bottom-up
+    (the child of each deepest-first edge, the target entity last), so an
+    aggregate reads child columns that are already derived."""
+    def derived(entity: str, with_agg: bool) -> list[tuple[str, eer.Attribute]]:
+        return [(entity, a) for a in schema.entity(entity).attributes
+                if a.derivation is not None
+                and bool(ex.referenced_aggregates(a.derivation)) is with_agg]
+
+    order = [d for e in binding.predictor_entities for d in derived(e, False)]
+    for entity in [e.child for e in _deepest_first(binding)] + [binding.target_entity]:
+        order += derived(entity, True)
+    return order
 
 
 def _choose_split(schema: eer.EerSchema, task: eer.TaskDecl, root: str,

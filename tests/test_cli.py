@@ -93,6 +93,24 @@ def test_non_finite_numeric_cell_exit_1(command, total, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "plan", "prepare"])
+def test_non_finite_number_literal_exit_1(command, tmp_path, capsys):
+    schema = tmp_path / "s.cmml"
+    schema.write_text(EXAMPLE_SCHEMA.read_text().replace(
+        "sum(PLACES.total)", "sum(PLACES.total) * 1e999"))
+    argv = [command, "--schema", str(schema)]
+    if command != "plan":
+        argv += ["--data-dir", str(EXAMPLE_DATA)]
+    if command != "validate":
+        argv += ["--task", "PREDICT_LTV"]
+    if command == "prepare":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "parse: bad expression" in err and "1e999 is not finite" in err
+
+
 def test_unknown_task_exit_1(capsys):
     assert run("plan", "--schema", str(EXAMPLE_SCHEMA), "--task", "NOPE") == 1
 

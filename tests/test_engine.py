@@ -428,3 +428,71 @@ def test_flatten_single_entity_equals_table(tmp_path):
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
                                 clock=CLOCK)
     assert len(flat.table.rows) == 2
+
+
+def test_flatten_keeps_target_read_by_a_derivation(tmp_path):
+    from cmml import eer
+    schema = parse_full("""
+        entity CUSTOMER { key cust_id: identifier attr spend: numeric
+                          derived attr big: boolean = spend > 20 }
+        task T { target CUSTOMER.spend }
+    """)
+    (tmp_path / "CUSTOMER.csv").write_text("cust_id,spend\nc1,10\nc2,30\n")
+    bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
+    flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
+                                clock=CLOCK)
+    assert flat.table.column_names == ["CUSTOMER_cust_id", "CUSTOMER_spend", "CUSTOMER_big"]
+    assert flat.target_column == "CUSTOMER_spend"
+    assert flat.table.rows == [["c1", 10.0, False], ["c2", 30.0, True]]
+
+
+# ---------------------------------------------------------------------------
+# Non-finite numerics: an overflow becomes an unknown cell plus a warning
+
+
+def test_overflowing_derivation_is_unknown(tmp_path):
+    from cmml import eer
+    text = """
+        entity CUSTOMER { key cust_id: identifier attr spend: numeric attr y: numeric
+                          derived attr huge: numeric = spend * 1e308 }
+        task T { target CUSTOMER.y }
+    """
+    tables = {"CUSTOMER": "cust_id,spend,y\nc1,10,1\nc2,0,2\n"}
+    out = tmp_path / "out"
+    (ds,), manifest = _run(text, tables, tmp_path, out_dir=out, impute="none")
+    assert _col(ds, "CUSTOMER_huge") == {"c1": UNKNOWN, "c2": 0.0}
+    assert manifest["warnings"] == ["CUSTOMER.huge: 1 non-finite value(s) set to unknown"]
+    assert (out / "T.csv").read_text().splitlines()[1:] == ["c1,,1", "c2,0,2"]
+    schema = parse_full(text)
+    bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
+    flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
+                                clock=CLOCK)
+    assert flat.table.rows == [["c1", 1.0, None], ["c2", 2.0, 0.0]]
+
+
+def test_overflowing_child_summary_is_unknown(tmp_path):
+    text = """
+        entity CUSTOMER { key cust_id: identifier attr y: numeric }
+        entity ORDER { key order_id: identifier attr total: numeric }
+        relationship PLACES { CUSTOMER (1,1) -- (0,N) ORDER via cust_id }
+        task T { target CUSTOMER.y }
+    """
+    tables = {"CUSTOMER": "cust_id,y\nc1,1\nc2,2\n",
+              "ORDER": "order_id,total,cust_id\no1,1e308,c1\no2,1e308,c1\no3,5,c2\n"}
+    out = tmp_path / "out"
+    (ds,), manifest = _run(text, tables, tmp_path, out_dir=out, impute="none")
+    assert _col(ds, "ORDER_total_sum") == {"c1": UNKNOWN, "c2": 5.0}
+    assert _col(ds, "ORDER_total_mean") == {"c1": UNKNOWN, "c2": 5.0}
+    assert _col(ds, "ORDER_total_max") == {"c1": 1e308, "c2": 5.0}
+    assert manifest["warnings"] == ["ORDER_total_mean: 1 non-finite value(s) set to unknown",
+                                    "ORDER_total_sum: 1 non-finite value(s) set to unknown"]
+    assert (out / "T.csv").read_text().splitlines()[1] == "c1,2,,,1e+308,1e+308,1"
+
+
+def test_non_finite_mean_fill_leaves_cells_null(tmp_path):
+    tables = {"E": "id,x,y\na,1e308,1\nb,1e308,2\nc,,3\n"}
+    text = "entity E { key id: identifier attr x: numeric attr y: numeric } task T { target E.y }"
+    (ds,), manifest = _run(text, tables, tmp_path, out_dir=tmp_path / "out")
+    assert _col(ds, "E_x") == {"a": 1e308, "b": 1e308, "c": UNKNOWN}
+    assert manifest["warnings"] == ["dataset T: column 'x' has a non-finite fill; left null"]
+    assert (tmp_path / "out" / "T.csv").read_text().splitlines()[3] == "c,,3"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmml import evalkit
-from cmml.engine import FlatDataset, TrainingDataset
+from cmml.engine import TrainingDataset
 from cmml.tabular import Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 
@@ -327,7 +327,8 @@ def _pair(tds_rows, flat_rows):
     columns = [("id", "identifier"), ("x", "numeric"), ("y", "numeric")]
     tds = TrainingDataset("T", Table("T", columns, rows=tds_rows, key_columns=["id"]),
                           "y", ["id"])
-    flat = FlatDataset(Table("ds0", columns, rows=flat_rows, key_columns=["id"]), ["id"], "y")
+    flat = TrainingDataset("ds0", Table("ds0", columns, rows=flat_rows, key_columns=["id"]),
+                           "y", ["id"])
     return flat, tds
 
 
@@ -380,9 +381,9 @@ def test_compare_datasets_linear_at_scale():
     tds = TrainingDataset("T", Table("T", [("id", "identifier"), ("n", "numeric"),
                                            ("g", "nominal"), ("y", "numeric")],
                                      rows=tds_rows, key_columns=["id"]), "y", ["id"])
-    flat = FlatDataset(Table("ds0", [("id", "identifier"), ("total", "numeric"),
-                                     ("channel", "nominal"), ("y", "numeric")],
-                             rows=flat_rows, key_columns=["id"]), ["id"], "y")
+    flat = TrainingDataset("ds0", Table("ds0", [("id", "identifier"), ("total", "numeric"),
+                                                ("channel", "nominal"), ("y", "numeric")],
+                                        rows=flat_rows, key_columns=["id"]), "y", ["id"])
     assert 85_000 < len(flat_rows) < 95_000
     t0 = time.perf_counter()
     rep = evalkit.compare_datasets(flat, tds, 400.0, folds=5, seed=0)

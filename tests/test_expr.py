@@ -51,7 +51,7 @@ def test_date_literal():
     assert isinstance(e, ex.Literal) and e.value == dt.date(2019, 4, 21)
 
 
-@pytest.mark.parametrize("bad", ["a +", "sum(", "1 < 2 < 3", "count()", "@x", "(a"])
+@pytest.mark.parametrize("bad", ["a +", "sum(", "1 < 2 < 3", "count()", "@x", "(a", "1e999"])
 def test_syntax_errors(bad):
     with pytest.raises(ex.ExprSyntaxError):
         ex.parse_expr(bad)

@@ -72,7 +72,55 @@ N_SIDE_DATA = {
     "PROFILE": "profile_id,score,cust_id\np1,0.5,c1\np2,,c2\n",
 }
 
+# A three-level chain whose aggregate derivations read each other: the
+# CUSTOMER target sums ORDER.basket, which is itself an aggregate over LINE.
+# c4 has no order, c6 a null bonus (null target), o3 no line, l5 a null qty.
+CHAIN_SCHEMA = """
+entity CUSTOMER {
+  key cust_id: identifier
+  attr segment: nominal
+  attr bonus: numeric
+  derived attr value: numeric = 0.1 * sum(PLACES.basket) + bonus
+}
+entity ORDER {
+  key order_id: identifier
+  attr shipping: numeric
+  derived attr lines: numeric = count(CONTAINS)
+  derived attr basket: numeric = sum(CONTAINS.price) + shipping
+}
+entity LINE {
+  key line_id: identifier
+  attr qty: numeric
+  attr unit_price: numeric
+  derived attr price: numeric = qty * unit_price
+}
+relationship PLACES { CUSTOMER (1,1) -- (0,N) ORDER via cust_id }
+relationship CONTAINS { ORDER (1,1) -- (0,N) LINE via order_id }
+task T { target CUSTOMER.value }
+"""
+CHAIN_DATA = {
+    "CUSTOMER": ("cust_id,segment,bonus\nc1,a,3\nc2,b,-1.5\nc3,a,0\nc4,c,2\nc5,b,4.25\n"
+                 "c6,c,\nc7,a,1\n"),
+    "ORDER": ("order_id,shipping,cust_id\no1,5,c1\no2,2.5,c1\no3,4,c2\no4,0,c3\n"
+              "o5,7,c5\no6,1,c5\no7,3,c6\no8,6,c7\no9,,c7\n"),
+    "LINE": ("line_id,qty,unit_price,order_id\nl1,2,10,o1\nl2,1,4.5,o1\nl3,3,2,o2\n"
+             "l4,1,20,o4\nl5,,8,o5\nl6,4,1.25,o5\nl7,2,3,o6\nl8,1,9,o7\nl9,5,2,o8\n"
+             "l10,1,1,o9\n"),
+}
+
 GOLDEN = {
+    "chain": {
+        "evaluate.json":
+            "1bcd90b3215ee811290999437ca53122bb7e365bd4467d0e002b3b1ca2c6fea2",
+        "flatten/ds0.csv":
+            "33c5f22b7bc28268a02a346a5d45ef5885acced884dc2692c1dfa5c10ca195fe",
+        "plan.json":
+            "ac90c844cb3ae3f5794ed709cb11b700ee7cb164d7bb7c8e8865487d7abd64d9",
+        "prepare/T.csv":
+            "a0381ed10f2a485fd0e552cb7a360e8068ead38c0324e4cfc6ceec7ea5923eb7",
+        "prepare/manifest.json":
+            "56aed6ecf2457bd324e82281a8f7f6353687b55dfd974de227e12e53776ff43b",
+    },
     "example": {
         "flatten/ds0.csv":
             "7f9da098e43493952390710da396b9cbbdfe504722b73ee89ccd523d94af85c1",
@@ -224,12 +272,13 @@ CASES = {
     "propgen_36": _propgen(36),  # no generalization, 1:N and 1:1 edges, grandchild
     "from_table": _inline(FROM_TABLE_SCHEMA, FROM_TABLE_DATA),
     "n_side_target": _inline(N_SIDE_SCHEMA, N_SIDE_DATA),
+    "chain": _inline(CHAIN_SCHEMA, CHAIN_DATA),
 }
 
 
 # Cases whose task emits a single dataset, so `evaluate` runs on them. The
 # example has fewer keys than folds.
-EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36"}
+EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36", "chain"}
 
 
 def _sha(data: bytes) -> str:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cmml import planner
+from cmml import eer, planner
 from conftest import parse_full
 
 
@@ -43,6 +43,36 @@ def test_deep_tree_summarizes_bottom_up():
     # C summarized onto B, then B's aggregate derivation, then B onto A
     assert kinds.index(("summarize_child", "C")) < kinds.index(("derive_attr", "nb"))
     assert kinds.index(("derive_attr", "nb")) < kinds.index(("summarize_child", "B"))
+
+
+CHAIN = """
+    entity A { key aid: identifier attr t: numeric
+               derived attr s: numeric = sum(AB.y) + t }
+    entity B { key bid: identifier attr x: numeric
+               derived attr y: numeric = sum(BC.w) + x
+               derived attr x2: numeric = x * 2 }
+    entity C { key cid: identifier attr v: numeric
+               derived attr w: numeric = v + 1
+               derived attr n: numeric = count(CD) }
+    entity D { key did: identifier attr u: numeric }
+    relationship AB { A (1,1) -- (0,N) B via aid }
+    relationship BC { B (1,1) -- (0,N) C via bid }
+    relationship CD { C (1,1) -- (0,N) D via cid }
+    task T { target A.t }
+"""
+
+
+def test_derivation_order_is_the_plans_order(example_schema):
+    chain = parse_full(CHAIN)
+    binding = eer.resolve_target(chain, chain.task("T"))
+    order = [(e, a.name) for e, a in planner.derivation_order(chain, binding)]
+    # plain derivations breadth-first, then aggregate-bearing ones bottom-up
+    assert order == [("B", "x2"), ("C", "w"), ("C", "n"), ("B", "y"), ("A", "s")]
+    for schema, task in ((chain, "T"), (example_schema, "PREDICT_LTV")):
+        plan = _plan(schema, task)
+        steps = [(s.params["entity"], s.params["attribute"])
+                 for s in plan.steps if s.kind == "derive_attr"]
+        assert steps == [(e, a.name) for e, a in planner.derivation_order(schema, plan.binding)]
 
 
 def test_one_to_one_join_step():

@@ -1,14 +1,15 @@
 """Randomized property suites over generated schema/data cases."""
 
+import csv
 import re
 
 import pytest
 
-from cmml import binder, eer, engine, planner
+from cmml import binder, cli, dsl, eer, engine, planner
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 from conftest import CLOCK, parse_full
 from propgen import Case
-from test_golden import N_SIDE_DATA
+from test_golden import CASES, N_SIDE_DATA
 
 N_CASES = 120
 SEEDS = range(N_CASES)
@@ -197,3 +198,38 @@ def test_flatten_naive_matches_nested_loop_join_n_side_target(tmp_path):
     _check_flatten_matches_nested_loop(bound, binding)
     rows = engine.flatten_naive(bound, binding, clock=CLOCK).table.rows
     assert [r[1] for r in rows] == ["o1", "o1", "o6", "o2", "o4", "o4", "o5", "o3"]
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", ["example", "n_side_target", "chain"])
+def test_flatten_derived_root_columns_equal_prepare(name, tmp_path, monkeypatch):
+    """Both arms derive in the plan's order, so every derived attribute of
+    the target entity has the same value in ds0 (on every row of a root key)
+    as in the prepared dataset."""
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    data = tmp_path / "data"
+    data.mkdir()
+    schema_path, data_dir, task_name = CASES[name](data)
+    common = ["--schema", str(schema_path), "--data-dir", str(data_dir), "--task", task_name,
+              "--quiet"]
+    assert cli.main(["prepare", *common, "--impute", "none", "--out", str(tmp_path / "p")]) == 0
+    assert cli.main(["flatten", *common, "--out", str(tmp_path / "f")]) == 0
+    schema, rep = dsl.parse_schema_file(str(schema_path))
+    assert rep.ok, rep.render()
+    root = schema.task(task_name).target_entity
+    key = f"{root}_{schema.entity(root).key_names[0]}"
+    derived = [f"{root}_{a.name}" for a in schema.entity(root).attributes if a.derivation]
+    assert derived
+    prepared = _csv_rows(tmp_path / "p" / f"{task_name}.csv")
+    flat = _csv_rows(tmp_path / "f" / "ds0.csv")
+    assert prepared
+    for column in derived:
+        flat_values: dict[str, set[str]] = {}
+        for row in flat:
+            flat_values.setdefault(row[key], set()).add(row[column])
+        for row in prepared:
+            assert flat_values[row[key]] == {row[column]}, (column, row[key])
