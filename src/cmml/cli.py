@@ -85,6 +85,8 @@ def _get_task(schema: eer.EerSchema, name: str) -> eer.TaskDecl:
 
 
 def _options(args, task: eer.TaskDecl) -> planner.PlanOptions:
+    if args.impute not in (None, "mean_mode", "none") and not args.impute.startswith("constant:"):
+        raise UsageError(f"--impute must be mean_mode, none or constant:<value>, got {args.impute!r}")
     agg = tuple(a.strip() for a in args.agg.split(",")) if args.agg else None
     return planner.PlanOptions.from_task(task, agg_set=agg, top_k=args.top_k,
                                          impute=args.impute, seed=args.seed,
@@ -179,6 +181,13 @@ def cmd_flatten(args) -> int:
 def cmd_evaluate(args) -> int:
     schema = _load_schema(args)
     task = _get_task(schema, args.task)
+    kind = schema.entity(task.target_entity).attr(task.target_attr).kind
+    if kind != "numeric":
+        rep = Report()
+        rep.error("non-numeric-target", f"target {task.target_entity}.{task.target_attr} is "
+                  f"{kind}; evaluate fits a linear regression", f"task {task.name}")
+        _emit_report(args, rep)
+        raise DataError(f"task {task.name}: evaluate needs a numeric target")
     bound = _bind(args, schema)
     if not bound.ok:
         raise DataError("data errors prevent evaluation")

@@ -2,15 +2,18 @@
 canonical pretty-printer.
 
 Top-level declarations are entity / relationship / generalization / task;
-`#` starts a line comment. Embedded expressions (derivations, applicability
-and membership predicates) use the expression language from `cmml.expr`.
-Parsing recovers at declaration boundaries so one bad declaration does not
-hide diagnostics in the rest of the file.
+`#` starts a comment that runs to the end of the line, anywhere, including
+inside an expression. The schema parser extends `cmml.expr`'s parser and reads
+the same token stream, so embedded expressions (derivations, applicability and
+membership predicates) are parsed in place: a derivation ends at the first
+token that cannot continue it, and every diagnostic carries the offending
+token's own file:line:column. A character that starts no token is reported as
+`lex` and skipped. Parsing recovers at declaration boundaries so one bad
+declaration does not hide diagnostics in the rest of the file.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from . import eer
@@ -27,97 +30,34 @@ class SchemaSource:
     origin: str = "<inline>"
 
 
-_LEX_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<number>\d+(\.\d+)?([eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<string>"[^"\n]*")
-    | (?P<op>--|<=|>=|!=|[{}(),.:=<>+\-*/])
-    """,
-    re.VERBOSE,
-)
+class _SchemaParser(ex._Parser):
+    """The expression parser extended with declarations. It reads one token
+    stream, so an embedded expression is parsed in place and every error
+    carries the offending token's own line and column."""
 
-
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-    start: int
-    end: int
-
-
-class _ParseAbort(Exception):
-    """Raised to unwind to the nearest declaration boundary."""
-
-
-def _lex(source: SchemaSource, rep: Report) -> list[_Tok]:
-    text = source.text
-    toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _LEX_RE.match(text, i)
-        if not m:
-            rep.error("lex", f"unexpected character {text[i]!r}", f"{source.origin}:{line}:{col}")
-            i += 1
-            col += 1
-            continue
-        lexeme = m.group(0)
-        if m.lastgroup not in ("ws", "comment"):
-            toks.append(_Tok(m.lastgroup, lexeme, line, col, i, m.end()))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        i = m.end()
-    toks.append(_Tok("eof", "", line, col, len(text), len(text)))
-    return toks
-
-
-class _SchemaParser:
     def __init__(self, source: SchemaSource, rep: Report):
         self.source = source
         self.rep = rep
-        self.toks = _lex(source, rep)
-        self.pos = 0
-
-    # -- token plumbing ------------------------------------------------------
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+        toks = ex._tokenize(source.text)
+        for t in toks:
+            if t.kind == "bad":
+                rep.error("lex", f"unexpected character {t.text!r}", self.loc(t))
+        super().__init__([t for t in toks if t.kind != "bad"])
 
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
-    def loc(self, t: _Tok) -> str:
+    def loc(self, t: ex._Tok) -> str:
         return f"{self.source.origin}:{t.line}:{t.col}"
 
-    def fail(self, message: str, t: _Tok | None = None):
+    def fail(self, message: str, t: ex._Tok | None = None):
         t = t or self.peek()
-        self.rep.error("parse", message, self.loc(t))
-        raise _ParseAbort()
-
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text:
-            self.fail(f"expected {text!r}, got {t.text or 'end of file'!r}")
-        return self.next()
+        raise ex.ExprSyntaxError(message, t.line, t.col)
 
     def ident(self, what: str) -> str:
         t = self.peek()
         if t.kind != "ident":
-            self.fail(f"expected {what}, got {t.text or 'end of file'!r}")
+            self.fail(f"expected {what}, got {t.text or 'end of input'!r}")
         return self.next().text
 
     def _recover(self) -> None:
@@ -140,46 +80,26 @@ class _SchemaParser:
 
     # -- embedded expressions --------------------------------------------------
 
-    def _parse_paren_expr(self, what: str) -> ex.Expr:
-        open_tok = self.expect("(")
-        depth = 1
-        start = self.peek().start
-        while depth > 0:
-            t = self.next()
-            if t.kind == "eof":
-                self.fail(f"unterminated {what} expression", open_tok)
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
-                depth -= 1
-                close = t
-        return self._parse_expr_slice(start, close.start, open_tok)
-
-    def _parse_trailing_expr(self, what_stops: tuple[str, ...]) -> ex.Expr:
-        """Parse an expression running until a depth-0 stop keyword or '}'."""
-        start_tok = self.peek()
-        depth = 0
-        end = start_tok.start
-        while True:
-            t = self.peek()
-            if t.kind == "eof":
-                break
-            if depth == 0 and (t.text in what_stops or t.text == "}"):
-                break
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
-                depth -= 1
-            end = t.end
-            self.next()
-        return self._parse_expr_slice(start_tok.start, end, start_tok)
-
-    def _parse_expr_slice(self, start: int, end: int, at: _Tok) -> ex.Expr:
-        text = self.source.text[start:end]
+    def _expr(self) -> ex.Expr:
+        """An expression ending at the first token that cannot continue it."""
         try:
-            return ex.parse_expr(text)
+            return self.or_expr()
         except ex.ExprSyntaxError as err:
-            self.fail(f"bad expression: {err}", at)
+            raise ex.ExprSyntaxError(f"bad expression: {err.message}", err.line, err.column)
+
+    def _paren_expr(self) -> ex.Expr:
+        self.expect("(")
+        e = self._expr()
+        self.expect(")")
+        return e
+
+    def _arrow(self) -> None:
+        """The relationship arrow: two adjacent '-' tokens."""
+        a, b = self.peek(), self.toks[min(self.pos + 1, len(self.toks) - 1)]
+        if not (a.text == b.text == "-" and (b.line, b.col) == (a.line, a.col + 1)):
+            self.fail(f"expected '--', got {a.text or 'end of input'!r}")
+        self.next()
+        self.next()
 
     # -- declarations ----------------------------------------------------------
 
@@ -201,7 +121,8 @@ class _SchemaParser:
                     tasks.append(self._task())
                 else:
                     self.fail(f"expected a declaration, got {t.text!r}")
-            except _ParseAbort:
+            except ex.ExprSyntaxError as err:
+                self.rep.error("parse", err.message, f"{self.source.origin}:{err.line}:{err.column}")
                 self._recover()
         return eer.EerSchema(
             entities=tuple(entities),
@@ -231,7 +152,7 @@ class _SchemaParser:
         elif t.text == "attr":
             self.next()
         else:
-            self.fail(f"expected 'key', 'attr' or 'derived attr', got {t.text or 'end of file'!r}")
+            self.fail(f"expected 'key', 'attr' or 'derived attr', got {t.text or 'end of input'!r}")
         name = self.ident("attribute name")
         self.expect(":")
         kind_tok = self.peek()
@@ -246,12 +167,12 @@ class _SchemaParser:
             optional = True
         if self.at("applicable_when"):
             self.next()
-            applicable_when = self._parse_paren_expr("applicable_when")
+            applicable_when = self._paren_expr()
         if self.at("="):
             eq = self.next()
             if not derived:
                 self.fail("only 'derived attr' may carry '= expression'", eq)
-            derivation = self._parse_trailing_expr(("key", "attr", "derived"))
+            derivation = self._expr()
         if derived and derivation is None:
             self.fail(f"derived attribute {name!r} needs '= expression'")
         return eer.Attribute(name, kind, is_key=is_key, optional=optional,
@@ -286,7 +207,7 @@ class _SchemaParser:
         self.expect("{")
         left_entity = self.ident("entity name")
         left_min, left_max = self._card()
-        self.expect("--")
+        self._arrow()
         right_min, right_max = self._card()
         right_entity = self.ident("entity name")
         self.expect("via")
@@ -323,7 +244,7 @@ class _SchemaParser:
             membership = None
             if self.at("when"):
                 self.next()
-                membership = self._parse_paren_expr("when")
+                membership = self._paren_expr()
             elif self.at("from"):
                 self.next()
                 self.expect("table")
@@ -366,7 +287,7 @@ class _SchemaParser:
             elif t.text == "top_k":
                 self.next()
                 n = self.peek()
-                if n.kind != "number" or "." in n.text:
+                if not n.text.isdigit():
                     self.fail("top_k needs a positive integer")
                 self.next()
                 top_k = int(n.text)

@@ -22,9 +22,9 @@ from typing import Callable, Iterator, Optional
 from . import dsl, eer
 from . import expr as ex
 from .binder import BoundModel
-from .planner import PlanOptions, TransformationPlan, derivation_order
+from .planner import PlanError, PlanOptions, TransformationPlan, derivation_order
 from .tabular import Table, table_to_csv_bytes
-from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null
+from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null, parse_cell
 
 KIND_SUMMARY_ORDER = ("numeric", "nominal", "boolean", "text", "date")
 NUMERIC_AGG_ORDER = ("mean", "sum", "min", "max")
@@ -437,7 +437,7 @@ class _Execution:
         if strategy == "none":
             return
         target = self.plan.binding.target_attr
-        const = strategy.split(":", 1)[1] if strategy.startswith("constant") else None
+        const = strategy[len("constant:"):] if strategy.startswith("constant:") else None
         for ci, col in enumerate(frame.columns):
             if not col.emit or col.consumed or col.name == target or col.kind == "identifier":
                 continue
@@ -447,7 +447,13 @@ class _Execution:
                 continue
             present = [v for v in cells if not is_null(v)]
             if const is not None:
-                fill = _parse_constant(const, col.kind)
+                try:
+                    fill = parse_cell(const, col.kind)
+                    if fill is None:
+                        raise ValueError("the value is empty")
+                except ValueError as exc:
+                    raise PlanError(f"dataset {name}: column {col.name!r}: "
+                                    f"bad impute constant {const!r}: {exc}")
                 kind = "imputed_const"
             else:
                 fill, kind = _mean_mode_fill(present, col.kind)
@@ -540,16 +546,6 @@ def _finite(values: list) -> int:
             values[i] = UNKNOWN
             replaced += 1
     return replaced
-
-
-def _parse_constant(text: str, kind: str):
-    if kind == "numeric":
-        return float(text)
-    if kind == "boolean":
-        return text == "true"
-    if kind == "date":
-        return _dt.date.fromisoformat(text)
-    return text
 
 
 def _mean_mode_fill(present: list, kind: str):

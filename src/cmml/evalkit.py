@@ -119,36 +119,33 @@ def _normal_sf(x: float) -> float:
 def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
     """Paired signed-rank test: zero differences dropped, mid-ranks for ties,
     z = (T+ - n(n+1)/4) / sigma_T with the tie correction sum(t^3 - t)/48
-    subtracted from the variance; two-tailed normal p-value."""
+    subtracted from the variance; two-tailed normal p-value. Raises
+    ValueError on a non-finite difference, which has no rank."""
     if not pairs:
         raise ValueError("need at least one pair")
     diffs = [a - b for a, b in pairs if a != b]
+    bad = next((d for d in diffs if not math.isfinite(d)), None)
+    if bad is not None:
+        raise ValueError(f"signed-rank test needs finite paired differences, got {bad}")
     n = len(diffs)
     if n == 0:
         return WilcoxonResult(n_nonzero=0, t_plus=0.0, sigma_t=0.0, z=0.0,
                               p_two_tailed=1.0, degenerate=True)
     mags = sorted(abs(d) for d in diffs)
-    # mid-rank of each magnitude
+    # one scan over the tie groups: mid-rank of each magnitude, tie correction
     rank_of: dict[float, float] = {}
+    var = n * (n + 1) * (2 * n + 1) / 24.0
     i = 0
     while i < n:
         j = i
         while j < n and mags[j] == mags[i]:
             j += 1
         rank_of[mags[i]] = (i + 1 + j) / 2.0  # mean of ranks i+1 .. j
-        i = j
-    t_plus = sum(rank_of[abs(d)] for d in diffs if d > 0)
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    # tie correction
-    i = 0
-    while i < n:
-        j = i
-        while j < n and mags[j] == mags[i]:
-            j += 1
         t = j - i
         if t > 1:
             var -= (t**3 - t) / 48.0
         i = j
+    t_plus = sum(rank_of[abs(d)] for d in diffs if d > 0)
     sigma_t = math.sqrt(var)
     mean_t = n * (n + 1) / 4.0
     z = (t_plus - mean_t) / sigma_t if sigma_t > 0 else 0.0

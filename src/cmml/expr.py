@@ -13,6 +13,8 @@ Grammar (lowest to highest precedence):
                 | AGG "(" IDENT ["." IDENT] ")"
                 | FN "(" args ")" | "(" or_expr ")"
 
+`#` starts a comment that runs to the end of the line.
+
 Aggregate heads are count/sum/mean/min/max over RELATIONSHIP.attribute
 (count takes the bare relationship). Plain functions are years_between,
 days_between, today, abs, if. String literals shaped YYYY-MM-DD parse as
@@ -40,6 +42,7 @@ _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 class ExprSyntaxError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -99,10 +102,12 @@ class Aggregate(Expr):
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
+    | (?P<comment>\#[^\n]*)
     | (?P<number>\d+(\.\d+)?([eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"[^"\n]*")
-    | (?P<op><=|>=|!=|[<>=+\-*/(),.])
+    | (?P<op><=|>=|!=|[{}:<>=+\-*/(),.])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -117,15 +122,14 @@ class _Tok:
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    """Tokens up to a final ``eof``; whitespace and comments are dropped. A
+    character that starts no token becomes a ``bad`` token for the caller to
+    report, so lexing never stops early."""
     toks: list[_Tok] = []
     line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ExprSyntaxError(f"unexpected character {text[i]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         lexeme = m.group(0)
-        if m.lastgroup != "ws":
+        if m.lastgroup not in ("ws", "comment"):
             toks.append(_Tok(m.lastgroup, lexeme, line, col))
         nl = lexeme.count("\n")
         if nl:
@@ -133,7 +137,6 @@ def _tokenize(text: str) -> list[_Tok]:
             col = len(lexeme) - lexeme.rfind("\n")
         else:
             col += len(lexeme)
-        i = m.end()
     toks.append(_Tok("eof", "", line, col))
     return toks
 
@@ -277,7 +280,11 @@ class _Parser:
 
 def parse_expr(text: str) -> Expr:
     """Parse an expression; raises ExprSyntaxError with line/column on failure."""
-    return _Parser(_tokenize(text)).parse()
+    toks = _tokenize(text)
+    for t in toks:
+        if t.kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {t.text!r}", t.line, t.col)
+    return _Parser(toks).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,103 @@ def test_bad_cmml_today_exit_2(monkeypatch, tmp_path):
     assert run("prepare", "--schema", str(EXAMPLE_SCHEMA),
                "--data-dir", str(EXAMPLE_DATA), "--task", "PREDICT_LTV",
                "--out", str(tmp_path / "x"), "--quiet") == 2
+
+
+def _one_entity(tmp_path, target_kind, v_kind, v_cells):
+    """Schema and data for one entity E with target ``t`` and predictor ``v``;
+    returns the schema path and the ``--data-dir``/``--task`` arguments."""
+    schema = tmp_path / "s.cmml"
+    schema.write_text(f"entity E {{ key id: identifier attr t: {target_kind} "
+                      f"attr v: {v_kind} }}\ntask T {{ target E.t }}\n")
+    data = tmp_path / "data"
+    data.mkdir()
+    targets = {"numeric": ("1", "2", "3"), "nominal": ("a", "b", "a"),
+               "boolean": ("true", "false", "true")}[target_kind]
+    rows = [f"{k},{t},{v}\n" for k, t, v in zip("abc", targets, v_cells)]
+    (data / "E.csv").write_text("id,t,v\n" + "".join(rows))
+    return str(schema), ["--data-dir", str(data), "--task", "T"]
+
+
+@pytest.mark.parametrize("command", ["plan", "prepare", "evaluate"])
+@pytest.mark.parametrize("impute", ["bogus", "constant", "mean", ""])
+def test_unknown_impute_value_exit_2(command, impute, tmp_path, capsys):
+    schema, rest = _one_entity(tmp_path, "numeric", "numeric", ("", "5", "6"))
+    argv = [command, "--schema", schema, *rest, "--impute", impute]
+    if command == "plan":
+        argv = [command, "--schema", schema, "--task", "T", "--impute", impute]
+    if command == "prepare":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "--impute must be mean_mode, none or constant:<value>" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,cells,const", [
+    ("numeric", ("", "5", "6"), "abc"),
+    ("numeric", ("", "5", "6"), "inf"),
+    ("numeric", ("", "5", "6"), "nan"),
+    ("numeric", ("", "5", "6"), ""),
+    ("boolean", ("", "true", "false"), "yes"),
+    ("date", ("", "2019-01-01", "2019-01-02"), "2019-13-01"),
+])
+def test_bad_impute_constant_exit_1(kind, cells, const, tmp_path, capsys):
+    schema, rest = _one_entity(tmp_path, "numeric", kind, cells)
+    assert run("prepare", "--schema", schema, *rest, "--impute", f"constant:{const}",
+               "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: dataset T: column 'v': bad impute constant {const!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,cells,const,filled", [
+    ("numeric", ("", "5", "6"), "-1.5", "-1.5"),
+    ("boolean", ("", "true", "false"), "true", "true"),
+    ("date", ("", "2019-01-01", "2019-01-02"), "2020-02-29", "2020-02-29"),
+    ("nominal", ("", "x", "y"), "z", "z"),
+])
+def test_impute_constant_parsed_for_column_kind(kind, cells, const, filled, tmp_path):
+    schema, rest = _one_entity(tmp_path, "numeric", kind, cells)
+    assert run("prepare", "--schema", schema, *rest, "--impute", f"constant:{const}",
+               "--out", str(tmp_path / "out"), "--quiet") == 0
+    lines = (tmp_path / "out" / "T.csv").read_text().splitlines()
+    assert lines[0] == "E_id,E_v,E_t"
+    assert lines[1] == f"a,{filled},1"
+
+
+@pytest.mark.parametrize("kind", ["nominal", "boolean"])
+@pytest.mark.parametrize("extra", [[], ["--range", "1"]])
+def test_evaluate_refuses_non_numeric_target(kind, extra, tmp_path, capsys):
+    schema, rest = _one_entity(tmp_path, kind, "numeric", ("1", "2", "3"))
+    assert run("evaluate", "--schema", schema, *rest, "--folds", "2", *extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: non-numeric-target: target E.t is {kind}" in captured.err
+    assert "error: task T: evaluate needs a numeric target" in captured.err
+
+
+def test_evaluate_non_finite_prediction_exit_1(tmp_path):
+    # In a child process with a timeout: two 1e308 order totals overflow the
+    # naive arm's least squares, and its nan errors once hung the signed-rank test.
+    schema = tmp_path / "s.cmml"
+    schema.write_text("entity CUSTOMER { key cust_id: identifier attr spend: numeric }\n"
+                      "entity ORDER { key order_id: identifier attr total: numeric }\n"
+                      "relationship PLACES { CUSTOMER (1,1) -- (0,N) ORDER via cust_id }\n"
+                      "task T { target CUSTOMER.spend }\n")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "CUSTOMER.csv").write_text(
+        "cust_id,spend\n" + "".join(f"c{i},{3 * i + 1}\n" for i in range(12)))
+    (data / "ORDER.csv").write_text("order_id,cust_id,total\n" + "".join(
+        f"o{i},c{i % 12},{'1e308' if i < 2 else i}\n" for i in range(24)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmml.cli", "evaluate", "--schema", str(schema),
+         "--data-dir", str(data), "--task", "T", "--quiet"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "CMML_TODAY": "2019-06-01"})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: signed-rank test needs finite paired differences, got nan" in proc.stderr

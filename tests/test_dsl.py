@@ -118,3 +118,94 @@ def test_relationship_attributes():
     assert rel.is_many_to_many
     assert rel.fk_columns == ("aid", "bid")
     assert rel.rel_attributes[0].name == "qty"
+
+
+def _parse_report(text):
+    return dsl.parse_schema(dsl.SchemaSource(text, origin="s.cmml"))
+
+
+def test_comment_inside_multiline_derivation_and_when():
+    schema = parse("""
+        entity E {
+          key id: identifier
+          attr v: numeric
+          derived attr d: numeric = v  # the base value
+            * 2  # doubled
+            + 1
+          attr w: numeric
+        }
+        generalization G of E disjoint {
+          subtype LOW when (v <  # below the cut
+                            0)
+          subtype HIGH when (v >= 0)
+        }
+    """)
+    ent = schema.entity("E")
+    assert ex.pretty_print(ent.attr("d").derivation) == "v * 2 + 1"
+    assert ent.attr("w") is not None
+    assert ex.pretty_print(schema.generalization("G").subtypes[0].membership) == "v < 0"
+
+
+def test_expression_error_is_located_at_its_own_token():
+    text = ("entity E {\n"
+            "  key id: identifier\n"
+            "  attr v: numeric\n"
+            "  derived attr d: numeric = v +\n"
+            "    * 2\n"
+            "}\n"
+            "entity F { key id: identifier }\n")
+    schema, rep = _parse_report(text)
+    [err] = rep.errors
+    assert (err.code, err.location) == ("parse", "s.cmml:5:5")
+    assert err.message == "bad expression: expected expression, got '*'"
+    assert schema.entity("F") is not None
+
+
+def test_error_inside_when_is_located_at_its_own_token():
+    text = ("entity E { key id: identifier attr v: numeric }\n"
+            "generalization G of E disjoint {\n"
+            "  subtype A when (v > 1e999)\n"
+            "}\n")
+    _, rep = _parse_report(text)
+    [err] = rep.errors
+    assert err.location == "s.cmml:3:23"
+    assert err.message == "bad expression: number 1e999 is not finite"
+
+
+def test_relationship_arrow_needs_adjacent_dashes():
+    head = ("entity A { key aid: identifier }\n"
+            "entity B { key bid: identifier attr aid: identifier }\n")
+    schema = parse(head + "relationship R { A (1,1) -- (0,N) B via aid }")
+    assert schema.relationship("R").right.max == "N"
+    schema, rep = _parse_report(head + "relationship R { A (1,1) - - (0,N) B via aid }")
+    [err] = rep.errors
+    assert err.message == "expected '--', got '-'" and err.location == "s.cmml:3:26"
+    assert schema.relationship("R") is None
+
+
+def test_double_minus_in_derivation_is_minus_negation():
+    schema = parse("entity E { key id: identifier attr a: numeric attr b: numeric "
+                   "derived attr d: numeric = a--b }")
+    d = schema.entity("E").attr("d").derivation
+    assert d == ex.Binary("-", ex.AttrRef("a"), ex.Unary("-", ex.AttrRef("b")))
+
+
+def test_stray_character_is_lex_error_and_parsing_continues():
+    text = ("entity E { key id: $ identifier attr v: numeric }\n"
+            "entity F { key fid: identifier }\n")
+    schema, rep = _parse_report(text)
+    [err] = rep.errors
+    assert (err.code, err.message, err.location) == (
+        "lex", "unexpected character '$'", "s.cmml:1:20")
+    assert schema.entity("E").attr("v") is not None
+    assert schema.entity("F") is not None
+
+
+def test_top_k_must_be_a_plain_integer():
+    for bad in ("5e2", "2.5", "x"):
+        schema, rep = _parse_report(
+            f"entity E {{ key id: identifier attr v: numeric }}\ntask T {{ target E.v top_k {bad} }}")
+        [err] = rep.errors
+        assert err.message == "top_k needs a positive integer"
+        assert err.location == "s.cmml:2:27"
+        assert schema.task("T") is None

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,34 @@ def test_wilcoxon_tie_correction_shrinks_sigma():
     ties = evalkit.wilcoxon_signed_rank([(1.0, 0.0), (1.0, 0.0), (0.0, 1.0),
                                          (4.0, 0.0), (0.0, 5.0)])
     assert ties.sigma_t < no_ties.sigma_t
+
+
+def test_wilcoxon_sigma_matches_tie_formula_randomized():
+    rng = random.Random(3)
+    for _ in range(50):
+        diffs = [rng.choice([-3, -2, -1, 1, 2, 3]) * 1.0 for _ in range(rng.randint(1, 12))]
+        res = evalkit.wilcoxon_signed_rank([(d, 0.0) for d in diffs])
+        n = len(diffs)
+        groups = [sum(1 for d in diffs if abs(d) == m) for m in {abs(d) for d in diffs}]
+        var = n * (n + 1) * (2 * n + 1) / 24.0 - sum(t**3 - t for t in groups) / 48.0
+        assert res.sigma_t == pytest.approx(math.sqrt(var), abs=1e-12)
+
+
+def test_wilcoxon_non_finite_difference_raises():
+    # In a child process with a timeout: a nan difference once made the
+    # tie-group scan loop forever.
+    code = ("from cmml import evalkit\n"
+            "for bad in ('nan', 'inf', '-inf'):\n"
+            "    try:\n"
+            "        evalkit.wilcoxon_signed_rank([(float(bad), 1.0), (2.0, 1.0)])\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(evalkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"signed-rank test needs finite paired differences, got {d}" for d in ("nan", "inf", "-inf")]
 
 
 def test_wilcoxon_empty_rejected():

@@ -63,6 +63,25 @@ def test_syntax_error_carries_position():
     assert err.value.line == 1 and err.value.column > 1
 
 
+def test_syntax_error_keeps_bare_message():
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse_expr("a +\n  $ b")
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert err.value.message == "unexpected character '$'"
+    assert str(err.value) == "2:3: unexpected character '$'"
+
+
+def test_comments_are_skipped():
+    assert ex.parse_expr("a  # first\n + b # second") == ex.parse_expr("a + b")
+
+
+@pytest.mark.parametrize("text", ["{", "a }", "a : b"])
+def test_schema_punctuation_is_not_an_expression(text):
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse_expr(text)
+    assert "unexpected character" not in err.value.message
+
+
 @pytest.mark.parametrize("text", [
     "a + b * c",
     "(a + b) * c",

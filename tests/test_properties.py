@@ -1,13 +1,14 @@
 """Randomized property suites over generated schema/data cases."""
 
 import csv
+import random
 import re
 
 import pytest
 
 from cmml import binder, cli, dsl, eer, engine, planner
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
-from conftest import CLOCK, parse_full
+from conftest import CLOCK, EXAMPLE_SCHEMA, parse_full
 from propgen import Case
 from test_golden import CASES, N_SIDE_DATA
 
@@ -233,3 +234,43 @@ def test_flatten_derived_root_columns_equal_prepare(name, tmp_path, monkeypatch)
             flat_values.setdefault(row[key], set()).add(row[column])
         for row in prepared:
             assert flat_values[row[key]] == {row[column]}, (column, row[key])
+
+
+@pytest.mark.parametrize("seed", range(1, 61))
+def test_print_parse_round_trip_propgen(seed):
+    schema = Case(seed).schema
+    printed = dsl.print_schema(schema)
+    again, rep = dsl.parse_schema(printed)
+    assert rep.ok, rep.render()
+    assert again == schema
+    assert dsl.print_schema(again).text == printed.text
+
+
+_FUZZ_PIECES = ("$", "#", "\n", "(", ")", "{", "}", "-", "--", "- -", '"', "1e999", "5e2",
+                "0", "N", ",", ".", ":", "=", "when", "from table", "optional",
+                "applicable_when", "derived attr", "key", "entity", "task", "subtype")
+
+
+@pytest.mark.parametrize("seed", range(500))
+def test_mutated_example_schema_never_raises(seed):
+    """Insert, delete or replace short pieces of the example schema: parsing
+    and validation report diagnostics, never an exception, and every parse
+    diagnostic points at a line and column of the file."""
+    rng = random.Random(seed)
+    text = EXAMPLE_SCHEMA.read_text()
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        piece = rng.choice(_FUZZ_PIECES)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + piece + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + rng.randint(1, 8):]
+        else:
+            text = text[:i] + f" {piece} " + text[i + rng.randint(1, 8):]
+    schema, rep = dsl.parse_schema(dsl.SchemaSource(text, origin="f.cmml"))
+    for d in rep.diagnostics:
+        assert d.code in ("lex", "parse", "missing-key"), d.render()
+        if d.code != "missing-key":
+            assert re.fullmatch(r"f\.cmml:\d+:\d+", d.location), d.render()
+    eer.validate_schema(schema)
