@@ -15,7 +15,7 @@ from pathlib import Path
 from . import eer
 from . import expr as ex
 from .diagnostics import Report
-from .tabular import DataBundle, read_csv
+from .tabular import Column, DataBundle, read_csv
 from .values import NOT_APPLICABLE, UNKNOWN, is_null
 
 
@@ -52,7 +52,7 @@ def load_bundle(schema: eer.EerSchema, data_dir: str | Path) -> tuple[DataBundle
     bundle = DataBundle()
     data_dir = Path(data_dir)
     for ent in schema.entities:
-        cols = [(a.name, a.kind) for a in schema.effective_columns(ent.name)]
+        cols = [Column(a.name, a.kind) for a in schema.effective_columns(ent.name)]
         path = data_dir / f"{ent.name}.csv"
         if not path.exists():
             rep.error("missing-table", f"no table file for entity {ent.name} (expected {path})")
@@ -66,7 +66,7 @@ def load_bundle(schema: eer.EerSchema, data_dir: str | Path) -> tuple[DataBundle
         for st in gen.subtypes:
             if not st.from_table:
                 continue
-            cols = [(a.name, a.kind) for a in sup.key_attrs] + [(a.name, a.kind) for a in st.attributes]
+            cols = [Column(a.name, a.kind) for a in (*sup.key_attrs, *st.attributes)]
             path = data_dir / f"{st.name}.csv"
             if not path.exists():
                 rep.error("missing-table", f"no membership table for subtype {st.name} (expected {path})")

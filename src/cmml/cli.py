@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -87,10 +88,17 @@ def _get_task(schema: eer.EerSchema, name: str) -> eer.TaskDecl:
 def _options(args, task: eer.TaskDecl) -> planner.PlanOptions:
     if args.impute not in (None, "mean_mode", "none") and not args.impute.startswith("constant:"):
         raise UsageError(f"--impute must be mean_mode, none or constant:<value>, got {args.impute!r}")
+    if args.holdout is not None and not (math.isfinite(args.holdout) and 0 <= args.holdout < 1):
+        raise UsageError(f"--holdout must be a fraction with 0 <= h < 1, got {args.holdout!r}")
     agg = tuple(a.strip() for a in args.agg.split(",")) if args.agg else None
-    return planner.PlanOptions.from_task(task, agg_set=agg, top_k=args.top_k,
-                                         impute=args.impute, seed=args.seed,
-                                         holdout=args.holdout)
+    options = planner.PlanOptions.from_task(task, agg_set=agg, top_k=args.top_k,
+                                            impute=args.impute, seed=args.seed,
+                                            holdout=args.holdout)
+    # the task's own values passed schema validation, so a problem is the option's
+    for code, message in eer.summary_problems(options.agg_set, options.top_k):
+        flag = "--top-k" if code == "bad-top-k" else "--agg"
+        raise UsageError(f"{flag}: {message}")
+    return options
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +151,10 @@ def cmd_plan(args) -> int:
 def cmd_prepare(args) -> int:
     schema = _load_schema(args)
     task = _get_task(schema, args.task)
+    options = _options(args, task)
     bound = _bind(args, schema)
     if not bound.ok:
         raise DataError("data errors prevent preparation")
-    options = _options(args, task)
     try:
         plan = planner.compile_plan(bound, task, options)
         datasets, manifest = engine.execute(plan, bound, options, out_dir=args.out,
@@ -188,10 +196,10 @@ def cmd_evaluate(args) -> int:
                   f"{kind}; evaluate fits a linear regression", f"task {task.name}")
         _emit_report(args, rep)
         raise DataError(f"task {task.name}: evaluate needs a numeric target")
+    options = _options(args, task)
     bound = _bind(args, schema)
     if not bound.ok:
         raise DataError("data errors prevent evaluation")
-    options = _options(args, task)
     try:
         plan = planner.compile_plan(bound, task, options)
         datasets, _ = engine.execute(plan, bound, options, clock=_clock())

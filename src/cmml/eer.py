@@ -11,7 +11,7 @@ order has exactly one customer; every customer has one or more orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import expr as ex
 from .diagnostics import Report
@@ -344,11 +344,19 @@ def _validate_task(schema: EerSchema, task: TaskDecl, rep: Report) -> None:
     if task.split_by is not None and schema.generalization(task.split_by) is None:
         rep.error("unknown-generalization",
                   f"task {task.name}: split_by names undeclared generalization {task.split_by!r}", task.name)
-    if task.top_k < 1:
-        rep.error("bad-top-k", f"task {task.name}: top_k must be positive", task.name)
-    bad = [a for a in task.agg_set if a not in AGG_SET_ALL]
+    for code, message in summary_problems(task.agg_set, task.top_k):
+        rep.error(code, f"task {task.name}: {message}", task.name)
+
+
+def summary_problems(agg_set: Iterable[str], top_k: int) -> list[tuple[str, str]]:
+    """(code, message) per rule broken; a task block and --agg/--top-k share these."""
+    problems = []
+    if top_k < 1:
+        problems.append(("bad-top-k", "top_k must be positive"))
+    bad = [a for a in agg_set if a not in AGG_SET_ALL]
     if bad:
-        rep.error("bad-agg", f"task {task.name}: unknown aggregate(s) {bad}", task.name)
+        problems.append(("bad-agg", f"unknown aggregate(s) {bad}"))
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,16 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from operator import getitem
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 from . import dsl, eer
 from . import expr as ex
 from .binder import BoundModel
 from .planner import PlanError, PlanOptions, TransformationPlan, derivation_order
-from .tabular import Table, table_to_csv_bytes
+from .tabular import Column, Table, table_to_csv_bytes
 from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null, parse_cell
 
 KIND_SUMMARY_ORDER = ("numeric", "nominal", "boolean", "text", "date")
@@ -65,77 +65,9 @@ def feature_name(base: str, origins: list[str], transform: str, category: Option
 
 
 # ---------------------------------------------------------------------------
-# Working frames
-
-
-@dataclass
-class Column:
-    name: str                       # working name; final iff prefixed
-    kind: str
-    origin_entities: list[str]
-    source_attributes: list[str]
-    transform: str                  # raw | derived | count | ... (see feature_name)
-    params: dict = field(default_factory=dict)
-    guidelines: list[str] = field(default_factory=list)
-    prefixed: bool = False
-    emit: bool = True
-    consumed: bool = False          # feeds a same-entity derived attribute; dropped at emit
-    subtype: Optional[tuple[str, str]] = None  # (generalization, subtype) owning the column
-    imputed_cells: int = 0
-
-    def clone(self) -> "Column":
-        return replace(self, origin_entities=list(self.origin_entities),
-                       source_attributes=list(self.source_attributes),
-                       params=dict(self.params), guidelines=list(self.guidelines))
-
-    def output_name(self) -> str:
-        """The column's name in an output dataset (G1): a prefixed name is
-        final; any other is prefixed with the column's origin entity."""
-        if self.prefixed:
-            return self.name
-        return feature_name(self.name, self.origin_entities[:1], "raw")
-
-
-@dataclass
-class Frame:
-    entity: str
-    columns: list[Column]
-    rows: list[list]
-    key_names: list[str]
-
-    def col_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
-    def keys(self) -> Iterator[tuple]:
-        """Every row's key tuple, in row order."""
-        idx = [self.col_index(k) for k in self.key_names]
-        return (tuple([row[i] for i in idx]) for row in self.rows)
-
-    def order_key(self) -> Callable[[int], tuple]:
-        """Sort key of a row index: the repr of the row's key. A parent's
-        children and an emitted dataset's rows are put in this order."""
-        idx = [self.col_index(k) for k in self.key_names]
-        rows = self.rows
-        return lambda i: tuple([repr(rows[i][k]) for k in idx])
-
-    def unique_name(self, name: str, warnings: list[str]) -> str:
-        taken = {c.name for c in self.columns}
-        if name not in taken:
-            return name
-        n = 2
-        while f"{name}_{n}" in taken:
-            n += 1
-        warnings.append(f"feature name collision: {name!r} renamed to {name}_{n}")
-        return f"{name}_{n}"
-
-    def add_column(self, col: Column, values: list, warnings: list[str]) -> None:
-        col.name = self.unique_name(col.name, warnings)
-        self.columns.append(col)
-        for row, v in zip(self.rows, values):
-            row.append(v)
+# Working tables: one tabular.Table per predictor entity, named after it.
+# Plan steps append lineage-carrying columns to them; emit clones the kept
+# columns under their final names into the output dataset's Table.
 
 
 @dataclass
@@ -143,7 +75,6 @@ class TrainingDataset:
     name: str
     table: Table
     target_column: str
-    key_columns: list[str]
     dropped_null_target: int = 0
 
 
@@ -151,10 +82,10 @@ def _null_for(min_participation: int) -> Null:
     return NOT_APPLICABLE if min_participation == 0 else UNKNOWN
 
 
-def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Frame]:
-    """Working frames from the bound bundle, columns in effective-column order.
+def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
+    """Working tables from the bound bundle, columns in effective-column order.
     Null cells arrive already tagged by the binder."""
-    frames: dict[str, Frame] = {}
+    frames: dict[str, Table] = {}
     for name in entities:
         ent = bound.schema.entity(name)
         table = bound.bundle.table(name)
@@ -165,14 +96,13 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Frame]:
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name if st else name],
                 source_attributes=[f"{st.name if st else name}.{a.name}"],
-                transform="raw",
                 guidelines=["G5"] if st else [],
                 emit=a.kind != "identifier",
                 subtype=(gen.name, st.name) if st else None,
             ))
         idx = [table.column_index(c.name) for c in cols]
         rows = [[src[i] for i in idx] for src in table.rows]
-        frames[name] = Frame(name, cols, rows, list(ent.key_names))
+        frames[name] = Table(name, cols, rows, list(ent.key_names))
     return frames
 
 
@@ -188,9 +118,21 @@ class _Execution:
         self.clock = clock
         self.warnings: list[str] = []
         self.frames = build_frames(bound, list(binding.predictor_entities))
-        self.datasets: dict[str, Frame] = {}
+        self.datasets: dict[str, Table] = {}
         self.emitted: dict[str, TrainingDataset] = {}
-        self.dataset_records: dict[str, list[dict]] = {}
+
+    def _add(self, table: Table, col: Column, values: list) -> None:
+        """Append a column to a working table, renaming it on a name collision."""
+        taken = set(table.column_names)
+        if col.name in taken:
+            n = 2
+            while f"{col.name}_{n}" in taken:
+                n += 1
+            self.warnings.append(f"feature name collision: {col.name!r} renamed to {col.name}_{n}")
+            col.name = f"{col.name}_{n}"
+        table.columns.append(col)
+        for row, v in zip(table.rows, values):
+            row.append(v)
 
     def _partners(self, parent: str, child: str, rel_name: str) -> list[list[int]]:
         """For each row of the parent frame, its partner rows in the child
@@ -201,7 +143,7 @@ class _Execution:
         if rel.child_entity() == child:
             children = self.bound.children_of.get(rel_name, {})
             return [children.get(k[0], []) for k in pframe.keys()]
-        fk_i = pframe.col_index(rel.fk_columns[0])
+        fk_i = pframe.column_index(rel.fk_columns[0])
         ckey = {k[0]: i for i, k in enumerate(self.frames[child].keys())}
         return [[ckey[v]] if v in ckey else [] for v in (row[fk_i] for row in pframe.rows)]
 
@@ -210,7 +152,7 @@ class _Execution:
         ent = schema.entity(entity)
         attr = ent.attr(attr_name)
         frame = self.frames[entity]
-        names = [c.name for c in frame.columns]
+        names = frame.column_names
         # relationship -> (child column names, child rows, partners per row)
         related: dict[str, tuple[list[str], list[list], list[list[int]]]] = {}
         for agg in ex.referenced_aggregates(attr.derivation):
@@ -219,8 +161,8 @@ class _Execution:
                 raise ValueError(f"entity {entity} cannot aggregate over relationship "
                                  f"{agg.relationship!r}")
             child = self.frames[rel.child_entity()]
-            related[agg.relationship] = ([c.name for c in child.columns], child.rows,
-                                         self._partners(entity, child.entity, agg.relationship))
+            related[agg.relationship] = (child.column_names, child.rows,
+                                         self._partners(entity, child.name, agg.relationship))
 
         def rows_of(rel_name: str) -> list[dict]:  # of row r, the row being derived
             child_names, child_rows, partners = related[rel_name]
@@ -236,23 +178,21 @@ class _Execution:
             diags.append(f"{replaced} non-finite value(s) set to unknown")
         for d in sorted(set(diags)):
             self.warnings.append(f"{entity}.{attr_name}: {d}")
-        sources = [f"{entity}.{a}" for a in sorted(ex.referenced_attrs(attr.derivation))]
+        refs = ex.referenced_attrs(attr.derivation)
+        sources = [f"{entity}.{a}" for a in sorted(refs)]
         for agg in ex.referenced_aggregates(attr.derivation):
             rel = schema.relationship(agg.relationship)
             if rel is not None and agg.attribute:
                 sources.append(f"{rel.child_entity()}.{agg.attribute}")
-        for a in ex.referenced_attrs(attr.derivation):
-            try:
-                frame.columns[frame.col_index(a)].consumed = True
-            except KeyError:
-                pass
-        frame.add_column(Column(
+        for col in frame.columns:
+            col.consumed = col.consumed or col.name in refs
+        self._add(frame, Column(
             name=attr_name, kind=attr.kind,
             origin_entities=[entity], source_attributes=sorted(set(sources)),
             transform="derived",
             params={"expression": ex.pretty_print(attr.derivation)},
             guidelines=["G2"],
-        ), values, self.warnings)
+        ), values)
 
     def join_one_to_one(self, parent: str, child: str, rel_name: str) -> None:
         """Attach the (at most one) partner row's feature columns to the parent."""
@@ -267,13 +207,11 @@ class _Execution:
         for ci, col in enumerate(cframe.columns):
             if not col.emit or col.consumed or col.kind == "identifier":
                 continue
-            new = col.clone()
-            if not new.prefixed:
-                new.name = feature_name(new.name, [child], "raw")
-                new.prefixed = True
-            new.params = dict(new.params, relationship=rel_name)
+            new = col.clone(name=col.name if col.prefixed else feature_name(col.name, [child], "raw"),
+                            prefixed=True)
+            new.params["relationship"] = rel_name
             values = [cframe.rows[p[0]][ci] if p else absent_null for p in partners]
-            pframe.add_column(new, values, self.warnings)
+            self._add(pframe, new, values)
 
     def summarize_child(self, parent: str, child: str, rel_name: str,
                         agg_set: tuple[str, ...], top_k: int) -> None:
@@ -284,7 +222,7 @@ class _Execution:
         groups = [sorted(p, key=order) for p in self._partners(parent, child, rel_name)]
 
         def add(col: Column, values: list) -> None:
-            pframe.add_column(col, values, self.warnings)
+            self._add(pframe, col, values)
 
         add(Column(
             name=feature_name("", [child], "count"), kind="numeric",
@@ -402,31 +340,30 @@ class _Execution:
             # sibling subtypes' columns are excluded entirely
             keep_cols = [i for i, c in enumerate(root.columns)
                          if c.subtype is None or c.subtype[0] != gen_name or c.subtype[1] == st.name]
-            frame = Frame(root.entity, [root.columns[i].clone() for i in keep_cols],
+            frame = Table(root.name, [root.columns[i].clone() for i in keep_cols],
                           [[r[i] for i in keep_cols]
                            for r, members in zip(root.rows, root_members) if st.name in members],
-                          list(root.key_names))
+                          list(root.key_columns))
             if st.from_table:
                 self._join_membership_table(frame, gen, st)
             if not frame.rows:
                 self.warnings.append(f"subtype {st.name} has zero members; dataset {name} is empty")
             self.datasets[name] = frame
 
-    def _join_membership_table(self, frame: Frame, gen: eer.Generalization, st: eer.Subtype) -> None:
+    def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype) -> None:
         mt = self.bound.bundle.table(st.name)
         by_key = dict(zip(mt.keys(), mt.rows))
         mrows = [by_key.get(k) for k in frame.keys()]
         for a in st.attributes:
             src = mt.column_index(a.name)
             values = [NOT_APPLICABLE if mrow is None else mrow[src] for mrow in mrows]
-            frame.add_column(Column(
+            self._add(frame, Column(
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name], source_attributes=[f"{st.name}.{a.name}"],
-                transform="raw", guidelines=["G5"],
-                subtype=(gen.name, st.name),
-            ), values, self.warnings)
+                guidelines=["G5"], subtype=(gen.name, st.name),
+            ), values)
 
-    def _ensure_dataset(self, name: str) -> Frame:
+    def _ensure_dataset(self, name: str) -> Table:
         if name not in self.datasets:
             # single-output plan: the root frame is the dataset
             self.datasets[name] = self.frames[self.plan.binding.target_entity]
@@ -475,25 +412,26 @@ class _Execution:
                 col.guidelines = sorted(set(col.guidelines) | {"G3"})
 
     def emit(self, name: str) -> TrainingDataset:
+        """The dataset's table: keys, then predictors, the target last, each
+        column cloned under its final name; rows with a null target dropped."""
         frame = self._ensure_dataset(name)
         target_attr = self.plan.binding.target_attr
-        key_names = frame.key_names
-        key_cols, pred_cols, target_col = [], [], None
+        keys, predictors, target = [], [], None
         for ci, col in enumerate(frame.columns):
-            if col.name in key_names:
-                key_cols.append((col, ci, "key"))
+            if col.name in frame.key_columns:
+                keys.append(ci)
             elif col.name == target_attr and not col.prefixed:
-                target_col = (col, ci, "target")
+                target = ci
             elif col.emit and not col.consumed:
-                pred_cols.append((col, ci, "predictor"))
-        if target_col is None:
+                predictors.append(ci)
+        if target is None:
             raise ValueError(f"dataset {name}: target column {target_attr!r} missing")
-        ordered = key_cols + pred_cols + [target_col]
+        ordered = keys + predictors + [target]
 
-        final_cols: list[tuple[str, str]] = []
-        records = []
+        columns: list[Column] = []
         names_taken: set[str] = set()
-        for col, ci, role in ordered:
+        for ci in ordered:
+            col = frame.columns[ci]
             final = col.output_name()
             base = final
             n = 2
@@ -502,34 +440,37 @@ class _Execution:
                 n += 1
                 self.warnings.append(f"feature name collision at emit: {base!r} renamed to {final!r}")
             names_taken.add(final)
-            final_cols.append((final, col.kind))
-            records.append({
-                "name": final,
-                "role": role,
-                "origin_entities": list(col.origin_entities),
-                "source_attributes": list(col.source_attributes),
-                "transform": {"kind": col.transform, "params": _jsonable(col.params)},
-                "guidelines": sorted(set(col.guidelines) | {"G1"}),
-                "imputed_cells": col.imputed_cells,
-            })
+            columns.append(col.clone(name=final, prefixed=True))
 
-        target_ci = target_col[1]
-        kept = [i for i, row in enumerate(frame.rows) if not is_null(row[target_ci])]
+        kept = [i for i, row in enumerate(frame.rows) if not is_null(row[target])]
         dropped = len(frame.rows) - len(kept)
         kept.sort(key=frame.order_key())
         # tagged nulls survive in memory (CSV renders both tags as empty)
-        out_rows = [[frame.rows[i][ci] for _, ci, _ in ordered] for i in kept]
-        table = Table(name, final_cols, out_rows,
-                      key_columns=[final_cols[i][0] for i in range(len(key_cols))])
-        ds = TrainingDataset(
-            name=name, table=table,
-            target_column=final_cols[-1][0],
-            key_columns=list(table.key_columns),
-            dropped_null_target=dropped,
-        )
+        out_rows = [[frame.rows[i][ci] for ci in ordered] for i in kept]
+        table = Table(name, columns, out_rows, key_columns=[c.name for c in columns[:len(keys)]])
+        ds = TrainingDataset(name=name, table=table, target_column=columns[-1].name,
+                             dropped_null_target=dropped)
         self.emitted[name] = ds
-        self.dataset_records[name] = records
         return ds
+
+
+def _role(ds: TrainingDataset, column: str) -> str:
+    if column in ds.table.key_columns:
+        return "key"
+    return "target" if column == ds.target_column else "predictor"
+
+
+def _feature_records(ds: TrainingDataset) -> list[dict]:
+    """The manifest's lineage record of every column of an emitted dataset."""
+    return [{
+        "name": col.name,
+        "role": _role(ds, col.name),
+        "origin_entities": list(col.origin_entities),
+        "source_attributes": list(col.source_attributes),
+        "transform": {"kind": col.transform, "params": _jsonable(col.params)},
+        "guidelines": sorted(set(col.guidelines) | {"G1"}),
+        "imputed_cells": col.imputed_cells,
+    } for col in ds.table.columns]
 
 
 def _non_finite(v: object) -> bool:
@@ -627,13 +568,13 @@ def _warn_target_leakage(plan: TransformationPlan, bound: BoundModel, st: _Execu
         rel = bound.schema.relationship(agg.relationship)
         if rel is not None and agg.attribute:
             leaked.add(f"{rel.child_entity()}.{agg.attribute}")
-    for records in st.dataset_records.values():
-        for rec in records:
-            if rec["role"] == "predictor" and leaked & set(rec["source_attributes"]):
+    for ds in st.emitted.values():
+        for col in ds.table.columns:
+            shared = leaked & set(col.source_attributes)
+            if shared and _role(ds, col.name) == "predictor":
                 st.warnings.append(
                     f"target {plan.binding.target_entity}.{plan.binding.target_attr} is derived from "
-                    f"{sorted(leaked & set(rec['source_attributes']))} which also feeds predictor "
-                    f"{rec['name']!r}; possible target leakage")
+                    f"{sorted(shared)} which also feeds predictor {col.name!r}; possible target leakage")
                 return
 
 
@@ -645,7 +586,6 @@ def _build_manifest(plan, bound, options, st: _Execution, datasets) -> dict:
         for name, t in sorted(bound.bundle.tables.items())
     }
     schema_text = dsl.print_schema(bound.schema).text
-    records = st.dataset_records
     return {
         "tool_version": __version__,
         "seed": options.seed,
@@ -659,7 +599,7 @@ def _build_manifest(plan, bound, options, st: _Execution, datasets) -> dict:
             ds.name: {
                 "rows": len(ds.table.rows),
                 "dropped_null_target_rows": ds.dropped_null_target,
-                "features": records.get(ds.name, []),
+                "features": _feature_records(ds),
             }
             for ds in datasets
         },
@@ -707,12 +647,12 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
 # Naive flat dataset (no summarization)
 
 
-def _project_and_rank(frame: Frame) -> tuple[list[tuple[str, str]], list[tuple], list[int]]:
+def _project_and_rank(frame: Table) -> tuple[list[Column], list[tuple], list[int]]:
     """The frame's output columns, each row's output cells (nulls as None)
     and each row's dense rank by the reprs of those cells. The all-null row
     of an absent partner is appended last, so index -1 addresses it."""
     keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
-    columns = [(frame.columns[ci].output_name(), frame.columns[ci].kind) for ci in keep]
+    columns = [c.clone(name=c.output_name(), prefixed=True) for c in frame.columns if not c.consumed]
     cells = [tuple([None if isinstance(row[ci], Null) else row[ci] for ci in keep])
              for row in frame.rows]
     cells.append((None,) * len(keep))
@@ -735,7 +675,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     frames = st.frames
     root = binding.target_entity
     root_frame = frames[root]
-    target = root_frame.columns[root_frame.col_index(binding.target_attr)]
+    target = root_frame.columns[root_frame.column_index(binding.target_attr)]
     target.consumed = False  # kept even when a derivation reads it, as emit keeps it
 
     # Each joined row is a tuple of row indexes, one per entity in join order,
@@ -751,7 +691,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
         p = position[edge.parent]
         acc = [t + (c,) for t in acc for c in partners[t[p]]]
 
-    columns: list[tuple[str, str]] = []
+    columns: list[Column] = []
     cells: list[list[tuple]] = []
     ranks: list[list[int]] = []
     for name in entities:
@@ -764,7 +704,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     acc.sort(key=lambda t: tuple(map(getitem, ranks, t)))
     # one exact-size list per row, from the concatenated cell tuples
     out_rows = [list(sum(map(getitem, cells, t), ())) for t in acc]
-    root_keys = [root_frame.columns[root_frame.col_index(k)].output_name()
-                 for k in root_frame.key_names]
+    root_keys = [root_frame.columns[root_frame.column_index(k)].output_name()
+                 for k in root_frame.key_columns]
     return TrainingDataset("ds0", Table("ds0", columns, out_rows, key_columns=root_keys),
-                           target_column=target.output_name(), key_columns=root_keys)
+                           target_column=target.output_name())

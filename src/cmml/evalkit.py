@@ -15,7 +15,7 @@ import numpy as np
 from . import dsl, eer
 from .engine import TrainingDataset
 from .values import is_null
-from .tabular import DataBundle, Table
+from .tabular import Column, DataBundle, Table
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +167,15 @@ def ols_fit(features: np.ndarray, target: Sequence[float], ridge: float = 1e-8) 
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     Xi = np.hstack([np.ones((X.shape[0], 1)), X])
-    gram = Xi.T @ Xi + ridge * np.eye(Xi.shape[1])
-    try:
-        if ridge == 0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
-            raise np.linalg.LinAlgError("singular")
-        return np.linalg.solve(gram, Xi.T @ y)
-    except np.linalg.LinAlgError:
-        raise ValueError("singular system; retry with ridge > 0")
+    # features near 1e308 overflow to nan coefficients quietly: callers check finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = Xi.T @ Xi + ridge * np.eye(Xi.shape[1])
+        try:
+            if ridge == 0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
+                raise np.linalg.LinAlgError("singular")
+            return np.linalg.solve(gram, Xi.T @ y)
+        except np.linalg.LinAlgError:
+            raise ValueError("singular system; retry with ridge > 0")
 
 
 def ols_predict(beta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -184,8 +186,8 @@ def ols_predict(beta: np.ndarray, features: np.ndarray) -> np.ndarray:
 class OneHotDesign:
     """Design-matrix builder over a Table: numeric columns pass through
     (train-mean filled), booleans become 0/1, nominals are one-hot encoded
-    with the lexically last category dropped as reference level. Keys,
-    identifiers, dates and text are excluded.
+    with the lexically last category dropped as reference level. The table's
+    key columns, the target, identifiers, dates and text are excluded.
 
     Columns are encoded once, at construction: numeric as floats (nan =
     null), boolean as 0/1 and nominal as codes into the sorted category list
@@ -195,12 +197,12 @@ class OneHotDesign:
     nominal, each category in sorted order.
     """
 
-    def __init__(self, table: Table, target_column: str, key_columns: Sequence[str]):
-        skip = set(key_columns) | {target_column}
+    def __init__(self, table: Table, target_column: str):
+        skip = set(table.key_columns) | {target_column}
         columns: dict[str, list[list]] = {"numeric": [], "boolean": [], "nominal": []}
-        for i, (name, kind) in enumerate(table.columns):
-            if name not in skip and kind in columns:
-                columns[kind].append([r[i] for r in table.rows])
+        for i, c in enumerate(table.columns):
+            if c.name not in skip and c.kind in columns:
+                columns[c.kind].append([r[i] for r in table.rows])
 
         def block(cols: list[list[float]]) -> np.ndarray:  # one column per list
             return np.array(cols, dtype=float).reshape(len(cols), len(table.rows)).T
@@ -301,10 +303,10 @@ def synth_generate(spec: SynthSpec, seed: int) -> DataBundle:
     target is the stated linear function of the summarized order statistics
     plus Gaussian noise."""
     rng = random.Random(seed)
-    customers = Table("CUSTOMER", [("cust_id", "identifier"), ("gender", "nominal"),
-                                   ("ltv", "numeric")], key_columns=["cust_id"])
-    orders = Table("ORDER", [("order_id", "identifier"), ("total", "numeric"),
-                             ("channel", "nominal"), ("cust_id", "identifier")],
+    customers = Table("CUSTOMER", [Column("cust_id", "identifier"), Column("gender", "nominal"),
+                                   Column("ltv", "numeric")], key_columns=["cust_id"])
+    orders = Table("ORDER", [Column("order_id", "identifier"), Column("total", "numeric"),
+                             Column("channel", "nominal"), Column("cust_id", "identifier")],
                    key_columns=["order_id"])
     order_seq = 1
     for c in range(1, spec.customers + 1):
@@ -350,11 +352,11 @@ class ComparisonReport:
         }
 
 
-def _fold_ids(dataset, fold_of: dict) -> tuple[list, np.ndarray, np.ndarray]:
+def _fold_ids(dataset: TrainingDataset, fold_of: dict) -> tuple[list, np.ndarray, np.ndarray]:
     """One pass over a dataset's rows: the key of each row, the target as
     floats (nan = null) and the fold of each row (-1 = key not folded)."""
     table = dataset.table
-    k = table.column_index(dataset.key_columns[0])
+    k = table.column_index(table.key_columns[0])
     t = table.column_index(dataset.target_column)
     keys = [r[k] for r in table.rows]
     target = np.array([math.nan if is_null(r[t]) else float(r[t]) for r in table.rows],
@@ -385,10 +387,10 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    if len(tds.key_columns) != 1 or len(ds0.key_columns) != 1:
+    if len(tds.table.key_columns) != 1 or len(ds0.table.key_columns) != 1:
         raise ValueError("comparison requires a single-column entity key")
 
-    t_key = tds.table.column_index(tds.key_columns[0])
+    t_key = tds.table.column_index(tds.table.key_columns[0])
     keys = sorted({r[t_key] for r in tds.table.rows})
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
@@ -402,8 +404,8 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     t_known = ~np.isnan(t_y)
     f_known = ~np.isnan(f_y) & (f_fold >= 0)  # rows of keys in no fold never train
     actual = {k: y for k, y, known in zip(t_keys, t_y.tolist(), t_known) if known}
-    t_design = OneHotDesign(tds.table, tds.target_column, tds.key_columns)
-    f_design = OneHotDesign(ds0.table, ds0.target_column, ds0.key_columns)
+    t_design = OneHotDesign(tds.table, tds.target_column)
+    f_design = OneHotDesign(ds0.table, ds0.target_column)
 
     tds_pred: dict[object, float] = {}
     ds0_pred: dict[object, float] = {}

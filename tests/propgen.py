@@ -8,7 +8,7 @@ root) plus a data bundle that binds cleanly.
 import random
 
 from cmml import binder, eer
-from cmml.tabular import DataBundle, Table
+from cmml.tabular import Column, DataBundle, Table
 from cmml.values import is_null
 from conftest import parse_full
 
@@ -105,7 +105,7 @@ class Case:
         bundle = DataBundle()
 
         def table_for(entity):
-            cols = [(a.name, a.kind) for a in self.schema.effective_columns(entity)]
+            cols = [Column(a.name, a.kind) for a in self.schema.effective_columns(entity)]
             ent = self.schema.entity(entity)
             return Table(entity, cols, key_columns=list(ent.key_names))
 

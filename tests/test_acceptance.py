@@ -173,7 +173,7 @@ def _per_subtype_mean_fixture():
     """Two-subtype fixture with differing means: fills come from the
     member subtype, not the global pool."""
     from conftest import parse_full
-    from cmml.tabular import DataBundle, Table
+    from cmml.tabular import Column, DataBundle, Table
 
     schema = parse_full("""
         entity R {
@@ -188,7 +188,7 @@ def _per_subtype_mean_fixture():
         }
         task T { target R.t impute mean_mode }
     """)
-    table = Table("R", [(a.name, a.kind) for a in schema.effective_columns("R")],
+    table = Table("R", [Column(a.name, a.kind) for a in schema.effective_columns("R")],
                   key_columns=["id"])
     table.rows.extend([
         ["1", -5.0, 10.0, 1.0],

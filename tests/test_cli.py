@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,31 @@ def test_unknown_impute_value_exit_2(command, impute, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "prepare", "evaluate"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--agg", "bogus", "--agg: unknown aggregate(s) ['bogus']"),
+    ("--agg", "mean,", "--agg: unknown aggregate(s) ['']"),
+    ("--top-k", "-3", "--top-k: top_k must be positive"),
+    ("--top-k", "0", "--top-k: top_k must be positive"),
+    ("--holdout", "2", "--holdout must be a fraction with 0 <= h < 1, got 2.0"),
+    ("--holdout", "1", "--holdout must be a fraction with 0 <= h < 1, got 1.0"),
+    ("--holdout", "-1", "--holdout must be a fraction with 0 <= h < 1, got -1.0"),
+    ("--holdout", "nan", "--holdout must be a fraction with 0 <= h < 1, got nan"),
+    ("--holdout", "inf", "--holdout must be a fraction with 0 <= h < 1, got inf"),
+])
+def test_bad_tuning_value_exit_2(command, flag, value, message, tmp_path, capsys):
+    argv = [command, "--schema", str(EXAMPLE_SCHEMA), "--task", "PREDICT_LTV", f"{flag}={value}"]
+    if command != "plan":
+        argv += ["--data-dir", str(EXAMPLE_DATA)]
+    if command == "prepare":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind,cells,const", [
     ("numeric", ("", "5", "6"), "abc"),
     ("numeric", ("", "5", "6"), "inf"),
@@ -309,3 +335,19 @@ def test_evaluate_non_finite_prediction_exit_1(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "error: signed-rank test needs finite paired differences, got nan" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad_row,code", [
+    (b"999,F\xe9,1990-01-01\n", "encoding"),
+    (b'999,"' + b"F" * 200_000 + b'",1990-01-01\n', "bad-csv"),
+])
+def test_unreadable_csv_exit_1(bad_row, code, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(EXAMPLE_DATA, data)
+    with open(data / "CUSTOMER.csv", "ab") as fh:
+        fh.write(bad_row)
+    assert run("validate", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(data)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {code}: {data / 'CUSTOMER.csv'}: " in err
+    assert "Traceback" not in err

@@ -24,7 +24,7 @@ def _run(schema_text, tables, tmp_path, task_name="T", out_dir=None, **overrides
 
 def _col(ds, name):
     i = ds.table.column_index(name)
-    key = ds.table.column_index(ds.key_columns[0])
+    key = ds.table.column_index(ds.table.key_columns[0])
     return {r[key]: r[i] for r in ds.table.rows}
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from cmml import evalkit
 from cmml.engine import TrainingDataset
-from cmml.tabular import Table
+from cmml.tabular import Column, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 
 
@@ -158,13 +158,13 @@ def test_ols_singular_without_ridge():
 
 
 def test_one_hot_design():
-    t = Table("T", [("id", "identifier"), ("num", "numeric"),
-                    ("cat", "nominal"), ("flag", "boolean"), ("y", "numeric")],
+    t = Table("T", [Column("id", "identifier"), Column("num", "numeric"),
+                    Column("cat", "nominal"), Column("flag", "boolean"), Column("y", "numeric")],
               rows=[["a", 1.0, "red", True, 0.0],
                     ["b", None, "blue", False, 0.0],
                     ["c", 3.0, "green", True, 0.0]],
               key_columns=["id"])
-    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(3))
+    d = evalkit.OneHotDesign(t, "y").fit(np.arange(3))
     X = d.transform(np.arange(3))
     # columns: num, flag, cat in {blue, green} (red dropped as lexically last)
     assert X.shape == (3, 4)
@@ -267,8 +267,9 @@ def test_compare_datasets_fold_validation():
 
 
 def _design_table(rows):
-    return Table("T", [("id", "identifier"), ("num", "numeric"), ("flag", "boolean"),
-                       ("cat", "nominal"), ("y", "numeric")], rows=rows, key_columns=["id"])
+    return Table("T", [Column("id", "identifier"), Column("num", "numeric"),
+                       Column("flag", "boolean"), Column("cat", "nominal"), Column("y", "numeric")],
+                 rows=rows, key_columns=["id"])
 
 
 def test_one_hot_design_category_seen_only_in_test_is_all_zeros():
@@ -276,7 +277,7 @@ def test_one_hot_design_category_seen_only_in_test_is_all_zeros():
                        ["b", 2.0, False, "blue", 0.0],
                        ["c", 3.0, True, "green", 0.0],
                        ["d", 4.0, False, "amber", 0.0]])
-    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(3))
+    d = evalkit.OneHotDesign(t, "y").fit(np.arange(3))
     X = d.transform(np.array([3, 1]))
     # columns: num, flag, cat in {blue, green}; amber sorts first but was never trained
     assert X.shape == (2, 4)
@@ -288,7 +289,7 @@ def test_one_hot_design_numeric_without_known_train_value_fills_zero():
     t = _design_table([["a", None, True, "red", 0.0],
                        ["b", UNKNOWN, False, "red", 0.0],
                        ["c", 5.0, True, "red", 0.0]])
-    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(2))
+    d = evalkit.OneHotDesign(t, "y").fit(np.arange(2))
     assert list(d.transform(np.arange(3))[:, 0]) == [0.0, 0.0, 5.0]
 
 
@@ -298,7 +299,7 @@ def test_one_hot_design_tagged_nulls_act_like_none():
                        ["c", NOT_APPLICABLE, NOT_APPLICABLE, NOT_APPLICABLE, 0.0],
                        ["d", 1.0, True, "x", 0.0],
                        ["e", 4.0, True, "y", 0.0]])
-    d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.arange(5))
+    d = evalkit.OneHotDesign(t, "y").fit(np.arange(5))
     X = d.transform(np.arange(5))
     # columns: num (mean of the known 1 and 4), flag, cat x (y dropped as reference)
     assert X.shape == (5, 3)
@@ -311,8 +312,8 @@ def test_one_hot_design_tagged_nulls_act_like_none():
 def _reference_design(table, train, test):
     """Row-at-a-time encoding: train-mean fill, 0/1 booleans, one-hot over the
     sorted train categories minus the last; the columnar design must match it."""
-    kinds = [(i, kind) for i, (name, kind) in enumerate(table.columns)
-             if name not in ("id", "y")]
+    kinds = [(i, c.kind) for i, c in enumerate(table.columns)
+             if c.name not in ("id", "y")]
     train_rows = [table.rows[i] for i in train]
     means, cats = {}, {}
     for i, kind in kinds:
@@ -339,28 +340,27 @@ def test_one_hot_design_matches_row_reference():
               "boolean": lambda: rng.random() < 0.5,
               "nominal": lambda: rng.choice(("red", "green", "blue", "amber")),
               "text": lambda: "note"}
-    columns = [("id", "identifier"), ("n1", "numeric"), ("c1", "nominal"), ("b1", "boolean"),
-               ("n2", "numeric"), ("txt", "text"), ("c2", "nominal"), ("y", "numeric")]
+    columns = [Column("id", "identifier"), Column("n1", "numeric"), Column("c1", "nominal"),
+               Column("b1", "boolean"), Column("n2", "numeric"), Column("txt", "text"),
+               Column("c2", "nominal"), Column("y", "numeric")]
     for _ in range(20):
-        rows = [[f"r{j}"] + [rng.choice(nulls) if rng.random() < 0.3 else values[kind]()
-                             for _, kind in columns[1:-1]] + [0.0]
+        rows = [[f"r{j}"] + [rng.choice(nulls) if rng.random() < 0.3 else values[c.kind]()
+                             for c in columns[1:-1]] + [0.0]
                 for j in range(rng.randint(1, 30))]
         t = Table("T", columns, rows=rows, key_columns=["id"])
         idx = list(range(len(rows)))
         rng.shuffle(idx)
         cut = rng.randint(0, len(idx))
         train, test = sorted(idx[:cut]), sorted(idx[cut:])
-        d = evalkit.OneHotDesign(t, "y", ["id"]).fit(np.array(train, dtype=int))
+        d = evalkit.OneHotDesign(t, "y").fit(np.array(train, dtype=int))
         X = d.transform(np.array(test, dtype=int))
         assert X.tolist() == _reference_design(t, train, test)
 
 
 def _pair(tds_rows, flat_rows):
-    columns = [("id", "identifier"), ("x", "numeric"), ("y", "numeric")]
-    tds = TrainingDataset("T", Table("T", columns, rows=tds_rows, key_columns=["id"]),
-                          "y", ["id"])
-    flat = TrainingDataset("ds0", Table("ds0", columns, rows=flat_rows, key_columns=["id"]),
-                           "y", ["id"])
+    columns = [Column("id", "identifier"), Column("x", "numeric"), Column("y", "numeric")]
+    tds = TrainingDataset("T", Table("T", columns, rows=tds_rows, key_columns=["id"]), "y")
+    flat = TrainingDataset("ds0", Table("ds0", columns, rows=flat_rows, key_columns=["id"]), "y")
     return flat, tds
 
 
@@ -372,7 +372,7 @@ def test_compare_datasets_fold_without_scorable_rows():
     rep = evalkit.compare_datasets(flat, tds, 20.0, folds=5, seed=13)
     assert rep.fold_sizes == [2, 2, 2, 2, 2]
     assert rep.n_entities == 8
-    design = evalkit.OneHotDesign(tds.table, "y", ["id"]).fit(np.arange(10))
+    design = evalkit.OneHotDesign(tds.table, "y").fit(np.arange(10))
     assert design.transform(np.arange(0)).shape == (0, 1)
 
 
@@ -410,12 +410,14 @@ def test_compare_datasets_linear_at_scale():
         key = f"C{i:05d}"
         tds_rows.append([key, float(len(totals)), rng.choice(("F", "M")), y])
         flat_rows += [[key, t, rng.choice(("Online", "Phone", "Store")), y] for t in totals]
-    tds = TrainingDataset("T", Table("T", [("id", "identifier"), ("n", "numeric"),
-                                           ("g", "nominal"), ("y", "numeric")],
-                                     rows=tds_rows, key_columns=["id"]), "y", ["id"])
-    flat = TrainingDataset("ds0", Table("ds0", [("id", "identifier"), ("total", "numeric"),
-                                                ("channel", "nominal"), ("y", "numeric")],
-                                        rows=flat_rows, key_columns=["id"]), "y", ["id"])
+    tds = TrainingDataset("T", Table("T", [Column("id", "identifier"), Column("n", "numeric"),
+                                           Column("g", "nominal"), Column("y", "numeric")],
+                                     rows=tds_rows, key_columns=["id"]), "y")
+    flat = TrainingDataset("ds0", Table("ds0", [Column("id", "identifier"),
+                                                Column("total", "numeric"),
+                                                Column("channel", "nominal"),
+                                                Column("y", "numeric")],
+                                        rows=flat_rows, key_columns=["id"]), "y")
     assert 85_000 < len(flat_rows) < 95_000
     t0 = time.perf_counter()
     rep = evalkit.compare_datasets(flat, tds, 400.0, folds=5, seed=0)

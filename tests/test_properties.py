@@ -127,15 +127,15 @@ def _nested_loop_flatten(bound, binding):
         pf, cf = frames[edge.parent], frames[edge.child]
         fk = rel.fk_columns[0]
         if rel.child_entity() == edge.child:
-            p_i, c_i = pf.col_index(pf.key_names[0]), cf.col_index(fk)
+            p_i, c_i = pf.column_index(pf.key_columns[0]), cf.column_index(fk)
         else:
-            p_i, c_i = pf.col_index(fk), cf.col_index(cf.key_names[0])
+            p_i, c_i = pf.column_index(fk), cf.column_index(cf.key_columns[0])
         out = []
         for j in joined:
             prow = j[edge.parent]
             hits = [c for c in cf.rows if prow is not None and not is_null(prow[p_i])
                     and c[c_i] == prow[p_i]]
-            hits.sort(key=lambda c: repr(c[cf.col_index(cf.key_names[0])]))
+            hits.sort(key=lambda c: repr(c[cf.column_index(cf.key_columns[0])]))
             out.extend({**j, edge.child: c} for c in hits or [None])
         joined = out
     columns = [engine.feature_name(c.name, [c.origin_entities[0]], "raw")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cmml.tabular import (Table, distinct_key_count, read_csv,
+from cmml.tabular import (Column, Table, distinct_key_count, read_csv,
                           table_to_csv_bytes, write_csv)
 from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell
 
@@ -16,7 +16,8 @@ def _write(tmp_path, name, text):
     return p
 
 
-COLS = [("id", "identifier"), ("v", "numeric"), ("d", "date"), ("b", "boolean")]
+COLS = [Column("id", "identifier"), Column("v", "numeric"), Column("d", "date"),
+        Column("b", "boolean")]
 
 
 def test_read_csv_basic(tmp_path):
@@ -55,6 +56,30 @@ def test_read_csv_cell_diagnostics_name_row_and_column(tmp_path):
     assert msg == "T:1:v"  # data row 1, column v
 
 
+def test_read_csv_not_utf8_is_coded(tmp_path):
+    p = tmp_path / "T.csv"
+    p.write_bytes(b"id,v,d,b\nx,1,,\nr\xe9,2,,\n")
+    table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+    assert table is None
+    assert [d.code for d in rep.errors] == ["encoding"]
+    assert str(p) in rep.errors[0].message
+    assert "0xe9" in rep.errors[0].message
+
+
+@pytest.mark.parametrize("lines,line", [
+    (["id,v,d,b", "x,1,,", "y," + "9" * 200_000 + ",,"], 3),
+    (["id,v,d,b", "x,1,,", "y,2,,", 'z,"' + "4" * 200_000 + '",,'], 4),
+    (["id,v,d,b," + "h" * 200_000, "x,1,,"], 1),
+])
+def test_read_csv_unparseable_csv_is_coded(tmp_path, lines, line):
+    p = _write(tmp_path, "T.csv", "\n".join(lines) + "\n")
+    table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+    assert table is None
+    assert [d.code for d in rep.errors] == ["bad-csv"]
+    assert rep.errors[0].message.startswith(f"{p}: line {line}: field larger than field limit")
+    assert rep.errors[0].location == f"{p}:{line}"
+
+
 def test_write_deterministic_bytes(tmp_path):
     t = Table("T", COLS, rows=[["x", 48.0, dt.date(2019, 1, 2), True]],
               key_columns=["id"])
@@ -67,7 +92,7 @@ def test_write_deterministic_bytes(tmp_path):
 
 
 def test_distinct_key_count():
-    t = Table("T", [("id", "identifier"), ("v", "numeric")],
+    t = Table("T", [Column("id", "identifier"), Column("v", "numeric")],
               rows=[["a", 1.0], ["a", 2.0], ["b", 3.0]], key_columns=["id"])
     assert distinct_key_count(t) == 2
 
@@ -96,14 +121,14 @@ def _reference_csv_bytes(table):
 def test_table_to_csv_bytes_matches_per_cell_format_cell(seed):
     rng = random.Random(seed)
     width = rng.randint(1, 6)
-    table = Table("T", [(f"c{j}", "text") for j in range(width)],
+    table = Table("T", [Column(f"c{j}", "text") for j in range(width)],
                   rows=[[rng.choice(CELL_POOL) for _ in range(width)]
                         for _ in range(rng.randint(0, 40))])
     assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
 
 
 def test_table_to_csv_bytes_every_pooled_cell():
-    table = Table("T", [("c", "text")], rows=[[v] for v in CELL_POOL])
+    table = Table("T", [Column("c", "text")], rows=[[v] for v in CELL_POOL])
     assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
     lines = table_to_csv_bytes(table).decode("utf-8")
     assert "\n1000000000000000.0\n" in lines  # 1e15 keeps its repr
