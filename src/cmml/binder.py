@@ -9,6 +9,7 @@ singleton, so later stages read the class from the cell itself.
 
 from __future__ import annotations
 
+import datetime as _dt
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,9 +79,10 @@ def load_bundle(schema: eer.EerSchema, data_dir: str | Path) -> tuple[DataBundle
     return bundle, rep
 
 
-def bind(schema: eer.EerSchema, bundle: DataBundle) -> BoundModel:
+def bind(schema: eer.EerSchema, bundle: DataBundle, clock: _dt.date | None = None) -> BoundModel:
     """Validate the data against the schema and tag every null cell in place.
 
+    ``today()`` in membership and applicable_when predicates is ``clock``.
     Error diagnostics (missing tables, duplicate keys, dangling foreign keys,
     disjointness violations) block planning; warnings do not.
     """
@@ -88,9 +90,10 @@ def bind(schema: eer.EerSchema, bundle: DataBundle) -> BoundModel:
     bound = BoundModel(schema=schema, bundle=bundle, report=rep)
     tables_ok = _check_tables(schema, bundle, rep)
     if tables_ok:
+        clock = clock or _dt.date.today()
         _index_relationships(bound)
-        _resolve_memberships(bound)
-        _classify_nulls(bound)
+        _resolve_memberships(bound, clock)
+        _classify_nulls(bound, clock)
     return bound
 
 
@@ -131,14 +134,13 @@ def _index_relationships(bound: BoundModel) -> None:
         child_name = rel.child_entity()
         parent = bundle.table(parent_name)
         child = bundle.table(child_name)
-        parent_ent = schema.entity(parent_name)
-        if len(parent_ent.key_names) != 1:
+        if len(parent.key_columns) != 1:
             rep.error("composite-parent-key",
                       f"relationship {rel.name}: parent {parent_name} has a composite key; "
                       "a single foreign-key column cannot reference it")
             continue
         fk = rel.fk_columns[0]
-        parent_keys = {row[parent.column_index(parent_ent.key_names[0])] for row in parent.rows}
+        parent_keys = {k[0] for k in parent.keys()}
         children: dict[object, list[int]] = {}
         fk_idx = child.column_index(fk)
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
@@ -172,7 +174,7 @@ def _index_relationships(bound: BoundModel) -> None:
         bound.children_of[rel.name] = children
 
 
-def _resolve_memberships(bound: BoundModel) -> None:
+def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
     for gen in schema.generalizations:
         sup = bundle.table(gen.supertype)
@@ -191,7 +193,7 @@ def _resolve_memberships(bound: BoundModel) -> None:
                 names = sup.column_names
                 for i, (row, key) in enumerate(zip(sup.rows, sup_keys)):
                     ctx = dict(zip(names, row))
-                    verdict = ex.eval_expr(st.membership, ctx)
+                    verdict = ex.eval_expr(st.membership, ctx, clock=clock)
                     if is_null(verdict):
                         rep.warning("membership-null",
                                     f"{gen.supertype}: row {i + 1} membership predicate for {st.name} "
@@ -213,7 +215,7 @@ def _resolve_memberships(bound: BoundModel) -> None:
         bound.subtype_membership[gen.name] = membership
 
 
-def _classify_nulls(bound: BoundModel) -> None:
+def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
     """Replace every null cell with exactly one tag, in spec priority order.
 
     A row's tags are all computed from the untagged row before any is
@@ -248,7 +250,7 @@ def _classify_nulls(bound: BoundModel) -> None:
                 if applicable_when is not None:
                     if ctx is None:
                         ctx = dict(zip(names, row))
-                    applicable = ex.eval_expr(applicable_when, ctx)
+                    applicable = ex.eval_expr(applicable_when, ctx, clock=clock)
                     if is_null(applicable):
                         rep.warning("applicability-null",
                                     f"{ent.name}: row {i + 1}: applicable_when of {names[j]!r} is null; "
@@ -278,11 +280,8 @@ def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
             continue
         parent_name = rel.parent_entity()
         child_name = rel.child_entity()
-        parent = bundle.table(parent_name)
-        parent_ent = schema.entity(parent_name)
-        key_col = parent.column_index(parent_ent.key_names[0])
         children = bound.children_of[rel.name]
-        fanouts = {row[key_col]: len(children.get(row[key_col], [])) for row in parent.rows}
+        fanouts = {k[0]: len(children.get(k[0], [])) for k in bundle.table(parent_name).keys()}
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
         violations: list[str] = []
         for pk, n in sorted(fanouts.items(), key=lambda kv: repr(kv[0])):

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import binder, dsl, eer, engine, evalkit, planner
 from .diagnostics import Report
 from .tabular import write_csv
-from .values import is_null
+from .values import is_null, parse_date
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -37,7 +37,7 @@ def _clock() -> _dt.date:
     if not raw:
         return _dt.date.today()
     try:
-        return _dt.date.fromisoformat(raw)
+        return parse_date(raw)
     except ValueError as exc:
         raise UsageError(f"CMML_TODAY must be YYYY-MM-DD: {exc}")
 
@@ -67,12 +67,12 @@ def _emit_report(args, rep: Report) -> None:
         print(rep.render(), file=sys.stderr)
 
 
-def _bind(args, schema: eer.EerSchema) -> binder.BoundModel:
+def _bind(args, schema: eer.EerSchema, clock: _dt.date) -> binder.BoundModel:
     bundle, rep = binder.load_bundle(schema, args.data_dir)
     _emit_report(args, rep)
     if not rep.ok:
         raise DataError(f"failed to load tables from {args.data_dir}")
-    bound = binder.bind(schema, bundle)
+    bound = binder.bind(schema, bundle, clock)
     _emit_report(args, bound.report)
     return bound
 
@@ -107,7 +107,7 @@ def _options(args, task: eer.TaskDecl) -> planner.PlanOptions:
 
 def cmd_validate(args) -> int:
     schema = _load_schema(args)
-    bound = _bind(args, schema)
+    bound = _bind(args, schema, _clock())
     cards = binder.cardinality_report(bound)
     if args.json:
         out = {
@@ -152,13 +152,13 @@ def cmd_prepare(args) -> int:
     schema = _load_schema(args)
     task = _get_task(schema, args.task)
     options = _options(args, task)
-    bound = _bind(args, schema)
+    clock = _clock()
+    bound = _bind(args, schema, clock)
     if not bound.ok:
         raise DataError("data errors prevent preparation")
     try:
-        plan = planner.compile_plan(bound, task, options)
-        datasets, manifest = engine.execute(plan, bound, options, out_dir=args.out,
-                                            clock=_clock())
+        plan = planner.compile_plan(schema, task, options)
+        datasets, manifest = engine.execute(plan, bound, out_dir=args.out, clock=clock)
     except planner.PlanError as exc:
         raise DataError(str(exc))
     for ds in datasets:
@@ -173,11 +173,12 @@ def cmd_prepare(args) -> int:
 def cmd_flatten(args) -> int:
     schema = _load_schema(args)
     task = _get_task(schema, args.task)
-    bound = _bind(args, schema)
+    clock = _clock()
+    bound = _bind(args, schema, clock)
     if not bound.ok:
         raise DataError("data errors prevent flattening")
     binding = eer.resolve_target(schema, task)
-    flat = engine.flatten_naive(bound, binding, clock=_clock())
+    flat = engine.flatten_naive(bound, binding, clock=clock)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ds0.csv"
@@ -197,19 +198,20 @@ def cmd_evaluate(args) -> int:
         _emit_report(args, rep)
         raise DataError(f"task {task.name}: evaluate needs a numeric target")
     options = _options(args, task)
-    bound = _bind(args, schema)
+    clock = _clock()
+    bound = _bind(args, schema, clock)
     if not bound.ok:
         raise DataError("data errors prevent evaluation")
     try:
-        plan = planner.compile_plan(bound, task, options)
-        datasets, _ = engine.execute(plan, bound, options, clock=_clock())
+        plan = planner.compile_plan(schema, task, options)
+        datasets, _ = engine.execute(plan, bound, clock=clock)
     except planner.PlanError as exc:
         raise DataError(str(exc))
     if len(datasets) != 1:
         raise DataError("evaluate requires a single-dataset task (no subtype split)")
     tds = datasets[0]
     binding = eer.resolve_target(schema, task)
-    flat = engine.flatten_naive(bound, binding, clock=_clock())
+    flat = engine.flatten_naive(bound, binding, clock=clock)
     if args.range is not None:
         value_range = args.range
     else:

@@ -18,7 +18,6 @@ from .diagnostics import Report
 
 ATTRIBUTE_KINDS = ("identifier", "numeric", "nominal", "boolean", "date", "text")
 AGG_SET_ALL = ("count", "mean", "sum", "min", "max")
-NUMERIC_AGGS_DEFAULT = ("mean", "sum", "min", "max")
 
 
 @dataclass(frozen=True)
@@ -215,19 +214,20 @@ class EerSchema:
         """Typing environment for expressions owned by `entity`: its stored and
         derived attributes, plus related-entity attributes per relationship
         where `entity` sits on the one side (aggregation source)."""
-        ent = self.entity(entity)
-        attrs = {a.name: a.kind for a in ent.attributes}
-        for a in self.effective_columns(entity):
-            attrs.setdefault(a.name, a.kind)
-        rels: dict[str, dict[str, str]] = {}
+        env = self.stored_env(entity)
+        env.attrs.update((a.name, a.kind) for a in self.entity(entity).attributes if a.is_derived)
         for rel in self.relationships:
             if rel.is_many_to_many:
                 continue
             if rel.parent_entity() == entity:
                 child = self.entity(rel.child_entity())
                 if child is not None:
-                    rels[rel.name] = {a.name: a.kind for a in child.attributes}
-        return ex.TypeEnv(attrs=attrs, rels=rels)
+                    env.rels[rel.name] = {a.name: a.kind for a in child.attributes}
+        return env
+
+    def stored_env(self, entity: str) -> ex.TypeEnv:
+        """Typing environment of the predicates the binder evaluates: stored columns only."""
+        return ex.TypeEnv(attrs={a.name: a.kind for a in self.effective_columns(entity)})
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def _validate_entity(schema: EerSchema, ent: EntityType, rep: Report) -> None:
     env = schema.type_env(ent.name)
     for a in ent.attributes:
         if a.applicable_when is not None:
-            _check_expr(a.applicable_when, env, "boolean",
+            _check_expr(a.applicable_when, schema.stored_env(ent.name), "boolean",
                         f"applicable_when of {ent.name}.{a.name}", rep, ent.name)
         if a.derivation is not None:
             _check_expr(a.derivation, env, a.kind, f"derivation of {ent.name}.{a.name}", rep, ent.name)
@@ -322,13 +322,17 @@ def _validate_generalization(schema: EerSchema, gen: Generalization, rep: Report
     if len(gen.subtypes) < 2:
         rep.error("too-few-subtypes", f"generalization {gen.name} needs at least 2 subtypes", gen.name)
     seen: set[str] = set()
-    env = schema.type_env(gen.supertype)
+    env = schema.stored_env(gen.supertype)
     for st in gen.subtypes:
         if st.name in seen:
             rep.error("duplicate-name", f"duplicate subtype {st.name!r} in generalization {gen.name}", gen.name)
         seen.add(st.name)
-        if st.membership is not None:
+        if st.membership is not None:  # the binder evaluates these on the supertype's table
             _check_expr(st.membership, env, "boolean", f"membership of subtype {st.name}", rep, gen.name)
+            for a in st.attributes:
+                if a.applicable_when is not None:
+                    _check_expr(a.applicable_when, env, "boolean",
+                                f"applicable_when of {st.name}.{a.name}", rep, gen.name)
 
 
 def _validate_task(schema: EerSchema, task: TaskDecl, rep: Report) -> None:

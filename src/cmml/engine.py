@@ -27,7 +27,6 @@ from .tabular import Column, Table, table_to_csv_bytes
 from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null, parse_cell
 
 KIND_SUMMARY_ORDER = ("numeric", "nominal", "boolean", "text", "date")
-NUMERIC_AGG_ORDER = ("mean", "sum", "min", "max")
 
 _SANITIZE_RE = re.compile(r"[^A-Za-z0-9_]")
 
@@ -147,48 +146,53 @@ class _Execution:
         ckey = {k[0]: i for i, k in enumerate(self.frames[child].keys())}
         return [[ckey[v]] if v in ckey else [] for v in (row[fk_i] for row in pframe.rows)]
 
+    def _groups(self, parent: str, child: str, rel_name: str) -> list[list[int]]:
+        """``_partners`` in child-key order (``Table.order_key``), the order in
+        which derivations and G4 summaries aggregate a parent's children."""
+        order = self.frames[child].order_key()
+        return [sorted(p, key=order) for p in self._partners(parent, child, rel_name)]
+
     def derive_attr(self, entity: str, attr_name: str) -> None:
         schema = self.bound.schema
-        ent = schema.entity(entity)
-        attr = ent.attr(attr_name)
+        attr = schema.entity(entity).attr(attr_name)
         frame = self.frames[entity]
         names = frame.column_names
-        # relationship -> (child column names, child rows, partners per row)
-        related: dict[str, tuple[list[str], list[list], list[list[int]]]] = {}
+        refs = ex.referenced_attrs(attr.derivation)
+        sources = {f"{entity}.{a}" for a in refs}
+        # (relationship, attribute) -> each row's partner cells (for count, its partners)
+        cells: dict[tuple[str, Optional[str]], list[list]] = {}
         for agg in ex.referenced_aggregates(attr.derivation):
             rel = schema.relationship(agg.relationship)
             if rel is None or rel.parent_entity() != entity:
                 raise ValueError(f"entity {entity} cannot aggregate over relationship "
                                  f"{agg.relationship!r}")
             child = self.frames[rel.child_entity()]
-            related[agg.relationship] = (child.column_names, child.rows,
-                                         self._partners(entity, child.name, agg.relationship))
+            groups = self._groups(entity, child.name, agg.relationship)
+            if agg.attribute is None:
+                cells[agg.relationship, None] = groups
+                continue
+            ci = child.column_index(agg.attribute)
+            cells[agg.relationship, agg.attribute] = [[child.rows[i][ci] for i in g] for g in groups]
+            sources.add(f"{child.name}.{agg.attribute}")
 
-        def rows_of(rel_name: str) -> list[dict]:  # of row r, the row being derived
-            child_names, child_rows, partners = related[rel_name]
-            return [dict(zip(child_names, child_rows[i])) for i in partners[r]]
+        def related(rel_name: str, attribute: Optional[str]) -> list:  # of row r, being derived
+            return cells[rel_name, attribute][r]
 
         diags: list[str] = []
         values = []
         for r, row in enumerate(frame.rows):
-            values.append(ex.eval_expr(attr.derivation, dict(zip(names, row)), rows_of,
+            values.append(ex.eval_expr(attr.derivation, dict(zip(names, row)), related,
                                        self.clock, diags))
         replaced = _finite(values)
         if replaced:
             diags.append(f"{replaced} non-finite value(s) set to unknown")
         for d in sorted(set(diags)):
             self.warnings.append(f"{entity}.{attr_name}: {d}")
-        refs = ex.referenced_attrs(attr.derivation)
-        sources = [f"{entity}.{a}" for a in sorted(refs)]
-        for agg in ex.referenced_aggregates(attr.derivation):
-            rel = schema.relationship(agg.relationship)
-            if rel is not None and agg.attribute:
-                sources.append(f"{rel.child_entity()}.{agg.attribute}")
         for col in frame.columns:
             col.consumed = col.consumed or col.name in refs
         self._add(frame, Column(
             name=attr_name, kind=attr.kind,
-            origin_entities=[entity], source_attributes=sorted(set(sources)),
+            origin_entities=[entity], source_attributes=sorted(sources),
             transform="derived",
             params={"expression": ex.pretty_print(attr.derivation)},
             guidelines=["G2"],
@@ -217,21 +221,26 @@ class _Execution:
                         agg_set: tuple[str, ...], top_k: int) -> None:
         pframe = self.frames[parent]
         cframe = self.frames[child]
-        # child rows per parent row, in child key order (stable concat/versioning)
-        order = cframe.order_key()
-        groups = [sorted(p, key=order) for p in self._partners(parent, child, rel_name)]
+        groups = self._groups(parent, child, rel_name)
 
         def add(col: Column, values: list) -> None:
             self._add(pframe, col, values)
 
-        add(Column(
+        def aggregate(col: Column, kind: str, cells: list[list]) -> None:
+            values = [ex.aggregate(kind, c) for c in cells]
+            replaced = _finite(values)
+            if replaced:
+                self.warnings.append(f"{col.name}: {replaced} non-finite value(s) set to unknown")
+            add(col, values)
+
+        aggregate(Column(
             name=feature_name("", [child], "count"), kind="numeric",
             origin_entities=[child], source_attributes=[f"{child}.*"],
             transform="count", params={"relationship": rel_name},
             guidelines=["G4"], prefixed=True,
-        ), [float(len(g)) for g in groups])
+        ), "count", groups)
 
-        numeric_aggs = tuple(a for a in NUMERIC_AGG_ORDER if a in agg_set)
+        numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in agg_set]
         for want_kind in KIND_SUMMARY_ORDER:
             for ci, col in enumerate(cframe.columns):
                 if col.kind != want_kind or not col.emit or col.consumed or col.kind == "identifier":
@@ -241,25 +250,20 @@ class _Execution:
                 if col.subtype is not None:
                     continue
                 cells = [[cframe.rows[i][ci] for i in g] for g in groups]
-                if want_kind == "numeric":
-                    self._summarize_numeric(col, cells, numeric_aggs, child, rel_name, add)
+                if want_kind in ("numeric", "date"):
+                    for agg in numeric_aggs if want_kind == "numeric" else ("min", "max"):
+                        aggregate(self._agg_col(col, child, rel_name, agg, want_kind), agg, cells)
                 elif want_kind == "nominal":
                     self._summarize_nominal(col, ci, cframe, cells, top_k, child, rel_name, add)
                 elif want_kind == "boolean":
-                    values = [float(sum(1 for v in c if v is True)) for c in cells]
-                    add(self._agg_col(col, child, rel_name, "true_count", "numeric"), values)
-                elif want_kind == "text":
+                    aggregate(self._agg_col(col, child, rel_name, "true_count", "numeric"), "count",
+                              [[v for v in c if v is True] for c in cells])
+                else:  # text
                     values = []
                     for c in cells:
                         parts = [v for v in c if not is_null(v)]
                         values.append("\n".join(parts) if parts else UNKNOWN)
                     add(self._agg_col(col, child, rel_name, "concat", "text"), values)
-                elif want_kind == "date":
-                    known = [[v for v in c if not is_null(v)] for c in cells]
-                    for agg in ("min", "max"):
-                        values = [(min(vals) if agg == "min" else max(vals)) if vals else UNKNOWN
-                                  for vals in known]
-                        add(self._agg_col(col, child, rel_name, agg, "date"), values)
 
     def _agg_col(self, col: Column, child: str, rel_name: str, transform: str,
                  kind: str, category: Optional[str] = None) -> Column:
@@ -278,28 +282,6 @@ class _Execution:
             prefixed=True,
             subtype=col.subtype,
         )
-
-    def _summarize_numeric(self, col, cells, numeric_aggs, child, rel_name, add) -> None:
-        known = [[v for v in c if not is_null(v)] for c in cells]
-        for agg in numeric_aggs:
-            values = []
-            for vals in known:
-                if agg == "sum":
-                    values.append(float(sum(vals)))
-                elif not vals:
-                    values.append(UNKNOWN)
-                elif agg == "mean":
-                    values.append(float(sum(vals)) / len(vals))
-                elif agg == "min":
-                    values.append(min(vals))
-                else:
-                    values.append(max(vals))
-            new = self._agg_col(col, child, rel_name, agg, "numeric")
-            replaced = _finite(values)
-            if replaced:
-                self.warnings.append(
-                    f"{new.name}: {replaced} non-finite value(s) set to unknown")
-            add(new, values)
 
     def _summarize_nominal(self, col, ci, cframe, cells, top_k, child, rel_name, add) -> None:
         freq: dict[str, int] = {}
@@ -379,7 +361,8 @@ class _Execution:
             if not col.emit or col.consumed or col.name == target or col.kind == "identifier":
                 continue
             cells = [row[ci] for row in frame.rows]
-            unknown_idx = [i for i, v in enumerate(cells) if v == UNKNOWN]
+            # by identity (nulls are the tag singletons): == calls Null.__eq__ per cell
+            unknown_idx = [i for i, v in enumerate(cells) if v is UNKNOWN]
             if not unknown_idx:
                 continue
             present = [v for v in cells if not is_null(v)]
@@ -493,7 +476,7 @@ def _mean_mode_fill(present: list, kind: str):
     if not present:
         return None, None
     if kind == "numeric":
-        return float(sum(present)) / len(present), "imputed_mean"
+        return ex.aggregate("mean", present), "imputed_mean"
     if kind in ("nominal", "boolean"):
         freq: dict = {}
         for v in present:
@@ -520,11 +503,11 @@ def _jsonable(v):
 # Plan execution
 
 
-def execute(plan: TransformationPlan, bound: BoundModel, options: PlanOptions,
+def execute(plan: TransformationPlan, bound: BoundModel,
             out_dir: Optional[str | Path] = None,
             clock: Optional[_dt.date] = None) -> tuple[list[TrainingDataset], dict]:
-    """Run the plan's steps in order. Identical inputs produce byte-identical
-    CSV and manifest outputs; rows with a null target are dropped and counted.
+    """Run the plan's steps in order, under ``plan.options``. Identical inputs produce
+    byte-identical CSV and manifest outputs; rows with a null target are dropped and counted.
     """
     if not bound.ok:
         raise ValueError("bound model has error diagnostics; fix the data before executing")
@@ -552,9 +535,9 @@ def execute(plan: TransformationPlan, bound: BoundModel, options: PlanOptions,
 
     _warn_target_leakage(plan, bound, st)
     datasets = [st.emitted[name] for name in plan.outputs]
-    manifest = _build_manifest(plan, bound, options, st, datasets)
+    manifest = _build_manifest(plan, bound, st, datasets)
     if out_dir is not None:
-        _write_outputs(Path(out_dir), datasets, manifest, options)
+        _write_outputs(Path(out_dir), datasets, manifest, plan.options)
     return datasets, manifest
 
 
@@ -578,7 +561,7 @@ def _warn_target_leakage(plan: TransformationPlan, bound: BoundModel, st: _Execu
                 return
 
 
-def _build_manifest(plan, bound, options, st: _Execution, datasets) -> dict:
+def _build_manifest(plan, bound, st: _Execution, datasets) -> dict:
     from . import __version__
 
     table_hashes = {
@@ -588,7 +571,7 @@ def _build_manifest(plan, bound, options, st: _Execution, datasets) -> dict:
     schema_text = dsl.print_schema(bound.schema).text
     return {
         "tool_version": __version__,
-        "seed": options.seed,
+        "seed": plan.options.seed,
         "schema_sha256": hashlib.sha256(schema_text.encode("utf-8")).hexdigest(),
         "table_sha256": table_hashes,
         "task": plan.task,

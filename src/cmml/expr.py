@@ -16,9 +16,10 @@ Grammar (lowest to highest precedence):
 `#` starts a comment that runs to the end of the line.
 
 Aggregate heads are count/sum/mean/min/max over RELATIONSHIP.attribute
-(count takes the bare relationship). Plain functions are years_between,
-days_between, today, abs, if. String literals shaped YYYY-MM-DD parse as
-date literals.
+(count takes the bare relationship); ``aggregate`` defines them, for the
+engine's G4 summaries too, over a parent's partner cells in child-key order.
+Plain functions are years_between, days_between, today, abs, if. String
+literals shaped YYYY-MM-DD parse as date literals.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from .values import UNKNOWN, format_float, is_null
+from .values import DATE_RE, UNKNOWN, Null, format_float, is_null, parse_date
 
 AGG_KINDS = ("count", "sum", "mean", "min", "max")
 FN_NAMES = ("years_between", "days_between", "today", "abs", "if")
 CMP_OPS = ("<", "<=", "=", "!=", ">=", ">")
 DAYS_PER_YEAR = 365.2425
-
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
 class ExprSyntaxError(ValueError):
@@ -220,9 +219,9 @@ class _Parser:
         if t.kind == "string":
             self.next()
             body = t.text[1:-1]
-            if _DATE_RE.match(body):
+            if DATE_RE.fullmatch(body):
                 try:
-                    return Literal(_dt.date.fromisoformat(body))
+                    return Literal(parse_date(body))
                 except ValueError:
                     raise ExprSyntaxError(f"bad date literal {body!r}", t.line, t.col)
             return Literal(body)
@@ -445,22 +444,42 @@ def _type_of_call(expr: Call, env: TypeEnv) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-RelatedRows = Callable[[str], Sequence[dict]]
+RelatedCells = Callable[[str, Optional[str]], Sequence]  # (relationship, attribute) -> cells
+
+
+def aggregate(kind: str, cells: Sequence):
+    """count/sum/mean/min/max of one group of cells, summed in their order.
+    count counts every cell; the others skip both null tags. sum of no known
+    cell is 0.0; mean, min and max of none are UNKNOWN."""
+    if kind == "count":
+        return float(len(cells))
+    # is_null, inlined: this runs once per cell of every group
+    known = [v for v in cells if v is not None and not isinstance(v, Null)]
+    if kind == "sum":
+        return float(sum(known))
+    if not known:
+        return UNKNOWN
+    if kind == "mean":
+        return float(sum(known)) / len(known)
+    if kind == "min":
+        return min(known)
+    if kind == "max":
+        return max(known)
+    raise ValueError(f"bad aggregate {kind!r}")
 
 
 def eval_expr(
     expr: Expr,
     row: dict,
-    related: Optional[RelatedRows] = None,
+    related: Optional[RelatedCells] = None,
     clock: Optional[_dt.date] = None,
     diagnostics: Optional[list[str]] = None,
 ):
     """Evaluate a type-checked expression over one row.
 
-    Nulls propagate strictly (any null operand yields UNKNOWN), except count,
-    which never sees nulls, and sum over an empty/all-null set, which is 0.
-    Division by zero yields UNKNOWN plus a diagnostic. Pure given (row,
-    related, clock).
+    Nulls propagate strictly (any null operand yields UNKNOWN), except in
+    aggregates, which follow ``aggregate``. Division by zero yields UNKNOWN
+    plus a diagnostic. Pure given (row, related, clock).
     """
     if isinstance(expr, Literal):
         return expr.value
@@ -475,7 +494,9 @@ def eval_expr(
     if isinstance(expr, Call):
         return _eval_call(expr, row, related, clock, diagnostics)
     if isinstance(expr, Aggregate):
-        return _eval_aggregate(expr, row, related, diagnostics)
+        if related is None:
+            raise ValueError(f"aggregate {pretty_print(expr)!r} requires a related-cells provider")
+        return aggregate(expr.kind, related(expr.relationship, expr.attribute))
     raise TypeError(f"not an Expr: {expr!r}")
 
 
@@ -537,27 +558,6 @@ def _eval_call(expr: Call, row, related, clock, diagnostics):
     if fn == "abs":
         return abs(vals[0])
     raise ValueError(f"unknown function {fn!r}")
-
-
-def _eval_aggregate(expr: Aggregate, row, related, diagnostics):
-    if related is None:
-        raise ValueError(f"aggregate {pretty_print(expr)!r} requires a related-rows provider")
-    rows = related(expr.relationship)
-    if expr.kind == "count":
-        return float(len(rows))
-    vals = [r.get(expr.attribute) for r in rows]
-    vals = [v for v in vals if not is_null(v)]
-    if expr.kind == "sum":
-        return float(sum(vals))  # empty set -> 0
-    if not vals:
-        return UNKNOWN  # mean/min/max over an empty set
-    if expr.kind == "mean":
-        return float(sum(vals) / len(vals))
-    if expr.kind == "min":
-        return min(vals)
-    if expr.kind == "max":
-        return max(vals)
-    raise ValueError(f"bad aggregate {expr.kind!r}")
 
 
 def _nodes(expr: Expr) -> Iterator[Expr]:

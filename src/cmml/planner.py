@@ -1,4 +1,4 @@
-"""Compile a bound model + task into an ordered, guideline-tagged
+"""Compile a schema + task into an ordered, guideline-tagged
 transformation plan, with a human-readable explanation and a lossless JSON
 form. Plans depend only on schema + task + options, never on the data.
 """
@@ -58,7 +58,7 @@ class PlanError(ValueError):
     pass
 
 
-def compile_plan(bound_or_schema, task: eer.TaskDecl, options: Optional[PlanOptions] = None
+def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[PlanOptions] = None
                  ) -> TransformationPlan:
     """Compile the ordered step list.
 
@@ -69,7 +69,6 @@ def compile_plan(bound_or_schema, task: eer.TaskDecl, options: Optional[PlanOpti
     the target entity; subtype split; per-dataset imputation; emission. The
     derivations thus run in `derivation_order`.
     """
-    schema: eer.EerSchema = getattr(bound_or_schema, "schema", bound_or_schema)
     options = options or PlanOptions.from_task(task)
     binding = eer.resolve_target(schema, task)
     root = binding.target_entity

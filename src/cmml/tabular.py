@@ -72,8 +72,8 @@ class Table:
         return (tuple([row[i] for i in idx]) for row in self.rows)
 
     def order_key(self) -> Callable[[int], tuple]:
-        """Sort key of a row index: the repr of the row's key. A parent's
-        children and an emitted dataset's rows are put in this order."""
+        """Sort key of a row index: the repr of the row's key. A parent's children
+        are aggregated, and an emitted dataset's rows are put, in this order."""
         idx = [self.column_index(k) for k in self.key_columns]
         rows = self.rows
         return lambda i: tuple([repr(rows[i][k]) for k in idx])

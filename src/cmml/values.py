@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import re
 
 UNKNOWN_TAG = "unknown"
 NOT_APPLICABLE_TAG = "not_applicable"
@@ -39,6 +40,20 @@ class Null:
 
 UNKNOWN = Null(UNKNOWN_TAG)
 NOT_APPLICABLE = Null(NOT_APPLICABLE_TAG)
+
+
+# The one date form (cells, CMML_TODAY, literals); fromisoformat alone reads 20190102 on 3.11
+DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> _dt.date:
+    """Read a YYYY-MM-DD date; raises ValueError for any other text."""
+    if DATE_RE.fullmatch(text):
+        try:
+            return _dt.date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise ValueError(f"expected ISO-8601 date (YYYY-MM-DD), got {text!r}")
 
 
 def is_null(v: object) -> bool:
@@ -86,9 +101,6 @@ def parse_cell(text: str, kind: str):
             return False
         raise ValueError(f"expected 'true' or 'false', got {text!r}")
     if kind == "date":
-        try:
-            return _dt.date.fromisoformat(text)
-        except ValueError:
-            raise ValueError(f"expected ISO-8601 date (YYYY-MM-DD), got {text!r}")
+        return parse_date(text)
     # identifier, nominal, text are kept verbatim
     return text

@@ -30,8 +30,8 @@ def _report(criterion: int, ok: bool, detail: str = "") -> None:
 def example_output(example_bound):
     task = example_bound.schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
-    plan = planner.compile_plan(example_bound, task, options)
-    datasets, manifest = engine.execute(plan, example_bound, options, clock=CLOCK)
+    plan = planner.compile_plan(example_bound.schema, task, options)
+    datasets, manifest = engine.execute(plan, example_bound, clock=CLOCK)
     assert len(datasets) == 1
     return datasets[0]
 
@@ -95,8 +95,8 @@ def _execute_case(case, impute=None):
     task = case.schema.task("T")
     overrides = {"impute": impute} if impute else {}
     options = planner.PlanOptions.from_task(task, **overrides)
-    plan = planner.compile_plan(case.bound, task, options)
-    return engine.execute(plan, case.bound, options, clock=CLOCK)
+    plan = planner.compile_plan(case.bound.schema, task, options)
+    return engine.execute(plan, case.bound, clock=CLOCK)
 
 
 def test_criterion_04_duplication_removal_invariant():
@@ -204,8 +204,8 @@ def _per_subtype_mean_fixture():
     assert bound.ok, bound.report.render()
     task = schema.task("T")
     options = planner.PlanOptions.from_task(task)
-    plan = planner.compile_plan(bound, task, options)
-    datasets, _ = engine.execute(plan, bound, options, clock=CLOCK)
+    plan = planner.compile_plan(bound.schema, task, options)
+    datasets, _ = engine.execute(plan, bound, clock=CLOCK)
     vals = {}
     for ds in datasets:
         vi = ds.table.column_index("R_v")
@@ -285,8 +285,8 @@ def test_criterion_09_end_to_end_synthetic():
     assert bound.ok
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
-    plan = planner.compile_plan(bound, task, options)
-    datasets, _ = engine.execute(plan, bound, options)
+    plan = planner.compile_plan(bound.schema, task, options)
+    datasets, _ = engine.execute(plan, bound)
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, task))
     customers = bound.bundle.table("CUSTOMER")
     targets = [r[customers.column_index("ltv")] for r in customers.rows]

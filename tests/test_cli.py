@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -210,6 +211,96 @@ def test_bad_cmml_today_exit_2(monkeypatch, tmp_path):
     assert run("prepare", "--schema", str(EXAMPLE_SCHEMA),
                "--data-dir", str(EXAMPLE_DATA), "--task", "PREDICT_LTV",
                "--out", str(tmp_path / "x"), "--quiet") == 2
+
+
+@pytest.mark.parametrize("today", ["20190601", "2019-W22-6", "2019-6-1", "2019-06-01 "])
+def test_cmml_today_other_than_yyyy_mm_dd_exit_2(today, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("CMML_TODAY", today)
+    assert run("prepare", "--schema", str(EXAMPLE_SCHEMA),
+               "--data-dir", str(EXAMPLE_DATA), "--task", "PREDICT_LTV",
+               "--out", str(tmp_path / "x"), "--quiet") == 2
+    assert "error: CMML_TODAY must be YYYY-MM-DD" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("dob", ["19961012", "1996-W41-6", "1996-10-1"])
+def test_date_cell_other_than_yyyy_mm_dd_is_bad_cell(dob, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(EXAMPLE_DATA, data)
+    customers = data / "CUSTOMER.csv"
+    customers.write_text(customers.read_text().replace("101,F,1996-10-12", f"101,F,{dob}"))
+    assert run("validate", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(data)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"error: bad-cell: {customers}: row 1, column 'dob': "
+            f"expected ISO-8601 date (YYYY-MM-DD), got '{dob}' [CUSTOMER:1:dob]") in err
+
+
+# Membership and applicable_when predicates run in the binder: today() there
+# follows CMML_TODAY, and a predicate over a derived attribute or an aggregate
+# is a schema error, not a traceback or a predicate that is null on every row.
+PREDICATE_SCHEMA = """
+entity CUSTOMER {{
+  key cust_id: identifier
+  attr dob: date
+  attr spend: numeric
+  attr pension: numeric applicable_when (years_between(dob, today()) >= 65)
+  derived attr big: boolean = spend > 100
+}}
+entity ORDER {{ key order_id: identifier attr total: numeric }}
+relationship PLACES {{ CUSTOMER (1,1) -- (0,N) ORDER via cust_id }}
+generalization AGE of CUSTOMER overlap {{
+  subtype YOUNG when ({young})
+  subtype ANY when (spend >= 0)
+}}
+task T {{ target CUSTOMER.spend split_by AGE }}
+"""
+
+
+def _predicate_case(tmp_path, young):
+    schema = tmp_path / "s.cmml"
+    schema.write_text(PREDICATE_SCHEMA.format(young=young))
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "CUSTOMER.csv").write_text("cust_id,dob,spend,pension\nc1,1980-01-01,50,\n"
+                                       "c2,1955-01-01,200,\nc3,1940-01-01,10,1000\n")
+    (data / "ORDER.csv").write_text("order_id,total,cust_id\no1,5,c1\no2,7,c1\n")
+    return ["--schema", str(schema), "--data-dir", str(data)]
+
+
+# c1 is under 40 on the first date only; c2 turns 65 between the two, so its
+# missing pension becomes applicable (unknown, and imputed) on the second
+@pytest.mark.parametrize("today,young,pensions", [
+    ("2019-06-01", ["c1"], {"c1": "", "c2": "", "c3": "1000"}),
+    ("2021-06-01", [], {"c1": "", "c2": "1000", "c3": "1000"}),
+])
+def test_today_in_binder_predicates_follows_cmml_today(today, young, pensions, monkeypatch,
+                                                       tmp_path, capsys):
+    monkeypatch.setenv("CMML_TODAY", today)
+    common = _predicate_case(tmp_path, "years_between(dob, today()) < 40")
+    assert run("validate", *common, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+    out = tmp_path / "out"
+    assert run("prepare", *common, "--task", "T", "--out", str(out), "--quiet") == 0
+    rows = (out / "T_YOUNG.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == young
+    with open(out / "T_ANY.csv", newline="") as fh:
+        got = {r["CUSTOMER_cust_id"]: r["CUSTOMER_pension"] for r in csv.DictReader(fh)}
+    assert got == pensions
+
+
+@pytest.mark.parametrize("young", ["count(PLACES) > 1", "big"])
+@pytest.mark.parametrize("command", ["validate", "prepare"])
+def test_binder_predicate_over_aggregate_or_derived_attr_exit_1(young, command, tmp_path,
+                                                                capsys):
+    argv = [command, *_predicate_case(tmp_path, young)]
+    if command == "prepare":
+        argv += ["--task", "T", "--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: expr-type: membership of subtype YOUNG: unknown " in err
+    assert not (tmp_path / "out").exists()
 
 
 def _one_entity(tmp_path, target_kind, v_kind, v_cells):

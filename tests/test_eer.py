@@ -136,3 +136,57 @@ def test_resolve_target_cycle_reports_skipped_edge():
     assert sorted(binding.predictor_entities) == ["A", "B", "C"]
     assert len(binding.spanning_tree) == 2
     assert any("closes a cycle" in w for w in binding.warnings)
+
+
+# The binder evaluates membership and applicable_when predicates on the stored
+# columns, before any derivation runs and without relationships, so they type
+# against exactly those columns.
+PREDICATE_SCHEMA = """
+entity CUSTOMER {{
+  key cust_id: identifier
+  attr dob: date
+  attr spend: numeric
+  attr note: text applicable_when ({applicable})
+  derived attr big: boolean = spend > 100
+}}
+entity ORDER {{ key order_id: identifier attr total: numeric }}
+relationship PLACES {{ CUSTOMER (1,1) -- (0,N) ORDER via cust_id }}
+generalization G of CUSTOMER overlap {{
+  subtype A when ({membership}) {{ attr a_only: numeric applicable_when ({owned}) }}
+  subtype B when (spend >= 0)
+}}
+"""
+READS_STORED = ["spend > 1", "years_between(dob, today()) < 40", "a_only > 0"]
+READS_MORE = ["count(PLACES) > 1", "sum(PLACES.total) > 5", "big", "big and spend > 1"]
+
+
+def _predicate_errors(applicable="spend > 0", membership="spend < 10", owned="spend > 0"):
+    schema = parse(PREDICATE_SCHEMA.format(applicable=applicable, membership=membership,
+                                           owned=owned))
+    return [(d.code, d.message) for d in eer.validate_schema(schema).errors]
+
+
+@pytest.mark.parametrize("predicate", READS_STORED)
+def test_predicates_read_stored_columns(predicate):
+    assert _predicate_errors(applicable=predicate) == []
+    assert _predicate_errors(membership=predicate) == []
+    assert _predicate_errors(owned=predicate) == []
+
+
+@pytest.mark.parametrize("predicate", READS_MORE)
+def test_membership_predicate_reading_more_than_stored_columns_is_a_type_error(predicate):
+    [(code, message)] = _predicate_errors(membership=predicate)
+    assert code == "expr-type" and message.startswith("membership of subtype A: unknown ")
+
+
+@pytest.mark.parametrize("predicate", READS_MORE)
+def test_applicable_when_reading_more_than_stored_columns_is_a_type_error(predicate):
+    [(code, message)] = _predicate_errors(applicable=predicate)
+    assert code == "expr-type"
+    assert message.startswith("applicable_when of CUSTOMER.note: unknown ")
+
+
+@pytest.mark.parametrize("predicate", READS_MORE)
+def test_subtype_applicable_when_reading_more_than_stored_columns_is_a_type_error(predicate):
+    [(code, message)] = _predicate_errors(owned=predicate)
+    assert code == "expr-type" and message.startswith("applicable_when of A.a_only: unknown ")

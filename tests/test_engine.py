@@ -18,8 +18,8 @@ def _run(schema_text, tables, tmp_path, task_name="T", out_dir=None, **overrides
     assert bound.ok, bound.report.render()
     task = schema.task(task_name)
     options = planner.PlanOptions.from_task(task, **overrides)
-    plan = planner.compile_plan(bound, task, options)
-    return engine.execute(plan, bound, options, out_dir=out_dir, clock=CLOCK)
+    plan = planner.compile_plan(bound.schema, task, options)
+    return engine.execute(plan, bound, out_dir=out_dir, clock=CLOCK)
 
 
 def _col(ds, name):
@@ -32,8 +32,8 @@ def _example_run(example_bound, **overrides):
     schema = example_bound.schema
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task, **overrides)
-    plan = planner.compile_plan(example_bound, task, options)
-    return engine.execute(plan, example_bound, options, clock=CLOCK)
+    plan = planner.compile_plan(example_bound.schema, task, options)
+    return engine.execute(plan, example_bound, clock=CLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +372,9 @@ def test_execute_writes_outputs_and_is_deterministic(example_bound, tmp_path):
     schema = example_bound.schema
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
-    plan = planner.compile_plan(example_bound, task, options)
-    engine.execute(plan, example_bound, options, out_dir=tmp_path / "a", clock=CLOCK)
-    engine.execute(plan, example_bound, options, out_dir=tmp_path / "b", clock=CLOCK)
+    plan = planner.compile_plan(example_bound.schema, task, options)
+    engine.execute(plan, example_bound, out_dir=tmp_path / "a", clock=CLOCK)
+    engine.execute(plan, example_bound, out_dir=tmp_path / "b", clock=CLOCK)
     for fname in ("PREDICT_LTV.csv", "manifest.json"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
@@ -444,6 +444,49 @@ def test_flatten_keeps_target_read_by_a_derivation(tmp_path):
     assert flat.table.column_names == ["CUSTOMER_cust_id", "CUSTOMER_spend", "CUSTOMER_big"]
     assert flat.target_column == "CUSTOMER_spend"
     assert flat.table.rows == [["c1", 10.0, False], ["c2", 30.0, True]]
+
+
+# ---------------------------------------------------------------------------
+# A derived aggregate over a relationship is the matching G4 summary
+
+
+def test_derived_aggregates_equal_child_summaries(tmp_path):
+    from cmml import eer
+    text = """
+        entity CUSTOMER { key cust_id: identifier attr y: numeric
+                          derived attr n: numeric = count(PLACES)
+                          derived attr s: numeric = sum(PLACES.total)
+                          derived attr m: numeric = mean(PLACES.total)
+                          derived attr lo: numeric = min(PLACES.total)
+                          derived attr hi: numeric = max(PLACES.total)
+                          derived attr first: date = min(PLACES.placed)
+                          derived attr last: date = max(PLACES.placed) }
+        entity ORDER { key order_id: identifier attr total: numeric attr placed: date }
+        relationship PLACES { CUSTOMER (1,1) -- (0,N) ORDER via cust_id }
+        task T { target CUSTOMER.y }
+    """
+    # c1's orders are not in key order in the file, and 0.3 + 0.1 + 0.7
+    # (file order) differs from 0.1 + 0.7 + 0.3 (key order) in the last bit
+    tables = {"CUSTOMER": "cust_id,y\nc1,1\nc2,2\nc3,3\n",
+              "ORDER": ("order_id,total,placed,cust_id\nO3,0.3,2018-03-01,c1\n"
+                        "O1,0.1,2018-01-01,c1\nO2,0.7,,c1\nO4,,2018-04-01,c2\n")}
+    (ds,), _ = _run(text, tables, tmp_path, impute="none")
+    assert _col(ds, "ORDER_total_sum") == {"c1": 0.1 + 0.7 + 0.3, "c2": 0.0, "c3": 0.0}
+    assert _col(ds, "ORDER_total_mean")["c2"] == UNKNOWN
+    pairs = {"CUSTOMER_n": "ORDER_count", "CUSTOMER_s": "ORDER_total_sum",
+             "CUSTOMER_m": "ORDER_total_mean", "CUSTOMER_lo": "ORDER_total_min",
+             "CUSTOMER_hi": "ORDER_total_max", "CUSTOMER_first": "ORDER_placed_min",
+             "CUSTOMER_last": "ORDER_placed_max"}
+    for derived, summary in pairs.items():
+        assert _col(ds, derived) == _col(ds, summary), derived
+    # ds0 evaluates the same derivations with the same code
+    schema = parse_full(text)
+    bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
+    flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
+                                clock=CLOCK)
+    s = flat.table.column_index("CUSTOMER_s")
+    assert {row[0]: row[s] for row in flat.table.rows} == {
+        k: (None if is_null(v) else v) for k, v in _col(ds, "ORDER_total_sum").items()}
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,8 @@ def _prepared(seed=42, customers=200):
     assert bound.ok
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
-    plan = planner.compile_plan(bound, task, options)
-    datasets, _ = engine.execute(plan, bound, options)
+    plan = planner.compile_plan(bound.schema, task, options)
+    datasets, _ = engine.execute(plan, bound)
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, task))
     return flat, datasets[0]
 

@@ -171,7 +171,7 @@ def test_if_and_abs():
 
 
 def _related(rows):
-    return lambda rel: rows if rel == "PLACES" else []
+    return lambda rel, attr: [r.get(attr) for r in rows] if rel == "PLACES" else []
 
 
 def test_aggregates_over_related_rows():

@@ -10,7 +10,7 @@ from cmml import binder, cli, dsl, eer, engine, planner
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 from conftest import CLOCK, EXAMPLE_SCHEMA, parse_full
 from propgen import Case
-from test_golden import CASES, N_SIDE_DATA
+from test_golden import CASES, CHAIN_SCHEMA, N_SIDE_DATA, _inline
 
 N_CASES = 120
 SEEDS = range(N_CASES)
@@ -20,8 +20,8 @@ def _execute(case, impute=None):
     task = case.schema.task("T")
     overrides = {"impute": impute} if impute else {}
     options = planner.PlanOptions.from_task(task, **overrides)
-    plan = planner.compile_plan(case.bound, task, options)
-    datasets, manifest = engine.execute(plan, case.bound, options, clock=CLOCK)
+    plan = planner.compile_plan(case.bound.schema, task, options)
+    datasets, manifest = engine.execute(plan, case.bound, clock=CLOCK)
     return datasets, manifest
 
 
@@ -234,6 +234,59 @@ def test_flatten_derived_root_columns_equal_prepare(name, tmp_path, monkeypatch)
             flat_values.setdefault(row[key], set()).add(row[column])
         for row in prepared:
             assert flat_values[row[key]] == {row[column]}, (column, row[key])
+
+
+def _chain_generated(tmp_path):
+    """The chain golden schema over generated rows with two-decimal prices
+    and shipping costs, so the last bit of a sum depends on its order."""
+    rng = random.Random(3)
+    tables = {"CUSTOMER": ["cust_id,segment,bonus"], "ORDER": ["order_id,shipping,cust_id"],
+              "LINE": ["line_id,qty,unit_price,order_id"]}
+    for c in range(12):
+        tables["CUSTOMER"].append(f"c{c},{rng.choice('ab')},{round(rng.uniform(-5, 5), 2)}")
+        for _ in range(rng.randint(0, 4)):
+            o = len(tables["ORDER"])
+            tables["ORDER"].append(f"o{o},{round(rng.uniform(0, 9), 2)},c{c}")
+            for _ in range(rng.randint(0, 4)):
+                tables["LINE"].append(f"l{len(tables['LINE'])},{rng.randint(1, 3)},"
+                                      f"{round(rng.uniform(0, 20), 2)},o{o}")
+    return _inline(CHAIN_SCHEMA, {n: "\n".join(rows) + "\n" for n, rows in tables.items()})(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["chain", "chain_generated", "propgen_1", "propgen_5",
+                                  "propgen_12", "propgen_36"])
+def test_outputs_ignore_row_order_of_non_target_csvs(name, tmp_path, monkeypatch):
+    """Derivations and summaries aggregate a parent's children in child-key
+    order, so shuffling the rows of every CSV but the target entity's leaves
+    the prepared datasets and ds0 byte-identical."""
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    data = tmp_path / "data"
+    data.mkdir()
+    build = _chain_generated if name == "chain_generated" else CASES[name]
+    schema_path, data_dir, task_name = build(data)
+    common = ["--schema", str(schema_path), "--data-dir", str(data_dir), "--task", task_name,
+              "--quiet"]
+
+    def outputs(out):
+        assert cli.main(["prepare", *common, "--out", str(out / "p")]) == 0
+        assert cli.main(["flatten", *common, "--out", str(out / "f")]) == 0
+        files = sorted((out / "p").glob("*.csv")) + [out / "f" / "ds0.csv"]
+        return {path.name: path.read_bytes() for path in files}
+
+    before = outputs(tmp_path / "before")
+    schema, rep = dsl.parse_schema_file(str(schema_path))
+    assert rep.ok, rep.render()
+    target = schema.task(task_name).target_entity
+    rng = random.Random(0)
+    shuffled = 0
+    for path in sorted(data_dir.glob("*.csv")):
+        if path.stem != target:
+            header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            rng.shuffle(rows)
+            path.write_text(header + "".join(rows), encoding="utf-8")
+            shuffled += 1
+    assert shuffled
+    assert outputs(tmp_path / "after") == before
 
 
 @pytest.mark.parametrize("seed", range(1, 61))
