@@ -108,6 +108,40 @@ CHAIN_DATA = {
              "l10,1,1,o9\n"),
 }
 
+# Derivation side effects: ORDER.per_ship divides by a zero shipping on o3
+# (a division-by-zero warning) and aggregates below the root, and the
+# derived ORDER.LINE_count meets the G4 summary column of the same name, so
+# it is renamed LINE_count_2 with a collision warning. o4 has no line, o6 a
+# null shipping and c8 a null target.
+COLLISION_SCHEMA = """
+entity CUSTOMER {
+  key cust_id: identifier
+  attr segment: nominal
+  attr spend: numeric
+}
+entity ORDER {
+  key order_id: identifier
+  attr shipping: numeric
+  derived attr per_ship: numeric = count(CONTAINS) / shipping
+  derived attr LINE_count: numeric = sum(CONTAINS.qty) * 2
+}
+entity LINE {
+  key line_id: identifier
+  attr qty: numeric
+}
+relationship PLACES { CUSTOMER (1,1) -- (0,N) ORDER via cust_id }
+relationship CONTAINS { ORDER (1,1) -- (0,N) LINE via order_id }
+task T { target CUSTOMER.spend }
+"""
+COLLISION_DATA = {
+    "CUSTOMER": ("cust_id,segment,spend\nc1,a,12\nc2,b,3.5\nc3,a,20\nc4,c,7\nc5,b,0\n"
+                 "c6,a,15.25\nc7,c,9\nc8,b,\n"),
+    "ORDER": ("order_id,shipping,cust_id\no1,2,c1\no2,1.5,c1\no3,0,c2\no4,4,c3\n"
+              "o5,1,c4\no6,,c5\no7,3,c6\no8,2,c7\no9,5,c7\no10,1,c8\n"),
+    "LINE": ("line_id,qty,order_id\nl1,2,o1\nl2,1,o1\nl3,3,o2\nl4,1,o3\nl5,2,o3\n"
+             "l6,,o5\nl7,4,o6\nl8,1,o7\nl9,2,o8\nl10,5,o9\nl11,1,o9\nl12,3,o10\n"),
+}
+
 GOLDEN = {
     "chain": {
         "evaluate.json":
@@ -120,6 +154,18 @@ GOLDEN = {
             "a0381ed10f2a485fd0e552cb7a360e8068ead38c0324e4cfc6ceec7ea5923eb7",
         "prepare/manifest.json":
             "56aed6ecf2457bd324e82281a8f7f6353687b55dfd974de227e12e53776ff43b",
+    },
+    "collision": {
+        "evaluate.json":
+            "ee50d9a83c70ac9135c59829817d49620a2f367a16d44942fd4b83f7a13d0547",
+        "flatten/ds0.csv":
+            "9d6d1dd519c7bb6e712deb81fcf81cf31e0fde33822e2de72aea4381b995ae3e",
+        "plan.json":
+            "a3824c5f4d5a7e1de3b1de6201f642433114acfbdcd9754ead68ab4f58ce53bc",
+        "prepare/T.csv":
+            "b9a39024b68c3ad8414bd4826e050e3f92c935c0328464e9d04cd912c676db88",
+        "prepare/manifest.json":
+            "e83ded35293303b02502e561f939280e019755f61affba297f563e80a003f0b6",
     },
     "example": {
         "flatten/ds0.csv":
@@ -273,12 +319,13 @@ CASES = {
     "from_table": _inline(FROM_TABLE_SCHEMA, FROM_TABLE_DATA),
     "n_side_target": _inline(N_SIDE_SCHEMA, N_SIDE_DATA),
     "chain": _inline(CHAIN_SCHEMA, CHAIN_DATA),
+    "collision": _inline(COLLISION_SCHEMA, COLLISION_DATA),
 }
 
 
 # Cases whose task emits a single dataset, so `evaluate` runs on them. The
 # example has fewer keys than folds.
-EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36", "chain"}
+EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36", "chain", "collision"}
 
 
 def _sha(data: bytes) -> str:
