@@ -158,7 +158,8 @@ def cmd_prepare(args) -> int:
         raise DataError("data errors prevent preparation")
     try:
         plan = planner.compile_plan(schema, task, options)
-        datasets, manifest = engine.execute(plan, bound, out_dir=args.out, clock=clock)
+        datasets, manifest = engine.prepare(plan, bound, engine.Derivations(bound, clock),
+                                            out_dir=args.out)
     except planner.PlanError as exc:
         raise DataError(str(exc))
     for ds in datasets:
@@ -178,7 +179,7 @@ def cmd_flatten(args) -> int:
     if not bound.ok:
         raise DataError("data errors prevent flattening")
     binding = eer.resolve_target(schema, task)
-    flat = engine.flatten_naive(bound, binding, clock=clock)
+    flat = engine.flatten_naive(bound, binding, engine.Derivations(bound, clock))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ds0.csv"
@@ -202,16 +203,17 @@ def cmd_evaluate(args) -> int:
     bound = _bind(args, schema, clock)
     if not bound.ok:
         raise DataError("data errors prevent evaluation")
+    # both arms read one evaluation of every derived attribute
+    derivations = engine.Derivations(bound, clock)
     try:
         plan = planner.compile_plan(schema, task, options)
-        datasets, _ = engine.execute(plan, bound, clock=clock)
+        datasets, _ = engine.execute(plan, bound, derivations)
     except planner.PlanError as exc:
         raise DataError(str(exc))
     if len(datasets) != 1:
         raise DataError("evaluate requires a single-dataset task (no subtype split)")
     tds = datasets[0]
-    binding = eer.resolve_target(schema, task)
-    flat = engine.flatten_naive(bound, binding, clock=clock)
+    flat = engine.flatten_naive(bound, plan.binding, derivations)
     if args.range is not None:
         value_range = args.range
     else:

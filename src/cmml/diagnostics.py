@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional
+
+RENDER_LIMIT = 5  # diagnostics of one (severity, code) that render() prints
 
 
 @dataclass
@@ -47,7 +50,20 @@ class Report:
         return not self.errors
 
     def render(self) -> str:
-        return "\n".join(d.render() for d in self.diagnostics)
+        """One line per diagnostic, but at most ``RENDER_LIMIT`` of each
+        (severity, code); the rest are counted on one line after them."""
+        total = Counter((d.severity, d.code) for d in self.diagnostics)
+        shown: Counter = Counter()
+        lines = []
+        for d in self.diagnostics:
+            group = (d.severity, d.code)
+            shown[group] += 1
+            if shown[group] <= RENDER_LIMIT:
+                lines.append(d.render())
+            if shown[group] == RENDER_LIMIT and total[group] > RENDER_LIMIT:
+                lines.append(f"… and {total[group] - RENDER_LIMIT} more {d.code} "
+                             "(validate --json lists all)")
+        return "\n".join(lines)
 
     def to_dicts(self) -> list[dict]:
         """One ``{severity, code, message, location}`` object per diagnostic."""

@@ -240,6 +240,7 @@ def validate_schema(schema: EerSchema) -> Report:
     _check_duplicates(schema, rep)
     for ent in schema.entities:
         _validate_entity(schema, ent, rep)
+    _check_derivation_cycles(schema, rep)
     for rel in schema.relationships:
         _validate_relationship(schema, rel, rep)
     for gen in schema.generalizations:
@@ -283,6 +284,40 @@ def _validate_entity(schema: EerSchema, ent: EntityType, rep: Report) -> None:
                         f"applicable_when of {ent.name}.{a.name}", rep, ent.name)
         if a.derivation is not None:
             _check_expr(a.derivation, env, a.kind, f"derivation of {ent.name}.{a.name}", rep, ent.name)
+
+
+def _check_derivation_cycles(schema: EerSchema, rep: Report) -> None:
+    """No derived attribute may read itself, through same-entity references
+    or aggregates over a child, directly or via other derived attributes."""
+    nodes = [(ent.name, a) for ent in schema.entities for a in ent.attributes if a.is_derived]
+    derived = {(e, a.name) for e, a in nodes}
+    reads: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for entity, a in nodes:
+        deps = [(entity, name) for name in sorted(ex.referenced_attrs(a.derivation))]
+        for agg in ex.referenced_aggregates(a.derivation):
+            rel = schema.relationship(agg.relationship)
+            if agg.attribute is not None and rel is not None and not rel.is_many_to_many:
+                deps.append((rel.child_entity(), agg.attribute))
+        reads[entity, a.name] = [d for d in deps if d in derived]
+    state: dict[tuple[str, str], bool] = {}  # False while on the path, then True
+    path: list[tuple[str, str]] = []
+
+    def visit(node: tuple[str, str]) -> None:
+        state[node] = False
+        path.append(node)
+        for dep in reads[node]:
+            if dep not in state:
+                visit(dep)
+            elif state[dep] is False:
+                cycle = path[path.index(dep):] + [dep]
+                rep.error("derivation-cycle", "derived attributes read each other in a cycle: "
+                          + " -> ".join(f"{e}.{n}" for e, n in cycle), dep[0])
+        path.pop()
+        state[node] = True
+
+    for entity, a in nodes:
+        if (entity, a.name) not in state:
+            visit((entity, a.name))
 
 
 def _check_expr(e: ex.Expr, env: ex.TypeEnv, want: str, what: str, rep: Report, loc: str) -> None:

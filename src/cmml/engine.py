@@ -4,7 +4,9 @@ Produces one flat training dataset per plan output (one row per
 target-bearing instance, or per (instance, subtype) member for splits), a
 naive fully-denormalized dataset for comparison, and a lineage manifest
 recording every output column's origin entities, source attributes and
-transform.
+transform. One ``Derivations`` per command computes every derived attribute
+and every relationship's partner groups once; the plan's steps and the naive
+flattener both read them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from operator import getitem
 from pathlib import Path
 from typing import Optional
@@ -106,17 +109,110 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
 
 
 # ---------------------------------------------------------------------------
+# Derived values, shared by every consumer in one command
+
+
+class Derivations:
+    """The work one command shares between the plan's steps and the naive
+    flattener: each derived attribute's cells, evaluated once, and each
+    relationship's partner groups, sorted once. Holds the command's clock.
+
+    Cells are indexed like the rows of the entity's bound table, which the
+    working tables keep until they are split or emitted. A derivation reads
+    other attributes by their schema names, so derived attributes must be
+    requested in dependency order (``planner.derivation_order``).
+    """
+
+    def __init__(self, bound: BoundModel, clock: _dt.date):
+        self.bound = bound
+        self.clock = clock
+        self._derived: dict[tuple[str, str], tuple[list, list[str]]] = {}
+        self._groups: dict[str, list[list[int]]] = {}
+
+    def derived(self, entity: str, attr_name: str) -> tuple[list, list[str]]:
+        """The derived attribute's cells and its sorted, distinct evaluation
+        diagnostics, evaluated on the first request."""
+        key = (entity, attr_name)
+        if key not in self._derived:
+            self._derived[key] = self._evaluate(entity, attr_name)
+        return self._derived[key]
+
+    def groups(self, rel_name: str) -> list[list[int]]:
+        """For each row of the relationship's parent, its partner rows in the
+        child in child-key order (``Table.order_key``): the order in which
+        derivations and G4 summaries aggregate a parent's children. Do not
+        mutate the lists."""
+        if rel_name not in self._groups:
+            rel = self.bound.schema.relationship(rel_name)
+            parent = self.bound.bundle.table(rel.parent_entity())
+            order = self.bound.bundle.table(rel.child_entity()).order_key()
+            children = self.bound.children_of.get(rel_name, {})
+            self._groups[rel_name] = [sorted(children.get(k[0], ()), key=order)
+                                      for k in parent.keys()]
+        return self._groups[rel_name]
+
+    def _cells(self, entity: str, attr_name: str) -> list:
+        """A stored or already derived attribute's cells."""
+        if (entity, attr_name) in self._derived:
+            return self._derived[entity, attr_name][0]
+        attr = self.bound.schema.entity(entity).attr(attr_name)
+        if attr is not None and attr.is_derived:
+            raise ValueError(f"{entity}.{attr_name} is read before it is derived")
+        table = self.bound.bundle.table(entity)
+        ci = table.column_index(attr_name)
+        return [row[ci] for row in table.rows]
+
+    def _evaluate(self, entity: str, attr_name: str) -> tuple[list, list[str]]:
+        schema = self.bound.schema
+        expr = schema.entity(entity).attr(attr_name).derivation
+        # each row's environment holds only the attributes the expression reads
+        names = sorted(ex.referenced_attrs(expr))
+        envs = ((dict(zip(names, cells)) for cells in zip(*[self._cells(entity, a) for a in names]))
+                if names else repeat({}, len(self.bound.bundle.table(entity).rows)))
+        # (relationship, attribute) -> each row's partner cells (for count, its partners)
+        cells: dict[tuple[str, Optional[str]], list[list]] = {}
+        for agg in ex.referenced_aggregates(expr):
+            rel = schema.relationship(agg.relationship)
+            if rel is None or rel.parent_entity() != entity:
+                raise ValueError(f"entity {entity} cannot aggregate over relationship "
+                                 f"{agg.relationship!r}")
+            groups = self.groups(agg.relationship)
+            if agg.attribute is None:
+                cells[agg.relationship, None] = groups
+                continue
+            child = self._cells(rel.child_entity(), agg.attribute)
+            cells[agg.relationship, agg.attribute] = [[child[i] for i in g] for g in groups]
+
+        def related(rel_name: str, attribute: Optional[str]) -> list:  # of row r, being derived
+            return cells[rel_name, attribute][r]
+
+        diags: list[str] = []
+        values = []
+        for r, env in enumerate(envs):
+            values.append(ex.eval_expr(expr, env, related, self.clock, diags))
+        replaced = _finite(values)
+        if replaced:
+            diags.append(f"{replaced} non-finite value(s) set to unknown")
+        return values, sorted(set(diags))
+
+
+# ---------------------------------------------------------------------------
 # Step implementations
 
 
 class _Execution:
-    def __init__(self, bound: BoundModel, binding: eer.TargetBinding, clock: _dt.date,
+    def __init__(self, bound: BoundModel, binding: eer.TargetBinding, derivations: Derivations,
                  plan: Optional[TransformationPlan] = None):
+        if derivations.bound is not bound:
+            raise ValueError("the derivations were made for another bound model")
         self.plan = plan  # None when only derivations run (flatten_naive)
         self.bound = bound
-        self.clock = clock
+        self.derivations = derivations
         self.warnings: list[str] = []
         self.frames = build_frames(bound, list(binding.predictor_entities))
+        # (entity, attribute) -> the working column of a derived attribute,
+        # which a name collision may have renamed
+        self.derived_columns: dict[tuple[str, str], Column] = {}
         self.datasets: dict[str, Table] = {}
         self.emitted: dict[str, TrainingDataset] = {}
 
@@ -146,57 +242,33 @@ class _Execution:
         ckey = {k[0]: i for i, k in enumerate(self.frames[child].keys())}
         return [[ckey[v]] if v in ckey else [] for v in (row[fk_i] for row in pframe.rows)]
 
-    def _groups(self, parent: str, child: str, rel_name: str) -> list[list[int]]:
-        """``_partners`` in child-key order (``Table.order_key``), the order in
-        which derivations and G4 summaries aggregate a parent's children."""
-        order = self.frames[child].order_key()
-        return [sorted(p, key=order) for p in self._partners(parent, child, rel_name)]
-
     def derive_attr(self, entity: str, attr_name: str) -> None:
+        """Attach the derived attribute's shared cells as a working column and
+        mark the columns it reads consumed."""
         schema = self.bound.schema
         attr = schema.entity(entity).attr(attr_name)
         frame = self.frames[entity]
-        names = frame.column_names
-        refs = ex.referenced_attrs(attr.derivation)
-        sources = {f"{entity}.{a}" for a in refs}
-        # (relationship, attribute) -> each row's partner cells (for count, its partners)
-        cells: dict[tuple[str, Optional[str]], list[list]] = {}
-        for agg in ex.referenced_aggregates(attr.derivation):
-            rel = schema.relationship(agg.relationship)
-            if rel is None or rel.parent_entity() != entity:
-                raise ValueError(f"entity {entity} cannot aggregate over relationship "
-                                 f"{agg.relationship!r}")
-            child = self.frames[rel.child_entity()]
-            groups = self._groups(entity, child.name, agg.relationship)
-            if agg.attribute is None:
-                cells[agg.relationship, None] = groups
-                continue
-            ci = child.column_index(agg.attribute)
-            cells[agg.relationship, agg.attribute] = [[child.rows[i][ci] for i in g] for g in groups]
-            sources.add(f"{child.name}.{agg.attribute}")
-
-        def related(rel_name: str, attribute: Optional[str]) -> list:  # of row r, being derived
-            return cells[rel_name, attribute][r]
-
-        diags: list[str] = []
-        values = []
-        for r, row in enumerate(frame.rows):
-            values.append(ex.eval_expr(attr.derivation, dict(zip(names, row)), related,
-                                       self.clock, diags))
-        replaced = _finite(values)
-        if replaced:
-            diags.append(f"{replaced} non-finite value(s) set to unknown")
-        for d in sorted(set(diags)):
+        values, diags = self.derivations.derived(entity, attr_name)
+        for d in diags:
             self.warnings.append(f"{entity}.{attr_name}: {d}")
-        for col in frame.columns:
-            col.consumed = col.consumed or col.name in refs
-        self._add(frame, Column(
+        refs = ex.referenced_attrs(attr.derivation)
+        for a in refs:
+            col = self.derived_columns.get((entity, a)) or frame.columns[frame.column_index(a)]
+            col.consumed = True
+        sources = {f"{entity}.{a}" for a in refs}
+        for agg in ex.referenced_aggregates(attr.derivation):
+            if agg.attribute is not None:
+                child = schema.relationship(agg.relationship).child_entity()
+                sources.add(f"{child}.{agg.attribute}")
+        col = Column(
             name=attr_name, kind=attr.kind,
             origin_entities=[entity], source_attributes=sorted(sources),
             transform="derived",
             params={"expression": ex.pretty_print(attr.derivation)},
             guidelines=["G2"],
-        ), values)
+        )
+        self.derived_columns[entity, attr_name] = col
+        self._add(frame, col, values)
 
     def join_one_to_one(self, parent: str, child: str, rel_name: str) -> None:
         """Attach the (at most one) partner row's feature columns to the parent."""
@@ -221,26 +293,26 @@ class _Execution:
                         agg_set: tuple[str, ...], top_k: int) -> None:
         pframe = self.frames[parent]
         cframe = self.frames[child]
-        groups = self._groups(parent, child, rel_name)
+        groups = self.derivations.groups(rel_name)
 
         def add(col: Column, values: list) -> None:
             self._add(pframe, col, values)
 
-        def aggregate(col: Column, kind: str, cells: list[list]) -> None:
-            values = [ex.aggregate(kind, c) for c in cells]
+        def add_reduced(col: Column, values: list) -> None:
             replaced = _finite(values)
             if replaced:
                 self.warnings.append(f"{col.name}: {replaced} non-finite value(s) set to unknown")
             add(col, values)
 
-        aggregate(Column(
+        add_reduced(Column(
             name=feature_name("", [child], "count"), kind="numeric",
             origin_entities=[child], source_attributes=[f"{child}.*"],
             transform="count", params={"relationship": rel_name},
             guidelines=["G4"], prefixed=True,
-        ), "count", groups)
+        ), [ex.aggregate("count", g) for g in groups])
 
         numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in agg_set]
+        rows = cframe.rows
         for want_kind in KIND_SUMMARY_ORDER:
             for ci, col in enumerate(cframe.columns):
                 if col.kind != want_kind or not col.emit or col.consumed or col.kind == "identifier":
@@ -249,21 +321,20 @@ class _Execution:
                 # they surface only when their own entity's datasets are split
                 if col.subtype is not None:
                     continue
-                cells = [[cframe.rows[i][ci] for i in g] for g in groups]
+                # each group's null cells are dropped once, for every summary
+                known = [ex.known_cells([rows[i][ci] for i in g]) for g in groups]
                 if want_kind in ("numeric", "date"):
                     for agg in numeric_aggs if want_kind == "numeric" else ("min", "max"):
-                        aggregate(self._agg_col(col, child, rel_name, agg, want_kind), agg, cells)
+                        add_reduced(self._agg_col(col, child, rel_name, agg, want_kind),
+                                    [ex.reduce_known(agg, k) for k in known])
                 elif want_kind == "nominal":
-                    self._summarize_nominal(col, ci, cframe, cells, top_k, child, rel_name, add)
+                    self._summarize_nominal(col, ci, cframe, known, top_k, child, rel_name, add)
                 elif want_kind == "boolean":
-                    aggregate(self._agg_col(col, child, rel_name, "true_count", "numeric"), "count",
-                              [[v for v in c if v is True] for c in cells])
+                    add_reduced(self._agg_col(col, child, rel_name, "true_count", "numeric"),
+                                [ex.aggregate("count", [v for v in k if v is True]) for k in known])
                 else:  # text
-                    values = []
-                    for c in cells:
-                        parts = [v for v in c if not is_null(v)]
-                        values.append("\n".join(parts) if parts else UNKNOWN)
-                    add(self._agg_col(col, child, rel_name, "concat", "text"), values)
+                    add(self._agg_col(col, child, rel_name, "concat", "text"),
+                        ["\n".join(k) if k else UNKNOWN for k in known])
 
     def _agg_col(self, col: Column, child: str, rel_name: str, transform: str,
                  kind: str, category: Optional[str] = None) -> Column:
@@ -283,7 +354,7 @@ class _Execution:
             subtype=col.subtype,
         )
 
-    def _summarize_nominal(self, col, ci, cframe, cells, top_k, child, rel_name, add) -> None:
+    def _summarize_nominal(self, col, ci, cframe, known, top_k, child, rel_name, add) -> None:
         freq: dict[str, int] = {}
         for row in cframe.rows:
             v = row[ci]
@@ -292,12 +363,10 @@ class _Execution:
         ordered = sorted(freq, key=lambda c: (-freq[c], c))
         kept = ordered[:top_k]
         pooled = set(ordered[top_k:])
-        counts = [{} for _ in cells]
-        other = [0] * len(cells)
-        for r, c in enumerate(cells):
+        counts = [{} for _ in known]
+        other = [0] * len(known)
+        for r, c in enumerate(known):
             for v in c:
-                if is_null(v):
-                    continue
                 if v in pooled:
                     other[r] += 1
                 else:
@@ -504,15 +573,14 @@ def _jsonable(v):
 
 
 def execute(plan: TransformationPlan, bound: BoundModel,
-            out_dir: Optional[str | Path] = None,
-            clock: Optional[_dt.date] = None) -> tuple[list[TrainingDataset], dict]:
-    """Run the plan's steps in order, under ``plan.options``. Identical inputs produce
-    byte-identical CSV and manifest outputs; rows with a null target are dropped and counted.
+            derivations: Derivations) -> tuple[list[TrainingDataset], list[str]]:
+    """Run the plan's steps in order, under ``plan.options``; return the
+    emitted datasets and the run's warnings. Derived attributes come from
+    ``derivations``; rows with a null target are dropped and counted.
     """
     if not bound.ok:
         raise ValueError("bound model has error diagnostics; fix the data before executing")
-    clock = clock or _dt.date.today()
-    st = _Execution(bound, plan.binding, clock, plan)
+    st = _Execution(bound, plan.binding, derivations, plan)
     for step in plan.steps:
         k = step.kind
         if k == "derive_attr":
@@ -534,8 +602,16 @@ def execute(plan: TransformationPlan, bound: BoundModel,
             raise ValueError(f"unknown plan step kind {k!r}")
 
     _warn_target_leakage(plan, bound, st)
-    datasets = [st.emitted[name] for name in plan.outputs]
-    manifest = _build_manifest(plan, bound, st, datasets)
+    return [st.emitted[name] for name in plan.outputs], st.warnings
+
+
+def prepare(plan: TransformationPlan, bound: BoundModel, derivations: Derivations,
+            out_dir: Optional[str | Path] = None) -> tuple[list[TrainingDataset], dict]:
+    """``execute`` plus the lineage manifest, and with ``out_dir`` the dataset
+    CSVs and ``manifest.json`` written there. Identical inputs produce
+    byte-identical CSV and manifest outputs."""
+    datasets, warnings = execute(plan, bound, derivations)
+    manifest = _build_manifest(plan, bound, warnings, datasets)
     if out_dir is not None:
         _write_outputs(Path(out_dir), datasets, manifest, plan.options)
     return datasets, manifest
@@ -561,7 +637,7 @@ def _warn_target_leakage(plan: TransformationPlan, bound: BoundModel, st: _Execu
                 return
 
 
-def _build_manifest(plan, bound, st: _Execution, datasets) -> dict:
+def _build_manifest(plan, bound, warnings: list[str], datasets) -> dict:
     from . import __version__
 
     table_hashes = {
@@ -586,7 +662,7 @@ def _build_manifest(plan, bound, st: _Execution, datasets) -> dict:
             }
             for ds in datasets
         },
-        "warnings": sorted(set(st.warnings)),
+        "warnings": sorted(set(warnings)),
     }
 
 
@@ -648,11 +724,13 @@ def _project_and_rank(frame: Table) -> tuple[list[Column], list[tuple], list[int
 
 
 def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
-                  clock: Optional[_dt.date] = None) -> TrainingDataset:
-    """Left-join chain along the spanning tree at the deepest grain, with
-    derived attributes evaluated in the plan's order and G1 naming applied;
-    the target repeats per row exactly as a naive export would."""
-    st = _Execution(bound, binding, clock or _dt.date.today())
+                  derivations: Derivations) -> TrainingDataset:
+    """Left-join chain along the spanning tree at the deepest grain, with G1
+    naming applied; the target repeats per row exactly as a naive export
+    would. Derived attributes are attached in the plan's order
+    (``derivation_order``) from ``derivations``, so after ``execute`` on the
+    same ``derivations`` none is evaluated again."""
+    st = _Execution(bound, binding, derivations)
     for entity, attr in derivation_order(bound.schema, binding):
         st.derive_attr(entity, attr.name)
     frames = st.frames

@@ -453,8 +453,18 @@ def aggregate(kind: str, cells: Sequence):
     cell is 0.0; mean, min and max of none are UNKNOWN."""
     if kind == "count":
         return float(len(cells))
+    return reduce_known(kind, known_cells(cells))
+
+
+def known_cells(cells: Sequence) -> list:
+    """The cells that hold a value: both null tags dropped, order kept."""
     # is_null, inlined: this runs once per cell of every group
-    known = [v for v in cells if v is not None and not isinstance(v, Null)]
+    return [v for v in cells if v is not None and not isinstance(v, Null)]
+
+
+def reduce_known(kind: str, known: list):
+    """``aggregate`` of a group whose null cells are already dropped
+    (``known_cells``), for every kind but count."""
     if kind == "sum":
         return float(sum(known))
     if not known:

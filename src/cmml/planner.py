@@ -83,16 +83,17 @@ def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[Pl
     steps: list[PlanStep] = []
     notes: list[str] = list(binding.warnings)
 
+    staged = {e: _staged_derivations(schema, e) for e in binding.predictor_entities}
+
+    def derive(entity: str, attrs: list[eer.Attribute]) -> list[PlanStep]:
+        return [PlanStep("derive_attr", ("G2",), {"entity": entity, "attribute": a.name,
+                                                  "expression": ex.pretty_print(a.derivation)})
+                for a in attrs]
+
     # (a) non-aggregate derivations; aggregate-bearing ones wait for their
     # entity's slot in (b) or (c)
-    with_agg: dict[str, list[PlanStep]] = {}
-    for entity, a in derivation_order(schema, binding):
-        step = PlanStep("derive_attr", ("G2",), {"entity": entity, "attribute": a.name,
-                                                 "expression": ex.pretty_print(a.derivation)})
-        if ex.referenced_aggregates(a.derivation):
-            with_agg.setdefault(entity, []).append(step)
-        else:
-            steps.append(step)
+    for entity in binding.predictor_entities:
+        steps += derive(entity, staged[entity][0])
 
     # (b) bottom-up along the spanning tree; aggregate-bearing derivations on a
     # child run once its own subtree is summarized, just before it is consumed
@@ -100,7 +101,7 @@ def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[Pl
     for edge in _deepest_first(binding):
         rel = schema.relationship(edge.relationship)
         child_per_parent = rel.end_of(edge.child).max
-        steps += with_agg.get(edge.child, [])
+        steps += derive(edge.child, staged[edge.child][1])
         if child_per_parent == "N":
             steps.append(PlanStep("summarize_child", ("G4",), {
                 "parent": edge.parent, "child": edge.child,
@@ -117,7 +118,7 @@ def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[Pl
             }))
 
     # (c) aggregate-bearing derivations on the target entity
-    steps += with_agg.get(root, [])
+    steps += derive(root, staged[root][1])
 
     # (d) one-to-one joins at the target entity
     for edge in root_joins:
@@ -160,16 +161,37 @@ def derivation_order(schema: eer.EerSchema, binding: eer.TargetBinding
     in the order the plan derives them: the non-aggregate ones entity by
     entity in breadth-first order, then the aggregate-bearing ones bottom-up
     (the child of each deepest-first edge, the target entity last), so an
-    aggregate reads child columns that are already derived."""
-    def derived(entity: str, with_agg: bool) -> list[tuple[str, eer.Attribute]]:
-        return [(entity, a) for a in schema.entity(entity).attributes
-                if a.derivation is not None
-                and bool(ex.referenced_aggregates(a.derivation)) is with_agg]
-
-    order = [d for e in binding.predictor_entities for d in derived(e, False)]
+    aggregate reads child columns that are already derived. Within an
+    entity, each derivation follows the derived attributes it reads."""
+    staged = {e: _staged_derivations(schema, e) for e in binding.predictor_entities}
+    order = [(e, a) for e in binding.predictor_entities for a in staged[e][0]]
     for entity in [e.child for e in _deepest_first(binding)] + [binding.target_entity]:
-        order += derived(entity, True)
+        order += [(entity, a) for a in staged[entity][1]]
     return order
+
+
+def _staged_derivations(schema: eer.EerSchema, entity: str
+                        ) -> tuple[list[eer.Attribute], list[eer.Attribute]]:
+    """The entity's derived attributes in dependency order, declaration order
+    where none reads another, split in two: those that read no aggregate,
+    and those that do, directly or through a derived attribute they read."""
+    derived = [a for a in schema.entity(entity).attributes if a.is_derived]
+    reads = {a.name: ex.referenced_attrs(a.derivation) & {d.name for d in derived}
+             for a in derived}
+    ordered: list[eer.Attribute] = []
+    placed: set[str] = set()
+    while len(ordered) < len(derived):
+        ready = next((a for a in derived if a.name not in placed and reads[a.name] <= placed), None)
+        if ready is None:
+            raise PlanError(f"derived attributes of {entity} read each other in a cycle")
+        ordered.append(ready)
+        placed.add(ready.name)
+    with_agg: set[str] = set()
+    for a in ordered:
+        if ex.referenced_aggregates(a.derivation) or reads[a.name] & with_agg:
+            with_agg.add(a.name)
+    return ([a for a in ordered if a.name not in with_agg],
+            [a for a in ordered if a.name in with_agg])
 
 
 def _choose_split(schema: eer.EerSchema, task: eer.TaskDecl, root: str,

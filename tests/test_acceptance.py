@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line; each
 criterion also appears as its own test result.
 """
 
+import datetime as dt
 import filecmp
 import itertools
 import random
@@ -31,7 +32,8 @@ def example_output(example_bound):
     task = example_bound.schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
     plan = planner.compile_plan(example_bound.schema, task, options)
-    datasets, manifest = engine.execute(plan, example_bound, clock=CLOCK)
+    datasets, manifest = engine.prepare(plan, example_bound,
+                                         engine.Derivations(example_bound, CLOCK))
     assert len(datasets) == 1
     return datasets[0]
 
@@ -96,7 +98,7 @@ def _execute_case(case, impute=None):
     overrides = {"impute": impute} if impute else {}
     options = planner.PlanOptions.from_task(task, **overrides)
     plan = planner.compile_plan(case.bound.schema, task, options)
-    return engine.execute(plan, case.bound, clock=CLOCK)
+    return engine.prepare(plan, case.bound, engine.Derivations(case.bound, CLOCK))
 
 
 def test_criterion_04_duplication_removal_invariant():
@@ -114,7 +116,7 @@ def test_criterion_04_duplication_removal_invariant():
             if keys != expected or len(ds.table.rows) != len(expected):
                 ok, detail = False, f"seed {seed}: dataset {ds.name} rows"
                 break
-        flat = engine.flatten_naive(case.bound, case.binding, clock=CLOCK)
+        flat = engine.flatten_naive(case.bound, case.binding, engine.Derivations(case.bound, CLOCK))
         if len(flat.table.rows) != case.ds0_row_count():
             ok, detail = False, f"seed {seed}: flat row count"
         if not ok:
@@ -205,7 +207,7 @@ def _per_subtype_mean_fixture():
     task = schema.task("T")
     options = planner.PlanOptions.from_task(task)
     plan = planner.compile_plan(bound.schema, task, options)
-    datasets, _ = engine.execute(plan, bound, clock=CLOCK)
+    datasets, _ = engine.execute(plan, bound, engine.Derivations(bound, CLOCK))
     vals = {}
     for ds in datasets:
         vi = ds.table.column_index("R_v")
@@ -286,8 +288,9 @@ def test_criterion_09_end_to_end_synthetic():
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
     plan = planner.compile_plan(bound.schema, task, options)
-    datasets, _ = engine.execute(plan, bound)
-    flat = engine.flatten_naive(bound, eer.resolve_target(schema, task))
+    datasets, _ = engine.execute(plan, bound, engine.Derivations(bound, dt.date.today()))
+    flat = engine.flatten_naive(bound, eer.resolve_target(schema, task),
+                                engine.Derivations(bound, dt.date.today()))
     customers = bound.bundle.table("CUSTOMER")
     targets = [r[customers.column_index("ltv")] for r in customers.rows]
     value_range = max(targets) - min(targets)

@@ -442,3 +442,145 @@ def test_unreadable_csv_exit_1(bad_row, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {code}: {data / 'CUSTOMER.csv'}: " in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Derived attributes that read other derived attributes
+
+
+def _dependent_case(tmp_path):
+    from test_engine import DEPENDENT_DATA, DEPENDENT_SCHEMA
+    schema = tmp_path / "s.cmml"
+    schema.write_text(DEPENDENT_SCHEMA)
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, text in DEPENDENT_DATA.items():
+        (data / f"{name}.csv").write_text(text)
+    return ["--schema", str(schema), "--data-dir", str(data), "--task", "T", "--quiet"]
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_derivations_follow_what_they_read(tmp_path):
+    common = _dependent_case(tmp_path)
+    assert run("prepare", *common, "--impute", "none", "--out", str(tmp_path / "p")) == 0
+    rows = _csv_rows(tmp_path / "p" / "T.csv")
+    assert [(r["ORDER_z_sum"], r["ORDER_z2_sum"], r["ORDER_twice_sum"]) for r in rows] == [
+        ("4", "8", "8"), ("2", "12", "9"), ("0", "0", "0")]
+    assert run("flatten", *common, "--out", str(tmp_path / "f")) == 0
+    rows = _csv_rows(tmp_path / "f" / "ds0.csv")
+    assert [(r["ORDER_order_id"], r["ORDER_z"], r["ORDER_z2"], r["ORDER_twice"])
+            for r in rows if r["ORDER_order_id"]] == [
+        ("o1", "4", "6", "7"), ("o1", "4", "6", "7"), ("o2", "0", "2", "1"),
+        ("o3", "2", "12", "9")]
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "prepare", "flatten", "evaluate"])
+def test_derivation_cycle_exit_1(command, tmp_path, capsys):
+    schema = tmp_path / "s.cmml"
+    schema.write_text("entity E { key id: identifier attr t: numeric\n"
+                      "  derived attr w: numeric = w2 + 1\n"
+                      "  derived attr w2: numeric = w + 1 }\ntask T { target E.t }\n")
+    (tmp_path / "E.csv").write_text("id,t\na,1\nb,2\n")
+    argv = [command, "--schema", str(schema)]
+    if command != "plan":
+        argv += ["--data-dir", str(tmp_path)]
+    if command != "validate":
+        argv += ["--task", "T"]
+    if command in ("prepare", "flatten"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert ("error: derivation-cycle: derived attributes read each other in a cycle: "
+            "E.w -> E.w2 -> E.w [E]") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# evaluate does each unit of work once
+
+
+def _chain_evaluate(tmp_path):
+    from test_golden import CHAIN_DATA, CHAIN_SCHEMA, _inline
+    schema, data, task = _inline(CHAIN_SCHEMA, CHAIN_DATA)(tmp_path)
+    return ["evaluate", "--schema", str(schema), "--data-dir", str(data), "--task", task,
+            "--json", "--quiet", "--range", "100"]
+
+
+def test_evaluate_derives_each_cell_once(tmp_path, monkeypatch, capsys):
+    from cmml import dsl, expr
+    from test_golden import CHAIN_DATA, CHAIN_SCHEMA
+    eval_expr, depth, outermost = expr.eval_expr, [0], [0]
+
+    def counting(*args):
+        outermost[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return eval_expr(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "eval_expr", counting)
+    assert run(*_chain_evaluate(tmp_path)) == 0
+    schema, _ = dsl.parse_schema(dsl.SchemaSource(CHAIN_SCHEMA, origin="<test>"))
+    cells = sum(sum(a.is_derived for a in e.attributes) * (CHAIN_DATA[e.name].count("\n") - 1)
+                for e in schema.entities)
+    assert cells == 7 * 1 + 9 * 2 + 10 * 1
+    assert outermost[0] == cells
+
+
+def test_evaluate_hashes_and_writes_no_table(tmp_path, monkeypatch, capsys):
+    from cmml import engine
+
+    def refuse(table):
+        raise AssertionError(f"evaluate serialized table {table.name}")
+
+    monkeypatch.setattr(engine, "table_to_csv_bytes", refuse)
+    assert run(*_chain_evaluate(tmp_path)) == 0
+
+
+def test_evaluate_sorts_each_relationships_partners_once(tmp_path, monkeypatch, capsys):
+    from collections import Counter
+    from cmml.tabular import Table
+    calls = Counter()
+    order_key = Table.order_key
+
+    def counting(self):
+        calls[self.name] += 1
+        return order_key(self)
+
+    monkeypatch.setattr(Table, "order_key", counting)
+    assert run(*_chain_evaluate(tmp_path)) == 0
+    # LINE's groups per ORDER (CONTAINS), ORDER's per CUSTOMER (PLACES), and
+    # the emitted dataset's row order
+    assert calls == {"LINE": 1, "ORDER": 1, "CUSTOMER": 1}
+
+
+# ---------------------------------------------------------------------------
+# Text diagnostics: at most five of a kind
+
+
+def test_text_diagnostics_capped_per_code(tmp_path, capsys):
+    # 20 customers without a dob: null YOUNG membership and null applicability
+    common = _predicate_case(tmp_path, "years_between(dob, today()) < 40")
+    rows = "".join(f"n{i:02d},,5,\n" for i in range(20))
+    (tmp_path / "data" / "CUSTOMER.csv").write_text("cust_id,dob,spend,pension\n" + rows)
+    (tmp_path / "data" / "ORDER.csv").write_text("order_id,total,cust_id\n")
+    assert run("validate", *common) == 0
+    err = capsys.readouterr().err.splitlines()
+    membership = [f"warning: membership-null: CUSTOMER: row {i} membership predicate for YOUNG "
+                  f"is null; treated as non-member [CUSTOMER:{i}]" for i in range(1, 6)]
+    applicability = [f"warning: applicability-null: CUSTOMER: row {i}: applicable_when of "
+                     f"'pension' is null; cell classified unknown [CUSTOMER:{i}]"
+                     for i in range(1, 6)]
+    assert err[:12] == [
+        *membership, "… and 15 more membership-null (validate --json lists all)",
+        *applicability, "… and 15 more applicability-null (validate --json lists all)"]
+    assert not any(line.startswith("warning: ") for line in err[12:])
+    assert run("validate", *common, "--json") == 0
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [d["code"] for d in diags] == ["membership-null"] * 20 + ["applicability-null"] * 20

@@ -190,3 +190,36 @@ def test_applicable_when_reading_more_than_stored_columns_is_a_type_error(predic
 def test_subtype_applicable_when_reading_more_than_stored_columns_is_a_type_error(predicate):
     [(code, message)] = _predicate_errors(owned=predicate)
     assert code == "expr-type" and message.startswith("applicable_when of A.a_only: unknown ")
+
+
+@pytest.mark.parametrize("order,line,cycle", [
+    ("derived attr w: numeric = w2 + 1 derived attr w2: numeric = w + 1", "",
+     "ORDER.w -> ORDER.w2 -> ORDER.w"),
+    ("derived attr w: numeric = w * 2", "", "ORDER.w -> ORDER.w"),
+    # through aggregates: LINE is the parent in FOR
+    ("derived attr w: numeric = sum(CONTAINS.u)", "derived attr u: numeric = sum(FOR.w)",
+     "ORDER.w -> LINE.u -> ORDER.w"),
+])
+def test_derivation_cycle_is_an_error(order, line, cycle):
+    schema = parse(f"""
+        entity ORDER {{ key order_id: identifier attr shipping: numeric {order} }}
+        entity LINE {{ key line_id: identifier attr qty: numeric {line} }}
+        relationship CONTAINS {{ ORDER (1,1) -- (0,N) LINE via order_id }}
+        relationship FOR {{ LINE (0,1) -- (0,N) ORDER via line_id }}
+    """)
+    errors = [(d.code, d.message, d.location) for d in eer.validate_schema(schema).errors]
+    assert errors == [("derivation-cycle",
+                       f"derived attributes read each other in a cycle: {cycle}", "ORDER")]
+
+
+def test_derivations_reading_each_other_without_a_cycle_are_valid():
+    schema = parse("""
+        entity ORDER { key order_id: identifier attr shipping: numeric
+                       derived attr z2: numeric = y * 2
+                       derived attr y: numeric = shipping + 1
+                       derived attr n: numeric = count(CONTAINS)
+                       derived attr z: numeric = n * y }
+        entity LINE { key line_id: identifier attr qty: numeric }
+        relationship CONTAINS { ORDER (1,1) -- (0,N) LINE via order_id }
+    """)
+    assert eer.validate_schema(schema).ok

@@ -19,7 +19,7 @@ def _run(schema_text, tables, tmp_path, task_name="T", out_dir=None, **overrides
     task = schema.task(task_name)
     options = planner.PlanOptions.from_task(task, **overrides)
     plan = planner.compile_plan(bound.schema, task, options)
-    return engine.execute(plan, bound, out_dir=out_dir, clock=CLOCK)
+    return engine.prepare(plan, bound, engine.Derivations(bound, CLOCK), out_dir=out_dir)
 
 
 def _col(ds, name):
@@ -33,7 +33,7 @@ def _example_run(example_bound, **overrides):
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task, **overrides)
     plan = planner.compile_plan(example_bound.schema, task, options)
-    return engine.execute(plan, example_bound, clock=CLOCK)
+    return engine.prepare(plan, example_bound, engine.Derivations(example_bound, CLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +373,10 @@ def test_execute_writes_outputs_and_is_deterministic(example_bound, tmp_path):
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
     plan = planner.compile_plan(example_bound.schema, task, options)
-    engine.execute(plan, example_bound, out_dir=tmp_path / "a", clock=CLOCK)
-    engine.execute(plan, example_bound, out_dir=tmp_path / "b", clock=CLOCK)
+    engine.prepare(plan, example_bound, engine.Derivations(example_bound, CLOCK),
+                   out_dir=tmp_path / "a")
+    engine.prepare(plan, example_bound, engine.Derivations(example_bound, CLOCK),
+                   out_dir=tmp_path / "b")
     for fname in ("PREDICT_LTV.csv", "manifest.json"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
@@ -404,7 +406,7 @@ def test_flatten_example(example_bound):
     from cmml import eer
     schema = example_bound.schema
     binding = eer.resolve_target(schema, schema.task("PREDICT_LTV"))
-    flat = engine.flatten_naive(example_bound, binding, clock=CLOCK)
+    flat = engine.flatten_naive(example_bound, binding, engine.Derivations(example_bound, CLOCK))
     assert len(flat.table.rows) == 8
     names = flat.table.column_names
     assert "CUSTOMER_cust_id" in names and "ORDER_total" in names
@@ -426,7 +428,7 @@ def test_flatten_single_entity_equals_table(tmp_path):
     bundle, _ = binder.load_bundle(schema, tmp_path)
     bound = binder.bind(schema, bundle)
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
-                                clock=CLOCK)
+                                engine.Derivations(bound, CLOCK))
     assert len(flat.table.rows) == 2
 
 
@@ -440,7 +442,7 @@ def test_flatten_keeps_target_read_by_a_derivation(tmp_path):
     (tmp_path / "CUSTOMER.csv").write_text("cust_id,spend\nc1,10\nc2,30\n")
     bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
-                                clock=CLOCK)
+                                engine.Derivations(bound, CLOCK))
     assert flat.table.column_names == ["CUSTOMER_cust_id", "CUSTOMER_spend", "CUSTOMER_big"]
     assert flat.target_column == "CUSTOMER_spend"
     assert flat.table.rows == [["c1", 10.0, False], ["c2", 30.0, True]]
@@ -483,10 +485,79 @@ def test_derived_aggregates_equal_child_summaries(tmp_path):
     schema = parse_full(text)
     bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
-                                clock=CLOCK)
+                                engine.Derivations(bound, CLOCK))
     s = flat.table.column_index("CUSTOMER_s")
     assert {row[0]: row[s] for row in flat.table.rows} == {
         k: (None if is_null(v) else v) for k, v in _col(ds, "ORDER_total_sum").items()}
+
+
+# ---------------------------------------------------------------------------
+# Derivations run in dependency order and read derived attributes by name
+
+# z reads the aggregate-bearing n, z2 reads y declared after it, and twice
+# reads the derived LINE_count, whose working column is renamed LINE_count_2
+# because the G4 summary of LINE onto ORDER is called LINE_count too. o2 has
+# no line and c3 no order.
+DEPENDENT_SCHEMA = """
+    entity CUSTOMER { key cust_id: identifier attr spend: numeric }
+    entity ORDER {
+      key order_id: identifier
+      attr shipping: numeric
+      derived attr n: numeric = count(CONTAINS)
+      derived attr z: numeric = n * 2
+      derived attr z2: numeric = y * 2
+      derived attr y: numeric = shipping + 1
+      derived attr twice: numeric = LINE_count + 1
+      derived attr LINE_count: numeric = sum(CONTAINS.qty) * 2
+    }
+    entity LINE { key line_id: identifier attr qty: numeric }
+    relationship PLACES { CUSTOMER (1,1) -- (0,N) ORDER via cust_id }
+    relationship CONTAINS { ORDER (1,1) -- (0,N) LINE via order_id }
+    task T { target CUSTOMER.spend }
+"""
+DEPENDENT_DATA = {
+    "CUSTOMER": "cust_id,spend\nc1,10\nc2,20\nc3,30\n",
+    "ORDER": "order_id,shipping,cust_id\no1,2,c1\no2,0,c1\no3,5,c2\n",
+    "LINE": "line_id,qty,order_id\nl1,1,o1\nl2,2,o1\nl3,4,o3\n",
+}
+
+
+def test_derivations_read_derived_attributes_in_dependency_order(tmp_path):
+    from cmml import eer
+    (ds,), manifest = _run(DEPENDENT_SCHEMA, DEPENDENT_DATA, tmp_path, impute="none")
+    # per order (z, z2, twice): o1 (4, 6, 7), o2 (0, 2, 1), o3 (2, 12, 9)
+    assert _col(ds, "ORDER_z_sum") == {"c1": 4.0, "c2": 2.0, "c3": 0.0}
+    assert _col(ds, "ORDER_z2_sum") == {"c1": 8.0, "c2": 12.0, "c3": 0.0}
+    assert _col(ds, "ORDER_twice_sum") == {"c1": 8.0, "c2": 9.0, "c3": 0.0}
+    # the G4 line count is kept; the derived LINE_count feeds twice only
+    assert _col(ds, "ORDER_LINE_count_sum") == {"c1": 2.0, "c2": 1.0, "c3": 0.0}
+    assert not any("LINE_count_2" in name for name in ds.table.column_names)
+    assert "feature name collision: 'LINE_count' renamed to LINE_count_2" in manifest["warnings"]
+
+    schema = parse_full(DEPENDENT_SCHEMA)
+    bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
+    flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
+                                engine.Derivations(bound, CLOCK))
+    names = flat.table.column_names
+    assert names[:3] == ["CUSTOMER_cust_id", "CUSTOMER_spend", "ORDER_order_id"]
+    cells = {row[names.index("ORDER_order_id")]: tuple(row[names.index(f"ORDER_{a}")]
+                                                        for a in ("z", "z2", "twice"))
+             for row in flat.table.rows}
+    assert cells == {"o1": (4.0, 6.0, 7.0), "o2": (0.0, 2.0, 1.0), "o3": (2.0, 12.0, 9.0),
+                     None: (None, None, None)}
+
+
+def test_derivation_read_before_it_is_derived_is_an_error(tmp_path):
+    schema = parse_full(DEPENDENT_SCHEMA)
+    for name, text in DEPENDENT_DATA.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
+    derivations = engine.Derivations(bound, CLOCK)
+    with pytest.raises(ValueError, match="ORDER.y is read before it is derived"):
+        derivations.derived("ORDER", "z2")
+    values, diags = derivations.derived("ORDER", "y")
+    assert (values, diags) == ([3.0, 1.0, 6.0], [])
+    assert derivations.derived("ORDER", "z2") == ([6.0, 2.0, 12.0], [])
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +580,7 @@ def test_overflowing_derivation_is_unknown(tmp_path):
     schema = parse_full(text)
     bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
-                                clock=CLOCK)
+                                engine.Derivations(bound, CLOCK))
     assert flat.table.rows == [["c1", 1.0, None], ["c2", 2.0, 0.0]]
 
 

@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 import os
 import random
@@ -238,8 +239,9 @@ def _prepared(seed=42, customers=200):
     task = schema.task("PREDICT_LTV")
     options = planner.PlanOptions.from_task(task)
     plan = planner.compile_plan(bound.schema, task, options)
-    datasets, _ = engine.execute(plan, bound)
-    flat = engine.flatten_naive(bound, eer.resolve_target(schema, task))
+    datasets, _ = engine.execute(plan, bound, engine.Derivations(bound, dt.date.today()))
+    flat = engine.flatten_naive(bound, eer.resolve_target(schema, task),
+                                engine.Derivations(bound, dt.date.today()))
     return flat, datasets[0]
 
 

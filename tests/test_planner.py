@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cmml import eer, planner
-from conftest import parse_full
+from conftest import parse, parse_full
 
 
 def _plan(schema, task_name="T", **opt_overrides):
@@ -73,6 +73,43 @@ def test_derivation_order_is_the_plans_order(example_schema):
         steps = [(s.params["entity"], s.params["attribute"])
                  for s in plan.steps if s.kind == "derive_attr"]
         assert steps == [(e, a.name) for e, a in planner.derivation_order(schema, plan.binding)]
+
+
+def test_derivations_follow_what_they_read():
+    schema = parse_full("""
+        entity A { key aid: identifier attr t: numeric
+                   derived attr z2: numeric = y * 2
+                   derived attr n: numeric = count(AB)
+                   derived attr y: numeric = t + 1
+                   derived attr z: numeric = n * 2
+                   derived attr q: numeric = t * 3
+                   derived attr zz: numeric = z + y }
+        entity B { key bid: identifier attr u: numeric }
+        relationship AB { A (1,1) -- (0,N) B via aid }
+        task T { target A.t }
+    """)
+    plan = _plan(schema)
+    steps = [(s.kind, s.params.get("attribute") or s.params.get("child")) for s in plan.steps]
+    # y before z2, which reads it; z and zz read the aggregate-bearing n, so
+    # they follow it after the summary; declaration order elsewhere
+    assert steps[:5] == [("derive_attr", "y"), ("derive_attr", "z2"), ("derive_attr", "q"),
+                         ("summarize_child", "B"), ("derive_attr", "n")]
+    assert steps[5:7] == [("derive_attr", "z"), ("derive_attr", "zz")]
+    binding = plan.binding
+    assert [a.name for _, a in planner.derivation_order(schema, binding)] == [
+        "y", "z2", "q", "n", "z", "zz"]
+
+
+def test_derivation_order_refuses_a_cycle():
+    # parsed but not validated: validate_schema reports the cycle first
+    schema = eer.rewrite_many_to_many(parse("""
+        entity A { key aid: identifier attr t: numeric
+                   derived attr w: numeric = w2 + 1
+                   derived attr w2: numeric = w + 1 }
+        task T { target A.t }
+    """))
+    with pytest.raises(planner.PlanError, match="derived attributes of A read each other"):
+        _plan(schema)
 
 
 def test_one_to_one_join_step():

@@ -21,7 +21,7 @@ def _execute(case, impute=None):
     overrides = {"impute": impute} if impute else {}
     options = planner.PlanOptions.from_task(task, **overrides)
     plan = planner.compile_plan(case.bound.schema, task, options)
-    datasets, manifest = engine.execute(plan, case.bound, clock=CLOCK)
+    datasets, manifest = engine.prepare(plan, case.bound, engine.Derivations(case.bound, CLOCK))
     return datasets, manifest
 
 
@@ -58,7 +58,7 @@ def test_row_counts_and_split_semantics(seed):
             assert multi <= key_sets["LOW"] and multi <= key_sets["HIGH"]
 
     # DS0 brute-force join oracle
-    flat = engine.flatten_naive(case.bound, case.binding, clock=CLOCK)
+    flat = engine.flatten_naive(case.bound, case.binding, engine.Derivations(case.bound, CLOCK))
     assert len(flat.table.rows) == case.ds0_row_count()
 
 
@@ -153,7 +153,7 @@ def _nested_loop_flatten(bound, binding):
 
 
 def _check_flatten_matches_nested_loop(bound, binding):
-    flat = engine.flatten_naive(bound, binding, clock=CLOCK)
+    flat = engine.flatten_naive(bound, binding, engine.Derivations(bound, CLOCK))
     columns, rows = _nested_loop_flatten(bound, binding)
     assert flat.table.column_names == columns
     assert flat.table.rows == rows  # same multiset, in the same order
@@ -197,7 +197,7 @@ def test_flatten_naive_matches_nested_loop_join_n_side_target(tmp_path):
     assert any(schema.relationship(e.relationship).child_entity() != e.child
                for e in binding.spanning_tree)
     _check_flatten_matches_nested_loop(bound, binding)
-    rows = engine.flatten_naive(bound, binding, clock=CLOCK).table.rows
+    rows = engine.flatten_naive(bound, binding, engine.Derivations(bound, CLOCK)).table.rows
     assert [r[1] for r in rows] == ["o1", "o1", "o6", "o2", "o4", "o4", "o5", "o3"]
 
 
