@@ -207,9 +207,10 @@ def cmd_evaluate(args) -> int:
     derivations = engine.Derivations(bound, clock)
     try:
         plan = planner.compile_plan(schema, task, options)
-        datasets, _ = engine.execute(plan, bound, derivations)
+        datasets, warnings = engine.execute(plan, bound, derivations)
     except planner.PlanError as exc:
         raise DataError(str(exc))
+    _emit_report(args, warnings)
     if len(datasets) != 1:
         raise DataError("evaluate requires a single-dataset task (no subtype split)")
     tds = datasets[0]

@@ -18,15 +18,17 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from operator import getitem
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import dsl, eer
 from . import expr as ex
 from .binder import BoundModel
+from .diagnostics import Report
 from .planner import PlanError, PlanOptions, TransformationPlan, derivation_order
-from .tabular import Column, Table, table_to_csv_bytes
+from .tabular import Column, JoinRows, Table, table_to_csv_bytes
 from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null, parse_cell
 
 KIND_SUMMARY_ORDER = ("numeric", "nominal", "boolean", "text", "date")
@@ -208,7 +210,7 @@ class _Execution:
         self.plan = plan  # None when only derivations run (flatten_naive)
         self.bound = bound
         self.derivations = derivations
-        self.warnings: list[str] = []
+        self.warnings = Report()
         self.frames = build_frames(bound, list(binding.predictor_entities))
         # (entity, attribute) -> the working column of a derived attribute,
         # which a name collision may have renamed
@@ -223,7 +225,8 @@ class _Execution:
             n = 2
             while f"{col.name}_{n}" in taken:
                 n += 1
-            self.warnings.append(f"feature name collision: {col.name!r} renamed to {col.name}_{n}")
+            self.warnings.warning("name-collision",
+                                  f"feature name collision: {col.name!r} renamed to {col.name}_{n}")
             col.name = f"{col.name}_{n}"
         table.columns.append(col)
         for row, v in zip(table.rows, values):
@@ -250,7 +253,7 @@ class _Execution:
         frame = self.frames[entity]
         values, diags = self.derivations.derived(entity, attr_name)
         for d in diags:
-            self.warnings.append(f"{entity}.{attr_name}: {d}")
+            self.warnings.warning("derived-value", f"{entity}.{attr_name}: {d}")
         refs = ex.referenced_attrs(attr.derivation)
         for a in refs:
             col = self.derived_columns.get((entity, a)) or frame.columns[frame.column_index(a)]
@@ -301,7 +304,8 @@ class _Execution:
         def add_reduced(col: Column, values: list) -> None:
             replaced = _finite(values)
             if replaced:
-                self.warnings.append(f"{col.name}: {replaced} non-finite value(s) set to unknown")
+                self.warnings.warning("non-finite-summary",
+                                      f"{col.name}: {replaced} non-finite value(s) set to unknown")
             add(col, values)
 
         add_reduced(Column(
@@ -398,7 +402,8 @@ class _Execution:
             if st.from_table:
                 self._join_membership_table(frame, gen, st)
             if not frame.rows:
-                self.warnings.append(f"subtype {st.name} has zero members; dataset {name} is empty")
+                self.warnings.warning("empty-subtype",
+                                      f"subtype {st.name} has zero members; dataset {name} is empty")
             self.datasets[name] = frame
 
     def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype) -> None:
@@ -447,11 +452,13 @@ class _Execution:
             else:
                 fill, kind = _mean_mode_fill(present, col.kind)
                 if fill is None:
-                    self.warnings.append(
+                    self.warnings.warning(
+                        "not-imputed",
                         f"dataset {name}: column {col.name!r} has no known values; left null")
                     continue
             if _non_finite(fill):
-                self.warnings.append(
+                self.warnings.warning(
+                    "not-imputed",
                     f"dataset {name}: column {col.name!r} has a non-finite fill; left null")
                 continue
             for i in unknown_idx:
@@ -490,7 +497,8 @@ class _Execution:
             while final in names_taken:
                 final = f"{base}_{n}"
                 n += 1
-                self.warnings.append(f"feature name collision at emit: {base!r} renamed to {final!r}")
+                self.warnings.warning("name-collision",
+                                      f"feature name collision at emit: {base!r} renamed to {final!r}")
             names_taken.add(final)
             columns.append(col.clone(name=final, prefixed=True))
 
@@ -573,10 +581,10 @@ def _jsonable(v):
 
 
 def execute(plan: TransformationPlan, bound: BoundModel,
-            derivations: Derivations) -> tuple[list[TrainingDataset], list[str]]:
+            derivations: Derivations) -> tuple[list[TrainingDataset], Report]:
     """Run the plan's steps in order, under ``plan.options``; return the
-    emitted datasets and the run's warnings. Derived attributes come from
-    ``derivations``; rows with a null target are dropped and counted.
+    emitted datasets and the run's coded warnings. Derived attributes come
+    from ``derivations``; rows with a null target are dropped and counted.
     """
     if not bound.ok:
         raise ValueError("bound model has error diagnostics; fix the data before executing")
@@ -631,13 +639,14 @@ def _warn_target_leakage(plan: TransformationPlan, bound: BoundModel, st: _Execu
         for col in ds.table.columns:
             shared = leaked & set(col.source_attributes)
             if shared and _role(ds, col.name) == "predictor":
-                st.warnings.append(
+                st.warnings.warning(
+                    "target-leakage",
                     f"target {plan.binding.target_entity}.{plan.binding.target_attr} is derived from "
                     f"{sorted(shared)} which also feeds predictor {col.name!r}; possible target leakage")
                 return
 
 
-def _build_manifest(plan, bound, warnings: list[str], datasets) -> dict:
+def _build_manifest(plan, bound, warnings: Report, datasets) -> dict:
     from . import __version__
 
     table_hashes = {
@@ -662,7 +671,7 @@ def _build_manifest(plan, bound, warnings: list[str], datasets) -> dict:
             }
             for ds in datasets
         },
-        "warnings": sorted(set(warnings)),
+        "warnings": sorted({d.message for d in warnings.diagnostics}),
     }
 
 
@@ -706,21 +715,50 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
 # Naive flat dataset (no summarization)
 
 
-def _project_and_rank(frame: Table) -> tuple[list[Column], list[tuple], list[int]]:
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys, smallest first."""
+    order = np.argsort(keys, kind="stable")
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.cumsum(np.concatenate(([0], keys[order][1:] != keys[order][:-1])))
+    return ranks
+
+
+def _project_and_rank(frame: Table) -> tuple[list[Column], list[tuple], np.ndarray]:
     """The frame's output columns, each row's output cells (nulls as None)
-    and each row's dense rank by the reprs of those cells. The all-null row
-    of an absent partner is appended last, so index -1 addresses it."""
+    and each row's dense rank by the reprs of those cells, left to right.
+    The all-null row of an absent partner is appended last.
+
+    Columns are printed one at a time and ranking stops once every row is
+    distinct: later columns cannot reorder distinct rows, so the ranks equal
+    those over every cell. A unique key in front is the only column printed."""
     keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
-    columns = [c.clone(name=c.output_name(), prefixed=True) for c in frame.columns if not c.consumed]
+    columns = [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
+               for ci in keep]
     cells = [tuple([None if isinstance(row[ci], Null) else row[ci] for ci in keep])
              for row in frame.rows]
     cells.append((None,) * len(keep))
-    # No repr contains NUL and NUL sorts below every other character, so
-    # joining on it orders and equates rows exactly as tuples of reprs would,
-    # in one string per row.
-    printed = ["\0".join(map(repr, r)) for r in cells]
-    rank_of = {r: k for k, r in enumerate(sorted(set(printed)))}
-    return columns, cells, [rank_of[r] for r in printed]
+    ranks = np.zeros(len(cells), dtype=np.int64)
+    for j in range(len(keep)):
+        if ranks.max() == len(cells) - 1:
+            break
+        printed = [repr(row[j]) for row in cells]
+        rank_of = {text: k for k, text in enumerate(sorted(set(printed)))}
+        ranks = _dense_rank(ranks * len(rank_of) + np.array([rank_of[t] for t in printed]))
+    return columns, cells, ranks
+
+
+def _expand(index: list[np.ndarray], parent: np.ndarray,
+            partners: list[list[int]]) -> list[np.ndarray]:
+    """The join index after one more edge: each output row repeated once per
+    partner of its parent row (``parent``), in partner order, with the
+    partner's row appended as a new last block column."""
+    counts = np.fromiter(map(len, partners), dtype=np.int64, count=len(partners))
+    starts = np.cumsum(counts) - counts
+    flat = np.fromiter((c for p in partners for c in p), dtype=np.int64, count=int(counts.sum()))
+    n = counts[parent]
+    out_starts = np.cumsum(n) - n
+    child = flat[np.arange(int(n.sum())) - np.repeat(out_starts - starts[parent], n)]
+    return [np.repeat(idx, n) for idx in index] + [child]
 
 
 def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
@@ -729,7 +767,11 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     naming applied; the target repeats per row exactly as a naive export
     would. Derived attributes are attached in the plan's order
     (``derivation_order``) from ``derivations``, so after ``execute`` on the
-    same ``derivations`` none is evaluated again."""
+    same ``derivations`` none is evaluated again.
+
+    The join stays factorized: the table's rows are a ``JoinRows`` view over
+    each entity's projected cells and one block-row index per entity, so the
+    cost is linear in entity cells plus output rows."""
     st = _Execution(bound, binding, derivations)
     for entity, attr in derivation_order(bound.schema, binding):
         st.derive_attr(entity, attr.name)
@@ -739,33 +781,33 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     target = root_frame.columns[root_frame.column_index(binding.target_attr)]
     target.consumed = False  # kept even when a derivation reads it, as emit keeps it
 
-    # Each joined row is a tuple of row indexes, one per entity in join order,
-    # with -1 for an absent partner. partners[i] lists the partner rows of
-    # parent row i in binder order (the final sort fixes the output order);
-    # partners[-1] = [-1] carries an absent parent's absence on.
-    entities = [root] + [edge.child for edge in binding.spanning_tree]
-    position = {name: k for k, name in enumerate(entities)}
-    acc: list[tuple] = [(i,) for i in range(len(root_frame.rows))]
-    for edge in binding.spanning_tree:
-        partners = [p or [-1] for p in st._partners(edge.parent, edge.child, edge.relationship)]
-        partners.append([-1])
-        p = position[edge.parent]
-        acc = [t + (c,) for t in acc for c in partners[t[p]]]
-
     columns: list[Column] = []
-    cells: list[list[tuple]] = []
-    ranks: list[list[int]] = []
+    blocks: list[list[tuple]] = []
+    ranks: list[np.ndarray] = []
+    entities = [root] + [edge.child for edge in binding.spanning_tree]
     for name in entities:
         entity_columns, entity_cells, entity_ranks = _project_and_rank(frames[name])
         columns += entity_columns
-        cells.append(entity_cells)
+        blocks.append(entity_cells)
         ranks.append(entity_ranks)
-    # Blocks have a fixed width per entity, so sorting by the tuple of ranks
-    # orders the output rows by the reprs of all their cells, left to right.
-    acc.sort(key=lambda t: tuple(map(getitem, ranks, t)))
-    # one exact-size list per row, from the concatenated cell tuples
-    out_rows = [list(sum(map(getitem, cells, t), ())) for t in acc]
+
+    # One index array per entity in join order. partners[i] lists the partner
+    # rows of parent row i in binder order (the final sort fixes the output
+    # order); an absent partner is the block's last, all-null row, and an
+    # absent parent's row carries that absence on.
+    position = {name: k for k, name in enumerate(entities)}
+    index = [np.arange(len(root_frame.rows), dtype=np.int64)]
+    for edge, block in zip(binding.spanning_tree, blocks[1:]):
+        absent = len(block) - 1
+        partners = [p or [absent] for p in st._partners(edge.parent, edge.child, edge.relationship)]
+        partners.append([absent])
+        index = _expand(index, index[position[edge.parent]], partners)
+    # Blocks have a fixed width per entity, so a stable sort by the ranks,
+    # first entity first, orders the output rows by the reprs of all their
+    # cells, left to right.
+    order = np.lexsort([r[idx] for r, idx in zip(ranks[::-1], index[::-1])])
+    rows = JoinRows(blocks, [idx[order] for idx in index])
     root_keys = [root_frame.columns[root_frame.column_index(k)].output_name()
                  for k in root_frame.key_columns]
-    return TrainingDataset("ds0", Table("ds0", columns, out_rows, key_columns=root_keys),
+    return TrainingDataset("ds0", Table("ds0", columns, rows, key_columns=root_keys),
                            target_column=target.output_name())

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import dsl, eer
 from .engine import TrainingDataset
+from .expr import left_sum
 from .values import is_null
 from .tabular import Column, DataBundle, Table
 
@@ -191,37 +192,36 @@ class OneHotDesign:
 
     Columns are encoded once, at construction: numeric as floats (nan =
     null), boolean as 0/1 and nominal as codes into the sorted category list
-    (-1 = null). ``fit`` and ``transform`` take an integer array of row
-    indexes into the table; ``fit`` takes the means and the kept categories
-    from the rows it is given. Features are ordered numeric, boolean, then
-    nominal, each category in sorted order.
+    (-1 = null). A join view's columns are encoded per block cell and
+    gathered along its index. ``fit`` and ``transform`` take an integer
+    array of row indexes into the table; ``fit`` takes the means and the
+    kept categories from the rows it is given. Features are ordered numeric,
+    boolean, then nominal, each category in sorted order.
     """
 
     def __init__(self, table: Table, target_column: str):
         skip = set(table.key_columns) | {target_column}
-        columns: dict[str, list[list]] = {"numeric": [], "boolean": [], "nominal": []}
+        columns: dict[str, list[np.ndarray]] = {"numeric": [], "boolean": [], "nominal": []}
         for i, c in enumerate(table.columns):
             if c.name not in skip and c.kind in columns:
-                columns[c.kind].append([r[i] for r in table.rows])
+                columns[c.kind].append(_encoded(table, i, _ENCODERS[c.kind]))
 
-        def block(cols: list[list[float]]) -> np.ndarray:  # one column per list
+        def block(cols: list[np.ndarray]) -> np.ndarray:  # one column per array
             return np.array(cols, dtype=float).reshape(len(cols), len(table.rows)).T
 
-        self.numeric = block([[math.nan if is_null(v) else float(v) for v in col]
-                              for col in columns["numeric"]])
-        self.boolean = block([[1.0 if v is True else 0.0 for v in col]
-                              for col in columns["boolean"]])
-        self.nominal: list[np.ndarray] = []
-        for col in columns["nominal"]:
-            code = {c: j for j, c in enumerate(sorted({v for v in col if not is_null(v)}))}
-            self.nominal.append(np.array([code.get(v, -1) for v in col], dtype=np.int64))
+        self.numeric = block(columns["numeric"])
+        self.boolean = block(columns["boolean"])
+        self.nominal = columns["nominal"]
 
     def fit(self, rows: np.ndarray) -> "OneHotDesign":
         known = [col[~np.isnan(col)].tolist() for col in self.numeric[rows].T]
-        # Python sum, in row order: np.sum's pairwise summation changes the last bits
-        self.means = np.array([sum(k) / len(k) if k else 0.0 for k in known], dtype=float)
-        seen = [np.unique(codes[rows]) for codes in self.nominal]
-        self.kept = [s[s >= 0][:-1] for s in seen]  # drop lexically last as reference
+        # summed in row order: np.sum's pairwise summation changes the last bits
+        self.means = np.array([left_sum(k) / len(k) if k else 0.0 for k in known], dtype=float)
+        self.kept = []
+        for codes in self.nominal:
+            picked = codes[rows]
+            present = np.flatnonzero(np.bincount(picked[picked >= 0]))
+            self.kept.append(present[:-1])  # drop lexically last as reference
         return self
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
@@ -230,6 +230,28 @@ class OneHotDesign:
         for codes, kept in zip(self.nominal, self.kept):
             blocks.append((codes[rows][:, None] == kept[None, :]).astype(float))
         return np.hstack(blocks)
+
+
+def _nominal_codes(cells: list) -> np.ndarray:
+    """Each cell's position in the sorted list of distinct values; -1 = null."""
+    code = {c: j for j, c in enumerate(sorted({v for v in cells if not is_null(v)}))}
+    return np.array([code.get(v, -1) for v in cells], dtype=np.int64)
+
+
+_ENCODERS = {
+    "numeric": lambda cells: np.array([math.nan if is_null(v) else float(v) for v in cells],
+                                      dtype=float),
+    "boolean": lambda cells: np.array([1.0 if v is True else 0.0 for v in cells], dtype=float),
+    "nominal": _nominal_codes,
+}
+
+
+def _encoded(table: Table, j: int, encode) -> np.ndarray:
+    """Column ``j`` of the table, encoded: a join view's block cells once,
+    then gathered to one value per row."""
+    cells, index = table.column_cells(j)
+    values = encode(cells)
+    return values if index is None else values[index]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +340,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> DataBundle:
             totals.append(total)
             orders.rows.append([f"O{order_seq:06d}", total, rng.choice(spec.channels), cust_id])
             order_seq += 1
-        mean_total = sum(totals) / len(totals) if totals else 0.0
+        mean_total = left_sum(totals) / len(totals) if totals else 0.0
         ltv = (spec.intercept + spec.coef_mean_total * mean_total
                + spec.coef_order_count * fanout + rng.gauss(0.0, spec.noise_sigma))
         customers.rows.append([cust_id, rng.choice(("F", "M")), round(ltv, 6)])
@@ -353,15 +375,14 @@ class ComparisonReport:
 
 
 def _fold_ids(dataset: TrainingDataset, fold_of: dict) -> tuple[list, np.ndarray, np.ndarray]:
-    """One pass over a dataset's rows: the key of each row, the target as
-    floats (nan = null) and the fold of each row (-1 = key not folded)."""
+    """The key of each row of a dataset, the target as floats (nan = null)
+    and the fold of each row (-1 = key not folded)."""
     table = dataset.table
-    k = table.column_index(table.key_columns[0])
-    t = table.column_index(dataset.target_column)
-    keys = [r[k] for r in table.rows]
-    target = np.array([math.nan if is_null(r[t]) else float(r[t]) for r in table.rows],
-                      dtype=float)
-    fold = np.array([fold_of.get(key, -1) for key in keys], dtype=np.int64)
+    keys, index = table.column_cells(table.column_index(table.key_columns[0]))
+    fold = np.array([fold_of.get(k, -1) for k in keys], dtype=np.int64)
+    if index is not None:
+        keys, fold = list(map(keys.__getitem__, index.tolist())), fold[index]
+    target = _encoded(table, table.column_index(dataset.target_column), _ENCODERS["numeric"])
     return keys, target, fold
 
 
@@ -421,7 +442,7 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
         for i, p in zip(test.tolist(), preds):
             per_key.setdefault(f_keys[i], []).append(p)
         for k, ps in per_key.items():
-            ds0_pred[k] = sum(ps) / len(ps)
+            ds0_pred[k] = left_sum(ps) / len(ps)
 
     scored = [k for k in keys if k in actual and k in tds_pred and k in ds0_pred]
     a = [actual[k] for k in scored]

@@ -28,7 +28,7 @@ import datetime as _dt
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .values import DATE_RE, UNKNOWN, Null, format_float, is_null, parse_date
 
@@ -462,15 +462,25 @@ def known_cells(cells: Sequence) -> list:
     return [v for v in cells if v is not None and not isinstance(v, Null)]
 
 
+def left_sum(values: Iterable) -> float:
+    """The sum of ``values`` added left to right, one rounding per addition:
+    the bits ``sum()`` gave before Python 3.12 compensated float sums, so
+    outputs do not depend on the Python that computes them."""
+    total = 0
+    for v in values:
+        total += v
+    return float(total)
+
+
 def reduce_known(kind: str, known: list):
     """``aggregate`` of a group whose null cells are already dropped
     (``known_cells``), for every kind but count."""
     if kind == "sum":
-        return float(sum(known))
+        return left_sum(known)
     if not known:
         return UNKNOWN
     if kind == "mean":
-        return float(sum(known)) / len(known)
+        return left_sum(known) / len(known)
     if kind == "min":
         return min(known)
     if kind == "max":

@@ -1,9 +1,12 @@
 """The one table type, and CSV ingestion/emission.
 
-A ``Table`` is rows (lists of cells) under ``Column``s. An input column is
+A ``Table`` is rows under ``Column``s. An input column is
 ``Column(name, kind)``; the other fields are its lineage (G1) and flags for
 the engine's steps. The engine's working tables, every emitted dataset and
 ``ds0`` are Tables; the manifest reads lineage from an emitted table's columns.
+Rows are lists of cells, except in ``ds0``, whose rows are a read-only
+``JoinRows`` view of a factorized join: each joined entity's cells once, and
+per output row one row index into each entity's block.
 
 CSV conventions: RFC 4180 quoting, mandatory header row, UTF-8, ISO-8601
 dates, booleans `true`/`false`, decimal point `.`; an empty field is a null.
@@ -15,12 +18,16 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from .diagnostics import Report
 from .values import Null, format_cell, format_float, parse_cell
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -52,11 +59,33 @@ class Column:
         return f"{self.origin_entities[0]}_{self.name}"
 
 
+class JoinRows(Sequence):
+    """The rows of a factorized join, read-only. ``blocks[b]`` holds one
+    entity's projected cell tuples, all of one width; ``index[b]`` is an
+    integer numpy array whose entry ``r`` is the block row that output row
+    ``r`` takes from block ``b``. An output row is its block rows' cells
+    concatenated in block order."""
+
+    def __init__(self, blocks: list[list[tuple]], index: list[np.ndarray]):
+        self.blocks = blocks
+        self.index = index
+        self.widths = [len(block[0]) if block else 0 for block in blocks]
+
+    def __len__(self) -> int:
+        return len(self.index[0])
+
+    def __getitem__(self, r: int) -> list:
+        return [v for block, idx in zip(self.blocks, self.index) for v in block[idx[r]]]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass
 class Table:
     name: str
     columns: list[Column]
-    rows: list[list] = field(default_factory=list)
+    rows: Union[list[list], JoinRows] = field(default_factory=list)
     key_columns: list[str] = field(default_factory=list)
 
     @property
@@ -65,6 +94,19 @@ class Table:
 
     def column_index(self, name: str) -> int:
         return self.column_names.index(name)
+
+    def column_cells(self, j: int) -> tuple[list, Optional[np.ndarray]]:
+        """Column ``j`` as ``(cells, index)``: row ``r`` holds ``cells[index[r]]``,
+        or ``cells[r]`` when ``index`` is None. A join view's column is read
+        from its block, so each entity cell is handled once."""
+        rows = self.rows
+        if not isinstance(rows, JoinRows):
+            return [row[j] for row in rows], None
+        for block, idx, width in zip(rows.blocks, rows.index, rows.widths):
+            if j < width:
+                return [cells[j] for cells in block], idx
+            j -= width
+        raise IndexError("column index out of range")
 
     def keys(self) -> Iterator[tuple]:
         """Every row's key tuple, in row order."""
@@ -165,17 +207,66 @@ def _null_text(v: Null) -> str:
 _FORMAT_BY_TYPE = {float: format_float, bool: _bool_text, Null: _null_text}
 
 
-def table_to_csv_bytes(table: Table) -> bytes:
-    """Serialize with format_cell's text for every cell. Cells are dispatched
-    on their exact type; any other type (a datetime, a subclass) goes through
-    format_cell itself."""
+class _Lines:
+    """A csv.writer target keeping each row's line: the writer makes one
+    ``write`` call per row."""
+
+    def __init__(self, lines: list[str]):
+        self.write = lines.append
+
+
+def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
+    """Each row as one CSV line, terminator included, with format_cell's text
+    for every cell. Cells are dispatched on their exact type; any other type
+    (a datetime, a subclass) goes through format_cell itself."""
     fmt = _FORMAT_BY_TYPE.get
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.column_names)
-    writer.writerows([v if type(v) in _CSV_NATIVE else (fmt(type(v)) or format_cell)(v) for v in row]
-                     for row in table.rows)
-    return buf.getvalue().encode("utf-8")
+    lines: list[str] = []
+    csv.writer(_Lines(lines), lineterminator="\n").writerows(
+        [v if type(v) in _CSV_NATIVE else (fmt(type(v)) or format_cell)(v) for v in row]
+        for row in rows)
+    return lines
+
+
+_CHUNK_ROWS = 4096  # output rows joined and encoded at a time
+
+
+def table_to_csv_bytes(table: Table) -> bytes:
+    """Serialize with format_cell's text for every cell. Each block row of a
+    join view is formatted and quoted once, and its fragment is repeated
+    along the index; a list of rows is the one-block case, formatted as it is
+    written. Rows are joined and encoded a chunk at a time, so the whole text
+    is never held beside its bytes."""
+    rows = table.rows
+    if isinstance(rows, JoinRows):
+        blocks = [(block, idx, width)
+                  for block, idx, width in zip(rows.blocks, rows.index, rows.widths) if width]
+    else:
+        blocks = [(rows, None, len(table.columns))]
+    last = len(blocks) - 1
+
+    def fragments(b: int, block_rows: Sequence[Sequence], width: int) -> list[str]:
+        lines = _csv_lines(block_rows)
+        if width == 1 and len(table.columns) > 1:
+            # csv quotes a row's lone empty field; inside a wider row it is bare
+            lines = ["\n" if line == '""\n' else line for line in lines]
+        return [line[:-1] + "," for line in lines] if b < last else lines
+
+    formatted = [None if idx is None else fragments(b, block, width)
+                 for b, (block, idx, width) in enumerate(blocks)]
+    out = io.BytesIO()
+    out.write(_csv_lines([table.column_names])[0].encode("utf-8"))
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        picked = [fragments(b, block[start:stop], width) if lines is None
+                  else list(map(lines.__getitem__, idx[start:stop].tolist()))
+                  for b, ((block, idx, width), lines) in enumerate(zip(blocks, formatted))]
+        body = picked[0]
+        if len(picked) > 1:
+            body = [None] * sum(map(len, picked))
+            for b, fragment in enumerate(picked):
+                body[b::len(picked)] = fragment
+        out.write("".join(body).encode("utf-8"))
+    return out.getvalue()
 
 
 def write_csv(table: Table, path: str | Path) -> None:

@@ -1,9 +1,11 @@
 import datetime as dt
 import json
+import random
 
 import pytest
 
 from cmml import binder, engine, planner
+from cmml.tabular import Column, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 from conftest import CLOCK, parse_full
 
@@ -610,3 +612,32 @@ def test_non_finite_mean_fill_leaves_cells_null(tmp_path):
     assert _col(ds, "E_x") == {"a": 1e308, "b": 1e308, "c": UNKNOWN}
     assert manifest["warnings"] == ["dataset T: column 'x' has a non-finite fill; left null"]
     assert (tmp_path / "out" / "T.csv").read_text().splitlines()[3] == "c,,3"
+
+
+def _all_cells_rank(cells):
+    printed = [tuple(map(repr, row)) for row in cells]
+    rank_of = {p: k for k, p in enumerate(sorted(set(printed)))}
+    return [rank_of[p] for p in printed]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lazy_rank_equals_all_cells_rank(seed):
+    # few distinct values per column, so leading columns tie and rows repeat;
+    # the ranking may stop after any column, or read them all
+    rng = random.Random(seed)
+    width = rng.randint(0, 5)
+    pools = [[rng.choice([None, 0.5, -1.0, 7.0, "a", "b", "a b", True, dt.date(2020, 1, 2)])
+              for _ in range(rng.randint(1, 3))] for _ in range(width)]
+    rows = [[rng.choice(pool) for pool in pools] for _ in range(rng.randint(0, 25))]
+    if rows and rng.random() < 0.3:
+        rows += [list(rows[0])] * 2
+    if rng.random() < 0.3:  # a unique key in front: the only column printed
+        rows = [[f"k{i:02d}"] + row for i, row in enumerate(rows)]
+        width += 1
+    rng.shuffle(rows)
+    frame = Table("E", [Column(f"c{j}", "text", origin_entities=["E"]) for j in range(width)],
+                  rows)
+    columns, cells, ranks = engine._project_and_rank(frame)
+    assert [c.name for c in columns] == [f"E_c{j}" for j in range(width)]
+    assert cells[-1] == (None,) * width
+    assert ranks.tolist() == _all_cells_rank(cells)

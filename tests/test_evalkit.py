@@ -12,8 +12,9 @@ import pytest
 
 from cmml import evalkit
 from cmml.engine import TrainingDataset
-from cmml.tabular import Column, Table
+from cmml.tabular import Column, JoinRows, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
+from test_golden import CASES as GOLDEN_CASES, EVALUATED
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +428,59 @@ def test_compare_datasets_linear_at_scale():
     assert rep.n_entities == keys
     # on a 2-core host the quadratic version took about 85 s here, this one under 1 s
     assert elapsed < 15.0, f"compare_datasets took {elapsed:.1f} s at {keys} keys"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fit_keeps_the_categories_np_unique_keeps(seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(-1, rng.integers(1, 8), size=rng.integers(1, 40))
+    rows = rng.choice(len(codes), size=rng.integers(0, len(codes) + 1), replace=False)
+    cells = [None if c < 0 else f"v{c}" for c in codes.tolist()]
+    table = Table("T", [Column("c", "nominal"), Column("y", "numeric")],
+                  [[v, 0.0] for v in cells])
+    design = evalkit.OneHotDesign(table, "y").fit(rows)
+    (encoded,) = design.nominal
+    seen = np.unique(encoded[rows])
+    assert design.kept[0].tolist() == seen[seen >= 0][:-1].tolist()
+
+
+def test_fit_does_not_import_numpy_ma():
+    code = ("import sys, numpy as np; sys.path.insert(0, 'src'); from cmml import evalkit; "
+            "from cmml.tabular import Column, Table; "
+            "t = Table('T', [Column('k', 'identifier'), Column('c', 'nominal'), "
+            "Column('y', 'numeric')], [['a', 'x', 1.0], ['b', 'y', 2.0]], ['k']); "
+            "evalkit.OneHotDesign(t, 'y').fit(np.arange(2)); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=Path(__file__).resolve().parents[1], check=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATED))
+def test_design_from_join_view_equals_materialized_rows(name, tmp_path):
+    from cmml import binder, dsl, eer, engine
+    schema_path, data_dir, task_name = GOLDEN_CASES[name](tmp_path)
+    schema, _ = dsl.parse_schema_file(schema_path)
+    schema = eer.rewrite_many_to_many(schema)
+    bundle, _ = binder.load_bundle(schema, data_dir)
+    clock = dt.date(2019, 6, 1)
+    bound = binder.bind(schema, bundle, clock)
+    flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task(task_name)),
+                                engine.Derivations(bound, clock))
+    view = flat.table
+    assert isinstance(view.rows, JoinRows)
+    rows = Table(view.name, view.columns, [list(r) for r in view.rows], view.key_columns)
+    materialized = TrainingDataset("ds0", rows, flat.target_column)
+    by_view = evalkit.OneHotDesign(view, flat.target_column)
+    by_rows = evalkit.OneHotDesign(rows, flat.target_column)
+    everything = np.arange(len(view.rows))
+    half = everything[::2]
+    for fit_rows in (everything, half):
+        x_view = by_view.fit(fit_rows).transform(everything)
+        x_rows = by_rows.fit(fit_rows).transform(everything)
+        assert x_view.shape == x_rows.shape and np.array_equal(x_view, x_rows)
+    fold_of = {k: i % 3 for i, k in enumerate(sorted({r[0] for r in rows.rows}))}
+    keys_v, y_v, fold_v = evalkit._fold_ids(flat, fold_of)
+    keys_r, y_r, fold_r = evalkit._fold_ids(materialized, fold_of)
+    assert keys_v == keys_r
+    assert np.array_equal(y_v, y_r, equal_nan=True) and np.array_equal(fold_v, fold_r)

@@ -359,3 +359,21 @@ def _digests(build, tmp_path, capsys, evaluate: bool) -> dict[str, str]:
 def test_golden_outputs(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CMML_TODAY", "2019-06-01")
     assert _digests(CASES[name], tmp_path, capsys, name in EVALUATED) == GOLDEN[name]
+
+
+def test_evaluate_reports_execution_warnings(tmp_path, capsys, monkeypatch):
+    # stdout is the golden evaluate.json either way; only stderr differs
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    schema, data_dir, task = CASES["collision"](tmp_path)
+    args = ["evaluate", "--schema", str(schema), "--task", task, "--data-dir", str(data_dir),
+            "--json", "--folds", "5", "--range", "100"]
+    assert cli.main(args) == 0
+    out, err = capsys.readouterr()
+    assert _sha(out.encode("utf-8")) == GOLDEN["collision"]["evaluate.json"]
+    assert err.splitlines() == [
+        "warning: derived-value: ORDER.per_ship: division by zero in "
+        "'count(CONTAINS) / shipping'",
+        "warning: name-collision: feature name collision: 'LINE_count' renamed to LINE_count_2"]
+    assert cli.main(args + ["--quiet"]) == 0
+    out, err = capsys.readouterr()
+    assert _sha(out.encode("utf-8")) == GOLDEN["collision"]["evaluate.json"] and err == ""

@@ -3,11 +3,15 @@ import datetime as dt
 import io
 import random
 
+import numpy as np
 import pytest
 
-from cmml.tabular import (Column, Table, distinct_key_count, read_csv,
+from cmml import binder, eer, engine
+from cmml.tabular import (Column, JoinRows, Table, distinct_key_count, read_csv,
                           table_to_csv_bytes, write_csv)
 from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell
+from conftest import CLOCK, parse_full
+from propgen import Case
 
 
 def _write(tmp_path, name, text):
@@ -135,3 +139,96 @@ def test_table_to_csv_bytes_every_pooled_cell():
     assert "\n999999999999999\n" in lines
     # a datetime goes through format_cell (isoformat), not str()
     assert "\n2019-04-21T13:05:00\n" in lines
+
+
+# ---------------------------------------------------------------------------
+# Join views: the writer formats each block row once and must write the
+# bytes the materialized rows would give.
+
+
+def _materialized(table):
+    return Table(table.name, table.columns, [list(row) for row in table.rows],
+                 key_columns=table.key_columns)
+
+
+def _join_table(blocks, index):
+    rows = JoinRows(blocks, [np.array(idx, dtype=np.int64) for idx in index])
+    width = sum(rows.widths)
+    return Table("J", [Column(f"c{j}", "text") for j in range(width)], rows)
+
+
+def _check_view(table):
+    view_bytes = table_to_csv_bytes(table)
+    assert view_bytes == _reference_csv_bytes(_materialized(table))
+    return view_bytes.decode("utf-8")
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_join_view_csv_matches_materialized_rows_propgen(seed):
+    case = Case(seed)
+    flat = engine.flatten_naive(case.bound, case.binding, engine.Derivations(case.bound, CLOCK))
+    assert isinstance(flat.table.rows, JoinRows)
+    _check_view(flat.table)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_join_view_csv_matches_materialized_rows_random(seed):
+    rng = random.Random(seed)
+    blocks = [[tuple(rng.choice(CELL_POOL) for _ in range(width))
+               for _ in range(rng.randint(1, 5))]
+              for width in [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]]
+    n = rng.randint(0, 30)
+    index = [[rng.randrange(len(block)) for _ in range(n)] for block in blocks]
+    if not any(len(block[0]) for block in blocks):
+        blocks[0] = [("x",)] * len(blocks[0])
+    _check_view(_join_table(blocks, index))
+
+
+def test_join_view_child_cell_with_newline_comma_and_quote():
+    text = _check_view(_join_table([[("c1",), ("c2",)], [('a,"b"\nc', 1.5), ("plain", None)]],
+                                   [[0, 0, 1], [0, 1, 0]]))
+    assert text == 'c0,c1,c2\nc1,"a,""b""\nc",1.5\nc1,plain,\nc2,"a,""b""\nc",1.5\n'
+
+
+def test_join_view_one_column_block_with_null_cell():
+    # csv writes a row's lone empty field as "", but inside a wider row it is bare
+    text = _check_view(_join_table([[("c1",), ("c2",)], [(None,), ("",), ("v",)]],
+                                   [[0, 1, 1], [0, 1, 2]]))
+    assert text == "c0,c1\nc1,\nc2,\nc2,v\n"
+    assert _check_view(_join_table([[(None,), ("a",)]], [[0, 1]])) == 'c0\n""\na\n'
+
+
+def test_join_view_block_without_columns():
+    text = _check_view(_join_table([[("c1", 1)], [(), ()], [("x",), (None,)]],
+                                   [[0, 0], [1, 0], [1, 0]]))
+    assert text == "c0,c1,c2\nc1,1,\nc1,1,x\n"
+
+
+def test_join_view_absent_partners_on_two_levels(tmp_path):
+    # c2 has no ORDER, so its ORDER and LINE blocks are both the absent row;
+    # o2 has no LINE
+    schema = parse_full("""
+entity CUSTOMER { key cust_id: identifier attr ltv: numeric }
+entity ORDER { key order_id: identifier attr note: text }
+entity LINE { key line_id: identifier attr qty: numeric }
+relationship PLACES { CUSTOMER (0,1) -- (0,N) ORDER via cust_id }
+relationship CONTAINS { ORDER (1,1) -- (0,N) LINE via order_id }
+task T { target CUSTOMER.ltv }
+""")
+    data = {"CUSTOMER": "cust_id,ltv\nc1,10\nc2,\n",
+            "ORDER": 'order_id,cust_id,note\no1,c1,"x, ""y""\nz"\no2,c1,\n',
+            "LINE": "line_id,order_id,qty\nl1,o1,3\n"}
+    for name, text in data.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    bundle, rep = binder.load_bundle(schema, tmp_path)
+    assert rep.ok, rep.render()
+    bound = binder.bind(schema, bundle, CLOCK)
+    binding = eer.resolve_target(schema, schema.task("T"))
+    flat = engine.flatten_naive(bound, binding, engine.Derivations(bound, CLOCK))
+    assert _check_view(flat.table) == (
+        "CUSTOMER_cust_id,CUSTOMER_ltv,ORDER_order_id,ORDER_note,ORDER_cust_id,"
+        "LINE_line_id,LINE_qty,LINE_order_id\n"
+        'c1,10,o1,"x, ""y""\nz",c1,l1,3,o1\n'
+        "c1,10,o2,,c1,,,\n"
+        "c2,,,,,,,\n")
+    assert flat.table.rows[2] == ["c2"] + [None] * 7
