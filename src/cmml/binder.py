@@ -2,22 +2,25 @@
 membership resolution, and classification of every null cell as unknown
 (imputable) vs not-applicable (never imputed).
 
-Binding tags the null cells in place: every ``None`` that ``read_csv`` left
-in a bound table becomes the ``values.UNKNOWN`` or ``values.NOT_APPLICABLE``
-singleton, so later stages read the class from the cell itself.
+Binding tags the null cells of a bound table: every ``None`` that
+``read_csv`` left becomes the ``values.UNKNOWN`` or ``values.NOT_APPLICABLE``
+singleton, so later stages read the class from the cell itself. Keys, foreign
+keys and nulls are checked and tagged one column at a time; a column with a
+null cell is replaced by its tagged copy.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from . import eer
 from . import expr as ex
 from .diagnostics import Report
 from .tabular import Column, DataBundle, read_csv
-from .values import NOT_APPLICABLE, UNKNOWN, is_null
+from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null
 
 
 @dataclass
@@ -34,7 +37,7 @@ class RelationshipCardinality:
 @dataclass
 class BoundModel:
     schema: eer.EerSchema
-    # tagged in place by bind: once the table checks pass, no cell is None
+    # tagged by bind: once the table checks pass, no cell is None
     bundle: DataBundle
     report: Report
     # relationship -> parent key value -> child row indexes
@@ -80,7 +83,7 @@ def load_bundle(schema: eer.EerSchema, data_dir: str | Path) -> tuple[DataBundle
 
 
 def bind(schema: eer.EerSchema, bundle: DataBundle, clock: _dt.date | None = None) -> BoundModel:
-    """Validate the data against the schema and tag every null cell in place.
+    """Validate the data against the schema and tag every null cell.
 
     ``today()`` in membership and applicable_when predicates is ``clock``.
     Error diagnostics (missing tables, duplicate keys, dangling foreign keys,
@@ -97,6 +100,14 @@ def bind(schema: eer.EerSchema, bundle: DataBundle, clock: _dt.date | None = Non
     return bound
 
 
+_NULL_TYPES = frozenset({type(None), Null})
+
+
+def _has_null(cells: list) -> bool:
+    """Whether a column holds a null cell, read or tagged."""
+    return not _NULL_TYPES.isdisjoint(map(type, cells))
+
+
 def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> bool:
     ok = True
     for ent in schema.entities:
@@ -105,8 +116,12 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
             rep.error("missing-table", f"no table for entity {ent.name}")
             ok = False
             continue
+        key_cells = [table.cells[table.column_index(k)] for k in table.key_columns]
+        keys = list(zip(*key_cells))
+        if not any(map(_has_null, key_cells)) and len(set(keys)) == len(keys):
+            continue
         seen: dict[tuple, int] = {}
-        for i, key in enumerate(table.keys()):
+        for i, key in enumerate(keys):
             if any(is_null(k) for k in key):
                 rep.error("null-key", f"{ent.name}: row {i + 1} has a null key cell", f"{ent.name}:{i + 1}")
                 continue
@@ -140,26 +155,30 @@ def _index_relationships(bound: BoundModel) -> None:
                       "a single foreign-key column cannot reference it")
             continue
         fk = rel.fk_columns[0]
-        parent_keys = {k[0] for k in parent.keys()}
-        children: dict[object, list[int]] = {}
-        fk_idx = child.column_index(fk)
+        parent_keys = set(parent.cells[parent.column_index(parent.key_columns[0])])
+        fk_cells = child.cells[child.column_index(fk)]
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
         parent_end = rel.end_of(parent_name) if not rel.is_one_to_one else rel.left
-        for i, row in enumerate(child.rows):
-            v = row[fk_idx]
+        children: dict[object, list[int]] = {}
+        for i, v in enumerate(fk_cells):
+            children.setdefault(v, []).append(i)
+        # null and dangling foreign keys, reported in row order
+        bad = {v for v in children if is_null(v) or v not in parent_keys}
+        for i, v in enumerate(fk_cells if bad else ()):
+            if v not in bad:
+                continue
             if is_null(v):
                 if parent_end.min >= 1:
                     rep.warning("mandatory-participation",
                                 f"{child_name}: row {i + 1} has no {parent_name} "
                                 f"(null {fk}) under mandatory participation in {rel.name}",
                                 f"{child_name}:{i + 1}")
-                continue
-            if v not in parent_keys:
+            else:
                 rep.error("dangling-fk",
                           f"{child_name}: row {i + 1} column {fk!r} = {v!r} matches no {parent_name} key",
                           f"{child_name}:{i + 1}")
-                continue
-            children.setdefault(v, []).append(i)
+        for v in bad:
+            del children[v]
         if child_end.min >= 1:
             for pk in sorted(parent_keys - set(children), key=repr):
                 rep.warning("mandatory-participation",
@@ -190,10 +209,13 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
                         continue
                     membership[key].add(st.name)
             else:
-                names = sup.column_names
-                for i, (row, key) in enumerate(zip(sup.rows, sup_keys)):
-                    ctx = dict(zip(names, row))
-                    verdict = ex.eval_expr(st.membership, ctx, clock=clock)
+                # each row's environment holds only the attributes the predicate reads
+                names = sorted(ex.referenced_attrs(st.membership))
+                read = [sup.cells[sup.column_index(n)] for n in names]
+                envs = (dict(zip(names, cells)) for cells in zip(*read)) if names \
+                    else repeat({}, len(sup_keys))
+                for i, (env, key) in enumerate(zip(envs, sup_keys)):
+                    verdict = ex.eval_expr(st.membership, env, clock=clock)
                     if is_null(verdict):
                         rep.warning("membership-null",
                                     f"{gen.supertype}: row {i + 1} membership predicate for {st.name} "
@@ -216,58 +238,65 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
 
 
 def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
-    """Replace every null cell with exactly one tag, in spec priority order.
+    """Replace every null cell with exactly one tag, in spec priority order,
+    one column at a time.
 
-    A row's tags are all computed from the untagged row before any is
-    written, so applicable_when predicates see the cells as read.
+    Every column's tags are computed from the untagged table before any
+    column is replaced, so applicable_when predicates see the cells as read.
+    Their warnings are reported in row-major order.
     """
     schema, rep = bound.schema, bound.report
     for ent in schema.entities:
         table = bound.bundle.table(ent.name)
         names = table.column_names
         attrs = {a.name: a for a in schema.effective_columns(ent.name)}
-        # per column: (owning subtype, its membership map) or None, and applicable_when
-        rules = []
-        for colname in names:
-            gen, st = schema.subtype_owner(ent.name, colname)
-            owner = (st.name, bound.subtype_membership.get(gen.name, {})) if gen is not None else None
-            attr = attrs.get(colname)
-            rules.append((owner, attr.applicable_when if attr is not None else None))
-        key_idx = [table.column_index(k) for k in table.key_columns]
-        for i, row in enumerate(table.rows):
-            nulls = [j for j, v in enumerate(row) if is_null(v)]
-            if not nulls:
+        keys = None
+        envs: dict[int, dict] = {}  # row -> its untagged cells by name
+        tagged: dict[int, list] = {}
+        warnings: list[tuple[int, int, str]] = []
+        for j, (colname, cells) in enumerate(zip(names, table.cells)):
+            if not _has_null(cells):
                 continue
-            ctx = None
-            key = tuple(row[k] for k in key_idx)
-            tags = []
-            for j in nulls:
-                owner, applicable_when = rules[j]
-                if owner is not None and owner[0] not in owner[1].get(key, ()):
-                    tags.append((j, NOT_APPLICABLE))
+            gen, st = schema.subtype_owner(ent.name, colname)
+            attr = attrs.get(colname)
+            applicable_when = attr.applicable_when if attr is not None else None
+            if gen is None and applicable_when is None:
+                tagged[j] = [UNKNOWN if v is None or type(v) is Null else v for v in cells]
+                continue
+            members = bound.subtype_membership.get(gen.name, {}) if gen is not None else None
+            if members is not None and keys is None:
+                keys = list(table.keys())
+            column = list(cells)
+            for i, v in enumerate(cells):
+                if not is_null(v):
+                    continue
+                if members is not None and st.name not in members.get(keys[i], ()):
+                    column[i] = NOT_APPLICABLE
                     continue
                 tag = UNKNOWN
                 if applicable_when is not None:
-                    if ctx is None:
-                        ctx = dict(zip(names, row))
-                    applicable = ex.eval_expr(applicable_when, ctx, clock=clock)
+                    if i not in envs:
+                        envs[i] = {n: c[i] for n, c in zip(names, table.cells)}
+                    applicable = ex.eval_expr(applicable_when, envs[i], clock=clock)
                     if is_null(applicable):
-                        rep.warning("applicability-null",
-                                    f"{ent.name}: row {i + 1}: applicable_when of {names[j]!r} is null; "
-                                    "cell classified unknown", f"{ent.name}:{i + 1}")
+                        warnings.append((i, j, f"{ent.name}: row {i + 1}: applicable_when of "
+                                               f"{colname!r} is null; cell classified unknown"))
                     elif not applicable:
                         tag = NOT_APPLICABLE
-                tags.append((j, tag))
-            for j, tag in tags:
-                row[j] = tag
+                column[i] = tag
+            tagged[j] = column
+        for i, _, message in sorted(warnings):
+            rep.warning("applicability-null", message, f"{ent.name}:{i + 1}")
+        for j, column in tagged.items():
+            table.cells[j] = column
     # members listed in a subtype's own table: every missing cell is unknown
     for gen in schema.generalizations:
         for st in gen.subtypes:
             if st.from_table:
-                for row in bound.bundle.table(st.name).rows:
-                    for j, v in enumerate(row):
-                        if is_null(v):
-                            row[j] = UNKNOWN
+                cells = bound.bundle.table(st.name).cells
+                for j, column in enumerate(cells):
+                    if _has_null(column):
+                        cells[j] = [UNKNOWN if v is None or type(v) is Null else v for v in column]
 
 
 def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:

@@ -164,7 +164,7 @@ def cmd_prepare(args) -> int:
         raise DataError(str(exc))
     for ds in datasets:
         _log(args, f"wrote {Path(args.out) / (ds.name + '.csv')} "
-                   f"({len(ds.table.rows)} rows, {len(ds.table.columns)} columns)")
+                   f"({ds.table.row_count} rows, {len(ds.table.columns)} columns)")
     _log(args, f"wrote {Path(args.out) / 'manifest.json'}")
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))
@@ -184,7 +184,7 @@ def cmd_flatten(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ds0.csv"
     write_csv(flat.table, path)
-    _log(args, f"wrote {path} ({len(flat.table.rows)} rows, {len(flat.table.columns)} columns)")
+    _log(args, f"wrote {path} ({flat.table.row_count} rows, {len(flat.table.columns)} columns)")
     return EXIT_OK
 
 
@@ -219,7 +219,7 @@ def cmd_evaluate(args) -> int:
         value_range = args.range
     else:
         ti = tds.table.column_index(tds.target_column)
-        vals = [r[ti] for r in tds.table.rows if not is_null(r[ti])]
+        vals = [v for v in tds.table.cells[ti] if not is_null(v)]
         if not vals or max(vals) == min(vals):
             raise DataError("cannot infer target range; pass --range")
         value_range = float(max(vals) - min(vals))
@@ -248,14 +248,14 @@ def cmd_generate(args) -> int:
     for name, table in sorted(bundle.tables.items()):
         path = out / f"{name}.csv"
         write_csv(table, path)
-        _log(args, f"wrote {path} ({len(table.rows)} rows)")
+        _log(args, f"wrote {path} ({table.row_count} rows)")
     schema_path = out / "synthetic.cmml"
     schema_path.write_text(evalkit.SYNTH_SCHEMA_TEXT, encoding="utf-8")
     _log(args, f"wrote {schema_path}")
     if args.json:
         print(json.dumps({"spec": spec.__dict__ | {"channels": list(spec.channels)},
                           "truth": spec.truth(),
-                          "tables": {n: len(t.rows) for n, t in bundle.tables.items()}},
+                          "tables": {n: t.row_count for n, t in bundle.tables.items()}},
                          indent=2, sort_keys=True))
     return EXIT_OK
 

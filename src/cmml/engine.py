@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -87,8 +88,8 @@ def _null_for(min_participation: int) -> Null:
 
 
 def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
-    """Working tables from the bound bundle, columns in effective-column order.
-    Null cells arrive already tagged by the binder."""
+    """Working tables from the bound bundle, columns in effective-column order,
+    each column a copy. Null cells arrive already tagged by the binder."""
     frames: dict[str, Table] = {}
     for name in entities:
         ent = bound.schema.entity(name)
@@ -104,9 +105,8 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
                 emit=a.kind != "identifier",
                 subtype=(gen.name, st.name) if st else None,
             ))
-        idx = [table.column_index(c.name) for c in cols]
-        rows = [[src[i] for i in idx] for src in table.rows]
-        frames[name] = Table(name, cols, rows, list(ent.key_names))
+        cells = [list(table.cells[table.column_index(c.name)]) for c in cols]
+        frames[name] = Table(name, cols, key_columns=ent.key_names, cells=cells)
     return frames
 
 
@@ -121,8 +121,9 @@ class Derivations:
 
     Cells are indexed like the rows of the entity's bound table, which the
     working tables keep until they are split or emitted. A derivation reads
-    other attributes by their schema names, so derived attributes must be
-    requested in dependency order (``planner.derivation_order``).
+    other attributes by their schema names; a derived attribute it reads is
+    evaluated on demand (schema validation refuses cycles), so any request
+    order gives the same cells. Callers must not mutate the cell lists.
     """
 
     def __init__(self, bound: BoundModel, clock: _dt.date):
@@ -154,15 +155,12 @@ class Derivations:
         return self._groups[rel_name]
 
     def _cells(self, entity: str, attr_name: str) -> list:
-        """A stored or already derived attribute's cells."""
-        if (entity, attr_name) in self._derived:
-            return self._derived[entity, attr_name][0]
+        """A stored attribute's cells, or a derived one's from ``derived``."""
         attr = self.bound.schema.entity(entity).attr(attr_name)
         if attr is not None and attr.is_derived:
-            raise ValueError(f"{entity}.{attr_name} is read before it is derived")
+            return self.derived(entity, attr_name)[0]
         table = self.bound.bundle.table(entity)
-        ci = table.column_index(attr_name)
-        return [row[ci] for row in table.rows]
+        return table.cells[table.column_index(attr_name)]
 
     def _evaluate(self, entity: str, attr_name: str) -> tuple[list, list[str]]:
         schema = self.bound.schema
@@ -170,7 +168,7 @@ class Derivations:
         # each row's environment holds only the attributes the expression reads
         names = sorted(ex.referenced_attrs(expr))
         envs = ((dict(zip(names, cells)) for cells in zip(*[self._cells(entity, a) for a in names]))
-                if names else repeat({}, len(self.bound.bundle.table(entity).rows)))
+                if names else repeat({}, self.bound.bundle.table(entity).row_count))
         # (relationship, attribute) -> each row's partner cells (for count, its partners)
         cells: dict[tuple[str, Optional[str]], list[list]] = {}
         for agg in ex.referenced_aggregates(expr):
@@ -229,8 +227,7 @@ class _Execution:
                                   f"feature name collision: {col.name!r} renamed to {col.name}_{n}")
             col.name = f"{col.name}_{n}"
         table.columns.append(col)
-        for row, v in zip(table.rows, values):
-            row.append(v)
+        table.cells.append(values)
 
     def _partners(self, parent: str, child: str, rel_name: str) -> list[list[int]]:
         """For each row of the parent frame, its partner rows in the child
@@ -241,9 +238,9 @@ class _Execution:
         if rel.child_entity() == child:
             children = self.bound.children_of.get(rel_name, {})
             return [children.get(k[0], []) for k in pframe.keys()]
-        fk_i = pframe.column_index(rel.fk_columns[0])
+        fk = pframe.cells[pframe.column_index(rel.fk_columns[0])]
         ckey = {k[0]: i for i, k in enumerate(self.frames[child].keys())}
-        return [[ckey[v]] if v in ckey else [] for v in (row[fk_i] for row in pframe.rows)]
+        return [[ckey[v]] if v in ckey else [] for v in fk]
 
     def derive_attr(self, entity: str, attr_name: str) -> None:
         """Attach the derived attribute's shared cells as a working column and
@@ -283,14 +280,15 @@ class _Execution:
         if rel.is_one_to_one and rel.child_entity() != child:
             min_partners = 0
         absent_null = _null_for(min_partners)
+        partner = [p[0] if p else -1 for p in partners]  # -1: the absent cell appended last
         for ci, col in enumerate(cframe.columns):
             if not col.emit or col.consumed or col.kind == "identifier":
                 continue
             new = col.clone(name=col.name if col.prefixed else feature_name(col.name, [child], "raw"),
                             prefixed=True)
             new.params["relationship"] = rel_name
-            values = [cframe.rows[p[0]][ci] if p else absent_null for p in partners]
-            self._add(pframe, new, values)
+            cells = cframe.cells[ci] + [absent_null]
+            self._add(pframe, new, list(map(cells.__getitem__, partner)))
 
     def summarize_child(self, parent: str, child: str, rel_name: str,
                         agg_set: tuple[str, ...], top_k: int) -> None:
@@ -316,7 +314,6 @@ class _Execution:
         ), [ex.aggregate("count", g) for g in groups])
 
         numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in agg_set]
-        rows = cframe.rows
         for want_kind in KIND_SUMMARY_ORDER:
             for ci, col in enumerate(cframe.columns):
                 if col.kind != want_kind or not col.emit or col.consumed or col.kind == "identifier":
@@ -326,13 +323,14 @@ class _Execution:
                 if col.subtype is not None:
                     continue
                 # each group's null cells are dropped once, for every summary
-                known = [ex.known_cells([rows[i][ci] for i in g]) for g in groups]
+                cells = cframe.cells[ci]
+                known = [ex.known_cells(map(cells.__getitem__, g)) for g in groups]
                 if want_kind in ("numeric", "date"):
                     for agg in numeric_aggs if want_kind == "numeric" else ("min", "max"):
                         add_reduced(self._agg_col(col, child, rel_name, agg, want_kind),
                                     [ex.reduce_known(agg, k) for k in known])
                 elif want_kind == "nominal":
-                    self._summarize_nominal(col, ci, cframe, known, top_k, child, rel_name, add)
+                    self._summarize_nominal(col, cells, known, top_k, child, rel_name, add)
                 elif want_kind == "boolean":
                     add_reduced(self._agg_col(col, child, rel_name, "true_count", "numeric"),
                                 [ex.aggregate("count", [v for v in k if v is True]) for k in known])
@@ -358,12 +356,8 @@ class _Execution:
             subtype=col.subtype,
         )
 
-    def _summarize_nominal(self, col, ci, cframe, known, top_k, child, rel_name, add) -> None:
-        freq: dict[str, int] = {}
-        for row in cframe.rows:
-            v = row[ci]
-            if not is_null(v):
-                freq[v] = freq.get(v, 0) + 1
+    def _summarize_nominal(self, col, cells, known, top_k, child, rel_name, add) -> None:
+        freq = Counter(ex.known_cells(cells))  # every child row, in a group or not
         ordered = sorted(freq, key=lambda c: (-freq[c], c))
         kept = ordered[:top_k]
         pooled = set(ordered[top_k:])
@@ -395,29 +389,28 @@ class _Execution:
             # sibling subtypes' columns are excluded entirely
             keep_cols = [i for i, c in enumerate(root.columns)
                          if c.subtype is None or c.subtype[0] != gen_name or c.subtype[1] == st.name]
+            members = [r for r, names in enumerate(root_members) if st.name in names]
             frame = Table(root.name, [root.columns[i].clone() for i in keep_cols],
-                          [[r[i] for i in keep_cols]
-                           for r, members in zip(root.rows, root_members) if st.name in members],
-                          list(root.key_columns))
+                          key_columns=root.key_columns,
+                          cells=[list(map(root.cells[i].__getitem__, members)) for i in keep_cols])
             if st.from_table:
                 self._join_membership_table(frame, gen, st)
-            if not frame.rows:
+            if not members:
                 self.warnings.warning("empty-subtype",
                                       f"subtype {st.name} has zero members; dataset {name} is empty")
             self.datasets[name] = frame
 
     def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype) -> None:
         mt = self.bound.bundle.table(st.name)
-        by_key = dict(zip(mt.keys(), mt.rows))
-        mrows = [by_key.get(k) for k in frame.keys()]
+        position = {k: i for i, k in enumerate(mt.keys())}
+        picked = [position.get(k, -1) for k in frame.keys()]  # -1: NOT_APPLICABLE appended last
         for a in st.attributes:
-            src = mt.column_index(a.name)
-            values = [NOT_APPLICABLE if mrow is None else mrow[src] for mrow in mrows]
+            cells = mt.cells[mt.column_index(a.name)] + [NOT_APPLICABLE]
             self._add(frame, Column(
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name], source_attributes=[f"{st.name}.{a.name}"],
                 guidelines=["G5"], subtype=(gen.name, st.name),
-            ), values)
+            ), list(map(cells.__getitem__, picked)))
 
     def _ensure_dataset(self, name: str) -> Table:
         if name not in self.datasets:
@@ -434,12 +427,11 @@ class _Execution:
         for ci, col in enumerate(frame.columns):
             if not col.emit or col.consumed or col.name == target or col.kind == "identifier":
                 continue
-            cells = [row[ci] for row in frame.rows]
+            cells = frame.cells[ci]
             # by identity (nulls are the tag singletons): == calls Null.__eq__ per cell
-            unknown_idx = [i for i, v in enumerate(cells) if v is UNKNOWN]
-            if not unknown_idx:
+            unknown = sum(1 for v in cells if v is UNKNOWN)
+            if not unknown:
                 continue
-            present = [v for v in cells if not is_null(v)]
             if const is not None:
                 try:
                     fill = parse_cell(const, col.kind)
@@ -450,7 +442,13 @@ class _Execution:
                                     f"bad impute constant {const!r}: {exc}")
                 kind = "imputed_const"
             else:
-                fill, kind = _mean_mode_fill(present, col.kind)
+                if col.kind == "text":
+                    self.warnings.warning(
+                        "not-imputed",
+                        f"dataset {name}: text column {col.name!r} is not imputed under "
+                        f"mean_mode; {unknown} unknown cell(s) left null")
+                    continue
+                fill, kind = _mean_mode_fill(ex.known_cells(cells), col.kind)
                 if fill is None:
                     self.warnings.warning(
                         "not-imputed",
@@ -461,9 +459,9 @@ class _Execution:
                     "not-imputed",
                     f"dataset {name}: column {col.name!r} has a non-finite fill; left null")
                 continue
-            for i in unknown_idx:
-                frame.rows[i][ci] = fill
-            col.imputed_cells += len(unknown_idx)
+            # a new list: the column may be shared, e.g. with the derivations
+            frame.cells[ci] = [fill if v is UNKNOWN else v for v in cells]
+            col.imputed_cells += unknown
             col.params = dict(col.params, imputation={"kind": kind, "fill": _jsonable(fill),
                                                       "base_transform": col.transform})
             col.transform = kind
@@ -502,12 +500,13 @@ class _Execution:
             names_taken.add(final)
             columns.append(col.clone(name=final, prefixed=True))
 
-        kept = [i for i, row in enumerate(frame.rows) if not is_null(row[target])]
-        dropped = len(frame.rows) - len(kept)
+        target_cells = frame.cells[target]
+        kept = [i for i, v in enumerate(target_cells) if not is_null(v)]
+        dropped = len(target_cells) - len(kept)
         kept.sort(key=frame.order_key())
         # tagged nulls survive in memory (CSV renders both tags as empty)
-        out_rows = [[frame.rows[i][ci] for ci in ordered] for i in kept]
-        table = Table(name, columns, out_rows, key_columns=[c.name for c in columns[:len(keys)]])
+        cells = [list(map(frame.cells[ci].__getitem__, kept)) for ci in ordered]
+        table = Table(name, columns, key_columns=[c.name for c in columns[:len(keys)]], cells=cells)
         ds = TrainingDataset(name=name, table=table, target_column=columns[-1].name,
                              dropped_null_target=dropped)
         self.emitted[name] = ds
@@ -533,6 +532,9 @@ def _feature_records(ds: TrainingDataset) -> list[dict]:
     } for col in ds.table.columns]
 
 
+_INF = math.inf
+
+
 def _non_finite(v: object) -> bool:
     """An overflow to ±inf, or nan: never written to a numeric cell."""
     return isinstance(v, float) and not math.isfinite(v)
@@ -541,12 +543,11 @@ def _non_finite(v: object) -> bool:
 def _finite(values: list) -> int:
     """Replace each non-finite value in ``values`` with UNKNOWN; return how
     many were replaced."""
-    replaced = 0
-    for i, v in enumerate(values):
-        if _non_finite(v):
-            values[i] = UNKNOWN
-            replaced += 1
-    return replaced
+    # _non_finite, inlined: this runs once per summary cell
+    replaced = [i for i, v in enumerate(values) if isinstance(v, float) and not -_INF < v < _INF]
+    for i in replaced:
+        values[i] = UNKNOWN
+    return len(replaced)
 
 
 def _mean_mode_fill(present: list, kind: str):
@@ -665,7 +666,7 @@ def _build_manifest(plan, bound, warnings: Report, datasets) -> dict:
         "steps": [s.to_dict() for s in plan.steps],
         "datasets": {
             ds.name: {
-                "rows": len(ds.table.rows),
+                "rows": ds.table.row_count,
                 "dropped_null_target_rows": ds.dropped_null_target,
                 "features": _feature_records(ds),
             }
@@ -700,12 +701,13 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
     """Deterministic, seed-independent holdout: split by key digest."""
     train, test = [], []
     threshold = int(fraction * 2**32)
-    for row, key_cells in zip(ds.table.rows, ds.table.keys()):
+    for i, key_cells in enumerate(ds.table.keys()):
         key = "|".join(str(v) for v in key_cells)
         h = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:4], "big")
-        (test if h < threshold else train).append(row)
-    for suffix, rows in (("train", train), ("test", test)):
-        t = Table(f"{ds.name}_{suffix}", ds.table.columns, rows, key_columns=ds.table.key_columns)
+        (test if h < threshold else train).append(i)
+    for suffix, picked in (("train", train), ("test", test)):
+        t = Table(f"{ds.name}_{suffix}", ds.table.columns, key_columns=ds.table.key_columns,
+                  cells=[list(map(column.__getitem__, picked)) for column in ds.table.cells])
         path = out_dir / f"{ds.name}_{suffix}.csv"
         path.write_bytes(table_to_csv_bytes(t))
         written.append(path)
@@ -723,10 +725,10 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _project_and_rank(frame: Table) -> tuple[list[Column], list[tuple], np.ndarray]:
-    """The frame's output columns, each row's output cells (nulls as None)
-    and each row's dense rank by the reprs of those cells, left to right.
-    The all-null row of an absent partner is appended last.
+def _project_and_rank(frame: Table) -> tuple[list[Column], list[list], np.ndarray]:
+    """The frame's output columns, their cells (nulls as None) and each row's
+    dense rank by the reprs of its output cells, left to right. The all-null
+    row of an absent partner is appended last.
 
     Columns are printed one at a time and ranking stops once every row is
     distinct: later columns cannot reorder distinct rows, so the ranks equal
@@ -734,16 +736,16 @@ def _project_and_rank(frame: Table) -> tuple[list[Column], list[tuple], np.ndarr
     keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
     columns = [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
                for ci in keep]
-    cells = [tuple([None if isinstance(row[ci], Null) else row[ci] for ci in keep])
-             for row in frame.rows]
-    cells.append((None,) * len(keep))
-    ranks = np.zeros(len(cells), dtype=np.int64)
-    for j in range(len(keep)):
-        if ranks.max() == len(cells) - 1:
+    cells = [[None if type(v) is Null else v for v in frame.cells[ci]] + [None] for ci in keep]
+    n = frame.row_count + 1
+    ranks = np.zeros(n, dtype=np.int64)
+    for column in cells:
+        if ranks.max() == n - 1:
             break
-        printed = [repr(row[j]) for row in cells]
+        printed = list(map(repr, column))
         rank_of = {text: k for k, text in enumerate(sorted(set(printed)))}
-        ranks = _dense_rank(ranks * len(rank_of) + np.array([rank_of[t] for t in printed]))
+        ranks = _dense_rank(ranks * len(rank_of)
+                            + np.fromiter(map(rank_of.__getitem__, printed), np.int64, n))
     return columns, cells, ranks
 
 
@@ -782,7 +784,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     target.consumed = False  # kept even when a derivation reads it, as emit keeps it
 
     columns: list[Column] = []
-    blocks: list[list[tuple]] = []
+    blocks: list[list[list]] = []
     ranks: list[np.ndarray] = []
     entities = [root] + [edge.child for edge in binding.spanning_tree]
     for name in entities:
@@ -796,9 +798,9 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     # order); an absent partner is the block's last, all-null row, and an
     # absent parent's row carries that absence on.
     position = {name: k for k, name in enumerate(entities)}
-    index = [np.arange(len(root_frame.rows), dtype=np.int64)]
-    for edge, block in zip(binding.spanning_tree, blocks[1:]):
-        absent = len(block) - 1
+    index = [np.arange(root_frame.row_count, dtype=np.int64)]
+    for edge in binding.spanning_tree:
+        absent = frames[edge.child].row_count
         partners = [p or [absent] for p in st._partners(edge.parent, edge.child, edge.relationship)]
         partners.append([absent])
         index = _expand(index, index[position[edge.parent]], partners)

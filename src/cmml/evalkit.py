@@ -207,7 +207,7 @@ class OneHotDesign:
                 columns[c.kind].append(_encoded(table, i, _ENCODERS[c.kind]))
 
         def block(cols: list[np.ndarray]) -> np.ndarray:  # one column per array
-            return np.array(cols, dtype=float).reshape(len(cols), len(table.rows)).T
+            return np.array(cols, dtype=float).reshape(len(cols), table.row_count).T
 
         self.numeric = block(columns["numeric"])
         self.boolean = block(columns["boolean"])
@@ -325,11 +325,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> DataBundle:
     target is the stated linear function of the summarized order statistics
     plus Gaussian noise."""
     rng = random.Random(seed)
-    customers = Table("CUSTOMER", [Column("cust_id", "identifier"), Column("gender", "nominal"),
-                                   Column("ltv", "numeric")], key_columns=["cust_id"])
-    orders = Table("ORDER", [Column("order_id", "identifier"), Column("total", "numeric"),
-                             Column("channel", "nominal"), Column("cust_id", "identifier")],
-                   key_columns=["order_id"])
+    customer_rows, order_rows = [], []
     order_seq = 1
     for c in range(1, spec.customers + 1):
         cust_id = f"C{c:05d}"
@@ -338,12 +334,17 @@ def synth_generate(spec: SynthSpec, seed: int) -> DataBundle:
         for _ in range(fanout):
             total = round(rng.uniform(spec.total_min, spec.total_max), 2)
             totals.append(total)
-            orders.rows.append([f"O{order_seq:06d}", total, rng.choice(spec.channels), cust_id])
+            order_rows.append([f"O{order_seq:06d}", total, rng.choice(spec.channels), cust_id])
             order_seq += 1
         mean_total = left_sum(totals) / len(totals) if totals else 0.0
         ltv = (spec.intercept + spec.coef_mean_total * mean_total
                + spec.coef_order_count * fanout + rng.gauss(0.0, spec.noise_sigma))
-        customers.rows.append([cust_id, rng.choice(("F", "M")), round(ltv, 6)])
+        customer_rows.append([cust_id, rng.choice(("F", "M")), round(ltv, 6)])
+    customers = Table("CUSTOMER", [Column("cust_id", "identifier"), Column("gender", "nominal"),
+                                   Column("ltv", "numeric")], customer_rows, ["cust_id"])
+    orders = Table("ORDER", [Column("order_id", "identifier"), Column("total", "numeric"),
+                             Column("channel", "nominal"), Column("cust_id", "identifier")],
+                   order_rows, ["order_id"])
     bundle = DataBundle()
     bundle.add(customers)
     bundle.add(orders)
@@ -412,7 +413,7 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
         raise ValueError("comparison requires a single-column entity key")
 
     t_key = tds.table.column_index(tds.table.key_columns[0])
-    keys = sorted({r[t_key] for r in tds.table.rows})
+    keys = sorted(set(tds.table.cells[t_key]))
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     shuffled = list(keys)

@@ -456,7 +456,7 @@ def aggregate(kind: str, cells: Sequence):
     return reduce_known(kind, known_cells(cells))
 
 
-def known_cells(cells: Sequence) -> list:
+def known_cells(cells: Iterable) -> list:
     """The cells that hold a value: both null tags dropped, order kept."""
     # is_null, inlined: this runs once per cell of every group
     return [v for v in cells if v is not None and not isinstance(v, Null)]

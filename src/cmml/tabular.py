@@ -1,12 +1,14 @@
 """The one table type, and CSV ingestion/emission.
 
-A ``Table`` is rows under ``Column``s. An input column is
-``Column(name, kind)``; the other fields are its lineage (G1) and flags for
-the engine's steps. The engine's working tables, every emitted dataset and
-``ds0`` are Tables; the manifest reads lineage from an emitted table's columns.
-Rows are lists of cells, except in ``ds0``, whose rows are a read-only
-``JoinRows`` view of a factorized join: each joined entity's cells once, and
-per output row one row index into each entity's block.
+A ``Table`` is cells under ``Column``s, stored one list per column from
+``read_csv`` to the CSV writer: ``table.cells[j]`` holds column ``j``'s cell
+of every row. An input column is ``Column(name, kind)``; the other fields are
+its lineage (G1) and flags for the engine's steps. The engine's working
+tables, every emitted dataset and ``ds0`` are Tables; the manifest reads
+lineage from an emitted table's columns. ``ds0`` holds a ``JoinRows``
+instead of cells: a factorized join, each joined entity's columns once and
+per output row one row index into each entity's block. ``Table.rows`` is a
+read-only row view of either storage; nothing in the pipeline reads it.
 
 CSV conventions: RFC 4180 quoting, mandatory header row, UTF-8, ISO-8601
 dates, booleans `true`/`false`, decimal point `.`; an empty field is a null.
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from .diagnostics import Report
-from .values import Null, format_cell, format_float, parse_cell
+from .values import Null, format_cell, format_float, parse_column
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,34 +61,89 @@ class Column:
         return f"{self.origin_entities[0]}_{self.name}"
 
 
+class Rows(Sequence):
+    """A column-major table's rows, read-only: each row is read as a new list.
+    ``append`` and ``extend`` add rows, one cell to each column."""
+
+    def __init__(self, cells: list[list]):
+        self._cells = cells
+
+    def __len__(self) -> int:
+        return len(self._cells[0]) if self._cells else 0
+
+    def __getitem__(self, r: int) -> list:
+        return [column[r] for column in self._cells]
+
+    def __iter__(self) -> Iterator[list]:
+        return map(list, zip(*self._cells))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def append(self, row: Sequence) -> None:
+        if len(row) != len(self._cells):
+            raise ValueError(f"row has {len(row)} cells, expected {len(self._cells)}")
+        for column, v in zip(self._cells, row):
+            column.append(v)
+
+    def extend(self, rows: Iterable[Sequence]) -> None:
+        for row in rows:
+            self.append(row)
+
+
 class JoinRows(Sequence):
     """The rows of a factorized join, read-only. ``blocks[b]`` holds one
-    entity's projected cell tuples, all of one width; ``index[b]`` is an
-    integer numpy array whose entry ``r`` is the block row that output row
-    ``r`` takes from block ``b``. An output row is its block rows' cells
-    concatenated in block order."""
+    entity's projected columns, each a list of that entity's cells;
+    ``index[b]`` is an integer numpy array whose entry ``r`` is the block row
+    that output row ``r`` takes from block ``b``. An output row is its block
+    rows' cells concatenated in block order."""
 
-    def __init__(self, blocks: list[list[tuple]], index: list[np.ndarray]):
+    def __init__(self, blocks: list[list[list]], index: list[np.ndarray]):
         self.blocks = blocks
         self.index = index
-        self.widths = [len(block[0]) if block else 0 for block in blocks]
+        self.widths = [len(block) for block in blocks]
 
     def __len__(self) -> int:
         return len(self.index[0])
 
     def __getitem__(self, r: int) -> list:
-        return [v for block, idx in zip(self.blocks, self.index) for v in block[idx[r]]]
+        row = []
+        for block, idx in zip(self.blocks, self.index):
+            i = idx[r]
+            row += [column[i] for column in block]
+        return row
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
-@dataclass
 class Table:
-    name: str
-    columns: list[Column]
-    rows: Union[list[list], JoinRows] = field(default_factory=list)
-    key_columns: list[str] = field(default_factory=list)
+    """Cells under ``Column``s, stored one list per column: ``cells[j]`` holds
+    column ``j``'s cell of every row. ``ds0``'s table instead holds a
+    ``JoinRows`` in ``join`` and no ``cells``. ``rows`` is a read-only row
+    view of either, for callers that want rows; a table can still be built
+    from rows (``rows=`` or ``rows.append``)."""
+
+    def __init__(self, name: str, columns: list[Column], rows: Iterable[Sequence] = (),
+                 key_columns: Iterable[str] = (), *, cells: Optional[list[list]] = None):
+        self.name = name
+        self.columns = columns
+        self.key_columns = list(key_columns)
+        self.join = rows if isinstance(rows, JoinRows) else None
+        if cells is None and self.join is None:
+            cells = [[] for _ in columns]
+            Rows(cells).extend(rows)
+        self.cells = cells
+
+    @property
+    def rows(self) -> Union[Rows, JoinRows]:
+        return self.join if self.join is not None else Rows(self.cells)
+
+    @property
+    def row_count(self) -> int:
+        if self.join is not None:
+            return len(self.join)
+        return len(self.cells[0]) if self.cells else 0
 
     @property
     def column_names(self) -> list[str]:
@@ -98,27 +155,27 @@ class Table:
     def column_cells(self, j: int) -> tuple[list, Optional[np.ndarray]]:
         """Column ``j`` as ``(cells, index)``: row ``r`` holds ``cells[index[r]]``,
         or ``cells[r]`` when ``index`` is None. A join view's column is read
-        from its block, so each entity cell is handled once."""
-        rows = self.rows
-        if not isinstance(rows, JoinRows):
-            return [row[j] for row in rows], None
-        for block, idx, width in zip(rows.blocks, rows.index, rows.widths):
-            if j < width:
-                return [cells[j] for cells in block], idx
-            j -= width
+        from its block, so each entity cell is handled once. Do not mutate
+        the list."""
+        if self.join is None:
+            return self.cells[j], None
+        for block, idx in zip(self.join.blocks, self.join.index):
+            if j < len(block):
+                return block[j], idx
+            j -= len(block)
         raise IndexError("column index out of range")
 
     def keys(self) -> Iterator[tuple]:
         """Every row's key tuple, in row order."""
-        idx = [self.column_index(k) for k in self.key_columns]
-        return (tuple([row[i] for i in idx]) for row in self.rows)
+        return zip(*[self.cells[self.column_index(k)] for k in self.key_columns])
 
-    def order_key(self) -> Callable[[int], tuple]:
+    def order_key(self) -> Callable[[int], object]:
         """Sort key of a row index: the repr of the row's key. A parent's children
         are aggregated, and an emitted dataset's rows are put, in this order."""
-        idx = [self.column_index(k) for k in self.key_columns]
-        rows = self.rows
-        return lambda i: tuple([repr(rows[i][k]) for k in idx])
+        printed = [list(map(repr, self.cells[self.column_index(k)])) for k in self.key_columns]
+        if len(printed) == 1:
+            return printed[0].__getitem__
+        return lambda i: tuple([p[i] for p in printed])
 
 
 @dataclass
@@ -138,10 +195,12 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
              key_columns: Iterable[str] = ()) -> tuple[Optional[Table], Report]:
     """Read one entity table with declared column types.
 
-    Header must contain exactly the declared columns (any order). Empty fields
-    become nulls; malformed cells become diagnostics with row/column indexes.
-    A file that is not UTF-8 or that the csv module cannot parse yields no
-    table and one coded diagnostic naming the file (and the line).
+    Header must contain exactly the declared columns (any order), each once.
+    Empty fields become nulls; malformed cells become diagnostics with
+    row/column indexes, in row-major order. The rows are transposed once and
+    each column is parsed by its kind (``values.parse_column``). A file that
+    is not UTF-8 or that the csv module cannot parse yields no table and one
+    coded diagnostic naming the file (and the line).
     """
     rep = Report()
     columns = list(columns)
@@ -158,42 +217,64 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
-        if header is None:
-            rep.error("missing-header", f"{path} is empty (header row required)")
-            return None, rep
-        declared = [c.name for c in columns]
-        missing = [c for c in declared if c not in header]
-        extra = [c for c in header if c not in declared]
-        if missing:
-            rep.error("missing-column", f"{path}: missing column(s) {missing}")
-        if extra:
-            rep.error("extra-column", f"{path}: undeclared column(s) {extra}")
-        if missing or extra:
-            return None, rep
-        order = [header.index(c) for c in declared]
-        table = Table(name, columns, key_columns=list(key_columns))
-        for rownum, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
-                rep.error("ragged-row", f"{path}: row {rownum} has {len(raw)} fields, expected {len(header)}")
-                continue
-            out = []
-            for col, src in zip(columns, order):
-                try:
-                    out.append(parse_cell(raw[src], col.kind))
-                except ValueError as err:
-                    rep.error("bad-cell", f"{path}: row {rownum}, column {col.name!r}: {err}",
-                              f"{name}:{rownum}:{col.name}")
-                    out.append(None)
-            table.rows.append(out)
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
         rep.error("bad-csv", f"{path}: line {reader.line_num}: {err}", f"{path}:{reader.line_num}")
         return None, rep
-    return table, rep
+    if header is None:
+        rep.error("missing-header", f"{path} is empty (header row required)")
+        return None, rep
+    declared = [c.name for c in columns]
+    duplicated = sorted({c for c in header if header.count(c) > 1})
+    missing = [c for c in declared if c not in header]
+    extra = [c for c in header if c not in declared]
+    if duplicated:
+        rep.error("duplicate-column", f"{path}: duplicated column(s) {duplicated}")
+    if missing:
+        rep.error("missing-column", f"{path}: missing column(s) {missing}")
+    if extra:
+        rep.error("extra-column", f"{path}: undeclared column(s) {extra}")
+    if duplicated or missing or extra:
+        return None, rep
+
+    raws: list[list[str]] = []
+    failure = None
+    try:
+        raws.extend(reader)  # keeps the rows read before a failure
+    except csv.Error as err:
+        failure = err
+    # (row number, declared column position, code, message, location); a
+    # ragged row is skipped whole, so -1 puts it first among its row's problems
+    problems: list[tuple[int, int, str, str, Optional[str]]] = []
+    rownums = range(1, len(raws) + 1)
+    if set(map(len, raws)) - {len(header)}:
+        rownums = [n for n, raw in enumerate(raws, start=1) if len(raw) == len(header)]
+        problems = [(n, -1, "ragged-row", f"{path}: row {n} has {len(raw)} fields, "
+                     f"expected {len(header)}", None)
+                    for n, raw in enumerate(raws, start=1) if len(raw) != len(header)]
+        raws = [raws[n - 1] for n in rownums]
+    fields = list(zip(*raws)) if raws else [()] * len(header)
+    cells = []
+    for pos, col in enumerate(columns):
+        column, bad = parse_column(fields[header.index(col.name)], col.kind)
+        cells.append(column)
+        for i, err in bad:
+            problems.append((rownums[i], pos, "bad-cell",
+                             f"{path}: row {rownums[i]}, column {col.name!r}: {err}",
+                             f"{name}:{rownums[i]}:{col.name}"))
+    problems.sort(key=lambda p: p[:2])
+    for _, _, code, message, location in problems:
+        rep.error(code, message, location)
+    if failure is not None:
+        rep.error("bad-csv", f"{path}: line {reader.line_num}: {failure}",
+                  f"{path}:{reader.line_num}")
+        return None, rep
+    return Table(name, columns, key_columns=key_columns, cells=cells), rep
 
 
 # Exact cell types that csv.writer already writes as format_cell would: it
 # applies str() (a date's str() is its ISO form) and writes None as empty.
 _CSV_NATIVE = frozenset({str, int, type(None), _dt.date})
+_FLOAT = frozenset({float})
 
 
 def _bool_text(v: bool) -> str:
@@ -204,7 +285,29 @@ def _null_text(v: Null) -> str:
     return ""
 
 
-_FORMAT_BY_TYPE = {float: format_float, bool: _bool_text, Null: _null_text}
+_FORMAT_BY_TYPE = {bool: _bool_text, Null: _null_text}
+
+
+def _column_text(cells: Sequence) -> Sequence:
+    """Each cell as csv.writer should get it for format_cell's text. Cells are
+    dispatched on their exact type, so ``True`` beside ``1.0`` stays
+    ``true``; each distinct float is formatted once. A cell csv.writer
+    already writes right is passed as it is; any type without a formatter
+    here (a datetime, a subclass) goes through format_cell itself."""
+    types = set(map(type, cells))
+    if types <= _CSV_NATIVE:
+        return cells
+    # -0.0 and 0.0 share a key, and both print as 0
+    if types == _FLOAT:
+        distinct = set(cells)
+        if len(distinct) == len(cells):  # nothing to share: a memo would only cost
+            return list(map(format_float, cells))
+        floats = {v: format_float(v) for v in distinct}
+        return list(map(floats.__getitem__, cells))
+    floats = {v: format_float(v) for v in {v for v in cells if type(v) is float}}
+    other = {t: _FORMAT_BY_TYPE.get(t, format_cell) for t in types - _CSV_NATIVE - _FLOAT}
+    return [floats[v] if (t := type(v)) is float else v if t in _CSV_NATIVE else other[t](v)
+            for v in cells]
 
 
 class _Lines:
@@ -215,37 +318,33 @@ class _Lines:
         self.write = lines.append
 
 
-def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
-    """Each row as one CSV line, terminator included, with format_cell's text
-    for every cell. Cells are dispatched on their exact type; any other type
-    (a datetime, a subclass) goes through format_cell itself."""
-    fmt = _FORMAT_BY_TYPE.get
+def _csv_lines(columns: Sequence[Sequence]) -> list[str]:
+    """Each row of the columns as one CSV line, terminator included, with
+    format_cell's text for every cell."""
     lines: list[str] = []
-    csv.writer(_Lines(lines), lineterminator="\n").writerows(
-        [v if type(v) in _CSV_NATIVE else (fmt(type(v)) or format_cell)(v) for v in row]
-        for row in rows)
+    csv.writer(_Lines(lines), lineterminator="\n").writerows(zip(*map(_column_text, columns)))
     return lines
 
 
-_CHUNK_ROWS = 4096  # output rows joined and encoded at a time
+_CHUNK_ROWS = 4096  # output rows formatted, joined and encoded at a time
 
 
 def table_to_csv_bytes(table: Table) -> bytes:
-    """Serialize with format_cell's text for every cell. Each block row of a
-    join view is formatted and quoted once, and its fragment is repeated
-    along the index; a list of rows is the one-block case, formatted as it is
-    written. Rows are joined and encoded a chunk at a time, so the whole text
-    is never held beside its bytes."""
-    rows = table.rows
-    if isinstance(rows, JoinRows):
-        blocks = [(block, idx, width)
-                  for block, idx, width in zip(rows.blocks, rows.index, rows.widths) if width]
+    """Serialize with format_cell's text for every cell, formatting one column
+    at a time. Each block row of a join view is formatted and quoted once,
+    and its fragment is repeated along the index; a column-major table is
+    the one-block case, formatted as it is written. Rows are formatted,
+    joined and encoded a chunk at a time, so the whole text is never held
+    beside its bytes."""
+    if table.join is not None:
+        blocks = [(block, idx, width) for block, idx, width
+                  in zip(table.join.blocks, table.join.index, table.join.widths) if width]
     else:
-        blocks = [(rows, None, len(table.columns))]
+        blocks = [(table.cells, None, len(table.columns))]
     last = len(blocks) - 1
 
-    def fragments(b: int, block_rows: Sequence[Sequence], width: int) -> list[str]:
-        lines = _csv_lines(block_rows)
+    def fragments(b: int, columns: list[Sequence], width: int) -> list[str]:
+        lines = _csv_lines(columns)
         if width == 1 and len(table.columns) > 1:
             # csv quotes a row's lone empty field; inside a wider row it is bare
             lines = ["\n" if line == '""\n' else line for line in lines]
@@ -254,10 +353,10 @@ def table_to_csv_bytes(table: Table) -> bytes:
     formatted = [None if idx is None else fragments(b, block, width)
                  for b, (block, idx, width) in enumerate(blocks)]
     out = io.BytesIO()
-    out.write(_csv_lines([table.column_names])[0].encode("utf-8"))
-    for start in range(0, len(rows), _CHUNK_ROWS):
+    out.write("".join(_csv_lines([[name] for name in table.column_names])).encode("utf-8"))
+    for start in range(0, table.row_count, _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
-        picked = [fragments(b, block[start:stop], width) if lines is None
+        picked = [fragments(b, [column[start:stop] for column in block], width) if lines is None
                   else list(map(lines.__getitem__, idx[start:stop].tolist()))
                   for b, ((block, idx, width), lines) in enumerate(zip(blocks, formatted))]
         body = picked[0]
@@ -271,9 +370,3 @@ def table_to_csv_bytes(table: Table) -> bytes:
 
 def write_csv(table: Table, path: str | Path) -> None:
     Path(path).write_bytes(table_to_csv_bytes(table))
-
-
-def distinct_key_count(table: Table) -> int:
-    if not table.key_columns:
-        raise ValueError(f"table {table.name!r} has no key columns set")
-    return len(set(table.keys()))

@@ -4,8 +4,9 @@ A null that is "unknown" is applicable but missing and may be imputed; a
 "not_applicable" null is structurally absent (wrong subtype, failed
 applicability predicate, absent optional partner) and must never be imputed.
 
-``parse_cell`` reads an empty field as ``None``; ``binder.bind`` then
-replaces every ``None`` in the bound tables with one of the two singletons.
+``parse_cell`` reads an empty field as ``None`` (``parse_column`` reads a
+column of fields the same way); ``binder.bind`` then replaces every ``None``
+in the bound tables with one of the two singletons.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import re
+from collections.abc import Sequence
 
 UNKNOWN_TAG = "unknown"
 NOT_APPLICABLE_TAG = "not_applicable"
@@ -104,3 +106,38 @@ def parse_cell(text: str, kind: str):
         return parse_date(text)
     # identifier, nominal, text are kept verbatim
     return text
+
+
+_BOOLEANS = {"true": True, "false": False, "": None}
+
+
+def parse_column(fields: Sequence[str], kind: str) -> tuple[list, list[tuple[int, str]]]:
+    """``parse_cell`` over one column's fields, dispatched once on the kind:
+    the cells, and the position and message of each malformed field (its
+    cell is None). Dates, and a column holding a malformed field, are parsed
+    once per distinct field."""
+    if kind == "numeric":
+        try:
+            cells = [float(t) if t else None for t in fields]
+            # a nan or an infinity makes the sum non-finite; so may an overflow
+            # of finite cells, which the per-field parse below then accepts
+            if math.isfinite(sum(filter(None, cells))):
+                return cells, []
+        except ValueError:
+            pass
+    elif kind == "boolean":
+        try:
+            return [_BOOLEANS[t] for t in fields], []
+        except KeyError:
+            pass
+    elif kind != "date":
+        return [t or None for t in fields], []
+    parsed: dict[str, object] = {}
+    errors: dict[str, str] = {}
+    for t in set(fields):
+        try:
+            parsed[t] = parse_cell(t, kind)
+        except ValueError as err:
+            errors[t] = str(err)
+    cells = [parsed.get(t) for t in fields]
+    return cells, [(i, errors[t]) for i, t in enumerate(fields) if t in errors] if errors else []

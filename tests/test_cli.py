@@ -80,6 +80,20 @@ def test_validate_dangling_fk_exit_1(tmp_path, capsys):
     assert "999" in capsys.readouterr().err
 
 
+def test_duplicated_csv_column_exit_1(tmp_path, capsys):
+    # the second gender column used to be dropped silently
+    for f in EXAMPLE_DATA.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    customers = tmp_path / "CUSTOMER.csv"
+    customers.write_text("".join(line.rstrip("\n") + f",{line.split(',')[1]}\n"
+                                 for line in customers.read_text().splitlines(keepends=True)))
+    assert customers.read_text().startswith("cust_id,gender,dob,gender\n101,F,1996-10-12,F\n")
+    assert run("validate", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert f"error: duplicate-column: {customers}: duplicated column(s) ['gender']" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "prepare", "flatten"])
 @pytest.mark.parametrize("total", ["nan", "inf"])
 def test_non_finite_numeric_cell_exit_1(command, total, tmp_path, capsys):

@@ -549,17 +549,61 @@ def test_derivations_read_derived_attributes_in_dependency_order(tmp_path):
                      None: (None, None, None)}
 
 
-def test_derivation_read_before_it_is_derived_is_an_error(tmp_path):
+def test_not_imputed_warnings_name_their_reason(tmp_path):
+    # a text column has known cells but is never filled under mean_mode; a
+    # numeric column without a known cell has nothing to fill with
+    text = """
+        entity E { key id: identifier attr note: text attr x: numeric attr y: numeric }
+        task T { target E.y }
+    """
+    tables = {"E": "id,note,x,y\na,hi,,1\nb,,,2\nc,there,,3\nd,,,4\n"}
+    (ds,), manifest = _run(text, tables, tmp_path)
+    assert manifest["warnings"] == [
+        "dataset T: column 'x' has no known values; left null",
+        "dataset T: text column 'note' is not imputed under mean_mode; 2 unknown cell(s) left null"]
+    assert _col(ds, "E_note") == {"a": "hi", "b": UNKNOWN, "c": "there", "d": UNKNOWN}
+
+
+def test_naive_join_after_execute_sees_unimputed_cells(tmp_path):
+    # evaluate runs execute, then flatten_naive, on one bound model and one
+    # Derivations: impute must fill copies, not the shared derived cells or
+    # the bound table's columns
+    text = """
+        entity CUSTOMER { key cust_id: identifier attr bonus: numeric attr other: numeric
+                          attr y: numeric derived attr twice: numeric = bonus * 2 }
+        task T { target CUSTOMER.y }
+    """
+    schema = parse_full(text)
+    (tmp_path / "CUSTOMER.csv").write_text("cust_id,bonus,other,y\nc1,1,5,1\nc2,,,2\nc3,3,7,3\n",
+                                           encoding="utf-8")
+    bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
+    task = schema.task("T")
+    plan = planner.compile_plan(schema, task, planner.PlanOptions.from_task(task))
+    derivations = engine.Derivations(bound, CLOCK)
+    (ds,), _ = engine.execute(plan, bound, derivations)
+    assert _col(ds, "CUSTOMER_twice") == {"c1": 2.0, "c2": 4.0, "c3": 6.0}
+    assert _col(ds, "CUSTOMER_other") == {"c1": 5.0, "c2": 6.0, "c3": 7.0}
+    assert derivations.derived("CUSTOMER", "twice")[0] == [2.0, UNKNOWN, 6.0]
+    flat = engine.flatten_naive(bound, plan.binding, derivations)
+    names = flat.table.column_names
+    assert flat.table.rows[1][names.index("CUSTOMER_twice")] is None
+    assert flat.table.rows[1][names.index("CUSTOMER_other")] is None
+
+
+def test_derivation_reads_a_derived_attribute_on_demand(tmp_path, monkeypatch):
     schema = parse_full(DEPENDENT_SCHEMA)
     for name, text in DEPENDENT_DATA.items():
         (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
     bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
     derivations = engine.Derivations(bound, CLOCK)
-    with pytest.raises(ValueError, match="ORDER.y is read before it is derived"):
-        derivations.derived("ORDER", "z2")
-    values, diags = derivations.derived("ORDER", "y")
-    assert (values, diags) == ([3.0, 1.0, 6.0], [])
+    evaluated = []
+    evaluate = derivations._evaluate
+    monkeypatch.setattr(derivations, "_evaluate",
+                        lambda entity, attr: evaluated.append(attr) or evaluate(entity, attr))
+    # z2 reads y, which is evaluated on demand, once
     assert derivations.derived("ORDER", "z2") == ([6.0, 2.0, 12.0], [])
+    assert derivations.derived("ORDER", "y") == ([3.0, 1.0, 6.0], [])
+    assert evaluated == ["z2", "y"]
 
 
 # ---------------------------------------------------------------------------
@@ -639,5 +683,7 @@ def test_lazy_rank_equals_all_cells_rank(seed):
                   rows)
     columns, cells, ranks = engine._project_and_rank(frame)
     assert [c.name for c in columns] == [f"E_c{j}" for j in range(width)]
-    assert cells[-1] == (None,) * width
-    assert ranks.tolist() == _all_cells_rank(cells)
+    assert [column[-1] for column in cells] == [None] * width
+    # a table without columns has no rows: only the absent row is ranked
+    assert ranks.tolist() == _all_cells_rank([tuple(column[i] for column in cells)
+                                              for i in range(frame.row_count + 1)])

@@ -142,6 +142,33 @@ COLLISION_DATA = {
              "l6,,o5\nl7,4,o6\nl8,1,o7\nl9,2,o8\nl10,5,o9\nl11,1,o9\nl12,3,o10\n"),
 }
 
+# A derivation reads a derived attribute across an edge the spanning tree
+# leaves out: ORDER.refs sums CUSTOMER.n over REFERS, which resolve_target
+# skips because PLACES already joins the two entities. The plan derives
+# ORDER.refs before the target entity's CUSTOMER.n, which is then evaluated
+# on demand. c4 has a null target, c3 and c7 refer to no order.
+SKIPPED_EDGE_SCHEMA = """
+entity CUSTOMER {
+  key cust_id: identifier
+  attr score: numeric
+  derived attr n: numeric = count(PLACES)
+}
+entity ORDER {
+  key order_id: identifier
+  attr total: numeric
+  derived attr refs: numeric = sum(REFERS.n)
+}
+relationship PLACES { CUSTOMER (1,1) -- (0,N) ORDER via cust_id }
+relationship REFERS { ORDER (0,1) -- (0,N) CUSTOMER via ref_order }
+task T { target CUSTOMER.score }
+"""
+SKIPPED_EDGE_DATA = {
+    "CUSTOMER": ("cust_id,score,ref_order\nc1,10,o3\nc2,4.5,o1\nc3,7,\nc4,,o1\nc5,2,o5\n"
+                 "c6,8.25,o3\nc7,1,\n"),
+    "ORDER": ("order_id,total,cust_id\no1,20,c1\no2,5.5,c1\no3,12,c2\no4,,c3\no5,3,c5\n"
+              "o6,9,c6\no7,4,c6\no8,1,c6\n"),
+}
+
 GOLDEN = {
     "chain": {
         "evaluate.json":
@@ -247,6 +274,18 @@ GOLDEN = {
         "prepare/manifest.json":
             "01c437038c33e34c30dfebb0a36f836931986db20563a2c8e3f5c3d3b5bd10fc",
     },
+    "skipped_edge": {
+        "evaluate.json":
+            "47ff37733c85e6d6291b4b63b54111d490219ec7150ad46d9f1db9bf6eff0c3c",
+        "flatten/ds0.csv":
+            "9b122ff475b0d44b44da06c94e5fb2ed2e99ffe874d1d341311d5adb90e49f3b",
+        "plan.json":
+            "1d2bd9886e2fce6d79c90f8b3245ebcfb91f57811d3c424776ac7162aa6d8028",
+        "prepare/T.csv":
+            "9ef15e33a9d389890e30bd23b29622221962ce6b940bce985705c079adcc4380",
+        "prepare/manifest.json":
+            "3fa58a312a08aef24b5061ab6292f0e7b46c7fe1105d76bbb14ee92d561dd43e",
+    },
     "synth_1": {
         "evaluate.json":
             "e2f1816495ec673bd2839c609053e561345dabc3ec5ec1a67de21e3de7806cf7",
@@ -320,12 +359,14 @@ CASES = {
     "n_side_target": _inline(N_SIDE_SCHEMA, N_SIDE_DATA),
     "chain": _inline(CHAIN_SCHEMA, CHAIN_DATA),
     "collision": _inline(COLLISION_SCHEMA, COLLISION_DATA),
+    "skipped_edge": _inline(SKIPPED_EDGE_SCHEMA, SKIPPED_EDGE_DATA),
 }
 
 
 # Cases whose task emits a single dataset, so `evaluate` runs on them. The
 # example has fewer keys than folds.
-EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36", "chain", "collision"}
+EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36", "chain", "collision",
+             "skipped_edge"}
 
 
 def _sha(data: bytes) -> str:
@@ -359,6 +400,22 @@ def _digests(build, tmp_path, capsys, evaluate: bool) -> dict[str, str]:
 def test_golden_outputs(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CMML_TODAY", "2019-06-01")
     assert _digests(CASES[name], tmp_path, capsys, name in EVALUATED) == GOLDEN[name]
+
+
+def test_skipped_edge_derivation_values(tmp_path, monkeypatch):
+    # CUSTOMER.n counts a customer's orders; ORDER.refs sums n over the
+    # customers that refer to the order
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    schema, data_dir, task = CASES["skipped_edge"](tmp_path)
+    assert cli.main(["flatten", "--schema", str(schema), "--task", task, "--quiet",
+                     "--data-dir", str(data_dir), "--out", str(tmp_path / "flatten")]) == 0
+    lines = (tmp_path / "flatten" / "ds0.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert {r["ORDER_order_id"]: r["ORDER_refs"] for r in rows if r["ORDER_order_id"]} == {
+        "o1": "1", "o2": "0", "o3": "5", "o4": "0", "o5": "1", "o6": "0", "o7": "0", "o8": "0"}
+    assert {r["CUSTOMER_cust_id"]: r["CUSTOMER_n"] for r in rows} == {
+        "c1": "2", "c2": "1", "c3": "1", "c4": "0", "c5": "1", "c6": "3", "c7": "0"}
 
 
 def test_evaluate_reports_execution_warnings(tmp_path, capsys, monkeypatch):

@@ -6,10 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from cmml import binder, eer, engine
-from cmml.tabular import (Column, JoinRows, Table, distinct_key_count, read_csv,
-                          table_to_csv_bytes, write_csv)
-from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell
+from cmml import binder, eer, engine, planner
+from cmml.tabular import Column, JoinRows, Table, read_csv, table_to_csv_bytes, write_csv
+from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell, parse_cell
 from conftest import CLOCK, parse_full
 from propgen import Case
 
@@ -60,6 +59,46 @@ def test_read_csv_cell_diagnostics_name_row_and_column(tmp_path):
     assert msg == "T:1:v"  # data row 1, column v
 
 
+def test_read_csv_duplicated_column_is_coded(tmp_path):
+    p = _write(tmp_path, "T.csv", "id,v,d,b,v\nx,1,,,2\n")
+    table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+    assert table is None
+    assert [(d.code, d.message) for d in rep.errors] == [
+        ("duplicate-column", f"{p}: duplicated column(s) ['v']")]
+
+
+def test_read_csv_bad_cells_in_row_major_order(tmp_path):
+    # bad cells in two columns across three rows, around a ragged row; the
+    # list is the one the row-at-a-time reader gave
+    p = _write(tmp_path, "T.csv", "id,v,d,b\nx,abc,2019-01-02,maybe\ny,1,,\nz,1\n"
+                                  "w,inf,2019-01-03,true\nu,2,2019-01-03,yes\n")
+    table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+    assert [(d.code, d.message, d.location) for d in rep.diagnostics] == [
+        ("bad-cell", f"{p}: row 1, column 'v': could not convert string to float: 'abc'", "T:1:v"),
+        ("bad-cell", f"{p}: row 1, column 'b': expected 'true' or 'false', got 'maybe'", "T:1:b"),
+        ("ragged-row", f"{p}: row 3 has 2 fields, expected 4", None),
+        ("bad-cell", f"{p}: row 4, column 'v': expected a finite number, got 'inf'", "T:4:v"),
+        ("bad-cell", f"{p}: row 5, column 'b': expected 'true' or 'false', got 'yes'", "T:5:b"),
+    ]
+    assert table.rows == [["x", None, dt.date(2019, 1, 2), None], ["y", 1.0, None, None],
+                          ["w", None, dt.date(2019, 1, 3), True],
+                          ["u", 2.0, dt.date(2019, 1, 3), None]]
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_read_csv_cells_equal_parse_cell_per_field(seed, tmp_path):
+    for name, table in Case(seed).bundle.tables.items():
+        path = tmp_path / f"{name}.csv"
+        write_csv(table, path)
+        read, rep = read_csv(path, name, [Column(c.name, c.kind) for c in table.columns])
+        assert rep.ok, rep.render()
+        with path.open(encoding="utf-8", newline="") as fh:
+            header, *fields = csv.reader(fh)
+        assert header == read.column_names
+        kinds = [c.kind for c in table.columns]
+        assert read.rows == [[parse_cell(t, k) for t, k in zip(row, kinds)] for row in fields]
+
+
 def test_read_csv_not_utf8_is_coded(tmp_path):
     p = tmp_path / "T.csv"
     p.write_bytes(b"id,v,d,b\nx,1,,\nr\xe9,2,,\n")
@@ -93,6 +132,12 @@ def test_write_deterministic_bytes(tmp_path):
     assert b1 == b"id,v,d,b\nx,48,2019-01-02,true\n"
     write_csv(t, tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == b1
+
+
+def distinct_key_count(table: Table) -> int:
+    if not table.key_columns:
+        raise ValueError(f"table {table.name!r} has no key columns set")
+    return len(set(table.keys()))
 
 
 def test_distinct_key_count():
@@ -131,6 +176,44 @@ def test_table_to_csv_bytes_matches_per_cell_format_cell(seed):
     assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_table_to_csv_bytes_matches_per_cell_format_cell_propgen(seed):
+    case = Case(seed)
+    task = case.schema.task("T")
+    plan = planner.compile_plan(case.bound.schema, task, planner.PlanOptions.from_task(task))
+    datasets, _ = engine.execute(plan, case.bound, engine.Derivations(case.bound, CLOCK))
+    for table in [*case.bundle.tables.values(), *(ds.table for ds in datasets)]:
+        assert table_to_csv_bytes(table) == _reference_csv_bytes(table), table.name
+
+
+@pytest.mark.parametrize("cells,text", [
+    ([-0.0, 0.0, -0.0, 2.5], ["0", "0", "0", "2.5"]),
+    ([1e15, 1e15, 1e15 - 1, -1e15], ["1000000000000000.0", "1000000000000000.0",
+                                     "999999999999999", "-1000000000000000.0"]),
+    ([True, 1.0, 1, 1.0, False, 0.0], ["true", "1", "1", "1", "false", "0"]),
+    ([1.0, UNKNOWN, 1.0, None, NOT_APPLICABLE], ["1", "", "1", "", ""]),
+])
+def test_table_to_csv_bytes_column_memo_keeps_each_cell_text(cells, text):
+    # equal floats share one text; True == 1.0 but keeps its own
+    table = Table("T", [Column("k", "identifier"), Column("c", "text")],
+                  rows=[[f"k{i}", v] for i, v in enumerate(cells)])
+    assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
+    assert [line.split(",")[1] for line in table_to_csv_bytes(table).decode().splitlines()[1:]] \
+        == text
+
+
+def test_table_to_csv_bytes_lone_null_column():
+    # csv quotes a row's lone empty field, but not one beside another field
+    for cells in ([UNKNOWN, None, NOT_APPLICABLE], [None]):
+        alone = Table("T", [Column("c", "numeric")], rows=[[v] for v in cells])
+        assert table_to_csv_bytes(alone) == _reference_csv_bytes(alone)
+        assert table_to_csv_bytes(alone) == b"c\n" + b'""\n' * len(cells)
+        beside = Table("T", [Column("k", "identifier"), Column("c", "numeric")],
+                       rows=[["k", v] for v in cells])
+        assert table_to_csv_bytes(beside) == _reference_csv_bytes(beside)
+        assert table_to_csv_bytes(beside) == b"k,c\n" + b"k,\n" * len(cells)
+
+
 def test_table_to_csv_bytes_every_pooled_cell():
     table = Table("T", [Column("c", "text")], rows=[[v] for v in CELL_POOL])
     assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
@@ -152,7 +235,9 @@ def _materialized(table):
 
 
 def _join_table(blocks, index):
-    rows = JoinRows(blocks, [np.array(idx, dtype=np.int64) for idx in index])
+    """A join view of ``blocks``, given as each block's row tuples."""
+    columns = [[list(column) for column in zip(*block)] or [] for block in blocks]
+    rows = JoinRows(columns, [np.array(idx, dtype=np.int64) for idx in index])
     width = sum(rows.widths)
     return Table("J", [Column(f"c{j}", "text") for j in range(width)], rows)
 
