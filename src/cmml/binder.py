@@ -108,6 +108,11 @@ def _has_null(cells: list) -> bool:
     return not _NULL_TYPES.isdisjoint(map(type, cells))
 
 
+def _unknown_for_null(cells: list) -> list:
+    """A copy of the column with every null cell tagged unknown."""
+    return [UNKNOWN if v is None or type(v) is Null else v for v in cells]
+
+
 def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> bool:
     ok = True
     for ent in schema.entities:
@@ -161,24 +166,19 @@ def _index_relationships(bound: BoundModel) -> None:
         parent_end = rel.end_of(parent_name) if not rel.is_one_to_one else rel.left
         children: dict[object, list[int]] = {}
         for i, v in enumerate(fk_cells):
-            children.setdefault(v, []).append(i)
-        # null and dangling foreign keys, reported in row order
-        bad = {v for v in children if is_null(v) or v not in parent_keys}
-        for i, v in enumerate(fk_cells if bad else ()):
-            if v not in bad:
-                continue
             if is_null(v):
                 if parent_end.min >= 1:
                     rep.warning("mandatory-participation",
                                 f"{child_name}: row {i + 1} has no {parent_name} "
                                 f"(null {fk}) under mandatory participation in {rel.name}",
                                 f"{child_name}:{i + 1}")
-            else:
+                continue
+            if v not in parent_keys:
                 rep.error("dangling-fk",
                           f"{child_name}: row {i + 1} column {fk!r} = {v!r} matches no {parent_name} key",
                           f"{child_name}:{i + 1}")
-        for v in bad:
-            del children[v]
+                continue
+            children.setdefault(v, []).append(i)
         if child_end.min >= 1:
             for pk in sorted(parent_keys - set(children), key=repr):
                 rep.warning("mandatory-participation",
@@ -261,7 +261,7 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
             attr = attrs.get(colname)
             applicable_when = attr.applicable_when if attr is not None else None
             if gen is None and applicable_when is None:
-                tagged[j] = [UNKNOWN if v is None or type(v) is Null else v for v in cells]
+                tagged[j] = _unknown_for_null(cells)
                 continue
             members = bound.subtype_membership.get(gen.name, {}) if gen is not None else None
             if members is not None and keys is None:
@@ -296,7 +296,7 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
                 cells = bound.bundle.table(st.name).cells
                 for j, column in enumerate(cells):
                     if _has_null(column):
-                        cells[j] = [UNKNOWN if v is None or type(v) is Null else v for v in column]
+                        cells[j] = _unknown_for_null(column)
 
 
 def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
