@@ -160,7 +160,11 @@ def _index_relationships(bound: BoundModel) -> None:
                       "a single foreign-key column cannot reference it")
             continue
         fk = rel.fk_columns[0]
-        parent_keys = set(parent.cells[parent.column_index(parent.key_columns[0])])
+        # each non-null key's first row; a null key is a null-key error, no parent
+        parent_keys: dict[object, int] = {}
+        for i, k in enumerate(parent.cells[parent.column_index(parent.key_columns[0])]):
+            if not is_null(k):
+                parent_keys.setdefault(k, i)
         fk_cells = child.cells[child.column_index(fk)]
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
         parent_end = rel.end_of(parent_name) if not rel.is_one_to_one else rel.left
@@ -180,10 +184,11 @@ def _index_relationships(bound: BoundModel) -> None:
                 continue
             children.setdefault(v, []).append(i)
         if child_end.min >= 1:
-            for pk in sorted(parent_keys - set(children), key=repr):
+            for pk in sorted(parent_keys.keys() - children.keys(), key=repr):
                 rep.warning("mandatory-participation",
                             f"{parent_name} {pk!r} has zero {child_name} partners "
-                            f"under mandatory participation in {rel.name}")
+                            f"under mandatory participation in {rel.name}",
+                            f"{parent_name}:{parent_keys[pk] + 1}")
         if child_end.max == "1":
             for pk, rows in children.items():
                 if len(rows) > 1:

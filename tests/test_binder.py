@@ -262,7 +262,7 @@ BIND_DIGESTS = {
     "from_table": "ecd941641df055a03becc4839dda052b77678060356f16ff43cc09e0068ef26b",
     "n_side_target": "79feb9c9d3900fa03d5ecb32c11b0bcf6966035ba04c1240218da673e1191b4c",
     "propgen_5": "b00e0dadf4b57292fbb46f210e7af873330ae706836ba1508e1fb271478f49e9",
-    "noisy": "fddfb6e1d22a4369722b577fa26140e1d6d673e8006f509f312b4845d1e8b16a",
+    "noisy": "797b45ef5ba7506dd1090428557dbfc46d0027e1b562258719d962029addbe1d",
 }
 
 
@@ -292,3 +292,17 @@ def test_bind_equals_row_at_a_time_binder(name, tmp_path):
     assert rep.ok, rep.render()
     bound = binder.bind(schema, bundle, dt.date(2019, 6, 1))
     assert hashlib.sha256(_bind_record(bound).encode()).hexdigest() == BIND_DIGESTS[name]
+
+
+def test_null_parent_key_is_no_parent_and_zero_partner_warnings_are_located(tmp_path):
+    schema = parse_full(NOISY)
+    for table, text in NOISY_DATA.items():
+        (tmp_path / f"{table}.csv").write_text(text, encoding="utf-8")
+    bundle, _ = binder.load_bundle(schema, tmp_path)
+    diags = binder.bind(schema, bundle, dt.date(2019, 6, 1)).report.to_dicts()
+    assert {"severity": "error", "code": "null-key",
+            "message": "E: row 6 has a null key cell", "location": "E:6"} in diags
+    zero = [(d["message"], d["location"]) for d in diags if "zero C partners" in d["message"]]
+    # row 6's null key made the warning "E None has zero C partners" before
+    assert zero == [(f"E {k!r} has zero C partners under mandatory participation in R", loc)
+                    for k, loc in (("b", "E:3"), ("d", "E:7"), ("e", "E:2"))]
