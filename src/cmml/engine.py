@@ -6,7 +6,8 @@ naive fully-denormalized dataset for comparison, and a lineage manifest
 recording every output column's origin entities, source attributes and
 transform. One ``Derivations`` per command computes every derived attribute
 and every relationship's partner groups once; the plan's steps and the naive
-flattener both read them.
+flattener both read them. G4 summaries are grouped reductions over one
+relationship's partner index, each a whole-column numpy operation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -114,6 +115,27 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
 # Derived values, shared by every consumer in one command
 
 
+class Groups:
+    """One relationship's partner index in CSR form: the partner rows of
+    parent row ``p`` are ``rows[offsets[p]:offsets[p + 1]]``. ``gid`` is the
+    parent row of each entry of ``rows``. Do not mutate the arrays."""
+
+    def __init__(self, rows: np.ndarray, sizes: np.ndarray):
+        self.rows = rows
+        self.sizes = sizes
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.gid = np.repeat(np.arange(len(sizes)), sizes)
+
+    def __len__(self) -> int:  # parent rows
+        return len(self.sizes)
+
+    def split(self, cells) -> list[list]:
+        """Each parent row's partner cells, ``cells`` indexed by child row."""
+        flat = list(map(cells.__getitem__, self.rows.tolist()))
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class Derivations:
     """The work one command shares between the plan's steps and the naive
     flattener: each derived attribute's cells, evaluated once, and each
@@ -130,7 +152,8 @@ class Derivations:
         self.bound = bound
         self.clock = clock
         self._derived: dict[tuple[str, str], tuple[list, list[str]]] = {}
-        self._groups: dict[str, list[list[int]]] = {}
+        self._groups: dict[str, Groups] = {}
+        self._key_rank: dict[str, np.ndarray] = {}
 
     def derived(self, entity: str, attr_name: str) -> tuple[list, list[str]]:
         """The derived attribute's cells and its sorted, distinct evaluation
@@ -140,19 +163,32 @@ class Derivations:
             self._derived[key] = self._evaluate(entity, attr_name)
         return self._derived[key]
 
-    def groups(self, rel_name: str) -> list[list[int]]:
+    def groups(self, rel_name: str) -> Groups:
         """For each row of the relationship's parent, its partner rows in the
         child in child-key order (``Table.order_key``): the order in which
-        derivations and G4 summaries aggregate a parent's children. Do not
-        mutate the lists."""
+        derivations and G4 summaries aggregate a parent's children."""
         if rel_name not in self._groups:
             rel = self.bound.schema.relationship(rel_name)
             parent = self.bound.bundle.table(rel.parent_entity())
-            order = self.bound.bundle.table(rel.child_entity()).order_key()
             children = self.bound.children_of.get(rel_name, {})
-            self._groups[rel_name] = [sorted(children.get(k[0], ()), key=order)
-                                      for k in parent.keys()]
+            members = [children.get(k[0], ()) for k in parent.keys()]
+            sizes = np.fromiter(map(len, members), np.int64, len(members))
+            rows = np.fromiter(chain.from_iterable(members), np.int64, int(sizes.sum()))
+            rank = self._rank_by_key(rel.child_entity())
+            # stable: by parent row, then child key
+            rows = rows[np.lexsort((rank[rows], np.repeat(np.arange(len(sizes)), sizes)))]
+            self._groups[rel_name] = Groups(rows, sizes)
         return self._groups[rel_name]
+
+    def _rank_by_key(self, entity: str) -> np.ndarray:
+        """Each row's position in the entity's rows sorted by key, one sort
+        per table for all of its relationships."""
+        if entity not in self._key_rank:
+            table = self.bound.bundle.table(entity)
+            rank = np.empty(table.row_count, dtype=np.int64)
+            rank[sorted(range(table.row_count), key=table.order_key())] = np.arange(table.row_count)
+            self._key_rank[entity] = rank
+        return self._key_rank[entity]
 
     def _cells(self, entity: str, attr_name: str) -> list:
         """A stored attribute's cells, or a derived one's from ``derived``."""
@@ -178,10 +214,10 @@ class Derivations:
                                  f"{agg.relationship!r}")
             groups = self.groups(agg.relationship)
             if agg.attribute is None:
-                cells[agg.relationship, None] = groups
-                continue
-            child = self._cells(rel.child_entity(), agg.attribute)
-            cells[agg.relationship, agg.attribute] = [[child[i] for i in g] for g in groups]
+                child = range(self.bound.bundle.table(rel.child_entity()).row_count)
+            else:
+                child = self._cells(rel.child_entity(), agg.attribute)
+            cells[agg.relationship, agg.attribute] = groups.split(child)
 
         def related(rel_name: str, attribute: Optional[str]) -> list:  # of row r, being derived
             return cells[rel_name, attribute][r]
@@ -229,18 +265,18 @@ class _Execution:
         table.columns.append(col)
         table.cells.append(values)
 
-    def _partners(self, parent: str, child: str, rel_name: str) -> list[list[int]]:
+    def _partners(self, parent: str, child: str, rel_name: str) -> Groups:
         """For each row of the parent frame, its partner rows in the child
-        frame: the rows whose foreign key holds its key (binder order), or
-        the one row that its own foreign key names. Do not mutate the lists."""
+        frame: the rows whose foreign key holds its key (``Derivations.groups``),
+        or the one row that its own foreign key names."""
         rel = self.bound.schema.relationship(rel_name)
-        pframe = self.frames[parent]
         if rel.child_entity() == child:
-            children = self.bound.children_of.get(rel_name, {})
-            return [children.get(k[0], []) for k in pframe.keys()]
+            return self.derivations.groups(rel_name)
+        pframe = self.frames[parent]
         fk = pframe.cells[pframe.column_index(rel.fk_columns[0])]
         ckey = {k[0]: i for i, k in enumerate(self.frames[child].keys())}
-        return [[ckey[v]] if v in ckey else [] for v in fk]
+        partner = np.fromiter((ckey.get(v, -1) for v in fk), np.int64, len(fk))
+        return Groups(partner[partner >= 0], (partner >= 0).astype(np.int64))
 
     def derive_attr(self, entity: str, attr_name: str) -> None:
         """Attach the derived attribute's shared cells as a working column and
@@ -280,7 +316,11 @@ class _Execution:
         if rel.is_one_to_one and rel.child_entity() != child:
             min_partners = 0
         absent_null = _null_for(min_partners)
-        partner = [p[0] if p else -1 for p in partners]  # -1: the absent cell appended last
+        # each parent row's first partner in child-key order; -1: the absent cell appended last
+        partner = np.full(len(partners), -1)
+        has = partners.sizes > 0
+        partner[has] = partners.rows[partners.offsets[:-1][has]]
+        partner = partner.tolist()
         for ci, col in enumerate(cframe.columns):
             if not col.emit or col.consumed or col.kind == "identifier":
                 continue
@@ -292,26 +332,18 @@ class _Execution:
 
     def summarize_child(self, parent: str, child: str, rel_name: str,
                         agg_set: tuple[str, ...], top_k: int) -> None:
+        """G4: one summary column per aggregate of each child column, every
+        numeric, boolean and nominal summary one grouped reduction over the
+        relationship's partner index (``Derivations.groups``)."""
         pframe = self.frames[parent]
         cframe = self.frames[child]
         groups = self.derivations.groups(rel_name)
-
-        def add(col: Column, values: list) -> None:
-            self._add(pframe, col, values)
-
-        def add_reduced(col: Column, values: list) -> None:
-            replaced = _finite(values)
-            if replaced:
-                self.warnings.warning("non-finite-summary",
-                                      f"{col.name}: {replaced} non-finite value(s) set to unknown")
-            add(col, values)
-
-        add_reduced(Column(
+        self._add_summary(pframe, Column(
             name=feature_name("", [child], "count"), kind="numeric",
             origin_entities=[child], source_attributes=[f"{child}.*"],
             transform="count", params={"relationship": rel_name},
             guidelines=["G4"], prefixed=True,
-        ), [ex.aggregate("count", g) for g in groups])
+        ), groups.sizes.astype(float))
 
         numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in agg_set]
         for want_kind in KIND_SUMMARY_ORDER:
@@ -322,21 +354,48 @@ class _Execution:
                 # they surface only when their own entity's datasets are split
                 if col.subtype is not None:
                     continue
-                # each group's null cells are dropped once, for every summary
                 cells = cframe.cells[ci]
-                known = [ex.known_cells(map(cells.__getitem__, g)) for g in groups]
-                if want_kind in ("numeric", "date"):
-                    for agg in numeric_aggs if want_kind == "numeric" else ("min", "max"):
-                        add_reduced(self._agg_col(col, child, rel_name, agg, want_kind),
-                                    [ex.reduce_known(agg, k) for k in known])
+
+                def summary(transform: str, kind: str = "numeric", category: Optional[str] = None):
+                    return self._agg_col(col, child, rel_name, transform, kind, category)
+
+                if want_kind == "numeric":
+                    for agg, values, present in _numeric_summaries(cells, groups, numeric_aggs):
+                        self._add_summary(pframe, summary(agg), values, present)
                 elif want_kind == "nominal":
-                    self._summarize_nominal(col, cells, known, top_k, child, rel_name, add)
+                    for category, counts in _category_counts(cells, groups, top_k):
+                        self._add(pframe, summary("category_count", category=category),
+                                  counts.tolist())
                 elif want_kind == "boolean":
-                    add_reduced(self._agg_col(col, child, rel_name, "true_count", "numeric"),
-                                [ex.aggregate("count", [v for v in k if v is True]) for k in known])
-                else:  # text
-                    add(self._agg_col(col, child, rel_name, "concat", "text"),
-                        ["\n".join(k) if k else UNKNOWN for k in known])
+                    true = np.fromiter((v is True for v in cells), bool, len(cells))[groups.rows]
+                    self._add_summary(pframe, summary("true_count"),
+                                      np.bincount(groups.gid[true], minlength=len(groups)).astype(float))
+                else:  # text and date, per group
+                    known = [ex.known_cells(g) for g in groups.split(cells)]
+                    if want_kind == "date":
+                        for agg in ("min", "max"):
+                            self._add(pframe, summary(agg, "date"),
+                                      [ex.reduce_known(agg, k) for k in known])
+                    else:
+                        self._add(pframe, summary("concat", "text"),
+                                  ["\n".join(k) if k else UNKNOWN for k in known])
+
+    def _add_summary(self, table: Table, col: Column, values: np.ndarray,
+                     present: Optional[np.ndarray] = None) -> None:
+        """Append a numeric summary: one float per group, UNKNOWN where the
+        group has no value (not ``present``) or the value is not finite; a
+        warning counts the non-finite values."""
+        if present is None:
+            present = np.ones(len(values), dtype=bool)
+        non_finite = present & ~np.isfinite(values)
+        replaced = int(np.count_nonzero(non_finite))
+        if replaced:
+            self.warnings.warning("non-finite-summary",
+                                  f"{col.name}: {replaced} non-finite value(s) set to unknown")
+        cells = values.tolist()
+        for i in np.flatnonzero(non_finite | ~present).tolist():
+            cells[i] = UNKNOWN
+        self._add(table, col, cells)
 
     def _agg_col(self, col: Column, child: str, rel_name: str, transform: str,
                  kind: str, category: Optional[str] = None) -> Column:
@@ -355,26 +414,6 @@ class _Execution:
             prefixed=True,
             subtype=col.subtype,
         )
-
-    def _summarize_nominal(self, col, cells, known, top_k, child, rel_name, add) -> None:
-        freq = Counter(ex.known_cells(cells))  # every child row, in a group or not
-        ordered = sorted(freq, key=lambda c: (-freq[c], c))
-        kept = ordered[:top_k]
-        pooled = set(ordered[top_k:])
-        counts = [{} for _ in known]
-        other = [0] * len(known)
-        for r, c in enumerate(known):
-            for v in c:
-                if v in pooled:
-                    other[r] += 1
-                else:
-                    counts[r][v] = counts[r].get(v, 0) + 1
-        for cat in kept:
-            add(self._agg_col(col, child, rel_name, "category_count", "numeric", category=cat),
-                [float(n.get(cat, 0)) for n in counts])
-        if pooled:
-            add(self._agg_col(col, child, rel_name, "category_count", "numeric", category="OTHER"),
-                [float(n) for n in other])
 
     # -- splitting / imputation / emission --------------------------------------
 
@@ -543,11 +582,77 @@ def _non_finite(v: object) -> bool:
 def _finite(values: list) -> int:
     """Replace each non-finite value in ``values`` with UNKNOWN; return how
     many were replaced."""
-    # _non_finite, inlined: this runs once per summary cell
+    # _non_finite, inlined: this runs once per derived cell
     replaced = [i for i, v in enumerate(values) if isinstance(v, float) and not -_INF < v < _INF]
     for i in replaced:
         values[i] = UNKNOWN
     return len(replaced)
+
+
+def float_column(cells: list) -> np.ndarray:
+    """A numeric column's cells as floats, nan for a null of either tag.
+    Numeric cells are finite, so nan marks exactly the nulls."""
+    return np.array([math.nan if v is None or v.__class__ is Null else v for v in cells],
+                    dtype=float)
+
+
+def _numeric_summaries(cells: list, groups: Groups, aggs: list[str]):
+    """``(agg, values, present)`` per aggregate: each group's ``ex.aggregate``
+    of its known cells as one float array, and whether the group has one
+    (sum has a value for every group, 0.0 for none)."""
+    v = float_column(cells)[groups.rows]
+    known = ~np.isnan(v)
+    gid, v = groups.gid[known], v[known]
+    n = np.bincount(gid, minlength=len(groups))
+    # bincount adds each group's cells in order, one rounding per addition:
+    # ex.left_sum's bits (np.sum adds pairwise and would change the last bits)
+    # (an int array when there is no weight at all)
+    total = np.bincount(gid, weights=v, minlength=len(groups)).astype(float, copy=False)
+    present = n > 0
+    everywhere = np.ones(len(groups), dtype=bool)
+    for agg in aggs:
+        if agg == "sum":
+            yield agg, total, everywhere
+        elif agg == "mean":
+            yield agg, total / np.maximum(n, 1), present
+        else:
+            yield agg, _extremes(np.minimum if agg == "min" else np.maximum, v, gid, n), present
+
+
+def _extremes(ufunc: np.ufunc, v: np.ndarray, gid: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.minimum`` or ``np.maximum`` over each group's values (``v`` in
+    group order, ``n`` per group); 0.0 where a group is empty. Python's min
+    and max keep the first of equal values, so a group whose extreme is zero
+    takes the sign of its first zero."""
+    out = np.zeros(len(n))
+    present = n > 0
+    if not v.size:
+        return out
+    out[present] = ufunc.reduceat(v, (np.cumsum(n) - n)[present])
+    zero = v == 0
+    zero_groups, first = np.unique(gid[zero], return_index=True)
+    tied = out[zero_groups] == 0
+    out[zero_groups[tied]] = v[zero][first[tied]]
+    return out
+
+
+def _category_counts(cells: list, groups: Groups, top_k: int):
+    """``(category, counts)`` per kept category, then ``OTHER`` when any is
+    pooled: the ``top_k`` most frequent categories over every child row (in a
+    group or not; ties by value) and each group's count of each, as floats."""
+    freq = Counter(ex.known_cells(cells))
+    ordered = sorted(freq, key=lambda c: (-freq[c], c))
+    kept = ordered[:top_k]
+    # each cell's kept position; the pooled share code len(kept); -1: null
+    code_of = {c: min(j, len(kept)) for j, c in enumerate(ordered)}
+    codes = np.fromiter((code_of.get(v, -1) for v in cells), np.int64, len(cells))[groups.rows]
+    known = codes >= 0
+    width = len(kept) + 1
+    counts = np.bincount(groups.gid[known] * width + codes[known],
+                         minlength=len(groups) * width).reshape(len(groups), width).astype(float)
+    yield from zip(kept, counts.T)
+    if len(ordered) > len(kept):
+        yield "OTHER", counts[:, -1]
 
 
 def _mean_mode_fill(present: list, kind: str):
@@ -749,15 +854,18 @@ def _project_and_rank(frame: Table) -> tuple[list[Column], list[list], np.ndarra
     return columns, cells, ranks
 
 
-def _expand(index: list[np.ndarray], parent: np.ndarray,
-            partners: list[list[int]]) -> list[np.ndarray]:
+def _expand(index: list[np.ndarray], parent: np.ndarray, partners: Groups,
+            absent: int) -> list[np.ndarray]:
     """The join index after one more edge: each output row repeated once per
     partner of its parent row (``parent``), in partner order, with the
-    partner's row appended as a new last block column."""
-    counts = np.fromiter(map(len, partners), dtype=np.int64, count=len(partners))
-    starts = np.cumsum(counts) - counts
-    flat = np.fromiter((c for p in partners for c in p), dtype=np.int64, count=int(counts.sum()))
-    n = counts[parent]
+    partner's row appended as a new last block column. A parent row without
+    partners, and the absent parent row ``len(partners)``, take the child's
+    absent row ``absent`` once."""
+    sizes = np.append(partners.sizes, 0)
+    flat = np.append(partners.rows, absent)
+    # where each parent row's partners start in flat; the absent entry when none
+    starts = np.where(sizes > 0, partners.offsets, len(partners.rows))
+    n = np.maximum(sizes, 1)[parent]
     out_starts = np.cumsum(n) - n
     child = flat[np.arange(int(n.sum())) - np.repeat(out_starts - starts[parent], n)]
     return [np.repeat(idx, n) for idx in index] + [child]
@@ -793,17 +901,15 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
         blocks.append(entity_cells)
         ranks.append(entity_ranks)
 
-    # One index array per entity in join order. partners[i] lists the partner
-    # rows of parent row i in binder order (the final sort fixes the output
-    # order); an absent partner is the block's last, all-null row, and an
-    # absent parent's row carries that absence on.
+    # One index array per entity in join order (the final sort fixes the
+    # output order); an absent partner is the block's last, all-null row, and
+    # an absent parent's row carries that absence on.
     position = {name: k for k, name in enumerate(entities)}
     index = [np.arange(root_frame.row_count, dtype=np.int64)]
     for edge in binding.spanning_tree:
-        absent = frames[edge.child].row_count
-        partners = [p or [absent] for p in st._partners(edge.parent, edge.child, edge.relationship)]
-        partners.append([absent])
-        index = _expand(index, index[position[edge.parent]], partners)
+        index = _expand(index, index[position[edge.parent]],
+                        st._partners(edge.parent, edge.child, edge.relationship),
+                        frames[edge.child].row_count)
     # Blocks have a fixed width per entity, so a stable sort by the ranks,
     # first entity first, orders the output rows by the reprs of all their
     # cells, left to right.

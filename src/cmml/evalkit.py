@@ -13,9 +13,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dsl, eer
-from .engine import TrainingDataset
+from .engine import TrainingDataset, float_column
 from .expr import left_sum
-from .values import is_null
+from .values import NOT_APPLICABLE, UNKNOWN
 from .tabular import Column, DataBundle, Table
 
 
@@ -57,9 +57,11 @@ def regression_metrics(actual: Sequence[float], predicted: Sequence[float],
         raise ValueError("range must be positive")
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
-    ss_res = float(np.sum((a - p) ** 2))
+    # a huge prediction overflows to an infinite error quietly, as in ols_fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss_res = float(np.sum((a - p) ** 2))
+        ss_tot = float(np.sum((a - a.mean()) ** 2))
     rmse = math.sqrt(ss_res / len(a))
-    ss_tot = float(np.sum((a - a.mean()) ** 2))
     warnings: list[str] = []
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
@@ -190,13 +192,14 @@ class OneHotDesign:
     with the lexically last category dropped as reference level. The table's
     key columns, the target, identifiers, dates and text are excluded.
 
-    Columns are encoded once, at construction: numeric as floats (nan =
-    null), boolean as 0/1 and nominal as codes into the sorted category list
-    (-1 = null). A join view's columns are encoded per block cell and
-    gathered along its index. ``fit`` and ``transform`` take an integer
-    array of row indexes into the table; ``fit`` takes the means and the
-    kept categories from the rows it is given. Features are ordered numeric,
-    boolean, then nominal, each category in sorted order.
+    One float design is built at construction: the numeric columns (nan =
+    null), the booleans as 0/1, then one 0/1 column per category of each
+    nominal, in sorted order. ``nominal`` keeps each nominal column's codes
+    into its sorted categories (-1 = null). A join view's columns are encoded
+    per block cell and gathered along its index. ``fit`` and ``transform``
+    take an integer array of row indexes into the table; ``fit`` takes the
+    means and the kept categories from the rows it is given, and
+    ``transform`` gathers the kept columns of the rows.
     """
 
     def __init__(self, table: Table, target_column: str):
@@ -205,42 +208,56 @@ class OneHotDesign:
         for i, c in enumerate(table.columns):
             if c.name not in skip and c.kind in columns:
                 columns[c.kind].append(_encoded(table, i, _ENCODERS[c.kind]))
-
-        def block(cols: list[np.ndarray]) -> np.ndarray:  # one column per array
-            return np.array(cols, dtype=float).reshape(len(cols), table.row_count).T
-
-        self.numeric = block(columns["numeric"])
-        self.boolean = block(columns["boolean"])
         self.nominal = columns["nominal"]
+        dense = columns["numeric"] + columns["boolean"]
+        self.n_numeric = len(columns["numeric"])
+        self.n_dense = len(dense)
+        widths = [int(codes.max(initial=-1)) + 1 for codes in self.nominal]
+        # the first design column of each nominal's categories
+        self.first = len(dense) + np.cumsum([0] + widths[:-1], dtype=np.int64)
+        self.design = np.zeros((table.row_count, len(dense) + sum(widths)))
+        for j, values in enumerate(dense):
+            self.design[:, j] = values
+        for first, codes in zip(self.first.tolist(), self.nominal):
+            rows = np.flatnonzero(codes >= 0)
+            self.design[rows, first + codes[rows]] = 1.0
 
     def fit(self, rows: np.ndarray) -> "OneHotDesign":
-        known = [col[~np.isnan(col)].tolist() for col in self.numeric[rows].T]
-        # summed in row order: np.sum's pairwise summation changes the last bits
-        self.means = np.array([left_sum(k) / len(k) if k else 0.0 for k in known], dtype=float)
+        numeric = self.design[rows, :self.n_numeric]
+        known = ~np.isnan(numeric)
+        filled = np.where(known, numeric, 0.0)
+        # added down each column in row order from a zero row, one rounding
+        # per addition: left_sum's bits (np.sum adds pairwise)
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(np.vstack([np.zeros(self.n_numeric), filled]), axis=0)[-1]
+        count = known.sum(axis=0)
+        self.means = np.where(count > 0, sums / np.maximum(count, 1), 0.0)
         self.kept = []
         for codes in self.nominal:
             picked = codes[rows]
             present = np.flatnonzero(np.bincount(picked[picked >= 0]))
             self.kept.append(present[:-1])  # drop lexically last as reference
+        self.columns = np.concatenate([np.arange(self.n_dense)]
+                                      + [first + kept for first, kept in zip(self.first, self.kept)])
         return self
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        numeric = self.numeric[rows]
-        blocks = [np.where(np.isnan(numeric), self.means, numeric), self.boolean[rows]]
-        for codes, kept in zip(self.nominal, self.kept):
-            blocks.append((codes[rows][:, None] == kept[None, :]).astype(float))
-        return np.hstack(blocks)
+        # a new C-order array: the products in ols_fit round by memory layout
+        X = self.design.take(rows, axis=0).take(self.columns, axis=1)
+        numeric = X[:, :self.n_numeric]
+        np.copyto(numeric, self.means, where=np.isnan(numeric))
+        return X
 
 
 def _nominal_codes(cells: list) -> np.ndarray:
     """Each cell's position in the sorted list of distinct values; -1 = null."""
-    code = {c: j for j, c in enumerate(sorted({v for v in cells if not is_null(v)}))}
-    return np.array([code.get(v, -1) for v in cells], dtype=np.int64)
+    distinct = set(cells) - {None, UNKNOWN, NOT_APPLICABLE}
+    code = {c: j for j, c in enumerate(sorted(distinct))}
+    return np.fromiter((code.get(v, -1) for v in cells), np.int64, len(cells))
 
 
 _ENCODERS = {
-    "numeric": lambda cells: np.array([math.nan if is_null(v) else float(v) for v in cells],
-                                      dtype=float),
+    "numeric": float_column,
     "boolean": lambda cells: np.array([1.0 if v is True else 0.0 for v in cells], dtype=float),
     "nominal": _nominal_codes,
 }
@@ -388,10 +405,10 @@ def _fold_ids(dataset: TrainingDataset, fold_of: dict) -> tuple[list, np.ndarray
 
 
 def _fit_predict(design: OneHotDesign, target: np.ndarray, train: np.ndarray,
-                 test: np.ndarray, ridge: float) -> list[float]:
+                 test: np.ndarray, ridge: float) -> np.ndarray:
     design.fit(train)
     beta = ols_fit(design.transform(train), target[train], ridge=ridge)
-    return ols_predict(beta, design.transform(test)).tolist()
+    return ols_predict(beta, design.transform(test))
 
 
 def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: float,
@@ -425,6 +442,8 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     f_keys, f_y, f_fold = _fold_ids(ds0, fold_of)
     t_known = ~np.isnan(t_y)
     f_known = ~np.isnan(f_y) & (f_fold >= 0)  # rows of keys in no fold never train
+    position = {k: i for i, k in enumerate(keys)}
+    f_key = np.fromiter((position.get(k, -1) for k in f_keys), np.int64, len(f_keys))
     actual = {k: y for k, y, known in zip(t_keys, t_y.tolist(), t_known) if known}
     t_design = OneHotDesign(tds.table, tds.target_column)
     f_design = OneHotDesign(ds0.table, ds0.target_column)
@@ -434,16 +453,17 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     for f in range(folds):
         test = np.flatnonzero(t_known & (t_fold == f))
         preds = _fit_predict(t_design, t_y, np.flatnonzero(t_known & (t_fold != f)), test, ridge)
-        for i, p in zip(test.tolist(), preds):
+        for i, p in zip(test.tolist(), preds.tolist()):
             tds_pred[t_keys[i]] = p
 
         test = np.flatnonzero(f_fold == f)
         preds = _fit_predict(f_design, f_y, np.flatnonzero(f_known & (f_fold != f)), test, ridge)
-        per_key: dict[object, list[float]] = {}
-        for i, p in zip(test.tolist(), preds):
-            per_key.setdefault(f_keys[i], []).append(p)
-        for k, ps in per_key.items():
-            ds0_pred[k] = left_sum(ps) / len(ps)
+        # each key's mean prediction, summed in row order as left_sum would
+        n = np.bincount(f_key[test], minlength=len(keys))
+        mean = (np.bincount(f_key[test], weights=preds, minlength=len(keys))
+                / np.maximum(n, 1)).tolist()
+        for i in np.flatnonzero(n).tolist():
+            ds0_pred[keys[i]] = mean[i]
 
     scored = [k for k in keys if k in actual and k in tds_pred and k in ds0_pred]
     a = [actual[k] for k in scored]

@@ -199,6 +199,21 @@ def test_one_to_one_join_prefixes_columns(tmp_path):
     assert col["a2"] == NOT_APPLICABLE  # optional partner absent
 
 
+def test_one_to_one_join_over_two_partners_takes_the_first_by_key(tmp_path):
+    # a1 has two B rows (a cardinality warning); the join reads the partner
+    # index in child-key order, whatever the order of B's rows in its file
+    datasets, _ = _run("""
+        entity A { key aid: identifier attr t: numeric }
+        entity B { key bid: identifier attr v: numeric }
+        relationship AB { A (1,1) -- (0,1) B via aid }
+        task T { target A.t }
+    """, {
+        "A": "aid,t\na1,1\na2,2\n",
+        "B": "bid,v,aid\nb2,7,a1\nb1,42,a1\n",
+    }, tmp_path, impute="none")
+    assert _col(datasets[0], "B_v") == {"a1": 42.0, "a2": NOT_APPLICABLE}
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 
