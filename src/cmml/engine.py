@@ -360,8 +360,8 @@ class _Execution:
                     return self._agg_col(col, child, rel_name, transform, kind, category)
 
                 if want_kind == "numeric":
-                    for agg, values, present in _numeric_summaries(cells, groups, numeric_aggs):
-                        self._add_summary(pframe, summary(agg), values, present)
+                    for agg, values in _numeric_summaries(cells, groups, numeric_aggs):
+                        self._add_summary(pframe, summary(agg), values)
                 elif want_kind == "nominal":
                     for category, counts in _category_counts(cells, groups, top_k):
                         self._add(pframe, summary("category_count", category=category),
@@ -380,20 +380,16 @@ class _Execution:
                         self._add(pframe, summary("concat", "text"),
                                   ["\n".join(k) if k else UNKNOWN for k in known])
 
-    def _add_summary(self, table: Table, col: Column, values: np.ndarray,
-                     present: Optional[np.ndarray] = None) -> None:
-        """Append a numeric summary: one float per group, UNKNOWN where the
-        group has no value (not ``present``) or the value is not finite; a
-        warning counts the non-finite values."""
-        if present is None:
-            present = np.ones(len(values), dtype=bool)
-        non_finite = present & ~np.isfinite(values)
-        replaced = int(np.count_nonzero(non_finite))
+    def _add_summary(self, table: Table, col: Column, values: np.ndarray) -> None:
+        """Append a numeric summary, one float per group. A nan (a group
+        without a value) and an overflow to ±inf become UNKNOWN; a warning
+        counts the overflows."""
+        replaced = int(np.count_nonzero(np.isinf(values)))
         if replaced:
             self.warnings.warning("non-finite-summary",
                                   f"{col.name}: {replaced} non-finite value(s) set to unknown")
         cells = values.tolist()
-        for i in np.flatnonzero(non_finite | ~present).tolist():
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
             cells[i] = UNKNOWN
         self._add(table, col, cells)
 
@@ -597,9 +593,9 @@ def float_column(cells: list) -> np.ndarray:
 
 
 def _numeric_summaries(cells: list, groups: Groups, aggs: list[str]):
-    """``(agg, values, present)`` per aggregate: each group's ``ex.aggregate``
-    of its known cells as one float array, and whether the group has one
-    (sum has a value for every group, 0.0 for none)."""
+    """``(agg, values)`` per aggregate: each group's ``ex.aggregate`` of its
+    cells as one float array, nan where the group has no known cell (its sum
+    is 0.0). Cells are finite, so a sum overflows to ±inf, never to nan."""
     v = float_column(cells)[groups.rows]
     known = ~np.isnan(v)
     gid, v = groups.gid[known], v[known]
@@ -608,23 +604,21 @@ def _numeric_summaries(cells: list, groups: Groups, aggs: list[str]):
     # ex.left_sum's bits (np.sum adds pairwise and would change the last bits)
     # (an int array when there is no weight at all)
     total = np.bincount(gid, weights=v, minlength=len(groups)).astype(float, copy=False)
-    present = n > 0
-    everywhere = np.ones(len(groups), dtype=bool)
     for agg in aggs:
         if agg == "sum":
-            yield agg, total, everywhere
+            yield agg, total
         elif agg == "mean":
-            yield agg, total / np.maximum(n, 1), present
+            yield agg, np.where(n > 0, total / np.maximum(n, 1), math.nan)
         else:
-            yield agg, _extremes(np.minimum if agg == "min" else np.maximum, v, gid, n), present
+            yield agg, _extremes(np.minimum if agg == "min" else np.maximum, v, gid, n)
 
 
 def _extremes(ufunc: np.ufunc, v: np.ndarray, gid: np.ndarray, n: np.ndarray) -> np.ndarray:
     """``np.minimum`` or ``np.maximum`` over each group's values (``v`` in
-    group order, ``n`` per group); 0.0 where a group is empty. Python's min
+    group order, ``n`` per group); nan where a group is empty. Python's min
     and max keep the first of equal values, so a group whose extreme is zero
     takes the sign of its first zero."""
-    out = np.zeros(len(n))
+    out = np.full(len(n), math.nan)
     present = n > 0
     if not v.size:
         return out

@@ -16,8 +16,9 @@ Grammar (lowest to highest precedence):
 `#` starts a comment that runs to the end of the line.
 
 Aggregate heads are count/sum/mean/min/max over RELATIONSHIP.attribute
-(count takes the bare relationship); ``aggregate`` defines them, for the
-engine's G4 summaries too, over a parent's partner cells in child-key order.
+(count takes the bare relationship); ``aggregate`` defines them over a
+parent's partner cells in child-key order. The engine's G4 summaries compute
+the same values with grouped numpy reductions, tested against it.
 Plain functions are years_between, days_between, today, abs, if. String
 literals shaped YYYY-MM-DD parse as date literals.
 """
