@@ -160,11 +160,12 @@ def _index_relationships(bound: BoundModel) -> None:
                       "a single foreign-key column cannot reference it")
             continue
         fk = rel.fk_columns[0]
-        # each non-null key's first row; a null key is a null-key error, no parent
-        parent_keys: dict[object, int] = {}
-        for i, k in enumerate(parent.cells[parent.column_index(parent.key_columns[0])]):
-            if not is_null(k):
-                parent_keys.setdefault(k, i)
+        # each key's first row (filled from the last row back, so the first
+        # row is written last); a null key is a null-key error and no parent
+        key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
+        parent_keys = dict(zip(reversed(key_cells), range(len(key_cells) - 1, -1, -1)))
+        for null in (None, UNKNOWN, NOT_APPLICABLE):
+            parent_keys.pop(null, None)
         fk_cells = child.cells[child.column_index(fk)]
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
         parent_end = rel.end_of(parent_name) if not rel.is_one_to_one else rel.left
