@@ -1,22 +1,19 @@
 """Fail unless a perfbench result line reports a correct run in which no
-command failed, and, at seed 1, the run's outputs match the values pinned
-below. The result line is the last line of perfbench's stdout.
+command failed and the run's outputs match the values pinned below for seed
+1. The result line is the last line of perfbench's stdout.
 
 Usage: python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 0 \
-           | python .github/scripts/check_bench.py [--seed 1]
+           | python .github/scripts/check_bench.py
 
-``--seed`` names the seed the run used (default 1); the pins apply to seed 1
-only. Every run pins the ``digest <workload> prepare sha256=…`` line, the
-digest of ``prepare``'s CSVs and ``manifest.json``. An untraced run also pins
+Every run pins the ``digest <workload> prepare sha256=…`` line, the digest of
+``prepare``'s CSVs and ``manifest.json``. An untraced run also pins
 ``evaluate_tds_nrmse``, compared bit for bit. A change that moves either has
 changed the program's output on real-sized data.
 """
 
-import argparse
 import json
 import sys
 
-PINNED_SEED = 1
 PINS = {
     "ltv_eval": {
         "prepare_sha256": "f61b8969c55aee12ec78cb395165813cf3ab796b3edeb837e2ccdfd8a8e56a15",
@@ -53,9 +50,6 @@ def pin_problems(lines: list[str], metrics: dict) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--seed", type=int, default=PINNED_SEED)
-    args = parser.parse_args()
     lines = sys.stdin.read().splitlines()
     if not lines:
         print("no result line")
@@ -63,12 +57,10 @@ def main() -> int:
     result = json.loads(lines[-1])
     print(f"correct={result.get('correct')} failed={result.get('failed')}"
           f"/{result.get('attempted')}")
-    ok = result.get("correct") is True and result.get("failed") == 0
-    if args.seed == PINNED_SEED:
-        problems = pin_problems(lines[:-1], result.get("metrics", {}))
-        for p in problems:
-            print(f"pin: {p}")
-        ok = ok and not problems
+    problems = pin_problems(lines[:-1], result.get("metrics", {}))
+    for p in problems:
+        print(f"pin: {p}")
+    ok = result.get("correct") is True and result.get("failed") == 0 and not problems
     return 0 if ok else 1
 
 

@@ -174,10 +174,11 @@ class Derivations:
             members = [children.get(k[0], ()) for k in parent.keys()]
             sizes = np.fromiter(map(len, members), np.int64, len(members))
             rows = np.fromiter(chain.from_iterable(members), np.int64, int(sizes.sum()))
+            groups = Groups(rows, sizes)
             rank = self._rank_by_key(rel.child_entity())
             # stable: by parent row, then child key
-            rows = rows[np.lexsort((rank[rows], np.repeat(np.arange(len(sizes)), sizes)))]
-            self._groups[rel_name] = Groups(rows, sizes)
+            groups.rows = rows[np.lexsort((rank[rows], groups.gid))]
+            self._groups[rel_name] = groups
         return self._groups[rel_name]
 
     def _rank_by_key(self, entity: str) -> np.ndarray:

@@ -242,8 +242,9 @@ class OneHotDesign:
         return self
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        # a new C-order array: the products in ols_fit round by memory layout
-        X = self.design.take(rows, axis=0).take(self.columns, axis=1)
+        # one gather into a new C-order array: the products in ols_fit round
+        # by memory layout
+        X = self.design[rows[:, None], self.columns]
         numeric = X[:, :self.n_numeric]
         np.copyto(numeric, self.means, where=np.isnan(numeric))
         return X
