@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 from . import eer
 from . import expr as ex
 from .diagnostics import Report
-from .tabular import Column, DataBundle, read_csv
+from .tabular import Column, DataBundle, Table, read_csv
 from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null
 
 
@@ -111,6 +110,19 @@ def _has_null(cells: list) -> bool:
 def _unknown_for_null(cells: list) -> list:
     """A copy of the column with every null cell tagged unknown."""
     return [UNKNOWN if v is None or type(v) is Null else v for v in cells]
+
+
+def _null_rows(cells: list) -> list[int]:
+    """The positions of the column's null cells, read or tagged."""
+    return [i for i, v in enumerate(cells) if v is None or type(v) is Null]
+
+
+def _predicate(schema: eer.EerSchema, entity: str, table: Table, predicate: ex.Expr,
+               clock: _dt.date) -> list:
+    """A subtype or applicability predicate's verdict on every row of the
+    entity's table as read (a None cell reads as unknown)."""
+    return ex.eval_column(predicate, schema.stored_env(entity), table.row_count,
+                          dict(zip(table.column_names, table.cells)), {}, clock)[0]
 
 
 def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> bool:
@@ -215,13 +227,8 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
                         continue
                     membership[key].add(st.name)
             else:
-                # each row's environment holds only the attributes the predicate reads
-                names = sorted(ex.referenced_attrs(st.membership))
-                read = [sup.cells[sup.column_index(n)] for n in names]
-                envs = (dict(zip(names, cells)) for cells in zip(*read)) if names \
-                    else repeat({}, len(sup_keys))
-                for i, (env, key) in enumerate(zip(envs, sup_keys)):
-                    verdict = ex.eval_expr(st.membership, env, clock=clock)
+                verdicts = _predicate(schema, gen.supertype, sup, st.membership, clock)
+                for i, (verdict, key) in enumerate(zip(verdicts, sup_keys)):
                     if is_null(verdict):
                         rep.warning("membership-null",
                                     f"{gen.supertype}: row {i + 1} membership predicate for {st.name} "
@@ -257,7 +264,6 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
         names = table.column_names
         attrs = {a.name: a for a in schema.effective_columns(ent.name)}
         keys = None
-        envs: dict[int, dict] = {}  # row -> its untagged cells by name
         tagged: dict[int, list] = {}
         warnings: list[tuple[int, int, str]] = []
         for j, (colname, cells) in enumerate(zip(names, table.cells)):
@@ -272,18 +278,16 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
             members = bound.subtype_membership.get(gen.name, {}) if gen is not None else None
             if members is not None and keys is None:
                 keys = list(table.keys())
+            verdicts = (_predicate(schema, ent.name, table, applicable_when, clock)
+                        if applicable_when is not None else None)
             column = list(cells)
-            for i, v in enumerate(cells):
-                if not is_null(v):
-                    continue
+            for i in _null_rows(cells):
                 if members is not None and st.name not in members.get(keys[i], ()):
                     column[i] = NOT_APPLICABLE
                     continue
                 tag = UNKNOWN
-                if applicable_when is not None:
-                    if i not in envs:
-                        envs[i] = {n: c[i] for n, c in zip(names, table.cells)}
-                    applicable = ex.eval_expr(applicable_when, envs[i], clock=clock)
+                if verdicts is not None:
+                    applicable = verdicts[i]
                     if is_null(applicable):
                         warnings.append((i, j, f"{ent.name}: row {i + 1}: applicable_when of "
                                                f"{colname!r} is null; cell classified unknown"))

@@ -6,8 +6,10 @@ naive fully-denormalized dataset for comparison, and a lineage manifest
 recording every output column's origin entities, source attributes and
 transform. One ``Derivations`` per command computes every derived attribute
 and every relationship's partner groups once; the plan's steps and the naive
-flattener both read them. G4 summaries are grouped reductions over one
-relationship's partner index, each a whole-column numpy operation.
+flattener both read them. Each derived attribute is one ``expr.eval_column``
+over all rows of its entity. G4 summaries are grouped reductions over one
+relationship's partner index (``expr.group_reduce``, the kernel a
+derivation's aggregates run on), each a whole-column numpy operation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +31,7 @@ from . import dsl, eer
 from . import expr as ex
 from .binder import BoundModel
 from .diagnostics import Report
+from .expr import Groups
 from .planner import PlanError, PlanOptions, TransformationPlan, derivation_order
 from .tabular import Column, JoinRows, Table, table_to_csv_bytes
 from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null, parse_cell
@@ -115,27 +118,6 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
 # Derived values, shared by every consumer in one command
 
 
-class Groups:
-    """One relationship's partner index in CSR form: the partner rows of
-    parent row ``p`` are ``rows[offsets[p]:offsets[p + 1]]``. ``gid`` is the
-    parent row of each entry of ``rows``. Do not mutate the arrays."""
-
-    def __init__(self, rows: np.ndarray, sizes: np.ndarray):
-        self.rows = rows
-        self.sizes = sizes
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.gid = np.repeat(np.arange(len(sizes)), sizes)
-
-    def __len__(self) -> int:  # parent rows
-        return len(self.sizes)
-
-    def split(self, cells) -> list[list]:
-        """Each parent row's partner cells, ``cells`` indexed by child row."""
-        flat = list(map(cells.__getitem__, self.rows.tolist()))
-        bounds = self.offsets.tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 class Derivations:
     """The work one command shares between the plan's steps and the naive
     flattener: each derived attribute's cells, evaluated once, and each
@@ -200,37 +182,21 @@ class Derivations:
         return table.cells[table.column_index(attr_name)]
 
     def _evaluate(self, entity: str, attr_name: str) -> tuple[list, list[str]]:
+        """One ``ex.eval_column`` over the entity's rows, its aggregates over
+        the relationships' partner groups."""
         schema = self.bound.schema
         expr = schema.entity(entity).attr(attr_name).derivation
-        # each row's environment holds only the attributes the expression reads
-        names = sorted(ex.referenced_attrs(expr))
-        envs = ((dict(zip(names, cells)) for cells in zip(*[self._cells(entity, a) for a in names]))
-                if names else repeat({}, self.bound.bundle.table(entity).row_count))
-        # (relationship, attribute) -> each row's partner cells (for count, its partners)
-        cells: dict[tuple[str, Optional[str]], list[list]] = {}
+        columns = {a: self._cells(entity, a) for a in sorted(ex.referenced_attrs(expr))}
+        related: dict[tuple[str, Optional[str]], tuple[Optional[list], Groups]] = {}
         for agg in ex.referenced_aggregates(expr):
             rel = schema.relationship(agg.relationship)
             if rel is None or rel.parent_entity() != entity:
                 raise ValueError(f"entity {entity} cannot aggregate over relationship "
                                  f"{agg.relationship!r}")
-            groups = self.groups(agg.relationship)
-            if agg.attribute is None:
-                child = range(self.bound.bundle.table(rel.child_entity()).row_count)
-            else:
-                child = self._cells(rel.child_entity(), agg.attribute)
-            cells[agg.relationship, agg.attribute] = groups.split(child)
-
-        def related(rel_name: str, attribute: Optional[str]) -> list:  # of row r, being derived
-            return cells[rel_name, attribute][r]
-
-        diags: list[str] = []
-        values = []
-        for r, env in enumerate(envs):
-            values.append(ex.eval_expr(expr, env, related, self.clock, diags))
-        replaced = _finite(values)
-        if replaced:
-            diags.append(f"{replaced} non-finite value(s) set to unknown")
-        return values, sorted(set(diags))
+            child = None if agg.attribute is None else self._cells(rel.child_entity(), agg.attribute)
+            related[agg.relationship, agg.attribute] = (child, self.groups(agg.relationship))
+        return ex.eval_column(expr, schema.type_env(entity), self.bound.bundle.table(entity).row_count,
+                              columns, related, self.clock)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +327,8 @@ class _Execution:
                     return self._agg_col(col, child, rel_name, transform, kind, category)
 
                 if want_kind == "numeric":
-                    for agg, values in _numeric_summaries(cells, groups, numeric_aggs):
+                    reduced = ex.group_reduce(numeric_aggs, ex.float_column(cells), groups)
+                    for agg, values in zip(numeric_aggs, reduced):
                         self._add_summary(pframe, summary(agg), values)
                 elif want_kind == "nominal":
                     for category, counts in _category_counts(cells, groups, top_k):
@@ -371,15 +338,15 @@ class _Execution:
                     true = np.fromiter((v is True for v in cells), bool, len(cells))[groups.rows]
                     self._add_summary(pframe, summary("true_count"),
                                       np.bincount(groups.gid[true], minlength=len(groups)).astype(float))
-                else:  # text and date, per group
+                elif want_kind == "date":
+                    extremes = ex.group_reduce(("min", "max"), ex.ordinal_column(cells), groups)
+                    for agg, days in zip(("min", "max"), extremes):
+                        self._add(pframe, summary(agg, "date"), [
+                            UNKNOWN if d != d else _dt.date.fromordinal(int(d)) for d in days.tolist()])
+                else:  # text, per group
                     known = [ex.known_cells(g) for g in groups.split(cells)]
-                    if want_kind == "date":
-                        for agg in ("min", "max"):
-                            self._add(pframe, summary(agg, "date"),
-                                      [ex.reduce_known(agg, k) for k in known])
-                    else:
-                        self._add(pframe, summary("concat", "text"),
-                                  ["\n".join(k) if k else UNKNOWN for k in known])
+                    self._add(pframe, summary("concat", "text"),
+                              ["\n".join(k) if k else UNKNOWN for k in known])
 
     def _add_summary(self, table: Table, col: Column, values: np.ndarray) -> None:
         """Append a numeric summary, one float per group. A nan (a group
@@ -484,7 +451,7 @@ class _Execution:
                         f"dataset {name}: text column {col.name!r} is not imputed under "
                         f"mean_mode; {unknown} unknown cell(s) left null")
                     continue
-                fill, kind = _mean_mode_fill(ex.known_cells(cells), col.kind)
+                fill, kind = _mean_mode_fill(cells, col.kind)
                 if fill is None:
                     self.warnings.warning(
                         "not-imputed",
@@ -568,67 +535,9 @@ def _feature_records(ds: TrainingDataset) -> list[dict]:
     } for col in ds.table.columns]
 
 
-_INF = math.inf
-
-
 def _non_finite(v: object) -> bool:
     """An overflow to ±inf, or nan: never written to a numeric cell."""
     return isinstance(v, float) and not math.isfinite(v)
-
-
-def _finite(values: list) -> int:
-    """Replace each non-finite value in ``values`` with UNKNOWN; return how
-    many were replaced."""
-    # _non_finite, inlined: this runs once per derived cell
-    replaced = [i for i, v in enumerate(values) if isinstance(v, float) and not -_INF < v < _INF]
-    for i in replaced:
-        values[i] = UNKNOWN
-    return len(replaced)
-
-
-def float_column(cells: list) -> np.ndarray:
-    """A numeric column's cells as floats, nan for a null of either tag.
-    Numeric cells are finite, so nan marks exactly the nulls."""
-    return np.array([math.nan if v is None or v.__class__ is Null else v for v in cells],
-                    dtype=float)
-
-
-def _numeric_summaries(cells: list, groups: Groups, aggs: list[str]):
-    """``(agg, values)`` per aggregate: each group's ``ex.aggregate`` of its
-    cells as one float array, nan where the group has no known cell (its sum
-    is 0.0). Cells are finite, so a sum overflows to ±inf, never to nan."""
-    v = float_column(cells)[groups.rows]
-    known = ~np.isnan(v)
-    gid, v = groups.gid[known], v[known]
-    n = np.bincount(gid, minlength=len(groups))
-    # bincount adds each group's cells in order, one rounding per addition:
-    # ex.left_sum's bits (np.sum adds pairwise and would change the last bits)
-    # (an int array when there is no weight at all)
-    total = np.bincount(gid, weights=v, minlength=len(groups)).astype(float, copy=False)
-    for agg in aggs:
-        if agg == "sum":
-            yield agg, total
-        elif agg == "mean":
-            yield agg, np.where(n > 0, total / np.maximum(n, 1), math.nan)
-        else:
-            yield agg, _extremes(np.minimum if agg == "min" else np.maximum, v, gid, n)
-
-
-def _extremes(ufunc: np.ufunc, v: np.ndarray, gid: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``np.minimum`` or ``np.maximum`` over each group's values (``v`` in
-    group order, ``n`` per group); nan where a group is empty. Python's min
-    and max keep the first of equal values, so a group whose extreme is zero
-    takes the sign of its first zero."""
-    out = np.full(len(n), math.nan)
-    present = n > 0
-    if not v.size:
-        return out
-    out[present] = ufunc.reduceat(v, (np.cumsum(n) - n)[present])
-    zero = v == 0
-    zero_groups, first = np.unique(gid[zero], return_index=True)
-    tied = out[zero_groups] == 0
-    out[zero_groups[tied]] = v[zero][first[tied]]
-    return out
 
 
 def _category_counts(cells: list, groups: Groups, top_k: int):
@@ -650,20 +559,30 @@ def _category_counts(cells: list, groups: Groups, top_k: int):
         yield "OTHER", counts[:, -1]
 
 
-def _mean_mode_fill(present: list, kind: str):
-    if not present:
-        return None, None
+def _mean_mode_fill(cells: list, kind: str):
+    """The fill of a column's unknown cells and its transform kind, from
+    its known cells; (None, None) when it has none."""
     if kind == "numeric":
-        return ex.aggregate("mean", present), "imputed_mean"
+        known = ex.float_column(cells)
+        known = known[~np.isnan(known)]
+        if not known.size:
+            return None, None
+        # bincount adds in order: left_sum's bits
+        total = np.bincount(np.zeros(known.size, dtype=np.intp), weights=known)[0]
+        return float(total) / known.size, "imputed_mean"
     if kind in ("nominal", "boolean"):
-        freq: dict = {}
-        for v in present:
-            freq[v] = freq.get(v, 0) + 1
-        best = sorted(freq, key=lambda v: (-freq[v], str(v)))[0]
-        return best, "imputed_mode"
+        freq = Counter(cells)
+        for null in (UNKNOWN, NOT_APPLICABLE):
+            freq.pop(null, None)
+        if not freq:
+            return None, None
+        return min(freq, key=lambda v: (-freq[v], str(v))), "imputed_mode"
     if kind == "date":
-        ordered = sorted(present)
-        return ordered[(len(ordered) - 1) // 2], "imputed_mean"  # lower median
+        days = ex.ordinal_column(cells)
+        days = np.sort(days[~np.isnan(days)])
+        if not days.size:
+            return None, None
+        return _dt.date.fromordinal(int(days[(len(days) - 1) // 2])), "imputed_mean"  # lower median
     return None, None
 
 

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dsl, eer
-from .engine import TrainingDataset, float_column
-from .expr import left_sum
+from .engine import TrainingDataset
+from .expr import float_column, left_sum
 from .values import NOT_APPLICABLE, UNKNOWN
 from .tabular import Column, DataBundle, Table
 

@@ -16,11 +16,16 @@ Grammar (lowest to highest precedence):
 `#` starts a comment that runs to the end of the line.
 
 Aggregate heads are count/sum/mean/min/max over RELATIONSHIP.attribute
-(count takes the bare relationship); ``aggregate`` defines them over a
-parent's partner cells in child-key order. The engine's G4 summaries compute
-the same values with grouped numpy reductions, tested against it.
-Plain functions are years_between, days_between, today, abs, if. String
-literals shaped YYYY-MM-DD parse as date literals.
+(count takes the bare relationship). Plain functions are years_between,
+days_between, today, abs, if. String literals shaped YYYY-MM-DD parse as
+date literals.
+
+``eval_column`` is the one evaluator the program runs: it evaluates an
+expression once over all rows of an entity, one numpy operation per node,
+and its aggregates are ``group_reduce``, the grouped kernel the engine's G4
+summaries also use. ``eval_expr`` (one row) and ``aggregate`` (one group of
+cells) define the same semantics cell by cell; they are the reference the
+tests compare the column evaluator against.
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ import datetime as _dt
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .values import DATE_RE, UNKNOWN, Null, format_float, is_null, parse_date
+import numpy as np
+
+from .values import DATE_RE, NOT_APPLICABLE, UNKNOWN, Null, format_float, is_null, parse_date
 
 AGG_KINDS = ("count", "sum", "mean", "min", "max")
 FN_NAMES = ("years_between", "days_between", "today", "abs", "if")
@@ -579,6 +586,246 @@ def _eval_call(expr: Call, row, related, clock, diagnostics):
     if fn == "abs":
         return abs(vals[0])
     raise ValueError(f"unknown function {fn!r}")
+
+
+# ---------------------------------------------------------------------------
+# Grouped kernels: one relationship's aggregates for all parents at once
+
+
+class Groups:
+    """One relationship's partner index in CSR form: the partner rows of
+    parent row ``p`` are ``rows[offsets[p]:offsets[p + 1]]``. ``gid`` is the
+    parent row of each entry of ``rows``. Do not mutate the arrays."""
+
+    def __init__(self, rows: np.ndarray, sizes: np.ndarray):
+        self.rows = rows
+        self.sizes = sizes
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.gid = np.repeat(np.arange(len(sizes)), sizes)
+
+    def __len__(self) -> int:  # parent rows
+        return len(self.sizes)
+
+    def split(self, cells) -> list[list]:
+        """Each parent row's partner cells, ``cells`` indexed by child row."""
+        flat = list(map(cells.__getitem__, self.rows.tolist()))
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def float_column(cells: Sequence) -> np.ndarray:
+    """A numeric column's cells as floats, nan for a null of either tag (or
+    None). Numeric cells are finite, so nan marks exactly the nulls."""
+    return np.array([math.nan if v is None or v.__class__ is Null else v for v in cells],
+                    dtype=float)
+
+
+def ordinal_column(cells: Sequence) -> np.ndarray:
+    """A date column's cells as day ordinals in floats, nan for a null."""
+    return np.array([math.nan if v is None or v.__class__ is Null else v.toordinal()
+                     for v in cells], dtype=float)
+
+
+def group_reduce(kinds: Sequence[str], v: np.ndarray, groups: Groups) -> list[np.ndarray]:
+    """``aggregate(kind, ·)`` of each parent's partners for each kind of
+    sum, mean, min and max: ``v`` holds each child row's value
+    (``float_column`` or ``ordinal_column``), each result one float per
+    parent, nan where a mean, min or max has no known value. Cells are
+    finite, so a sum overflows to ±inf, never to nan."""
+    v = v[groups.rows]
+    known = ~np.isnan(v)
+    gid, v = groups.gid[known], v[known]
+    n = np.bincount(gid, minlength=len(groups))
+    # bincount adds each group's cells in order, one rounding per addition:
+    # left_sum's bits (np.sum adds pairwise and would change the last bits)
+    # (an int array when there is no weight at all)
+    total = (np.bincount(gid, weights=v, minlength=len(groups)).astype(float, copy=False)
+             if "sum" in kinds or "mean" in kinds else None)
+    out = []
+    for kind in kinds:
+        if kind == "sum":
+            out.append(total)
+        elif kind == "mean":
+            out.append(np.where(n > 0, total / np.maximum(n, 1), math.nan))
+        elif kind in ("min", "max"):
+            out.append(_extremes(np.minimum if kind == "min" else np.maximum, v, gid, n))
+        else:
+            raise ValueError(f"bad aggregate {kind!r}")
+    return out
+
+
+def _extremes(ufunc: np.ufunc, v: np.ndarray, gid: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.minimum`` or ``np.maximum`` over each group's values (``v`` in
+    group order, ``n`` per group); nan where a group is empty. Python's min
+    and max keep the first of equal values, so a group whose extreme is zero
+    takes the sign of its first zero."""
+    out = np.full(len(n), math.nan)
+    present = n > 0
+    if not v.size:
+        return out
+    out[present] = ufunc.reduceat(v, (np.cumsum(n) - n)[present])
+    zero = v == 0
+    zero_groups, first = np.unique(gid[zero], return_index=True)
+    tied = out[zero_groups] == 0
+    out[zero_groups[tied]] = v[zero][first[tied]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Column evaluation: each node once over all rows of an entity
+
+RelatedColumns = Mapping[tuple[str, Optional[str]], tuple[Optional[Sequence], Groups]]
+
+_TAGS = (None, UNKNOWN, NOT_APPLICABLE)  # by null code; 0: the row holds a value
+_NULL_CODE = {None: 1, UNKNOWN: 1, NOT_APPLICABLE: 2}  # a bare None reads as unknown
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+        "and": np.logical_and, "or": np.logical_or,
+        "<": np.less, "<=": np.less_equal, "=": np.equal, "!=": np.not_equal,
+        ">=": np.greater_equal, ">": np.greater}
+
+
+@dataclass
+class _Vec:
+    """An expression's value on every row: ``values`` as float64 (numeric),
+    bool, int64 day ordinals (date) or objects (the text kinds), and each
+    row's null code into ``_TAGS`` (int8). A null row's value is a filler
+    that no known row reads."""
+
+    values: np.ndarray
+    null: np.ndarray
+
+
+def eval_column(expr: Expr, env: TypeEnv, rows: int, columns: Mapping[str, Sequence],
+                related: RelatedColumns, clock: Optional[_dt.date]) -> tuple[list, list[str]]:
+    """Evaluate a type-checked expression (typed in ``env``) over all
+    ``rows`` rows of an entity: each row's cell equals ``eval_expr`` on that
+    row, and the diagnostics are the sorted, distinct ones ``eval_expr``
+    gives over all rows. ``columns`` holds the cells of each attribute the
+    expression reads; ``related`` holds, per aggregate's (relationship,
+    attribute), the child's cells (None for count) and the relationship's
+    ``Groups``. A numeric result that is not finite (an overflow) becomes
+    UNKNOWN, counted in a diagnostic."""
+    diags: set[str] = set()
+    with np.errstate(all="ignore"):
+        vec = _Columns(env, rows, columns, related, clock, diags).eval(expr)
+        if vec.values.dtype == float:
+            bad = (vec.null == 0) & ~np.isfinite(vec.values)
+            if bad.any():
+                diags.add(f"{int(np.count_nonzero(bad))} non-finite value(s) set to unknown")
+                vec.null = np.where(bad, np.int8(1), vec.null)
+    if vec.values.dtype == np.int64:  # day ordinals; a filler may be no day
+        values = list(map(_dt.date.fromordinal, np.where(vec.null == 0, vec.values, 1).tolist()))
+    else:
+        values = vec.values.tolist()
+    nulls = np.flatnonzero(vec.null)
+    for i, code in zip(nulls.tolist(), vec.null[nulls].tolist()):
+        values[i] = _TAGS[code]
+    return values, sorted(diags)
+
+
+class _Columns:
+    """``eval_column``'s walk: one vector per node, null codes propagated as
+    ``eval_expr`` propagates nulls."""
+
+    def __init__(self, env: TypeEnv, rows: int, columns: Mapping[str, Sequence],
+                 related: RelatedColumns, clock: Optional[_dt.date], diags: set[str]):
+        self.env = env
+        self.rows = rows
+        self.columns = columns
+        self.related = related
+        self.clock = clock
+        self.diags = diags
+
+    def eval(self, e: Expr) -> _Vec:
+        if isinstance(e, Literal):
+            return self._constant(e.value)
+        if isinstance(e, AttrRef):
+            return _load(self.columns[e.name], self.env.attrs[e.name])
+        if isinstance(e, Unary):
+            v = self.eval(e.operand)
+            return _Vec(-v.values, v.null)  # keeps the operand's tag
+        if isinstance(e, Binary):
+            return self._binary(e)
+        if isinstance(e, Call):
+            return self._call(e)
+        if isinstance(e, Aggregate):
+            return self._aggregate(e)
+        raise TypeError(f"not an Expr: {e!r}")
+
+    def _constant(self, v) -> _Vec:
+        if isinstance(v, _dt.date):
+            values = np.full(self.rows, v.toordinal(), dtype=np.int64)
+        else:
+            values = np.full(self.rows, v, dtype=bool if isinstance(v, bool)
+                             else float if isinstance(v, float) else object)
+        return _Vec(values, np.zeros(self.rows, dtype=np.int8))
+
+    def _binary(self, e: Binary) -> _Vec:
+        lhs, rhs = self.eval(e.lhs), self.eval(e.rhs)
+        null = ((lhs.null != 0) | (rhs.null != 0)).astype(np.int8)  # any null: UNKNOWN
+        if e.op == "/":
+            zero = (rhs.values == 0) & (null == 0)
+            if zero.any():
+                self.diags.add(f"division by zero in {pretty_print(e)!r}")
+                null[zero] = 1
+        return _Vec(_OPS[e.op](lhs.values, rhs.values), null)
+
+    def _call(self, e: Call) -> _Vec:
+        if e.fn == "today":
+            if self.clock is None:
+                raise ValueError("today() requires an injected clock date")
+            return self._constant(self.clock)
+        args = [self.eval(a) for a in e.args]  # every argument, as eval_expr does
+        if e.fn == "if":
+            cond, then, other = args
+            chosen = np.where(cond.values, then.null, other.null)
+            return _Vec(np.where(cond.values, then.values, other.values),
+                        np.where(cond.null != 0, np.int8(1), chosen).astype(np.int8))
+        null = np.zeros(self.rows, dtype=bool)
+        for a in args:
+            null |= a.null != 0
+        if e.fn == "years_between":
+            values = np.floor((args[1].values - args[0].values) / DAYS_PER_YEAR)
+        elif e.fn == "days_between":
+            values = (args[1].values - args[0].values).astype(float)
+        elif e.fn == "abs":
+            values = np.abs(args[0].values)
+        else:
+            raise ValueError(f"unknown function {e.fn!r}")
+        return _Vec(values, null.astype(np.int8))
+
+    def _aggregate(self, e: Aggregate) -> _Vec:
+        if (e.relationship, e.attribute) not in self.related:
+            raise ValueError(f"aggregate {pretty_print(e)!r} requires its related cells")
+        cells, groups = self.related[e.relationship, e.attribute]
+        if e.kind == "count":
+            return _Vec(groups.sizes.astype(float), np.zeros(len(groups), dtype=np.int8))
+        date = self.env.rels[e.relationship][e.attribute] == "date"
+        values, = group_reduce((e.kind,), (ordinal_column if date else float_column)(cells), groups)
+        null = np.isnan(values)
+        if date:
+            values = np.where(null, 1, values).astype(np.int64)
+        return _Vec(values, null.astype(np.int8))
+
+
+def _load(cells: Sequence, kind: str) -> _Vec:
+    """An attribute's cells as a vector, each null keeping its tag."""
+    if kind == "numeric":
+        values = float_column(cells)
+        nulls = np.flatnonzero(np.isnan(values))
+    else:
+        values = np.array(cells, dtype=object)
+        nulls = np.array([i for i, v in enumerate(cells) if v is None or v.__class__ is Null],
+                         dtype=np.intp)
+    null = np.zeros(len(cells), dtype=np.int8)
+    null[nulls] = [_NULL_CODE[cells[i]] for i in nulls.tolist()]
+    if kind == "boolean":
+        values[nulls] = False
+        values = values.astype(bool)
+    elif kind == "date":
+        values[nulls] = _dt.date.min
+        values = np.fromiter(map(_dt.date.toordinal, values), dtype=np.int64, count=len(cells))
+    return _Vec(values, null)
 
 
 def _nodes(expr: Expr) -> Iterator[Expr]:

@@ -3,6 +3,14 @@
 Each seed produces a small star/chain schema rooted at ROOT (one to three
 child entities, optionally a grandchild, optionally a generalization on the
 root) plus a data bundle that binds cleanly.
+
+Unless ``derived=False``, the schema also carries derived attributes at two
+levels: plain ones on the children, aggregate-bearing ones on ROOT (and on
+the first child when it has a grandchild) that read the children's derived
+attributes and each other. Their operands include both null tags (a
+subtype-only attribute is not applicable outside its subtype) and divisors
+that are zero. They are drawn from a second random stream, so the rest of
+the schema and the data are the same either way.
 """
 
 import random
@@ -35,7 +43,7 @@ def _value(rng, kind):
 
 
 class Case:
-    def __init__(self, seed):
+    def __init__(self, seed, derived=True):
         rng = random.Random(seed)
         self.seed = seed
         self.rng = rng
@@ -51,6 +59,8 @@ class Case:
         self.edge_kind = {c: rng.choice(("1N", "1N", "1N", "11")) for c in self.children}
         self.min_part = {c: (rng.choice((0, 1)) if self.edge_kind[c] == "1N" else 0)
                          for c in self.children}
+        # entity -> [(name, kind, expression)]
+        self.derived = self._derivations(random.Random(f"{seed}:derived")) if derived else {}
 
         self.schema = parse_full(self._schema_text())
         self.bundle = self._bundle()
@@ -59,15 +69,66 @@ class Case:
 
     # -- schema ---------------------------------------------------------------
 
+    def _derivations(self, rng):
+        """Derived attributes per entity. Child ``d0`` is plain; ``d1`` on the
+        first child aggregates over GRAND; ROOT's ``r0`` aggregates over a
+        child (its ``d0`` when it has one), ``r1`` reads ``r0`` and ``r2``
+        (with a generalization) a subtype-only attribute. Every derivation
+        reads an attribute, so its lineage has a source."""
+        out = {}
+
+        def numeric(attrs):
+            return [name for name, kind in attrs if kind == "numeric"]
+
+        for c in self.children:
+            nums = numeric(self.child_attrs[c])
+            if nums:
+                a, b = rng.choice(nums), rng.choice(nums)
+                out[c] = [("d0", "numeric", rng.choice((
+                    f"{a} * 2 - {b}", f"-{a}", f"{a} / ({b} - {b})", f"abs({a}) / {b}",
+                    f"if({a} > 0, {a}, {b} / 0)")))]
+        first = self.children[0]
+        grand_nums = numeric(self.grand_attrs)
+        if self.grand and grand_nums:
+            g = rng.choice(grand_nums)
+            mine = "d0" if out.get(first) else "1"
+            out.setdefault(first, []).append(("d1", "numeric", rng.choice((
+                f"sum(REL_GRAND.{g}) / count(REL_GRAND)", f"mean(REL_GRAND.{g}) + {mine}",
+                f"max(REL_GRAND.{g}) - min(REL_GRAND.{g}) * {mine}"))))
+        sources = {c: [d[0] for d in out.get(c, ())] + numeric(self.child_attrs[c])
+                   for c in self.children}
+        c = rng.choice([c for c in self.children if sources[c]] or self.children)
+        if sources[c]:
+            x = rng.choice(sources[c])
+            r0 = rng.choice((f"sum(REL_{c}.{x}) + size", f"mean(REL_{c}.{x}) * size",
+                             f"if(count(REL_{c}) > 1, max(REL_{c}.{x}), size)"))
+        else:
+            r0 = f"size / count(REL_{c})"
+        root = [("r0", "numeric", r0), rng.choice((
+            ("r1", "numeric", f"r0 / count(REL_{c})"),
+            ("r1", "numeric", "if(r0 > size, r0, -size) / (size - size)"),
+            ("r1", "boolean", f"r0 > size or count(REL_{c}) < 2")))]
+        if self.gen_mode is not None:
+            root.append(("r2", "numeric", rng.choice((
+                "-low_x", "high_x + r0", "if(size < 0, low_x, high_x)"))))
+        out["ROOT"] = root
+        return out
+
+    def _derived_decls(self, entity):
+        return [f"  derived attr {name}: {kind} = {text}"
+                for name, kind, text in self.derived.get(entity, ())]
+
     def _schema_text(self):
         parts = ["entity ROOT {", "  key rid: identifier",
                  "  attr t: numeric", "  attr size: numeric"]
+        parts += self._derived_decls("ROOT")
         parts.append("}")
         for c in self.children:
             parts.append(f"entity {c} {{")
             parts.append(f"  key {c.lower()}_id: identifier")
             for name, kind in self.child_attrs[c]:
                 parts.append(f"  attr {name}: {kind}")
+            parts += self._derived_decls(c)
             parts.append("}")
         if self.grand:
             parts.append("entity GRAND {")

@@ -526,25 +526,28 @@ def _chain_evaluate(tmp_path):
 
 
 def test_evaluate_derives_each_cell_once(tmp_path, monkeypatch, capsys):
+    """evaluate runs one column evaluation per derived attribute, for both of
+    its arms, and never the one-row reference evaluator."""
+    from collections import Counter
     from cmml import dsl, expr
-    from test_golden import CHAIN_DATA, CHAIN_SCHEMA
-    eval_expr, depth, outermost = expr.eval_expr, [0], [0]
+    from test_golden import CHAIN_SCHEMA
+    eval_column, calls = expr.eval_column, Counter()
 
-    def counting(*args):
-        outermost[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return eval_expr(*args)
-        finally:
-            depth[0] -= 1
+    def counting(e, *args):
+        calls[expr.pretty_print(e)] += 1
+        return eval_column(e, *args)
 
-    monkeypatch.setattr(expr, "eval_expr", counting)
+    def refuse(*args):
+        raise AssertionError("the one-row evaluator ran")
+
+    monkeypatch.setattr(expr, "eval_column", counting)
+    monkeypatch.setattr(expr, "eval_expr", refuse)
     assert run(*_chain_evaluate(tmp_path)) == 0
     schema, _ = dsl.parse_schema(dsl.SchemaSource(CHAIN_SCHEMA, origin="<test>"))
-    cells = sum(sum(a.is_derived for a in e.attributes) * (CHAIN_DATA[e.name].count("\n") - 1)
-                for e in schema.entities)
-    assert cells == 7 * 1 + 9 * 2 + 10 * 1
-    assert outermost[0] == cells
+    derivations = [expr.pretty_print(a.derivation) for e in schema.entities
+                   for a in e.attributes if a.is_derived]
+    assert len(derivations) == 4
+    assert calls == Counter(derivations)
 
 
 def test_evaluate_hashes_and_writes_no_table(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,38 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from cmml import expr as ex
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 
 
+def _kind(v):
+    if isinstance(v, bool):
+        return "boolean"
+    if isinstance(v, dt.date):
+        return "date"
+    return "nominal" if isinstance(v, str) else "numeric"
+
+
 def ev(text, row=None, related=None, clock=None, diagnostics=None):
-    return ex.eval_expr(ex.parse_expr(text), row or {}, related, clock, diagnostics)
+    """``eval_expr`` on one row, asserted equal to ``eval_column`` on a
+    one-row entity (cell ``repr`` and type, distinct diagnostics)."""
+    e, row, diags = ex.parse_expr(text), row or {}, []
+    want = ex.eval_expr(e, row, related, clock, diags)
+    if diagnostics is not None:
+        diagnostics.extend(diags)
+    env = ex.TypeEnv(attrs={k: _kind(v) for k, v in row.items()},
+                     rels={"PLACES": {"total": "numeric"}})
+    groups = {}
+    for agg in ex.referenced_aggregates(e):
+        cells = related(agg.relationship, agg.attribute)
+        groups[agg.relationship, agg.attribute] = (
+            cells, ex.Groups(np.arange(len(cells)), np.array([len(cells)])))
+    got, got_diags = ex.eval_column(e, env, 1, {k: [v] for k, v in row.items()}, groups, clock)
+    assert (repr(got[0]), type(got[0])) == (repr(want), type(want))
+    assert got_diags == sorted(set(diags))
+    return want
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ def _synth(seed):
 
 def _propgen(seed):
     def build(tmp_path):
-        case = Case(seed)
+        case = Case(seed, derived=False)
         return _write(tmp_path, case.bundle.tables, case._schema_text()), tmp_path, "T"
     return build
 
