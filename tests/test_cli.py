@@ -526,8 +526,8 @@ def _chain_evaluate(tmp_path):
 
 
 def test_evaluate_derives_each_cell_once(tmp_path, monkeypatch, capsys):
-    """evaluate runs one column evaluation per derived attribute, for both of
-    its arms, and never the one-row reference evaluator."""
+    """evaluate runs one column evaluation per derived attribute, shared by
+    both of its arms, and never the one-row reference evaluator."""
     from collections import Counter
     from cmml import dsl, expr
     from test_golden import CHAIN_SCHEMA

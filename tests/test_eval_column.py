@@ -18,6 +18,7 @@ import pytest
 
 from cmml import binder, engine
 from cmml import expr as ex
+from cmml.tabular import Column, DataBundle, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN
 from conftest import CLOCK, parse_full
 from propgen import Case
@@ -174,7 +175,6 @@ entity E {
 }
 task T { target E.t }
 """)
-    from cmml.tabular import Column, DataBundle, Table
     table = Table("E", [Column(n, k) for n, k in
                         (("id", "identifier"), ("t", "numeric"), ("employed", "boolean"),
                          ("salary", "numeric"))], key_columns=["id"])
