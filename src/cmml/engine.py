@@ -669,10 +669,7 @@ def _warn_target_leakage(plan: TransformationPlan, bound: BoundModel, st: _Execu
 def _build_manifest(plan, bound, warnings: Report, datasets) -> dict:
     from . import __version__
 
-    table_hashes = {
-        name: hashlib.sha256(table_to_csv_bytes(t)).hexdigest()
-        for name, t in sorted(bound.bundle.tables.items())
-    }
+    table_hashes = {name: t.source_sha256 for name, t in sorted(bound.bundle.tables.items())}
     schema_text = dsl.print_schema(bound.schema).text
     return {
         "tool_version": __version__,

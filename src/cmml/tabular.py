@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import hashlib
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -122,13 +123,17 @@ class Table:
     column ``j``'s cell of every row. ``ds0``'s table instead holds a
     ``JoinRows`` in ``join`` and no ``cells``. ``rows`` is a read-only row
     view of either, for callers that want rows; a table can still be built
-    from rows (``rows=`` or ``rows.append``)."""
+    from rows (``rows=`` or ``rows.append``). ``source_sha256`` is the SHA-256
+    of the file bytes ``read_csv`` parsed the table from, None for a table
+    built in memory."""
 
     def __init__(self, name: str, columns: list[Column], rows: Iterable[Sequence] = (),
-                 key_columns: Iterable[str] = (), *, cells: Optional[list[list]] = None):
+                 key_columns: Iterable[str] = (), *, cells: Optional[list[list]] = None,
+                 source_sha256: Optional[str] = None):
         self.name = name
         self.columns = columns
         self.key_columns = list(key_columns)
+        self.source_sha256 = source_sha256
         self.join = rows if isinstance(rows, JoinRows) else None
         if cells is None and self.join is None:
             cells = [[] for _ in columns]
@@ -200,21 +205,28 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
     row/column indexes, in row-major order. The rows are transposed once and
     each column is parsed by its kind (``values.parse_column``). A file that
     is not UTF-8 or that the csv module cannot parse yields no table and one
-    coded diagnostic naming the file (and the line).
+    coded diagnostic naming the file (and the line). The file is read once;
+    the table's ``source_sha256`` is the digest of exactly those bytes, and
+    its text has universal newlines, as ``Path.read_text`` would give it.
     """
     rep = Report()
     columns = list(columns)
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+    except OSError as err:
+        rep.error("io", f"cannot read {path}: {err}")
+        return None, rep
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         rep.error("encoding", f"{path}: not UTF-8: byte 0x{err.object[err.start]:02x} "
                               f"at offset {err.start}")
         return None, rep
-    except OSError as err:
-        rep.error("io", f"cannot read {path}: {err}")
-        return None, rep
-    reader = csv.reader(io.StringIO(text))
+    digest = hashlib.sha256(data).hexdigest()
+    del data
+    reader = csv.reader(io.StringIO(text, newline=None))
+    del text
     try:
         header = next(reader, None)
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
@@ -268,7 +280,8 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
         rep.error("bad-csv", f"{path}: line {reader.line_num}: {failure}",
                   f"{path}:{reader.line_num}")
         return None, rep
-    return Table(name, columns, key_columns=key_columns, cells=cells), rep
+    return Table(name, columns, key_columns=key_columns, cells=cells,
+                 source_sha256=digest), rep
 
 
 # Exact cell types that csv.writer already writes as format_cell would: it

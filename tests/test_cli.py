@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -558,6 +559,57 @@ def test_evaluate_hashes_and_writes_no_table(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(engine, "table_to_csv_bytes", refuse)
     assert run(*_chain_evaluate(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("holdout", [None, "0.4"])
+def test_prepare_serializes_only_emitted_datasets(tmp_path, monkeypatch, holdout):
+    """prepare writes each dataset (and with --holdout its two parts) once,
+    and never serializes an input table: the manifest pins inputs by the
+    bytes read_csv read."""
+    from collections import Counter
+    from cmml import engine
+    from test_golden import FROM_TABLE_DATA, FROM_TABLE_SCHEMA, _inline
+    serialize, calls = engine.table_to_csv_bytes, Counter()
+
+    def counting(table):
+        calls[table.name] += 1
+        return serialize(table)
+
+    monkeypatch.setattr(engine, "table_to_csv_bytes", counting)
+    schema, data, task = _inline(FROM_TABLE_SCHEMA, FROM_TABLE_DATA)(tmp_path)
+    out = tmp_path / "out"
+    argv = ["prepare", "--schema", str(schema), "--data-dir", str(data), "--task", task,
+            "--out", str(out), "--quiet"]
+    if holdout is not None:
+        argv += ["--holdout", holdout]
+    assert run(*argv) == 0
+    written = ["T_GOLD", "T_TRIAL"]
+    if holdout is not None:
+        written += [f"{name}_{part}" for name in written for part in ("train", "test")]
+    assert calls == Counter(written)
+    assert sorted(p.stem for p in out.glob("*.csv")) == sorted(written)
+
+
+def test_prepare_output_does_not_depend_on_line_ends_but_the_pins_do(tmp_path):
+    # the example data with CRLF line ends: the same datasets, and a manifest
+    # that differs only in table_sha256, each the digest of the CRLF file
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for path in EXAMPLE_DATA.glob("*.csv"):
+        (crlf / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    manifests = {}
+    for name, data in (("lf", EXAMPLE_DATA), ("crlf", crlf)):
+        assert run("prepare", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(data),
+                   "--task", "PREDICT_LTV", "--out", str(tmp_path / f"out_{name}"),
+                   "--quiet") == 0
+        manifests[name] = json.loads((tmp_path / f"out_{name}" / "manifest.json").read_text())
+    assert ((tmp_path / "out_lf" / "PREDICT_LTV.csv").read_bytes()
+            == (tmp_path / "out_crlf" / "PREDICT_LTV.csv").read_bytes())
+    pins = {name: manifest.pop("table_sha256") for name, manifest in manifests.items()}
+    assert manifests["lf"] == manifests["crlf"]
+    assert pins["crlf"] == {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in crlf.glob("*.csv")}
+    assert set(pins["crlf"].values()).isdisjoint(pins["lf"].values())
 
 
 def test_evaluate_sorts_each_relationships_partners_once(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,8 @@ on purpose updates the digests in the same commit and says why.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -400,6 +402,23 @@ def _digests(build, tmp_path, capsys, evaluate: bool) -> dict[str, str]:
 def test_golden_outputs(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CMML_TODAY", "2019-06-01")
     assert _digests(CASES[name], tmp_path, capsys, name in EVALUATED) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_manifest_pins_each_input_file_by_its_bytes(name, tmp_path, monkeypatch):
+    # table_sha256 is `sha256sum <NAME>.csv` of every input, the from-table
+    # subtypes' membership tables included
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    data = tmp_path / "data"
+    data.mkdir()
+    schema, data_dir, task = CASES[name](data)
+    assert cli.main(["prepare", "--schema", str(schema), "--task", task, "--quiet",
+                     "--data-dir", str(data_dir), "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    files = {p.stem: _sha(p.read_bytes()) for p in Path(data_dir).glob("*.csv")}
+    assert manifest["table_sha256"] == files
+    if name == "from_table":
+        assert set(files) == {"ACCOUNT", "GOLD", "TRIAL"}
 
 
 def test_skipped_edge_derivation_values(tmp_path, monkeypatch):

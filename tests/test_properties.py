@@ -1,6 +1,7 @@
 """Randomized property suites over generated schema/data cases."""
 
 import csv
+import json
 import random
 import re
 
@@ -76,6 +77,14 @@ def test_imputation_never_touches_not_applicable(seed):
                     assert i_cell == NOT_APPLICABLE
                 elif r_cell != UNKNOWN:
                     assert i_cell == r_cell  # only unknown cells may change
+
+
+def test_manifest_table_sha256_is_null_for_in_memory_tables():
+    # a propgen bundle is built in memory, so no file bytes pin its tables
+    case = Case(5)
+    _, manifest = _execute(case)
+    assert manifest["table_sha256"] == dict.fromkeys(sorted(case.bundle.tables))
+    assert '"ROOT": null' in json.dumps(manifest)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import hashlib
 import io
 import random
 
@@ -109,11 +110,90 @@ def test_read_csv_not_utf8_is_coded(tmp_path):
     assert "0xe9" in rep.errors[0].message
 
 
-@pytest.mark.parametrize("lines,line", [
+@pytest.mark.parametrize("data,offset", [
+    (b"id,v,d,b\nx,1,,\nr\xe9,2,,\n", 16),
+    # far past any read buffer, after CRLF line ends
+    (b"id,v,d,b\r\n" + b"x,1,,\r\n" * 20_000 + b"r\xe9,2,,\r\n", 140_011),
+    (b"id,v,d,b\nx,1,,\ny\xc3", 16),  # a sequence cut off by the end of the file
+])
+def test_read_csv_not_utf8_names_the_byte_and_its_offset(tmp_path, data, offset):
+    p = tmp_path / "T.csv"
+    p.write_bytes(data)
+    table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+    assert table is None
+    assert [(d.code, d.message) for d in rep.diagnostics] == [
+        ("encoding", f"{p}: not UTF-8: byte 0x{data[offset]:02x} at offset {offset}")]
+
+
+def test_read_csv_source_sha256_is_the_file_digest(tmp_path):
+    # columns out of declared order, CRLF line ends and a float that the
+    # writer would print as 1.5: the digest is of these bytes, not of the
+    # table written out again
+    data = b"b,id,d,v\r\ntrue,x,2019-01-02,1.50\r\nfalse,y,,\r\n"
+    p = tmp_path / "T.csv"
+    p.write_bytes(data)
+    table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+    assert rep.ok, rep.render()
+    assert table.source_sha256 == hashlib.sha256(data).hexdigest()
+    assert table_to_csv_bytes(table) != data
+    assert Table("T", COLS).source_sha256 is None
+
+
+TEXT_COLS = [Column("id", "identifier"), Column("t", "text"), Column("v", "numeric")]
+
+
+@pytest.mark.parametrize("data", [
+    b"id,t,v\r\nx,a b,1.5\r\ny,,\r\n",
+    b'id,t,v\r\nx,"a\r\nb",1\r\ny,"c\rd",2\r\nz,"e\r\n\rf\n",\n',
+    b'id,t,v\rx,p,1\ry,"p\rq",2\r',
+    b'id,t,v\n"x\r\n",t,3\n',
+])
+def test_read_csv_translates_newlines_as_read_text_does(tmp_path, data):
+    # CRLF and a lone CR end a line, and inside a quoted field each becomes
+    # one newline: the cells are those of the fields of Path.read_text's text
+    p = tmp_path / "T.csv"
+    p.write_bytes(data)
+    table, rep = read_csv(p, "T", TEXT_COLS, key_columns=["id"])
+    assert rep.ok, rep.render()
+    header, *fields = csv.reader(io.StringIO(p.read_text(encoding="utf-8")))
+    assert header == table.column_names
+    assert table.rows == [[parse_cell(f, c.kind) for f, c in zip(row, TEXT_COLS)]
+                          for row in fields]
+    assert not any("\r" in cell for cell in table.cells[1] if isinstance(cell, str))
+
+
+def test_read_csv_embedded_newlines_parse_to_line_feeds(tmp_path):
+    p = tmp_path / "T.csv"
+    p.write_bytes(b'id,t,v\r\nx,"a\r\nb",1\r\ny,"c\rd",2\r\n')
+    table, rep = read_csv(p, "T", TEXT_COLS, key_columns=["id"])
+    assert rep.ok, rep.render()
+    assert table.rows == [["x", "a\nb", 1.0], ["y", "c\nd", 2.0]]
+
+
+def test_read_csv_crlf_diagnostics_equal_lf(tmp_path):
+    # the same bad cells and ragged row, line for line, whatever ends the lines
+    text = "id,v,d,b\nx,abc,2019-01-02,maybe\ny,1,,\nz,1\nw,inf,2019-01-03,true\n"
+    seen = []
+    for newline in ("\n", "\r\n", "\r"):
+        directory = tmp_path / str(len(seen))
+        directory.mkdir()
+        p = directory / "T.csv"
+        p.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+        seen.append(([(d.code, d.message.replace(str(p), "T.csv"), d.location)
+                      for d in rep.diagnostics], table.rows))
+    assert seen[0][0][2] == ("ragged-row", "T.csv: row 3 has 2 fields, expected 4", None)
+    assert seen[0] == seen[1] == seen[2]
+
+
+UNPARSEABLE = [
     (["id,v,d,b", "x,1,,", "y," + "9" * 200_000 + ",,"], 3),
     (["id,v,d,b", "x,1,,", "y,2,,", 'z,"' + "4" * 200_000 + '",,'], 4),
     (["id,v,d,b," + "h" * 200_000, "x,1,,"], 1),
-])
+]
+
+
+@pytest.mark.parametrize("lines,line", UNPARSEABLE)
 def test_read_csv_unparseable_csv_is_coded(tmp_path, lines, line):
     p = _write(tmp_path, "T.csv", "\n".join(lines) + "\n")
     table, rep = read_csv(p, "T", COLS, key_columns=["id"])
@@ -121,6 +201,16 @@ def test_read_csv_unparseable_csv_is_coded(tmp_path, lines, line):
     assert [d.code for d in rep.errors] == ["bad-csv"]
     assert rep.errors[0].message.startswith(f"{p}: line {line}: field larger than field limit")
     assert rep.errors[0].location == f"{p}:{line}"
+
+
+@pytest.mark.parametrize("lines,line", UNPARSEABLE)
+def test_read_csv_unparseable_crlf_csv_names_the_same_line(tmp_path, lines, line):
+    p = tmp_path / "T.csv"
+    p.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    table, rep = read_csv(p, "T", COLS, key_columns=["id"])
+    assert table is None
+    assert [(d.code, d.location) for d in rep.errors] == [("bad-csv", f"{p}:{line}")]
+    assert rep.errors[0].message.startswith(f"{p}: line {line}: field larger than field limit")
 
 
 def test_write_deterministic_bytes(tmp_path):
