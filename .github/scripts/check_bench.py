@@ -6,7 +6,9 @@ Usage: python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 0 \
            | python .github/scripts/check_bench.py
 
 Every run pins the ``digest <workload> prepare sha256=…`` line, the digest of
-``prepare``'s CSVs and ``manifest.json``. An untraced run also pins
+``prepare``'s CSVs and ``manifest.json``. The manifest pins each input file
+by the SHA-256 of its bytes, so the digest also moves if the workload
+generators write their CSVs differently. An untraced run also pins
 ``evaluate_tds_nrmse``, compared bit for bit. A change that moves either has
 changed the program's output on real-sized data.
 """
@@ -16,15 +18,15 @@ import sys
 
 PINS = {
     "ltv_eval": {
-        "prepare_sha256": "f61b8969c55aee12ec78cb395165813cf3ab796b3edeb837e2ccdfd8a8e56a15",
+        "prepare_sha256": "54611e4634bf95810d2664e2efbfa24fff2da1a5812b32572ed5022b8e81ed7d",
         "evaluate_tds_nrmse": 0.0534886286418856,
     },
     "star_split": {
-        "prepare_sha256": "d50dbf1652e23327bf7f410b231006fb238ce1766f81683651245aa9b2b26d70",
+        "prepare_sha256": "d7cddba86975e62bab3a12d1cd6b6cf9d28a868759c7f82b216acb55e64fccc9",
         "evaluate_tds_nrmse": 0.05073457657445215,
     },
     "chain_derive": {
-        "prepare_sha256": "59bd678aacdcfd205078512e7c7aa074cfb1c9294f4c81f72f9e6efb25446a71",
+        "prepare_sha256": "9636ed0d592ea4afbfc29feff08bf297a248a7cebab04c25cc1ed05be7fe8792",
         "evaluate_tds_nrmse": 0.029317325144780033,
     },
 }
