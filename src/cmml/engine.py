@@ -260,9 +260,9 @@ class _Execution:
             col.consumed = True
         sources = {f"{entity}.{a}" for a in refs}
         for agg in ex.referenced_aggregates(attr.derivation):
-            if agg.attribute is not None:
-                child = schema.relationship(agg.relationship).child_entity()
-                sources.add(f"{child}.{agg.attribute}")
+            # count(REL) reads the child's rows, as the G4 count summary does
+            child = schema.relationship(agg.relationship).child_entity()
+            sources.add(f"{child}.{agg.attribute or '*'}")
         col = Column(
             name=attr_name, kind=attr.kind,
             origin_entities=[entity], source_attributes=sorted(sources),

@@ -182,7 +182,7 @@ GOLDEN = {
         "prepare/T.csv":
             "a0381ed10f2a485fd0e552cb7a360e8068ead38c0324e4cfc6ceec7ea5923eb7",
         "prepare/manifest.json":
-            "56aed6ecf2457bd324e82281a8f7f6353687b55dfd974de227e12e53776ff43b",
+            "402ec1ea515572282adf08b5c99a01dd7359c60e8f913c4fcb3b7f9b8bbc49fb",
     },
     "collision": {
         "evaluate.json":
@@ -194,7 +194,7 @@ GOLDEN = {
         "prepare/T.csv":
             "b9a39024b68c3ad8414bd4826e050e3f92c935c0328464e9d04cd912c676db88",
         "prepare/manifest.json":
-            "e83ded35293303b02502e561f939280e019755f61affba297f563e80a003f0b6",
+            "a53abef676c88b171ee6d834ef49c8adf46d6fb5088106b3d256aba8533cd5ab",
     },
     "example": {
         "flatten/ds0.csv":
@@ -286,7 +286,7 @@ GOLDEN = {
         "prepare/T.csv":
             "9ef15e33a9d389890e30bd23b29622221962ce6b940bce985705c079adcc4380",
         "prepare/manifest.json":
-            "3fa58a312a08aef24b5061ab6292f0e7b46c7fe1105d76bbb14ee92d561dd43e",
+            "56e73847220a7a431ca92e02ad199f8576d2b3d9c6eed09bcf09b639822f04de",
     },
     "synth_1": {
         "evaluate.json":
@@ -419,6 +419,27 @@ def test_manifest_pins_each_input_file_by_its_bytes(name, tmp_path, monkeypatch)
     assert manifest["table_sha256"] == files
     if name == "from_table":
         assert set(files) == {"ACCOUNT", "GOLD", "TRIAL"}
+
+
+def test_count_derivations_read_the_counted_rows(tmp_path, monkeypatch):
+    # count(REL) has the child's rows as its source, as the G4 count does;
+    # a derivation's summaries keep its sources
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    sources = {}
+    for name in ("chain", "collision", "skipped_edge"):
+        (tmp_path / name).mkdir()
+        schema, data_dir, task = CASES[name](tmp_path / name)
+        out = tmp_path / f"{name}_out"
+        assert cli.main(["prepare", "--schema", str(schema), "--task", task, "--quiet",
+                         "--data-dir", str(data_dir), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        sources.update({f["name"]: f["source_attributes"]
+                        for f in manifest["datasets"]["T"]["features"]})
+    for agg in ("sum", "mean", "min", "max"):
+        assert sources[f"ORDER_lines_{agg}"] == ["LINE.*"]            # count(CONTAINS)
+        assert sources[f"ORDER_per_ship_{agg}"] == ["LINE.*", "ORDER.shipping"]
+    assert sources["CUSTOMER_n"] == ["ORDER.*"]                        # count(PLACES)
+    assert sources["ORDER_count"] == ["ORDER.*"]
 
 
 def test_skipped_edge_derivation_values(tmp_path, monkeypatch):
