@@ -72,9 +72,11 @@ class Case:
     def _derivations(self, rng):
         """Derived attributes per entity. Child ``d0`` is plain; ``d1`` on the
         first child aggregates over GRAND; ROOT's ``r0`` aggregates over a
-        child (its ``d0`` when it has one), ``r1`` reads ``r0`` and ``r2``
-        (with a generalization) a subtype-only attribute. Every derivation
-        reads an attribute, so its lineage has a source."""
+        child (its ``d0`` when it has one), ``r1`` reads ``r0`` or only counts
+        a child's rows, and ``r2`` (with a generalization) a subtype-only
+        attribute. ``d1`` may be a bare count as well: a count-only
+        derivation reads no attribute, and its lineage names the counted
+        rows (``GRAND.*``)."""
         out = {}
 
         def numeric(attrs):
@@ -94,7 +96,7 @@ class Case:
             mine = "d0" if out.get(first) else "1"
             out.setdefault(first, []).append(("d1", "numeric", rng.choice((
                 f"sum(REL_GRAND.{g}) / count(REL_GRAND)", f"mean(REL_GRAND.{g}) + {mine}",
-                f"max(REL_GRAND.{g}) - min(REL_GRAND.{g}) * {mine}"))))
+                f"max(REL_GRAND.{g}) - min(REL_GRAND.{g}) * {mine}", "count(REL_GRAND)"))))
         sources = {c: [d[0] for d in out.get(c, ())] + numeric(self.child_attrs[c])
                    for c in self.children}
         c = rng.choice([c for c in self.children if sources[c]] or self.children)
@@ -107,7 +109,8 @@ class Case:
         root = [("r0", "numeric", r0), rng.choice((
             ("r1", "numeric", f"r0 / count(REL_{c})"),
             ("r1", "numeric", "if(r0 > size, r0, -size) / (size - size)"),
-            ("r1", "boolean", f"r0 > size or count(REL_{c}) < 2")))]
+            ("r1", "boolean", f"r0 > size or count(REL_{c}) < 2"),
+            ("r1", "numeric", f"count(REL_{c})")))]
         if self.gen_mode is not None:
             root.append(("r2", "numeric", rng.choice((
                 "-low_x", "high_x + r0", "if(size < 0, low_x, high_x)"))))
