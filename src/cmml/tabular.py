@@ -224,9 +224,8 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
                               f"at offset {err.start}")
         return None, rep
     digest = hashlib.sha256(data).hexdigest()
-    del data
+    del data  # not held beside the reader's own copy of the text
     reader = csv.reader(io.StringIO(text, newline=None))
-    del text
     try:
         header = next(reader, None)
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()

@@ -162,14 +162,6 @@ def test_read_csv_translates_newlines_as_read_text_does(tmp_path, data):
     assert not any("\r" in cell for cell in table.cells[1] if isinstance(cell, str))
 
 
-def test_read_csv_embedded_newlines_parse_to_line_feeds(tmp_path):
-    p = tmp_path / "T.csv"
-    p.write_bytes(b'id,t,v\r\nx,"a\r\nb",1\r\ny,"c\rd",2\r\n')
-    table, rep = read_csv(p, "T", TEXT_COLS, key_columns=["id"])
-    assert rep.ok, rep.render()
-    assert table.rows == [["x", "a\nb", 1.0], ["y", "c\nd", 2.0]]
-
-
 def test_read_csv_crlf_diagnostics_equal_lf(tmp_path):
     # the same bad cells and ragged row, line for line, whatever ends the lines
     text = "id,v,d,b\nx,abc,2019-01-02,maybe\ny,1,,\nz,1\nw,inf,2019-01-03,true\n"
