@@ -214,14 +214,13 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
     path = Path(path)
     try:
         data = path.read_bytes()
-    except OSError as err:
-        rep.error("io", f"cannot read {path}: {err}")
-        return None, rep
-    try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         rep.error("encoding", f"{path}: not UTF-8: byte 0x{err.object[err.start]:02x} "
                               f"at offset {err.start}")
+        return None, rep
+    except OSError as err:
+        rep.error("io", f"cannot read {path}: {err}")
         return None, rep
     digest = hashlib.sha256(data).hexdigest()
     del data  # not held beside the reader's own copy of the text
