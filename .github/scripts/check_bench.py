@@ -1,46 +1,63 @@
 """Fail unless a perfbench result line reports a correct run in which no
-command failed and the run's outputs match the values pinned below for seed
-1. The result line is the last line of perfbench's stdout.
+command failed and the run's outputs match the values pinned below for the
+run's seed (1 or 2). The result line is the last line of perfbench's stdout.
 
-Usage: python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 0 \
-           | python .github/scripts/check_bench.py
+Usage: python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0 \
+           | python .github/scripts/check_bench.py --seed S
 
 Every run pins the ``digest <workload> prepare sha256=…`` line, the digest of
 ``prepare``'s CSVs and ``manifest.json``. The manifest pins each input file
 by the SHA-256 of its bytes, so the digest also moves if the workload
 generators write their CSVs differently. An untraced run also pins
 ``evaluate_tds_nrmse``, compared bit for bit. A change that moves either has
-changed the program's output on real-sized data.
+changed the program's output on real-sized data. Seed 2's pins were taken
+from the code before the column-at-a-time reader and the binder's partner
+index landed, so they check those on data the change was not written
+against.
 """
 
+import argparse
 import json
 import sys
 
+# (workload, seed) -> pins
 PINS = {
-    "ltv_eval": {
+    ("ltv_eval", 1): {
         "prepare_sha256": "54611e4634bf95810d2664e2efbfa24fff2da1a5812b32572ed5022b8e81ed7d",
         "evaluate_tds_nrmse": 0.0534886286418856,
     },
-    "star_split": {
+    ("ltv_eval", 2): {
+        "prepare_sha256": "fe7a1f3a9b9b52e2dd98720de60c78dd9a6e0bccbc403b1c8798218094b26dcf",
+        "evaluate_tds_nrmse": 0.053665128249557804,
+    },
+    ("star_split", 1): {
         "prepare_sha256": "d7cddba86975e62bab3a12d1cd6b6cf9d28a868759c7f82b216acb55e64fccc9",
         "evaluate_tds_nrmse": 0.05073457657445215,
     },
-    "chain_derive": {
+    ("star_split", 2): {
+        "prepare_sha256": "185e5ee35595f59c09db99c876a6492f84c3ad8ab6c3c58332d226d8d5689157",
+        "evaluate_tds_nrmse": 0.053205398778791164,
+    },
+    ("chain_derive", 1): {
         "prepare_sha256": "9636ed0d592ea4afbfc29feff08bf297a248a7cebab04c25cc1ed05be7fe8792",
         "evaluate_tds_nrmse": 0.029317325144780033,
+    },
+    ("chain_derive", 2): {
+        "prepare_sha256": "c07461cdd6a80f6538a878dc5f18b85c539552c30bc26daa8ad0691c23f7a2d9",
+        "evaluate_tds_nrmse": 0.028997972948588094,
     },
 }
 
 
-def pin_problems(lines: list[str], metrics: dict) -> list[str]:
+def pin_problems(lines: list[str], metrics: dict, seed: int = 1) -> list[str]:
     """Where the run's prepare digest or tds nRMSE differs from its pins."""
     digests = [line.split() for line in lines if line.startswith("digest ")]
     if len(digests) != 1:
         return [f"expected one prepare digest line, found {len(digests)}"]
     _, workload, command, digest = digests[0]
-    pins = PINS.get(workload)
+    pins = PINS.get((workload, seed))
     if pins is None or command != "prepare":
-        return [f"no pins for {workload} {command}"]
+        return [f"no pins for {workload} {command} seed {seed}"]
     problems = []
     if digest != f"sha256={pins['prepare_sha256']}":
         problems.append(f"{workload} prepare {digest}, pinned sha256={pins['prepare_sha256']}")
@@ -52,6 +69,9 @@ def pin_problems(lines: list[str], metrics: dict) -> list[str]:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="check a perfbench result against its pins")
+    parser.add_argument("--seed", type=int, default=1, help="the seed the run used")
+    seed = parser.parse_args().seed
     lines = sys.stdin.read().splitlines()
     if not lines:
         print("no result line")
@@ -59,7 +79,7 @@ def main() -> int:
     result = json.loads(lines[-1])
     print(f"correct={result.get('correct')} failed={result.get('failed')}"
           f"/{result.get('attempted')}")
-    problems = pin_problems(lines[:-1], result.get("metrics", {}))
+    problems = pin_problems(lines[:-1], result.get("metrics", {}), seed)
     for p in problems:
         print(f"pin: {p}")
     ok = result.get("correct") is True and result.get("failed") == 0 and not problems
