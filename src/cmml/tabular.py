@@ -21,8 +21,10 @@ import csv
 import datetime as _dt
 import hashlib
 import io
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
@@ -202,33 +204,148 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
 
     Header must contain exactly the declared columns (any order), each once.
     Empty fields become nulls; malformed cells become diagnostics with
-    row/column indexes, in row-major order. The rows are transposed once and
-    each column is parsed by its kind (``values.parse_column``). A file that
-    is not UTF-8 or that the csv module cannot parse yields no table and one
-    coded diagnostic naming the file (and the line). The file is read once;
-    the table's ``source_sha256`` is the digest of exactly those bytes, and
-    its text has universal newlines, as ``Path.read_text`` would give it.
+    row/column indexes, in row-major order. A file that is not UTF-8 or that
+    the csv module cannot parse yields no table and one coded diagnostic
+    naming the file (and the line). The file is read once; the table's
+    ``source_sha256`` is the digest of exactly those bytes, and its text has
+    universal newlines, as ``Path.read_text`` would give it.
+
+    The body is read a chunk of lines at a time, each chunk's fields parsed
+    into columns by their kinds (``values.parse_column``) as they are split,
+    so no list of every row or every field exists. A text that ``str.split``
+    reads as ``csv.reader`` would (no quote or NUL, no blank line, every row
+    as wide as the header, no line over ``csv.field_size_limit()``) is split
+    on commas and newlines; any other text is read by ``csv.reader``, whose
+    diagnostics it then gets.
     """
-    rep = Report()
     columns = list(columns)
     path = Path(path)
     try:
         data = path.read_bytes()
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
+        rep = Report()
         rep.error("encoding", f"{path}: not UTF-8: byte 0x{err.object[err.start]:02x} "
                               f"at offset {err.start}")
         return None, rep
     except OSError as err:
+        rep = Report()
         rep.error("io", f"cannot read {path}: {err}")
         return None, rep
     digest = hashlib.sha256(data).hexdigest()
-    del data  # not held beside the reader's own copy of the text
-    reader = csv.reader(io.StringIO(text, newline=None))
+    del data  # not held while the text is parsed
+    if "\r" in text:  # universal newlines: CRLF and a lone CR end a line as LF does
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        cells, rep = _parse(path, name, columns, _split_rows(text))
+    except _Unsplittable:
+        cells, rep = _parse(path, name, columns, _reader_rows(text))
+    if cells is None:
+        return None, rep
+    return Table(name, columns, key_columns=key_columns, cells=cells,
+                 source_sha256=digest), rep
+
+
+class _Unsplittable(Exception):
+    """The text holds something that ``str.split`` reads unlike ``csv.reader``."""
+
+
+class _BadCsv(Exception):
+    """``csv.reader`` failed on a line: the line's number and the reader's error."""
+
+    def __init__(self, line: int, error: csv.Error):
+        super().__init__(line, error)
+        self.line = line
+        self.error = error
+
+
+# A chunk: the numbers of its rows, the fields of those rows one sequence per
+# header column, and each ragged row left out of them as (number, field count)
+_Chunk = tuple[Sequence[int], list[Sequence[str]], list[tuple[int, int]]]
+
+_CHUNK_CHARS = 1 << 16  # body text split into fields, and parsed, at a time
+_CHUNK_LINES = 4096     # rows csv.reader reads, and parsed, at a time
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")  # a line of newline-translated text, its newline kept
+
+
+def _split_rows(text: str) -> Iterator[Union[list[str], _Chunk]]:
+    """The header's fields, then the body a chunk of lines at a time, split on
+    commas and newlines. Raises ``_Unsplittable``, possibly after some chunks,
+    on a text that ``csv.reader`` would read otherwise."""
+    if not text or '"' in text or "\0" in text:
+        raise _Unsplittable
+    limit = csv.field_size_limit()
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    if end == 0 or end > limit:
+        raise _Unsplittable
+    header = text[:end].split(",")
+    yield header
+    width = len(header)
+    start, stop = end + 1, len(text) - text.endswith("\n")  # stop: the last line's end
+    row = 1
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS, stop)
+        if end < 0:
+            end = stop
+        lines = text[start:end].split("\n")
+        # csv.reader reads a blank line as a row of no fields
+        if ("" in lines or max(map(len, lines)) > limit
+                or set(map(str.count, lines, repeat(","))) != {width - 1}):
+            raise _Unsplittable
+        fields = ",".join(lines).split(",")
+        yield range(row, row + len(lines)), [fields[j::width] for j in range(width)], []
+        row += len(lines)
+        start = end + 1
+
+
+def _reader_rows(text: str) -> Iterator[Union[Optional[list[str]], _Chunk]]:
+    """``csv.reader``'s header row (None for an empty text), then its rows a
+    chunk at a time. Raises ``_BadCsv`` where the reader fails, after the
+    chunk of the rows read before the failure."""
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     try:
         header = next(reader, None)
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
-        rep.error("bad-csv", f"{path}: line {reader.line_num}: {err}", f"{path}:{reader.line_num}")
+        raise _BadCsv(reader.line_num, err) from None
+    yield header
+    if header is None:
+        return
+    width = len(header)
+    row = 1
+    while True:
+        raws: list[list[str]] = []
+        failure = None
+        try:
+            raws.extend(islice(reader, _CHUNK_LINES))  # keeps the rows read before a failure
+        except csv.Error as err:
+            failure = _BadCsv(reader.line_num, err)
+        numbers: Sequence[int] = range(row, row + len(raws))
+        row += len(raws)
+        ragged = []
+        if set(map(len, raws)) - {width}:
+            ragged = [(n, len(raw)) for n, raw in zip(numbers, raws) if len(raw) != width]
+            numbers = [n for n, raw in zip(numbers, raws) if len(raw) == width]
+            raws = [raw for raw in raws if len(raw) == width]
+        if numbers or ragged:
+            yield numbers, list(zip(*raws)) if raws else [()] * width, ragged
+        if failure is not None:
+            raise failure
+        if len(numbers) + len(ragged) < _CHUNK_LINES:
+            return
+
+
+def _parse(path: Path, name: str, columns: list[Column],
+           rows: Iterator) -> tuple[Optional[list[list]], Report]:
+    """Check the header ``rows`` yields first, then parse the chunks after it
+    into one list of cells per declared column, reporting every malformed
+    cell and ragged row in row-major order."""
+    rep = Report()
+    try:
+        header = next(rows)
+    except _BadCsv as err:
+        rep.error("bad-csv", f"{path}: line {err.line}: {err.error}", f"{path}:{err.line}")
         return None, rep
     if header is None:
         rep.error("missing-header", f"{path} is empty (header row required)")
@@ -246,40 +363,33 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
     if duplicated or missing or extra:
         return None, rep
 
-    raws: list[list[str]] = []
-    failure = None
-    try:
-        raws.extend(reader)  # keeps the rows read before a failure
-    except csv.Error as err:
-        failure = err
+    positions = [header.index(c.name) for c in columns]
+    cells: list[list] = [[] for _ in columns]
     # (row number, declared column position, code, message, location); a
     # ragged row is skipped whole, so -1 puts it first among its row's problems
     problems: list[tuple[int, int, str, str, Optional[str]]] = []
-    rownums = range(1, len(raws) + 1)
-    if set(map(len, raws)) - {len(header)}:
-        rownums = [n for n, raw in enumerate(raws, start=1) if len(raw) == len(header)]
-        problems = [(n, -1, "ragged-row", f"{path}: row {n} has {len(raw)} fields, "
-                     f"expected {len(header)}", None)
-                    for n, raw in enumerate(raws, start=1) if len(raw) != len(header)]
-        raws = [raws[n - 1] for n in rownums]
-    fields = list(zip(*raws)) if raws else [()] * len(header)
-    cells = []
-    for pos, col in enumerate(columns):
-        column, bad = parse_column(fields[header.index(col.name)], col.kind)
-        cells.append(column)
-        for i, err in bad:
-            problems.append((rownums[i], pos, "bad-cell",
-                             f"{path}: row {rownums[i]}, column {col.name!r}: {err}",
-                             f"{name}:{rownums[i]}:{col.name}"))
+    failure = None
+    try:
+        for numbers, fields, ragged in rows:
+            problems += [(n, -1, "ragged-row", f"{path}: row {n} has {count} fields, "
+                          f"expected {len(header)}", None) for n, count in ragged]
+            for pos, (col, j) in enumerate(zip(columns, positions)):
+                column, bad = parse_column(fields[j], col.kind)
+                cells[pos] += column
+                for i, err in bad:
+                    n = numbers[i]
+                    problems.append((n, pos, "bad-cell", f"{path}: row {n}, column "
+                                     f"{col.name!r}: {err}", f"{name}:{n}:{col.name}"))
+    except _BadCsv as err:
+        failure = err
     problems.sort(key=lambda p: p[:2])
     for _, _, code, message, location in problems:
         rep.error(code, message, location)
     if failure is not None:
-        rep.error("bad-csv", f"{path}: line {reader.line_num}: {failure}",
-                  f"{path}:{reader.line_num}")
+        rep.error("bad-csv", f"{path}: line {failure.line}: {failure.error}",
+                  f"{path}:{failure.line}")
         return None, rep
-    return Table(name, columns, key_columns=key_columns, cells=cells,
-                 source_sha256=digest), rep
+    return cells, rep
 
 
 # Exact cell types that csv.writer already writes as format_cell would: it
