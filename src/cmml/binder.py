@@ -1,19 +1,26 @@
-"""Bind a DataBundle to an EerSchema: referential integrity, subtype
-membership resolution, and classification of every null cell as unknown
-(imputable) vs not-applicable (never imputed).
+"""Bind a DataBundle to an EerSchema: referential integrity, each
+relationship's partner index, subtype membership resolution, and
+classification of every null cell as unknown (imputable) vs not-applicable
+(never imputed).
 
 Binding tags the null cells of a bound table: every ``None`` that
 ``read_csv`` left becomes the ``values.UNKNOWN`` or ``values.NOT_APPLICABLE``
 singleton, so later stages read the class from the cell itself. Keys, foreign
 keys and nulls are checked and tagged one column at a time; a column with a
-null cell is replaced by its tagged copy.
+null cell is replaced by its tagged copy. A foreign-key column is mapped to
+parent rows in one pass, and its relationship's partner index (an
+``expr.Groups``) is built from that mapping with numpy; Python loops only
+over the rows that match no parent, to report them.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import eer
 from . import expr as ex
@@ -39,8 +46,9 @@ class BoundModel:
     # tagged by bind: once the table checks pass, no cell is None
     bundle: DataBundle
     report: Report
-    # relationship -> parent key value -> child row indexes
-    children_of: dict[str, dict[object, list[int]]] = field(default_factory=dict)
+    # relationship -> each parent row's partner rows in the child, in child
+    # row order; a parent key's rows all go to its first row
+    partners: dict[str, ex.Groups] = field(default_factory=dict)
     # generalization -> supertype key tuple -> set of member subtype names
     subtype_membership: dict[str, dict[tuple, set[str]]] = field(default_factory=dict)
 
@@ -86,10 +94,15 @@ def bind(schema: eer.EerSchema, bundle: DataBundle, clock: _dt.date | None = Non
 
     ``today()`` in membership and applicable_when predicates is ``clock``.
     Error diagnostics (missing tables, duplicate keys, dangling foreign keys,
-    disjointness violations) block planning; warnings do not.
+    disjointness violations) block planning; warnings do not. A schema that
+    fails ``eer.validate_schema`` is refused: its errors are the report and
+    nothing is bound.
     """
     rep = Report()
     bound = BoundModel(schema=schema, bundle=bundle, report=rep)
+    rep.diagnostics += eer.validate_schema(schema).errors
+    if not rep.ok:
+        return bound
     tables_ok = _check_tables(schema, bundle, rep)
     if tables_ok:
         clock = clock or _dt.date.today()
@@ -134,11 +147,12 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
             ok = False
             continue
         key_cells = [table.cells[table.column_index(k)] for k in table.key_columns]
-        keys = list(zip(*key_cells))
+        # a one-column key is checked on its column; a composite one on tuples
+        keys = key_cells[0] if len(key_cells) == 1 else list(zip(*key_cells))
         if not any(map(_has_null, key_cells)) and len(set(keys)) == len(keys):
             continue
         seen: dict[tuple, int] = {}
-        for i, key in enumerate(keys):
+        for i, key in enumerate(zip(*key_cells)):
             if any(is_null(k) for k in key):
                 rep.error("null-key", f"{ent.name}: row {i + 1} has a null key cell", f"{ent.name}:{i + 1}")
                 continue
@@ -175,40 +189,46 @@ def _index_relationships(bound: BoundModel) -> None:
         # each key's first row (filled from the last row back, so the first
         # row is written last); a null key is a null-key error and no parent
         key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
-        parent_keys = dict(zip(reversed(key_cells), range(len(key_cells) - 1, -1, -1)))
+        first_row = dict(zip(reversed(key_cells), range(len(key_cells) - 1, -1, -1)))
         for null in (None, UNKNOWN, NOT_APPLICABLE):
-            parent_keys.pop(null, None)
+            first_row.pop(null, None)
         fk_cells = child.cells[child.column_index(fk)]
-        child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
+        parent_row = np.fromiter(map(first_row.get, fk_cells, repeat(-1)), np.int64, len(fk_cells))
         parent_end = rel.end_of(parent_name) if not rel.is_one_to_one else rel.left
-        children: dict[object, list[int]] = {}
-        for i, v in enumerate(fk_cells):
-            if is_null(v):
-                if parent_end.min >= 1:
-                    rep.warning("mandatory-participation",
-                                f"{child_name}: row {i + 1} has no {parent_name} "
-                                f"(null {fk}) under mandatory participation in {rel.name}",
-                                f"{child_name}:{i + 1}")
-                continue
-            if v not in parent_keys:
+        for i in np.flatnonzero(parent_row < 0).tolist():
+            v = fk_cells[i]
+            if not is_null(v):
                 rep.error("dangling-fk",
                           f"{child_name}: row {i + 1} column {fk!r} = {v!r} matches no {parent_name} key",
                           f"{child_name}:{i + 1}")
-                continue
-            children.setdefault(v, []).append(i)
-        if child_end.min >= 1:
-            for pk in sorted(parent_keys.keys() - children.keys(), key=repr):
+            elif parent_end.min >= 1:
                 rep.warning("mandatory-participation",
-                            f"{parent_name} {pk!r} has zero {child_name} partners "
+                            f"{child_name}: row {i + 1} has no {parent_name} "
+                            f"(null {fk}) under mandatory participation in {rel.name}",
+                            f"{child_name}:{i + 1}")
+        matched = np.flatnonzero(parent_row >= 0)
+        owner = parent_row[matched]
+        partners = ex.Groups(matched[np.argsort(owner, kind="stable")],
+                             np.bincount(owner, minlength=len(key_cells)))
+        child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
+        if child_end.min >= 1:
+            firsts = np.fromiter(first_row.values(), np.int64, len(first_row))
+            lonely = np.flatnonzero(partners.sizes[firsts] == 0).tolist()
+            keys = list(first_row) if lonely else []
+            for i in sorted(lonely, key=lambda i: repr(keys[i])):
+                rep.warning("mandatory-participation",
+                            f"{parent_name} {keys[i]!r} has zero {child_name} partners "
                             f"under mandatory participation in {rel.name}",
-                            f"{parent_name}:{parent_keys[pk] + 1}")
+                            f"{parent_name}:{firsts[i] + 1}")
         if child_end.max == "1":
-            for pk, rows in children.items():
-                if len(rows) > 1:
-                    rep.warning("cardinality",
-                                f"{parent_name} {pk!r} has {len(rows)} {child_name} partners "
-                                f"in {rel.name} (declared max 1)")
-        bound.children_of[rel.name] = children
+            crowded = np.flatnonzero(partners.sizes > 1)
+            # in the order of each parent's first child, printing that child's key
+            first_child = partners.rows[partners.offsets[crowded]]
+            for c, p in sorted(zip(first_child.tolist(), crowded.tolist())):
+                rep.warning("cardinality",
+                            f"{parent_name} {fk_cells[c]!r} has {partners.sizes[p]} {child_name} "
+                            f"partners in {rel.name} (declared max 1)")
+        bound.partners[rel.name] = partners
 
 
 def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
@@ -310,31 +330,37 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
 
 
 def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
-    """Observed child fan-out per parent for every relationship, with a
-    conformance verdict against the declared cardinalities."""
+    """Observed child fan-out per distinct parent key for every relationship,
+    with a conformance verdict against the declared cardinalities."""
     out: list[RelationshipCardinality] = []
     schema, bundle = bound.schema, bound.bundle
     for rel in schema.relationships:
-        if rel.name not in bound.children_of:
+        if rel.name not in bound.partners:
             continue
         parent_name = rel.parent_entity()
         child_name = rel.child_entity()
-        children = bound.children_of[rel.name]
-        fanouts = {k[0]: len(children.get(k[0], [])) for k in bundle.table(parent_name).keys()}
+        parent = bundle.table(parent_name)
+        key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
+        # each distinct key's first row, in row order: the rows its partners went to
+        first_row = dict(zip(reversed(key_cells), range(len(key_cells) - 1, -1, -1)))
+        rows = np.sort(np.fromiter(first_row.values(), np.int64, len(first_row)))
+        fanouts = bound.partners[rel.name].sizes[rows]
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
+        few = fanouts < child_end.min
+        many = fanouts > 1 if child_end.max == "1" else np.zeros(len(fanouts), dtype=bool)
         violations: list[str] = []
-        for pk, n in sorted(fanouts.items(), key=lambda kv: repr(kv[0])):
-            if n < child_end.min:
+        for i in sorted(np.flatnonzero(few | many).tolist(), key=lambda i: repr(key_cells[rows[i]])):
+            pk, n = key_cells[rows[i]], fanouts[i]
+            if few[i]:
                 violations.append(f"{parent_name} {pk!r} has {n} {child_name} partners (declared min {child_end.min})")
-            if child_end.max == "1" and n > 1:
+            if many[i]:
                 violations.append(f"{parent_name} {pk!r} has {n} {child_name} partners (declared max 1)")
-        observed = list(fanouts.values()) or [0]
         out.append(RelationshipCardinality(
             relationship=rel.name,
             declared_min=child_end.min,
             declared_max=child_end.max,
-            observed_min=min(observed),
-            observed_max=max(observed),
+            observed_min=int(fanouts.min()) if fanouts.size else 0,
+            observed_max=int(fanouts.max()) if fanouts.size else 0,
             conformant=not violations,
             violations=violations,
         ))

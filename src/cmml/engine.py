@@ -21,7 +21,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -150,17 +149,11 @@ class Derivations:
         child in child-key order (``Table.order_key``): the order in which
         derivations and G4 summaries aggregate a parent's children."""
         if rel_name not in self._groups:
-            rel = self.bound.schema.relationship(rel_name)
-            parent = self.bound.bundle.table(rel.parent_entity())
-            children = self.bound.children_of.get(rel_name, {})
-            members = [children.get(k[0], ()) for k in parent.keys()]
-            sizes = np.fromiter(map(len, members), np.int64, len(members))
-            rows = np.fromiter(chain.from_iterable(members), np.int64, int(sizes.sum()))
-            groups = Groups(rows, sizes)
-            rank = self._rank_by_key(rel.child_entity())
+            partners = self.bound.partners[rel_name]  # in child row order
+            rank = self._rank_by_key(self.bound.schema.relationship(rel_name).child_entity())
             # stable: by parent row, then child key
-            groups.rows = rows[np.lexsort((rank[rows], groups.gid))]
-            self._groups[rel_name] = groups
+            order = np.lexsort((rank[partners.rows], partners.gid))
+            self._groups[rel_name] = Groups(partners.rows[order], partners.sizes)
         return self._groups[rel_name]
 
     def _rank_by_key(self, entity: str) -> np.ndarray:

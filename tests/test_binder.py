@@ -7,7 +7,7 @@ import pytest
 from cmml import binder, dsl, eer
 from cmml.tabular import table_to_csv_bytes
 from cmml.values import NOT_APPLICABLE, UNKNOWN
-from conftest import parse_full
+from conftest import parse, parse_full
 from test_golden import CASES
 
 
@@ -30,9 +30,33 @@ task T { target P.t }
 
 def test_bind_example(example_bound):
     assert example_bound.ok
-    idx = example_bound.children_of["PLACES"]
-    assert {k: len(v) for k, v in idx.items()} == {
+    partners = example_bound.partners["PLACES"]
+    customers = example_bound.bundle.table("CUSTOMER")
+    keys = customers.cells[customers.column_index("cust_id")]
+    assert {k: int(n) for k, n in zip(keys, partners.sizes) if n} == {
         "101": 4, "400": 1, "223": 2, "398": 1}
+    orders = example_bound.bundle.table("ORDER")
+    fk = orders.cells[orders.column_index("cust_id")]
+    for p, key in enumerate(keys):  # each customer's orders, in row order
+        rows = partners.rows[partners.offsets[p]:partners.offsets[p + 1]].tolist()
+        assert rows == [i for i, v in enumerate(fk) if v == key]
+
+
+def test_bind_refuses_an_unvalidated_schema(tmp_path):
+    # R's child B is declared nowhere; binding used to crash on its table
+    schema = parse("""
+    entity A { key a_id: identifier attr x: numeric }
+    relationship R { A (1,1) -- (0,N) B via a_id }
+    """)
+    (tmp_path / "A.csv").write_text("a_id,x\na1,1\n", encoding="utf-8")
+    bundle, rep = binder.load_bundle(schema, tmp_path)
+    assert rep.ok, rep.render()
+    bound = binder.bind(schema, bundle)
+    assert not bound.ok
+    assert bound.report.to_dicts() == eer.validate_schema(schema).to_dicts()
+    assert [(d.code, d.location) for d in bound.report.errors] == [("unknown-entity", "R")]
+    assert bound.partners == {} and bound.subtype_membership == {}
+    assert binder.cardinality_report(bound) == []
 
 
 def test_missing_table_is_error(tmp_path):
@@ -266,13 +290,23 @@ BIND_DIGESTS = {
 }
 
 
+def _children_of(bound, rel_name: str) -> dict[str, list[int]]:
+    """The partner index as the old per-key dict: the repr of each parent's
+    first child's foreign key, in first-child order, to its child rows."""
+    rel = bound.schema.relationship(rel_name)
+    child = bound.bundle.table(rel.child_entity())
+    fk = child.cells[child.column_index(rel.fk_columns[0])]
+    partners = bound.partners[rel_name]
+    groups = [partners.rows[a:b].tolist() for a, b in zip(partners.offsets, partners.offsets[1:])]
+    return {repr(fk[rows[0]]): rows for rows in sorted(filter(None, groups))}
+
+
 def _bind_record(bound) -> str:
     return json.dumps({
         "diagnostics": bound.report.to_dicts(),
         "tables": {n: [[repr(v) for v in row] for row in t.rows]
                    for n, t in sorted(bound.bundle.tables.items())},
-        "children_of": {r: {repr(k): v for k, v in c.items()}
-                        for r, c in sorted(bound.children_of.items())},
+        "children_of": {r: _children_of(bound, r) for r in sorted(bound.partners)},
         "membership": {n: {repr(k): sorted(v) for k, v in m.items()}
                        for n, m in sorted(bound.subtype_membership.items())},
     })

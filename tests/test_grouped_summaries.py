@@ -96,7 +96,9 @@ def _reference(bound) -> tuple[dict[str, list], list[str]]:
     """Each summary column of the P dataset, computed per group with
     ``expr.aggregate``, and the non-finite-summary warnings."""
     ptable, ctable = bound.bundle.table("P"), bound.bundle.table("C")
-    children = bound.children_of["R"]
+    children: dict[object, list[int]] = {}  # from the foreign keys, not the binder's index
+    for i, v in enumerate(ctable.cells[ctable.column_index("pid")]):
+        children.setdefault(v, []).append(i)
     cid = ctable.cells[ctable.column_index("cid")]
     groups = [sorted(children.get(k[0], ()), key=lambda i: repr(cid[i])) for k in ptable.keys()]
 
@@ -156,8 +158,9 @@ def test_differential_data_reaches_pairwise_rounding(tmp_path):
         bound, _, _ = _prepare(tmp_path)
         ctable = bound.bundle.table("C")
         x = ctable.cells[ctable.column_index("x")]
-        for rows in bound.children_of["R"].values():
-            known = ex.known_cells(x[i] for i in rows)
+        partners = bound.partners["R"]
+        for a, b in zip(partners.offsets, partners.offsets[1:]):
+            known = ex.known_cells(x[i] for i in partners.rows[a:b])
             differ += len(known) > 8 and float(np.sum(known)) != left_sum(known)
     assert differ >= 5
 
