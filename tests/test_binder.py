@@ -283,22 +283,11 @@ NOISY_DATA = {
 }
 
 BIND_DIGESTS = {
-    "from_table": "ecd941641df055a03becc4839dda052b77678060356f16ff43cc09e0068ef26b",
-    "n_side_target": "79feb9c9d3900fa03d5ecb32c11b0bcf6966035ba04c1240218da673e1191b4c",
-    "propgen_5": "b00e0dadf4b57292fbb46f210e7af873330ae706836ba1508e1fb271478f49e9",
-    "noisy": "797b45ef5ba7506dd1090428557dbfc46d0027e1b562258719d962029addbe1d",
+    "from_table": "9e6ae6bc4cab62ffcb6ad57b04893c4ebe82a2dc05dea85d3c18a8ccfe8a690d",
+    "n_side_target": "0c0500d46869e0a27a9984cc521f707e47b4b0b271e59bb45cc21291af2bf189",
+    "propgen_5": "6b3afd14e70fbd018489e8886ca74b03cdeae5aef921248c273b532c70ec1388",
+    "noisy": "d7c11ff67c0d4d338f3c221ca9757f92e7735e85c65b103eb2dbec470992c419",
 }
-
-
-def _children_of(bound, rel_name: str) -> dict[str, list[int]]:
-    """The partner index as the old per-key dict: the repr of each parent's
-    first child's foreign key, in first-child order, to its child rows."""
-    rel = bound.schema.relationship(rel_name)
-    child = bound.bundle.table(rel.child_entity())
-    fk = child.cells[child.column_index(rel.fk_columns[0])]
-    partners = bound.partners[rel_name]
-    groups = [partners.rows[a:b].tolist() for a, b in zip(partners.offsets, partners.offsets[1:])]
-    return {repr(fk[rows[0]]): rows for rows in sorted(filter(None, groups))}
 
 
 def _bind_record(bound) -> str:
@@ -306,7 +295,8 @@ def _bind_record(bound) -> str:
         "diagnostics": bound.report.to_dicts(),
         "tables": {n: [[repr(v) for v in row] for row in t.rows]
                    for n, t in sorted(bound.bundle.tables.items())},
-        "children_of": {r: _children_of(bound, r) for r in sorted(bound.partners)},
+        "partners": {r: [g.rows.tolist(), g.sizes.tolist()]
+                     for r, g in sorted(bound.partners.items())},
         "membership": {n: {repr(k): sorted(v) for k, v in m.items()}
                        for n, m in sorted(bound.subtype_membership.items())},
     })
