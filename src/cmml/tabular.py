@@ -272,7 +272,7 @@ def _split_rows(text: str) -> Iterator[Union[list[str], _Chunk]]:
     """The header's fields, then the body a chunk of lines at a time, split on
     commas and newlines. Raises ``_Unsplittable``, possibly after some chunks,
     on a text that ``csv.reader`` would read otherwise."""
-    if not text or '"' in text or "\0" in text:
+    if '"' in text or "\0" in text:
         raise _Unsplittable
     limit = csv.field_size_limit()
     end = text.find("\n")
