@@ -6,11 +6,9 @@ classification of every null cell as unknown (imputable) vs not-applicable
 Binding tags the null cells of a bound table: every ``None`` that
 ``read_csv`` left becomes the ``values.UNKNOWN`` or ``values.NOT_APPLICABLE``
 singleton, so later stages read the class from the cell itself. Keys, foreign
-keys and nulls are checked and tagged one column at a time; a column with a
-null cell is replaced by its tagged copy. A foreign-key column is mapped to
-parent rows in one pass, and its relationship's partner index (an
-``expr.Groups``) is built from that mapping with numpy; Python loops only
-over the rows that match no parent, to report them.
+keys and nulls are checked and tagged one column at a time. A foreign-key
+column is mapped to parent rows in one pass and the relationship's
+``expr.Groups`` built from that; Python visits only rows matching no parent.
 """
 
 from __future__ import annotations
@@ -61,31 +59,23 @@ def load_bundle(schema: eer.EerSchema, data_dir: str | Path) -> tuple[DataBundle
     """Read `<NAME>.csv` per entity (and per from-table subtype) under data_dir."""
     rep = Report()
     bundle = DataBundle()
-    data_dir = Path(data_dir)
-    for ent in schema.entities:
-        cols = [Column(a.name, a.kind) for a in schema.effective_columns(ent.name)]
-        path = data_dir / f"{ent.name}.csv"
+    # (table, its columns, its key, what its file is)
+    wanted = [(ent.name, schema.effective_columns(ent.name), ent.key_names, "table file for entity")
+              for ent in schema.entities]
+    for gen in schema.generalizations:
+        sup = schema.entity(gen.supertype)
+        wanted += [(st.name, (*sup.key_attrs, *st.attributes), sup.key_names,
+                    "membership table for subtype") for st in gen.subtypes if st.from_table]
+    for name, attrs, key_names, what in wanted:
+        path = Path(data_dir) / f"{name}.csv"
         if not path.exists():
-            rep.error("missing-table", f"no table file for entity {ent.name} (expected {path})")
+            rep.error("missing-table", f"no {what} {name} (expected {path})")
             continue
-        table, trep = read_csv(path, ent.name, cols, key_columns=list(ent.key_names))
+        table, trep = read_csv(path, name, [Column(a.name, a.kind) for a in attrs],
+                               key_columns=list(key_names))
         rep.diagnostics.extend(trep.diagnostics)
         if table is not None:
             bundle.add(table)
-    for gen in schema.generalizations:
-        sup = schema.entity(gen.supertype)
-        for st in gen.subtypes:
-            if not st.from_table:
-                continue
-            cols = [Column(a.name, a.kind) for a in (*sup.key_attrs, *st.attributes)]
-            path = data_dir / f"{st.name}.csv"
-            if not path.exists():
-                rep.error("missing-table", f"no membership table for subtype {st.name} (expected {path})")
-                continue
-            table, trep = read_csv(path, st.name, cols, key_columns=list(sup.key_names))
-            rep.diagnostics.extend(trep.diagnostics)
-            if table is not None:
-                bundle.add(table)
     return bundle, rep
 
 
@@ -103,8 +93,7 @@ def bind(schema: eer.EerSchema, bundle: DataBundle, clock: _dt.date | None = Non
     rep.diagnostics += eer.validate_schema(schema).errors
     if not rep.ok:
         return bound
-    tables_ok = _check_tables(schema, bundle, rep)
-    if tables_ok:
+    if _check_tables(schema, bundle, rep):
         clock = clock or _dt.date.today()
         _index_relationships(bound)
         _resolve_memberships(bound, clock)
@@ -123,11 +112,6 @@ def _has_null(cells: list) -> bool:
 def _unknown_for_null(cells: list) -> list:
     """A copy of the column with every null cell tagged unknown."""
     return [UNKNOWN if v is None or type(v) is Null else v for v in cells]
-
-
-def _null_rows(cells: list) -> list[int]:
-    """The positions of the column's null cells, read or tagged."""
-    return [i for i, v in enumerate(cells) if v is None or type(v) is Null]
 
 
 def _predicate(schema: eer.EerSchema, entity: str, table: Table, predicate: ex.Expr,
@@ -176,10 +160,8 @@ def _index_relationships(bound: BoundModel) -> None:
         if rel.is_many_to_many:
             rep.error("unrewritten-nm", f"relationship {rel.name} is many-to-many; rewrite the schema first")
             continue
-        parent_name = rel.parent_entity()
-        child_name = rel.child_entity()
-        parent = bundle.table(parent_name)
-        child = bundle.table(child_name)
+        parent_name, child_name = rel.parent_entity(), rel.child_entity()
+        parent, child = bundle.table(parent_name), bundle.table(child_name)
         if len(parent.key_columns) != 1:
             rep.error("composite-parent-key",
                       f"relationship {rel.name}: parent {parent_name} has a composite key; "
@@ -301,7 +283,7 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
             verdicts = (_predicate(schema, ent.name, table, applicable_when, clock)
                         if applicable_when is not None else None)
             column = list(cells)
-            for i in _null_rows(cells):
+            for i in [i for i, v in enumerate(cells) if v is None or type(v) is Null]:
                 if members is not None and st.name not in members.get(keys[i], ()):
                     column[i] = NOT_APPLICABLE
                     continue
@@ -320,48 +302,38 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
         for j, column in tagged.items():
             table.cells[j] = column
     # members listed in a subtype's own table: every missing cell is unknown
-    for gen in schema.generalizations:
-        for st in gen.subtypes:
-            if st.from_table:
-                cells = bound.bundle.table(st.name).cells
-                for j, column in enumerate(cells):
-                    if _has_null(column):
-                        cells[j] = _unknown_for_null(column)
+    for st in (st for gen in schema.generalizations for st in gen.subtypes if st.from_table):
+        cells = bound.bundle.table(st.name).cells
+        cells[:] = [_unknown_for_null(c) if _has_null(c) else c for c in cells]
 
 
 def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
     """Observed child fan-out per distinct parent key for every relationship,
     with a conformance verdict against the declared cardinalities."""
     out: list[RelationshipCardinality] = []
-    schema, bundle = bound.schema, bound.bundle
-    for rel in schema.relationships:
+    for rel in bound.schema.relationships:
         if rel.name not in bound.partners:
             continue
-        parent_name = rel.parent_entity()
-        child_name = rel.child_entity()
-        parent = bundle.table(parent_name)
+        parent_name, child_name = rel.parent_entity(), rel.child_entity()
+        parent = bound.bundle.table(parent_name)
         key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
-        # each distinct key's first row, in row order: the rows its partners went to
+        # each distinct key's first row, in row order: the row its partners went to
         first_row = dict(zip(reversed(key_cells), range(len(key_cells) - 1, -1, -1)))
         rows = np.sort(np.fromiter(first_row.values(), np.int64, len(first_row)))
         fanouts = bound.partners[rel.name].sizes[rows]
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
         few = fanouts < child_end.min
-        many = fanouts > 1 if child_end.max == "1" else np.zeros(len(fanouts), dtype=bool)
+        many = (fanouts > 1) & (child_end.max == "1")
         violations: list[str] = []
         for i in sorted(np.flatnonzero(few | many).tolist(), key=lambda i: repr(key_cells[rows[i]])):
-            pk, n = key_cells[rows[i]], fanouts[i]
+            stem = f"{parent_name} {key_cells[rows[i]]!r} has {fanouts[i]} {child_name} partners"
             if few[i]:
-                violations.append(f"{parent_name} {pk!r} has {n} {child_name} partners (declared min {child_end.min})")
+                violations.append(f"{stem} (declared min {child_end.min})")
             if many[i]:
-                violations.append(f"{parent_name} {pk!r} has {n} {child_name} partners (declared max 1)")
+                violations.append(f"{stem} (declared max 1)")
+        observed = fanouts.tolist() or [0]
         out.append(RelationshipCardinality(
-            relationship=rel.name,
-            declared_min=child_end.min,
-            declared_max=child_end.max,
-            observed_min=int(fanouts.min()) if fanouts.size else 0,
-            observed_max=int(fanouts.max()) if fanouts.size else 0,
-            conformant=not violations,
-            violations=violations,
-        ))
+            rel.name, declared_min=child_end.min, declared_max=child_end.max,
+            observed_min=min(observed), observed_max=max(observed),
+            conformant=not violations, violations=violations))
     return out
