@@ -10,6 +10,10 @@ instead of cells: a factorized join, each joined entity's columns once and
 per output row one row index into each entity's block. ``Table.rows`` is a
 read-only row view of either storage; nothing in the pipeline reads it.
 
+``read_csv`` goes from the file's text to columns a chunk of lines at a
+time, never through a list of every row: a quote-free text is split with
+``str.split``, and any other text is read by ``csv.reader``.
+
 CSV conventions: RFC 4180 quoting, mandatory header row, UTF-8, ISO-8601
 dates, booleans `true`/`false`, decimal point `.`; an empty field is a null.
 The unknown/not-applicable distinction is assigned by the binder, never here.
@@ -365,6 +369,7 @@ def _parse(path: Path, name: str, columns: list[Column],
 
     positions = [header.index(c.name) for c in columns]
     cells: list[list] = [[] for _ in columns]
+    parsed: list[dict[str, object]] = [{} for _ in columns]  # each column's parsed fields
     # (row number, declared column position, code, message, location); a
     # ragged row is skipped whole, so -1 puts it first among its row's problems
     problems: list[tuple[int, int, str, str, Optional[str]]] = []
@@ -374,7 +379,7 @@ def _parse(path: Path, name: str, columns: list[Column],
             problems += [(n, -1, "ragged-row", f"{path}: row {n} has {count} fields, "
                           f"expected {len(header)}", None) for n, count in ragged]
             for pos, (col, j) in enumerate(zip(columns, positions)):
-                column, bad = parse_column(fields[j], col.kind)
+                column, bad = parse_column(fields[j], col.kind, parsed[pos])
                 cells[pos] += column
                 for i, err in bad:
                     n = numbers[i]

@@ -15,6 +15,7 @@ import datetime as _dt
 import math
 import re
 from collections.abc import Sequence
+from typing import Optional
 
 UNKNOWN_TAG = "unknown"
 NOT_APPLICABLE_TAG = "not_applicable"
@@ -111,11 +112,14 @@ def parse_cell(text: str, kind: str):
 _BOOLEANS = {"true": True, "false": False, "": None}
 
 
-def parse_column(fields: Sequence[str], kind: str) -> tuple[list, list[tuple[int, str]]]:
+def parse_column(fields: Sequence[str], kind: str, parsed: Optional[dict[str, object]] = None
+                 ) -> tuple[list, list[tuple[int, str]]]:
     """``parse_cell`` over one column's fields, dispatched once on the kind:
     the cells, and the position and message of each malformed field (its
     cell is None). Dates, and a column holding a malformed field, are parsed
-    once per distinct field."""
+    once per distinct field; ``parsed`` maps each field parsed so far to its
+    cell and is filled here, so a column read in chunks that passes the same
+    dict to each call parses each distinct date once."""
     if kind == "numeric":
         try:
             cells = [float(t) if t else None for t in fields]
@@ -132,9 +136,10 @@ def parse_column(fields: Sequence[str], kind: str) -> tuple[list, list[tuple[int
             pass
     elif kind != "date":
         return [t or None for t in fields], []
-    parsed: dict[str, object] = {}
+    if parsed is None:
+        parsed = {}
     errors: dict[str, str] = {}
-    for t in set(fields):
+    for t in set(fields).difference(parsed):
         try:
             parsed[t] = parse_cell(t, kind)
         except ValueError as err:

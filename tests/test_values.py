@@ -3,7 +3,7 @@ import datetime as dt
 import pytest
 
 from cmml.values import (NOT_APPLICABLE, UNKNOWN, Null, format_cell, is_null,
-                         parse_cell)
+                         parse_cell, parse_column)
 
 
 def test_null_tags_and_equality():
@@ -76,3 +76,23 @@ def test_format_parse_round_trip():
     for v, kind in [(48.5, "numeric"), (True, "boolean"),
                     (dt.date(2019, 4, 21), "date"), ("Online", "nominal")]:
         assert parse_cell(format_cell(v), kind) == v
+
+
+@pytest.mark.parametrize("kind,fields", [
+    ("date", ["2019-01-02", "", "bad", "2019-01-02", "2020-02-30", "2019-03-04", "bad"]),
+    ("numeric", ["1", "x", "", "1", "2.5", "inf", "x"]),
+    ("boolean", ["true", "", "maybe", "false", "true", "maybe"]),
+])
+def test_parse_column_in_chunks_equals_one_call(kind, fields):
+    # one dict carried across the chunks: each distinct good field parsed once
+    whole = parse_column(fields, kind)
+    parsed: dict = {}
+    first = parse_column(fields[:3], kind, parsed)
+    size = len(parsed)
+    second = parse_column(fields[3:], kind, parsed)
+    assert first[0] + second[0] == whole[0]
+    assert first[1] + [(i + 3, err) for i, err in second[1]] == whole[1]
+    assert whole[0] == [None if t in ("bad", "x", "inf", "maybe", "2020-02-30") else
+                        parse_cell(t, kind) for t in fields]
+    if kind == "date":
+        assert size == 2 and set(parsed) == {"2019-01-02", "", "2019-03-04"}
