@@ -267,8 +267,8 @@ class _BadCsv(Exception):
 # header column, and each ragged row left out of them as (number, field count)
 _Chunk = tuple[Sequence[int], list[Sequence[str]], list[tuple[int, int]]]
 
-_CHUNK_CHARS = 1 << 16  # body text split into fields, and parsed, at a time
-_CHUNK_LINES = 4096     # rows csv.reader reads, and parsed, at a time
+_CHUNK_CHARS = 1 << 14  # body text split into fields, and parsed, at a time
+_CHUNK_LINES = 1024     # rows csv.reader reads, and parsed, at a time
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")  # a line of newline-translated text, its newline kept
 
 
@@ -282,7 +282,7 @@ def _split_rows(text: str) -> Iterator[Union[list[str], _Chunk]]:
     end = text.find("\n")
     if end < 0:
         end = len(text)
-    if end == 0 or end > limit:
+    if end == 0 or end > limit:  # an empty text or header line, or a long one
         raise _Unsplittable
     header = text[:end].split(",")
     yield header
