@@ -222,18 +222,17 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
     on commas and newlines; any other text is read by ``csv.reader``, whose
     diagnostics it then gets.
     """
+    rep = Report()
     columns = list(columns)
     path = Path(path)
     try:
         data = path.read_bytes()
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        rep = Report()
         rep.error("encoding", f"{path}: not UTF-8: byte 0x{err.object[err.start]:02x} "
                               f"at offset {err.start}")
         return None, rep
     except OSError as err:
-        rep = Report()
         rep.error("io", f"cannot read {path}: {err}")
         return None, rep
     digest = hashlib.sha256(data).hexdigest()
