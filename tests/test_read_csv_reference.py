@@ -112,9 +112,12 @@ def field_limit():
     csv.field_size_limit(old)
 
 
-def _same(path: Path, columns: list[Column]) -> None:
-    table, rep = read_csv(path, path.stem, columns, key_columns=["id"])
-    cells, digest, want = reference_read_csv(path, path.stem, columns)
+def _check(tmp_path: Path, data: bytes, columns: list[Column] = COLUMNS) -> None:
+    """read_csv and the reference read the same table and report from ``data``."""
+    path = tmp_path / "T.csv"
+    path.write_bytes(data)
+    table, rep = read_csv(path, "T", columns, key_columns=["id"])
+    cells, digest, want = reference_read_csv(path, "T", columns)
     assert rep.to_dicts() == want.to_dicts()
     if cells is None:
         assert table is None
@@ -122,12 +125,6 @@ def _same(path: Path, columns: list[Column]) -> None:
     assert table.source_sha256 == digest
     assert table.column_names == [c.name for c in columns]
     assert [list(map(repr, c)) for c in table.cells] == [list(map(repr, c)) for c in cells]
-
-
-def _check(tmp_path: Path, data: bytes, columns: list[Column] = COLUMNS) -> None:
-    path = tmp_path / "T.csv"
-    path.write_bytes(data)
-    _same(path, columns)
 
 
 # Each text that str.split would not read as csv.reader does; read_csv must
