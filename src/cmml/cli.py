@@ -90,6 +90,11 @@ def _options(args, task: eer.TaskDecl) -> planner.PlanOptions:
         raise UsageError(f"--impute must be mean_mode, none or constant:<value>, got {args.impute!r}")
     if args.holdout is not None and not (math.isfinite(args.holdout) and 0 <= args.holdout < 1):
         raise UsageError(f"--holdout must be a fraction with 0 <= h < 1, got {args.holdout!r}")
+    value_range = getattr(args, "range", None)  # evaluate's own options
+    if value_range is not None and not (math.isfinite(value_range) and value_range > 0):
+        raise UsageError(f"--range must be finite and > 0, got {value_range!r}")
+    if getattr(args, "folds", 2) < 2:
+        raise UsageError(f"--folds must be at least 2, got {args.folds}")
     agg = tuple(a.strip() for a in args.agg.split(",")) if args.agg else None
     options = planner.PlanOptions.from_task(task, agg_set=agg, top_k=args.top_k,
                                             impute=args.impute, seed=args.seed,

@@ -373,6 +373,30 @@ def test_bad_tuning_value_exit_2(command, flag, value, message, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--range", "nan", "--range must be finite and > 0, got nan"),
+    ("--range", "inf", "--range must be finite and > 0, got inf"),
+    ("--range", "-inf", "--range must be finite and > 0, got -inf"),
+    ("--range", "0", "--range must be finite and > 0, got 0.0"),
+    ("--range", "-5", "--range must be finite and > 0, got -5.0"),
+    ("--folds", "1", "--folds must be at least 2, got 1"),
+    ("--folds", "0", "--folds must be at least 2, got 0"),
+    ("--folds", "-3", "--folds must be at least 2, got -3"),
+])
+def test_bad_evaluate_value_exit_2_before_reading_data(flag, value, message, monkeypatch, capsys):
+    # `--range nan --json` printed a NaN nrmse, which is not JSON, and exited 0;
+    # `--range 0` and `--folds 1` exited 1 only after binding and fitting
+    def read(*args, **kwargs):
+        raise AssertionError("evaluate read the data")
+
+    monkeypatch.setattr(cli.binder, "load_bundle", read)
+    assert run("evaluate", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(EXAMPLE_DATA),
+               "--task", "PREDICT_LTV", "--json", f"{flag}={value}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("kind,cells,const", [
     ("numeric", ("", "5", "6"), "abc"),
     ("numeric", ("", "5", "6"), "inf"),
