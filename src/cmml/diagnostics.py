@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 RENDER_LIMIT = 5  # diagnostics of one (severity, code) that render() prints
@@ -67,4 +67,5 @@ class Report:
 
     def to_dicts(self) -> list[dict]:
         """One ``{severity, code, message, location}`` object per diagnostic."""
-        return [asdict(d) for d in self.diagnostics]
+        return [{"severity": d.severity, "code": d.code, "message": d.message,
+                 "location": d.location} for d in self.diagnostics]

@@ -330,3 +330,19 @@ def test_null_parent_key_is_no_parent_and_zero_partner_warnings_are_located(tmp_
     # row 6's null key made the warning "E None has zero C partners" before
     assert zero == [(f"E {k!r} has zero C partners under mandatory participation in R", loc)
                     for k, loc in (("b", "E:3"), ("d", "E:7"), ("e", "E:2"))]
+
+
+def test_report_to_dicts_keeps_the_dataclass_fields_in_order(tmp_path):
+    # validate --json and BIND_DIGESTS print these objects; they were dataclasses.asdict's
+    from dataclasses import asdict
+
+    schema = parse_full(NOISY)
+    for table, text in NOISY_DATA.items():
+        (tmp_path / f"{table}.csv").write_text(text, encoding="utf-8")
+    bundle, _ = binder.load_bundle(schema, tmp_path)
+    report = binder.bind(schema, bundle, dt.date(2019, 6, 1)).report
+    report.notice("n", "no location")
+    dicts = report.to_dicts()
+    assert [list(d.items()) for d in dicts] == [list(asdict(d).items())
+                                               for d in report.diagnostics]
+    assert len(dicts) > 10 and dicts[-1]["location"] is None
