@@ -8,11 +8,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
-from . import dsl, eer
 from .engine import TrainingDataset
 from .expr import float_column, left_sum
 from .values import NOT_APPLICABLE, UNKNOWN
@@ -167,16 +167,20 @@ def ols_fit(features: np.ndarray, target: Sequence[float], ridge: float = 1e-8) 
     y = np.asarray(target, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("features must be a 2-D matrix with one row per target value")
+    return _solve(np.hstack([np.ones((X.shape[0], 1)), X]), y, ridge)
+
+
+def _solve(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """``ols_fit``'s normal equations on a design whose first column is ones."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    Xi = np.hstack([np.ones((X.shape[0], 1)), X])
     # features near 1e308 overflow to nan coefficients quietly: callers check finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = Xi.T @ Xi + ridge * np.eye(Xi.shape[1])
+        gram = design.T @ design + ridge * np.eye(design.shape[1])
         try:
             if ridge == 0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
                 raise np.linalg.LinAlgError("singular")
-            return np.linalg.solve(gram, Xi.T @ y)
+            return np.linalg.solve(gram, design.T @ y)
         except np.linalg.LinAlgError:
             raise ValueError("singular system; retry with ridge > 0")
 
@@ -186,67 +190,94 @@ def ols_predict(beta: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((X.shape[0], 1)), X]) @ beta
 
 
-class OneHotDesign:
-    """Design-matrix builder over a Table: numeric columns pass through
-    (train-mean filled), booleans become 0/1, nominals are one-hot encoded
-    with the lexically last category dropped as reference level. The table's
-    key columns, the target, identifiers, dates and text are excluded.
+_CHUNK = 8192  # design rows gathered from a block at a time
 
-    One float design is built at construction: the numeric columns (nan =
-    null), the booleans as 0/1, then one 0/1 column per category of each
-    nominal, in sorted order. ``nominal`` keeps each nominal column's codes
-    into its sorted categories (-1 = null). A join view's columns are encoded
-    per block cell and gathered along its index. ``fit`` and ``transform``
-    take an integer array of row indexes into the table; ``fit`` takes the
-    means and the kept categories from the rows it is given, and
-    ``transform`` gathers the kept columns of the rows.
+
+class OneHotDesign:
+    """Design matrices over a Table: the intercept's ones, the numeric columns
+    (nulls filled with the train mean), booleans as 0/1, then per nominal a
+    0/1 column per train category but the lexically last (the reference
+    level). Key columns, the target, identifiers, dates and text are excluded.
+
+    Each column is encoded once in its join block (a plain table is one block,
+    index None): numeric and boolean columns in one float array (nan = null),
+    nominals as codes into their sorted categories (``nominal``, -1 = null).
+    ``fit(rows)`` keeps the rows' means and categories and returns their
+    design, ``transform(rows)`` any rows'. A design is one C-order array,
+    filled by a row gather per block and a scatter of 1.0 into kept columns.
     """
 
     def __init__(self, table: Table, target_column: str):
         skip = set(table.key_columns) | {target_column}
-        columns: dict[str, list[np.ndarray]] = {"numeric": [], "boolean": [], "nominal": []}
-        for i, c in enumerate(table.columns):
-            if c.name not in skip and c.kind in columns:
-                columns[c.kind].append(_encoded(table, i, _ENCODERS[c.kind]))
-        self.nominal = columns["nominal"]
-        dense = columns["numeric"] + columns["boolean"]
-        self.n_numeric = len(columns["numeric"])
-        self.n_dense = len(dense)
-        widths = [int(codes.max(initial=-1)) + 1 for codes in self.nominal]
-        # the first design column of each nominal's categories
-        self.first = len(dense) + np.cumsum([0] + widths[:-1], dtype=np.int64)
-        self.design = np.zeros((table.row_count, len(dense) + sum(widths)))
-        for j, values in enumerate(dense):
-            self.design[:, j] = values
-        for first, codes in zip(self.first.tolist(), self.nominal):
-            rows = np.flatnonzero(codes >= 0)
-            self.design[rows, first + codes[rows]] = 1.0
+        kinds = [None if c.name in skip else c.kind for c in table.columns]
+        self.n_numeric = kinds.count("numeric")
+        self.n_dense = self.n_numeric + kinds.count("boolean")
+        first = {"numeric": 1, "boolean": 1 + self.n_numeric}  # next design column
+        self.blocks = []  # (index, dense values, (design, values) column runs, nominals)
+        for cells, index in ([(table.cells, None)] if table.join is None
+                             else zip(table.join.blocks, table.join.index)):
+            kind, kinds = kinds[:len(cells)], kinds[len(cells):]
+            dense = [j for k in first for j in range(len(cells)) if kind[j] == k]
+            values = np.empty((len(cells[0]) if cells else 0, len(dense)))
+            for i, j in enumerate(dense):
+                values[:, i] = (float_column(cells[j]) if kind[j] == "numeric"
+                                else [v is True for v in cells[j]])
+            runs, i = [], 0
+            for k in first:
+                width = kind.count(k)
+                if width:
+                    runs.append((slice(first[k], first[k] + width), slice(i, i + width)))
+                first[k], i = first[k] + width, i + width
+            nominal = [_nominal_codes(cells[j]) for j in range(len(cells)) if kind[j] == "nominal"]
+            self.blocks.append((index, values, runs, nominal))
+        self.nominal = [codes for block in self.blocks for codes in block[3]]
 
-    def fit(self, rows: np.ndarray) -> "OneHotDesign":
-        numeric = self.design[rows, :self.n_numeric]
-        known = ~np.isnan(numeric)
-        filled = np.where(known, numeric, 0.0)
-        # added down each column in row order from a zero row, one rounding
-        # per addition: left_sum's bits (np.sum adds pairwise)
-        with np.errstate(over="ignore"):
-            sums = np.cumsum(np.vstack([np.zeros(self.n_numeric), filled]), axis=0)[-1]
-        count = known.sum(axis=0)
-        self.means = np.where(count > 0, sums / np.maximum(count, 1), 0.0)
-        self.kept = []
-        for codes in self.nominal:
-            picked = codes[rows]
-            present = np.flatnonzero(np.bincount(picked[picked >= 0]))
-            self.kept.append(present[:-1])  # drop lexically last as reference
-        self.columns = np.concatenate([np.arange(self.n_dense)]
-                                      + [first + kept for first, kept in zip(self.first, self.kept)])
-        return self
+    def fit(self, rows: np.ndarray) -> np.ndarray:
+        column, self.kept, self.slots = 1 + self.n_dense, [], []
+        for index, _, _, nominal in self.blocks:
+            at = rows if index is None else index[rows]
+            self.slots.append([])
+            for codes in nominal:
+                picked = codes[at]
+                kept = np.flatnonzero(np.bincount(picked[picked >= 0]))[:-1]
+                # each code's design column, -1 for none; a null's -1 reads the last
+                slot = np.full(int(codes.max(initial=-1)) + 2, -1, np.int64)
+                slot[kept] = column + np.arange(len(kept))
+                column += len(kept)
+                self.kept.append(kept)
+                self.slots[-1].append(slot)
+        self.width = column
+        X = self._design(rows)
+        self.means = np.zeros(self.n_numeric)  # 0 where no train row is known
+        for j in range(self.n_numeric):
+            known = X[:, 1 + j][~np.isnan(X[:, 1 + j])]
+            # summed in row order from 0.0: left_sum's bits (np.sum adds pairwise)
+            total = np.bincount(np.zeros(len(known), np.intp), weights=known, minlength=1)[0]
+            self.means[j] = total / max(len(known), 1)
+        return self._fill(X)
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        # one gather into a new C-order array: the products in ols_fit round
-        # by memory layout
-        X = self.design[rows[:, None], self.columns]
-        numeric = X[:, :self.n_numeric]
-        np.copyto(numeric, self.means, where=np.isnan(numeric))
+        return self._fill(self._design(rows))
+
+    def _fill(self, X: np.ndarray) -> np.ndarray:
+        for j, mean in enumerate(self.means.tolist()):
+            X[np.isnan(X[:, 1 + j]), 1 + j] = mean
+        return X
+
+    def _design(self, rows: np.ndarray) -> np.ndarray:
+        """The rows' design with its nulls still nan."""
+        X = np.zeros((len(rows), self.width))
+        X[:, 0] = 1.0
+        for (index, values, runs, nominal), slots in zip(self.blocks, self.slots):
+            at = rows if index is None else index[rows]
+            for s in range(0, len(at) if runs else 0, _CHUNK):
+                part = values[at[s:s + _CHUNK]]
+                for design, value in runs:
+                    X[s:s + _CHUNK, design] = part[:, value]
+            for codes, slot in zip(nominal, slots):
+                columns = slot[codes[at]]
+                hit = np.flatnonzero(columns >= 0)
+                X[hit, columns[hit]] = 1.0
         return X
 
 
@@ -255,13 +286,6 @@ def _nominal_codes(cells: list) -> np.ndarray:
     distinct = set(cells) - {None, UNKNOWN, NOT_APPLICABLE}
     code = {c: j for j, c in enumerate(sorted(distinct))}
     return np.fromiter((code.get(v, -1) for v in cells), np.int64, len(cells))
-
-
-_ENCODERS = {
-    "numeric": float_column,
-    "boolean": lambda cells: np.array([1.0 if v is True else 0.0 for v in cells], dtype=float),
-    "nominal": _nominal_codes,
-}
 
 
 def _encoded(table: Table, j: int, encode) -> np.ndarray:
@@ -332,12 +356,6 @@ class SynthSpec:
         }
 
 
-def synth_schema() -> eer.EerSchema:
-    schema, rep = dsl.parse_schema(dsl.SchemaSource(SYNTH_SCHEMA_TEXT, origin="<synth>"))
-    assert rep.ok, rep.render()
-    return schema
-
-
 def synth_generate(spec: SynthSpec, seed: int) -> DataBundle:
     """Deterministic per seed: customers with Uniform{fanout} orders; the
     target is the stated linear function of the summarized order statistics
@@ -383,33 +401,17 @@ class ComparisonReport:
     fold_sizes: list[int]
 
     def to_dict(self) -> dict:
-        return {
-            "ds0": self.ds0.to_dict(),
-            "tds": self.tds.to_dict(),
-            "wilcoxon": self.wilcoxon.to_dict(),
-            "n_entities": self.n_entities,
-            "folds": self.folds,
-            "fold_sizes": self.fold_sizes,
-        }
+        return {"ds0": self.ds0.to_dict(), "tds": self.tds.to_dict(),
+                "wilcoxon": self.wilcoxon.to_dict(), "n_entities": self.n_entities,
+                "folds": self.folds, "fold_sizes": self.fold_sizes}
 
 
-def _fold_ids(dataset: TrainingDataset, fold_of: dict) -> tuple[list, np.ndarray, np.ndarray]:
-    """The key of each row of a dataset, the target as floats (nan = null)
-    and the fold of each row (-1 = key not folded)."""
+def _positions(dataset: TrainingDataset, position: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's key position in ``position`` (-1 = none) and target (nan = null)."""
     table = dataset.table
-    keys, index = table.column_cells(table.column_index(table.key_columns[0]))
-    fold = np.array([fold_of.get(k, -1) for k in keys], dtype=np.int64)
-    if index is not None:
-        keys, fold = list(map(keys.__getitem__, index.tolist())), fold[index]
-    target = _encoded(table, table.column_index(dataset.target_column), _ENCODERS["numeric"])
-    return keys, target, fold
-
-
-def _fit_predict(design: OneHotDesign, target: np.ndarray, train: np.ndarray,
-                 test: np.ndarray, ridge: float) -> np.ndarray:
-    design.fit(train)
-    beta = ols_fit(design.transform(train), target[train], ridge=ridge)
-    return ols_predict(beta, design.transform(test))
+    pos = _encoded(table, table.column_index(table.key_columns[0]),
+                   lambda keys: np.fromiter(map(position.get, keys, repeat(-1)), np.int64))
+    return pos, _encoded(table, table.column_index(dataset.target_column), float_column)
 
 
 def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: float,
@@ -420,58 +422,56 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     folds). Flat-dataset row predictions are averaged per entity key before
     scoring, then paired absolute errors feed the signed-rank test.
 
-    Each dataset's keys, targets, folds and design columns are encoded once;
-    a fold selects its train and test rows by index, so the cost is linear in
-    the rows of both datasets. Flat rows whose key is not in ``tds`` are in
-    no fold. Test rows with a null target are not scored.
+    Rows are encoded once; folds, actuals and predictions are arrays over the
+    sorted ``tds`` keys and a fold selects rows by index, so the cost is linear
+    in rows. Flat rows whose key is not in ``tds`` are in no fold. Test rows
+    with a null target are not scored.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
     if len(tds.table.key_columns) != 1 or len(ds0.table.key_columns) != 1:
         raise ValueError("comparison requires a single-column entity key")
 
-    t_key = tds.table.column_index(tds.table.key_columns[0])
-    keys = sorted(set(tds.table.cells[t_key]))
+    keys = sorted(set(tds.table.cells[tds.table.column_index(tds.table.key_columns[0])]))
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
-    shuffled = list(keys)
-    random.Random(seed).shuffle(shuffled)
-    fold_of = {k: i % folds for i, k in enumerate(shuffled)}
-    fold_sizes = [len(shuffled[f::folds]) for f in range(folds)]
+    n = len(keys)
+    shuffled = list(range(n))
+    random.Random(seed).shuffle(shuffled)  # the permutation depends on n alone
+    fold = np.empty(n, np.int64)
+    fold[shuffled] = np.arange(n) % folds
+    fold_sizes = np.bincount(fold, minlength=folds).tolist()
 
-    t_keys, t_y, t_fold = _fold_ids(tds, fold_of)
-    f_keys, f_y, f_fold = _fold_ids(ds0, fold_of)
+    position = {k: i for i, k in enumerate(keys)}
+    t_pos, t_y = _positions(tds, position)
+    f_pos, f_y = _positions(ds0, position)
+    t_fold = fold[t_pos]
+    f_fold = np.where(f_pos >= 0, fold[f_pos], -1)
     t_known = ~np.isnan(t_y)
     f_known = ~np.isnan(f_y) & (f_fold >= 0)  # rows of keys in no fold never train
-    position = {k: i for i, k in enumerate(keys)}
-    f_key = np.fromiter((position.get(k, -1) for k in f_keys), np.int64, len(f_keys))
-    actual = {k: y for k, y, known in zip(t_keys, t_y.tolist(), t_known) if known}
-    t_design = OneHotDesign(tds.table, tds.target_column)
-    f_design = OneHotDesign(ds0.table, ds0.target_column)
+    t_design, f_design = (OneHotDesign(d.table, d.target_column) for d in (tds, ds0))
 
-    tds_pred: dict[object, float] = {}
-    ds0_pred: dict[object, float] = {}
+    # a key is scored once both arms predicted it, whatever the value; tds
+    # predicts the rows with a known target
+    actual, tds_pred, ds0_pred = np.zeros(n), np.zeros(n), np.zeros(n)
+    in_tds, in_ds0 = np.zeros(n, bool), np.zeros(n, bool)
     for f in range(folds):
-        test = np.flatnonzero(t_known & (t_fold == f))
-        preds = _fit_predict(t_design, t_y, np.flatnonzero(t_known & (t_fold != f)), test, ridge)
-        for i, p in zip(test.tolist(), preds.tolist()):
-            tds_pred[t_keys[i]] = p
-
-        test = np.flatnonzero(f_fold == f)
-        preds = _fit_predict(f_design, f_y, np.flatnonzero(f_known & (f_fold != f)), test, ridge)
+        train, test = t_known & (t_fold != f), np.flatnonzero(t_known & (t_fold == f))
+        beta = _solve(t_design.fit(np.flatnonzero(train)), t_y[train], ridge)
+        tds_pred[t_pos[test]] = t_design.transform(test) @ beta
+        actual[t_pos[test]], in_tds[t_pos[test]] = t_y[test], True
+        train, test = f_known & (f_fold != f), np.flatnonzero(f_fold == f)
+        beta = _solve(f_design.fit(np.flatnonzero(train)), f_y[train], ridge)
+        preds = f_design.transform(test) @ beta
         # each key's mean prediction, summed in row order as left_sum would
-        n = np.bincount(f_key[test], minlength=len(keys))
-        mean = (np.bincount(f_key[test], weights=preds, minlength=len(keys))
-                / np.maximum(n, 1)).tolist()
-        for i in np.flatnonzero(n).tolist():
-            ds0_pred[keys[i]] = mean[i]
+        count = np.bincount(f_pos[test], minlength=n)
+        mean = np.bincount(f_pos[test], weights=preds, minlength=n) / np.maximum(count, 1)
+        hit = count > 0
+        ds0_pred[hit], in_ds0[hit] = mean[hit], True
 
-    scored = [k for k in keys if k in actual and k in tds_pred and k in ds0_pred]
-    a = [actual[k] for k in scored]
-    tds_report = regression_metrics(a, [tds_pred[k] for k in scored], value_range)
-    ds0_report = regression_metrics(a, [ds0_pred[k] for k in scored], value_range)
-    wil = wilcoxon_signed_rank([
-        (abs(ds0_pred[k] - actual[k]), abs(tds_pred[k] - actual[k])) for k in scored
-    ])
-    return ComparisonReport(ds0=ds0_report, tds=tds_report, wilcoxon=wil,
-                            n_entities=len(scored), folds=folds, fold_sizes=fold_sizes)
+    scored = in_tds & in_ds0
+    a, t, d = actual[scored].tolist(), tds_pred[scored].tolist(), ds0_pred[scored].tolist()
+    wil = wilcoxon_signed_rank([(abs(dp - y), abs(tp - y)) for y, tp, dp in zip(a, t, d)])
+    return ComparisonReport(ds0=regression_metrics(a, d, value_range),
+                            tds=regression_metrics(a, t, value_range), wilcoxon=wil,
+                            n_entities=len(a), folds=folds, fold_sizes=fold_sizes)

@@ -14,7 +14,7 @@ import pytest
 
 from cmml import binder, cli, eer, engine, evalkit, planner
 from cmml.values import NOT_APPLICABLE, UNKNOWN
-from conftest import CLOCK, EXAMPLE_DATA, EXAMPLE_SCHEMA
+from conftest import CLOCK, EXAMPLE_DATA, EXAMPLE_SCHEMA, parse
 from propgen import Case
 
 SEEDS = range(120)
@@ -282,7 +282,7 @@ FROZEN_DS0_R2 = 0.29699197281460854
 def test_criterion_09_end_to_end_synthetic():
     spec = evalkit.SynthSpec()
     bundle = evalkit.synth_generate(spec, 42)
-    schema = eer.rewrite_many_to_many(evalkit.synth_schema())
+    schema = eer.rewrite_many_to_many(parse(evalkit.SYNTH_SCHEMA_TEXT))
     bound = binder.bind(schema, bundle)
     assert bound.ok
     task = schema.task("PREDICT_LTV")

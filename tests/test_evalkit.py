@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from cmml import evalkit
 from cmml.engine import TrainingDataset
 from cmml.tabular import Column, JoinRows, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
+from conftest import parse
 from test_golden import CASES as GOLDEN_CASES, EVALUATED
 
 
@@ -166,8 +168,7 @@ def test_one_hot_design():
                     ["b", None, "blue", False, 0.0],
                     ["c", 3.0, "green", True, 0.0]],
               key_columns=["id"])
-    d = evalkit.OneHotDesign(t, "y").fit(np.arange(3))
-    X = d.transform(np.arange(3))
+    X = _features(t, np.arange(3), np.arange(3))
     # columns: num, flag, cat in {blue, green} (red dropped as lexically last)
     assert X.shape == (3, 4)
     assert X[1, 0] == 2.0  # null numeric filled with train mean (1+3)/2
@@ -213,7 +214,7 @@ def test_synth_respects_spec_and_truth():
 
 def test_synth_schema_parses_and_binds():
     from cmml import binder, eer
-    schema = eer.rewrite_many_to_many(evalkit.synth_schema())
+    schema = eer.rewrite_many_to_many(parse(evalkit.SYNTH_SCHEMA_TEXT))
     bound = binder.bind(schema, evalkit.synth_generate(evalkit.SynthSpec(customers=10), 0))
     assert bound.ok, bound.report.render()
 
@@ -234,7 +235,7 @@ def _prepared(seed=42, customers=200):
     from cmml import binder, eer, engine, planner
     spec = evalkit.SynthSpec(customers=customers)
     bundle = evalkit.synth_generate(spec, seed)
-    schema = eer.rewrite_many_to_many(evalkit.synth_schema())
+    schema = eer.rewrite_many_to_many(parse(evalkit.SYNTH_SCHEMA_TEXT))
     bound = binder.bind(schema, bundle)
     assert bound.ok
     task = schema.task("PREDICT_LTV")
@@ -269,6 +270,17 @@ def test_compare_datasets_fold_validation():
 # Encoded design and fold selection edge cases
 
 
+def _features(table, train, rows):
+    """The design of ``rows`` fitted on ``train``, without its intercept
+    column; ``fit`` returns the same design for the train rows."""
+    d = evalkit.OneHotDesign(table, "y")
+    fitted = d.fit(np.asarray(train, dtype=np.int64))
+    X = d.transform(np.asarray(rows, dtype=np.int64))
+    assert np.array_equal(fitted, d.transform(np.asarray(train, dtype=np.int64)))
+    assert X.flags["C_CONTIGUOUS"] and X[:, 0].tolist() == [1.0] * len(X)
+    return X[:, 1:]
+
+
 def _design_table(rows):
     return Table("T", [Column("id", "identifier"), Column("num", "numeric"),
                        Column("flag", "boolean"), Column("cat", "nominal"), Column("y", "numeric")],
@@ -280,8 +292,7 @@ def test_one_hot_design_category_seen_only_in_test_is_all_zeros():
                        ["b", 2.0, False, "blue", 0.0],
                        ["c", 3.0, True, "green", 0.0],
                        ["d", 4.0, False, "amber", 0.0]])
-    d = evalkit.OneHotDesign(t, "y").fit(np.arange(3))
-    X = d.transform(np.array([3, 1]))
+    X = _features(t, np.arange(3), [3, 1])
     # columns: num, flag, cat in {blue, green}; amber sorts first but was never trained
     assert X.shape == (2, 4)
     assert list(X[0]) == [4.0, 0.0, 0.0, 0.0]
@@ -292,8 +303,7 @@ def test_one_hot_design_numeric_without_known_train_value_fills_zero():
     t = _design_table([["a", None, True, "red", 0.0],
                        ["b", UNKNOWN, False, "red", 0.0],
                        ["c", 5.0, True, "red", 0.0]])
-    d = evalkit.OneHotDesign(t, "y").fit(np.arange(2))
-    assert list(d.transform(np.arange(3))[:, 0]) == [0.0, 0.0, 5.0]
+    assert list(_features(t, np.arange(2), np.arange(3))[:, 0]) == [0.0, 0.0, 5.0]
 
 
 def test_one_hot_design_tagged_nulls_act_like_none():
@@ -302,8 +312,7 @@ def test_one_hot_design_tagged_nulls_act_like_none():
                        ["c", NOT_APPLICABLE, NOT_APPLICABLE, NOT_APPLICABLE, 0.0],
                        ["d", 1.0, True, "x", 0.0],
                        ["e", 4.0, True, "y", 0.0]])
-    d = evalkit.OneHotDesign(t, "y").fit(np.arange(5))
-    X = d.transform(np.arange(5))
+    X = _features(t, np.arange(5), np.arange(5))
     # columns: num (mean of the known 1 and 4), flag, cat x (y dropped as reference)
     assert X.shape == (5, 3)
     for i in range(3):
@@ -355,8 +364,7 @@ def test_one_hot_design_matches_row_reference():
         rng.shuffle(idx)
         cut = rng.randint(0, len(idx))
         train, test = sorted(idx[:cut]), sorted(idx[cut:])
-        d = evalkit.OneHotDesign(t, "y").fit(np.array(train, dtype=int))
-        X = d.transform(np.array(test, dtype=int))
+        X = _features(t, train, test)
         assert X.tolist() == _reference_design(t, train, test)
 
 
@@ -375,8 +383,9 @@ def test_compare_datasets_fold_without_scorable_rows():
     rep = evalkit.compare_datasets(flat, tds, 20.0, folds=5, seed=13)
     assert rep.fold_sizes == [2, 2, 2, 2, 2]
     assert rep.n_entities == 8
-    design = evalkit.OneHotDesign(tds.table, "y").fit(np.arange(10))
-    assert design.transform(np.arange(0)).shape == (0, 1)
+    design = evalkit.OneHotDesign(tds.table, "y")
+    design.fit(np.arange(10))
+    assert design.transform(np.arange(0))[:, 1:].shape == (0, 1)
 
 
 def test_compare_datasets_ignores_flat_rows_without_prepared_key(monkeypatch):
@@ -430,6 +439,36 @@ def test_compare_datasets_linear_at_scale():
     assert elapsed < 15.0, f"compare_datasets took {elapsed:.1f} s at {keys} keys"
 
 
+def test_compare_datasets_peak_is_within_twice_one_train_design():
+    # 5k keys; the naive side is a join view of 22.5k rows with a numeric and a
+    # 30-category nominal, so one fold's train design is about 18k x 31 floats
+    rng = random.Random(0)
+    keys = [f"C{i:05d}" for i in range(5000)]
+    y = [rng.uniform(0, 400) for _ in keys]
+    tds = Table("T", [Column("id", "identifier"), Column("n", "numeric"),
+                      Column("g", "nominal"), Column("y", "numeric")],
+                [[k, float(rng.randint(1, 8)), rng.choice("FM"), v] for k, v in zip(keys, y)],
+                ["id"])
+    parent = np.repeat(np.arange(len(keys)), [4 + i % 2 for i in range(len(keys))])
+    rows = len(parent)
+    child = [[rng.uniform(10, 100) for _ in range(rows)],
+             [f"ch{rng.randrange(30):02d}" for _ in range(rows)]]
+    flat = Table("ds0", [Column("id", "identifier"), Column("y", "numeric"),
+                         Column("total", "numeric"), Column("channel", "nominal")],
+                 JoinRows([[keys, y], child], [parent, np.arange(rows)]), ["id"])
+    assert rows == 22_500
+    tracemalloc.start()
+    try:
+        evalkit.compare_datasets(TrainingDataset("ds0", flat, "y"), TrainingDataset("T", tds, "y"),
+                                 400.0, folds=5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    train_design = rows * 4 // 5 * (1 + 1 + 29) * 8  # intercept, total, 29 kept channels
+    # the dense design of every row by every category peaked at 3.9x
+    assert peak <= 2 * train_design, f"peak {peak / train_design:.2f}x one train design"
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_fit_keeps_the_categories_np_unique_keeps(seed):
     rng = np.random.default_rng(seed)
@@ -438,7 +477,8 @@ def test_fit_keeps_the_categories_np_unique_keeps(seed):
     cells = [None if c < 0 else f"v{c}" for c in codes.tolist()]
     table = Table("T", [Column("c", "nominal"), Column("y", "numeric")],
                   [[v, 0.0] for v in cells])
-    design = evalkit.OneHotDesign(table, "y").fit(rows)
+    design = evalkit.OneHotDesign(table, "y")
+    design.fit(rows)
     (encoded,) = design.nominal
     seen = np.unique(encoded[rows])
     assert design.kept[0].tolist() == seen[seen >= 0][:-1].tolist()
@@ -476,11 +516,14 @@ def test_design_from_join_view_equals_materialized_rows(name, tmp_path):
     everything = np.arange(len(view.rows))
     half = everything[::2]
     for fit_rows in (everything, half):
-        x_view = by_view.fit(fit_rows).transform(everything)
-        x_rows = by_rows.fit(fit_rows).transform(everything)
+        fit_view, fit_rows_ = by_view.fit(fit_rows), by_rows.fit(fit_rows)
+        assert np.array_equal(fit_view[:, 1:], fit_rows_[:, 1:])
+        x_view = by_view.transform(everything)[:, 1:]
+        x_rows = by_rows.transform(everything)[:, 1:]
         assert x_view.shape == x_rows.shape and np.array_equal(x_view, x_rows)
-    fold_of = {k: i % 3 for i, k in enumerate(sorted({r[0] for r in rows.rows}))}
-    keys_v, y_v, fold_v = evalkit._fold_ids(flat, fold_of)
-    keys_r, y_r, fold_r = evalkit._fold_ids(materialized, fold_of)
-    assert keys_v == keys_r
-    assert np.array_equal(y_v, y_r, equal_nan=True) and np.array_equal(fold_v, fold_r)
+    keys = sorted({r[0] for r in rows.rows})
+    position = {k: i for i, k in enumerate(keys[::2])}  # half the keys have none
+    pos_v, y_v = evalkit._positions(flat, position)
+    pos_r, y_r = evalkit._positions(materialized, position)
+    assert pos_v.tolist() == [position.get(r[0], -1) for r in rows.rows] == pos_r.tolist()
+    assert np.array_equal(y_v, y_r, equal_nan=True)
