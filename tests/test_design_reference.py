@@ -125,12 +125,12 @@ def _kinds(rng, n):
     return [rng.choice(("numeric", "numeric", "boolean", "nominal", "text")) for _ in range(n)]
 
 
-def _random_pair(rng, join: bool):
+def _random_pair(rng, join: bool, n_keys: int = 0, max_fanout: int = 3):
     """A prepared dataset of unique keys and a flat dataset over some of its
     keys and a few orphans. Joined, the flat dataset is a root block (key,
     target, features) and a child block whose last row is all null, the
     absent partner of a root row without children."""
-    keys = [f"k{i:02d}" for i in range(rng.randint(4, 30))]
+    keys = [f"k{i:02d}" for i in range(n_keys or rng.randint(4, 30))]
     y = {k: _target(rng) for k in keys + ["orphan1", "orphan2"]}
     t_kinds = _kinds(rng, rng.randint(0, 4))
     t_columns = ([Column("id", "identifier")] + [Column(f"t{i}", k) for i, k in enumerate(t_kinds)]
@@ -147,7 +147,7 @@ def _random_pair(rng, join: bool):
     root_rows = [[k, y[k]] + [_cell(rng, kind) for kind in r_kinds] for k in roots]
     child_rows, root_of, child_of = [], [], []
     for r in range(len(roots)):
-        fanout = rng.randint(0, 3)
+        fanout = rng.randint(0, max_fanout)
         for _ in range(fanout):
             root_of.append(r)
             child_of.append(len(child_rows))
@@ -181,6 +181,15 @@ def test_random_tables_equal_the_dense_reference(seed, join):
     m = tds.table.row_count
     _same_design(tds.table, sorted(rng.sample(range(m), rng.randint(0, m))), range(m))
     assert all(o.startswith(("{", "ValueError")) for o in outcomes)
+
+
+def test_designs_over_several_gather_chunks():
+    rng = random.Random(11)
+    flat, tds = _random_pair(rng, True, n_keys=6000, max_fanout=6)
+    n = flat.table.row_count
+    assert n > 2 * evalkit._CHUNK
+    assert _same(flat, tds, 100.0, 5, 3).startswith("{")
+    _same_design(flat.table, sorted(rng.sample(range(n), n // 2)), rng.sample(range(n), n))
 
 
 def test_random_tables_are_mostly_scored():
