@@ -190,9 +190,6 @@ def ols_predict(beta: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((X.shape[0], 1)), X]) @ beta
 
 
-_CHUNK = 8192  # design rows gathered from a block at a time
-
-
 class OneHotDesign:
     """Design matrices over a Table: the intercept's ones, the numeric columns
     (nulls filled with the train mean), booleans as 0/1, then per nominal a
@@ -207,27 +204,27 @@ class OneHotDesign:
     filled by a row gather per block and a scatter of 1.0 into kept columns.
     """
 
+    _CHUNK = 8192  # design rows gathered from a block at a time
+
     def __init__(self, table: Table, target_column: str):
         skip = set(table.key_columns) | {target_column}
         kinds = [None if c.name in skip else c.kind for c in table.columns]
         self.n_numeric = kinds.count("numeric")
         self.n_dense = self.n_numeric + kinds.count("boolean")
-        first = {"numeric": 1, "boolean": 1 + self.n_numeric}  # next design column
+        numeric, boolean = 1, 1 + self.n_numeric  # the next design column of each kind
         self.blocks = []  # (index, dense values, (design, values) column runs, nominals)
         for cells, index in ([(table.cells, None)] if table.join is None
                              else zip(table.join.blocks, table.join.index)):
             kind, kinds = kinds[:len(cells)], kinds[len(cells):]
-            dense = [j for k in first for j in range(len(cells)) if kind[j] == k]
+            dense = [j for k in ("numeric", "boolean") for j in range(len(cells)) if kind[j] == k]
             values = np.empty((len(cells[0]) if cells else 0, len(dense)))
             for i, j in enumerate(dense):
                 values[:, i] = (float_column(cells[j]) if kind[j] == "numeric"
                                 else [v is True for v in cells[j]])
-            runs, i = [], 0
-            for k in first:
-                width = kind.count(k)
-                if width:
-                    runs.append((slice(first[k], first[k] + width), slice(i, i + width)))
-                first[k], i = first[k] + width, i + width
+            w = kind.count("numeric")  # values holds w numeric, then boolean columns
+            runs = ((slice(numeric, numeric + w), slice(0, w)),
+                    (slice(boolean, boolean + len(dense) - w), slice(w, len(dense))))
+            numeric, boolean = numeric + w, boolean + len(dense) - w
             nominal = [_nominal_codes(cells[j]) for j in range(len(cells)) if kind[j] == "nominal"]
             self.blocks.append((index, values, runs, nominal))
         self.nominal = [codes for block in self.blocks for codes in block[3]]
@@ -247,33 +244,32 @@ class OneHotDesign:
                 self.kept.append(kept)
                 self.slots[-1].append(slot)
         self.width = column
-        X = self._design(rows)
+        X = self._unfilled(rows)
         self.means = np.zeros(self.n_numeric)  # 0 where no train row is known
         for j in range(self.n_numeric):
-            known = X[:, 1 + j][~np.isnan(X[:, 1 + j])]
+            null = np.isnan(X[:, 1 + j])
+            known = X[~null, 1 + j]
             # summed in row order from 0.0: left_sum's bits (np.sum adds pairwise)
             total = np.bincount(np.zeros(len(known), np.intp), weights=known, minlength=1)[0]
             self.means[j] = total / max(len(known), 1)
-        return self._fill(X)
+            X[null, 1 + j] = self.means[j]
+        return X
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        return self._fill(self._design(rows))
-
-    def _fill(self, X: np.ndarray) -> np.ndarray:
+        X = self._unfilled(rows)
         for j, mean in enumerate(self.means.tolist()):
             X[np.isnan(X[:, 1 + j]), 1 + j] = mean
         return X
 
-    def _design(self, rows: np.ndarray) -> np.ndarray:
-        """The rows' design with its nulls still nan."""
+    def _unfilled(self, rows: np.ndarray) -> np.ndarray:  # nulls still nan
         X = np.zeros((len(rows), self.width))
         X[:, 0] = 1.0
         for (index, values, runs, nominal), slots in zip(self.blocks, self.slots):
             at = rows if index is None else index[rows]
-            for s in range(0, len(at) if runs else 0, _CHUNK):
-                part = values[at[s:s + _CHUNK]]
+            for s in range(0, len(at) if values.shape[1] else 0, self._CHUNK):
+                part = values[at[s:s + self._CHUNK]]
                 for design, value in runs:
-                    X[s:s + _CHUNK, design] = part[:, value]
+                    X[s:s + self._CHUNK, design] = part[:, value]
             for codes, slot in zip(nominal, slots):
                 columns = slot[codes[at]]
                 hit = np.flatnonzero(columns >= 0)
@@ -401,9 +397,14 @@ class ComparisonReport:
     fold_sizes: list[int]
 
     def to_dict(self) -> dict:
-        return {"ds0": self.ds0.to_dict(), "tds": self.tds.to_dict(),
-                "wilcoxon": self.wilcoxon.to_dict(), "n_entities": self.n_entities,
-                "folds": self.folds, "fold_sizes": self.fold_sizes}
+        return {
+            "ds0": self.ds0.to_dict(),
+            "tds": self.tds.to_dict(),
+            "wilcoxon": self.wilcoxon.to_dict(),
+            "n_entities": self.n_entities,
+            "folds": self.folds,
+            "fold_sizes": self.fold_sizes,
+        }
 
 
 def _positions(dataset: TrainingDataset, position: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -437,10 +438,9 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     n = len(keys)
     shuffled = list(range(n))
-    random.Random(seed).shuffle(shuffled)  # the permutation depends on n alone
-    fold = np.empty(n, np.int64)
-    fold[shuffled] = np.arange(n) % folds
-    fold_sizes = np.bincount(fold, minlength=folds).tolist()
+    random.Random(seed).shuffle(shuffled)  # the keys' permutation: it depends on n alone
+    fold = np.argsort(shuffled) % folds  # each key's place in the shuffle
+    fold_sizes = [len(shuffled[f::folds]) for f in range(folds)]
 
     position = {k: i for i, k in enumerate(keys)}
     t_pos, t_y = _positions(tds, position)

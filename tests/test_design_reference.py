@@ -187,7 +187,7 @@ def test_designs_over_several_gather_chunks():
     rng = random.Random(11)
     flat, tds = _random_pair(rng, True, n_keys=6000, max_fanout=6)
     n = flat.table.row_count
-    assert n > 2 * evalkit._CHUNK
+    assert n > 2 * evalkit.OneHotDesign._CHUNK
     assert _same(flat, tds, 100.0, 5, 3).startswith("{")
     _same_design(flat.table, sorted(rng.sample(range(n), n // 2)), rng.sample(range(n), n))
 
