@@ -243,7 +243,6 @@ class OneHotDesign:
                 column += len(kept)
                 self.kept.append(kept)
                 self.slots[-1].append(slot)
-        self.width = column
         X = self._unfilled(rows)
         self.means = np.zeros(self.n_numeric)  # 0 where no train row is known
         for j in range(self.n_numeric):
@@ -262,7 +261,7 @@ class OneHotDesign:
         return X
 
     def _unfilled(self, rows: np.ndarray) -> np.ndarray:  # nulls still nan
-        X = np.zeros((len(rows), self.width))
+        X = np.zeros((len(rows), 1 + self.n_dense + sum(map(len, self.kept))))
         X[:, 0] = 1.0
         for (index, values, runs, nominal), slots in zip(self.blocks, self.slots):
             at = rows if index is None else index[rows]
@@ -439,7 +438,8 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     n = len(keys)
     shuffled = list(range(n))
     random.Random(seed).shuffle(shuffled)  # the keys' permutation: it depends on n alone
-    fold = np.argsort(shuffled) % folds  # each key's place in the shuffle
+    fold = np.empty(n, np.int64)
+    fold[shuffled] = np.arange(n) % folds  # each key's place in the shuffle, mod folds
     fold_sizes = [len(shuffled[f::folds]) for f in range(folds)]
 
     position = {k: i for i, k in enumerate(keys)}
