@@ -432,7 +432,8 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     if len(tds.table.key_columns) != 1 or len(ds0.table.key_columns) != 1:
         raise ValueError("comparison requires a single-column entity key")
 
-    keys = sorted(set(tds.table.cells[tds.table.column_index(tds.table.key_columns[0])]))
+    t_key = tds.table.column_index(tds.table.key_columns[0])
+    keys = sorted(set(tds.table.cells[t_key]))
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     n = len(keys)
@@ -451,8 +452,7 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     f_known = ~np.isnan(f_y) & (f_fold >= 0)  # rows of keys in no fold never train
     t_design, f_design = (OneHotDesign(d.table, d.target_column) for d in (tds, ds0))
 
-    # a key is scored once both arms predicted it, whatever the value; tds
-    # predicts the rows with a known target
+    # a key is scored once both arms predicted it, whatever the value
     actual, tds_pred, ds0_pred = np.zeros(n), np.zeros(n), np.zeros(n)
     in_tds, in_ds0 = np.zeros(n, bool), np.zeros(n, bool)
     for f in range(folds):

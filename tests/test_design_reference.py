@@ -51,12 +51,6 @@ def _same_design(table, train, test):
 # Golden and propgen cases
 
 
-def _bound(schema, bundle):
-    bound = binder.bind(schema, bundle, CLOCK)
-    assert bound.ok, bound.report.render()
-    return bound
-
-
 def _datasets(schema, bound, task):
     derivations = engine.Derivations(bound, CLOCK)
     plan = planner.compile_plan(schema, task, planner.PlanOptions.from_task(task))
@@ -70,7 +64,8 @@ def test_golden_case_reports_equal_the_dense_reference(name, tmp_path):
     schema, _ = dsl.parse_schema_file(schema_path)
     schema = eer.rewrite_many_to_many(schema)
     bundle, _ = binder.load_bundle(schema, data_dir)
-    bound = _bound(schema, bundle)
+    bound = binder.bind(schema, bundle, CLOCK)
+    assert bound.ok, bound.report.render()
     flat, (tds,) = _datasets(schema, bound, schema.task(task_name))
     assert isinstance(flat.table.rows, JoinRows)
     for folds, seed in ((5, 0), (2, 1), (3, 7)):
