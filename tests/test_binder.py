@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cmml import binder, dsl, eer
+from cmml import binder, cli, dsl, eer
 from cmml.tabular import table_to_csv_bytes
 from cmml.values import NOT_APPLICABLE, UNKNOWN
 from conftest import parse, parse_full
@@ -282,11 +282,41 @@ NOISY_DATA = {
     "C": "cid,v,id\nc1,1,a\nc2,2,\nc3,3,zz\nc4,4,c\nc5,,\nc6,,yy\n",
 }
 
+# Subtype faults: a duplicated and a null supertype key whose rows share one
+# membership, a disjointness violation, null membership verdicts, uncovered
+# instances, a dangling member, and subtype-owned columns null on non-members.
+FAULTS = """
+entity E {
+  key id: identifier
+  attr t: numeric
+  attr size: numeric
+}
+entity C { key cid: identifier attr v: numeric }
+relationship R { E (1,1) -- (1,N) C via id }
+generalization G of E disjoint {
+  subtype SMALL when (size < 10) { attr s_only: numeric }
+  subtype MID when (size < 20) { attr m_only: numeric }
+  subtype GOLD from table { attr perk: numeric }
+}
+generalization H of E overlap {
+  subtype LOW when (t < 4)
+  subtype HIGH when (t >= 3)
+}
+"""
+FAULTS_DATA = {
+    "E": ("id,t,size,s_only,m_only\na,1,5,7,\nb,2,,,\na,3,30,,\n,4,5,,1\n,,50,,\n"
+          "c,6,40,,\nd,7,25,,\n"),
+    "C": "cid,v,id\nc1,1,a\nc2,2,d\nc3,3,zz\n",
+    "GOLD": "id,perk\nd,1\nzz,2\na,3\n",
+}
+INLINE = {"noisy": (NOISY, NOISY_DATA), "faults": (FAULTS, FAULTS_DATA)}
+
 BIND_DIGESTS = {
     "from_table": "9e6ae6bc4cab62ffcb6ad57b04893c4ebe82a2dc05dea85d3c18a8ccfe8a690d",
     "n_side_target": "0c0500d46869e0a27a9984cc521f707e47b4b0b271e59bb45cc21291af2bf189",
     "propgen_5": "6b3afd14e70fbd018489e8886ca74b03cdeae5aef921248c273b532c70ec1388",
     "noisy": "d7c11ff67c0d4d338f3c221ca9757f92e7735e85c65b103eb2dbec470992c419",
+    "faults": "6a46416600f2ad525df5363b1b5abe58047991d42e823708da105482b262f8cd",
 }
 
 
@@ -304,9 +334,10 @@ def _bind_record(bound) -> str:
 
 @pytest.mark.parametrize("name", sorted(BIND_DIGESTS))
 def test_bind_equals_row_at_a_time_binder(name, tmp_path):
-    if name == "noisy":
-        schema = parse_full(NOISY)
-        for table, text in NOISY_DATA.items():
+    if name in INLINE:
+        schema_text, data = INLINE[name]
+        schema = parse_full(schema_text)
+        for table, text in data.items():
             (tmp_path / f"{table}.csv").write_text(text, encoding="utf-8")
         data_dir = tmp_path
     else:
@@ -346,3 +377,17 @@ def test_report_to_dicts_keeps_the_dataclass_fields_in_order(tmp_path):
     assert [list(d.items()) for d in dicts] == [list(asdict(d).items())
                                                for d in report.diagnostics]
     assert len(dicts) > 10 and dicts[-1]["location"] is None
+
+
+def test_validate_json_on_subtype_faults(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    for table, text in FAULTS_DATA.items():
+        (tmp_path / f"{table}.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "s.cmml").write_text(FAULTS, encoding="utf-8")
+    rc = cli.main(["validate", "--schema", str(tmp_path / "s.cmml"),
+                   "--data-dir", str(tmp_path), "--json"])
+    out = capsys.readouterr().out
+    codes = {d["code"] for d in json.loads(out)["diagnostics"]}
+    assert {"duplicate-key", "null-key", "disjointness", "membership-null",
+            "uncovered-instances", "dangling-member"} <= codes
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (1, "cd9622273c7c3448d54be165af2300972d044fcd1d62795a7e9257d274bd1c70")
