@@ -1,6 +1,6 @@
 """Compile a schema + task into an ordered, guideline-tagged
-transformation plan, with a human-readable explanation and a lossless JSON
-form. Plans depend only on schema + task + options, never on the data.
+transformation plan, with a human-readable explanation and a JSON form.
+Plans depend only on schema + task + options, never on the data.
 """
 
 from __future__ import annotations
@@ -268,10 +268,7 @@ def _describe(step: PlanStep) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
-
-_PLAN_FIELDS = {"task", "target", "binding", "steps", "outputs", "options", "notes"}
-_STEP_BASE_FIELDS = {"kind", "guidelines"}
+# JSON form
 
 
 def plan_to_json(plan: TransformationPlan) -> str:
@@ -292,37 +289,3 @@ def plan_to_json(plan: TransformationPlan) -> str:
         "notes": list(plan.notes),
     }
     return json.dumps(doc, indent=2)
-
-
-def plan_from_json(text: str) -> TransformationPlan:
-    doc = json.loads(text)
-    unknown = set(doc) - _PLAN_FIELDS
-    if unknown:
-        raise PlanError(f"unknown plan field(s): {sorted(unknown)}")
-    for want in ("task", "target", "binding", "steps", "outputs", "options"):
-        if want not in doc:
-            raise PlanError(f"plan is missing field {want!r}")
-    entity, _, attr = doc["target"].partition(".")
-    binding = eer.TargetBinding(
-        target_entity=entity,
-        target_attr=attr,
-        predictor_entities=tuple(doc["binding"]["predictor_entities"]),
-        spanning_tree=tuple(
-            eer.TreeEdge(e["parent"], e["child"], e["relationship"])
-            for e in doc["binding"]["spanning_tree"]
-        ),
-        warnings=tuple(doc["binding"].get("warnings", ())),
-    )
-    steps = []
-    for s in doc["steps"]:
-        params = {k: v for k, v in s.items() if k not in _STEP_BASE_FIELDS}
-        steps.append(PlanStep(s["kind"], tuple(s["guidelines"]), params))
-    opt = doc["options"]
-    unknown = set(opt) - {"agg", "top_k", "impute", "seed", "holdout"}
-    if unknown:
-        raise PlanError(f"unknown option field(s): {sorted(unknown)}")
-    options = PlanOptions(agg_set=tuple(opt["agg"]), top_k=opt["top_k"], impute=opt["impute"],
-                          seed=opt.get("seed"), holdout=opt.get("holdout", 0.0))
-    return TransformationPlan(task=doc["task"], binding=binding, steps=tuple(steps),
-                              outputs=tuple(doc["outputs"]), options=options,
-                              notes=tuple(doc.get("notes", ())))

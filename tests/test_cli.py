@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cmml import cli, planner
+from cmml import cli
 from conftest import EXAMPLE_DATA, EXAMPLE_SCHEMA
 
 
@@ -141,15 +141,6 @@ def test_plan_text(capsys):
                "--task", "PREDICT_LTV", "--quiet") == 0
     out = capsys.readouterr().out
     assert "PREDICT_LTV" in out and "Guideline 4" in out
-
-
-def test_plan_json_round_trip(capsys):
-    assert run("plan", "--schema", str(EXAMPLE_SCHEMA),
-               "--task", "PREDICT_LTV", "--json", "--quiet") == 0
-    text = capsys.readouterr().out
-    plan = planner.plan_from_json(text)
-    assert plan.task == "PREDICT_LTV"
-    assert planner.plan_from_json(planner.plan_to_json(plan)) == plan
 
 
 def test_prepare_end_to_end(tmp_path):

@@ -190,24 +190,11 @@ def test_explain_mentions_each_output_once(example_schema):
     assert "1." in text and "2." in text
 
 
-def test_plan_json_round_trip(example_schema):
-    plan = _plan(example_schema, "PREDICT_LTV")
-    text = planner.plan_to_json(plan)
-    again = planner.plan_from_json(text)
-    assert again == plan
-    # grouping sanity on the serialized form
-    doc = json.loads(text)
+def test_plan_to_json_carries_task_target_and_options(example_schema):
+    doc = json.loads(planner.plan_to_json(_plan(example_schema, "PREDICT_LTV")))
     assert doc["task"] == "PREDICT_LTV"
     assert doc["target"] == "CUSTOMER.ltv"
     assert doc["options"]["top_k"] == 20
-
-
-def test_plan_json_rejects_unknown_fields(example_schema):
-    plan = _plan(example_schema, "PREDICT_LTV")
-    doc = json.loads(planner.plan_to_json(plan))
-    doc["surprise"] = 1
-    with pytest.raises(ValueError):
-        planner.plan_from_json(json.dumps(doc))
 
 
 def test_aggregated_nonnumeric_target_rejected():
