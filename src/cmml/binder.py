@@ -123,11 +123,16 @@ def _predicate(schema: eer.EerSchema, entity: str, table: Table, predicate: ex.E
 
 
 def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> bool:
+    """Check every entity table and from-table subtype's membership table
+    for null and duplicate keys; False when a table is missing."""
     ok = True
-    for ent in schema.entities:
-        table = bundle.table(ent.name)
+    tables = [(ent.name, f"no table for entity {ent.name}") for ent in schema.entities]
+    tables += [(st.name, f"no membership table for subtype {st.name}")
+               for gen in schema.generalizations for st in gen.subtypes if st.from_table]
+    for name, missing in tables:
+        table = bundle.table(name)
         if table is None:
-            rep.error("missing-table", f"no table for entity {ent.name}")
+            rep.error("missing-table", missing)
             ok = False
             continue
         key_cells = [table.cells[table.column_index(k)] for k in table.key_columns]
@@ -138,19 +143,14 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
         seen: dict[tuple, int] = {}
         for i, key in enumerate(zip(*key_cells)):
             if any(is_null(k) for k in key):
-                rep.error("null-key", f"{ent.name}: row {i + 1} has a null key cell", f"{ent.name}:{i + 1}")
+                rep.error("null-key", f"{name}: row {i + 1} has a null key cell", f"{name}:{i + 1}")
                 continue
             if key in seen:
                 rep.error("duplicate-key",
-                          f"{ent.name}: key {key} duplicated on rows {seen[key] + 1} and {i + 1}",
-                          f"{ent.name}:{i + 1}")
+                          f"{name}: key {key} duplicated on rows {seen[key] + 1} and {i + 1}",
+                          f"{name}:{i + 1}")
             else:
                 seen[key] = i
-    for gen in schema.generalizations:
-        for st in gen.subtypes:
-            if st.from_table and bundle.table(st.name) is None:
-                rep.error("missing-table", f"no membership table for subtype {st.name}")
-                ok = False
     return ok
 
 
@@ -222,6 +222,8 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
         for st in gen.subtypes:
             if st.from_table:
                 for i, key in enumerate(bundle.table(st.name).keys()):
+                    if any(is_null(k) for k in key):  # a null-key error, and no member
+                        continue
                     if key not in membership:
                         rep.error("dangling-member",
                                   f"{st.name}: row {i + 1} key {key} matches no {gen.supertype} instance",

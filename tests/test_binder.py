@@ -221,6 +221,30 @@ def test_from_table_subtype_membership(tmp_path):
     assert bound.subtype_membership["G"] == {("a",): {"S"}, ("b",): {"R"}}
 
 
+@pytest.mark.parametrize("gold,code", [("id,perk\na,5\na,99\n", "duplicate-key"),
+                                       ("id,perk\na,5\n,7\n", "null-key")])
+def test_membership_table_keys_are_checked(gold, code, tmp_path, capsys):
+    # a duplicated member key used to drop a row's attributes silently, and
+    # a null one was reported as a dangling member
+    schema = """
+        entity ACCOUNT { key id: identifier attr t: numeric }
+        generalization TIER of ACCOUNT overlap {
+          subtype GOLD from table { attr perk: numeric }
+          subtype TRIAL from table { attr days_left: numeric }
+        }
+        task T { target ACCOUNT.t split_by TIER }
+    """
+    (tmp_path / "s.cmml").write_text(schema, encoding="utf-8")
+    for name, text in {"ACCOUNT": "id,t\na,1\nb,2\n", "GOLD": gold,
+                       "TRIAL": "id,days_left\nb,3\n"}.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--schema", str(tmp_path / "s.cmml"),
+                     "--data-dir", str(tmp_path), "--json"]) == 1
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["code"], d["location"]) for d in diags if d["severity"] == "error"] == [
+        (code, "GOLD:2")]
+
+
 def test_bind_tags_every_null_cell_in_place(tmp_path):
     text = SUBTYPED.replace("task T", """
         generalization H of E overlap {
