@@ -3,6 +3,10 @@ relationship's partner index, subtype membership resolution, and
 classification of every null cell as unknown (imputable) vs not-applicable
 (never imputed).
 
+Subtype membership is one row vector per subtype over the supertype's rows:
+the row holding a member's subtype attributes, -1 for a non-member. Null
+classification and the engine's subtype split read it by row.
+
 Binding tags the null cells of a bound table: every ``None`` that
 ``read_csv`` left becomes the ``values.UNKNOWN`` or ``values.NOT_APPLICABLE``
 singleton, so later stages read the class from the cell itself. Keys, foreign
@@ -47,8 +51,11 @@ class BoundModel:
     # relationship -> each parent row's partner rows in the child, in child
     # row order; a parent key's rows all go to its first row
     partners: dict[str, ex.Groups] = field(default_factory=dict)
-    # generalization -> supertype key tuple -> set of member subtype names
-    subtype_membership: dict[str, dict[tuple, set[str]]] = field(default_factory=dict)
+    # generalization -> subtype -> for each supertype row, the row holding the
+    # member's subtype attributes (its own row for a predicate subtype, its
+    # membership-table row for a from-table one), -1 for a non-member; rows
+    # sharing a key share a membership
+    subtype_rows: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -114,6 +121,23 @@ def _unknown_for_null(cells: list) -> list:
     return [UNKNOWN if v is None or type(v) is Null else v for v in cells]
 
 
+def _keys(table: Table) -> list:
+    """Each row's key: its cell for a one-column key, else its cells' tuple."""
+    cells = [table.cells[table.column_index(k)] for k in table.key_columns]
+    return cells[0] if len(cells) == 1 else list(zip(*cells))
+
+
+def _key_at(table: Table, row: int) -> tuple:
+    """A row's key tuple, as diagnostics print it."""
+    return tuple(table.cells[table.column_index(k)][row] for k in table.key_columns)
+
+
+def _first_rows(keys: list) -> dict:
+    """Each distinct key's first row (filled from the last row back, so the
+    first row is written last)."""
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
 def _predicate(schema: eer.EerSchema, entity: str, table: Table, predicate: ex.Expr,
                clock: _dt.date) -> list:
     """A subtype or applicability predicate's verdict on every row of the
@@ -136,9 +160,7 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
             ok = False
             continue
         key_cells = [table.cells[table.column_index(k)] for k in table.key_columns]
-        # a one-column key is checked on its column; a composite one on tuples
-        keys = key_cells[0] if len(key_cells) == 1 else list(zip(*key_cells))
-        if not any(map(_has_null, key_cells)) and len(set(keys)) == len(keys):
+        if not any(map(_has_null, key_cells)) and len(set(_keys(table))) == table.row_count:
             continue
         seen: dict[tuple, int] = {}
         for i, key in enumerate(zip(*key_cells)):
@@ -168,10 +190,9 @@ def _index_relationships(bound: BoundModel) -> None:
                       "a single foreign-key column cannot reference it")
             continue
         fk = rel.fk_columns[0]
-        # each key's first row (filled from the last row back, so the first
-        # row is written last); a null key is a null-key error and no parent
+        # a null key is a null-key error and no parent
         key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
-        first_row = dict(zip(reversed(key_cells), range(len(key_cells) - 1, -1, -1)))
+        first_row = _first_rows(key_cells)
         for null in (None, UNKNOWN, NOT_APPLICABLE):
             first_row.pop(null, None)
         fk_cells = child.cells[child.column_index(fk)]
@@ -217,41 +238,49 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
     for gen in schema.generalizations:
         sup = bundle.table(gen.supertype)
-        sup_keys = list(sup.keys())
-        membership: dict[tuple, set[str]] = {k: set() for k in sup_keys}
+        n = sup.row_count
+        keys = _keys(sup)
+        first_row = _first_rows(keys)
+        # each row's key's first row: rows sharing a key share a membership
+        group = np.fromiter(map(first_row.__getitem__, keys), np.int64, n)
+        vectors: dict[str, np.ndarray] = {}
         for st in gen.subtypes:
             if st.from_table:
-                for i, key in enumerate(bundle.table(st.name).keys()):
-                    if any(is_null(k) for k in key):  # a null-key error, and no member
-                        continue
-                    if key not in membership:
-                        rep.error("dangling-member",
-                                  f"{st.name}: row {i + 1} key {key} matches no {gen.supertype} instance",
-                                  f"{st.name}:{i + 1}")
-                        continue
-                    membership[key].add(st.name)
+                mt = bundle.table(st.name)
+                found = np.fromiter(map(first_row.get, _keys(mt), repeat(-1)), np.int64, mt.row_count)
+                null = np.zeros(mt.row_count, dtype=bool)  # a null-key error, and no member
+                for k in mt.key_columns:
+                    null |= np.fromiter(map(is_null, mt.cells[mt.column_index(k)]), bool, mt.row_count)
+                for i in np.flatnonzero((found < 0) & ~null).tolist():
+                    rep.error("dangling-member", f"{st.name}: row {i + 1} key {_key_at(mt, i)} "
+                              f"matches no {gen.supertype} instance", f"{st.name}:{i + 1}")
+                matched = np.flatnonzero((found >= 0) & ~null)
+                held = np.full(n, -1)  # by each key's first row
+                held[found[matched]] = matched
+                vectors[st.name] = held[group]
             else:
                 verdicts = _predicate(schema, gen.supertype, sup, st.membership, clock)
-                for i, (verdict, key) in enumerate(zip(verdicts, sup_keys)):
-                    if is_null(verdict):
-                        rep.warning("membership-null",
-                                    f"{gen.supertype}: row {i + 1} membership predicate for {st.name} "
-                                    "is null; treated as non-member", f"{gen.supertype}:{i + 1}")
-                        continue
-                    if verdict:
-                        membership[key].add(st.name)
+                for i in [i for i, v in enumerate(verdicts) if type(v) in _NULL_TYPES]:
+                    rep.warning("membership-null",
+                                f"{gen.supertype}: row {i + 1} membership predicate for {st.name} "
+                                "is null; treated as non-member", f"{gen.supertype}:{i + 1}")
+                member = np.zeros(n, dtype=bool)  # by each key's first row
+                member[group[[v is True for v in verdicts]]] = True
+                vectors[st.name] = np.where(member[group], np.arange(n), -1)
+        firsts = np.flatnonzero(group == np.arange(n))  # one row per key, in row order
+        belongs = sum((v[firsts] >= 0).astype(np.int64) for v in vectors.values())
         if gen.mode == "disjoint":
-            for key, names in membership.items():
-                if len(names) > 1:
-                    rep.error("disjointness",
-                              f"{gen.supertype} {key!r} belongs to {sorted(names)} "
-                              f"under disjoint generalization {gen.name}")
-        uncovered = sum(1 for names in membership.values() if not names)
+            for r in firsts[belongs > 1].tolist():
+                names = sorted(name for name, v in vectors.items() if v[r] >= 0)
+                rep.error("disjointness",
+                          f"{gen.supertype} {_key_at(sup, r)!r} belongs to {names} "
+                          f"under disjoint generalization {gen.name}")
+        uncovered = int(np.count_nonzero(belongs == 0))
         if uncovered:
             rep.notice("uncovered-instances",
                        f"generalization {gen.name}: {uncovered} {gen.supertype} instance(s) "
                        "belong to no subtype and will appear in no split dataset")
-        bound.subtype_membership[gen.name] = membership
+        bound.subtype_rows[gen.name] = vectors
 
 
 def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
@@ -267,7 +296,6 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
         table = bound.bundle.table(ent.name)
         names = table.column_names
         attrs = {a.name: a for a in schema.effective_columns(ent.name)}
-        keys = None
         tagged: dict[int, list] = {}
         warnings: list[tuple[int, int, str]] = []
         for j, (colname, cells) in enumerate(zip(names, table.cells)):
@@ -279,14 +307,12 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
             if gen is None and applicable_when is None:
                 tagged[j] = _unknown_for_null(cells)
                 continue
-            members = bound.subtype_membership.get(gen.name, {}) if gen is not None else None
-            if members is not None and keys is None:
-                keys = list(table.keys())
+            outside = (bound.subtype_rows[gen.name][st.name] < 0).tolist() if gen is not None else None
             verdicts = (_predicate(schema, ent.name, table, applicable_when, clock)
                         if applicable_when is not None else None)
             column = list(cells)
             for i in [i for i, v in enumerate(cells) if v is None or type(v) is Null]:
-                if members is not None and st.name not in members.get(keys[i], ()):
+                if outside is not None and outside[i]:
                     column[i] = NOT_APPLICABLE
                     continue
                 tag = UNKNOWN
@@ -320,7 +346,7 @@ def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
         parent = bound.bundle.table(parent_name)
         key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
         # each distinct key's first row, in row order: the row its partners went to
-        first_row = dict(zip(reversed(key_cells), range(len(key_cells) - 1, -1, -1)))
+        first_row = _first_rows(key_cells)
         rows = np.sort(np.fromiter(first_row.values(), np.int64, len(first_row)))
         fanouts = bound.partners[rel.name].sizes[rows]
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right

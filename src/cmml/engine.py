@@ -228,14 +228,14 @@ class _Execution:
     def _partners(self, parent: str, child: str, rel_name: str) -> Groups:
         """For each row of the parent frame, its partner rows in the child
         frame: the rows whose foreign key holds its key (``Derivations.groups``),
-        or the one row that its own foreign key names."""
+        or the one row that its own foreign key names, read off the binder's
+        index the other way round."""
         rel = self.bound.schema.relationship(rel_name)
         if rel.child_entity() == child:
             return self.derivations.groups(rel_name)
-        pframe = self.frames[parent]
-        fk = pframe.cells[pframe.column_index(rel.fk_columns[0])]
-        ckey = {k[0]: i for i, k in enumerate(self.frames[child].keys())}
-        partner = np.fromiter((ckey.get(v, -1) for v in fk), np.int64, len(fk))
+        partners = self.bound.partners[rel_name]
+        partner = np.full(self.frames[parent].row_count, -1)
+        partner[partners.rows] = partners.gid
         return Groups(partner[partner >= 0], (partner >= 0).astype(np.int64))
 
     def derive_attr(self, entity: str, attr_name: str) -> None:
@@ -375,33 +375,33 @@ class _Execution:
     # -- splitting / imputation / emission --------------------------------------
 
     def split_subtypes(self, gen_name: str) -> None:
-        schema = self.bound.schema
-        gen = schema.generalization(gen_name)
+        gen = self.bound.schema.generalization(gen_name)
         root = self.frames[self.plan.binding.target_entity]
-        membership = self.bound.subtype_membership.get(gen_name, {})
-        root_members = [membership.get(k, ()) for k in root.keys()]
         for st in gen.subtypes:
             name = f"{self.plan.task}_{st.name}"
             # sibling subtypes' columns are excluded entirely
             keep_cols = [i for i, c in enumerate(root.columns)
                          if c.subtype is None or c.subtype[0] != gen_name or c.subtype[1] == st.name]
-            members = [r for r, names in enumerate(root_members) if st.name in names]
+            held = self.bound.subtype_rows[gen_name][st.name]
+            members = np.flatnonzero(held >= 0)
+            picked = members.tolist()
             frame = Table(root.name, [root.columns[i].clone() for i in keep_cols],
                           key_columns=root.key_columns,
-                          cells=[list(map(root.cells[i].__getitem__, members)) for i in keep_cols])
+                          cells=[list(map(root.cells[i].__getitem__, picked)) for i in keep_cols])
             if st.from_table:
-                self._join_membership_table(frame, gen, st)
-            if not members:
+                self._join_membership_table(frame, gen, st, held[members].tolist())
+            if not picked:
                 self.warnings.warning("empty-subtype",
                                       f"subtype {st.name} has zero members; dataset {name} is empty")
             self.datasets[name] = frame
 
-    def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype) -> None:
+    def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype,
+                               picked: list[int]) -> None:
+        """Attach the subtype's attributes from its membership table's rows
+        ``picked``, one per member row of the frame."""
         mt = self.bound.bundle.table(st.name)
-        position = {k: i for i, k in enumerate(mt.keys())}
-        picked = [position.get(k, -1) for k in frame.keys()]  # -1: NOT_APPLICABLE appended last
         for a in st.attributes:
-            cells = mt.cells[mt.column_index(a.name)] + [NOT_APPLICABLE]
+            cells = mt.cells[mt.column_index(a.name)]
             self._add(frame, Column(
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name], source_attributes=[f"{st.name}.{a.name}"],

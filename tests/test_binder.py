@@ -6,7 +6,7 @@ import pytest
 
 from cmml import binder, cli, dsl, eer
 from cmml.tabular import table_to_csv_bytes
-from cmml.values import NOT_APPLICABLE, UNKNOWN
+from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 from conftest import parse, parse_full
 from test_golden import CASES
 
@@ -55,7 +55,7 @@ def test_bind_refuses_an_unvalidated_schema(tmp_path):
     assert not bound.ok
     assert bound.report.to_dicts() == eer.validate_schema(schema).to_dicts()
     assert [(d.code, d.location) for d in bound.report.errors] == [("unknown-entity", "R")]
-    assert bound.partners == {} and bound.subtype_membership == {}
+    assert bound.partners == {} and bound.subtype_rows == {}
     assert binder.cardinality_report(bound) == []
 
 
@@ -142,9 +142,9 @@ def test_subtype_membership_by_predicate(tmp_path):
               "b,2,20,false,,,9\n"),
     }, tmp_path)
     assert bound.ok, bound.report.render()
-    m = bound.subtype_membership["G"]
-    assert m[("a",)] == {"SMALL"}
-    assert m[("b",)] == {"BIG"}
+    rows = bound.subtype_rows["G"]
+    assert rows["SMALL"].tolist() == [0, -1]
+    assert rows["BIG"].tolist() == [-1, 1]
 
 
 def test_null_classification_priority(tmp_path):
@@ -200,7 +200,7 @@ def test_overlap_allows_multi_membership(tmp_path):
     """
     bound = _bind(text, {"E": "id,t,size\nx,1,5\n"}, tmp_path)
     assert bound.ok, bound.report.render()
-    assert bound.subtype_membership["G"][("x",)] == {"A", "B"}
+    assert {n: v.tolist() for n, v in bound.subtype_rows["G"].items()} == {"A": [0], "B": [0]}
 
 
 def test_from_table_subtype_membership(tmp_path):
@@ -218,7 +218,9 @@ def test_from_table_subtype_membership(tmp_path):
         "R": "id,other\nb,7\n",
     }, tmp_path)
     assert bound.ok, bound.report.render()
-    assert bound.subtype_membership["G"] == {("a",): {"S"}, ("b",): {"R"}}
+    # each member's row in its subtype's own table
+    assert {n: v.tolist() for n, v in bound.subtype_rows["G"].items()} == {
+        "S": [0, -1], "R": [-1, 0]}
 
 
 @pytest.mark.parametrize("gold,code", [("id,perk\na,5\na,99\n", "duplicate-key"),
@@ -351,9 +353,21 @@ def _bind_record(bound) -> str:
                    for n, t in sorted(bound.bundle.tables.items())},
         "partners": {r: [g.rows.tolist(), g.sizes.tolist()]
                      for r, g in sorted(bound.partners.items())},
-        "membership": {n: {repr(k): sorted(v) for k, v in m.items()}
-                       for n, m in sorted(bound.subtype_membership.items())},
+        "membership": {g.name: _key_memberships(bound, g)
+                       for g in sorted(bound.schema.generalizations, key=lambda g: g.name)},
     })
+
+
+def _key_memberships(bound, gen) -> dict:
+    """The row vectors as the supertype key -> member subtypes mapping the
+    row-at-a-time binder kept, keyed by the repr of the key as read."""
+    sup = bound.bundle.table(gen.supertype)
+    out = {}
+    for r, key in enumerate(sup.keys()):
+        key = repr(tuple(None if is_null(k) else k for k in key))
+        if key not in out:
+            out[key] = sorted(n for n, v in bound.subtype_rows[gen.name].items() if v[r] >= 0)
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(BIND_DIGESTS))
