@@ -121,15 +121,9 @@ def _unknown_for_null(cells: list) -> list:
     return [UNKNOWN if v is None or type(v) is Null else v for v in cells]
 
 
-def _keys(table: Table) -> list:
-    """Each row's key: its cell for a one-column key, else its cells' tuple."""
-    cells = [table.cells[table.column_index(k)] for k in table.key_columns]
-    return cells[0] if len(cells) == 1 else list(zip(*cells))
-
-
-def _key_at(table: Table, row: int) -> tuple:
-    """A row's key tuple, as diagnostics print it."""
-    return tuple(table.cells[table.column_index(k)][row] for k in table.key_columns)
+def _as_tuple(table: Table, key) -> tuple:
+    """A key from ``table.row_keys()`` as the tuple diagnostics print."""
+    return key if len(table.key_columns) > 1 else (key,)
 
 
 def _first_rows(keys: list) -> dict:
@@ -160,7 +154,7 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
             ok = False
             continue
         key_cells = [table.cells[table.column_index(k)] for k in table.key_columns]
-        if not any(map(_has_null, key_cells)) and len(set(_keys(table))) == table.row_count:
+        if not any(map(_has_null, key_cells)) and len(set(table.row_keys())) == table.row_count:
             continue
         seen: dict[tuple, int] = {}
         for i, key in enumerate(zip(*key_cells)):
@@ -239,7 +233,7 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
     for gen in schema.generalizations:
         sup = bundle.table(gen.supertype)
         n = sup.row_count
-        keys = _keys(sup)
+        keys = sup.row_keys()
         first_row = _first_rows(keys)
         # each row's key's first row: rows sharing a key share a membership
         group = np.fromiter(map(first_row.__getitem__, keys), np.int64, n)
@@ -247,16 +241,19 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
         for st in gen.subtypes:
             if st.from_table:
                 mt = bundle.table(st.name)
-                found = np.fromiter(map(first_row.get, _keys(mt), repeat(-1)), np.int64, mt.row_count)
+                member_keys = mt.row_keys()
+                found = np.fromiter(map(first_row.get, member_keys, repeat(-1)), np.int64, mt.row_count)
                 null = np.zeros(mt.row_count, dtype=bool)  # a null-key error, and no member
                 for k in mt.key_columns:
                     null |= np.fromiter(map(is_null, mt.cells[mt.column_index(k)]), bool, mt.row_count)
                 for i in np.flatnonzero((found < 0) & ~null).tolist():
-                    rep.error("dangling-member", f"{st.name}: row {i + 1} key {_key_at(mt, i)} "
+                    rep.error("dangling-member", f"{st.name}: row {i + 1} key {_as_tuple(mt, member_keys[i])} "
                               f"matches no {gen.supertype} instance", f"{st.name}:{i + 1}")
                 matched = np.flatnonzero((found >= 0) & ~null)
+                # a key on several member rows (a duplicate-key error) is held by the first
+                held_keys, first = np.unique(found[matched], return_index=True)
                 held = np.full(n, -1)  # by each key's first row
-                held[found[matched]] = matched
+                held[held_keys] = matched[first]
                 vectors[st.name] = held[group]
             else:
                 verdicts = _predicate(schema, gen.supertype, sup, st.membership, clock)
@@ -273,7 +270,7 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
             for r in firsts[belongs > 1].tolist():
                 names = sorted(name for name, v in vectors.items() if v[r] >= 0)
                 rep.error("disjointness",
-                          f"{gen.supertype} {_key_at(sup, r)!r} belongs to {names} "
+                          f"{gen.supertype} {_as_tuple(sup, keys[r])!r} belongs to {names} "
                           f"under disjoint generalization {gen.name}")
         uncovered = int(np.count_nonzero(belongs == 0))
         if uncovered:

@@ -710,9 +710,10 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
     """Deterministic, seed-independent holdout: split by key digest."""
     train, test = [], []
     threshold = int(fraction * 2**32)
-    for i, key_cells in enumerate(ds.table.keys()):
-        key = "|".join(str(v) for v in key_cells)
-        h = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:4], "big")
+    composite = len(ds.table.key_columns) > 1
+    for i, key in enumerate(ds.table.row_keys()):
+        text = "|".join(map(str, key)) if composite else str(key)
+        h = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:4], "big")
         (test if h < threshold else train).append(i)
     for suffix, picked in (("train", train), ("test", test)):
         t = Table(f"{ds.name}_{suffix}", ds.table.columns, key_columns=ds.table.key_columns,

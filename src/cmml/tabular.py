@@ -176,9 +176,11 @@ class Table:
             j -= len(block)
         raise IndexError("column index out of range")
 
-    def keys(self) -> Iterator[tuple]:
-        """Every row's key tuple, in row order."""
-        return zip(*[self.cells[self.column_index(k)] for k in self.key_columns])
+    def row_keys(self) -> list:
+        """Every row's key, in row order: its cell for a one-column key, else
+        the tuple of its cells."""
+        cells = [self.cells[self.column_index(k)] for k in self.key_columns]
+        return cells[0] if len(cells) == 1 else list(zip(*cells))
 
     def order_key(self) -> Callable[[int], object]:
         """Sort key of a row index: the repr of the row's key. A parent's children

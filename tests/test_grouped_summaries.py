@@ -100,7 +100,7 @@ def _reference(bound) -> tuple[dict[str, list], list[str]]:
     for i, v in enumerate(ctable.cells[ctable.column_index("pid")]):
         children.setdefault(v, []).append(i)
     cid = ctable.cells[ctable.column_index("cid")]
-    groups = [sorted(children.get(k[0], ()), key=lambda i: repr(cid[i])) for k in ptable.keys()]
+    groups = [sorted(children.get(k, ()), key=lambda i: repr(cid[i])) for k in ptable.row_keys()]
 
     def cells(name: str) -> list[list]:
         column = ctable.cells[ctable.column_index(name)]

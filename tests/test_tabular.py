@@ -219,7 +219,7 @@ def test_write_deterministic_bytes(tmp_path):
 def distinct_key_count(table: Table) -> int:
     if not table.key_columns:
         raise ValueError(f"table {table.name!r} has no key columns set")
-    return len(set(table.keys()))
+    return len(set(table.row_keys()))
 
 
 def test_distinct_key_count():
