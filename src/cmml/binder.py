@@ -7,10 +7,12 @@ Subtype membership is one row vector per subtype over the supertype's rows:
 the row holding a member's subtype attributes, -1 for a non-member. Null
 classification and the engine's subtype split read it by row.
 
-Binding tags the null cells of a bound table: every ``None`` that
-``read_csv`` left becomes the ``values.UNKNOWN`` or ``values.NOT_APPLICABLE``
-singleton, so later stages read the class from the cell itself. Keys, foreign
-keys and nulls are checked and tagged one column at a time. A foreign-key
+Binding classifies the null cells of a bound table by rewriting their codes
+in each column's ``values.Vec``: ``read_csv`` reads an empty field as unknown
+(code 1), and the binder sets not applicable (code 2) where the subtype or
+the applicable_when predicate says so, so later stages read the class from
+the code. Keys, foreign keys and nulls are checked and coded one column at a
+time. A foreign-key
 column is mapped to parent rows in one pass and the relationship's
 ``expr.Groups`` built from that; Python visits only rows matching no parent.
 """
@@ -21,6 +23,7 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from . import eer
 from . import expr as ex
 from .diagnostics import Report
 from .tabular import Column, DataBundle, Table, read_csv
-from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null
+from .values import Vec, box
 
 
 @dataclass
@@ -45,7 +48,7 @@ class RelationshipCardinality:
 @dataclass
 class BoundModel:
     schema: eer.EerSchema
-    # tagged by bind: once the table checks pass, no cell is None
+    # null codes rewritten by bind to unknown (1) or not applicable (2)
     bundle: DataBundle
     report: Report
     # relationship -> each parent row's partner rows in the child, in child
@@ -108,34 +111,22 @@ def bind(schema: eer.EerSchema, bundle: DataBundle, clock: _dt.date | None = Non
     return bound
 
 
-_NULL_TYPES = frozenset({type(None), Null})
-
-
-def _has_null(cells: list) -> bool:
-    """Whether a column holds a null cell, read or tagged."""
-    return not _NULL_TYPES.isdisjoint(map(type, cells))
-
-
-def _unknown_for_null(cells: list) -> list:
-    """A copy of the column with every null cell tagged unknown."""
-    return [UNKNOWN if v is None or type(v) is Null else v for v in cells]
-
-
 def _as_tuple(table: Table, key) -> tuple:
     """A key from ``table.row_keys()`` as the tuple diagnostics print."""
     return key if len(table.key_columns) > 1 else (key,)
 
 
-def _first_rows(keys: list) -> dict:
+def _first_rows(keys: list, null: Optional[np.ndarray] = None) -> dict:
     """Each distinct key's first row (filled from the last row back, so the
-    first row is written last)."""
-    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    first row is written last), leaving out the rows where ``null`` is set."""
+    rows = np.arange(len(keys))[::-1] if null is None else np.flatnonzero(~null)[::-1]
+    return dict(zip(map(keys.__getitem__, rows.tolist()), rows.tolist()))
 
 
 def _predicate(schema: eer.EerSchema, entity: str, table: Table, predicate: ex.Expr,
-               clock: _dt.date) -> list:
+               clock: _dt.date) -> Vec:
     """A subtype or applicability predicate's verdict on every row of the
-    entity's table as read (a None cell reads as unknown)."""
+    entity's table as read."""
     return ex.eval_column(predicate, schema.stored_env(entity), table.row_count,
                           dict(zip(table.column_names, table.cells)), {}, clock)[0]
 
@@ -154,11 +145,12 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
             ok = False
             continue
         key_cells = [table.cells[table.column_index(k)] for k in table.key_columns]
-        if not any(map(_has_null, key_cells)) and len(set(table.row_keys())) == table.row_count:
+        null = np.any([v.null != 0 for v in key_cells], axis=0).tolist()
+        if not any(null) and len(set(table.row_keys())) == table.row_count:
             continue
         seen: dict[tuple, int] = {}
-        for i, key in enumerate(zip(*key_cells)):
-            if any(is_null(k) for k in key):
+        for i, key in enumerate(zip(*map(box, key_cells))):
+            if null[i]:
                 rep.error("null-key", f"{name}: row {i + 1} has a null key cell", f"{name}:{i + 1}")
                 continue
             if key in seen:
@@ -185,16 +177,16 @@ def _index_relationships(bound: BoundModel) -> None:
             continue
         fk = rel.fk_columns[0]
         # a null key is a null-key error and no parent
-        key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
-        first_row = _first_rows(key_cells)
-        for null in (None, UNKNOWN, NOT_APPLICABLE):
-            first_row.pop(null, None)
-        fk_cells = child.cells[child.column_index(fk)]
+        key = parent.cells[parent.column_index(parent.key_columns[0])]
+        key_cells = box(key)
+        first_row = _first_rows(key_cells, key.null != 0)
+        fk_null = child.cells[child.column_index(fk)].null.tolist()
+        fk_cells = box(child.cells[child.column_index(fk)])
         parent_row = np.fromiter(map(first_row.get, fk_cells, repeat(-1)), np.int64, len(fk_cells))
         parent_end = rel.end_of(parent_name) if not rel.is_one_to_one else rel.left
         for i in np.flatnonzero(parent_row < 0).tolist():
             v = fk_cells[i]
-            if not is_null(v):
+            if not fk_null[i]:
                 rep.error("dangling-fk",
                           f"{child_name}: row {i + 1} column {fk!r} = {v!r} matches no {parent_name} key",
                           f"{child_name}:{i + 1}")
@@ -230,22 +222,25 @@ def _index_relationships(bound: BoundModel) -> None:
 
 def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
+    groups: dict[str, tuple[list, dict, np.ndarray]] = {}  # one per supertype table
     for gen in schema.generalizations:
         sup = bundle.table(gen.supertype)
         n = sup.row_count
-        keys = sup.row_keys()
-        first_row = _first_rows(keys)
-        # each row's key's first row: rows sharing a key share a membership
-        group = np.fromiter(map(first_row.__getitem__, keys), np.int64, n)
+        if gen.supertype not in groups:
+            keys = sup.row_keys()
+            first_row = _first_rows(keys)
+            # each row's key's first row: rows sharing a key share a membership
+            groups[gen.supertype] = keys, first_row, np.fromiter(map(first_row.__getitem__, keys),
+                                                                 np.int64, n)
+        keys, first_row, group = groups[gen.supertype]
         vectors: dict[str, np.ndarray] = {}
         for st in gen.subtypes:
             if st.from_table:
                 mt = bundle.table(st.name)
                 member_keys = mt.row_keys()
                 found = np.fromiter(map(first_row.get, member_keys, repeat(-1)), np.int64, mt.row_count)
-                null = np.zeros(mt.row_count, dtype=bool)  # a null-key error, and no member
-                for k in mt.key_columns:
-                    null |= np.fromiter(map(is_null, mt.cells[mt.column_index(k)]), bool, mt.row_count)
+                # a null-key error, and no member
+                null = np.any([mt.cells[mt.column_index(k)].null != 0 for k in mt.key_columns], axis=0)
                 for i in np.flatnonzero((found < 0) & ~null).tolist():
                     rep.error("dangling-member", f"{st.name}: row {i + 1} key {_as_tuple(mt, member_keys[i])} "
                               f"matches no {gen.supertype} instance", f"{st.name}:{i + 1}")
@@ -257,12 +252,12 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
                 vectors[st.name] = held[group]
             else:
                 verdicts = _predicate(schema, gen.supertype, sup, st.membership, clock)
-                for i in [i for i, v in enumerate(verdicts) if type(v) in _NULL_TYPES]:
+                for i in np.flatnonzero(verdicts.null).tolist():
                     rep.warning("membership-null",
                                 f"{gen.supertype}: row {i + 1} membership predicate for {st.name} "
                                 "is null; treated as non-member", f"{gen.supertype}:{i + 1}")
                 member = np.zeros(n, dtype=bool)  # by each key's first row
-                member[group[[v is True for v in verdicts]]] = True
+                member[group[verdicts.values & (verdicts.null == 0)]] = True
                 vectors[st.name] = np.where(member[group], np.arange(n), -1)
         firsts = np.flatnonzero(group == np.arange(n))  # one row per key, in row order
         belongs = sum((v[firsts] >= 0).astype(np.int64) for v in vectors.values())
@@ -281,55 +276,43 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
 
 
 def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
-    """Replace every null cell with exactly one tag, in spec priority order,
-    one column at a time.
+    """Rewrite every null code to exactly one tag, in spec priority order,
+    one column at a time: not applicable (2) outside the column's subtype or
+    where its applicable_when is false, else unknown (1).
 
-    Every column's tags are computed from the untagged table before any
+    Every column's codes are computed from the table as read before any
     column is replaced, so applicable_when predicates see the cells as read.
     Their warnings are reported in row-major order.
     """
     schema, rep = bound.schema, bound.report
     for ent in schema.entities:
         table = bound.bundle.table(ent.name)
-        names = table.column_names
         attrs = {a.name: a for a in schema.effective_columns(ent.name)}
-        tagged: dict[int, list] = {}
+        codes: dict[int, np.ndarray] = {}
         warnings: list[tuple[int, int, str]] = []
-        for j, (colname, cells) in enumerate(zip(names, table.cells)):
-            if not _has_null(cells):
+        for j, (colname, vec) in enumerate(zip(table.column_names, table.cells)):
+            null = vec.null != 0
+            if not null.any():
                 continue
             gen, st = schema.subtype_owner(ent.name, colname)
             attr = attrs.get(colname)
-            applicable_when = attr.applicable_when if attr is not None else None
-            if gen is None and applicable_when is None:
-                tagged[j] = _unknown_for_null(cells)
-                continue
-            outside = (bound.subtype_rows[gen.name][st.name] < 0).tolist() if gen is not None else None
-            verdicts = (_predicate(schema, ent.name, table, applicable_when, clock)
-                        if applicable_when is not None else None)
-            column = list(cells)
-            for i in [i for i, v in enumerate(cells) if v is None or type(v) is Null]:
-                if outside is not None and outside[i]:
-                    column[i] = NOT_APPLICABLE
-                    continue
-                tag = UNKNOWN
-                if verdicts is not None:
-                    applicable = verdicts[i]
-                    if is_null(applicable):
-                        warnings.append((i, j, f"{ent.name}: row {i + 1}: applicable_when of "
-                                               f"{colname!r} is null; cell classified unknown"))
-                    elif not applicable:
-                        tag = NOT_APPLICABLE
-                column[i] = tag
-            tagged[j] = column
+            outside = (bound.subtype_rows[gen.name][st.name] < 0 if gen is not None
+                       else np.zeros(len(vec), dtype=bool))
+            if attr is not None and attr.applicable_when is not None:
+                verdicts = _predicate(schema, ent.name, table, attr.applicable_when, clock)
+                for i in np.flatnonzero(null & ~outside & (verdicts.null != 0)).tolist():
+                    warnings.append((i, j, f"{ent.name}: row {i + 1}: applicable_when of "
+                                           f"{colname!r} is null; cell classified unknown"))
+                outside = outside | ((verdicts.null == 0) & ~verdicts.values)
+            codes[j] = np.where(null, np.where(outside, 2, 1), 0).astype(np.int8)
         for i, _, message in sorted(warnings):
             rep.warning("applicability-null", message, f"{ent.name}:{i + 1}")
-        for j, column in tagged.items():
-            table.cells[j] = column
+        for j, code in codes.items():
+            table.cells[j] = Vec(table.cells[j].values, code)
     # members listed in a subtype's own table: every missing cell is unknown
     for st in (st for gen in schema.generalizations for st in gen.subtypes if st.from_table):
         cells = bound.bundle.table(st.name).cells
-        cells[:] = [_unknown_for_null(c) if _has_null(c) else c for c in cells]
+        cells[:] = [Vec(v.values, np.minimum(v.null, 1)) for v in cells]
 
 
 def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
@@ -341,9 +324,10 @@ def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
             continue
         parent_name, child_name = rel.parent_entity(), rel.child_entity()
         parent = bound.bundle.table(parent_name)
-        key_cells = parent.cells[parent.column_index(parent.key_columns[0])]
-        # each distinct key's first row, in row order: the row its partners went to
-        first_row = _first_rows(key_cells)
+        key = parent.cells[parent.column_index(parent.key_columns[0])]
+        key_cells = box(key)
+        # each distinct non-null key's first row, in row order: the row its partners went to
+        first_row = _first_rows(key_cells, key.null != 0)
         rows = np.sort(np.fromiter(first_row.values(), np.int64, len(first_row)))
         fanouts = bound.partners[rel.name].sizes[rows]
         child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right

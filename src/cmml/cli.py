@@ -20,7 +20,7 @@ from pathlib import Path
 from . import binder, dsl, eer, engine, evalkit, planner
 from .diagnostics import Report
 from .tabular import write_csv
-from .values import is_null, parse_date
+from .values import parse_date
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -224,7 +224,8 @@ def cmd_evaluate(args) -> int:
         value_range = args.range
     else:
         ti = tds.table.column_index(tds.target_column)
-        vals = [v for v in tds.table.cells[ti] if not is_null(v)]
+        y = tds.table.cells[ti]
+        vals = y.values[y.null == 0].tolist()
         if not vals or max(vals) == min(vals):
             raise DataError("cannot infer target range; pass --range")
         value_range = float(max(vals) - min(vals))

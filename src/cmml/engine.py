@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -33,7 +32,7 @@ from .diagnostics import Report
 from .expr import Groups
 from .planner import PlanError, PlanOptions, TransformationPlan, derivation_order
 from .tabular import Column, JoinRows, Table, table_to_csv_bytes
-from .values import NOT_APPLICABLE, UNKNOWN, Null, is_null, parse_cell
+from .values import Vec, factorize, parse_cell, reprs
 
 KIND_SUMMARY_ORDER = ("numeric", "nominal", "boolean", "text", "date")
 
@@ -86,13 +85,14 @@ class TrainingDataset:
     dropped_null_target: int = 0
 
 
-def _null_for(min_participation: int) -> Null:
-    return NOT_APPLICABLE if min_participation == 0 else UNKNOWN
+def _null_for(min_participation: int) -> int:
+    return 2 if min_participation == 0 else 1  # not applicable when optional, else unknown
 
 
 def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
-    """Working tables from the bound bundle, columns in effective-column order,
-    each column a copy. Null cells arrive already tagged by the binder."""
+    """Working tables from the bound bundle, columns in effective-column order.
+    A column is the bound table's ``Vec`` itself, which no step changes in
+    place. Null codes arrive already classified by the binder."""
     frames: dict[str, Table] = {}
     for name in entities:
         ent = bound.schema.entity(name)
@@ -108,7 +108,7 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
                 emit=a.kind != "identifier",
                 subtype=(gen.name, st.name) if st else None,
             ))
-        cells = [list(table.cells[table.column_index(c.name)]) for c in cols]
+        cells = [table.cells[table.column_index(c.name)] for c in cols]
         frames[name] = Table(name, cols, key_columns=ent.key_names, cells=cells)
     return frames
 
@@ -126,17 +126,17 @@ class Derivations:
     working tables keep until they are split or emitted. A derivation reads
     other attributes by their schema names; a derived attribute it reads is
     evaluated on demand (schema validation refuses cycles), so any request
-    order gives the same cells. Callers must not mutate the cell lists.
+    order gives the same cells.
     """
 
     def __init__(self, bound: BoundModel, clock: _dt.date):
         self.bound = bound
         self.clock = clock
-        self._derived: dict[tuple[str, str], tuple[list, list[str]]] = {}
+        self._derived: dict[tuple[str, str], tuple[Vec, list[str]]] = {}
         self._groups: dict[str, Groups] = {}
         self._key_rank: dict[str, np.ndarray] = {}
 
-    def derived(self, entity: str, attr_name: str) -> tuple[list, list[str]]:
+    def derived(self, entity: str, attr_name: str) -> tuple[Vec, list[str]]:
         """The derived attribute's cells and its sorted, distinct evaluation
         diagnostics, evaluated on the first request."""
         key = (entity, attr_name)
@@ -166,7 +166,7 @@ class Derivations:
             self._key_rank[entity] = rank
         return self._key_rank[entity]
 
-    def _cells(self, entity: str, attr_name: str) -> list:
+    def _cells(self, entity: str, attr_name: str) -> Vec:
         """A stored attribute's cells, or a derived one's from ``derived``."""
         attr = self.bound.schema.entity(entity).attr(attr_name)
         if attr is not None and attr.is_derived:
@@ -174,13 +174,13 @@ class Derivations:
         table = self.bound.bundle.table(entity)
         return table.cells[table.column_index(attr_name)]
 
-    def _evaluate(self, entity: str, attr_name: str) -> tuple[list, list[str]]:
+    def _evaluate(self, entity: str, attr_name: str) -> tuple[Vec, list[str]]:
         """One ``ex.eval_column`` over the entity's rows, its aggregates over
         the relationships' partner groups."""
         schema = self.bound.schema
         expr = schema.entity(entity).attr(attr_name).derivation
         columns = {a: self._cells(entity, a) for a in sorted(ex.referenced_attrs(expr))}
-        related: dict[tuple[str, Optional[str]], tuple[Optional[list], Groups]] = {}
+        related: dict[tuple[str, Optional[str]], tuple[Optional[Vec], Groups]] = {}
         for agg in ex.referenced_aggregates(expr):
             rel = schema.relationship(agg.relationship)
             if rel is None or rel.parent_entity() != entity:
@@ -212,7 +212,7 @@ class _Execution:
         self.datasets: dict[str, Table] = {}
         self.emitted: dict[str, TrainingDataset] = {}
 
-    def _add(self, table: Table, col: Column, values: list) -> None:
+    def _add(self, table: Table, col: Column, values: Vec) -> None:
         """Append a column to a working table, renaming it on a name collision."""
         taken = set(table.column_names)
         if col.name in taken:
@@ -276,19 +276,17 @@ class _Execution:
         if rel.is_one_to_one and rel.child_entity() != child:
             min_partners = 0
         absent_null = _null_for(min_partners)
-        # each parent row's first partner in child-key order; -1: the absent cell appended last
-        partner = np.full(len(partners), -1)
+        # each parent row's first partner in child-key order; the absent row appended last
+        partner = np.full(len(partners), cframe.row_count)
         has = partners.sizes > 0
         partner[has] = partners.rows[partners.offsets[:-1][has]]
-        partner = partner.tolist()
         for ci, col in enumerate(cframe.columns):
             if not col.emit or col.consumed or col.kind == "identifier":
                 continue
             new = col.clone(name=col.name if col.prefixed else feature_name(col.name, [child], "raw"),
                             prefixed=True)
             new.params["relationship"] = rel_name
-            cells = cframe.cells[ci] + [absent_null]
-            self._add(pframe, new, list(map(cells.__getitem__, partner)))
+            self._add(pframe, new, cframe.cells[ci].with_absent(absent_null).take(partner))
 
     def summarize_child(self, parent: str, child: str, rel_name: str,
                         agg_set: tuple[str, ...], top_k: int) -> None:
@@ -314,45 +312,46 @@ class _Execution:
                 # they surface only when their own entity's datasets are split
                 if col.subtype is not None:
                     continue
-                cells = cframe.cells[ci]
+                vec = cframe.cells[ci]
 
                 def summary(transform: str, kind: str = "numeric", category: Optional[str] = None):
                     return self._agg_col(col, child, rel_name, transform, kind, category)
 
                 if want_kind == "numeric":
-                    reduced = ex.group_reduce(numeric_aggs, ex.float_column(cells), groups)
+                    reduced = ex.group_reduce(numeric_aggs, vec.values, groups)
                     for agg, values in zip(numeric_aggs, reduced):
                         self._add_summary(pframe, summary(agg), values)
                 elif want_kind == "nominal":
-                    for category, counts in _category_counts(cells, groups, top_k):
-                        self._add(pframe, summary("category_count", category=category),
-                                  counts.tolist())
+                    for category, counts in _category_counts(vec, groups, top_k):
+                        self._add_summary(pframe, summary("category_count", category=category), counts)
                 elif want_kind == "boolean":
-                    true = np.fromiter((v is True for v in cells), bool, len(cells))[groups.rows]
+                    true = (vec.values & (vec.null == 0))[groups.rows]
                     self._add_summary(pframe, summary("true_count"),
                                       np.bincount(groups.gid[true], minlength=len(groups)).astype(float))
                 elif want_kind == "date":
-                    extremes = ex.group_reduce(("min", "max"), ex.ordinal_column(cells), groups)
+                    extremes = ex.group_reduce(("min", "max"), ex.day_floats(vec), groups)
                     for agg, days in zip(("min", "max"), extremes):
-                        self._add(pframe, summary(agg, "date"), [
-                            UNKNOWN if d != d else _dt.date.fromordinal(int(d)) for d in days.tolist()])
-                else:  # text, per group
-                    known = [ex.known_cells(g) for g in groups.split(cells)]
+                        null = np.isnan(days)
+                        self._add(pframe, summary(agg, "date"),
+                                  Vec(np.where(null, 1, days).astype(np.int64), null.astype(np.int8)))
+                else:  # text: each group's known cells joined, in group order
+                    known = vec.null[groups.rows] == 0
+                    texts = Groups(groups.rows[known], np.bincount(groups.gid[known],
+                                                                   minlength=len(groups)))
+                    joined = np.array(list(map("\n".join, texts.split(vec.values))), dtype=object)
                     self._add(pframe, summary("concat", "text"),
-                              ["\n".join(k) if k else UNKNOWN for k in known])
+                              Vec(joined, (texts.sizes == 0).astype(np.int8)))
 
     def _add_summary(self, table: Table, col: Column, values: np.ndarray) -> None:
         """Append a numeric summary, one float per group. A nan (a group
-        without a value) and an overflow to ±inf become UNKNOWN; a warning
+        without a value) and an overflow to ±inf become unknown; a warning
         counts the overflows."""
         replaced = int(np.count_nonzero(np.isinf(values)))
         if replaced:
             self.warnings.warning("non-finite-summary",
                                   f"{col.name}: {replaced} non-finite value(s) set to unknown")
-        cells = values.tolist()
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            cells[i] = UNKNOWN
-        self._add(table, col, cells)
+        null = ~np.isfinite(values)
+        self._add(table, col, Vec(np.where(null, math.nan, values), null.astype(np.int8)))
 
     def _agg_col(self, col: Column, child: str, rel_name: str, transform: str,
                  kind: str, category: Optional[str] = None) -> Column:
@@ -384,29 +383,27 @@ class _Execution:
                          if c.subtype is None or c.subtype[0] != gen_name or c.subtype[1] == st.name]
             held = self.bound.subtype_rows[gen_name][st.name]
             members = np.flatnonzero(held >= 0)
-            picked = members.tolist()
             frame = Table(root.name, [root.columns[i].clone() for i in keep_cols],
                           key_columns=root.key_columns,
-                          cells=[list(map(root.cells[i].__getitem__, picked)) for i in keep_cols])
+                          cells=[root.cells[i].take(members) for i in keep_cols])
             if st.from_table:
-                self._join_membership_table(frame, gen, st, held[members].tolist())
-            if not picked:
+                self._join_membership_table(frame, gen, st, held[members])
+            if not members.size:
                 self.warnings.warning("empty-subtype",
                                       f"subtype {st.name} has zero members; dataset {name} is empty")
             self.datasets[name] = frame
 
     def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype,
-                               picked: list[int]) -> None:
+                               picked: np.ndarray) -> None:
         """Attach the subtype's attributes from its membership table's rows
         ``picked``, one per member row of the frame."""
         mt = self.bound.bundle.table(st.name)
         for a in st.attributes:
-            cells = mt.cells[mt.column_index(a.name)]
             self._add(frame, Column(
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name], source_attributes=[f"{st.name}.{a.name}"],
                 guidelines=["G5"], subtype=(gen.name, st.name),
-            ), list(map(cells.__getitem__, picked)))
+            ), mt.cells[mt.column_index(a.name)].take(picked))
 
     def _ensure_dataset(self, name: str) -> Table:
         if name not in self.datasets:
@@ -423,10 +420,10 @@ class _Execution:
         for ci, col in enumerate(frame.columns):
             if not col.emit or col.consumed or col.name == target or col.kind == "identifier":
                 continue
-            cells = frame.cells[ci]
-            # by identity (nulls are the tag singletons): == calls Null.__eq__ per cell
-            unknown = sum(1 for v in cells if v is UNKNOWN)
-            if not unknown:
+            vec = frame.cells[ci]
+            unknown = vec.null == 1
+            count = int(np.count_nonzero(unknown))
+            if not count:
                 continue
             if const is not None:
                 try:
@@ -442,9 +439,9 @@ class _Execution:
                     self.warnings.warning(
                         "not-imputed",
                         f"dataset {name}: text column {col.name!r} is not imputed under "
-                        f"mean_mode; {unknown} unknown cell(s) left null")
+                        f"mean_mode; {count} unknown cell(s) left null")
                     continue
-                fill, kind = _mean_mode_fill(cells, col.kind)
+                fill, kind = _mean_mode_fill(vec, col.kind)
                 if fill is None:
                     self.warnings.warning(
                         "not-imputed",
@@ -455,9 +452,11 @@ class _Execution:
                     "not-imputed",
                     f"dataset {name}: column {col.name!r} has a non-finite fill; left null")
                 continue
-            # a new list: the column may be shared, e.g. with the derivations
-            frame.cells[ci] = [fill if v is UNKNOWN else v for v in cells]
-            col.imputed_cells += unknown
+            # a new Vec: the column may be shared, e.g. with the derivations
+            values = vec.values.copy()
+            values[unknown] = fill.toordinal() if isinstance(fill, _dt.date) else fill
+            frame.cells[ci] = Vec(values, np.where(unknown, np.int8(0), vec.null))
+            col.imputed_cells += count
             col.params = dict(col.params, imputation={"kind": kind, "fill": _jsonable(fill),
                                                       "base_transform": col.transform})
             col.transform = kind
@@ -496,12 +495,11 @@ class _Execution:
             names_taken.add(final)
             columns.append(col.clone(name=final, prefixed=True))
 
-        target_cells = frame.cells[target]
-        kept = [i for i, v in enumerate(target_cells) if not is_null(v)]
-        dropped = len(target_cells) - len(kept)
-        kept.sort(key=frame.order_key())
-        # tagged nulls survive in memory (CSV renders both tags as empty)
-        cells = [list(map(frame.cells[ci].__getitem__, kept)) for ci in ordered]
+        known = np.flatnonzero(frame.cells[target].null == 0)
+        dropped = frame.row_count - len(known)
+        kept = np.array(sorted(known.tolist(), key=frame.order_key()), dtype=np.int64)
+        # null codes survive in memory (CSV renders both as empty)
+        cells = [frame.cells[ci].take(kept) for ci in ordered]
         table = Table(name, columns, key_columns=[c.name for c in columns[:len(keys)]], cells=cells)
         ds = TrainingDataset(name=name, table=table, target_column=columns[-1].name,
                              dropped_null_target=dropped)
@@ -533,50 +531,45 @@ def _non_finite(v: object) -> bool:
     return isinstance(v, float) and not math.isfinite(v)
 
 
-def _category_counts(cells: list, groups: Groups, top_k: int):
+def _category_counts(vec: Vec, groups: Groups, top_k: int):
     """``(category, counts)`` per kept category, then ``OTHER`` when any is
     pooled: the ``top_k`` most frequent categories over every child row (in a
     group or not; ties by value) and each group's count of each, as floats."""
-    freq = Counter(ex.known_cells(cells))
-    ordered = sorted(freq, key=lambda c: (-freq[c], c))
-    kept = ordered[:top_k]
+    distinct, codes = factorize(vec)
+    # by frequency, then value: distinct is sorted, and the sort is stable
+    ordered = np.argsort(-np.bincount(codes[codes >= 0], minlength=len(distinct)), kind="stable")
+    kept = [distinct[j] for j in ordered[:top_k].tolist()]
     # each cell's kept position; the pooled share code len(kept); -1: null
-    code_of = {c: min(j, len(kept)) for j, c in enumerate(ordered)}
-    codes = np.fromiter((code_of.get(v, -1) for v in cells), np.int64, len(cells))[groups.rows]
+    position = np.empty(len(distinct) + 1, np.int64)
+    position[ordered] = np.minimum(np.arange(len(distinct)), len(kept))
+    position[-1] = -1
+    codes = position[codes[groups.rows]]
     known = codes >= 0
     width = len(kept) + 1
     counts = np.bincount(groups.gid[known] * width + codes[known],
                          minlength=len(groups) * width).reshape(len(groups), width).astype(float)
     yield from zip(kept, counts.T)
-    if len(ordered) > len(kept):
+    if len(distinct) > len(kept):
         yield "OTHER", counts[:, -1]
 
 
-def _mean_mode_fill(cells: list, kind: str):
+def _mean_mode_fill(vec: Vec, kind: str):
     """The fill of a column's unknown cells and its transform kind, from
     its known cells; (None, None) when it has none."""
+    known = vec.values[vec.null == 0]
+    if not known.size or kind not in ("numeric", "nominal", "boolean", "date"):
+        return None, None
     if kind == "numeric":
-        known = ex.float_column(cells)
-        known = known[~np.isnan(known)]
-        if not known.size:
-            return None, None
         # bincount adds in order: left_sum's bits
         total = np.bincount(np.zeros(known.size, dtype=np.intp), weights=known)[0]
         return float(total) / known.size, "imputed_mean"
-    if kind in ("nominal", "boolean"):
-        freq = Counter(cells)
-        for null in (UNKNOWN, NOT_APPLICABLE):
-            freq.pop(null, None)
-        if not freq:
-            return None, None
-        return min(freq, key=lambda v: (-freq[v], str(v))), "imputed_mode"
     if kind == "date":
-        days = ex.ordinal_column(cells)
-        days = np.sort(days[~np.isnan(days)])
-        if not days.size:
-            return None, None
+        days = np.sort(known)
         return _dt.date.fromordinal(int(days[(len(days) - 1) // 2])), "imputed_mean"  # lower median
-    return None, None
+    # the most frequent value; a tie goes to the first in sorted order, which
+    # is the least by str (false before true)
+    distinct, codes = factorize(vec)
+    return distinct[int(np.argmax(np.bincount(codes[codes >= 0])))], "imputed_mode"
 
 
 def _jsonable(v):
@@ -717,7 +710,7 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
         (test if h < threshold else train).append(i)
     for suffix, picked in (("train", train), ("test", test)):
         t = Table(f"{ds.name}_{suffix}", ds.table.columns, key_columns=ds.table.key_columns,
-                  cells=[list(map(column.__getitem__, picked)) for column in ds.table.cells])
+                  cells=[column.take(np.array(picked, dtype=np.int64)) for column in ds.table.cells])
         path = out_dir / f"{ds.name}_{suffix}.csv"
         path.write_bytes(table_to_csv_bytes(t))
         written.append(path)
@@ -735,10 +728,11 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _project_and_rank(frame: Table) -> tuple[list[Column], list[list], np.ndarray]:
-    """The frame's output columns, their cells (nulls as None) and each row's
-    dense rank by the reprs of its output cells, left to right. The all-null
-    row of an absent partner is appended last.
+def _project_and_rank(frame: Table) -> tuple[list[Column], list[Vec], np.ndarray]:
+    """The frame's output columns, their cells and each row's dense rank by
+    the reprs of its output cells, left to right, a null of either code
+    printed as None. The all-null row of an absent partner is appended last,
+    unknown (1): the naive join does not know why a partner is absent.
 
     Columns are printed one at a time and ranking stops once every row is
     distinct: later columns cannot reorder distinct rows, so the ranks equal
@@ -746,13 +740,13 @@ def _project_and_rank(frame: Table) -> tuple[list[Column], list[list], np.ndarra
     keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
     columns = [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
                for ci in keep]
-    cells = [[None if type(v) is Null else v for v in frame.cells[ci]] + [None] for ci in keep]
+    cells = [frame.cells[ci].with_absent(1) for ci in keep]
     n = frame.row_count + 1
     ranks = np.zeros(n, dtype=np.int64)
     for column in cells:
         if ranks.max() == n - 1:
             break
-        printed = list(map(repr, column))
+        printed = reprs(column)
         rank_of = {text: k for k, text in enumerate(sorted(set(printed)))}
         ranks = _dense_rank(ranks * len(rank_of)
                             + np.fromiter(map(rank_of.__getitem__, printed), np.int64, n))
@@ -797,7 +791,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     target.consumed = False  # kept even when a derivation reads it, as emit keeps it
 
     columns: list[Column] = []
-    blocks: list[list[list]] = []
+    blocks: list[list[Vec]] = []
     ranks: list[np.ndarray] = []
     entities = [root] + [edge.child for edge in binding.spanning_tree]
     for name in entities:

@@ -14,9 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from .engine import TrainingDataset
-from .expr import float_column, left_sum
-from .values import NOT_APPLICABLE, UNKNOWN
+from .expr import left_sum
 from .tabular import Column, DataBundle, Table
+from .values import box, factorize
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,9 @@ class OneHotDesign:
     level). Key columns, the target, identifiers, dates and text are excluded.
 
     Each column is encoded once in its join block (a plain table is one block,
-    index None): numeric and boolean columns in one float array (nan = null),
-    nominals as codes into their sorted categories (``nominal``, -1 = null).
+    index None), read off its ``Vec``: numeric and boolean columns in one
+    float array (a numeric null is its nan), nominals as codes into their
+    sorted categories (``nominal``, ``values.factorize``, -1 = null).
     ``fit(rows)`` keeps the rows' means and categories and returns their
     design, ``transform(rows)`` any rows'. A design is one C-order array,
     filled by a row gather per block and a scatter of 1.0 into kept columns.
@@ -219,13 +220,13 @@ class OneHotDesign:
             dense = [j for k in ("numeric", "boolean") for j in range(len(cells)) if kind[j] == k]
             values = np.empty((len(cells[0]) if cells else 0, len(dense)))
             for i, j in enumerate(dense):
-                values[:, i] = (float_column(cells[j]) if kind[j] == "numeric"
-                                else [v is True for v in cells[j]])
+                vec = cells[j]  # a numeric null is nan already; a boolean one reads 0
+                values[:, i] = vec.values if kind[j] == "numeric" else vec.values & (vec.null == 0)
             w = kind.count("numeric")  # values holds w numeric, then boolean columns
             runs = ((slice(numeric, numeric + w), slice(0, w)),
                     (slice(boolean, boolean + len(dense) - w), slice(w, len(dense))))
             numeric, boolean = numeric + w, boolean + len(dense) - w
-            nominal = [_nominal_codes(cells[j]) for j in range(len(cells)) if kind[j] == "nominal"]
+            nominal = [factorize(cells[j])[1] for j in range(len(cells)) if kind[j] == "nominal"]
             self.blocks.append((index, values, runs, nominal))
         self.nominal = [codes for block in self.blocks for codes in block[3]]
 
@@ -276,18 +277,11 @@ class OneHotDesign:
         return X
 
 
-def _nominal_codes(cells: list) -> np.ndarray:
-    """Each cell's position in the sorted list of distinct values; -1 = null."""
-    distinct = set(cells) - {None, UNKNOWN, NOT_APPLICABLE}
-    code = {c: j for j, c in enumerate(sorted(distinct))}
-    return np.fromiter((code.get(v, -1) for v in cells), np.int64, len(cells))
-
-
 def _encoded(table: Table, j: int, encode) -> np.ndarray:
-    """Column ``j`` of the table, encoded: a join view's block cells once,
+    """Column ``j`` of the table, encoded: a join view's block column once,
     then gathered to one value per row."""
-    cells, index = table.column_cells(j)
-    values = encode(cells)
+    vec, index = table.column_cells(j)
+    values = encode(vec)
     return values if index is None else values[index]
 
 
@@ -410,8 +404,8 @@ def _positions(dataset: TrainingDataset, position: dict) -> tuple[np.ndarray, np
     """Each row's key position in ``position`` (-1 = none) and target (nan = null)."""
     table = dataset.table
     pos = _encoded(table, table.column_index(table.key_columns[0]),
-                   lambda keys: np.fromiter(map(position.get, keys, repeat(-1)), np.int64))
-    return pos, _encoded(table, table.column_index(dataset.target_column), float_column)
+                   lambda keys: np.fromiter(map(position.get, box(keys), repeat(-1)), np.int64))
+    return pos, _encoded(table, table.column_index(dataset.target_column), lambda y: y.values)
 
 
 def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: float,
@@ -433,7 +427,7 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
         raise ValueError("comparison requires a single-column entity key")
 
     t_key = tds.table.column_index(tds.table.key_columns[0])
-    keys = sorted(set(tds.table.cells[t_key]))
+    keys = sorted(set(box(tds.table.cells[t_key])))
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     n = len(keys)

@@ -23,9 +23,11 @@ date literals.
 ``eval_column`` is the one evaluator the program runs: it evaluates an
 expression once over all rows of an entity, one numpy operation per node,
 and its aggregates are ``group_reduce``, the grouped kernel the engine's G4
-summaries also use. ``eval_expr`` (one row) and ``aggregate`` (one group of
-cells) define the same semantics cell by cell; they are the reference the
-tests compare the column evaluator against.
+summaries also use. It reads the tables' ``values.Vec`` columns as they are
+stored and returns a ``Vec``, so no cell is boxed on the way in or out.
+``eval_expr`` (one row) and ``aggregate`` (one group of cells) define the
+same semantics cell by cell; they are the reference the tests compare the
+column evaluator against.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .values import DATE_RE, NOT_APPLICABLE, UNKNOWN, Null, format_float, is_null, parse_date
+from .values import DATE_RE, UNKNOWN, Null, Vec, format_float, is_null, parse_date
 
 AGG_KINDS = ("count", "sum", "mean", "min", "max")
 FN_NAMES = ("years_between", "days_between", "today", "abs", "if")
@@ -613,24 +615,12 @@ class Groups:
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def float_column(cells: Sequence) -> np.ndarray:
-    """A numeric column's cells as floats, nan for a null of either tag (or
-    None). Numeric cells are finite, so nan marks exactly the nulls."""
-    return np.array([math.nan if v is None or v.__class__ is Null else v for v in cells],
-                    dtype=float)
-
-
-def ordinal_column(cells: Sequence) -> np.ndarray:
-    """A date column's cells as day ordinals in floats, nan for a null."""
-    return np.array([math.nan if v is None or v.__class__ is Null else v.toordinal()
-                     for v in cells], dtype=float)
-
-
 def group_reduce(kinds: Sequence[str], v: np.ndarray, groups: Groups) -> list[np.ndarray]:
     """``aggregate(kind, ·)`` of each parent's partners for each kind of
-    sum, mean, min and max: ``v`` holds each child row's value
-    (``float_column`` or ``ordinal_column``), each result one float per
-    parent, nan where a mean, min or max has no known value. Cells are
+    sum, mean, min and max: ``v`` holds each child row's value as a float
+    (a numeric ``Vec``'s values, or a date's day ordinals), nan for a null;
+    each result is one float per parent, nan where a mean, min or max has no
+    known value. Cells are
     finite, so a sum overflows to ±inf, never to nan."""
     v = v[groups.rows]
     known = ~np.isnan(v)
@@ -654,6 +644,12 @@ def group_reduce(kinds: Sequence[str], v: np.ndarray, groups: Groups) -> list[np
     return out
 
 
+def day_floats(vec: Vec) -> np.ndarray:
+    """A date column's day ordinals as floats, nan for a null:
+    ``group_reduce``'s input for a date."""
+    return np.where(vec.null == 0, vec.values, math.nan)
+
+
 def _extremes(ufunc: np.ufunc, v: np.ndarray, gid: np.ndarray, n: np.ndarray) -> np.ndarray:
     """``np.minimum`` or ``np.maximum`` over each group's values (``v`` in
     group order, ``n`` per group); nan where a group is empty. Python's min
@@ -674,37 +670,25 @@ def _extremes(ufunc: np.ufunc, v: np.ndarray, gid: np.ndarray, n: np.ndarray) ->
 # ---------------------------------------------------------------------------
 # Column evaluation: each node once over all rows of an entity
 
-RelatedColumns = Mapping[tuple[str, Optional[str]], tuple[Optional[Sequence], Groups]]
+RelatedColumns = Mapping[tuple[str, Optional[str]], tuple[Optional[Vec], Groups]]
 
-_TAGS = (None, UNKNOWN, NOT_APPLICABLE)  # by null code; 0: the row holds a value
-_NULL_CODE = {None: 1, UNKNOWN: 1, NOT_APPLICABLE: 2}  # a bare None reads as unknown
 _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
         "and": np.logical_and, "or": np.logical_or,
         "<": np.less, "<=": np.less_equal, "=": np.equal, "!=": np.not_equal,
         ">=": np.greater_equal, ">": np.greater}
 
 
-@dataclass
-class _Vec:
-    """An expression's value on every row: ``values`` as float64 (numeric),
-    bool, int64 day ordinals (date) or objects (the text kinds), and each
-    row's null code into ``_TAGS`` (int8). A null row's value is a filler
-    that no known row reads."""
-
-    values: np.ndarray
-    null: np.ndarray
-
-
-def eval_column(expr: Expr, env: TypeEnv, rows: int, columns: Mapping[str, Sequence],
-                related: RelatedColumns, clock: Optional[_dt.date]) -> tuple[list, list[str]]:
+def eval_column(expr: Expr, env: TypeEnv, rows: int, columns: Mapping[str, Vec],
+                related: RelatedColumns, clock: Optional[_dt.date]) -> tuple[Vec, list[str]]:
     """Evaluate a type-checked expression (typed in ``env``) over all
-    ``rows`` rows of an entity: each row's cell equals ``eval_expr`` on that
-    row, and the diagnostics are the sorted, distinct ones ``eval_expr``
-    gives over all rows. ``columns`` holds the cells of each attribute the
-    expression reads; ``related`` holds, per aggregate's (relationship,
-    attribute), the child's cells (None for count) and the relationship's
-    ``Groups``. A numeric result that is not finite (an overflow) becomes
-    UNKNOWN, counted in a diagnostic."""
+    ``rows`` rows of an entity: each row's boxed cell equals ``eval_expr`` on
+    that row, and the diagnostics are the sorted, distinct ones
+    ``eval_expr`` gives over all rows. ``columns`` holds the ``Vec`` of each
+    attribute the expression reads; ``related`` holds, per aggregate's
+    (relationship, attribute), the child's ``Vec`` (None for count) and the
+    relationship's ``Groups``. A numeric result that is not finite (an
+    overflow) becomes unknown, counted in a diagnostic; a numeric null row
+    holds nan."""
     diags: set[str] = set()
     with np.errstate(all="ignore"):
         vec = _Columns(env, rows, columns, related, clock, diags).eval(expr)
@@ -712,22 +696,16 @@ def eval_column(expr: Expr, env: TypeEnv, rows: int, columns: Mapping[str, Seque
             bad = (vec.null == 0) & ~np.isfinite(vec.values)
             if bad.any():
                 diags.add(f"{int(np.count_nonzero(bad))} non-finite value(s) set to unknown")
-                vec.null = np.where(bad, np.int8(1), vec.null)
-    if vec.values.dtype == np.int64:  # day ordinals; a filler may be no day
-        values = list(map(_dt.date.fromordinal, np.where(vec.null == 0, vec.values, 1).tolist()))
-    else:
-        values = vec.values.tolist()
-    nulls = np.flatnonzero(vec.null)
-    for i, code in zip(nulls.tolist(), vec.null[nulls].tolist()):
-        values[i] = _TAGS[code]
-    return values, sorted(diags)
+            null = np.where(bad, np.int8(1), vec.null)
+            vec = Vec(np.where(null == 0, vec.values, math.nan), null)
+    return vec, sorted(diags)
 
 
 class _Columns:
     """``eval_column``'s walk: one vector per node, null codes propagated as
     ``eval_expr`` propagates nulls."""
 
-    def __init__(self, env: TypeEnv, rows: int, columns: Mapping[str, Sequence],
+    def __init__(self, env: TypeEnv, rows: int, columns: Mapping[str, Vec],
                  related: RelatedColumns, clock: Optional[_dt.date], diags: set[str]):
         self.env = env
         self.rows = rows
@@ -736,14 +714,14 @@ class _Columns:
         self.clock = clock
         self.diags = diags
 
-    def eval(self, e: Expr) -> _Vec:
+    def eval(self, e: Expr) -> Vec:
         if isinstance(e, Literal):
             return self._constant(e.value)
         if isinstance(e, AttrRef):
-            return _load(self.columns[e.name], self.env.attrs[e.name])
+            return self.columns[e.name]
         if isinstance(e, Unary):
             v = self.eval(e.operand)
-            return _Vec(-v.values, v.null)  # keeps the operand's tag
+            return Vec(-v.values, v.null)  # keeps the operand's tag
         if isinstance(e, Binary):
             return self._binary(e)
         if isinstance(e, Call):
@@ -752,15 +730,15 @@ class _Columns:
             return self._aggregate(e)
         raise TypeError(f"not an Expr: {e!r}")
 
-    def _constant(self, v) -> _Vec:
+    def _constant(self, v) -> Vec:
         if isinstance(v, _dt.date):
             values = np.full(self.rows, v.toordinal(), dtype=np.int64)
         else:
             values = np.full(self.rows, v, dtype=bool if isinstance(v, bool)
                              else float if isinstance(v, float) else object)
-        return _Vec(values, np.zeros(self.rows, dtype=np.int8))
+        return Vec(values, np.zeros(self.rows, dtype=np.int8))
 
-    def _binary(self, e: Binary) -> _Vec:
+    def _binary(self, e: Binary) -> Vec:
         lhs, rhs = self.eval(e.lhs), self.eval(e.rhs)
         null = ((lhs.null != 0) | (rhs.null != 0)).astype(np.int8)  # any null: UNKNOWN
         if e.op == "/":
@@ -768,9 +746,9 @@ class _Columns:
             if zero.any():
                 self.diags.add(f"division by zero in {pretty_print(e)!r}")
                 null[zero] = 1
-        return _Vec(_OPS[e.op](lhs.values, rhs.values), null)
+        return Vec(_OPS[e.op](lhs.values, rhs.values), null)
 
-    def _call(self, e: Call) -> _Vec:
+    def _call(self, e: Call) -> Vec:
         if e.fn == "today":
             if self.clock is None:
                 raise ValueError("today() requires an injected clock date")
@@ -779,7 +757,7 @@ class _Columns:
         if e.fn == "if":
             cond, then, other = args
             chosen = np.where(cond.values, then.null, other.null)
-            return _Vec(np.where(cond.values, then.values, other.values),
+            return Vec(np.where(cond.values, then.values, other.values),
                         np.where(cond.null != 0, np.int8(1), chosen).astype(np.int8))
         null = np.zeros(self.rows, dtype=bool)
         for a in args:
@@ -792,40 +770,20 @@ class _Columns:
             values = np.abs(args[0].values)
         else:
             raise ValueError(f"unknown function {e.fn!r}")
-        return _Vec(values, null.astype(np.int8))
+        return Vec(values, null.astype(np.int8))
 
-    def _aggregate(self, e: Aggregate) -> _Vec:
+    def _aggregate(self, e: Aggregate) -> Vec:
         if (e.relationship, e.attribute) not in self.related:
             raise ValueError(f"aggregate {pretty_print(e)!r} requires its related cells")
-        cells, groups = self.related[e.relationship, e.attribute]
+        child, groups = self.related[e.relationship, e.attribute]
         if e.kind == "count":
-            return _Vec(groups.sizes.astype(float), np.zeros(len(groups), dtype=np.int8))
+            return Vec(groups.sizes.astype(float), np.zeros(len(groups), dtype=np.int8))
         date = self.env.rels[e.relationship][e.attribute] == "date"
-        values, = group_reduce((e.kind,), (ordinal_column if date else float_column)(cells), groups)
+        values, = group_reduce((e.kind,), day_floats(child) if date else child.values, groups)
         null = np.isnan(values)
         if date:
             values = np.where(null, 1, values).astype(np.int64)
-        return _Vec(values, null.astype(np.int8))
-
-
-def _load(cells: Sequence, kind: str) -> _Vec:
-    """An attribute's cells as a vector, each null keeping its tag."""
-    if kind == "numeric":
-        values = float_column(cells)
-        nulls = np.flatnonzero(np.isnan(values))
-    else:
-        values = np.array(cells, dtype=object)
-        nulls = np.array([i for i, v in enumerate(cells) if v is None or v.__class__ is Null],
-                         dtype=np.intp)
-    null = np.zeros(len(cells), dtype=np.int8)
-    null[nulls] = [_NULL_CODE[cells[i]] for i in nulls.tolist()]
-    if kind == "boolean":
-        values[nulls] = False
-        values = values.astype(bool)
-    elif kind == "date":
-        values[nulls] = _dt.date.min
-        values = np.fromiter(map(_dt.date.toordinal, values), dtype=np.int64, count=len(cells))
-    return _Vec(values, null)
+        return Vec(values, null.astype(np.int8))
 
 
 def _nodes(expr: Expr) -> Iterator[Expr]:

@@ -1,22 +1,28 @@
 """The one table type, and CSV ingestion/emission.
 
-A ``Table`` is cells under ``Column``s, stored one list per column from
-``read_csv`` to the CSV writer: ``table.cells[j]`` holds column ``j``'s cell
-of every row. An input column is ``Column(name, kind)``; the other fields are
+A ``Table`` is cells under ``Column``s, stored one ``values.Vec`` per column
+from ``read_csv`` to the CSV writer: ``table.cells[j]`` holds column ``j``'s
+typed values and null codes (0 a value, 1 unknown, 2 not applicable) for
+every row, the validity-buffer layout of the Arrow columnar format. An input
+column is ``Column(name, kind)``; the other fields are
 its lineage (G1) and flags for the engine's steps. The engine's working
 tables, every emitted dataset and ``ds0`` are Tables; the manifest reads
 lineage from an emitted table's columns. ``ds0`` holds a ``JoinRows``
 instead of cells: a factorized join, each joined entity's columns once and
 per output row one row index into each entity's block. ``Table.rows`` is a
-read-only row view of either storage; nothing in the pipeline reads it.
+read-only row view of either storage that boxes each cell (``values.box``);
+nothing in the pipeline reads it. The writer formats a column at a time by
+its kind: ``format_float``'s text for numbers, the ISO form of each distinct
+day, and an empty field for a null of either code.
 
 ``read_csv`` goes from the file's text to columns a chunk of lines at a
 time, never through a list of every row: a quote-free text is split with
 ``str.split``, and any other text is read by ``csv.reader``.
 
 CSV conventions: RFC 4180 quoting, mandatory header row, UTF-8, ISO-8601
-dates, booleans `true`/`false`, decimal point `.`; an empty field is a null.
-The unknown/not-applicable distinction is assigned by the binder, never here.
+dates, booleans `true`/`false`, decimal point `.`; an empty field is a null,
+read as unknown (code 1). The binder rewrites the codes of the nulls that
+are not applicable (code 2), never here.
 """
 
 from __future__ import annotations
@@ -30,13 +36,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from .diagnostics import Report
-from .values import Null, format_cell, format_float, parse_column
-
-if TYPE_CHECKING:
-    import numpy as np
+from .values import NO_TAGS, Vec, box, pack, parse_column, reprs
 
 
 @dataclass
@@ -68,44 +73,15 @@ class Column:
         return f"{self.origin_entities[0]}_{self.name}"
 
 
-class Rows(Sequence):
-    """A column-major table's rows, read-only: each row is read as a new list.
-    ``append`` and ``extend`` add rows, one cell to each column."""
-
-    def __init__(self, cells: list[list]):
-        self._cells = cells
-
-    def __len__(self) -> int:
-        return len(self._cells[0]) if self._cells else 0
-
-    def __getitem__(self, r: int) -> list:
-        return [column[r] for column in self._cells]
-
-    def __iter__(self) -> Iterator[list]:
-        return map(list, zip(*self._cells))
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-    def append(self, row: Sequence) -> None:
-        if len(row) != len(self._cells):
-            raise ValueError(f"row has {len(row)} cells, expected {len(self._cells)}")
-        for column, v in zip(self._cells, row):
-            column.append(v)
-
-    def extend(self, rows: Iterable[Sequence]) -> None:
-        for row in rows:
-            self.append(row)
-
-
 class JoinRows(Sequence):
     """The rows of a factorized join, read-only. ``blocks[b]`` holds one
-    entity's projected columns, each a list of that entity's cells;
+    entity's projected columns, each a ``Vec`` of that entity's rows;
     ``index[b]`` is an integer numpy array whose entry ``r`` is the block row
     that output row ``r`` takes from block ``b``. An output row is its block
-    rows' cells concatenated in block order."""
+    rows' boxed cells (``values.box``) concatenated in block order; a plain
+    table's rows are the one-block case."""
 
-    def __init__(self, blocks: list[list[list]], index: list[np.ndarray]):
+    def __init__(self, blocks: list[list[Vec]], index: list[np.ndarray]):
         self.blocks = blocks
         self.index = index
         self.widths = [len(block) for block in blocks]
@@ -114,27 +90,29 @@ class JoinRows(Sequence):
         return len(self.index[0])
 
     def __getitem__(self, r: int) -> list:
-        row = []
-        for block, idx in zip(self.blocks, self.index):
-            i = idx[r]
-            row += [column[i] for column in block]
-        return row
+        return [box(column.take([idx[r]]))[0]
+                for block, idx in zip(self.blocks, self.index) for column in block]
+
+    def __iter__(self) -> Iterator[list]:
+        columns = [list(map(box(column).__getitem__, idx.tolist()))
+                   for block, idx in zip(self.blocks, self.index) for column in block]
+        return map(list, zip(*columns)) if columns else iter([[]] * len(self))
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 class Table:
-    """Cells under ``Column``s, stored one list per column: ``cells[j]`` holds
-    column ``j``'s cell of every row. ``ds0``'s table instead holds a
-    ``JoinRows`` in ``join`` and no ``cells``. ``rows`` is a read-only row
-    view of either, for callers that want rows; a table can still be built
-    from rows (``rows=`` or ``rows.append``). ``source_sha256`` is the SHA-256
-    of the file bytes ``read_csv`` parsed the table from, None for a table
-    built in memory."""
+    """Cells under ``Column``s, stored one ``Vec`` per column: ``cells[j]``
+    holds column ``j``'s values and null codes for every row. ``ds0``'s
+    table instead holds a ``JoinRows`` in ``join`` and no ``cells``. ``rows``
+    is a read-only row view of either, boxing each cell; a table can still
+    be built from rows of boxed cells (``rows=``, None for a null).
+    ``source_sha256`` is the SHA-256 of the file bytes ``read_csv`` parsed
+    the table from, None for a table built in memory."""
 
     def __init__(self, name: str, columns: list[Column], rows: Iterable[Sequence] = (),
-                 key_columns: Iterable[str] = (), *, cells: Optional[list[list]] = None,
+                 key_columns: Iterable[str] = (), *, cells: Optional[list[Vec]] = None,
                  source_sha256: Optional[str] = None):
         self.name = name
         self.columns = columns
@@ -142,13 +120,17 @@ class Table:
         self.source_sha256 = source_sha256
         self.join = rows if isinstance(rows, JoinRows) else None
         if cells is None and self.join is None:
-            cells = [[] for _ in columns]
-            Rows(cells).extend(rows)
+            rows = [list(row) for row in rows]
+            for row in rows:
+                if len(row) != len(columns):
+                    raise ValueError(f"row has {len(row)} cells, expected {len(columns)}")
+            cells = [pack([row[j] for row in rows], c.kind) for j, c in enumerate(columns)]
         self.cells = cells
 
     @property
-    def rows(self) -> Union[Rows, JoinRows]:
-        return self.join if self.join is not None else Rows(self.cells)
+    def rows(self) -> JoinRows:
+        return self.join if self.join is not None else JoinRows([self.cells],
+                                                                [np.arange(self.row_count)])
 
     @property
     def row_count(self) -> int:
@@ -163,11 +145,10 @@ class Table:
     def column_index(self, name: str) -> int:
         return self.column_names.index(name)
 
-    def column_cells(self, j: int) -> tuple[list, Optional[np.ndarray]]:
-        """Column ``j`` as ``(cells, index)``: row ``r`` holds ``cells[index[r]]``,
-        or ``cells[r]`` when ``index`` is None. A join view's column is read
-        from its block, so each entity cell is handled once. Do not mutate
-        the list."""
+    def column_cells(self, j: int) -> tuple[Vec, Optional[np.ndarray]]:
+        """Column ``j`` as ``(vec, index)``: row ``r`` holds row ``index[r]``
+        of ``vec``, or row ``r`` when ``index`` is None. A join view's column
+        is read from its block, so each entity cell is handled once."""
         if self.join is None:
             return self.cells[j], None
         for block, idx in zip(self.join.blocks, self.join.index):
@@ -177,15 +158,15 @@ class Table:
         raise IndexError("column index out of range")
 
     def row_keys(self) -> list:
-        """Every row's key, in row order: its cell for a one-column key, else
-        the tuple of its cells."""
-        cells = [self.cells[self.column_index(k)] for k in self.key_columns]
+        """Every row's key, in row order: its boxed cell for a one-column key,
+        else the tuple of its boxed cells; a null key cell is None."""
+        cells = [box(self.cells[self.column_index(k)], NO_TAGS) for k in self.key_columns]
         return cells[0] if len(cells) == 1 else list(zip(*cells))
 
     def order_key(self) -> Callable[[int], object]:
         """Sort key of a row index: the repr of the row's key. A parent's children
         are aggregated, and an emitted dataset's rows are put, in this order."""
-        printed = [list(map(repr, self.cells[self.column_index(k)])) for k in self.key_columns]
+        printed = [reprs(self.cells[self.column_index(k)]) for k in self.key_columns]
         if len(printed) == 1:
             return printed[0].__getitem__
         return lambda i: tuple([p[i] for p in printed])
@@ -268,7 +249,7 @@ class _BadCsv(Exception):
 # header column, and each ragged row left out of them as (number, field count)
 _Chunk = tuple[Sequence[int], list[Sequence[str]], list[tuple[int, int]]]
 
-_CHUNK_CHARS = 1 << 14  # body text split into fields, and parsed, at a time
+_CHUNK_CHARS = 1 << 16  # body text split into fields, and parsed, at a time
 _CHUNK_LINES = 1024     # rows csv.reader reads, and parsed, at a time
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")  # a line of newline-translated text, its newline kept
 
@@ -342,10 +323,10 @@ def _reader_rows(text: str) -> Iterator[Union[Optional[list[str]], _Chunk]]:
 
 
 def _parse(path: Path, name: str, columns: list[Column],
-           rows: Iterator) -> tuple[Optional[list[list]], Report]:
+           rows: Iterator) -> tuple[Optional[list[Vec]], Report]:
     """Check the header ``rows`` yields first, then parse the chunks after it
-    into one list of cells per declared column, reporting every malformed
-    cell and ragged row in row-major order."""
+    into one ``Vec`` per declared column, reporting every malformed cell and
+    ragged row in row-major order."""
     rep = Report()
     try:
         header = next(rows)
@@ -369,7 +350,7 @@ def _parse(path: Path, name: str, columns: list[Column],
         return None, rep
 
     positions = [header.index(c.name) for c in columns]
-    cells: list[list] = [[] for _ in columns]
+    chunks: list[list[Vec]] = [[] for _ in columns]
     parsed: list[dict[str, object]] = [{} for _ in columns]  # each column's parsed fields
     # (row number, declared column position, code, message, location); a
     # ragged row is skipped whole, so -1 puts it first among its row's problems
@@ -381,7 +362,7 @@ def _parse(path: Path, name: str, columns: list[Column],
                           f"expected {len(header)}", None) for n, count in ragged]
             for pos, (col, j) in enumerate(zip(columns, positions)):
                 column, bad = parse_column(fields[j], col.kind, parsed[pos])
-                cells[pos] += column
+                chunks[pos].append(column)
                 for i, err in bad:
                     n = numbers[i]
                     problems.append((n, pos, "bad-cell", f"{path}: row {n}, column "
@@ -395,46 +376,35 @@ def _parse(path: Path, name: str, columns: list[Column],
         rep.error("bad-csv", f"{path}: line {failure.line}: {failure.error}",
                   f"{path}:{failure.line}")
         return None, rep
-    return cells, rep
+    return [Vec(np.concatenate([c.values for c in parts]), np.concatenate([c.null for c in parts]))
+            if parts else pack([], col.kind) for parts, col in zip(chunks, columns)], rep
 
 
-# Exact cell types that csv.writer already writes as format_cell would: it
-# applies str() (a date's str() is its ISO form) and writes None as empty.
-_CSV_NATIVE = frozenset({str, int, type(None), _dt.date})
-_FLOAT = frozenset({float})
+_BOOLEAN_TEXT = np.array(["false", "true", ""], dtype=object)
 
 
-def _bool_text(v: bool) -> str:
-    return "true" if v else "false"
-
-
-def _null_text(v: Null) -> str:
-    return ""
-
-
-_FORMAT_BY_TYPE = {bool: _bool_text, Null: _null_text}
-
-
-def _column_text(cells: Sequence) -> Sequence:
-    """Each cell as csv.writer should get it for format_cell's text. Cells are
-    dispatched on their exact type, so ``True`` beside ``1.0`` stays
-    ``true``; each distinct float is formatted once. A cell csv.writer
-    already writes right is passed as it is; any type without a formatter
-    here (a datetime, a subclass) goes through format_cell itself."""
-    types = set(map(type, cells))
-    if types <= _CSV_NATIVE:
-        return cells
-    # -0.0 and 0.0 share a key, and both print as 0
-    if types == _FLOAT:
-        distinct = set(cells)
-        if len(distinct) == len(cells):  # nothing to share: a memo would only cost
-            return list(map(format_float, cells))
-        floats = {v: format_float(v) for v in distinct}
-        return list(map(floats.__getitem__, cells))
-    floats = {v: format_float(v) for v in {v for v in cells if type(v) is float}}
-    other = {t: _FORMAT_BY_TYPE.get(t, format_cell) for t in types - _CSV_NATIVE - _FLOAT}
-    return [floats[v] if (t := type(v)) is float else v if t in _CSV_NATIVE else other[t](v)
-            for v in cells]
+def _column_text(vec: Vec, kind: str) -> list:
+    """Each row's text as ``format_cell`` prints its boxed cell, chosen by
+    the column's kind: ``format_float``'s text for a number (an integral
+    one below 1e15 through int64), the ISO form of each distinct day, and
+    an empty field for a null of either code."""
+    null = vec.null != 0
+    if kind == "boolean":
+        return _BOOLEAN_TEXT[np.where(null, 2, vec.values)].tolist()
+    if kind == "date":
+        days, inverse = np.unique(np.where(null, 1, vec.values), return_inverse=True)
+        iso = np.array([_dt.date.fromordinal(d).isoformat() for d in days.tolist()] + [""],
+                       dtype=object)
+        return iso[np.where(null, len(days), inverse)].tolist()
+    if kind != "numeric":
+        return np.where(null, "", vec.values).tolist() if null.any() else vec.values.tolist()
+    v = vec.values
+    integral = ~null & (np.trunc(v) == v) & (np.abs(v) < 1e15)
+    rest = ~null & ~integral
+    text = np.full(len(v), "", dtype=object)
+    text[integral] = v[integral].astype(np.int64).astype(str)
+    text[rest] = np.array(list(map(repr, v[rest].tolist())), dtype=object)
+    return text.tolist()
 
 
 class _Lines:
@@ -445,11 +415,10 @@ class _Lines:
         self.write = lines.append
 
 
-def _csv_lines(columns: Sequence[Sequence]) -> list[str]:
-    """Each row of the columns as one CSV line, terminator included, with
-    format_cell's text for every cell."""
+def _csv_lines(columns: Sequence[Sequence[str]]) -> list[str]:
+    """Each row of the text columns as one CSV line, terminator included."""
     lines: list[str] = []
-    csv.writer(_Lines(lines), lineterminator="\n").writerows(zip(*map(_column_text, columns)))
+    csv.writer(_Lines(lines), lineterminator="\n").writerows(zip(*columns))
     return lines
 
 
@@ -463,29 +432,31 @@ def table_to_csv_bytes(table: Table) -> bytes:
     the one-block case, formatted as it is written. Rows are formatted,
     joined and encoded a chunk at a time, so the whole text is never held
     beside its bytes."""
+    kinds = [c.kind for c in table.columns]
     if table.join is not None:
-        blocks = [(block, idx, width) for block, idx, width
-                  in zip(table.join.blocks, table.join.index, table.join.widths) if width]
+        starts = np.cumsum([0] + table.join.widths).tolist()
+        blocks = [(block, idx, kinds[a:b]) for block, idx, a, b
+                  in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
     else:
-        blocks = [(table.cells, None, len(table.columns))]
+        blocks = [(table.cells, None, kinds)]
     last = len(blocks) - 1
 
-    def fragments(b: int, columns: list[Sequence], width: int) -> list[str]:
-        lines = _csv_lines(columns)
-        if width == 1 and len(table.columns) > 1:
+    def fragments(b: int, columns: list[Vec], kinds: list[str]) -> list[str]:
+        lines = _csv_lines([_column_text(vec, kind) for vec, kind in zip(columns, kinds)])
+        if len(kinds) == 1 and len(table.columns) > 1:
             # csv quotes a row's lone empty field; inside a wider row it is bare
             lines = ["\n" if line == '""\n' else line for line in lines]
         return [line[:-1] + "," for line in lines] if b < last else lines
 
-    formatted = [None if idx is None else fragments(b, block, width)
-                 for b, (block, idx, width) in enumerate(blocks)]
+    formatted = [None if idx is None else fragments(b, block, kinds)
+                 for b, (block, idx, kinds) in enumerate(blocks)]
     out = io.BytesIO()
     out.write("".join(_csv_lines([[name] for name in table.column_names])).encode("utf-8"))
     for start in range(0, table.row_count, _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
-        picked = [fragments(b, [column[start:stop] for column in block], width) if lines is None
-                  else list(map(lines.__getitem__, idx[start:stop].tolist()))
-                  for b, ((block, idx, width), lines) in enumerate(zip(blocks, formatted))]
+        picked = [fragments(b, [column.take(slice(start, stop)) for column in block], kinds)
+                  if lines is None else list(map(lines.__getitem__, idx[start:stop].tolist()))
+                  for b, ((block, idx, kinds), lines) in enumerate(zip(blocks, formatted))]
         body = picked[0]
         if len(picked) > 1:
             body = [None] * sum(map(len, picked))

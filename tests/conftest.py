@@ -4,12 +4,20 @@ from pathlib import Path
 import pytest
 
 from cmml import binder, dsl, eer
+from cmml.values import box
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_SCHEMA = REPO / "examples" / "customer_order.cmml"
 EXAMPLE_DATA = REPO / "examples" / "data"
 
 CLOCK = dt.date(2019, 6, 1)
+
+
+def column(table, name: str) -> list:
+    """The named column of a table as a list of boxed cells (``values.box``:
+    ``float``, ``bool``, ``datetime.date``, ``str``, or a null's tag), the
+    form the tests compare with their cell-at-a-time references."""
+    return box(table.cells[table.column_index(name)])
 
 
 def parse(text: str) -> eer.EerSchema:

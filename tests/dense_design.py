@@ -19,9 +19,8 @@ import numpy as np
 
 from cmml.engine import TrainingDataset
 from cmml.evalkit import ComparisonReport, regression_metrics, wilcoxon_signed_rank
-from cmml.expr import float_column
 from cmml.tabular import Table
-from cmml.values import NOT_APPLICABLE, UNKNOWN
+from cmml.values import NOT_APPLICABLE, UNKNOWN, box, is_null
 
 
 def ols_fit(features: np.ndarray, target: Sequence[float], ridge: float = 1e-8) -> np.ndarray:
@@ -122,7 +121,7 @@ def _nominal_codes(cells: list) -> np.ndarray:
 
 
 _ENCODERS = {
-    "numeric": float_column,
+    "numeric": lambda cells: np.array([np.nan if is_null(v) else v for v in cells], dtype=float),
     "boolean": lambda cells: np.array([1.0 if v is True else 0.0 for v in cells], dtype=float),
     "nominal": _nominal_codes,
 }
@@ -132,7 +131,7 @@ def _encoded(table: Table, j: int, encode) -> np.ndarray:
     """Column ``j`` of the table, encoded: a join view's block cells once,
     then gathered to one value per row."""
     cells, index = table.column_cells(j)
-    values = encode(cells)
+    values = encode(box(cells))
     return values if index is None else values[index]
 
 
@@ -141,6 +140,7 @@ def _fold_ids(dataset: TrainingDataset, fold_of: dict) -> tuple[list, np.ndarray
     and the fold of each row (-1 = key not folded)."""
     table = dataset.table
     keys, index = table.column_cells(table.column_index(table.key_columns[0]))
+    keys = box(keys)
     fold = np.array([fold_of.get(k, -1) for k in keys], dtype=np.int64)
     if index is not None:
         keys, fold = list(map(keys.__getitem__, index.tolist())), fold[index]
@@ -174,7 +174,7 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
         raise ValueError("comparison requires a single-column entity key")
 
     t_key = tds.table.column_index(tds.table.key_columns[0])
-    keys = sorted(set(tds.table.cells[t_key]))
+    keys = sorted(set(box(tds.table.cells[t_key])))
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     shuffled = list(keys)

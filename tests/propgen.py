@@ -168,12 +168,13 @@ class Case:
         rng = self.rng
         bundle = DataBundle()
 
-        def table_for(entity):
+        def table_for(entity, rows):
             cols = [Column(a.name, a.kind) for a in self.schema.effective_columns(entity)]
             ent = self.schema.entity(entity)
-            return Table(entity, cols, key_columns=list(ent.key_names))
+            return Table(entity, cols, [[row.get(c.name) for c in cols] for row in rows],
+                         key_columns=list(ent.key_names))
 
-        root = table_for("ROOT")
+        root = []
         n_root = rng.randint(3, 10)
         self.root_keys = [f"r{i}" for i in range(n_root)]
         for k in self.root_keys:
@@ -189,13 +190,13 @@ class Case:
                                 else round(rng.uniform(0, 9), 2))
                 row["high_x"] = (None if not size >= -10 or rng.random() < 0.3
                                  else round(rng.uniform(0, 9), 2))
-            root.rows.append([row.get(c) for c in root.column_names])
-        bundle.add(root)
+            root.append(row)
+        bundle.add(table_for("ROOT", root))
 
         self.fanout = {}
         child_keys = {}
         for c in self.children:
-            t = table_for(c)
+            rows = []
             child_keys[c] = []
             seq = 0
             for rk in self.root_keys:
@@ -212,12 +213,12 @@ class Case:
                     row = {f"{c.lower()}_id": key, "rid": rk}
                     for name, kind in self.child_attrs[c]:
                         row[name] = None if rng.random() < 0.15 else _value(rng, kind)
-                    t.rows.append([row.get(col) for col in t.column_names])
-            bundle.add(t)
+                    rows.append(row)
+            bundle.add(table_for(c, rows))
 
         if self.grand:
             first = self.children[0]
-            t = table_for("GRAND")
+            rows = []
             seq = 0
             for ck in child_keys[first]:
                 f = rng.randint(0, 2)
@@ -227,8 +228,8 @@ class Case:
                     seq += 1
                     for name, kind in self.grand_attrs:
                         row[name] = None if rng.random() < 0.15 else _value(rng, kind)
-                    t.rows.append([row.get(col) for col in t.column_names])
-            bundle.add(t)
+                    rows.append(row)
+            bundle.add(table_for("GRAND", rows))
         return bundle
 
     # -- oracles ----------------------------------------------------------------

@@ -190,16 +190,14 @@ def _per_subtype_mean_fixture():
         }
         task T { target R.t impute mean_mode }
     """)
-    table = Table("R", [Column(a.name, a.kind) for a in schema.effective_columns("R")],
-                  key_columns=["id"])
-    table.rows.extend([
+    table = Table("R", [Column(a.name, a.kind) for a in schema.effective_columns("R")], [
         ["1", -5.0, 10.0, 1.0],
         ["2", -5.0, 20.0, 1.0],
         ["3", -5.0, None, 1.0],
         ["4", 5.0, 100.0, 1.0],
         ["5", 5.0, 200.0, 1.0],
         ["6", 5.0, None, 1.0],
-    ])
+    ], key_columns=["id"])
     bundle = DataBundle()
     bundle.add(table)
     bound = binder.bind(schema, bundle)

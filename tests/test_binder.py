@@ -7,7 +7,7 @@ import pytest
 from cmml import binder, cli, dsl, eer
 from cmml.tabular import table_to_csv_bytes
 from cmml.values import NOT_APPLICABLE, UNKNOWN
-from conftest import parse, parse_full
+from conftest import column, parse, parse_full
 from test_golden import CASES
 
 
@@ -32,11 +32,11 @@ def test_bind_example(example_bound):
     assert example_bound.ok
     partners = example_bound.partners["PLACES"]
     customers = example_bound.bundle.table("CUSTOMER")
-    keys = customers.cells[customers.column_index("cust_id")]
+    keys = column(customers, "cust_id")
     assert {k: int(n) for k, n in zip(keys, partners.sizes) if n} == {
         "101": 4, "400": 1, "223": 2, "398": 1}
     orders = example_bound.bundle.table("ORDER")
-    fk = orders.cells[orders.column_index("cust_id")]
+    fk = column(orders, "cust_id")
     for p, key in enumerate(keys):  # each customer's orders, in row order
         rows = partners.rows[partners.offsets[p]:partners.offsets[p + 1]].tolist()
         assert rows == [i for i, v in enumerate(fk) if v == key]
@@ -117,6 +117,18 @@ def test_cardinality_report_flags_violation(tmp_path):
     rep = binder.cardinality_report(bound)
     r = next(c for c in rep if c.relationship == "R")
     assert not r.conformant and len(r.violations) == 1 and r.observed_min == 0
+
+
+def test_cardinality_report_skips_a_null_parent_key(tmp_path):
+    # a null key is no parent (a null-key error): it has no partners to count
+    # and no violation to report, as the partner warnings already treat it
+    bound = _bind(PARENT_CHILD, {
+        "P": "pid,t\np1,1\n,2\n",
+        "C": "cid,v,pid\nc1,1,p1\n",
+    }, tmp_path)
+    assert [d.code for d in bound.report.errors] == ["null-key"]
+    r = next(c for c in binder.cardinality_report(bound) if c.relationship == "R")
+    assert (r.conformant, r.violations, r.observed_min, r.observed_max) == (True, [], 1, 1)
 
 
 SUBTYPED = """
@@ -418,4 +430,6 @@ def test_validate_json_on_subtype_faults(tmp_path, capsys, monkeypatch):
     codes = {d["code"] for d in json.loads(out)["diagnostics"]}
     assert {"duplicate-key", "null-key", "disjointness", "membership-null",
             "uncovered-instances", "dangling-member"} <= codes
-    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (1, "cd9622273c7c3448d54be165af2300972d044fcd1d62795a7e9257d274bd1c70")
+    # the two null-key rows are no parent, so no cardinality violation names them
+    assert "Null(unknown)" not in out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (1, "c38fe4b07dd9dc07f43e955b6b6a3ed8c778cede94800000ddc5f7985dd683c3")

@@ -13,7 +13,7 @@ import dense_design as dense
 from cmml import binder, dsl, eer, engine, evalkit, planner
 from cmml.engine import TrainingDataset
 from cmml.tabular import Column, JoinRows, Table
-from cmml.values import NOT_APPLICABLE, UNKNOWN
+from cmml.values import NOT_APPLICABLE, UNKNOWN, pack
 from conftest import CLOCK
 from propgen import Case
 from test_golden import CASES as GOLDEN_CASES, EVALUATED
@@ -156,7 +156,7 @@ def _random_pair(rng, join: bool, n_keys: int = 0, max_fanout: int = 3):
     child_index = np.array([child_of[i] % len(child_rows) for i in shuffle], dtype=np.int64)
     if join:
         blocks = [[list(c) for c in zip(*root_rows)], [list(c) for c in zip(*child_rows)]]
-        flat = Table("ds0", columns, JoinRows(blocks, [root_index, child_index]), ["id"])
+        flat = Table("ds0", columns, _join_rows(columns, blocks, [root_index, child_index]), ["id"])
     else:
         rows = [root_rows[r] + child_rows[c]
                 for r, c in zip(root_index.tolist(), child_index.tolist())]
@@ -197,6 +197,13 @@ def test_random_tables_are_mostly_scored():
 
 # ---------------------------------------------------------------------------
 # Edge cases a fold meets
+
+
+def _join_rows(columns, blocks, index):
+    """A join view of ``blocks``, each a list of boxed-cell columns, typed by
+    ``columns`` in block order."""
+    kinds = iter(c.kind for c in columns)
+    return JoinRows([[pack(cells, next(kinds)) for cells in block] for block in blocks], index)
 
 
 def _tds(columns, rows):
@@ -255,9 +262,10 @@ def test_join_view_with_absent_partners():
               [[1.0, 2.0, 3.0, 4.0, 5.0, None], ["a", "b", "a", "c", "b", None]]]
     index = [np.array([0, 0, 1, 2, 2, 3, 3], dtype=np.int64),
              np.array([0, 1, 5, 2, 3, 4, 0], dtype=np.int64)]
-    flat = TrainingDataset("ds0", Table("ds0", [Column("id", "identifier"), Column("y", "numeric"),
-                                                Column("x", "numeric"), Column("c", "nominal")],
-                                        JoinRows(blocks, index), ["id"]), "y")
+    columns = [Column("id", "identifier"), Column("y", "numeric"), Column("x", "numeric"),
+               Column("c", "nominal")]
+    flat = TrainingDataset("ds0", Table("ds0", columns, _join_rows(columns, blocks, index), ["id"]),
+                           "y")
     tds = _tds([Column("n", "numeric")], [["r0", 2.0, 10.0], ["r1", 0.0, 20.0],
                                           ["r2", 2.0, 35.0], ["r3", 2.0, 41.0]])
     for seed in range(4):

@@ -6,7 +6,7 @@ import pytest
 
 from cmml import binder, engine, planner
 from cmml.tabular import Column, Table
-from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
+from cmml.values import NOT_APPLICABLE, UNKNOWN, box, is_null
 from conftest import CLOCK, parse_full
 
 
@@ -560,8 +560,9 @@ def test_derivations_read_derived_attributes_in_dependency_order(tmp_path):
     cells = {row[names.index("ORDER_order_id")]: tuple(row[names.index(f"ORDER_{a}")]
                                                         for a in ("z", "z2", "twice"))
              for row in flat.table.rows}
+    # c3's absent order: every cell of the absent row reads unknown
     assert cells == {"o1": (4.0, 6.0, 7.0), "o2": (0.0, 2.0, 1.0), "o3": (2.0, 12.0, 9.0),
-                     None: (None, None, None)}
+                     UNKNOWN: (UNKNOWN, UNKNOWN, UNKNOWN)}
 
 
 def test_not_imputed_warnings_name_their_reason(tmp_path):
@@ -598,11 +599,11 @@ def test_naive_join_after_execute_sees_unimputed_cells(tmp_path):
     (ds,), _ = engine.execute(plan, bound, derivations)
     assert _col(ds, "CUSTOMER_twice") == {"c1": 2.0, "c2": 4.0, "c3": 6.0}
     assert _col(ds, "CUSTOMER_other") == {"c1": 5.0, "c2": 6.0, "c3": 7.0}
-    assert derivations.derived("CUSTOMER", "twice")[0] == [2.0, UNKNOWN, 6.0]
+    assert box(derivations.derived("CUSTOMER", "twice")[0]) == [2.0, UNKNOWN, 6.0]
     flat = engine.flatten_naive(bound, plan.binding, derivations)
     names = flat.table.column_names
-    assert flat.table.rows[1][names.index("CUSTOMER_twice")] is None
-    assert flat.table.rows[1][names.index("CUSTOMER_other")] is None
+    assert flat.table.rows[1][names.index("CUSTOMER_twice")] is UNKNOWN
+    assert flat.table.rows[1][names.index("CUSTOMER_other")] is UNKNOWN
 
 
 def test_derivation_reads_a_derived_attribute_on_demand(tmp_path, monkeypatch):
@@ -616,8 +617,10 @@ def test_derivation_reads_a_derived_attribute_on_demand(tmp_path, monkeypatch):
     monkeypatch.setattr(derivations, "_evaluate",
                         lambda entity, attr: evaluated.append(attr) or evaluate(entity, attr))
     # z2 reads y, which is evaluated on demand, once
-    assert derivations.derived("ORDER", "z2") == ([6.0, 2.0, 12.0], [])
-    assert derivations.derived("ORDER", "y") == ([3.0, 1.0, 6.0], [])
+    cells, diags = derivations.derived("ORDER", "z2")
+    assert (box(cells), diags) == ([6.0, 2.0, 12.0], [])
+    cells, diags = derivations.derived("ORDER", "y")
+    assert (box(cells), diags) == ([3.0, 1.0, 6.0], [])
     assert evaluated == ["z2", "y"]
 
 
@@ -642,7 +645,7 @@ def test_overflowing_derivation_is_unknown(tmp_path):
     bound = binder.bind(schema, binder.load_bundle(schema, tmp_path)[0])
     flat = engine.flatten_naive(bound, eer.resolve_target(schema, schema.task("T")),
                                 engine.Derivations(bound, CLOCK))
-    assert flat.table.rows == [["c1", 1.0, None], ["c2", 2.0, 0.0]]
+    assert flat.table.rows == [["c1", 1.0, UNKNOWN], ["c2", 2.0, 0.0]]
 
 
 def test_overflowing_child_summary_is_unknown(tmp_path):
@@ -674,7 +677,7 @@ def test_non_finite_mean_fill_leaves_cells_null(tmp_path):
 
 
 def _all_cells_rank(cells):
-    printed = [tuple(map(repr, row)) for row in cells]
+    printed = [tuple(repr(None if is_null(v) else v) for v in row) for row in cells]
     rank_of = {p: k for k, p in enumerate(sorted(set(printed)))}
     return [rank_of[p] for p in printed]
 
@@ -685,20 +688,25 @@ def test_lazy_rank_equals_all_cells_rank(seed):
     # the ranking may stop after any column, or read them all
     rng = random.Random(seed)
     width = rng.randint(0, 5)
-    pools = [[rng.choice([None, 0.5, -1.0, 7.0, "a", "b", "a b", True, dt.date(2020, 1, 2)])
-              for _ in range(rng.randint(1, 3))] for _ in range(width)]
+    values = {"numeric": [0.5, -1.0, 7.0, -0.0], "text": ["a", "b", "a b", "a'b"],
+              "boolean": [True, False], "date": [dt.date(2020, 1, 2), dt.date(2019, 10, 1)]}
+    kinds = [rng.choice(sorted(values)) for _ in range(width)]
+    pools = [[rng.choice(values[kind] + [None, NOT_APPLICABLE]) for _ in range(rng.randint(1, 3))]
+             for kind in kinds]
     rows = [[rng.choice(pool) for pool in pools] for _ in range(rng.randint(0, 25))]
     if rows and rng.random() < 0.3:
         rows += [list(rows[0])] * 2
     if rng.random() < 0.3:  # a unique key in front: the only column printed
         rows = [[f"k{i:02d}"] + row for i, row in enumerate(rows)]
+        kinds = ["identifier"] + kinds
         width += 1
     rng.shuffle(rows)
-    frame = Table("E", [Column(f"c{j}", "text", origin_entities=["E"]) for j in range(width)],
+    frame = Table("E", [Column(f"c{j}", kind, origin_entities=["E"]) for j, kind in enumerate(kinds)],
                   rows)
     columns, cells, ranks = engine._project_and_rank(frame)
     assert [c.name for c in columns] == [f"E_c{j}" for j in range(width)]
-    assert [column[-1] for column in cells] == [None] * width
+    cells = [box(column) for column in cells]
+    assert [column[-1] for column in cells] == [UNKNOWN] * width
     # a table without columns has no rows: only the absent row is ranked
     assert ranks.tolist() == _all_cells_rank([tuple(column[i] for column in cells)
                                               for i in range(frame.row_count + 1)])

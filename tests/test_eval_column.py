@@ -19,8 +19,8 @@ import pytest
 from cmml import binder, engine
 from cmml import expr as ex
 from cmml.tabular import Column, DataBundle, Table
-from cmml.values import NOT_APPLICABLE, UNKNOWN
-from conftest import CLOCK, parse_full
+from cmml.values import NOT_APPLICABLE, UNKNOWN, Vec, box, pack
+from conftest import CLOCK, column, parse_full
 from propgen import Case
 
 
@@ -42,12 +42,30 @@ def reference(e, rows, columns, related, clock):
     return cells, sorted(set(diags))
 
 
+def _vec(cells, kind):
+    """A column given as a ``Vec`` or as boxed cells, as a ``Vec``."""
+    return cells if isinstance(cells, Vec) else pack(cells, kind)
+
+
+def _boxed(cells):
+    """A column given as a ``Vec`` or as boxed cells, as boxed cells."""
+    return box(cells) if isinstance(cells, Vec) else cells
+
+
 def check(e, env, rows, columns, related=None, clock=CLOCK):
-    """The column evaluator's cells and diagnostics, asserted equal to the
-    reference's cell by cell (``repr`` and exact type)."""
+    """The column evaluator's boxed cells and diagnostics, asserted equal to
+    the reference's cell by cell (``repr`` and exact type). A column, or an
+    aggregate's child column, is a ``Vec`` or a list of boxed cells."""
     related = related or {}
-    got, got_diags = ex.eval_column(e, env, rows, columns, related, clock)
-    want, want_diags = reference(e, rows, columns, related, clock)
+    got, got_diags = ex.eval_column(
+        e, env, rows, {name: _vec(c, env.attrs[name]) for name, c in columns.items()},
+        {key: (None if c is None else _vec(c, env.rels[key[0]][key[1]]), groups)
+         for key, (c, groups) in related.items()}, clock)
+    got = box(got)
+    want, want_diags = reference(
+        e, rows, {name: _boxed(c) for name, c in columns.items()},
+        {key: (None if c is None else _boxed(c), groups) for key, (c, groups) in related.items()},
+        clock)
     assert [repr(v) for v in got] == [repr(v) for v in want], ex.pretty_print(e)
     assert [type(v) for v in got] == [type(v) for v in want], ex.pretty_print(e)
     assert got_diags == want_diags, ex.pretty_print(e)
@@ -177,13 +195,13 @@ task T { target E.t }
 """)
     table = Table("E", [Column(n, k) for n, k in
                         (("id", "identifier"), ("t", "numeric"), ("employed", "boolean"),
-                         ("salary", "numeric"))], key_columns=["id"])
-    table.rows.extend([["a", 1.0, True, None], ["b", 2.0, False, None], ["c", 3.0, None, None]])
+                         ("salary", "numeric"))],
+                  [["a", 1.0, True, None], ["b", 2.0, False, None], ["c", 3.0, None, None]],
+                  key_columns=["id"])
     bundle = DataBundle()
     bundle.add(table)
     bound = binder.bind(schema, bundle, CLOCK)
-    salary = bound.bundle.table("E").cells[3]
-    assert salary == [UNKNOWN, NOT_APPLICABLE, UNKNOWN]
+    assert column(bound.bundle.table("E"), "salary") == [UNKNOWN, NOT_APPLICABLE, UNKNOWN]
     assert [d.code for d in bound.report.diagnostics] == ["applicability-null"]
 
 
@@ -193,7 +211,8 @@ def test_today_needs_a_clock():
 
 
 def test_an_empty_entity_gives_no_cells_and_no_diagnostics():
-    assert ex.eval_column(ex.parse_expr("1 / 0"), ENV, 0, {}, {}, CLOCK) == ([], [])
+    cells, diags = ex.eval_column(ex.parse_expr("1 / 0"), ENV, 0, {}, {}, CLOCK)
+    assert (box(cells), diags) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +406,13 @@ def test_propgen_derivations_equal_the_reference(seed):
                 cells = None if agg.attribute is None else derivations._cells(child, agg.attribute)
                 related[agg.relationship, agg.attribute] = (cells, derivations.groups(agg.relationship))
             rows = bound.bundle.table(ent.name).row_count
-            got = derivations.derived(ent.name, attr.name)
-            want = reference(e, rows, columns, related, CLOCK)
-            assert [repr(v) for v in got[0]] == [repr(v) for v in want[0]], (ent.name, attr.name)
-            assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
-            assert got[1] == want[1]
+            cells, diags = derivations.derived(ent.name, attr.name)
+            want = reference(e, rows, {a: box(c) for a, c in columns.items()},
+                             {key: (None if c is None else box(c), groups)
+                              for key, (c, groups) in related.items()}, CLOCK)
+            assert [repr(v) for v in box(cells)] == [repr(v) for v in want[0]], (ent.name, attr.name)
+            assert [type(v) for v in box(cells)] == [type(v) for v in want[0]]
+            assert diags == want[1]
             checked += 1
     assert checked == sum(len(v) for v in case.derived.values()) > 0
 

@@ -14,7 +14,7 @@ import pytest
 from cmml import evalkit
 from cmml.engine import TrainingDataset
 from cmml.tabular import Column, JoinRows, Table
-from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
+from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null, pack
 from conftest import parse
 from test_golden import CASES as GOLDEN_CASES, EVALUATED
 
@@ -455,7 +455,9 @@ def test_compare_datasets_peak_is_within_twice_one_train_design():
              [f"ch{rng.randrange(30):02d}" for _ in range(rows)]]
     flat = Table("ds0", [Column("id", "identifier"), Column("y", "numeric"),
                          Column("total", "numeric"), Column("channel", "nominal")],
-                 JoinRows([[keys, y], child], [parent, np.arange(rows)]), ["id"])
+                 JoinRows([[pack(keys, "identifier"), pack(y, "numeric")],
+                           [pack(child[0], "numeric"), pack(child[1], "nominal")]],
+                          [parent, np.arange(rows)]), ["id"])
     assert rows == 22_500
     tracemalloc.start()
     try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmml import expr as ex
-from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
+from cmml.values import NOT_APPLICABLE, UNKNOWN, box, is_null, pack
 
 
 def _kind(v):
@@ -29,7 +29,10 @@ def ev(text, row=None, related=None, clock=None, diagnostics=None):
         cells = related(agg.relationship, agg.attribute)
         groups[agg.relationship, agg.attribute] = (
             cells, ex.Groups(np.arange(len(cells)), np.array([len(cells)])))
-    got, got_diags = ex.eval_column(e, env, 1, {k: [v] for k, v in row.items()}, groups, clock)
+    got, got_diags = ex.eval_column(
+        e, env, 1, {k: pack([v], env.attrs[k]) for k, v in row.items()},
+        {key: (pack(cells, "numeric"), g) for key, (cells, g) in groups.items()}, clock)
+    got = box(got)
     assert (repr(got[0]), type(got[0])) == (repr(want), type(want))
     assert got_diags == sorted(set(diags))
     return want

@@ -25,7 +25,7 @@ from cmml import expr as ex
 from cmml.expr import left_sum
 from cmml.tabular import Column, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN
-from conftest import CLOCK, parse_full
+from conftest import CLOCK, column, parse_full
 
 SCHEMA = """
 entity P {
@@ -97,19 +97,19 @@ def _reference(bound) -> tuple[dict[str, list], list[str]]:
     ``expr.aggregate``, and the non-finite-summary warnings."""
     ptable, ctable = bound.bundle.table("P"), bound.bundle.table("C")
     children: dict[object, list[int]] = {}  # from the foreign keys, not the binder's index
-    for i, v in enumerate(ctable.cells[ctable.column_index("pid")]):
+    for i, v in enumerate(column(ctable, "pid")):
         children.setdefault(v, []).append(i)
-    cid = ctable.cells[ctable.column_index("cid")]
+    cid = column(ctable, "cid")
     groups = [sorted(children.get(k, ()), key=lambda i: repr(cid[i])) for k in ptable.row_keys()]
 
     def cells(name: str) -> list[list]:
-        column = ctable.cells[ctable.column_index(name)]
-        return [[column[i] for i in g] for g in groups]
+        cells = column(ctable, name)
+        return [[cells[i] for i in g] for g in groups]
 
     expected: dict[str, list] = {"C_count": [ex.aggregate("count", g) for g in groups]}
     for agg in ("mean", "sum", "min", "max"):
         expected[f"C_x_{agg}"] = [ex.aggregate(agg, g) for g in cells("x")]
-    freq = Counter(ex.known_cells(ctable.cells[ctable.column_index("cat")]))
+    freq = Counter(ex.known_cells(column(ctable, "cat")))
     ordered = sorted(freq, key=lambda c: (-freq[c], c))
     for cat in ordered[:TOP_K]:
         expected[f"C_cat_{cat}_count"] = [float(g.count(cat)) for g in cells("cat")]
@@ -134,8 +134,7 @@ def _reference(bound) -> tuple[dict[str, list], list[str]]:
 def _check(tmp_path: Path) -> dict[str, list]:
     bound, table, manifest = _prepare(tmp_path)
     expected, warnings = _reference(bound)
-    got = {c.name: table.cells[i] for i, c in enumerate(table.columns)
-           if c.name.startswith("C_")}
+    got = {c.name: column(table, c.name) for c in table.columns if c.name.startswith("C_")}
     assert list(got) == list(expected)  # the same columns, in the same order
     for name, values in expected.items():
         assert list(map(repr, got[name])) == list(map(repr, values)), name
@@ -157,7 +156,7 @@ def test_differential_data_reaches_pairwise_rounding(tmp_path):
         _write_case(tmp_path, seed)
         bound, _, _ = _prepare(tmp_path)
         ctable = bound.bundle.table("C")
-        x = ctable.cells[ctable.column_index("x")]
+        x = column(ctable, "x")
         partners = bound.partners["R"]
         for a, b in zip(partners.offsets, partners.offsets[1:]):
             known = ex.known_cells(x[i] for i in partners.rows[a:b])

@@ -19,7 +19,7 @@ import pytest
 from cmml import tabular
 from cmml.diagnostics import Report
 from cmml.tabular import Column, read_csv
-from cmml.values import parse_column
+from cmml.values import box, parse_column
 
 COLUMNS = [Column("id", "identifier"), Column("v", "numeric"), Column("d", "date"),
            Column("b", "boolean"), Column("t", "text")]
@@ -124,7 +124,8 @@ def _check(tmp_path: Path, data: bytes, columns: list[Column] = COLUMNS) -> None
         return
     assert table.source_sha256 == digest
     assert table.column_names == [c.name for c in columns]
-    assert [list(map(repr, c)) for c in table.cells] == [list(map(repr, c)) for c in cells]
+    assert [list(map(repr, box(c))) for c in table.cells] == [list(map(repr, box(c))) for c in cells]
+    assert [c.values.dtype for c in table.cells] == [c.values.dtype for c in cells]
 
 
 # Each text that str.split would not read as csv.reader does; read_csv must

@@ -9,8 +9,8 @@ import pytest
 
 from cmml import binder, eer, engine, planner
 from cmml.tabular import Column, JoinRows, Table, read_csv, table_to_csv_bytes, write_csv
-from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell, parse_cell
-from conftest import CLOCK, parse_full
+from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell, pack, parse_cell
+from conftest import CLOCK, column, parse_full
 from propgen import Case
 
 
@@ -28,7 +28,8 @@ def test_read_csv_basic(tmp_path):
     p = _write(tmp_path, "T.csv", "id,v,d,b\nx,1.5,2019-01-02,true\ny,,,\n")
     table, rep = read_csv(p, "T", COLS, key_columns=["id"])
     assert rep.ok, rep.render()
-    assert table.rows == [["x", 1.5, dt.date(2019, 1, 2), True], ["y", None, None, None]]
+    # an empty field reads as unknown
+    assert table.rows == [["x", 1.5, dt.date(2019, 1, 2), True], ["y", UNKNOWN, UNKNOWN, UNKNOWN]]
 
 
 def test_read_csv_any_column_order(tmp_path):
@@ -81,9 +82,10 @@ def test_read_csv_bad_cells_in_row_major_order(tmp_path):
         ("bad-cell", f"{p}: row 4, column 'v': expected a finite number, got 'inf'", "T:4:v"),
         ("bad-cell", f"{p}: row 5, column 'b': expected 'true' or 'false', got 'yes'", "T:5:b"),
     ]
-    assert table.rows == [["x", None, dt.date(2019, 1, 2), None], ["y", 1.0, None, None],
-                          ["w", None, dt.date(2019, 1, 3), True],
-                          ["u", 2.0, dt.date(2019, 1, 3), None]]
+    # a malformed cell, like an empty one, reads as unknown
+    assert table.rows == [["x", UNKNOWN, dt.date(2019, 1, 2), UNKNOWN], ["y", 1.0, UNKNOWN, UNKNOWN],
+                          ["w", UNKNOWN, dt.date(2019, 1, 3), True],
+                          ["u", 2.0, dt.date(2019, 1, 3), UNKNOWN]]
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -97,7 +99,13 @@ def test_read_csv_cells_equal_parse_cell_per_field(seed, tmp_path):
             header, *fields = csv.reader(fh)
         assert header == read.column_names
         kinds = [c.kind for c in table.columns]
-        assert read.rows == [[parse_cell(t, k) for t, k in zip(row, kinds)] for row in fields]
+        assert read.rows == [[_parsed(t, k) for t, k in zip(row, kinds)] for row in fields]
+
+
+def _parsed(text: str, kind: str):
+    """``parse_cell``'s cell, an empty field read as unknown."""
+    v = parse_cell(text, kind)
+    return UNKNOWN if v is None else v
 
 
 def test_read_csv_not_utf8_is_coded(tmp_path):
@@ -157,9 +165,9 @@ def test_read_csv_translates_newlines_as_read_text_does(tmp_path, data):
     assert rep.ok, rep.render()
     header, *fields = csv.reader(io.StringIO(p.read_text(encoding="utf-8")))
     assert header == table.column_names
-    assert table.rows == [[parse_cell(f, c.kind) for f, c in zip(row, TEXT_COLS)]
+    assert table.rows == [[_parsed(f, c.kind) for f, c in zip(row, TEXT_COLS)]
                           for row in fields]
-    assert not any("\r" in cell for cell in table.cells[1] if isinstance(cell, str))
+    assert not any("\r" in cell for cell in column(table, "t") if isinstance(cell, str))
 
 
 def test_read_csv_crlf_diagnostics_equal_lf(tmp_path):
@@ -228,15 +236,19 @@ def test_distinct_key_count():
     assert distinct_key_count(t) == 2
 
 
-class _Text(str):
-    pass
+# Cells of each kind a column can hold; None and both tags are its nulls
+POOLS = {
+    "numeric": [0.0, -0.0, 7.0, -12.0, 1.5, -3.0, 48.0, 1e15, 1e15 - 1, -1e15, 2.5e-7, 1e300, 1e16,
+                0.1 + 0.2],
+    "boolean": [True, False],
+    "date": [dt.date(2019, 4, 21), dt.date(1, 1, 1), dt.date(9999, 12, 31)],
+    "text": ["", "plain", "a,b", 'say "hi"', "two\nlines", " padded ", "caf\u00e9"],
+}
+NULLS = [UNKNOWN, NOT_APPLICABLE, None]
 
 
-CELL_POOL = [
-    True, False, 0, 7, -12, 0.0, -0.0, 1.5, -3.0, 48.0, 1e15, 1e15 - 1, -1e15, 2.5e-7, 1e300,
-    0.1 + 0.2, dt.date(2019, 4, 21), dt.datetime(2019, 4, 21, 13, 5), UNKNOWN, NOT_APPLICABLE,
-    None, "", "plain", "a,b", 'say "hi"', "two\nlines", " padded ", "caf\u00e9", _Text("sub"),
-]
+def _random_cells(rng, kind, n):
+    return [rng.choice(POOLS[kind] + NULLS) for _ in range(n)]
 
 
 def _reference_csv_bytes(table):
@@ -251,10 +263,11 @@ def _reference_csv_bytes(table):
 @pytest.mark.parametrize("seed", range(20))
 def test_table_to_csv_bytes_matches_per_cell_format_cell(seed):
     rng = random.Random(seed)
-    width = rng.randint(1, 6)
-    table = Table("T", [Column(f"c{j}", "text") for j in range(width)],
-                  rows=[[rng.choice(CELL_POOL) for _ in range(width)]
-                        for _ in range(rng.randint(0, 40))])
+    kinds = [rng.choice(list(POOLS)) for _ in range(rng.randint(1, 6))]
+    n = rng.randint(0, 40)
+    columns = [_random_cells(rng, kind, n) for kind in kinds]
+    table = Table("T", [Column(f"c{j}", kind) for j, kind in enumerate(kinds)],
+                  rows=[list(row) for row in zip(*columns)] if n else [])
     assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
 
 
@@ -269,15 +282,17 @@ def test_table_to_csv_bytes_matches_per_cell_format_cell_propgen(seed):
 
 
 @pytest.mark.parametrize("cells,text", [
-    ([-0.0, 0.0, -0.0, 2.5], ["0", "0", "0", "2.5"]),
-    ([1e15, 1e15, 1e15 - 1, -1e15], ["1000000000000000.0", "1000000000000000.0",
-                                     "999999999999999", "-1000000000000000.0"]),
-    ([True, 1.0, 1, 1.0, False, 0.0], ["true", "1", "1", "1", "false", "0"]),
-    ([1.0, UNKNOWN, 1.0, None, NOT_APPLICABLE], ["1", "", "1", "", ""]),
+    (("numeric", [-0.0, 0.0, -0.0, 2.5]), ["0", "0", "0", "2.5"]),
+    (("numeric", [1e15, 1e15, 1e15 - 1, -1e15]), ["1000000000000000.0", "1000000000000000.0",
+                                                  "999999999999999", "-1000000000000000.0"]),
+    (("boolean", [True, None, False, True]), ["true", "", "false", "true"]),
+    (("date", [dt.date(2019, 4, 21), UNKNOWN, dt.date(2019, 4, 21), NOT_APPLICABLE]),
+     ["2019-04-21", "", "2019-04-21", ""]),
 ])
 def test_table_to_csv_bytes_column_memo_keeps_each_cell_text(cells, text):
-    # equal floats share one text; True == 1.0 but keeps its own
-    table = Table("T", [Column("k", "identifier"), Column("c", "text")],
+    # equal values share one text; a null of either code is an empty field
+    kind, cells = cells
+    table = Table("T", [Column("k", "identifier"), Column("c", kind)],
                   rows=[[f"k{i}", v] for i, v in enumerate(cells)])
     assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
     assert [line.split(",")[1] for line in table_to_csv_bytes(table).decode().splitlines()[1:]] \
@@ -297,13 +312,15 @@ def test_table_to_csv_bytes_lone_null_column():
 
 
 def test_table_to_csv_bytes_every_pooled_cell():
-    table = Table("T", [Column("c", "text")], rows=[[v] for v in CELL_POOL])
-    assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
-    lines = table_to_csv_bytes(table).decode("utf-8")
-    assert "\n1000000000000000.0\n" in lines  # 1e15 keeps its repr
-    assert "\n999999999999999\n" in lines
-    # a datetime goes through format_cell (isoformat), not str()
-    assert "\n2019-04-21T13:05:00\n" in lines
+    written = {}
+    for kind, pool in POOLS.items():
+        table = Table("T", [Column("c", kind)], rows=[[v] for v in pool + NULLS])
+        assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
+        written[kind] = table_to_csv_bytes(table).decode("utf-8")
+    assert "\n1000000000000000.0\n" in written["numeric"]  # 1e15 keeps its repr
+    assert "\n999999999999999\n" in written["numeric"]
+    assert "\n1e+16\n" in written["numeric"]
+    assert "\n0001-01-01\n9999-12-31\n" in written["date"]
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +333,21 @@ def _materialized(table):
                  key_columns=table.key_columns)
 
 
+def _kind(cells):
+    """The kind of a column of boxed cells, from its first value; text when
+    every cell is null."""
+    v = next((v for v in cells if v is not None and v not in NULLS), "")
+    return ("boolean" if isinstance(v, bool) else "numeric" if isinstance(v, (int, float))
+            else "date" if isinstance(v, dt.date) else "text")
+
+
 def _join_table(blocks, index):
     """A join view of ``blocks``, given as each block's row tuples."""
-    columns = [[list(column) for column in zip(*block)] or [] for block in blocks]
-    rows = JoinRows(columns, [np.array(idx, dtype=np.int64) for idx in index])
-    width = sum(rows.widths)
-    return Table("J", [Column(f"c{j}", "text") for j in range(width)], rows)
+    columns = [[list(column) for column in zip(*block)] for block in blocks]
+    kinds = [_kind(column) for block in columns for column in block]
+    rows = JoinRows([[pack(column, _kind(column)) for column in block] for block in columns],
+                    [np.array(idx, dtype=np.int64) for idx in index])
+    return Table("J", [Column(f"c{j}", kind) for j, kind in enumerate(kinds)], rows)
 
 
 def _check_view(table):
@@ -341,9 +367,11 @@ def test_join_view_csv_matches_materialized_rows_propgen(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_join_view_csv_matches_materialized_rows_random(seed):
     rng = random.Random(seed)
-    blocks = [[tuple(rng.choice(CELL_POOL) for _ in range(width))
-               for _ in range(rng.randint(1, 5))]
-              for width in [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]]
+    blocks = []
+    for width in [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]:
+        size = rng.randint(1, 5)
+        columns = [_random_cells(rng, rng.choice(list(POOLS)), size) for _ in range(width)]
+        blocks.append(list(zip(*columns)) if width else [()] * size)
     n = rng.randint(0, 30)
     index = [[rng.randrange(len(block)) for _ in range(n)] for block in blocks]
     if not any(len(block[0]) for block in blocks):
@@ -398,4 +426,5 @@ task T { target CUSTOMER.ltv }
         'c1,10,o1,"x, ""y""\nz",c1,l1,3,o1\n'
         "c1,10,o2,,c1,,,\n"
         "c2,,,,,,,\n")
-    assert flat.table.rows[2] == ["c2"] + [None] * 7
+    # the null target and the absent partners' cells all read unknown
+    assert flat.table.rows[2] == ["c2"] + [UNKNOWN] * 7

@@ -2,7 +2,7 @@ import datetime as dt
 
 import pytest
 
-from cmml.values import (NOT_APPLICABLE, UNKNOWN, Null, format_cell, is_null,
+from cmml.values import (NOT_APPLICABLE, UNKNOWN, Null, box, format_cell, is_null,
                          parse_cell, parse_column)
 
 
@@ -90,9 +90,10 @@ def test_parse_column_in_chunks_equals_one_call(kind, fields):
     first = parse_column(fields[:3], kind, parsed)
     size = len(parsed)
     second = parse_column(fields[3:], kind, parsed)
-    assert first[0] + second[0] == whole[0]
+    assert box(first[0]) + box(second[0]) == box(whole[0])
     assert first[1] + [(i + 3, err) for i, err in second[1]] == whole[1]
-    assert whole[0] == [None if t in ("bad", "x", "inf", "maybe", "2020-02-30") else
-                        parse_cell(t, kind) for t in fields]
+    # an empty or malformed field reads as unknown
+    assert box(whole[0]) == [UNKNOWN if t in ("", "bad", "x", "inf", "maybe", "2020-02-30") else
+                             parse_cell(t, kind) for t in fields]
     if kind == "date":
         assert size == 2 and set(parsed) == {"2019-01-02", "", "2019-03-04"}
