@@ -12,9 +12,9 @@ in each column's ``values.Vec``: ``read_csv`` reads an empty field as unknown
 (code 1), and the binder sets not applicable (code 2) where the subtype or
 the applicable_when predicate says so, so later stages read the class from
 the code. Keys, foreign keys and nulls are checked and coded one column at a
-time. A foreign-key
-column is mapped to parent rows in one pass and the relationship's
-``expr.Groups`` built from that; Python visits only rows matching no parent.
+time. A foreign-key column is mapped to parent rows in one pass and the
+relationship's ``expr.Groups`` built from that; Python visits only rows
+matching no parent.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ class JoinRows(Sequence):
     def __iter__(self) -> Iterator[list]:
         columns = [list(map(box(column).__getitem__, idx.tolist()))
                    for block, idx in zip(self.blocks, self.index) for column in block]
-        return map(list, zip(*columns)) if columns else iter([[]] * len(self))
+        return map(list, zip(*columns)) if columns else ([] for _ in range(len(self)))
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
@@ -397,7 +397,7 @@ def _column_text(vec: Vec, kind: str) -> list:
                        dtype=object)
         return iso[np.where(null, len(days), inverse)].tolist()
     if kind != "numeric":
-        return np.where(null, "", vec.values).tolist() if null.any() else vec.values.tolist()
+        return np.where(null, "", vec.values).tolist()
     v = vec.values
     integral = ~null & (np.trunc(v) == v) & (np.abs(v) < 1e15)
     rest = ~null & ~integral

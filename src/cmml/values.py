@@ -137,7 +137,7 @@ class Vec:
         return len(self.null)
 
     def take(self, rows) -> "Vec":
-        """The rows ``rows`` (an index array), in that order."""
+        """The rows ``rows`` (an index array or a slice), in that order."""
         return Vec(self.values[rows], self.null[rows])
 
     def with_absent(self, code: int) -> "Vec":
