@@ -620,8 +620,7 @@ def group_reduce(kinds: Sequence[str], v: np.ndarray, groups: Groups) -> list[np
     sum, mean, min and max: ``v`` holds each child row's value as a float
     (a numeric ``Vec``'s values, or a date's day ordinals), nan for a null;
     each result is one float per parent, nan where a mean, min or max has no
-    known value. Cells are
-    finite, so a sum overflows to ±inf, never to nan."""
+    known value. Cells are finite, so a sum overflows to ±inf, never to nan."""
     v = v[groups.rows]
     known = ~np.isnan(v)
     gid, v = groups.gid[known], v[known]
