@@ -123,12 +123,11 @@ def _first_rows(keys: list, null: Optional[np.ndarray] = None) -> dict:
     return dict(zip(map(keys.__getitem__, rows.tolist()), rows.tolist()))
 
 
-def _predicate(schema: eer.EerSchema, entity: str, table: Table, predicate: ex.Expr,
-               clock: _dt.date) -> Vec:
+def _predicate(table: Table, predicate: ex.Expr, clock: _dt.date) -> Vec:
     """A subtype or applicability predicate's verdict on every row of the
     entity's table as read."""
-    return ex.eval_column(predicate, schema.stored_env(entity), table.row_count,
-                          dict(zip(table.column_names, table.cells)), {}, clock)[0]
+    return ex.eval_column(predicate, table.row_count, dict(zip(table.column_names, table.cells)),
+                          {}, clock)[0]
 
 
 def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> bool:
@@ -251,7 +250,7 @@ def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
                 held[held_keys] = matched[first]
                 vectors[st.name] = held[group]
             else:
-                verdicts = _predicate(schema, gen.supertype, sup, st.membership, clock)
+                verdicts = _predicate(sup, st.membership, clock)
                 for i in np.flatnonzero(verdicts.null).tolist():
                     rep.warning("membership-null",
                                 f"{gen.supertype}: row {i + 1} membership predicate for {st.name} "
@@ -299,7 +298,7 @@ def _classify_nulls(bound: BoundModel, clock: _dt.date) -> None:
             outside = (bound.subtype_rows[gen.name][st.name] < 0 if gen is not None
                        else np.zeros(len(vec), dtype=bool))
             if attr is not None and attr.applicable_when is not None:
-                verdicts = _predicate(schema, ent.name, table, attr.applicable_when, clock)
+                verdicts = _predicate(table, attr.applicable_when, clock)
                 for i in np.flatnonzero(null & ~outside & (verdicts.null != 0)).tolist():
                     warnings.append((i, j, f"{ent.name}: row {i + 1}: applicable_when of "
                                            f"{colname!r} is null; cell classified unknown"))

@@ -229,6 +229,19 @@ class EerSchema:
         """Typing environment of the predicates the binder evaluates: stored columns only."""
         return ex.TypeEnv(attrs={a.name: a.kind for a in self.effective_columns(entity)})
 
+    def reads(self, entity: str, attribute: str) -> list[tuple[Optional[str], str, Optional[str]]]:
+        """What a derived attribute reads, as (relationship, entity, attribute):
+        its own entity's attributes by sorted name (relationship None), then per
+        aggregate over a declared 1:N or 1:1 relationship the child entity and
+        attribute (None for ``count(REL)``)."""
+        expr = self.entity(entity).attr(attribute).derivation
+        out = [(None, entity, name) for name in sorted(ex.referenced_attrs(expr))]
+        for agg in ex.referenced_aggregates(expr):
+            rel = self.relationship(agg.relationship)
+            if rel is not None and not rel.is_many_to_many:
+                out.append((rel.name, rel.child_entity(), agg.attribute))
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Structural validation
@@ -291,14 +304,9 @@ def _check_derivation_cycles(schema: EerSchema, rep: Report) -> None:
     or aggregates over a child, directly or via other derived attributes."""
     nodes = [(ent.name, a) for ent in schema.entities for a in ent.attributes if a.is_derived]
     derived = {(e, a.name) for e, a in nodes}
-    reads: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for entity, a in nodes:
-        deps = [(entity, name) for name in sorted(ex.referenced_attrs(a.derivation))]
-        for agg in ex.referenced_aggregates(a.derivation):
-            rel = schema.relationship(agg.relationship)
-            if agg.attribute is not None and rel is not None and not rel.is_many_to_many:
-                deps.append((rel.child_entity(), agg.attribute))
-        reads[entity, a.name] = [d for d in deps if d in derived]
+    reads = {(entity, a.name): [(e, n) for _, e, n in schema.reads(entity, a.name)
+                                if (e, n) in derived]
+             for entity, a in nodes}
     state: dict[tuple[str, str], bool] = {}  # False while on the path, then True
     path: list[tuple[str, str]] = []
 

@@ -178,18 +178,12 @@ class Derivations:
         """One ``ex.eval_column`` over the entity's rows, its aggregates over
         the relationships' partner groups."""
         schema = self.bound.schema
-        expr = schema.entity(entity).attr(attr_name).derivation
-        columns = {a: self._cells(entity, a) for a in sorted(ex.referenced_attrs(expr))}
-        related: dict[tuple[str, Optional[str]], tuple[Optional[Vec], Groups]] = {}
-        for agg in ex.referenced_aggregates(expr):
-            rel = schema.relationship(agg.relationship)
-            if rel is None or rel.parent_entity() != entity:
-                raise ValueError(f"entity {entity} cannot aggregate over relationship "
-                                 f"{agg.relationship!r}")
-            child = None if agg.attribute is None else self._cells(rel.child_entity(), agg.attribute)
-            related[agg.relationship, agg.attribute] = (child, self.groups(agg.relationship))
-        return ex.eval_column(expr, schema.type_env(entity), self.bound.bundle.table(entity).row_count,
-                              columns, related, self.clock)
+        reads = schema.reads(entity, attr_name)
+        columns = {name: self._cells(entity, name) for rel, _, name in reads if rel is None}
+        related = {(rel, name): (None if name is None else self._cells(source, name), self.groups(rel))
+                   for rel, source, name in reads if rel is not None}
+        return ex.eval_column(schema.entity(entity).attr(attr_name).derivation,
+                              self.bound.bundle.table(entity).row_count, columns, related, self.clock)
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +241,13 @@ class _Execution:
         values, diags = self.derivations.derived(entity, attr_name)
         for d in diags:
             self.warnings.warning("derived-value", f"{entity}.{attr_name}: {d}")
-        refs = ex.referenced_attrs(attr.derivation)
-        for a in refs:
-            col = self.derived_columns.get((entity, a)) or frame.columns[frame.column_index(a)]
-            col.consumed = True
-        sources = {f"{entity}.{a}" for a in refs}
-        for agg in ex.referenced_aggregates(attr.derivation):
+        sources = set()
+        for rel, source, name in schema.reads(entity, attr_name):
+            if rel is None:
+                col = self.derived_columns.get((entity, name)) or frame.columns[frame.column_index(name)]
+                col.consumed = True
             # count(REL) reads the child's rows, as the G4 count summary does
-            child = schema.relationship(agg.relationship).child_entity()
-            sources.add(f"{child}.{agg.attribute or '*'}")
+            sources.add(f"{source}.{name or '*'}")
         col = Column(
             name=attr_name, kind=attr.kind,
             origin_entities=[entity], source_attributes=sorted(sources),
@@ -636,11 +628,8 @@ def _warn_target_leakage(plan: TransformationPlan, bound: BoundModel, st: _Execu
     attr = ent.attr(plan.binding.target_attr)
     if attr is None or attr.derivation is None:
         return
-    leaked = set()
-    for agg in ex.referenced_aggregates(attr.derivation):
-        rel = bound.schema.relationship(agg.relationship)
-        if rel is not None and agg.attribute:
-            leaked.add(f"{rel.child_entity()}.{agg.attribute}")
+    leaked = {f"{child}.{name}" for rel, child, name in bound.schema.reads(ent.name, attr.name)
+              if rel is not None and name is not None}
     for ds in st.emitted.values():
         for col in ds.table.columns:
             shared = leaked & set(col.source_attributes)

@@ -677,20 +677,20 @@ _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
         ">=": np.greater_equal, ">": np.greater}
 
 
-def eval_column(expr: Expr, env: TypeEnv, rows: int, columns: Mapping[str, Vec],
+def eval_column(expr: Expr, rows: int, columns: Mapping[str, Vec],
                 related: RelatedColumns, clock: Optional[_dt.date]) -> tuple[Vec, list[str]]:
-    """Evaluate a type-checked expression (typed in ``env``) over all
-    ``rows`` rows of an entity: each row's boxed cell equals ``eval_expr`` on
-    that row, and the diagnostics are the sorted, distinct ones
-    ``eval_expr`` gives over all rows. ``columns`` holds the ``Vec`` of each
-    attribute the expression reads; ``related`` holds, per aggregate's
-    (relationship, attribute), the child's ``Vec`` (None for count) and the
+    """Evaluate a type-checked expression over all ``rows`` rows of an
+    entity: each row's boxed cell equals ``eval_expr`` on that row, and the
+    diagnostics are the sorted, distinct ones ``eval_expr`` gives over all
+    rows. ``columns`` holds the ``Vec`` of each attribute the expression
+    reads; ``related``, per aggregate's (relationship, attribute), the
+    child's ``Vec`` (None for count; a date's is int64) and the
     relationship's ``Groups``. A numeric result that is not finite (an
     overflow) becomes unknown, counted in a diagnostic; a numeric null row
     holds nan."""
     diags: set[str] = set()
     with np.errstate(all="ignore"):
-        vec = _Columns(env, rows, columns, related, clock, diags).eval(expr)
+        vec = _Columns(rows, columns, related, clock, diags).eval(expr)
         if vec.values.dtype == float:
             bad = (vec.null == 0) & ~np.isfinite(vec.values)
             if bad.any():
@@ -704,9 +704,8 @@ class _Columns:
     """``eval_column``'s walk: one vector per node, null codes propagated as
     ``eval_expr`` propagates nulls."""
 
-    def __init__(self, env: TypeEnv, rows: int, columns: Mapping[str, Vec],
+    def __init__(self, rows: int, columns: Mapping[str, Vec],
                  related: RelatedColumns, clock: Optional[_dt.date], diags: set[str]):
-        self.env = env
         self.rows = rows
         self.columns = columns
         self.related = related
@@ -777,7 +776,7 @@ class _Columns:
         child, groups = self.related[e.relationship, e.attribute]
         if e.kind == "count":
             return Vec(groups.sizes.astype(float), np.zeros(len(groups), dtype=np.int8))
-        date = self.env.rels[e.relationship][e.attribute] == "date"
+        date = child.values.dtype == np.int64  # day ordinals
         values, = group_reduce((e.kind,), day_floats(child) if date else child.values, groups)
         null = np.isnan(values)
         if date:

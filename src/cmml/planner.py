@@ -74,8 +74,8 @@ def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[Pl
     root = binding.target_entity
     target_attr = schema.entity(root).attr(binding.target_attr)
 
-    if target_attr.derivation is not None and ex.referenced_aggregates(target_attr.derivation):
-        if target_attr.kind != "numeric":
+    if target_attr.is_derived and target_attr.kind != "numeric":
+        if any(rel for rel, _, _ in schema.reads(root, target_attr.name)):
             raise PlanError(
                 f"target {root}.{target_attr.name} aggregates child data but is {target_attr.kind}, "
                 "not numeric")
@@ -173,11 +173,12 @@ def derivation_order(schema: eer.EerSchema, binding: eer.TargetBinding
 def _staged_derivations(schema: eer.EerSchema, entity: str
                         ) -> tuple[list[eer.Attribute], list[eer.Attribute]]:
     """The entity's derived attributes in dependency order, declaration order
-    where none reads another, split in two: those that read no aggregate,
-    and those that do, directly or through a derived attribute they read."""
+    where none reads another, split in two: those that read no aggregate, and
+    those that do, directly or through a derived attribute they read (and
+    mark consumed, so they must run after it)."""
     derived = [a for a in schema.entity(entity).attributes if a.is_derived]
-    reads = {a.name: ex.referenced_attrs(a.derivation) & {d.name for d in derived}
-             for a in derived}
+    graph = {a.name: schema.reads(entity, a.name) for a in derived}
+    reads = {name: {n for rel, _, n in r if rel is None} & graph.keys() for name, r in graph.items()}
     ordered: list[eer.Attribute] = []
     placed: set[str] = set()
     while len(ordered) < len(derived):
@@ -188,7 +189,7 @@ def _staged_derivations(schema: eer.EerSchema, entity: str
         placed.add(ready.name)
     with_agg: set[str] = set()
     for a in ordered:
-        if ex.referenced_aggregates(a.derivation) or reads[a.name] & with_agg:
+        if any(rel for rel, _, _ in graph[a.name]) or reads[a.name] & with_agg:
             with_agg.add(a.name)
     return ([a for a in ordered if a.name not in with_agg],
             [a for a in ordered if a.name in with_agg])

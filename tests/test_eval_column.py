@@ -58,7 +58,7 @@ def check(e, env, rows, columns, related=None, clock=CLOCK):
     aggregate's child column, is a ``Vec`` or a list of boxed cells."""
     related = related or {}
     got, got_diags = ex.eval_column(
-        e, env, rows, {name: _vec(c, env.attrs[name]) for name, c in columns.items()},
+        e, rows, {name: _vec(c, env.attrs[name]) for name, c in columns.items()},
         {key: (None if c is None else _vec(c, env.rels[key[0]][key[1]]), groups)
          for key, (c, groups) in related.items()}, clock)
     got = box(got)
@@ -207,11 +207,11 @@ task T { target E.t }
 
 def test_today_needs_a_clock():
     with pytest.raises(ValueError):
-        ex.eval_column(ex.parse_expr("today()"), ENV, 1, {}, {}, None)
+        ex.eval_column(ex.parse_expr("today()"), 1, {}, {}, None)
 
 
 def test_an_empty_entity_gives_no_cells_and_no_diagnostics():
-    cells, diags = ex.eval_column(ex.parse_expr("1 / 0"), ENV, 0, {}, {}, CLOCK)
+    cells, diags = ex.eval_column(ex.parse_expr("1 / 0"), 0, {}, {}, CLOCK)
     assert (box(cells), diags) == ([], [])
 
 

@@ -30,7 +30,7 @@ def ev(text, row=None, related=None, clock=None, diagnostics=None):
         groups[agg.relationship, agg.attribute] = (
             cells, ex.Groups(np.arange(len(cells)), np.array([len(cells)])))
     got, got_diags = ex.eval_column(
-        e, env, 1, {k: pack([v], env.attrs[k]) for k, v in row.items()},
+        e, 1, {k: pack([v], env.attrs[k]) for k, v in row.items()},
         {key: (pack(cells, "numeric"), g) for key, (cells, g) in groups.items()}, clock)
     got = box(got)
     assert (repr(got[0]), type(got[0])) == (repr(want), type(want))
