@@ -182,14 +182,13 @@ def _index_relationships(bound: BoundModel) -> None:
         fk_null = child.cells[child.column_index(fk)].null.tolist()
         fk_cells = box(child.cells[child.column_index(fk)])
         parent_row = np.fromiter(map(first_row.get, fk_cells, repeat(-1)), np.int64, len(fk_cells))
-        parent_end = rel.end_of(parent_name) if not rel.is_one_to_one else rel.left
         for i in np.flatnonzero(parent_row < 0).tolist():
             v = fk_cells[i]
             if not fk_null[i]:
                 rep.error("dangling-fk",
                           f"{child_name}: row {i + 1} column {fk!r} = {v!r} matches no {parent_name} key",
                           f"{child_name}:{i + 1}")
-            elif parent_end.min >= 1:
+            elif rel.parent_end().min >= 1:
                 rep.warning("mandatory-participation",
                             f"{child_name}: row {i + 1} has no {parent_name} "
                             f"(null {fk}) under mandatory participation in {rel.name}",
@@ -198,7 +197,7 @@ def _index_relationships(bound: BoundModel) -> None:
         owner = parent_row[matched]
         partners = ex.Groups(matched[np.argsort(owner, kind="stable")],
                              np.bincount(owner, minlength=len(key_cells)))
-        child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
+        child_end = rel.child_end()
         if child_end.min >= 1:
             firsts = np.fromiter(first_row.values(), np.int64, len(first_row))
             lonely = np.flatnonzero(partners.sizes[firsts] == 0).tolist()
@@ -329,7 +328,7 @@ def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
         first_row = _first_rows(key_cells, key.null != 0)
         rows = np.sort(np.fromiter(first_row.values(), np.int64, len(first_row)))
         fanouts = bound.partners[rel.name].sizes[rows]
-        child_end = rel.end_of(child_name) if not rel.is_one_to_one else rel.right
+        child_end = rel.child_end()
         few = fanouts < child_end.min
         many = (fanouts > 1) & (child_end.max == "1")
         violations: list[str] = []

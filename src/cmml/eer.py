@@ -6,6 +6,9 @@ Cardinality convention: each relationship end carries (entity, min, max)
 where (min, max) bounds how many instances of *that* entity relate to one
 instance of the opposite end. `CUSTOMER (1,1) -- (1,N) ORDER` reads: every
 order has exactly one customer; every customer has one or more orders.
+
+`EerSchema.reads` is the one definition of what a derived attribute reads;
+the cycle check, the planner and the engine all follow it.
 """
 
 from __future__ import annotations
@@ -77,19 +80,25 @@ class Relationship:
     def is_one_to_one(self) -> bool:
         return self.left.max == "1" and self.right.max == "1"
 
-    def many_end(self) -> RelEnd:
-        """The end with max N (the child side). Undefined for 1:1 (returns right)."""
+    def child_end(self) -> RelEnd:
+        """The end of the entity carrying the foreign key: the N end, or the
+        right end of a 1:1. Picked by position, so a self-relationship's two
+        ends stay apart."""
         return self.left if self.left.max == "N" else self.right
 
-    def one_end(self) -> RelEnd:
+    def parent_end(self) -> RelEnd:
+        """The end of the entity the foreign key references: the other end."""
         return self.right if self.left.max == "N" else self.left
 
     def child_entity(self) -> str:
-        """Entity carrying the foreign key: the many side, or the right end for 1:1."""
-        return self.many_end().entity if not self.is_one_to_one else self.right.entity
+        return self.child_end().entity
 
     def parent_entity(self) -> str:
-        return self.one_end().entity if not self.is_one_to_one else self.left.entity
+        return self.parent_end().entity
+
+    def associative_entity(self) -> str:
+        """The entity an N:M relationship is rewritten into."""
+        return f"{self.left.entity}_{self.right.entity}"
 
     def other(self, entity: str) -> str:
         return self.right.entity if entity == self.left.entity else self.left.entity
@@ -354,6 +363,24 @@ def _validate_relationship(schema: EerSchema, rel: Relationship, rep: Report) ->
         rep.error("bad-fk-count",
                   f"relationship {rel.name} needs {want_fks} foreign-key column(s), got {len(rel.fk_columns)}",
                   rel.name)
+        return
+    if rel.is_many_to_many:
+        assoc = rel.associative_entity()
+        if schema.entity(assoc) is not None:
+            rep.error("nm-name-collision", f"relationship {rel.name}: its associative entity "
+                      f"{assoc} collides with an existing entity", rel.name)
+        # the rewrite stores both foreign keys as identifier columns
+        pairs = [(assoc, fk, "identifier", end.entity)
+                 for fk, end in zip(rel.fk_columns, (rel.left, rel.right))]
+    else:
+        child, fk = rel.child_entity(), rel.fk_columns[0]
+        kind = next(a.kind for a in schema.effective_columns(child) if a.name == fk)
+        pairs = [(child, fk, kind, rel.parent_entity())]
+    for child, fk, kind, parent in pairs:
+        keys = schema.entity(parent).key_attrs
+        if len(keys) == 1 and keys[0].kind != kind:
+            rep.error("fk-kind", f"relationship {rel.name}: foreign key {child}.{fk} is {kind} "
+                      f"but the key {parent}.{keys[0].name} it references is {keys[0].kind}", rel.name)
 
 
 def _validate_generalization(schema: EerSchema, gen: Generalization, rep: Report) -> None:
@@ -421,7 +448,7 @@ def rewrite_many_to_many(schema: EerSchema) -> EerSchema:
         if not rel.is_many_to_many:
             rels.append(rel)
             continue
-        assoc_name = f"{rel.left.entity}_{rel.right.entity}"
+        assoc_name = rel.associative_entity()
         if schema.entity(assoc_name) is not None:
             raise ValueError(
                 f"cannot rewrite {rel.name}: associative entity name {assoc_name!r} collides with an existing entity"

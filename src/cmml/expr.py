@@ -24,7 +24,8 @@ date literals.
 expression once over all rows of an entity, one numpy operation per node,
 and its aggregates are ``group_reduce``, the grouped kernel the engine's G4
 summaries also use. It reads the tables' ``values.Vec`` columns as they are
-stored and returns a ``Vec``, so no cell is boxed on the way in or out.
+stored and returns a ``Vec``, so no cell is boxed on the way in or out;
+it takes no typing environment, since the vectors carry their kinds.
 ``eval_expr`` (one row) and ``aggregate`` (one group of cells) define the
 same semantics cell by cell; they are the reference the tests compare the
 column evaluator against.

@@ -131,6 +131,24 @@ def test_cardinality_report_skips_a_null_parent_key(tmp_path):
     assert (r.conformant, r.violations, r.observed_min, r.observed_max) == (True, [], 1, 1)
 
 
+@pytest.mark.parametrize("ends,codes", [
+    # each EMP has at most one boss; a boss has any number of EMPs
+    ("EMP (0,1) -- (0,N) EMP", []),
+    # the same with the ends swapped, and every EMP must have a boss
+    ("EMP (0,N) -- (1,1) EMP", [("mandatory-participation", "EMP:1")]),
+])
+def test_self_relationship_ends_are_picked_by_position(ends, codes, tmp_path):
+    # e1 manages two EMPs and has no boss itself
+    bound = _bind(f"""
+    entity EMP {{ key emp_id: identifier attr salary: numeric }}
+    relationship MANAGES {{ {ends} via boss }}
+    """, {"EMP": "emp_id,salary,boss\ne1,10,\ne2,5,e1\ne3,6,e1\n"}, tmp_path)
+    assert [(d.code, d.location) for d in bound.report.diagnostics] == codes
+    [card] = binder.cardinality_report(bound)
+    assert (card.declared_min, card.declared_max, card.observed_min, card.observed_max,
+            card.conformant) == (0, "N", 0, 2, True)
+
+
 SUBTYPED = """
 entity E {
   key id: identifier

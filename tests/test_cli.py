@@ -530,6 +530,22 @@ def test_derivation_cycle_exit_1(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "plan"])
+def test_many_to_many_name_collision_exit_1(command, tmp_path, capsys):
+    schema = tmp_path / "s.cmml"
+    schema.write_text("entity A { key aid: identifier attr x: numeric }\n"
+                      "entity B { key bid: identifier }\nentity A_B { key k: identifier }\n"
+                      "relationship R { A (0,N) -- (0,N) B via aid, bid }\ntask T { target A.x }\n")
+    for name, text in (("A", "aid,x\na1,1\n"), ("B", "bid\nb1\n"), ("A_B", "k\nk1\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+    argv = [command, "--schema", str(schema)]
+    argv += ["--data-dir", str(tmp_path)] if command == "validate" else ["--task", "T"]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "error: nm-name-collision: relationship R: its associative entity A_B" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate does each unit of work once
 

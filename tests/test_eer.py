@@ -199,6 +199,8 @@ def test_subtype_applicable_when_reading_more_than_stored_columns_is_a_type_erro
     # through aggregates: LINE is the parent in FOR
     ("derived attr w: numeric = sum(CONTAINS.u)", "derived attr u: numeric = sum(FOR.w)",
      "ORDER.w -> LINE.u -> ORDER.w"),
+    # through an aggregate over a self-relationship: ORDER is parent and child
+    ("derived attr w: numeric = sum(FOLLOWS.w)", "", "ORDER.w -> ORDER.w"),
 ])
 def test_derivation_cycle_is_an_error(order, line, cycle):
     schema = parse(f"""
@@ -206,10 +208,63 @@ def test_derivation_cycle_is_an_error(order, line, cycle):
         entity LINE {{ key line_id: identifier attr qty: numeric {line} }}
         relationship CONTAINS {{ ORDER (1,1) -- (0,N) LINE via order_id }}
         relationship FOR {{ LINE (0,1) -- (0,N) ORDER via line_id }}
+        relationship FOLLOWS {{ ORDER (0,1) -- (0,N) ORDER via previous_id }}
     """)
     errors = [(d.code, d.message, d.location) for d in eer.validate_schema(schema).errors]
     assert errors == [("derivation-cycle",
                        f"derived attributes read each other in a cycle: {cycle}", "ORDER")]
+
+
+def test_reads_lists_own_attributes_then_aggregates():
+    from test_golden import CHAIN_SCHEMA
+    schema = parse_full(CHAIN_SCHEMA)
+    # same-entity names sorted, whatever order the expression names them in
+    assert schema.reads("LINE", "price") == [(None, "LINE", "qty"), (None, "LINE", "unit_price")]
+    assert schema.reads("ORDER", "basket") == [(None, "ORDER", "shipping"),
+                                               ("CONTAINS", "LINE", "price")]
+    assert schema.reads("ORDER", "lines") == [("CONTAINS", "LINE", None)]  # count
+    assert schema.reads("CUSTOMER", "value") == [(None, "CUSTOMER", "bonus"),
+                                                 ("PLACES", "ORDER", "basket")]
+
+
+FK_KINDS = """
+entity CUSTOMER {{ key cid: {key} attr bonus: numeric }}
+entity ORDER {{ key oid: identifier attr total: numeric {fk} }}
+relationship PLACES {{ CUSTOMER (1,1) -- (0,N) ORDER via cid }}
+"""
+
+
+@pytest.mark.parametrize("key,fk,kinds", [
+    # the implicit foreign-key column is an identifier
+    ("numeric", "", ("identifier", "numeric")),
+    ("identifier", "attr cid: numeric", ("numeric", "identifier")),
+    ("numeric", "attr cid: numeric", None),
+    ("identifier", "", None),
+])
+def test_foreign_key_kind_must_match_the_referenced_key(key, fk, kinds):
+    errors = [(d.code, d.message, d.location)
+              for d in eer.validate_schema(parse(FK_KINDS.format(key=key, fk=fk))).errors]
+    assert errors == ([] if kinds is None else [(
+        "fk-kind", f"relationship PLACES: foreign key ORDER.cid is {kinds[0]} but the key "
+        f"CUSTOMER.cid it references is {kinds[1]}", "PLACES")])
+
+
+def test_many_to_many_parents_need_identifier_keys():
+    schema = parse("""
+        entity A { key aid: identifier }
+        entity B { key bid: date }
+        relationship R { A (0,N) -- (0,N) B via aid, bid }
+    """)
+    assert [(d.code, d.message) for d in eer.validate_schema(schema).errors] == [
+        ("fk-kind", "relationship R: foreign key A_B.bid is identifier but the key B.bid "
+                    "it references is date")]
+
+
+def test_many_to_many_name_collision_is_a_validation_error():
+    schema = parse(NM_TEXT + "\nentity ORDER_PRODUCT { key x: identifier }")
+    assert [(d.code, d.message, d.location) for d in eer.validate_schema(schema).errors] == [
+        ("nm-name-collision", "relationship CONTAINS: its associative entity ORDER_PRODUCT "
+                              "collides with an existing entity", "CONTAINS")]
 
 
 def test_derivations_reading_each_other_without_a_cycle_are_valid():
