@@ -12,8 +12,10 @@ instead of cells: a factorized join, each joined entity's columns once and
 per output row one row index into each entity's block. ``Table.rows`` is a
 read-only row view of either storage that boxes each cell (``values.box``);
 nothing in the pipeline reads it. The writer formats a column at a time by
-its kind: ``format_float``'s text for numbers, the ISO form of each distinct
-day, and an empty field for a null of either code.
+its kind, printing each distinct number or day once (``format_float``'s text,
+the ISO form), quoting a text column with ``csv.writer`` only when a field
+needs quotes, and writing an empty field for a null of either code; it joins
+the fields into lines with ``str.join``.
 
 ``read_csv`` goes from the file's text to columns a chunk of lines at a
 time, never through a list of every row: a quote-free text is split with
@@ -383,30 +385,6 @@ def _parse(path: Path, name: str, columns: list[Column],
 _BOOLEAN_TEXT = np.array(["false", "true", ""], dtype=object)
 
 
-def _column_text(vec: Vec, kind: str) -> list:
-    """Each row's text as ``format_cell`` prints its boxed cell, chosen by
-    the column's kind: ``format_float``'s text for a number (an integral
-    one below 1e15 through int64), the ISO form of each distinct day, and
-    an empty field for a null of either code."""
-    null = vec.null != 0
-    if kind == "boolean":
-        return _BOOLEAN_TEXT[np.where(null, 2, vec.values)].tolist()
-    if kind == "date":
-        days, inverse = np.unique(np.where(null, 1, vec.values), return_inverse=True)
-        iso = np.array([_dt.date.fromordinal(d).isoformat() for d in days.tolist()] + [""],
-                       dtype=object)
-        return iso[np.where(null, len(days), inverse)].tolist()
-    if kind != "numeric":
-        return np.where(null, "", vec.values).tolist()
-    v = vec.values
-    integral = ~null & (np.trunc(v) == v) & (np.abs(v) < 1e15)
-    rest = ~null & ~integral
-    text = np.full(len(v), "", dtype=object)
-    text[integral] = v[integral].astype(np.int64).astype(str)
-    text[rest] = np.array(list(map(repr, v[rest].tolist())), dtype=object)
-    return text.tolist()
-
-
 class _Lines:
     """A csv.writer target keeping each row's line: the writer makes one
     ``write`` call per row."""
@@ -415,53 +393,84 @@ class _Lines:
         self.write = lines.append
 
 
-def _csv_lines(columns: Sequence[Sequence[str]]) -> list[str]:
-    """Each row of the text columns as one CSV line, terminator included."""
+def _quoted(fields: list[str]) -> list[str]:
+    """Each field as csv.writer writes it inside a wider row. A column with
+    no comma, quote, CR or LF is returned as it is; any other is quoted by
+    csv.writer, one field a row, so the running Python decides (3.13 quotes
+    a bare CR, 3.10-3.12 do not)."""
+    joined = "".join(fields)
+    if not any(c in joined for c in ',"\r\n'):
+        return fields
     lines: list[str] = []
-    csv.writer(_Lines(lines), lineterminator="\n").writerows(zip(*columns))
-    return lines
+    csv.writer(_Lines(lines), lineterminator="\n").writerows(zip(fields))
+    return ["" if line == '""\n' else line[:-1] for line in lines]
+
+
+def _column_text(vec: Vec, kind: str) -> list[str]:
+    """Each row's CSV field as csv.writer writes ``format_cell``'s text of its
+    boxed cell inside a wider row: each distinct number printed once as
+    ``format_float`` prints it, each distinct day's ISO form, a text quoted
+    only where it needs quotes, and an empty field for a null of either code."""
+    null = vec.null != 0
+    if kind == "boolean":
+        return _BOOLEAN_TEXT[np.where(null, 2, vec.values)].tolist()
+    if kind not in ("numeric", "date"):
+        return _quoted(np.where(null, "", vec.values).tolist())
+    distinct, inverse = np.unique(vec.values[~null], return_inverse=True)
+    if kind == "date":
+        printed = [_dt.date.fromordinal(d).isoformat() for d in distinct.tolist()]
+    else:
+        printed = list(map(repr, distinct.tolist()))
+    printed = np.array(printed + [""], dtype=object)
+    if kind == "numeric":  # format_float prints an integral value below 1e15 through int
+        integral = np.flatnonzero((np.abs(distinct) < 1e15) & (np.trunc(distinct) == distinct))
+        printed[integral] = distinct[integral].astype(np.int64).astype(str)
+    codes = np.full(len(null), len(distinct))
+    codes[~null] = inverse
+    return printed[codes].tolist()
 
 
 _CHUNK_ROWS = 4096  # output rows formatted, joined and encoded at a time
 
 
 def table_to_csv_bytes(table: Table) -> bytes:
-    """Serialize with format_cell's text for every cell, formatting one column
-    at a time. Each block row of a join view is formatted and quoted once,
-    and its fragment is repeated along the index; a column-major table is
-    the one-block case, formatted as it is written. Rows are formatted,
+    """Serialize with format_cell's text for every cell, as csv.writer would
+    write it, formatting one column at a time (``_column_text``) and joining
+    the fields with ``str.join``. Each block row of a join view is formatted
+    and joined once, and its fragment is repeated along the index; a
+    column-major table is formatted as it is written. Rows are formatted,
     joined and encoded a chunk at a time, so the whole text is never held
     beside its bytes."""
     kinds = [c.kind for c in table.columns]
-    if table.join is not None:
-        starts = np.cumsum([0] + table.join.widths).tolist()
-        blocks = [(block, idx, kinds[a:b]) for block, idx, a, b
-                  in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
-    else:
-        blocks = [(table.cells, None, kinds)]
-    last = len(blocks) - 1
 
-    def fragments(b: int, columns: list[Vec], kinds: list[str]) -> list[str]:
-        lines = _csv_lines([_column_text(vec, kind) for vec, kind in zip(columns, kinds)])
-        if len(kinds) == 1 and len(table.columns) > 1:
-            # csv quotes a row's lone empty field; inside a wider row it is bare
-            lines = ["\n" if line == '""\n' else line for line in lines]
-        return [line[:-1] + "," for line in lines] if b < last else lines
+    def lines(fields: list[list[str]]) -> list[str]:
+        if len(table.columns) == 1:  # csv.writer writes a row's lone empty field as ""
+            fields = [['""' if f == "" else f for f in fields[0]]]
+        return list(map(",".join, zip(*fields)))
 
-    formatted = [None if idx is None else fragments(b, block, kinds)
-                 for b, (block, idx, kinds) in enumerate(blocks)]
+    def block_lines(columns: list[Vec], kinds: list[str]) -> list[str]:
+        return lines([_column_text(vec, kind) for vec, kind in zip(columns, kinds)])
+
     out = io.BytesIO()
-    out.write("".join(_csv_lines([[name] for name in table.column_names])).encode("utf-8"))
+    out.write("".join(line + "\n" for line in lines([[name] for name in _quoted(
+        table.column_names)])).encode("utf-8"))
+    if table.join is None:
+        for start in range(0, table.row_count, _CHUNK_ROWS):
+            chunk = [column.take(slice(start, start + _CHUNK_ROWS)) for column in table.cells]
+            out.write(("\n".join(block_lines(chunk, kinds)) + "\n").encode("utf-8"))
+        return out.getvalue()
+    starts = np.cumsum([0] + table.join.widths).tolist()
+    blocks = [(idx, block_lines(block, kinds[a:b])) for block, idx, a, b
+              in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
+    # each block row's fragment, ended by the comma before the next block or the newline
+    fragments = [(idx, [line + ("," if b < len(blocks) - 1 else "\n") for line in text])
+                 for b, (idx, text) in enumerate(blocks)]
     for start in range(0, table.row_count, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        picked = [fragments(b, [column.take(slice(start, stop)) for column in block], kinds)
-                  if lines is None else list(map(lines.__getitem__, idx[start:stop].tolist()))
-                  for b, ((block, idx, kinds), lines) in enumerate(zip(blocks, formatted))]
-        body = picked[0]
-        if len(picked) > 1:
-            body = [None] * sum(map(len, picked))
-            for b, fragment in enumerate(picked):
-                body[b::len(picked)] = fragment
+        picked = [list(map(text.__getitem__, idx[start:start + _CHUNK_ROWS].tolist()))
+                  for idx, text in fragments]
+        body = [None] * sum(map(len, picked))
+        for b, fragment in enumerate(picked):
+            body[b::len(picked)] = fragment
         out.write("".join(body).encode("utf-8"))
     return out.getvalue()
 
