@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import binder, dsl, eer, engine, evalkit, planner
-from .diagnostics import Report
+from .diagnostics import Report, not_utf8
 from .tabular import write_csv
 from .values import parse_date
 
@@ -240,12 +240,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
         try:
-            spec = evalkit.SynthSpec.from_dict(raw)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"bad generator spec: {exc}")
+            spec = evalkit.SynthSpec.from_dict(
+                json.loads(Path(args.spec).read_bytes().decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"encoding: {not_utf8(args.spec, exc)}")
+        except (TypeError, ValueError) as exc:  # malformed JSON is a ValueError too
+            raise DataError(f"bad-spec: {args.spec}: {exc}")
     else:
         spec = evalkit.SynthSpec()
     bundle = evalkit.synth_generate(spec, args.seed if args.seed is not None else 0)

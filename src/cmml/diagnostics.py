@@ -9,6 +9,12 @@ from typing import Optional
 RENDER_LIMIT = 5  # diagnostics of one (severity, code) that render() prints
 
 
+def not_utf8(path: object, err: UnicodeDecodeError) -> str:
+    """The message of an ``encoding`` error: the file, its first byte that is
+    not UTF-8 and that byte's offset in the file."""
+    return f"{path}: not UTF-8: byte 0x{err.object[err.start]:02x} at offset {err.start}"
+
+
 @dataclass
 class Diagnostic:
     severity: str  # "error" | "warning" | "notice"

@@ -15,10 +15,11 @@ declaration does not hide diagnostics in the rest of the file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import eer
 from . import expr as ex
-from .diagnostics import Report
+from .diagnostics import Report, not_utf8
 
 KINDS = set(eer.ATTRIBUTE_KINDS)
 _DECL_KEYWORDS = ("entity", "relationship", "generalization", "task")
@@ -313,8 +314,17 @@ def parse_schema(source: SchemaSource) -> tuple[eer.EerSchema, Report]:
 
 
 def parse_schema_file(path: str) -> tuple[eer.EerSchema, Report]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_schema(SchemaSource(fh.read(), origin=path))
+    """Parse a UTF-8 schema file, reading its newlines as ``open`` does. A
+    file that is not UTF-8 gives an empty schema and one ``encoding`` error,
+    worded as ``read_csv``'s."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        rep = Report()
+        rep.error("encoding", not_utf8(path, err))
+        return eer.EerSchema(), rep
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_schema(SchemaSource(text, origin=path))
 
 
 # ---------------------------------------------------------------------------

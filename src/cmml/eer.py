@@ -369,6 +369,11 @@ def _validate_relationship(schema: EerSchema, rel: Relationship, rep: Report) ->
         if schema.entity(assoc) is not None:
             rep.error("nm-name-collision", f"relationship {rel.name}: its associative entity "
                       f"{assoc} collides with an existing entity", rel.name)
+        first = next(r for r in schema.relationships
+                     if r.is_many_to_many and r.associative_entity() == assoc)
+        if first is not rel:
+            rep.error("nm-name-collision", f"relationship {rel.name}: its associative entity "
+                      f"{assoc} is also relationship {first.name}'s", rel.name)
         # the rewrite stores both foreign keys as identifier columns
         pairs = [(assoc, fk, "identifier", end.entity)
                  for fk, end in zip(rel.fk_columns, (rel.left, rel.right))]
@@ -440,7 +445,8 @@ def summary_problems(agg_set: Iterable[str], top_k: int) -> list[tuple[str, str]
 def rewrite_many_to_many(schema: EerSchema) -> EerSchema:
     """Replace every N:M relationship with an associative entity `<LEFT>_<RIGHT>`
     (both keys plus the relationship attributes) and two 1:N relationships.
-    Idempotent; raises ValueError on a name collision with an existing entity.
+    Idempotent; raises ValueError on a name collision with an existing entity,
+    another relationship's associative entity included.
     """
     entities = list(schema.entities)
     rels: list[Relationship] = []
@@ -449,7 +455,7 @@ def rewrite_many_to_many(schema: EerSchema) -> EerSchema:
             rels.append(rel)
             continue
         assoc_name = rel.associative_entity()
-        if schema.entity(assoc_name) is not None:
+        if any(e.name == assoc_name for e in entities):
             raise ValueError(
                 f"cannot rewrite {rel.name}: associative entity name {assoc_name!r} collides with an existing entity"
             )

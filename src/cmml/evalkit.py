@@ -329,6 +329,16 @@ class SynthSpec:
         if "channels" in d:
             d = dict(d, channels=tuple(d["channels"]))
         spec = cls(**d)
+        for name, value in vars(spec).items():  # each field of its default's type
+            default = cls.__dataclass_fields__[name].default
+            if isinstance(default, tuple):
+                ok = bool(value) and all(type(c) is str for c in value)
+            elif type(default) is int:
+                ok = type(value) is int
+            else:
+                ok = type(value) in (int, float) and math.isfinite(value)
+            if not ok:
+                raise ValueError(f"invalid generator spec: bad {name} {value!r}")
         if spec.customers < 1 or spec.fanout_min < 0 or spec.fanout_max < spec.fanout_min:
             raise ValueError("invalid generator spec: counts/fan-out out of range")
         if spec.noise_sigma < 0 or spec.total_max < spec.total_min:

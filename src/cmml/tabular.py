@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .diagnostics import Report
+from .diagnostics import Report, not_utf8
 from .values import NO_TAGS, Vec, box, pack, parse_column, reprs
 
 
@@ -214,8 +214,7 @@ def read_csv(path: str | Path, name: str, columns: Iterable[Column],
         data = path.read_bytes()
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        rep.error("encoding", f"{path}: not UTF-8: byte 0x{err.object[err.start]:02x} "
-                              f"at offset {err.start}")
+        rep.error("encoding", not_utf8(path, err))
         return None, rep
     except OSError as err:
         rep.error("io", f"cannot read {path}: {err}")

@@ -546,6 +546,61 @@ def test_many_to_many_name_collision_exit_1(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "plan"])
+def test_two_many_to_many_over_one_pair_exit_1(command, tmp_path, capsys):
+    # both would rewrite to the associative entity A_B
+    schema = tmp_path / "s.cmml"
+    schema.write_text("entity A { key aid: identifier attr x: numeric }\n"
+                      "entity B { key bid: identifier }\n"
+                      "relationship R { A (0,N) -- (0,N) B via aid, bid }\n"
+                      "relationship S { A (0,N) -- (0,N) B via aid, bid }\ntask T { target A.x }\n")
+    for name, text in (("A", "aid,x\na1,1\n"), ("B", "bid\nb1\n"), ("A_B", "aid,bid\na1,b1\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+    argv = [command, "--schema", str(schema)]
+    argv += ["--data-dir", str(tmp_path)] if command == "validate" else ["--task", "T"]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert ("error: nm-name-collision: relationship S: its associative entity A_B is also "
+            "relationship R's [S]") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "prepare", "flatten", "evaluate"])
+def test_schema_not_utf8_exit_1(command, tmp_path, capsys):
+    schema = tmp_path / "s.cmml"
+    text = EXAMPLE_SCHEMA.read_bytes()
+    schema.write_bytes(text[:100] + b"\xff" + text[100:])
+    argv = [command, "--schema", str(schema)]
+    if command != "plan":
+        argv += ["--data-dir", str(EXAMPLE_DATA)]
+    if command != "validate":
+        argv += ["--task", "PREDICT_LTV"]
+    if command in ("prepare", "flatten"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: encoding: {schema}: not UTF-8: byte 0xff at offset 100" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec,message", [
+    (b'{"customers": ', "error: bad-spec: {spec}: Expecting value: line 1 column 15 (char 14)"),
+    (b'{"customers": 12, "fanout_max": \xff}',
+     "error: encoding: {spec}: not UTF-8: byte 0xff at offset 32"),
+    (b'{"customers": 2.5}', "error: bad-spec: {spec}: invalid generator spec: bad customers 2.5"),
+    (b'{"channels": []}', "error: bad-spec: {spec}: invalid generator spec: bad channels ()"),
+], ids=["malformed-json", "not-utf8", "float-count", "no-channels"])
+def test_generate_unreadable_spec_exit_1(spec, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(spec)
+    assert run("generate", "--out", str(tmp_path / "g"), "--spec", str(path)) == 1
+    err = capsys.readouterr().err
+    assert message.format(spec=path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "g").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate does each unit of work once
 

@@ -101,6 +101,16 @@ def test_many_to_many_rewrite_name_collision():
                               "collides with an existing entity", "CONTAINS")]
 
 
+def test_two_many_to_many_over_one_pair_collide():
+    schema = parse(NM_TEXT + "relationship LISTS { ORDER (0,N) -- (0,N) PRODUCT "
+                             "via order_id, prod_id }")
+    with pytest.raises(ValueError, match="ORDER_PRODUCT"):
+        eer.rewrite_many_to_many(schema)
+    assert [(d.code, d.message, d.location) for d in eer.validate_schema(schema).errors] == [
+        ("nm-name-collision", "relationship LISTS: its associative entity ORDER_PRODUCT "
+                              "is also relationship CONTAINS's", "LISTS")]
+
+
 def test_resolve_target_bfs(example_schema):
     task = example_schema.task("PREDICT_LTV")
     binding = eer.resolve_target(example_schema, task)
