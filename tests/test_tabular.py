@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from cmml import binder, eer, engine, planner
+from cmml import binder, eer, engine, planner, tabular
 from cmml.tabular import Column, JoinRows, Table, read_csv, table_to_csv_bytes, write_csv
 from cmml.values import NOT_APPLICABLE, UNKNOWN, format_cell, pack, parse_cell
 from conftest import CLOCK, column, parse_full
@@ -428,3 +428,92 @@ task T { target CUSTOMER.ltv }
         "c2,,,,,,,\n")
     # the null target and the absent partners' cells all read unknown
     assert flat.table.rows[2] == ["c2"] + [UNKNOWN] * 7
+
+
+# ---------------------------------------------------------------------------
+# The writer's column-at-a-time text: chunk boundaries, values shared across
+# columns, quoting decided per column, and one-column rows.
+
+
+def _random_table(rng, n):
+    kinds = [rng.choice(list(POOLS)) for _ in range(rng.randint(1, 6))]
+    columns = [_random_cells(rng, kind, n) for kind in kinds]
+    return Table("T", [Column(f"c{j}", kind) for j, kind in enumerate(kinds)],
+                 rows=[list(row) for row in zip(*columns)] if n else [])
+
+
+def _random_join(rng, n):
+    blocks = []
+    for width in [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]:
+        size = rng.randint(1, 6)
+        blocks.append(list(zip(*[_random_cells(rng, rng.choice(list(POOLS)), size)
+                                 for _ in range(width)])))
+    return _join_table(blocks, [[rng.randrange(len(block)) for _ in range(n)]
+                                for block in blocks])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("seed", range(8))
+def test_table_to_csv_bytes_across_chunk_boundaries(chunk, seed, monkeypatch):
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", chunk)
+    rng = random.Random(seed)
+    for n in (0, 1, chunk, chunk + 1, 3 * chunk + rng.randint(0, 5)):
+        table = _random_table(rng, n)
+        assert table_to_csv_bytes(table) == _reference_csv_bytes(table), (n, table.column_names)
+        _check_view(_random_join(rng, n))
+
+
+def test_table_to_csv_bytes_numbers_shared_across_columns():
+    # each column prints its own distinct values; both null codes and both
+    # zeros sit in several columns, at different rows
+    values = [0.0, -0.0, 7.0, 2.5, 1e15, -12.0, UNKNOWN, NOT_APPLICABLE, None]
+    rng = random.Random(3)
+    columns = [[values[(i + shift) % len(values)] for i in range(40)] for shift in range(6)]
+    columns.append([rng.choice(values) for _ in range(40)])
+    table = Table("T", [Column(f"n{j}", "numeric") for j in range(len(columns))],
+                  rows=[list(row) for row in zip(*columns)])
+    text = table_to_csv_bytes(table)
+    assert text == _reference_csv_bytes(table)
+    rows = [line.split(",")[:6] for line in text.decode().splitlines()[1:]]
+    assert rows[:3] == [["0", "0", "7", "2.5", "1000000000000000.0", "-12"],
+                        ["0", "7", "2.5", "1000000000000000.0", "-12", ""],
+                        ["7", "2.5", "1000000000000000.0", "-12", "", ""]]
+    assert "-0" not in text.decode()
+
+
+@pytest.mark.parametrize("special", [",", '"', "\n", "\r"])
+def test_table_to_csv_bytes_quotes_only_the_column_that_needs_it(special):
+    cells = ["a", f"b{special}c", "", None, "d"]
+    table = Table("T", [Column("bare", "text"), Column("odd", "nominal"),
+                        Column("also", "identifier")],
+                  rows=[[f"k{i}", v, "x y"] for i, v in enumerate(cells)])
+    text = table_to_csv_bytes(table).decode()
+    assert text == _reference_csv_bytes(table).decode()
+    # the running Python's csv.writer decides, e.g. for a bare CR
+    odd = io.StringIO()
+    csv.writer(odd, lineterminator="\n").writerow(["k1", f"b{special}c", "x y"])
+    assert odd.getvalue() in text
+    assert text.startswith("bare,odd,also\nk0,a,x y\n")
+    assert text.endswith("k2,,x y\nk3,,x y\nk4,d,x y\n")
+
+
+def test_table_to_csv_bytes_one_column():
+    # a lone empty field is written "" in a one-column table, header included
+    for kind, cells in (("text", ["", "a", None, 'q"', "x,y"]), ("numeric", [None, 1.0, -0.0]),
+                        ("date", [UNKNOWN, dt.date(2020, 1, 2)]), ("boolean", [True, None])):
+        table = Table("T", [Column("c", kind)], rows=[[v] for v in cells])
+        assert table_to_csv_bytes(table) == _reference_csv_bytes(table)
+        assert table_to_csv_bytes(table).decode().splitlines()[1] == (
+            '""' if cells[0] in ("", None, UNKNOWN) else format_cell(cells[0]))
+    unnamed = Table("T", [Column("", "text")], rows=[["v"]])
+    assert table_to_csv_bytes(unnamed) == _reference_csv_bytes(unnamed) == b'""\nv\n'
+
+
+def test_join_view_one_column_blocks():
+    # one column in all: "" for an empty field; a one-column block beside
+    # another: bare, in any block position
+    assert _check_view(_join_table([[("",), (None,), ("a,b",)]], [[2, 0, 1]])) == (
+        'c0\n"a,b"\n""\n""\n')
+    text = _check_view(_join_table([[(None,), ("x",)], [("k", 1.0)], [("",), ('"',)]],
+                                   [[0, 1, 0], [0, 0, 0], [1, 0, 0]]))
+    assert text == 'c0,c1,c2,c3\n,k,1,""""\nx,k,1,\n,k,1,\n'
