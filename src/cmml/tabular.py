@@ -459,11 +459,12 @@ def table_to_csv_bytes(table: Table) -> bytes:
             out.write(("\n".join(block_lines(chunk, kinds)) + "\n").encode("utf-8"))
         return out.getvalue()
     starts = np.cumsum([0] + table.join.widths).tolist()
-    blocks = [(idx, block_lines(block, kinds[a:b])) for block, idx, a, b
+    blocks = [(block, idx, kinds[a:b]) for block, idx, a, b
               in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
     # each block row's fragment, ended by the comma before the next block or the newline
-    fragments = [(idx, [line + ("," if b < len(blocks) - 1 else "\n") for line in text])
-                 for b, (idx, text) in enumerate(blocks)]
+    fragments = [(idx, [line + ("," if b < len(blocks) - 1 else "\n")
+                        for line in block_lines(block, kinds)])
+                 for b, (block, idx, kinds) in enumerate(blocks)]
     for start in range(0, table.row_count, _CHUNK_ROWS):
         picked = [list(map(text.__getitem__, idx[start:start + _CHUNK_ROWS].tolist()))
                   for idx, text in fragments]
