@@ -442,13 +442,13 @@ def table_to_csv_bytes(table: Table) -> bytes:
     beside its bytes."""
     kinds = [c.kind for c in table.columns]
 
-    def lines(fields: list[list[str]]) -> list[str]:
+    def lines(fields: list[Iterable[str]]) -> list[str]:
         if len(table.columns) == 1:  # csv.writer writes a row's lone empty field as ""
             fields = [['""' if f == "" else f for f in fields[0]]]
         return list(map(",".join, zip(*fields)))
 
-    def block_lines(columns: list[Vec], kinds: list[str]) -> list[str]:
-        return lines([_column_text(vec, kind) for vec, kind in zip(columns, kinds)])
+    def block_lines(columns: list[Vec], kinds: list[str], end=()) -> list[str]:
+        return lines([*(_column_text(vec, kind) for vec, kind in zip(columns, kinds)), *end])
 
     out = io.BytesIO()
     out.write("".join(line + "\n" for line in lines([[name] for name in _quoted(
@@ -461,13 +461,14 @@ def table_to_csv_bytes(table: Table) -> bytes:
     starts = np.cumsum([0] + table.join.widths).tolist()
     blocks = [(block, idx, kinds[a:b]) for block, idx, a, b
               in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
-    # each block row's fragment, ended by the comma before the next block or the newline
-    fragments = [(idx, [line + ("," if b < len(blocks) - 1 else "\n")
-                        for line in block_lines(block, kinds)])
+    # each block row's fragment, ended by the comma before the next block; a
+    # shared newline string follows the last block's, so no row is copied to end it
+    fragments = [(idx, block_lines(block, kinds, [repeat("")] if b < len(blocks) - 1 else ()))
                  for b, (block, idx, kinds) in enumerate(blocks)]
     for start in range(0, table.row_count, _CHUNK_ROWS):
         picked = [list(map(text.__getitem__, idx[start:start + _CHUNK_ROWS].tolist()))
                   for idx, text in fragments]
+        picked.append(["\n"] * len(picked[0]))
         body = [None] * sum(map(len, picked))
         for b, fragment in enumerate(picked):
             body[b::len(picked)] = fragment
