@@ -462,16 +462,14 @@ def table_to_csv_bytes(table: Table) -> bytes:
     blocks = [(block, idx, kinds[a:b]) for block, idx, a, b
               in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
     # each block row's fragment, ended by the comma before the next block; a
-    # shared newline string follows the last block's, so no row is copied to end it
+    # chunk's body holds each row's fragments and then one shared newline string
     fragments = [(idx, block_lines(block, kinds, [repeat("")] if b < len(blocks) - 1 else ()))
                  for b, (block, idx, kinds) in enumerate(blocks)]
+    step = len(fragments) + 1
     for start in range(0, table.row_count, _CHUNK_ROWS):
-        picked = [list(map(text.__getitem__, idx[start:start + _CHUNK_ROWS].tolist()))
-                  for idx, text in fragments]
-        picked.append(["\n"] * len(picked[0]))
-        body = [None] * sum(map(len, picked))
-        for b, fragment in enumerate(picked):
-            body[b::len(picked)] = fragment
+        body = ["\n"] * step * min(_CHUNK_ROWS, table.row_count - start)
+        for b, (idx, text) in enumerate(fragments):
+            body[b::step] = map(text.__getitem__, idx[start:start + _CHUNK_ROWS].tolist())
         out.write("".join(body).encode("utf-8"))
     return out.getvalue()
 
