@@ -72,7 +72,10 @@ def example_copy(tmp_path, monkeypatch):
 @pytest.mark.parametrize("target", TARGETS)
 def test_mutations_end_in_an_exit_code(target, example_copy, capsys):
     for seed in SEEDS[target]:
-        codes = run_commands(example_copy, target, seed)
+        try:
+            codes = run_commands(example_copy, target, seed)
+        except Exception as exc:  # name the case that escaped cli.main
+            raise AssertionError(f"{target} mutated by seed {seed} raised") from exc
         assert set(codes) <= {0, 1, 2}, (target, seed, codes)
         capsys.readouterr()
 
