@@ -1,6 +1,6 @@
 """Golden-output gate: SHA-256 of every byte `prepare`, `flatten`,
-`plan --json` and `evaluate --json` write, for fixed inputs and a pinned
-clock.
+`plan`, `plan --json` and `evaluate --json` write, for fixed inputs and a
+pinned clock.
 
 A refactor must leave these digests unchanged. A change that alters output
 on purpose updates the digests in the same commit and says why.
@@ -179,6 +179,8 @@ GOLDEN = {
             "33c5f22b7bc28268a02a346a5d45ef5885acced884dc2692c1dfa5c10ca195fe",
         "plan.json":
             "ac90c844cb3ae3f5794ed709cb11b700ee7cb164d7bb7c8e8865487d7abd64d9",
+        "plan.txt":
+            "a4d07a82c189e692d437034545c92f93189d652ebaeeda78c75a5e0590adc202",
         "prepare/T.csv":
             "a0381ed10f2a485fd0e552cb7a360e8068ead38c0324e4cfc6ceec7ea5923eb7",
         "prepare/manifest.json":
@@ -191,6 +193,8 @@ GOLDEN = {
             "9d6d1dd519c7bb6e712deb81fcf81cf31e0fde33822e2de72aea4381b995ae3e",
         "plan.json":
             "a3824c5f4d5a7e1de3b1de6201f642433114acfbdcd9754ead68ab4f58ce53bc",
+        "plan.txt":
+            "13e091798efed824ea86cc3984db4b9dcad12fe2800c489865f2eb6ea89ebdcf",
         "prepare/T.csv":
             "b9a39024b68c3ad8414bd4826e050e3f92c935c0328464e9d04cd912c676db88",
         "prepare/manifest.json":
@@ -201,6 +205,8 @@ GOLDEN = {
             "7f9da098e43493952390710da396b9cbbdfe504722b73ee89ccd523d94af85c1",
         "plan.json":
             "3f7ac28e4a82bcb2e19a5411e4631878dcd56b10724ae61f07ced331e98e283f",
+        "plan.txt":
+            "db7e21889db8ff5da39b53bb4dac3aaa3c4af4017758f8dc60df86e3f4ca0ae5",
         "prepare/PREDICT_LTV.csv":
             "6766ef0bedf31245defc1996d8d2989f5284b65c18ff3e0355b877aa1df4f11c",
         "prepare/manifest.json":
@@ -211,6 +217,8 @@ GOLDEN = {
             "389b54d1d36d032c1bbb8d50a461eb915230b180a822b703f8dc21983901a23a",
         "plan.json":
             "67e5906335c5ba8791e0fd1025305c3f2204099c5426121ed60f7e1a5d246d20",
+        "plan.txt":
+            "5a78dec34d34bd8caa69a617a7b564cc5d4827b8b010876c16194fb175e0e15b",
         "prepare/T_GOLD.csv":
             "70ca8c8e0f06372a84d97a43a054d252797774a1d8bc8442a3fb357139bf2b1c",
         "prepare/T_TRIAL.csv":
@@ -223,6 +231,8 @@ GOLDEN = {
             "a705dc22099b9b14b88a4d6ce51cf36f77fe6c7024f0bb466aeef5f1eb7bcd26",
         "plan.json":
             "35ffc7570414d713d9ba537f50f44c8aa1244a2226e790ab3cbe4e026f3efe8e",
+        "plan.txt":
+            "c352e4b028480a733dffffa44c59f180cd0514ba730e8257b6363b16b881689c",
         "prepare/T.csv":
             "b559278cac9729bf23b3114ef2fdbefe8bf82970a78174d10797cb6e8de44e2a",
         "prepare/manifest.json":
@@ -235,6 +245,8 @@ GOLDEN = {
             "5ed620bd673434e1dabb490b213db416ae4cc8ca0813c7fd9c5e77c33548738b",
         "plan.json":
             "1ac7450bbc52e26c08f79c3c09be26cfe75009cbf8bc54e742b2eb01029a86ad",
+        "plan.txt":
+            "0cd991a801c8978cbdc1ae3d0775370da326ffe0d50d0f93079ab25493880299",
         "prepare/T.csv":
             "23a621513b4f346037e5ba33b381d860cd47ab466b764ff2ff76d0a819ee24dd",
         "prepare/manifest.json":
@@ -245,6 +257,8 @@ GOLDEN = {
             "8c0b0b4193da6a34499db8fde6ae6288fa7884e0ca3f34b9b66af2560de0980b",
         "plan.json":
             "77908caed5f50b1268607b4f958e3ddf9ebab61ae4e52cf6c49cd76acfe464b7",
+        "plan.txt":
+            "f0d537c9db1d3080e13e806d03870c78e6c9664c83be8ac31331da18055e187c",
         "prepare/T_HIGH.csv":
             "f522fa82cdd818a78c8fb1303625eb660072a1a86320f18f4a09dd426c4d82c9",
         "prepare/T_LOW.csv":
@@ -259,6 +273,8 @@ GOLDEN = {
             "416551d0818899910fe4c8a3a19e058b5acd1c6c317ca191d59f9699c43424e0",
         "plan.json":
             "57787de213697af83d8284f588f07a59ab95f832806c2df11b8d50f968f5ae45",
+        "plan.txt":
+            "58f07e34364455439b8480951ba21c873cf38d8c9504ac5952b50dab9b8628c7",
         "prepare/T.csv":
             "392ff7798f39c096952f6507f0a4b373ed448f350b4be42f40179d5e886150de",
         "prepare/manifest.json":
@@ -269,6 +285,8 @@ GOLDEN = {
             "c60d28b4c8a8d324b23b383aa93acc3d1a3f8a452377d9275f0cc0c42c4d2c4b",
         "plan.json":
             "017daf610ca6503d0af0e5a6abae748fd5cccc212ce19bf8c5386f92d711f125",
+        "plan.txt":
+            "8345144f26b2497a0bdc4baa331b30b3ade65bb8a3ecb469d28d5ad747b4934e",
         "prepare/T_HIGH.csv":
             "745045db3f7f69df6846a95d361f86efef2e7edcfa9d331d40a1e9dc7d412c5a",
         "prepare/T_LOW.csv":
@@ -283,6 +301,8 @@ GOLDEN = {
             "9b122ff475b0d44b44da06c94e5fb2ed2e99ffe874d1d341311d5adb90e49f3b",
         "plan.json":
             "1d2bd9886e2fce6d79c90f8b3245ebcfb91f57811d3c424776ac7162aa6d8028",
+        "plan.txt":
+            "844b5a89f6c8ed53b60afd7097a6fcbb10c4e53e4860807d0fb301d94c87b503",
         "prepare/T.csv":
             "9ef15e33a9d389890e30bd23b29622221962ce6b940bce985705c079adcc4380",
         "prepare/manifest.json":
@@ -295,6 +315,8 @@ GOLDEN = {
             "8f860f4658869527e4dc48d9d4214515015743de39fdd39e0bbe86e5b7075bb3",
         "plan.json":
             "2aa74783060f14ec2151ee9195bbb0be9b80abe9eb20bfe3b97a7819486e9fee",
+        "plan.txt":
+            "c3e15464bd5d562ae30521b8aa18f08a87c47a6132b6a8f7647f01d32673de29",
         "prepare/PREDICT_LTV.csv":
             "62beb5836991c67b5822897cd945eccfb7188f8608ed106f54f16f13c22b2b00",
         "prepare/manifest.json":
@@ -307,6 +329,8 @@ GOLDEN = {
             "c7ab65481c4a80b1dc59401b41014643ad02ae08d088fd24811581796cb896e8",
         "plan.json":
             "2aa74783060f14ec2151ee9195bbb0be9b80abe9eb20bfe3b97a7819486e9fee",
+        "plan.txt":
+            "c3e15464bd5d562ae30521b8aa18f08a87c47a6132b6a8f7647f01d32673de29",
         "prepare/PREDICT_LTV.csv":
             "0ada3fbf140e43d90cc876dacf492b39ca623a211a078431d69dd50ff8da02bb",
         "prepare/manifest.json":
@@ -391,6 +415,8 @@ def _digests(build, tmp_path, capsys, evaluate: bool) -> dict[str, str]:
     capsys.readouterr()
     assert cli.main(["plan", *common, "--json"]) == 0
     out["plan.json"] = _sha(capsys.readouterr().out.encode("utf-8"))
+    assert cli.main(["plan", *common]) == 0
+    out["plan.txt"] = _sha(capsys.readouterr().out.encode("utf-8"))
     if evaluate:
         assert cli.main(["evaluate", *common, "--data-dir", str(data_dir), "--json",
                          "--folds", "5", "--range", "100"]) == 0
