@@ -232,38 +232,35 @@ class _Execution:
         partner[partners.rows] = partners.gid
         return Groups(partner[partner >= 0], (partner >= 0).astype(np.int64))
 
-    def derive_attr(self, entity: str, attr_name: str) -> None:
-        """Attach the derived attribute's shared cells as a working column and
-        mark the columns it reads consumed."""
+    def derive_attr(self, entity: str, attribute: str, expression: str) -> None:
+        """Attach the derived attribute's shared cells as a working column that
+        records ``expression``, and mark the columns it reads consumed."""
         schema = self.bound.schema
-        attr = schema.entity(entity).attr(attr_name)
         frame = self.frames[entity]
-        values, diags = self.derivations.derived(entity, attr_name)
+        values, diags = self.derivations.derived(entity, attribute)
         for d in diags:
-            self.warnings.warning("derived-value", f"{entity}.{attr_name}: {d}")
+            self.warnings.warning("derived-value", f"{entity}.{attribute}: {d}")
         sources = set()
-        for rel, source, name in schema.reads(entity, attr_name):
+        for rel, source, name in schema.reads(entity, attribute):
             if rel is None:
                 col = self.derived_columns.get((entity, name)) or frame.columns[frame.column_index(name)]
                 col.consumed = True
             # count(REL) reads the child's rows, as the G4 count summary does
             sources.add(f"{source}.{name or '*'}")
         col = Column(
-            name=attr_name, kind=attr.kind,
+            name=attribute, kind=schema.entity(entity).attr(attribute).kind,
             origin_entities=[entity], source_attributes=sorted(sources),
-            transform="derived",
-            params={"expression": ex.pretty_print(attr.derivation)},
-            guidelines=["G2"],
+            transform="derived", params={"expression": expression}, guidelines=["G2"],
         )
-        self.derived_columns[entity, attr_name] = col
+        self.derived_columns[entity, attribute] = col
         self._add(frame, col, values)
 
-    def join_one_to_one(self, parent: str, child: str, rel_name: str) -> None:
+    def join_one_to_one(self, parent: str, child: str, relationship: str) -> None:
         """Attach the (at most one) partner row's feature columns to the parent."""
-        rel = self.bound.schema.relationship(rel_name)
+        rel = self.bound.schema.relationship(relationship)
         pframe = self.frames[parent]
         cframe = self.frames[child]
-        partners = self._partners(parent, child, rel_name)
+        partners = self._partners(parent, child, relationship)
         min_partners = rel.end_of(child).min
         if rel.is_one_to_one and rel.child_entity() != child:
             min_partners = 0
@@ -277,25 +274,25 @@ class _Execution:
                 continue
             new = col.clone(name=col.name if col.prefixed else feature_name(col.name, [child], "raw"),
                             prefixed=True)
-            new.params["relationship"] = rel_name
+            new.params["relationship"] = relationship
             self._add(pframe, new, cframe.cells[ci].with_absent(absent_null).take(partner))
 
-    def summarize_child(self, parent: str, child: str, rel_name: str,
-                        agg_set: tuple[str, ...], top_k: int) -> None:
+    def summarize_child(self, parent: str, child: str, relationship: str,
+                        aggregates: list[str], top_k: int) -> None:
         """G4: one summary column per aggregate of each child column, every
         numeric, boolean and nominal summary one grouped reduction over the
         relationship's partner index (``Derivations.groups``)."""
         pframe = self.frames[parent]
         cframe = self.frames[child]
-        groups = self.derivations.groups(rel_name)
+        groups = self.derivations.groups(relationship)
         self._add_summary(pframe, Column(
             name=feature_name("", [child], "count"), kind="numeric",
             origin_entities=[child], source_attributes=[f"{child}.*"],
-            transform="count", params={"relationship": rel_name},
+            transform="count", params={"relationship": relationship},
             guidelines=["G4"], prefixed=True,
         ), groups.sizes.astype(float))
 
-        numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in agg_set]
+        numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in aggregates]
         for want_kind in KIND_SUMMARY_ORDER:
             for ci, col in enumerate(cframe.columns):
                 if col.kind != want_kind or not col.emit or col.consumed or col.kind == "identifier":
@@ -307,7 +304,7 @@ class _Execution:
                 vec = cframe.cells[ci]
 
                 def summary(transform: str, kind: str = "numeric", category: Optional[str] = None):
-                    return self._agg_col(col, child, rel_name, transform, kind, category)
+                    return self._agg_col(col, child, relationship, transform, kind, category)
 
                 if want_kind == "numeric":
                     reduced = ex.group_reduce(numeric_aggs, vec.values, groups)
@@ -365,15 +362,15 @@ class _Execution:
 
     # -- splitting / imputation / emission --------------------------------------
 
-    def split_subtypes(self, gen_name: str) -> None:
-        gen = self.bound.schema.generalization(gen_name)
+    def subtype_split(self, generalization: str) -> None:
+        gen = self.bound.schema.generalization(generalization)
         root = self.frames[self.plan.binding.target_entity]
         for st in gen.subtypes:
             name = f"{self.plan.task}_{st.name}"
             # sibling subtypes' columns are excluded entirely
             keep_cols = [i for i, c in enumerate(root.columns)
-                         if c.subtype is None or c.subtype[0] != gen_name or c.subtype[1] == st.name]
-            held = self.bound.subtype_rows[gen_name][st.name]
+                         if c.subtype is None or c.subtype[0] != gen.name or c.subtype[1] == st.name]
+            held = self.bound.subtype_rows[gen.name][st.name]
             members = np.flatnonzero(held >= 0)
             frame = Table(root.name, [root.columns[i].clone() for i in keep_cols],
                           key_columns=root.key_columns,
@@ -397,16 +394,12 @@ class _Execution:
                 guidelines=["G5"], subtype=(gen.name, st.name),
             ), mt.cells[mt.column_index(a.name)].take(picked))
 
-    def _ensure_dataset(self, name: str) -> Table:
-        if name not in self.datasets:
-            # single-output plan: the root frame is the dataset
-            self.datasets[name] = self.frames[self.plan.binding.target_entity]
-        return self.datasets[name]
+    def _dataset(self, name: str) -> Table:
+        """A split's dataset, or in a single-output plan the root frame."""
+        return self.datasets.get(name, self.frames[self.plan.binding.target_entity])
 
-    def impute(self, name: str, strategy: str) -> None:
-        frame = self._ensure_dataset(name)
-        if strategy == "none":
-            return
+    def impute_columns(self, dataset: str, strategy: str) -> None:
+        frame = self._dataset(dataset)
         target = self.plan.binding.target_attr
         const = strategy[len("constant:"):] if strategy.startswith("constant:") else None
         for ci, col in enumerate(frame.columns):
@@ -423,26 +416,26 @@ class _Execution:
                     if fill is None:
                         raise ValueError("the value is empty")
                 except ValueError as exc:
-                    raise PlanError(f"dataset {name}: column {col.name!r}: "
+                    raise PlanError(f"dataset {dataset}: column {col.name!r}: "
                                     f"bad impute constant {const!r}: {exc}")
                 kind = "imputed_const"
             else:
                 if col.kind == "text":
                     self.warnings.warning(
                         "not-imputed",
-                        f"dataset {name}: text column {col.name!r} is not imputed under "
+                        f"dataset {dataset}: text column {col.name!r} is not imputed under "
                         f"mean_mode; {count} unknown cell(s) left null")
                     continue
                 fill, kind = _mean_mode_fill(vec, col.kind)
                 if fill is None:
                     self.warnings.warning(
                         "not-imputed",
-                        f"dataset {name}: column {col.name!r} has no known values; left null")
+                        f"dataset {dataset}: column {col.name!r} has no known values; left null")
                     continue
             if _non_finite(fill):
                 self.warnings.warning(
                     "not-imputed",
-                    f"dataset {name}: column {col.name!r} has a non-finite fill; left null")
+                    f"dataset {dataset}: column {col.name!r} has a non-finite fill; left null")
                 continue
             # a new Vec: the column may be shared, e.g. with the derivations
             values = vec.values.copy()
@@ -455,10 +448,10 @@ class _Execution:
             if "G3" not in col.guidelines:
                 col.guidelines = sorted(set(col.guidelines) | {"G3"})
 
-    def emit(self, name: str) -> TrainingDataset:
+    def emit_dataset(self, dataset: str) -> None:
         """The dataset's table: keys, then predictors, the target last, each
         column cloned under its final name; rows with a null target dropped."""
-        frame = self._ensure_dataset(name)
+        frame = self._dataset(dataset)
         target_attr = self.plan.binding.target_attr
         keys, predictors, target = [], [], None
         for ci, col in enumerate(frame.columns):
@@ -469,7 +462,7 @@ class _Execution:
             elif col.emit and not col.consumed:
                 predictors.append(ci)
         if target is None:
-            raise ValueError(f"dataset {name}: target column {target_attr!r} missing")
+            raise ValueError(f"dataset {dataset}: target column {target_attr!r} missing")
         ordered = keys + predictors + [target]
 
         columns: list[Column] = []
@@ -492,11 +485,10 @@ class _Execution:
         kept = np.array(sorted(known.tolist(), key=frame.order_key()), dtype=np.int64)
         # null codes survive in memory (CSV renders both as empty)
         cells = [frame.cells[ci].take(kept) for ci in ordered]
-        table = Table(name, columns, key_columns=[c.name for c in columns[:len(keys)]], cells=cells)
-        ds = TrainingDataset(name=name, table=table, target_column=columns[-1].name,
-                             dropped_null_target=dropped)
-        self.emitted[name] = ds
-        return ds
+        table = Table(dataset, columns, key_columns=[c.name for c in columns[:len(keys)]],
+                      cells=cells)
+        self.emitted[dataset] = TrainingDataset(dataset, table, target_column=columns[-1].name,
+                                                dropped_null_target=dropped)
 
 
 def _role(ds: TrainingDataset, column: str) -> str:
@@ -588,24 +580,7 @@ def execute(plan: TransformationPlan, bound: BoundModel,
         raise ValueError("bound model has error diagnostics; fix the data before executing")
     st = _Execution(bound, plan.binding, derivations, plan)
     for step in plan.steps:
-        k = step.kind
-        if k == "derive_attr":
-            st.derive_attr(step.params["entity"], step.params["attribute"])
-        elif k == "summarize_child":
-            st.summarize_child(step.params["parent"], step.params["child"],
-                               step.params["relationship"],
-                               tuple(step.params["aggregates"]), step.params["top_k"])
-        elif k == "join_one_to_one":
-            st.join_one_to_one(step.params["parent"], step.params["child"],
-                               step.params["relationship"])
-        elif k == "subtype_split":
-            st.split_subtypes(step.params["generalization"])
-        elif k == "impute_columns":
-            st.impute(step.params["dataset"], step.params["strategy"])
-        elif k == "emit_dataset":
-            st.emit(step.params["dataset"])
-        else:
-            raise ValueError(f"unknown plan step kind {k!r}")
+        getattr(st, step.kind)(**step.params)  # a method per planner.STEP_KINDS entry
 
     _warn_target_leakage(plan, bound, st)
     return [st.emitted[name] for name in plan.outputs], st.warnings
@@ -772,7 +747,7 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     cost is linear in entity cells plus output rows."""
     st = _Execution(bound, binding, derivations)
     for entity, attr in derivation_order(bound.schema, binding):
-        st.derive_attr(entity, attr.name)
+        st.derive_attr(entity, attr.name, ex.pretty_print(attr.derivation))
     frames = st.frames
     root = binding.target_entity
     root_frame = frames[root]

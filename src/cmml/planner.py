@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import eer
 from . import expr as ex
 
-GUIDELINES = ("G1", "G2", "G3", "G4", "G5")
+# The paper's data-preparation guidelines, by tag
+GUIDELINES = {"G1": "feature labeling", "G2": "derive features", "G3": "impute features",
+              "G4": "entity summarization", "G5": "multiple training datasets"}
 
 
 @dataclass(frozen=True)
@@ -34,14 +36,52 @@ class PlanOptions:
                 "seed": self.seed, "holdout": self.holdout}
 
 
+class StepKind(NamedTuple):
+    guidelines: tuple[str, ...]
+    explanation: str  # a str.format template over a step's params, a list param comma-joined
+
+
+# Every step kind, in plan order. ``engine._Execution`` runs a step by
+# calling its method of the kind's name with the step's params.
+STEP_KINDS = {
+    "derive_attr": StepKind(("G2",), (
+        "compute {entity}.{attribute} = {expression}, producing column {entity}_{attribute}.")),
+    "summarize_child": StepKind(("G4",), (
+        "collapse {child} rows onto {parent} via relationship {relationship}, producing "
+        "{child}_count, numeric summaries ({aggregates}) per numeric column, per-category counts "
+        "for the top {top_k} categories of each nominal column, true-counts for booleans, "
+        "newline-concatenation for text and min/max for dates.")),
+    "join_one_to_one": StepKind((), (
+        "Join the single {child} partner of each {parent} row via relationship {relationship} "
+        "(one-partner hop; no duplication), producing {child}-prefixed columns.")),
+    "subtype_split": StepKind(("G5",), (
+        "split by generalization {generalization}, one dataset per subtype with only that "
+        "subtype's members and subtype-specific columns.")),
+    "impute_columns": StepKind(("G3",), (
+        "fill nulls classified applicable-but-unknown using strategy {strategy} with statistics "
+        "computed within this output dataset; not-applicable cells are never altered.")),
+    "emit_dataset": StepKind((), (
+        "Emit dataset {dataset} (rows sorted by key; null-target rows dropped).")),
+}
+
+
 @dataclass(frozen=True)
 class PlanStep:
     kind: str
-    guidelines: tuple[str, ...]
     params: dict
+
+    @property
+    def guidelines(self) -> tuple[str, ...]:
+        return STEP_KINDS[self.kind].guidelines
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "guidelines": list(self.guidelines), **self.params}
+
+    def explain(self) -> str:
+        """The step in words, led by the guidelines it realizes."""
+        params = {k: ", ".join(v) if isinstance(v, list) else v for k, v in self.params.items()}
+        tags = "".join(f"Guideline {g[1:]} ({GUIDELINES[g]}): " for g in self.guidelines)
+        return tags + STEP_KINDS[self.kind].explanation.format(**params)
 
 
 @dataclass(frozen=True)
@@ -86,9 +126,13 @@ def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[Pl
     staged = {e: _staged_derivations(schema, e) for e in binding.predictor_entities}
 
     def derive(entity: str, attrs: list[eer.Attribute]) -> list[PlanStep]:
-        return [PlanStep("derive_attr", ("G2",), {"entity": entity, "attribute": a.name,
-                                                  "expression": ex.pretty_print(a.derivation)})
+        return [PlanStep("derive_attr", {"entity": entity, "attribute": a.name,
+                                         "expression": ex.pretty_print(a.derivation)})
                 for a in attrs]
+
+    def join(edge: eer.TreeEdge) -> PlanStep:
+        return PlanStep("join_one_to_one", {"parent": edge.parent, "child": edge.child,
+                                            "relationship": edge.relationship})
 
     # (a) non-aggregate derivations; aggregate-bearing ones wait for their
     # entity's slot in (b) or (c)
@@ -103,7 +147,7 @@ def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[Pl
         child_per_parent = rel.end_of(edge.child).max
         steps += derive(edge.child, staged[edge.child][1])
         if child_per_parent == "N":
-            steps.append(PlanStep("summarize_child", ("G4",), {
+            steps.append(PlanStep("summarize_child", {
                 "parent": edge.parent, "child": edge.child,
                 "relationship": edge.relationship,
                 "aggregates": [a for a in options.agg_set if a != "count"],
@@ -112,36 +156,27 @@ def compile_plan(schema: eer.EerSchema, task: eer.TaskDecl, options: Optional[Pl
         elif edge.parent == root:
             root_joins.append(edge)
         else:
-            steps.append(PlanStep("join_one_to_one", (), {
-                "parent": edge.parent, "child": edge.child,
-                "relationship": edge.relationship,
-            }))
+            steps.append(join(edge))
 
     # (c) aggregate-bearing derivations on the target entity
     steps += derive(root, staged[root][1])
 
     # (d) one-to-one joins at the target entity
-    for edge in root_joins:
-        steps.append(PlanStep("join_one_to_one", (), {
-            "parent": edge.parent, "child": edge.child,
-            "relationship": edge.relationship,
-        }))
+    steps += map(join, root_joins)
 
     # (e) subtype split
     split_gen = _choose_split(schema, task, root, notes)
     if split_gen is not None:
-        steps.append(PlanStep("subtype_split", ("G5",), {"generalization": split_gen.name}))
+        steps.append(PlanStep("subtype_split", {"generalization": split_gen.name}))
         outputs = tuple(f"{task.name}_{st.name}" for st in split_gen.subtypes)
     else:
         outputs = (task.name,)
 
     # (f) imputation per output dataset, (g) emission
-    for name in outputs:
-        if options.impute != "none":
-            steps.append(PlanStep("impute_columns", ("G3",),
-                                  {"dataset": name, "strategy": options.impute}))
-    for name in outputs:
-        steps.append(PlanStep("emit_dataset", (), {"dataset": name}))
+    if options.impute != "none":
+        steps += [PlanStep("impute_columns", {"dataset": n, "strategy": options.impute})
+                  for n in outputs]
+    steps += [PlanStep("emit_dataset", {"dataset": n}) for n in outputs]
 
     return TransformationPlan(task=task.name, binding=binding, steps=tuple(steps),
                               outputs=outputs, options=options, notes=tuple(notes))
@@ -227,45 +262,14 @@ def explain_plan(plan: TransformationPlan) -> str:
     lines = [
         f"Plan for task {plan.task}: predict "
         f"{plan.binding.target_entity}.{plan.binding.target_attr}.",
-        "Guideline 1 (feature labeling) applies globally: every output column "
+        f"Guideline 1 ({GUIDELINES['G1']}) applies globally: every output column "
         "is labeled with its entities of origin.",
     ]
     for note in plan.notes:
         lines.append(f"Note: {note}")
     for i, step in enumerate(plan.steps, start=1):
-        lines.append(f"{i}. {_describe(step)}")
+        lines.append(f"{i}. {step.explain()}")
     return "\n".join(lines) + "\n"
-
-
-def _describe(step: PlanStep) -> str:
-    p = step.params
-    if step.kind == "derive_attr":
-        return (f"Guideline 2 (derive features): compute {p['entity']}.{p['attribute']} "
-                f"= {p['expression']}, producing column "
-                f"{p['entity']}_{p['attribute']}.")
-    if step.kind == "summarize_child":
-        aggs = ", ".join(p["aggregates"])
-        return (f"Guideline 4 (entity summarization): collapse {p['child']} rows onto "
-                f"{p['parent']} via relationship {p['relationship']}, producing "
-                f"{p['child']}_count, numeric summaries ({aggs}) per numeric column, "
-                f"per-category counts for the top {p['top_k']} categories of each nominal "
-                f"column, true-counts for booleans, newline-concatenation for text and "
-                f"min/max for dates.")
-    if step.kind == "join_one_to_one":
-        return (f"Join the single {p['child']} partner of each {p['parent']} row via "
-                f"relationship {p['relationship']} (one-partner hop; no duplication), "
-                f"producing {p['child']}-prefixed columns.")
-    if step.kind == "subtype_split":
-        return (f"Guideline 5 (multiple training datasets): split by generalization "
-                f"{p['generalization']}, one dataset per subtype with only that "
-                f"subtype's members and subtype-specific columns.")
-    if step.kind == "impute_columns":
-        return (f"Guideline 3 (impute features): fill nulls classified applicable-but-"
-                f"unknown using strategy {p['strategy']} with statistics computed within "
-                f"this output dataset; not-applicable cells are never altered.")
-    if step.kind == "emit_dataset":
-        return f"Emit dataset {p['dataset']} (rows sorted by key; null-target rows dropped)."
-    return f"{step.kind}: {p}"
 
 
 # ---------------------------------------------------------------------------
