@@ -105,7 +105,6 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
                 origin_entities=[st.name if st else name],
                 source_attributes=[f"{st.name if st else name}.{a.name}"],
                 guidelines=["G5"] if st else [],
-                emit=a.kind != "identifier",
                 subtype=(gen.name, st.name) if st else None,
             ))
         cells = [table.cells[table.column_index(c.name)] for c in cols]
@@ -270,7 +269,7 @@ class _Execution:
         has = partners.sizes > 0
         partner[has] = partners.rows[partners.offsets[:-1][has]]
         for ci, col in enumerate(cframe.columns):
-            if not col.emit or col.consumed or col.kind == "identifier":
+            if col.consumed or col.kind == "identifier":
                 continue
             new = col.clone(name=col.name if col.prefixed else feature_name(col.name, [child], "raw"),
                             prefixed=True)
@@ -295,7 +294,7 @@ class _Execution:
         numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in aggregates]
         for want_kind in KIND_SUMMARY_ORDER:
             for ci, col in enumerate(cframe.columns):
-                if col.kind != want_kind or not col.emit or col.consumed or col.kind == "identifier":
+                if col.kind != want_kind or col.consumed:
                     continue
                 # subtype-owned columns are not applicable to most child rows;
                 # they surface only when their own entity's datasets are split
@@ -403,7 +402,7 @@ class _Execution:
         target = self.plan.binding.target_attr
         const = strategy[len("constant:"):] if strategy.startswith("constant:") else None
         for ci, col in enumerate(frame.columns):
-            if not col.emit or col.consumed or col.name == target or col.kind == "identifier":
+            if col.consumed or col.name == target or col.kind == "identifier":
                 continue
             vec = frame.cells[ci]
             unknown = vec.null == 1
@@ -459,7 +458,7 @@ class _Execution:
                 keys.append(ci)
             elif col.name == target_attr and not col.prefixed:
                 target = ci
-            elif col.emit and not col.consumed:
+            elif not col.consumed and col.kind != "identifier":
                 predictors.append(ci)
         if target is None:
             raise ValueError(f"dataset {dataset}: target column {target_attr!r} missing")

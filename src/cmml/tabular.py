@@ -56,7 +56,6 @@ class Column:
     params: dict = field(default_factory=dict)
     guidelines: list[str] = field(default_factory=list)
     prefixed: bool = False
-    emit: bool = True
     consumed: bool = False          # feeds a same-entity derived attribute; dropped at emit
     subtype: Optional[tuple[str, str]] = None  # (generalization, subtype) owning the column
     imputed_cells: int = 0

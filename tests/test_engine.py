@@ -358,6 +358,33 @@ def test_rows_sorted_by_key(tmp_path):
     assert [r[0] for r in datasets[0].table.rows] == ["alpha", "mid", "zeta"]
 
 
+# Identifier columns are never features, wherever they come from: a
+# subtype's attribute (from its membership table or on its supertype's rows)
+# or a derived attribute of identifier kind.
+def test_subtype_identifier_attributes_are_not_emitted(tmp_path):
+    datasets, _ = _run("""
+        entity E { key id: identifier attr t: numeric }
+        generalization G of E overlap {
+          subtype S from table { attr ref_s: identifier attr x: numeric }
+          subtype R when (t > 1) { attr ref_r: identifier }
+        }
+        task T { target E.t split_by G }
+    """, {
+        "E": "id,t,ref_r\na,1,\nb,2,u\nc,3,v\n",
+        "S": "id,ref_s,x\na,k1,5\nc,k2,6\n",
+    }, tmp_path)
+    assert [d.table.column_names for d in datasets] == [["E_id", "S_x", "E_t"], ["E_id", "E_t"]]
+
+
+def test_identifier_derived_attribute_is_not_emitted(tmp_path):
+    datasets, _ = _run("""
+        entity E { key id: identifier attr t: numeric
+                   derived attr alias: identifier = id }
+        task T { target E.t }
+    """, {"E": "id,t\na,1\nb,2\n"}, tmp_path)
+    assert datasets[0].table.column_names == ["E_id", "E_t"]
+
+
 def test_consumed_source_attributes_not_emitted(example_bound):
     # dob feeds the same-entity age derivation and is dropped from emission
     ds = _example_run(example_bound)[0][0]
