@@ -234,6 +234,12 @@ def cmd_evaluate(args) -> int:
                                           seed=args.seed or 0)
     except ValueError as exc:
         raise DataError(str(exc))
+    # regression_metrics warns only of constant actuals; the location names the arm
+    metric_warnings = Report()
+    for arm in ("ds0", "tds"):
+        for message in getattr(report, arm).warnings:
+            metric_warnings.warning("constant-actuals", message, arm)
+    _emit_report(args, metric_warnings)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

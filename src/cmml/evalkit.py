@@ -65,7 +65,7 @@ def regression_metrics(actual: Sequence[float], predicted: Sequence[float],
     warnings: list[str] = []
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
-        warnings.append("constant actuals: r2 defined as 1 when SSres=0, else 0")
+        warnings.append("every actual is equal: r2 defined as 1 when SSres=0, else 0")
     else:
         r2 = 1.0 - ss_res / ss_tot
     return RegressionReport(rmse=rmse, nrmse=rmse / value_range, r2=r2, n=len(a),

@@ -188,6 +188,29 @@ def test_generate_and_evaluate(tmp_path, capsys):
     assert doc["wilcoxon"]["p_two_tailed"] < 0.05
 
 
+def test_evaluate_reports_constant_actuals(tmp_path, capsys):
+    # every ltv equal: each arm's r2 is defined as 0, a coded warning per arm
+    out = tmp_path / "synth"
+    assert run("generate", "--out", str(out), "--seed", "3", "--quiet") == 0
+    rows = _csv_rows(out / "CUSTOMER.csv")
+    with open(out / "CUSTOMER.csv", "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**r, "ltv": "5"} for r in rows)
+    args = ["evaluate", "--schema", str(out / "synthetic.cmml"), "--data-dir", str(out),
+            "--task", "PREDICT_LTV", "--range", "10"]
+    capsys.readouterr()
+    assert run(*args) == 0
+    stdout, err = capsys.readouterr()
+    assert [json.loads(stdout)[arm]["r2"] for arm in ("ds0", "tds")] == [0.0, 0.0]
+    assert err.splitlines() == [
+        f"warning: constant-actuals: every actual is equal: r2 defined as 1 when SSres=0, "
+        f"else 0 [{arm}]"
+        for arm in ("ds0", "tds")]
+    assert run(*args, "--quiet") == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_generate_seed_changes_output(tmp_path):
     assert run("generate", "--out", str(tmp_path / "a"), "--seed", "1", "--quiet") == 0
     assert run("generate", "--out", str(tmp_path / "b"), "--seed", "2", "--quiet") == 0
