@@ -7,12 +7,14 @@ on purpose updates the digests in the same commit and says why.
 """
 
 import hashlib
+import inspect
 import json
+import string
 from pathlib import Path
 
 import pytest
 
-from cmml import cli, evalkit
+from cmml import cli, dsl, eer, engine, evalkit, planner
 from cmml.tabular import write_csv
 from conftest import EXAMPLE_DATA, EXAMPLE_SCHEMA
 from propgen import Case
@@ -428,6 +430,33 @@ def _digests(build, tmp_path, capsys, evaluate: bool) -> dict[str, str]:
 def test_golden_outputs(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CMML_TODAY", "2019-06-01")
     assert _digests(CASES[name], tmp_path, capsys, name in EVALUATED) == GOLDEN[name]
+
+
+def test_every_step_kind_is_run_covered_and_explained(tmp_path):
+    # A kind in planner.STEP_KINDS needs an _Execution method of its name
+    # taking its steps' params, a golden case whose plan has it, and an
+    # explanation line naming the guidelines and the params its template reads.
+    steps = {}
+    for name, build in sorted(CASES.items()):
+        (tmp_path / name).mkdir()
+        schema_path, _, task = build(tmp_path / name)
+        schema = eer.rewrite_many_to_many(dsl.parse_schema_file(str(schema_path))[0])
+        plan = planner.compile_plan(schema, schema.task(task))
+        lines = planner.explain_plan(plan).splitlines()[-len(plan.steps):]
+        for i, (step, line) in enumerate(zip(plan.steps, lines), start=1):
+            steps.setdefault(step.kind, []).append((i, step, line))
+    assert set(steps) == set(planner.STEP_KINDS)
+    for kind, (guidelines, template) in planner.STEP_KINDS.items():
+        method = getattr(engine._Execution, kind)
+        params = list(inspect.signature(method).parameters)[1:]
+        fields = {f for _, f, _, _ in string.Formatter().parse(template) if f}
+        tags = "".join(f"Guideline {g[1:]} ({planner.GUIDELINES[g]}): " for g in guidelines)
+        for i, step, line in steps[kind]:
+            assert list(step.params) == params, (kind, i)
+            assert line.startswith(f"{i}. {tags}") and len(line) > len(f"{i}. {tags}")
+            for f in fields:
+                value = step.params[f]
+                assert (", ".join(value) if isinstance(value, list) else str(value)) in line
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
