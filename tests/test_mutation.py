@@ -2,9 +2,10 @@
 
 Each case mutates one file of ``examples/`` (the schema or one CSV) with a
 few byte edits drawn from a fixed seed, then runs ``validate``, ``plan``,
-``prepare`` and ``flatten`` through ``cli.main`` in process. Every command
-must return 0, 1 or 2; an exception escaping ``cli.main`` fails the case.
-The sweep (220 mutations) is meant to stay under 5 s.
+``prepare``, ``flatten`` and ``evaluate`` through ``cli.main`` in process.
+Every command must return 0, 1 or 2; an exception escaping ``cli.main``
+fails the case. The sweep (220 mutations, five commands each) is meant to
+stay under 6 s.
 """
 
 import random
@@ -54,7 +55,9 @@ def run_commands(work, target: str, seed: int) -> list[int]:
     argvs = [["validate", *common, "--data-dir", str(data)],
              ["plan", *common, *task],
              ["prepare", *common, *task, "--data-dir", str(data), "--out", str(work / "prepared")],
-             ["flatten", *common, *task, "--data-dir", str(data), "--out", str(work / "flat")]]
+             ["flatten", *common, *task, "--data-dir", str(data), "--out", str(work / "flat")],
+             # two folds: the example has four customers
+             ["evaluate", *common, *task, "--data-dir", str(data), "--folds", "2"]]
     try:
         return [cli.main(argv) for argv in argvs if target == "schema" or argv[0] != "plan"]
     finally:
@@ -84,8 +87,8 @@ def test_mutations_end_in_an_exit_code(target, example_copy, capsys):
 # the exit codes it must give
 FOUND = {
     # a byte that is not UTF-8 in the schema: UnicodeDecodeError from dsl.parse_schema_file
-    "schema-not-utf8-invalid-start-byte": ("schema", 0, [1, 1, 1, 1]),
-    "schema-not-utf8-invalid-continuation-byte": ("schema", 41, [1, 1, 1, 1]),
+    "schema-not-utf8-invalid-start-byte": ("schema", 0, [1, 1, 1, 1, 1]),
+    "schema-not-utf8-invalid-continuation-byte": ("schema", 41, [1, 1, 1, 1, 1]),
 }
 
 
