@@ -4,8 +4,8 @@ Each case mutates one file of ``examples/`` (the schema or one CSV) with a
 few byte edits drawn from a fixed seed, then runs ``validate``, ``plan``,
 ``prepare``, ``flatten`` and ``evaluate`` through ``cli.main`` in process.
 Every command must return 0, 1 or 2; an exception escaping ``cli.main``
-fails the case. The sweep (220 mutations, five commands each) is meant to
-stay under 6 s.
+fails the case. The sweep (220 mutations, up to five commands each) is
+meant to stay under 6 s.
 """
 
 import random
