@@ -167,20 +167,23 @@ def ols_fit(features: np.ndarray, target: Sequence[float], ridge: float = 1e-8) 
     y = np.asarray(target, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("features must be a 2-D matrix with one row per target value")
-    return _solve(np.hstack([np.ones((X.shape[0], 1)), X]), y, ridge)
+    design = np.hstack([np.ones((X.shape[0], 1)), X])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _solve
+        return _solve(design.T @ design, design.T @ y, ridge)
 
 
-def _solve(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """``ols_fit``'s normal equations on a design whose first column is ones."""
+def _solve(gram: np.ndarray, moment: np.ndarray, ridge: float) -> np.ndarray:
+    """The normal equations (gram + ridge * I) beta = moment, where gram is
+    XᵀX and moment Xᵀy of a design X whose first column is ones."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     # features near 1e308 overflow to nan coefficients quietly: callers check finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = design.T @ design + ridge * np.eye(design.shape[1])
+        gram = gram + ridge * np.eye(len(gram))
         try:
-            if ridge == 0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
+            if ridge == 0 and np.linalg.matrix_rank(gram) < len(gram):
                 raise np.linalg.LinAlgError("singular")
-            return np.linalg.solve(gram, design.T @ y)
+            return np.linalg.solve(gram, moment)
         except np.linalg.LinAlgError:
             raise ValueError("singular system; retry with ridge > 0")
 
@@ -191,18 +194,32 @@ def ols_predict(beta: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 
 class OneHotDesign:
-    """Design matrices over a Table: the intercept's ones, the numeric columns
-    (nulls filled with the train mean), booleans as 0/1, then per nominal a
-    0/1 column per train category but the lexically last (the reference
-    level). Key columns, the target, identifiers, dates and text are excluded.
+    """Ridge fits over a Table's design: the intercept's ones, the numeric
+    columns (nulls filled with the train mean), booleans as 0/1 (a null reads
+    0), then per nominal a 0/1 column per train category but the lexically
+    last (the reference level). Key columns, the target, identifiers, dates
+    and text are excluded.
 
     Each column is encoded once in its join block (a plain table is one block,
     index None), read off its ``Vec``: numeric and boolean columns in one
     float array (a numeric null is its nan), nominals as codes into their
-    sorted categories (``nominal``, ``values.factorize``, -1 = null).
-    ``fit(rows)`` keeps the rows' means and categories and returns their
-    design, ``transform(rows)`` any rows'. A design is one C-order array,
-    filled by a row gather per block and a scatter of 1.0 into kept columns.
+    sorted categories (``nominal``, ``values.factorize``, -1 = null); the
+    target is gathered to one float per row (``target``, nan = null).
+
+    A fit comes from sums, not from a train design. ``fit(rows)`` encodes
+    rows with a known target once, as ``Z = [X0 | N]``: ``X0`` has the
+    intercept, the dense columns with numeric nulls read 0 and a column for
+    every category of every nominal, ``N`` marks the nulls of each numeric
+    column that has one (``nullable``). It returns ``(ZᵀZ, Zᵀy)``, which add
+    over disjoint rows. ``solve(sums, ridge)`` adds such statistics, keeps
+    their numeric means and categories, and returns the ridge coefficients
+    over ``transform``'s columns: with M the mean of each nullable column in
+    its numeric column's place, the filled design is ``X = X0 + N·M``, so
+    ``XᵀX = A + BM + (BM)ᵀ + MᵀCM`` and ``Xᵀy = a + Mᵀc`` from the blocks
+    ``A = X0ᵀX0``, ``B = X0ᵀN``, ``C = NᵀN``, ``a = X0ᵀy`` and ``c = Nᵀy``.
+    ``transform(rows)`` returns any rows' design over the kept columns, nulls
+    filled with the means. A design is one C-order array, filled by a row
+    gather per block and a scatter of 1.0 into its category columns.
     """
 
     _CHUNK = 8192  # design rows gathered from a block at a time
@@ -214,6 +231,7 @@ class OneHotDesign:
         self.n_dense = self.n_numeric + kinds.count("boolean")
         numeric, boolean = 1, 1 + self.n_numeric  # the next design column of each kind
         self.blocks = []  # (index, dense values, (design, values) column runs, nominals)
+        nullable = [np.zeros(0, bool)]
         for cells, index in ([(table.cells, None)] if table.join is None
                              else zip(table.join.blocks, table.join.index)):
             kind, kinds = kinds[:len(cells)], kinds[len(cells):]
@@ -223,54 +241,86 @@ class OneHotDesign:
                 vec = cells[j]  # a numeric null is nan already; a boolean one reads 0
                 values[:, i] = vec.values if kind[j] == "numeric" else vec.values & (vec.null == 0)
             w = kind.count("numeric")  # values holds w numeric, then boolean columns
+            nullable.append(np.isnan(values[:, :w]).any(axis=0))
             runs = ((slice(numeric, numeric + w), slice(0, w)),
                     (slice(boolean, boolean + len(dense) - w), slice(w, len(dense))))
             numeric, boolean = numeric + w, boolean + len(dense) - w
             nominal = [factorize(cells[j])[1] for j in range(len(cells)) if kind[j] == "nominal"]
             self.blocks.append((index, values, runs, nominal))
         self.nominal = [codes for block in self.blocks for codes in block[3]]
-
-    def fit(self, rows: np.ndarray) -> np.ndarray:
-        column, self.kept, self.slots = 1 + self.n_dense, [], []
-        for index, _, _, nominal in self.blocks:
-            at = rows if index is None else index[rows]
-            self.slots.append([])
+        self.target = _encoded(table, table.column_index(target_column), lambda y: y.values)
+        self.nullable = np.flatnonzero(np.concatenate(nullable))  # N's numeric columns
+        # X0's width, and per block and nominal each code's X0 column, then -1
+        # for a null's code -1
+        self.width, self.x0_slots = 1 + self.n_dense, []
+        for *_, nominal in self.blocks:
+            self.x0_slots.append([])
             for codes in nominal:
-                picked = codes[at]
-                kept = np.flatnonzero(np.bincount(picked[picked >= 0]))[:-1]
+                n = int(codes.max(initial=-1)) + 1
+                self.x0_slots[-1].append(np.append(self.width + np.arange(n), -1))
+                self.width += n
+
+    def fit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ZᵀZ, Zᵀy)`` of the rows, which must have a known target."""
+        q, p = self.n_numeric, self.width
+        Z = self._design(rows, self.x0_slots, p + len(self.nullable))
+        null = np.isnan(Z[:, 1:1 + q])
+        Z[:, p:] = null[:, self.nullable]
+        np.copyto(Z[:, 1:1 + q], 0.0, where=null)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _solve
+            return Z.T @ Z, Z.T @ self.target[rows]
+
+    def solve(self, sums: Sequence[tuple[np.ndarray, np.ndarray]], ridge: float) -> np.ndarray:
+        """The ridge coefficients over ``transform``'s columns, fitted on the
+        rows whose ``fit`` statistics are ``sums``."""
+        p, nullable = self.width, self.nullable
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = sum(s for s, _ in sums)
+            t = sum(t for _, t in sums)
+            # row 0 holds each column's sum: the row count, the numeric sums
+            # with nulls read 0, the category counts and the null counts
+            known = np.full(self.n_numeric, S[0, 0])
+            known[nullable] -= S[0, p:]
+            self.means = S[0, 1:1 + self.n_numeric] / np.maximum(known, 1)  # 0 where none known
+            M = np.zeros((len(nullable), p))
+            M[np.arange(len(nullable)), 1 + nullable] = self.means[nullable]
+            BM = S[:p, p:] @ M
+            gram = S[:p, :p] + BM + BM.T + M.T @ S[p:, p:] @ M
+            moment = t[:p] + M.T @ t[p:]
+        columns, self.kept, self.slots = [np.arange(1 + self.n_dense)], [], []
+        column = 1 + self.n_dense
+        for x0_slots in self.x0_slots:
+            self.slots.append([])
+            for slot in x0_slots:
+                kept = np.flatnonzero(S[0, slot[:-1]])[:-1]
+                columns.append(slot[kept])
                 # each code's design column, -1 for none; a null's -1 reads the last
-                slot = np.full(int(codes.max(initial=-1)) + 2, -1, np.int64)
+                slot = np.full(len(slot), -1, np.int64)
                 slot[kept] = column + np.arange(len(kept))
                 column += len(kept)
                 self.kept.append(kept)
                 self.slots[-1].append(slot)
-        X = self._unfilled(rows)
-        self.means = np.zeros(self.n_numeric)  # 0 where no train row is known
-        for j in range(self.n_numeric):
-            null = np.isnan(X[:, 1 + j])
-            known = X[~null, 1 + j]
-            # summed in row order from 0.0: left_sum's bits (np.sum adds pairwise)
-            total = np.bincount(np.zeros(len(known), np.intp), weights=known, minlength=1)[0]
-            self.means[j] = total / max(len(known), 1)
-            X[null, 1 + j] = self.means[j]
-        return X
+        kept = np.concatenate(columns)
+        return _solve(gram[np.ix_(kept, kept)], moment[kept], ridge)
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        X = self._unfilled(rows)
-        for j, mean in enumerate(self.means.tolist()):
-            X[np.isnan(X[:, 1 + j]), 1 + j] = mean
+        X = self._design(rows, self.slots, 1 + self.n_dense + sum(map(len, self.kept)))
+        numeric = X[:, 1:1 + self.n_numeric]
+        np.copyto(numeric, self.means, where=np.isnan(numeric))
         return X
 
-    def _unfilled(self, rows: np.ndarray) -> np.ndarray:  # nulls still nan
-        X = np.zeros((len(rows), 1 + self.n_dense + sum(map(len, self.kept))))
+    def _design(self, rows: np.ndarray, slots: list, width: int) -> np.ndarray:
+        """The rows' design over ``width`` columns, nulls still nan; each
+        nominal's codes go to their ``slots`` column (-1 = none)."""
+        X = np.zeros((len(rows), width))
         X[:, 0] = 1.0
-        for (index, values, runs, nominal), slots in zip(self.blocks, self.slots):
+        for (index, values, runs, nominal), block_slots in zip(self.blocks, slots):
             at = rows if index is None else index[rows]
             for s in range(0, len(at) if values.shape[1] else 0, self._CHUNK):
                 part = values[at[s:s + self._CHUNK]]
                 for design, value in runs:
                     X[s:s + self._CHUNK, design] = part[:, value]
-            for codes, slot in zip(nominal, slots):
+            for codes, slot in zip(nominal, block_slots):
                 columns = slot[codes[at]]
                 hit = np.flatnonzero(columns >= 0)
                 X[hit, columns[hit]] = 1.0
@@ -410,12 +460,23 @@ class ComparisonReport:
         }
 
 
-def _positions(dataset: TrainingDataset, position: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's key position in ``position`` (-1 = none) and target (nan = null)."""
+def _positions(dataset: TrainingDataset, position: dict) -> np.ndarray:
+    """Each row's key position in ``position`` (-1 = none)."""
     table = dataset.table
-    pos = _encoded(table, table.column_index(table.key_columns[0]),
-                   lambda keys: np.fromiter(map(position.get, box(keys), repeat(-1)), np.int64))
-    return pos, _encoded(table, table.column_index(dataset.target_column), lambda y: y.values)
+    return _encoded(table, table.column_index(table.key_columns[0]),
+                    lambda keys: np.fromiter(map(position.get, box(keys), repeat(-1)), np.int64))
+
+
+def _fold_predictions(design: OneHotDesign, fold: np.ndarray, trainable: np.ndarray,
+                      testable: np.ndarray, folds: int, ridge: float):
+    """Per fold, its testable rows and their predictions by the fit on the
+    other folds' trainable rows. Each fold's trainable rows are encoded once,
+    for the statistics, and its testable rows once more, for the predictions."""
+    sums = [design.fit(np.flatnonzero(trainable & (fold == g))) for g in range(folds)]
+    for f in range(folds):
+        beta = design.solve([s for g, s in enumerate(sums) if g != f], ridge)
+        test = np.flatnonzero(testable & (fold == f))
+        yield test, design.transform(test) @ beta
 
 
 def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: float,
@@ -426,10 +487,12 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     folds). Flat-dataset row predictions are averaged per entity key before
     scoring, then paired absolute errors feed the signed-rank test.
 
-    Rows are encoded once; folds, actuals and predictions are arrays over the
-    sorted ``tds`` keys and a fold selects rows by index, so the cost is linear
-    in rows. Flat rows whose key is not in ``tds`` are in no fold. Test rows
-    with a null target are not scored.
+    Folds, actuals and predictions are arrays over the sorted ``tds`` keys and
+    a fold selects rows by index. Each arm's fold fits come from per-fold
+    sums (``OneHotDesign.fit``, ``solve``), so every row is encoded twice, for
+    its fold's statistics and for its prediction, and the cost is linear in
+    rows. Flat rows whose key is not in ``tds`` are in no fold. Test rows with
+    a null target are not scored.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -448,25 +511,20 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     fold_sizes = [len(shuffled[f::folds]) for f in range(folds)]
 
     position = {k: i for i, k in enumerate(keys)}
-    t_pos, t_y = _positions(tds, position)
-    f_pos, f_y = _positions(ds0, position)
+    t_pos, f_pos = _positions(tds, position), _positions(ds0, position)
     t_fold = fold[t_pos]
     f_fold = np.where(f_pos >= 0, fold[f_pos], -1)
-    t_known = ~np.isnan(t_y)
-    f_known = ~np.isnan(f_y) & (f_fold >= 0)  # rows of keys in no fold never train
     t_design, f_design = (OneHotDesign(d.table, d.target_column) for d in (tds, ds0))
+    t_known = ~np.isnan(t_design.target)
+    f_known = ~np.isnan(f_design.target) & (f_fold >= 0)  # rows of keys in no fold never train
 
     # a key is scored once both arms predicted it, whatever the value
     actual, tds_pred, ds0_pred = np.zeros(n), np.zeros(n), np.zeros(n)
     in_tds, in_ds0 = np.zeros(n, bool), np.zeros(n, bool)
-    for f in range(folds):
-        train, test = t_known & (t_fold != f), np.flatnonzero(t_known & (t_fold == f))
-        beta = _solve(t_design.fit(np.flatnonzero(train)), t_y[train], ridge)
-        tds_pred[t_pos[test]] = t_design.transform(test) @ beta
-        actual[t_pos[test]], in_tds[t_pos[test]] = t_y[test], True
-        train, test = f_known & (f_fold != f), np.flatnonzero(f_fold == f)
-        beta = _solve(f_design.fit(np.flatnonzero(train)), f_y[train], ridge)
-        preds = f_design.transform(test) @ beta
+    for test, preds in _fold_predictions(t_design, t_fold, t_known, t_known, folds, ridge):
+        tds_pred[t_pos[test]] = preds
+        actual[t_pos[test]], in_tds[t_pos[test]] = t_design.target[test], True
+    for test, preds in _fold_predictions(f_design, f_fold, f_known, f_fold >= 0, folds, ridge):
         # each key's mean prediction, summed in row order as left_sum would
         count = np.bincount(f_pos[test], minlength=n)
         mean = np.bincount(f_pos[test], weights=preds, minlength=n) / np.maximum(count, 1)

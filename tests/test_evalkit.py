@@ -272,11 +272,10 @@ def test_compare_datasets_fold_validation():
 
 def _features(table, train, rows):
     """The design of ``rows`` fitted on ``train``, without its intercept
-    column; ``fit`` returns the same design for the train rows."""
+    column."""
     d = evalkit.OneHotDesign(table, "y")
-    fitted = d.fit(np.asarray(train, dtype=np.int64))
+    d.solve([d.fit(np.asarray(train, dtype=np.int64))], 1e-6)
     X = d.transform(np.asarray(rows, dtype=np.int64))
-    assert np.array_equal(fitted, d.transform(np.asarray(train, dtype=np.int64)))
     assert X.flags["C_CONTIGUOUS"] and X[:, 0].tolist() == [1.0] * len(X)
     return X[:, 1:]
 
@@ -384,7 +383,7 @@ def test_compare_datasets_fold_without_scorable_rows():
     assert rep.fold_sizes == [2, 2, 2, 2, 2]
     assert rep.n_entities == 8
     design = evalkit.OneHotDesign(tds.table, "y")
-    design.fit(np.arange(10))
+    design.solve([design.fit(np.flatnonzero(~np.isnan(design.target)))], 1e-6)
     assert design.transform(np.arange(0))[:, 1:].shape == (0, 1)
 
 
@@ -480,7 +479,7 @@ def test_fit_keeps_the_categories_np_unique_keeps(seed):
     table = Table("T", [Column("c", "nominal"), Column("y", "numeric")],
                   [[v, 0.0] for v in cells])
     design = evalkit.OneHotDesign(table, "y")
-    design.fit(rows)
+    design.solve([design.fit(rows)], 1e-6)
     (encoded,) = design.nominal
     seen = np.unique(encoded[rows])
     assert design.kept[0].tolist() == seen[seen >= 0][:-1].tolist()
@@ -491,7 +490,8 @@ def test_fit_does_not_import_numpy_ma():
             "from cmml.tabular import Column, Table; "
             "t = Table('T', [Column('k', 'identifier'), Column('c', 'nominal'), "
             "Column('y', 'numeric')], [['a', 'x', 1.0], ['b', 'y', 2.0]], ['k']); "
-            "evalkit.OneHotDesign(t, 'y').fit(np.arange(2)); "
+            "d = evalkit.OneHotDesign(t, 'y'); beta = d.solve([d.fit(np.arange(2))], 1e-6); "
+            "d.transform(np.arange(2)) @ beta; "
             "print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=Path(__file__).resolve().parents[1], check=True).stdout
@@ -515,17 +515,20 @@ def test_design_from_join_view_equals_materialized_rows(name, tmp_path):
     materialized = TrainingDataset("ds0", rows, flat.target_column)
     by_view = evalkit.OneHotDesign(view, flat.target_column)
     by_rows = evalkit.OneHotDesign(rows, flat.target_column)
+    assert np.array_equal(by_view.target, by_rows.target, equal_nan=True)
     everything = np.arange(len(view.rows))
-    half = everything[::2]
-    for fit_rows in (everything, half):
-        fit_view, fit_rows_ = by_view.fit(fit_rows), by_rows.fit(fit_rows)
-        assert np.array_equal(fit_view[:, 1:], fit_rows_[:, 1:])
+    known = np.flatnonzero(~np.isnan(by_view.target))
+    for fit_rows in (known, known[::2]):
+        beta_view = by_view.solve([by_view.fit(fit_rows)], 1e-6)
+        beta_rows = by_rows.solve([by_rows.fit(fit_rows)], 1e-6)
+        # a view's child column may hold an unused null row, which adds a null
+        # indicator to its sums, so BLAS may add in another order
+        np.testing.assert_allclose(beta_view, beta_rows, rtol=1e-9)
         x_view = by_view.transform(everything)[:, 1:]
         x_rows = by_rows.transform(everything)[:, 1:]
-        assert x_view.shape == x_rows.shape and np.array_equal(x_view, x_rows)
+        assert x_view.shape == x_rows.shape
+        np.testing.assert_allclose(x_view, x_rows, rtol=1e-12, atol=0)
     keys = sorted({r[0] for r in rows.rows})
     position = {k: i for i, k in enumerate(keys[::2])}  # half the keys have none
-    pos_v, y_v = evalkit._positions(flat, position)
-    pos_r, y_r = evalkit._positions(materialized, position)
+    pos_v, pos_r = evalkit._positions(flat, position), evalkit._positions(materialized, position)
     assert pos_v.tolist() == [position.get(r[0], -1) for r in rows.rows] == pos_r.tolist()
-    assert np.array_equal(y_v, y_r, equal_nan=True)

@@ -245,10 +245,14 @@ def test_fit_means_are_left_sums_of_the_train_rows(seed):
             for i in range(n)]
     design = evalkit.OneHotDesign(Table("T", columns, rows, ["k"]), "y")
     train = np.array(sorted(rng.sample(range(n), rng.randint(0, n))), dtype=np.int64)
-    design.fit(train)
+    design.solve([design.fit(train)], 1e-6)
     for j, column in enumerate((1, 2)):  # a and b
         known = ex.known_cells(rows[i][column] for i in train.tolist())
         expected = left_sum(known) / len(known) if known else 0.0
-        assert repr(design.means[j].item()) == repr(expected)
+        # summed as row 0 of XᵀX in BLAS's order, not left to right: two
+        # orders of n additions differ by at most 2 (n - 1) u sum|x|
+        u = 2.0 ** -53
+        bound = 2 * len(known) * u * sum(map(abs, known)) / max(len(known), 1)
+        assert abs(design.means[j].item() - expected) <= bound + 2 * u * abs(expected)
     X = design.transform(np.arange(n))
     assert X.flags["C_CONTIGUOUS"] and X[:, 1:].shape == (n, 3 + len(design.kept[0]))
