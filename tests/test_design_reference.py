@@ -1,9 +1,21 @@
-"""evalkit's per-block design and array bookkeeping against the dense design
-it replaced (``dense_design.py``): the same comparison report, bit for bit
-(compared by ``repr``, so a sign of zero or a last bit shows), or the same
+"""evalkit's fold fits from per-fold sums against the dense design they
+replaced (``dense_design.py``): the same comparison report, or the same
 error, on every evaluated golden case, propgen cases, random tables and the
-edge cases a fold can meet."""
+edge cases a fold can meet.
 
+The sums add each fold's products in another order than one train design's
+Gram matrix does, so the last bits move, and a ridge of 1e-6 on folds with
+more columns than rows amplifies that: the worst report float among these
+cases (propgen seed 20, ds0 r2) moves 1.4e-5 relative, while on the
+benchmark workloads none moves more than 5e-13. So counts, fold sizes and
+errors must be equal, every report float must agree within ``RTOL``
+(relative, or absolute near zero), and the signed-rank test may differ only
+where the reference's paired errors hold a near tie that a last bit can
+flip. The normal equations themselves, which do not depend on the
+conditioning, are compared far more tightly (``GRAM_RTOL``).
+"""
+
+import math
 import random
 
 import numpy as np
@@ -19,32 +31,93 @@ from propgen import Case
 from test_golden import CASES as GOLDEN_CASES, EVALUATED
 
 NULLS = (None, UNKNOWN, NOT_APPLICABLE)
+RTOL = 1e-4        # on every float of a report: relative, or absolute near zero
+GRAM_RTOL = 1e-12  # on XᵀX and Xᵀy, relative to the sums of absolute products
+MEAN_RTOL = 1e-12  # on a filled mean
 
 
-def _outcome(compare, ds0, tds, value_range, folds, seed) -> str:
+def _outcome(module, ds0, tds, value_range, folds, seed):
+    """``module.compare_datasets``'s report as a dict and the pairs its
+    signed-rank test read, or the error."""
+    real, pairs = module.wilcoxon_signed_rank, []
+    module.wilcoxon_signed_rank = lambda p: pairs.extend(p) or real(p)
     try:
-        return repr(compare(ds0, tds, value_range, folds=folds, seed=seed).to_dict())
+        return module.compare_datasets(ds0, tds, value_range, folds=folds, seed=seed).to_dict(), pairs
     except ValueError as exc:
-        return f"ValueError: {exc}"
+        return f"ValueError: {exc}", None
+    finally:
+        module.wilcoxon_signed_rank = real
+
+
+def _close(got, want, path="report") -> None:
+    """Equal structure, ints, bools and strings; floats within ``RTOL``."""
+    assert type(got) is type(want), path
+    if isinstance(got, dict):
+        assert list(got) == list(want), path
+        for k in got:
+            _close(got[k], want[k], f"{path}.{k}")
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _close(g, w, f"{path}[{i}]")
+    elif isinstance(got, float):
+        assert (math.isclose(got, want, rel_tol=RTOL, abs_tol=RTOL)
+                or (math.isnan(got) and math.isnan(want))), f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, path
+
+
+def _near_tie(pairs) -> bool:
+    """Whether two paired differences' magnitudes, or one and zero, lie
+    within ``RTOL`` of each other: a last bit may then flip a signed rank."""
+    d = np.sort(np.abs([a - b for a, b in pairs]))
+    tol = RTOL * (1.0 + max(max(p) for p in pairs))
+    return len(d) > 0 and (d[0] <= tol or bool(np.any(np.diff(d) <= tol)))
+
+
+FLIPS = []  # (got, want) signed-rank tests that moved at a near tie
+
+
+def _agree(got, want) -> str:
+    """Two ``_outcome`` results agree: the same error, or reports and paired
+    errors within ``RTOL`` whose signed-rank tests agree too unless a near
+    tie explains it. Returns the first as text."""
+    (got, got_pairs), (want, want_pairs) = got, want
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return got
+    _close(got_pairs, want_pairs, "pairs")
+    _close({k: v for k, v in got.items() if k != "wilcoxon"},
+           {k: v for k, v in want.items() if k != "wilcoxon"})
+    try:
+        _close(got["wilcoxon"], want["wilcoxon"], "report.wilcoxon")
+    except AssertionError:
+        assert _near_tie(want_pairs), "the signed-rank test moved without a near tie"
+        FLIPS.append((got["wilcoxon"], want["wilcoxon"]))
+    return repr(got)
 
 
 def _same(ds0, tds, value_range=100.0, folds=5, seed=0) -> str:
-    got = _outcome(evalkit.compare_datasets, ds0, tds, value_range, folds, seed)
-    assert got == _outcome(dense.compare_datasets, ds0, tds, value_range, folds, seed)
-    return got
+    return _agree(_outcome(evalkit, ds0, tds, value_range, folds, seed),
+                  _outcome(dense, ds0, tds, value_range, folds, seed))
 
 
-def _same_design(table, train, test):
-    """The fitted design of the train and the test rows equals the dense
-    reference's plus a leading column of ones, bit for bit."""
-    design, reference = evalkit.OneHotDesign(table, "y"), dense.OneHotDesign(table, "y")
+def _same_design(table, train, test, target="y"):
+    """The design of the test rows, fitted on the train rows with a known
+    target, equals the dense reference's plus a leading column of ones:
+    every cell but a filled null bit for bit, a filled mean within
+    ``MEAN_RTOL``."""
+    design, reference = evalkit.OneHotDesign(table, target), dense.OneHotDesign(table, target)
     train, test = np.asarray(train, dtype=np.int64), np.asarray(test, dtype=np.int64)
+    train = train[~np.isnan(design.target[train])]
     reference.fit(train)
-    for got, rows in ((design.fit(train), train), (design.transform(test), test)):
-        want = reference.transform(rows)
-        assert got.flags["C_CONTIGUOUS"] and got.shape == (len(rows), want.shape[1] + 1)
-        assert got[:, 0].tolist() == [1.0] * len(rows)
-        assert np.ascontiguousarray(got[:, 1:]).tobytes() == want.tobytes()
+    design.solve([design.fit(train)], 1e-6)
+    got, want = design.transform(test), reference.transform(test)
+    assert got.flags["C_CONTIGUOUS"] and got.shape == (len(test), want.shape[1] + 1)
+    assert got[:, 0].tolist() == [1.0] * len(test)
+    np.testing.assert_allclose(got[:, 1:], want, rtol=MEAN_RTOL, atol=0)
+    filled = np.isnan(reference.design[test[:, None], reference.columns])
+    assert np.array_equal(got[:, 1:][~filled], want[~filled])
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +144,7 @@ def test_golden_case_reports_equal_the_dense_reference(name, tmp_path):
     for folds, seed in ((5, 0), (2, 1), (3, 7)):
         assert _same(flat, tds, 100.0, folds, seed).startswith("{")
     n = flat.table.row_count
-    _same_design(flat.table, np.arange(0, n, 2), np.arange(n))
+    _same_design(flat.table, np.arange(0, n, 2), np.arange(n), flat.target_column)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -82,7 +155,7 @@ def test_propgen_reports_equal_the_dense_reference(seed):
         for folds in (2, 3):
             _same(flat, tds, 50.0, folds, seed)
     n = flat.table.row_count
-    _same_design(flat.table, np.arange(0, n, 2), np.arange(n))
+    _same_design(flat.table, np.arange(0, n, 2), np.arange(n), flat.target_column)
 
 
 def test_propgen_reports_are_mostly_scored():

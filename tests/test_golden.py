@@ -176,7 +176,7 @@ SKIPPED_EDGE_DATA = {
 GOLDEN = {
     "chain": {
         "evaluate.json":
-            "1bcd90b3215ee811290999437ca53122bb7e365bd4467d0e002b3b1ca2c6fea2",
+            "f55079f295039daf1055ce7b58cb8582eaeaca804df3bd88a3d8e92a26e5cd06",
         "flatten/ds0.csv":
             "33c5f22b7bc28268a02a346a5d45ef5885acced884dc2692c1dfa5c10ca195fe",
         "plan.json":
@@ -190,7 +190,7 @@ GOLDEN = {
     },
     "collision": {
         "evaluate.json":
-            "ee50d9a83c70ac9135c59829817d49620a2f367a16d44942fd4b83f7a13d0547",
+            "3770cc9264d09e5a527a2860bf0c5d610dbd65d7989c5dc198adeb4a51386bd6",
         "flatten/ds0.csv":
             "9d6d1dd519c7bb6e712deb81fcf81cf31e0fde33822e2de72aea4381b995ae3e",
         "plan.json":
@@ -242,7 +242,7 @@ GOLDEN = {
     },
     "propgen_1": {
         "evaluate.json":
-            "398a4e184916320e4d7a879865c900fec57d35af860ca260f1e63e171212d941",
+            "ec2e98d5f97a0c8ef13da0bdda16e8e178f8b8a4b2d426092c125d9df37a4121",
         "flatten/ds0.csv":
             "5ed620bd673434e1dabb490b213db416ae4cc8ca0813c7fd9c5e77c33548738b",
         "plan.json":
@@ -270,7 +270,7 @@ GOLDEN = {
     },
     "propgen_36": {
         "evaluate.json":
-            "cdd575ebea4e927ac249d06045bb4954ef312357324488729add23b7cd8a6526",
+            "c12bbfc352569101e1ba5ef7e4b7b906962567b051c1350e398fdca3c916dfc1",
         "flatten/ds0.csv":
             "416551d0818899910fe4c8a3a19e058b5acd1c6c317ca191d59f9699c43424e0",
         "plan.json":
@@ -298,7 +298,7 @@ GOLDEN = {
     },
     "skipped_edge": {
         "evaluate.json":
-            "47ff37733c85e6d6291b4b63b54111d490219ec7150ad46d9f1db9bf6eff0c3c",
+            "c7692f2d6c4a1bb2932247e423f76a2aee8aba171e7d75257d94f7c8a5b1e758",
         "flatten/ds0.csv":
             "9b122ff475b0d44b44da06c94e5fb2ed2e99ffe874d1d341311d5adb90e49f3b",
         "plan.json":
@@ -312,7 +312,7 @@ GOLDEN = {
     },
     "synth_1": {
         "evaluate.json":
-            "e2f1816495ec673bd2839c609053e561345dabc3ec5ec1a67de21e3de7806cf7",
+            "a9246f268de32d284f2c20870061eca60646b51c9f540bb63b0f4b4b414cc367",
         "flatten/ds0.csv":
             "8f860f4658869527e4dc48d9d4214515015743de39fdd39e0bbe86e5b7075bb3",
         "plan.json":
@@ -326,7 +326,7 @@ GOLDEN = {
     },
     "synth_2": {
         "evaluate.json":
-            "caea83dfb20bdfb31a71006dd2bfd1169439ea60cef05cc4ec08f0c162bd3150",
+            "03cc6a9caf4def38f410133edf2142a60cff137b587edd1c70da0103f58ea0f1",
         "flatten/ds0.csv":
             "c7ab65481c4a80b1dc59401b41014643ad02ae08d088fd24811581796cb896e8",
         "plan.json":
