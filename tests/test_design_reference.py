@@ -75,9 +75,6 @@ def _near_tie(pairs) -> bool:
     return len(d) > 0 and (d[0] <= tol or bool(np.any(np.diff(d) <= tol)))
 
 
-FLIPS = []  # (got, want) signed-rank tests that moved at a near tie
-
-
 def _agree(got, want) -> str:
     """Two ``_outcome`` results agree: the same error, or reports and paired
     errors within ``RTOL`` whose signed-rank tests agree too unless a near
@@ -93,7 +90,6 @@ def _agree(got, want) -> str:
         _close(got["wilcoxon"], want["wilcoxon"], "report.wilcoxon")
     except AssertionError:
         assert _near_tie(want_pairs), "the signed-rank test moved without a near tie"
-        FLIPS.append((got["wilcoxon"], want["wilcoxon"]))
     return repr(got)
 
 
@@ -344,3 +340,111 @@ def test_join_view_with_absent_partners():
     for seed in range(4):
         assert _same(flat, tds, 40.0, 2, seed).startswith("{")
     _same_design(flat.table, [0, 1, 2, 3], range(7))
+
+
+# ---------------------------------------------------------------------------
+# The fold fit: each fold's normal equations from the other folds' sums
+
+
+def _normal_equations(design, sums):
+    """The XᵀX and Xᵀy that ``design.solve(sums, ...)`` hands to ``_solve``."""
+    seen, real = [], evalkit._solve
+    evalkit._solve = lambda gram, moment, ridge: seen.append((gram, moment)) or real(
+        gram, moment, ridge)
+    try:
+        design.solve(sums, 1e-6)
+    finally:
+        evalkit._solve = real
+    return seen[0]
+
+
+def _check_fold_fits(table, fold, target="y"):
+    """For each fold f, fitted from the sums of the other folds' rows with a
+    known target: XᵀX and Xᵀy equal the dense reference's train design's,
+    each entry within ``GRAM_RTOL`` of the sum of its absolute products,
+    and fold f's design equals the reference's (means within
+    ``MEAN_RTOL``)."""
+    design, reference = evalkit.OneHotDesign(table, target), dense.OneHotDesign(table, target)
+    y, fold = design.target, np.asarray(fold, dtype=np.int64)
+    trainable = ~np.isnan(y)
+    sums = [design.fit(np.flatnonzero(trainable & (fold == g))) for g in range(fold.max() + 1)]
+    for f in range(len(sums)):
+        gram, moment = _normal_equations(design, [s for g, s in enumerate(sums) if g != f])
+        train, test = np.flatnonzero(trainable & (fold != f)), np.flatnonzero(fold == f)
+        reference.fit(train)
+        X = np.hstack([np.ones((len(train), 1)), reference.transform(train)])
+        assert gram.shape == (X.shape[1],) * 2
+        assert np.all(np.abs(gram - X.T @ X) <= GRAM_RTOL * (np.abs(X).T @ np.abs(X))), f
+        assert np.all(np.abs(moment - X.T @ y[train])
+                      <= GRAM_RTOL * (np.abs(X).T @ np.abs(y[train]))), f
+        np.testing.assert_allclose(design.transform(test)[:, 1:], reference.transform(test),
+                                   rtol=MEAN_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("join", [False, True])
+@pytest.mark.parametrize("seed", range(30))
+def test_random_fold_fits_equal_the_dense_reference(seed, join):
+    rng = random.Random(seed)
+    for dataset in _random_pair(rng, join):
+        n = dataset.table.row_count
+        folds = rng.randint(2, 5)
+        _check_fold_fits(dataset.table, [i % folds for i in rng.sample(range(n), n)])
+
+
+def _edge_table():
+    """Ten rows in five folds of two (rows 0-1, 2-3, ...): x is null in rows
+    2-4, w is known in fold 0 alone, the boolean has nulls, "rare" is in
+    fold 1 alone, and fold 4 has no known target."""
+    x = [1.5, 2.0, None, UNKNOWN, NOT_APPLICABLE, 7.25, 3.0, -4.0, 9.5, 0.5]
+    w = [5.0, -1.0] + [None, UNKNOWN] * 4
+    flag = [True, None, False, UNKNOWN, True, NOT_APPLICABLE, False, True, None, True]
+    cat = ["a", "b", "rare", "rare", "a", None, "b", "a", "b", "a"]
+    y = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0, 6.0, UNKNOWN, None]
+    columns = [Column("id", "identifier"), Column("x", "numeric"), Column("w", "numeric"),
+               Column("flag", "boolean"), Column("cat", "nominal"), Column("y", "numeric")]
+    rows = [[f"k{i}", x[i], w[i], flag[i], cat[i], y[i]] for i in range(10)]
+    return Table("T", columns, rows, ["id"]), [i // 2 for i in range(10)]
+
+
+def test_fold_fits_at_the_edges():
+    # nulls in a numeric column; w has no known train cell when fold 0 is
+    # tested; "rare" is missing from fold 1's train rows; boolean nulls read
+    # 0; fold 4 has no trainable row, so its statistics are all zero
+    table, fold = _edge_table()
+    design = evalkit.OneHotDesign(table, "y")
+    assert design.nullable.tolist() == [0, 1]
+    assert not design.fit(np.arange(0, dtype=np.int64))[0].any()
+    _check_fold_fits(table, fold)
+    design.solve([design.fit(np.array([i])) for i in range(2, 8)], 1e-6)
+    assert design.means.tolist() == [(3.0 - 4.0 + 7.25) / 3, 0.0]
+    assert [kept.tolist() for kept in design.kept] == [[0, 1]]  # a, b; rare is the reference
+    design.solve([design.fit(np.array([0, 1, 6, 7]))], 1e-6)
+    assert design.means.tolist() == [0.625, 2.0] and design.kept[0].tolist() == [0]
+
+
+def test_fold_fits_of_the_fold_without_scorable_rows():
+    # the table of test_fold_without_scorable_rows, folded as seed 13 folds it
+    y = [UNKNOWN if i % 5 == 0 else 2.0 * i for i in range(10)]
+    tds = _tds([Column("x", "numeric")], [[f"k{i}", float(i), y[i]] for i in range(10)])
+    flat = _flat([Column("x", "numeric")],
+                 [[f"k{i}", float(i) + d, y[i]] for i in range(10) for d in (0.0, 0.5)])
+    shuffled = list(range(10))
+    random.Random(13).shuffle(shuffled)
+    fold = np.empty(10, np.int64)
+    fold[shuffled] = np.arange(10) % 5
+    assert sorted(fold[[0, 5]].tolist()) == [fold[0]] * 2  # k0 and k5 make up one fold
+    _check_fold_fits(tds.table, fold)
+    _check_fold_fits(flat.table, np.repeat(fold, 2))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffled_flat_rows_move_no_report_float_beyond_rtol(seed):
+    # the sums add the same products in another order
+    rng = random.Random(seed)
+    flat, tds = _random_pair(rng, False, n_keys=rng.choice((12, 40, 200)))
+    rows = [list(r) for r in flat.table.rows]
+    rng.shuffle(rows)
+    shuffled = TrainingDataset("ds0", Table("ds0", flat.table.columns, rows, ["id"]), "y")
+    for folds in (2, 5):
+        _agree(_outcome(evalkit, shuffled, tds, 100.0, folds, seed),
+               _outcome(evalkit, flat, tds, 100.0, folds, seed))
