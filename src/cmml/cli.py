@@ -301,46 +301,56 @@ def _add_common(p: argparse.ArgumentParser, *, schema=False, data=False, task=Fa
     p.add_argument("--quiet", action="store_true", help="suppress log output")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _evaluate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
+    p.add_argument("--range", type=float, default=None,
+                   help="target range for normalized RMSE (default: observed range)")
+
+
+def _generate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", default=None, help="path to a JSON generator spec")
+
+
+# name -> (help, command, the common options it takes, a function adding its own)
+SUBCOMMANDS = {
+    "validate": ("check a schema and data against each other", cmd_validate,
+                 dict(schema=True, data=True), None),
+    "plan": ("compile and print a transformation plan", cmd_plan,
+             dict(schema=True, task=True, tuning=True), None),
+    "prepare": ("produce training dataset(s) and manifest", cmd_prepare,
+                dict(schema=True, data=True, task=True, out=True, tuning=True), None),
+    "flatten": ("produce the naive joined dataset (ds0.csv)", cmd_flatten,
+                dict(schema=True, data=True, task=True, out=True), None),
+    "evaluate": ("out-of-sample comparison of naive vs prepared data", cmd_evaluate,
+                 dict(schema=True, data=True, task=True, tuning=True), _evaluate_options),
+    "generate": ("write a seeded synthetic schema + tables", cmd_generate,
+                 dict(out=True), _generate_options),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``only`` that one. Its usage
+    line still lists them all, so its messages read as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="cmml",
         description="Schema-driven preparation of relational CSV data into "
                     "flat, model-ready training datasets with lineage manifests.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate", help="check a schema and data against each other")
-    _add_common(p, schema=True, data=True)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("plan", help="compile and print a transformation plan")
-    _add_common(p, schema=True, task=True, tuning=True)
-    p.set_defaults(fn=cmd_plan)
-
-    p = sub.add_parser("prepare", help="produce training dataset(s) and manifest")
-    _add_common(p, schema=True, data=True, task=True, out=True, tuning=True)
-    p.set_defaults(fn=cmd_prepare)
-
-    p = sub.add_parser("flatten", help="produce the naive joined dataset (ds0.csv)")
-    _add_common(p, schema=True, data=True, task=True, out=True)
-    p.set_defaults(fn=cmd_flatten)
-
-    p = sub.add_parser("evaluate", help="out-of-sample comparison of naive vs prepared data")
-    _add_common(p, schema=True, data=True, task=True, tuning=True)
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
-    p.add_argument("--range", type=float, default=None,
-                   help="target range for normalized RMSE (default: observed range)")
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("generate", help="write a seeded synthetic schema + tables")
-    _add_common(p, out=True)
-    p.add_argument("--spec", default=None, help="path to a JSON generator spec")
-    p.set_defaults(fn=cmd_generate)
-
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar=None if only is None else "{%s}" % ",".join(SUBCOMMANDS))
+    for name, (help_, fn, common, own) in SUBCOMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_)
+            _add_common(p, **common)
+            if own is not None:
+                own(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h, no arguments or an unknown subcommand need every subcommand's parser
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

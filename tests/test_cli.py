@@ -28,6 +28,39 @@ def test_usage_error_exit_2(capsys):
     assert run("nonsense") == 2
 
 
+def _full_parser_exit(argv) -> int:
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return cli.EXIT_USAGE if exc.code not in (0, None) else cli.EXIT_OK
+    return -1  # parsed: main would run the command
+
+
+def _required(cmd) -> list[str]:
+    flags = {"schema": "--schema", "data": "--data-dir", "task": "--task", "out": "--out"}
+    return [a for option, flag in flags.items() if cli.SUBCOMMANDS[cmd][2].get(option)
+            for a in (flag, "x")]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["nonsense"], ["--quiet", "validate"]]
+                         + [[cmd, *rest] for cmd in cli.SUBCOMMANDS
+                            for rest in (["--help"], [], ["--bogus"], [*_required(cmd), "extra"],
+                                         [*_required(cmd), "--bogus"])]
+                         + [["evaluate", "--folds", "x"], ["generate", "--seed"]],
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_output_equals_the_full_parser(argv, capsys):
+    # main builds only the named subcommand's options; what it prints must
+    # not show it (an unrecognized argument is reported with the top-level
+    # usage, which lists every subcommand)
+    code = _full_parser_exit(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE)
+    want = capsys.readouterr()
+    assert cli.main(argv) == code
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert want.out or want.err
+
+
 def test_validate_ok():
     assert run("validate", "--schema", str(EXAMPLE_SCHEMA),
                "--data-dir", str(EXAMPLE_DATA), "--quiet") == 0
