@@ -58,8 +58,9 @@ STEP_KINDS = {
         "split by generalization {generalization}, one dataset per subtype with only that "
         "subtype's members and subtype-specific columns.")),
     "impute_columns": StepKind(("G3",), (
-        "fill nulls classified applicable-but-unknown using strategy {strategy} with statistics "
-        "computed within this output dataset; not-applicable cells are never altered.")),
+        "in dataset {dataset}, fill nulls classified applicable-but-unknown using strategy "
+        "{strategy} with statistics computed within that dataset; not-applicable cells are "
+        "never altered.")),
     "emit_dataset": StepKind((), (
         "Emit dataset {dataset} (rows sorted by key; null-target rows dropped).")),
 }
