@@ -182,7 +182,7 @@ GOLDEN = {
         "plan.json":
             "ac90c844cb3ae3f5794ed709cb11b700ee7cb164d7bb7c8e8865487d7abd64d9",
         "plan.txt":
-            "a4d07a82c189e692d437034545c92f93189d652ebaeeda78c75a5e0590adc202",
+            "e3232e364f43ca9aedcf35e51920bfc1d1902db90e1ec21ad50652419d30f2f6",
         "prepare/T.csv":
             "a0381ed10f2a485fd0e552cb7a360e8068ead38c0324e4cfc6ceec7ea5923eb7",
         "prepare/manifest.json":
@@ -196,7 +196,7 @@ GOLDEN = {
         "plan.json":
             "a3824c5f4d5a7e1de3b1de6201f642433114acfbdcd9754ead68ab4f58ce53bc",
         "plan.txt":
-            "13e091798efed824ea86cc3984db4b9dcad12fe2800c489865f2eb6ea89ebdcf",
+            "2e3f6be1b2388964e43fc7d8a5187f211c44f604f28b76b10e285f4950614f5b",
         "prepare/T.csv":
             "b9a39024b68c3ad8414bd4826e050e3f92c935c0328464e9d04cd912c676db88",
         "prepare/manifest.json":
@@ -208,7 +208,7 @@ GOLDEN = {
         "plan.json":
             "3f7ac28e4a82bcb2e19a5411e4631878dcd56b10724ae61f07ced331e98e283f",
         "plan.txt":
-            "db7e21889db8ff5da39b53bb4dac3aaa3c4af4017758f8dc60df86e3f4ca0ae5",
+            "2851dc60f245e2bcaefe2d8150b803b354b84d0c12e29fc05a341c0820acfa3e",
         "prepare/PREDICT_LTV.csv":
             "6766ef0bedf31245defc1996d8d2989f5284b65c18ff3e0355b877aa1df4f11c",
         "prepare/manifest.json":
@@ -220,7 +220,7 @@ GOLDEN = {
         "plan.json":
             "67e5906335c5ba8791e0fd1025305c3f2204099c5426121ed60f7e1a5d246d20",
         "plan.txt":
-            "5a78dec34d34bd8caa69a617a7b564cc5d4827b8b010876c16194fb175e0e15b",
+            "ea286159158ea46215920a07de4f8b1040b0204c7ba844f5e0d7c3a70cadb05c",
         "prepare/T_GOLD.csv":
             "70ca8c8e0f06372a84d97a43a054d252797774a1d8bc8442a3fb357139bf2b1c",
         "prepare/T_TRIAL.csv":
@@ -234,7 +234,7 @@ GOLDEN = {
         "plan.json":
             "35ffc7570414d713d9ba537f50f44c8aa1244a2226e790ab3cbe4e026f3efe8e",
         "plan.txt":
-            "c352e4b028480a733dffffa44c59f180cd0514ba730e8257b6363b16b881689c",
+            "f7e1e7a86d7293e0e6b5a7f15d273ac4ea3d1b4028d38f46ed35212613933ae1",
         "prepare/T.csv":
             "b559278cac9729bf23b3114ef2fdbefe8bf82970a78174d10797cb6e8de44e2a",
         "prepare/manifest.json":
@@ -288,7 +288,7 @@ GOLDEN = {
         "plan.json":
             "017daf610ca6503d0af0e5a6abae748fd5cccc212ce19bf8c5386f92d711f125",
         "plan.txt":
-            "8345144f26b2497a0bdc4baa331b30b3ade65bb8a3ecb469d28d5ad747b4934e",
+            "286088553d51883c77a79268033bca39a62e861659c52037a1c5358a9c48af52",
         "prepare/T_HIGH.csv":
             "745045db3f7f69df6846a95d361f86efef2e7edcfa9d331d40a1e9dc7d412c5a",
         "prepare/T_LOW.csv":
@@ -304,7 +304,7 @@ GOLDEN = {
         "plan.json":
             "1d2bd9886e2fce6d79c90f8b3245ebcfb91f57811d3c424776ac7162aa6d8028",
         "plan.txt":
-            "844b5a89f6c8ed53b60afd7097a6fcbb10c4e53e4860807d0fb301d94c87b503",
+            "9be12b11011859cb965d13872a8b9c74b2c742d7c2662f5cafea263c68e22881",
         "prepare/T.csv":
             "9ef15e33a9d389890e30bd23b29622221962ce6b940bce985705c079adcc4380",
         "prepare/manifest.json":
@@ -318,7 +318,7 @@ GOLDEN = {
         "plan.json":
             "2aa74783060f14ec2151ee9195bbb0be9b80abe9eb20bfe3b97a7819486e9fee",
         "plan.txt":
-            "c3e15464bd5d562ae30521b8aa18f08a87c47a6132b6a8f7647f01d32673de29",
+            "9aeecd77eba6099480e47e738b1f14cb3d560cfaa98a54e1793a884b5801c71c",
         "prepare/PREDICT_LTV.csv":
             "62beb5836991c67b5822897cd945eccfb7188f8608ed106f54f16f13c22b2b00",
         "prepare/manifest.json":
@@ -332,7 +332,7 @@ GOLDEN = {
         "plan.json":
             "2aa74783060f14ec2151ee9195bbb0be9b80abe9eb20bfe3b97a7819486e9fee",
         "plan.txt":
-            "c3e15464bd5d562ae30521b8aa18f08a87c47a6132b6a8f7647f01d32673de29",
+            "9aeecd77eba6099480e47e738b1f14cb3d560cfaa98a54e1793a884b5801c71c",
         "prepare/PREDICT_LTV.csv":
             "0ada3fbf140e43d90cc876dacf492b39ca623a211a078431d69dd50ff8da02bb",
         "prepare/manifest.json":
