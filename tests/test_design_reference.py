@@ -42,7 +42,8 @@ def _outcome(module, ds0, tds, value_range, folds, seed):
     real, pairs = module.wilcoxon_signed_rank, []
     module.wilcoxon_signed_rank = lambda p: pairs.extend(p) or real(p)
     try:
-        return module.compare_datasets(ds0, tds, value_range, folds=folds, seed=seed).to_dict(), pairs
+        report = module.compare_datasets(ds0, tds, value_range, folds=folds, seed=seed)
+        return report.to_dict(), pairs
     except ValueError as exc:
         return f"ValueError: {exc}", None
     finally:
