@@ -282,11 +282,16 @@ class OneHotDesign:
             known = np.full(self.n_numeric, S[0, 0])
             known[nullable] -= S[0, p:]
             self.means = S[0, 1:1 + self.n_numeric] / np.maximum(known, 1)  # 0 where none known
-            M = np.zeros((len(nullable), p))
-            M[np.arange(len(nullable)), 1 + nullable] = self.means[nullable]
-            BM = S[:p, p:] @ M
-            gram = S[:p, :p] + BM + BM.T + M.T @ S[p:, p:] @ M
-            moment = t[:p] + M.T @ t[p:]
+            # M is zero but for each nullable column's mean m in its numeric
+            # column's place (at), so its products scale and scatter columns
+            m, at = self.means[nullable], 1 + nullable
+            BM = S[:p, p:] * m
+            gram = S[:p, :p].copy()
+            gram[:, at] += BM
+            gram[at, :] += BM.T
+            gram[np.ix_(at, at)] += m[:, None] * S[p:, p:] * m
+            moment = t[:p].copy()
+            moment[at] += t[p:] * m
         columns, self.kept, self.slots = [np.arange(1 + self.n_dense)], [], []
         column = 1 + self.n_dense
         for x0_slots in self.x0_slots:
