@@ -210,8 +210,10 @@ class OneHotDesign:
     rows with a known target once, as ``Z = [X0 | N]``: ``X0`` has the
     intercept, the dense columns with numeric nulls read 0 and a column for
     every category of every nominal, ``N`` marks the nulls of each numeric
-    column that has one (``nullable``). It returns ``(ZᵀZ, Zᵀy)``, which add
-    over disjoint rows. ``solve(sums, ridge)`` adds such statistics, keeps
+    column that has one (``nullable``). A join block counts only the rows
+    that some row takes, so a view's design equals its materialized rows'.
+    ``fit`` returns ``(ZᵀZ, Zᵀy)``, which add over disjoint rows.
+    ``solve(sums, ridge)`` adds such statistics, keeps
     their numeric means and categories, and returns the ridge coefficients
     over ``transform``'s columns: with M the mean of each nullable column in
     its numeric column's place, the filled design is ``X = X0 + N·M``, so
@@ -232,6 +234,7 @@ class OneHotDesign:
         numeric, boolean = 1, 1 + self.n_numeric  # the next design column of each kind
         self.blocks = []  # (index, dense values, (design, values) column runs, nominals)
         nullable = [np.zeros(0, bool)]
+        self.width, self.x0_slots = 1 + self.n_dense, []  # X0's width, and below its slots
         for cells, index in ([(table.cells, None)] if table.join is None
                              else zip(table.join.blocks, table.join.index)):
             kind, kinds = kinds[:len(cells)], kinds[len(cells):]
@@ -240,25 +243,33 @@ class OneHotDesign:
             for i, j in enumerate(dense):
                 vec = cells[j]  # a numeric null is nan already; a boolean one reads 0
                 values[:, i] = vec.values if kind[j] == "numeric" else vec.values & (vec.null == 0)
+            # only the block rows some row reaches count: a view's child block
+            # may end in an absent-partner null row that no row takes
+            reached = np.ones(len(values), bool)
+            if index is not None:
+                reached[:] = False
+                reached[index] = True
             w = kind.count("numeric")  # values holds w numeric, then boolean columns
-            nullable.append(np.isnan(values[:, :w]).any(axis=0))
+            nullable.append(np.isnan(values[reached, :w]).any(axis=0))
             runs = ((slice(numeric, numeric + w), slice(0, w)),
                     (slice(boolean, boolean + len(dense) - w), slice(w, len(dense))))
             numeric, boolean = numeric + w, boolean + len(dense) - w
             nominal = [factorize(cells[j])[1] for j in range(len(cells)) if kind[j] == "nominal"]
             self.blocks.append((index, values, runs, nominal))
+            # per nominal, each code's X0 column (-1 for a code no row
+            # reaches), then -1 for a null's code -1
+            self.x0_slots.append([])
+            for codes in nominal:
+                seen = np.zeros(int(codes.max(initial=-1)) + 2, bool)
+                seen[codes[reached]] = True
+                seen[-1] = False
+                slot = np.full(len(seen), -1, np.int64)
+                slot[seen] = self.width + np.arange(np.count_nonzero(seen))
+                self.x0_slots[-1].append(slot)
+                self.width += np.count_nonzero(seen)
         self.nominal = [codes for block in self.blocks for codes in block[3]]
         self.target = _encoded(table, table.column_index(target_column), lambda y: y.values)
         self.nullable = np.flatnonzero(np.concatenate(nullable))  # N's numeric columns
-        # X0's width, and per block and nominal each code's X0 column, then -1
-        # for a null's code -1
-        self.width, self.x0_slots = 1 + self.n_dense, []
-        for *_, nominal in self.blocks:
-            self.x0_slots.append([])
-            for codes in nominal:
-                n = int(codes.max(initial=-1)) + 1
-                self.x0_slots[-1].append(np.append(self.width + np.arange(n), -1))
-                self.width += n
 
     def fit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(ZᵀZ, Zᵀy)`` of the rows, which must have a known target."""
@@ -297,7 +308,8 @@ class OneHotDesign:
         for x0_slots in self.x0_slots:
             self.slots.append([])
             for slot in x0_slots:
-                kept = np.flatnonzero(S[0, slot[:-1]])[:-1]
+                count = np.where(slot[:-1] >= 0, S[0, slot[:-1]], 0.0)  # per code
+                kept = np.flatnonzero(count)[:-1]
                 columns.append(slot[kept])
                 # each code's design column, -1 for none; a null's -1 reads the last
                 slot = np.full(len(slot), -1, np.int64)
