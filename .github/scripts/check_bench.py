@@ -15,7 +15,8 @@ from the code before the column-at-a-time reader and the binder's partner
 index landed, so they check those on data the change was not written
 against. Both seeds' ``evaluate_tds_nrmse`` and ``evaluate_sha256`` pins
 were retaken when ``evaluate`` began to fit its folds from per-fold sums,
-which moved the fit's last bits.
+which moved the fit's last bits. Three ``evaluate_sha256`` pins moved again
+when a join view's design stopped counting the block rows no row reaches.
 
 Every run also reruns three commands on the workload perfbench generates
 from the seed, with perfbench's own arguments in perfbench's child process,
@@ -43,7 +44,7 @@ PINS = {
         "evaluate_tds_nrmse": 0.053488628641885486,
         "validate_sha256": "6004938c9c9fa4a8f0636b121b38b8247df3aded3642cdee2ba628988dec7c6d",
         "flatten_sha256": "630a639689d29e18b2c69a0812769800663ade6a3d13849e98e53c330ace5999",
-        "evaluate_sha256": "3914e57eb3bd338318c2ec153e35f8668915f818b1f737ff071156f6aba45407",
+        "evaluate_sha256": "b94848baa87d67755bfebf00fcda5fa926d4db4ed444984a006d00bb71800f7b",
     },
     ("ltv_eval", 2): {
         "prepare_sha256": "fe7a1f3a9b9b52e2dd98720de60c78dd9a6e0bccbc403b1c8798218094b26dcf",
@@ -57,14 +58,14 @@ PINS = {
         "evaluate_tds_nrmse": 0.050734576574443524,
         "validate_sha256": "f596d4d01876aca1d15f49ddd0860e74bf10493d1a1a573d84539c9e6fde8db0",
         "flatten_sha256": "306b50a5ed49830fc71daf2e3526be58c0836a61c5ccac101f8899d12da4e0dd",
-        "evaluate_sha256": "e784faea3f31b309bd4cdc08c2c9f056c2e35f3a72255070a8202e4fcaea6658",
+        "evaluate_sha256": "9fb40894848c1379f98c1eed8d046807a66adbed195ae79302ceb0aa3f342235",
     },
     ("star_split", 2): {
         "prepare_sha256": "185e5ee35595f59c09db99c876a6492f84c3ad8ab6c3c58332d226d8d5689157",
         "evaluate_tds_nrmse": 0.053205398778814125,
         "validate_sha256": "e4b80ba2a8ca98e70f3c21e1bcdb01eb9bf75cfb6a057608c0ad9c5ccebcffac",
         "flatten_sha256": "92f8876d83f5322a86454983ead8cf71e12779652f6bf36b24c781eee8674fac",
-        "evaluate_sha256": "0f0f27d13a1fb7396280758b38ac0cd2c80fd5d0bbaf9f7cc9f8335981dce90f",
+        "evaluate_sha256": "44f46f454c46f5895aedacbc200a84e871b50d8765118d4504351d4a1a8fe53b",
     },
     ("chain_derive", 1): {
         "prepare_sha256": "9636ed0d592ea4afbfc29feff08bf297a248a7cebab04c25cc1ed05be7fe8792",

@@ -312,7 +312,7 @@ GOLDEN = {
     },
     "synth_1": {
         "evaluate.json":
-            "a9246f268de32d284f2c20870061eca60646b51c9f540bb63b0f4b4b414cc367",
+            "1a7c116d26cc9d52a9917096e7a3b01ab268c3d79b1b1d5dae03ddae0a7e69bf",
         "flatten/ds0.csv":
             "8f860f4658869527e4dc48d9d4214515015743de39fdd39e0bbe86e5b7075bb3",
         "plan.json":
