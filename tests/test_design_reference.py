@@ -4,13 +4,12 @@ error, on every evaluated golden case, propgen cases, random tables and the
 edge cases a fold can meet.
 
 The sums add each fold's products in another order than one train design's
-Gram matrix does, so the last bits move, and a ridge of 1e-6 on folds with
-more columns than rows amplifies that: the worst report float among these
-cases (propgen seed 20, ds0 r2) moves 1.4e-5 relative, while on the
-benchmark workloads none moves more than 5e-13. So counts, fold sizes and
-errors must be equal, every report float must agree within ``RTOL``
-(relative, or absolute near zero), and the signed-rank test may differ only
-where the reference's paired errors hold a near tie that a last bit can
+Gram matrix does, so the last bits move. Counts, fold sizes and errors must
+be equal, and every report float must agree within ``RTOL`` (relative, or
+absolute near zero), but in the cases ``LOOSE`` names: folds of a few rows
+with more columns than rows, where the 1e-6 ridge amplifies a last-bit
+change of the sums. The signed-rank test may differ only where the
+reference's paired differences hold a near tie that the pairs' own moves can
 flip. The normal equations themselves, which do not depend on the
 conditioning, are compared far more tightly (``GRAM_RTOL``).
 """
@@ -31,9 +30,32 @@ from propgen import Case
 from test_golden import CASES as GOLDEN_CASES, EVALUATED
 
 NULLS = (None, UNKNOWN, NOT_APPLICABLE)
-RTOL = 1e-4        # on every float of a report: relative, or absolute near zero
+RTOL = 1e-9        # on every float of a report: relative, or absolute near zero
 GRAM_RTOL = 1e-12  # on XᵀX and Xᵀy, relative to the sums of absolute products
 MEAN_RTOL = 1e-12  # on a filled mean
+
+# The ill-conditioned cases, by the tolerance each gets: the smallest power
+# of ten at least ten times its largest relative move under OpenBLAS 0.3.31's
+# SkylakeX, Haswell, Sandybridge, Nehalem and Katmai kernels (chosen with
+# OPENBLAS_CORETYPE), which add in different orders. A random case names its
+# seed, both of its forms.
+LOOSE = {
+    1e-3: {"propgen 15", "propgen 20", "propgen 22", "propgen 35"},
+    1e-4: {"golden propgen_36", "propgen 4", "propgen 5", "propgen 6", "propgen 10",
+           "propgen 11", "propgen 24", "propgen 26", "propgen 27", "propgen 34", "propgen 36"},
+    1e-5: {"golden chain", "propgen 0", "propgen 7", "propgen 8", "propgen 12", "propgen 29",
+           "propgen 30", "propgen 37", "propgen 38"},
+    1e-6: {"golden collision", "golden skipped_edge", "propgen 9", "propgen 14", "propgen 19",
+           "propgen 28", "random 43"},
+    1e-7: {"propgen 2", "propgen 16", "propgen 17", "propgen 18", "propgen 23", "propgen 25",
+           "propgen 32", "random 49", "random 54", "random 55", "shuffled 1", "shuffled 18"},
+    1e-8: {"propgen 3", "propgen 21", "propgen 39", "random 14", "random 15", "random 21",
+           "random 32"},
+}
+
+
+def _rtol(case: str) -> float:
+    return next((rtol for rtol, cases in LOOSE.items() if case in cases), RTOL)
 
 
 def _outcome(module, ds0, tds, value_range, folds, seed):
@@ -50,53 +72,57 @@ def _outcome(module, ds0, tds, value_range, folds, seed):
         module.wilcoxon_signed_rank = real
 
 
-def _close(got, want, path="report") -> None:
-    """Equal structure, ints, bools and strings; floats within ``RTOL``."""
+def _close(got, want, rtol, path="report") -> None:
+    """Equal structure, ints, bools and strings; floats within ``rtol``."""
     assert type(got) is type(want), path
     if isinstance(got, dict):
         assert list(got) == list(want), path
         for k in got:
-            _close(got[k], want[k], f"{path}.{k}")
+            _close(got[k], want[k], rtol, f"{path}.{k}")
     elif isinstance(got, (list, tuple)):
         assert len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
-            _close(g, w, f"{path}[{i}]")
+            _close(g, w, rtol, f"{path}[{i}]")
     elif isinstance(got, float):
-        assert (math.isclose(got, want, rel_tol=RTOL, abs_tol=RTOL)
+        assert (math.isclose(got, want, rel_tol=rtol, abs_tol=rtol)
                 or (math.isnan(got) and math.isnan(want))), f"{path}: {got!r} != {want!r}"
     else:
         assert got == want, path
 
 
-def _near_tie(pairs) -> bool:
-    """Whether two paired differences' magnitudes, or one and zero, lie
-    within ``RTOL`` of each other: a last bit may then flip a signed rank."""
-    d = np.sort(np.abs([a - b for a, b in pairs]))
-    tol = RTOL * (1.0 + max(max(p) for p in pairs))
-    return len(d) > 0 and (d[0] <= tol or bool(np.any(np.diff(d) <= tol)))
+def _near_tie(got_pairs, want_pairs) -> bool:
+    """Whether two of the reference's paired differences' magnitudes, or one
+    and zero, lie closer than the pairs moved between the two runs: only
+    then can a signed rank flip."""
+    got, want = np.asarray(got_pairs).reshape(-1, 2), np.asarray(want_pairs).reshape(-1, 2)
+    moved = float(np.abs(got - want).sum(axis=1).max(initial=0.0))  # most a difference moved
+    d = np.sort(np.abs(want[:, 0] - want[:, 1]))
+    return len(d) > 0 and (d[0] <= moved or bool(np.any(np.diff(d) <= 2 * moved)))
 
 
-def _agree(got, want) -> str:
+def _agree(got, want, rtol=RTOL) -> str:
     """Two ``_outcome`` results agree: the same error, or reports and paired
-    errors within ``RTOL`` whose signed-rank tests agree too unless a near
-    tie explains it. Returns the first as text."""
+    errors within ``rtol`` whose signed-rank tests agree too unless a near
+    tie explains it. The first report's signed-rank test must be exactly
+    that of its own pairs. Returns the first as text."""
     (got, got_pairs), (want, want_pairs) = got, want
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
         return got
-    _close(got_pairs, want_pairs, "pairs")
+    assert repr(got["wilcoxon"]) == repr(evalkit.wilcoxon_signed_rank(got_pairs).to_dict())
+    _close(got_pairs, want_pairs, rtol, "pairs")
     _close({k: v for k, v in got.items() if k != "wilcoxon"},
-           {k: v for k, v in want.items() if k != "wilcoxon"})
+           {k: v for k, v in want.items() if k != "wilcoxon"}, rtol)
     try:
-        _close(got["wilcoxon"], want["wilcoxon"], "report.wilcoxon")
+        _close(got["wilcoxon"], want["wilcoxon"], rtol, "report.wilcoxon")
     except AssertionError:
-        assert _near_tie(want_pairs), "the signed-rank test moved without a near tie"
+        assert _near_tie(got_pairs, want_pairs), "the signed-rank test moved without a near tie"
     return repr(got)
 
 
-def _same(ds0, tds, value_range=100.0, folds=5, seed=0) -> str:
+def _same(ds0, tds, value_range=100.0, folds=5, seed=0, case="") -> str:
     return _agree(_outcome(evalkit, ds0, tds, value_range, folds, seed),
-                  _outcome(dense, ds0, tds, value_range, folds, seed))
+                  _outcome(dense, ds0, tds, value_range, folds, seed), _rtol(case))
 
 
 def _same_design(table, train, test, target="y"):
@@ -139,7 +165,7 @@ def test_golden_case_reports_equal_the_dense_reference(name, tmp_path):
     flat, (tds,) = _datasets(schema, bound, schema.task(task_name))
     assert isinstance(flat.table.rows, JoinRows)
     for folds, seed in ((5, 0), (2, 1), (3, 7)):
-        assert _same(flat, tds, 100.0, folds, seed).startswith("{")
+        assert _same(flat, tds, 100.0, folds, seed, f"golden {name}").startswith("{")
     n = flat.table.row_count
     _same_design(flat.table, np.arange(0, n, 2), np.arange(n), flat.target_column)
 
@@ -150,13 +176,14 @@ def test_propgen_reports_equal_the_dense_reference(seed):
     flat, datasets = _datasets(case.schema, case.bound, case.schema.task("T"))
     for tds in datasets:  # a subtype split compares each subtype's dataset
         for folds in (2, 3):
-            _same(flat, tds, 50.0, folds, seed)
+            _same(flat, tds, 50.0, folds, seed, f"propgen {seed}")
     n = flat.table.row_count
     _same_design(flat.table, np.arange(0, n, 2), np.arange(n), flat.target_column)
 
 
 def test_propgen_reports_are_mostly_scored():
-    scored = sum(_same(*_datasets_of(seed), 50.0, 2, seed).startswith("{") for seed in range(40))
+    scored = sum(_same(*_datasets_of(seed), 50.0, 2, seed, f"propgen {seed}").startswith("{")
+                 for seed in range(40))
     assert scored >= 30
 
 
@@ -239,7 +266,7 @@ def _random_pair(rng, join: bool, n_keys: int = 0, max_fanout: int = 3):
 def test_random_tables_equal_the_dense_reference(seed, join):
     rng = random.Random(seed)
     flat, tds = _random_pair(rng, join)
-    outcomes = [_same(flat, tds, 100.0, folds, seed) for folds in (2, 5)]
+    outcomes = [_same(flat, tds, 100.0, folds, seed, f"random {seed}") for folds in (2, 5)]
     n = flat.table.row_count
     train = sorted(rng.sample(range(n), rng.randint(0, n)))
     _same_design(flat.table, train, rng.sample(range(n), rng.randint(0, n)))
@@ -261,7 +288,7 @@ def test_random_tables_are_mostly_scored():
     reports = 0
     for seed in range(60):
         flat, tds = _random_pair(random.Random(seed), True)
-        reports += _same(flat, tds, 100.0, 2, seed).startswith("{")
+        reports += _same(flat, tds, 100.0, 2, seed, f"random {seed}").startswith("{")
     assert reports >= 50
 
 
@@ -448,4 +475,4 @@ def test_shuffled_flat_rows_move_no_report_float_beyond_rtol(seed):
     shuffled = TrainingDataset("ds0", Table("ds0", flat.table.columns, rows, ["id"]), "y")
     for folds in (2, 5):
         _agree(_outcome(evalkit, shuffled, tds, 100.0, folds, seed),
-               _outcome(evalkit, flat, tds, 100.0, folds, seed))
+               _outcome(evalkit, flat, tds, 100.0, folds, seed), _rtol(f"shuffled {seed}"))
