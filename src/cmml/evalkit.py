@@ -234,7 +234,7 @@ class OneHotDesign:
         numeric, boolean = 1, 1 + self.n_numeric  # the next design column of each kind
         self.blocks = []  # (index, dense values, (design, values) column runs, nominals)
         nullable = [np.zeros(0, bool)]
-        self.width, self.x0_slots = 1 + self.n_dense, []  # X0's width, and below its slots
+        self.width, self.x0_slots = 1 + self.n_dense, []  # X0's width and per-block slots
         for cells, index in ([(table.cells, None)] if table.join is None
                              else zip(table.join.blocks, table.join.index)):
             kind, kinds = kinds[:len(cells)], kinds[len(cells):]
@@ -245,10 +245,8 @@ class OneHotDesign:
                 values[:, i] = vec.values if kind[j] == "numeric" else vec.values & (vec.null == 0)
             # only the block rows some row reaches count: a view's child block
             # may end in an absent-partner null row that no row takes
-            reached = np.ones(len(values), bool)
-            if index is not None:
-                reached[:] = False
-                reached[index] = True
+            reached = np.zeros(len(values), bool)
+            reached[slice(None) if index is None else index] = True
             w = kind.count("numeric")  # values holds w numeric, then boolean columns
             nullable.append(np.isnan(values[reached, :w]).any(axis=0))
             runs = ((slice(numeric, numeric + w), slice(0, w)),
