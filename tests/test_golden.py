@@ -173,6 +173,46 @@ SKIPPED_EDGE_DATA = {
               "o6,9,c6\no7,4,c6\no8,1,c6\n"),
 }
 
+# Keys whose repr order is not their text order. SHOP's identifiers a, a b
+# and a'b print as 'a', 'a b' and "a'b", so by repr a'b comes first and a
+# after a b; B and E sort before every lower-case key. DAY is keyed by a
+# date, whose repr sorts after the None of the absent row, which shop b (no
+# day) takes. TILL is keyed by a number, and 10 prints before 2; its key
+# follows an attribute, whose nulls tie. Shop b'c has a null target. Few
+# aggregates keep the folds' designs well conditioned.
+KEY_ORDER_SCHEMA = """
+entity SHOP {
+  key code: identifier
+  attr region: nominal
+  attr sales: numeric
+}
+entity DAY {
+  key day: date
+  attr visitors: numeric
+}
+entity TILL {
+  attr amount: numeric
+  key till_no: numeric
+  attr day: date
+}
+relationship OPENS { SHOP (1,1) -- (0,N) DAY via code }
+relationship RINGS { DAY (1,1) -- (0,N) TILL via day }
+task T { target SHOP.sales agg mean }
+"""
+KEY_ORDER_DATA = {
+    "SHOP": ("code,region,sales\na'b,north,12\na,south,3.5\na b,north,20\nb,east,7\nb'c,south,\n"
+             "c,east,9.25\nB,north,4\nd,south,15\nd e,east,1\nd'e,north,8.5\ne,south,11\n"
+             "E,east,6\nf,north,2.25\n"),
+    "DAY": ("day,visitors,code\n2019-03-01,40,a\n2019-02-01,12,a'b\n2018-12-31,,a b\n"
+            "2019-01-15,25,a\n2019-04-02,8,c\n2019-05-05,30,b'c\n2019-01-02,5,B\n"
+            "2018-11-20,18,d\n2018-10-01,9,d e\n2018-09-09,22,d'e\n2018-12-01,3,e\n"
+            "2019-02-14,27,E\n2018-08-08,14,f\n2018-08-09,,f\n"),
+    "TILL": ("till_no,day,amount\n10,2019-03-01,5\n2,2019-03-01,7.5\n1.5,2018-12-31,3\n"
+             "-3,2019-01-15,\n100,2019-04-02,11\n0.25,2019-05-05,2\n7,2019-01-02,4\n"
+             "20,2018-11-20,6\n3,2018-10-01,1.5\n-12,2018-09-09,9\n30,2018-12-01,2.5\n"
+             "4,2019-02-14,8\n11,2018-08-08,3.25\n5,2018-08-09,\n"),
+}
+
 GOLDEN = {
     "chain": {
         "evaluate.json":
@@ -227,6 +267,20 @@ GOLDEN = {
             "ccfd57897bec319ad2e576dd79dcfc4e19927631bf69a204d7e0bd17667da492",
         "prepare/manifest.json":
             "e5aa121ba2082eaddf55100cc9d2a81d51842b4b9b1072c1e754dc9fe48178dc",
+    },
+    "key_order": {
+        "evaluate.json":
+            "1a0d7eb97659e0971f76fb1a6d4789fc97b3e5bc111992713d0038da51d09251",
+        "flatten/ds0.csv":
+            "bdf917c99c30934d020e241d5c4aa11e81fa7124c5045d6d7184c4df15c4c24d",
+        "plan.json":
+            "3198576b4f904c8d028deec2e4439011270f9da11a88d2d3723df1534a648598",
+        "plan.txt":
+            "25f9e8ceb6ee8130e6f45e1e721222750a237597d2014b160919829bdb7880a3",
+        "prepare/T.csv":
+            "026c6b142ef1c2ff6d840924a487733e3cb07e0750a9a270028b893929a1f2cc",
+        "prepare/manifest.json":
+            "12f846cbaa5d63e55eda8ec6ee7045cd11851eaaf00f2c9067b4e4d512077376",
     },
     "n_side_target": {
         "flatten/ds0.csv":
@@ -388,13 +442,14 @@ CASES = {
     "chain": _inline(CHAIN_SCHEMA, CHAIN_DATA),
     "collision": _inline(COLLISION_SCHEMA, COLLISION_DATA),
     "skipped_edge": _inline(SKIPPED_EDGE_SCHEMA, SKIPPED_EDGE_DATA),
+    "key_order": _inline(KEY_ORDER_SCHEMA, KEY_ORDER_DATA),
 }
 
 
 # Cases whose task emits a single dataset, so `evaluate` runs on them. The
 # example has fewer keys than folds.
 EVALUATED = {"synth_1", "synth_2", "propgen_1", "propgen_36", "chain", "collision",
-             "skipped_edge"}
+             "skipped_edge", "key_order"}
 
 
 def _sha(data: bytes) -> str:
