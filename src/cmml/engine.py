@@ -4,24 +4,26 @@ Produces one flat training dataset per plan output (one row per
 target-bearing instance, or per (instance, subtype) member for splits), a
 naive fully-denormalized dataset for comparison, and a lineage manifest
 recording every output column's origin entities, source attributes and
-transform. One ``Derivations`` per command computes every derived attribute
-and every relationship's partner groups once; the plan's steps and the naive
-flattener both read them. Each derived attribute is one ``expr.eval_column``
-over all rows of its entity. G4 summaries are grouped reductions over one
-relationship's partner index (``expr.group_reduce``, the kernel a
-derivation's aggregates run on), each a whole-column numpy operation.
+transform. One ``Derivations`` per command computes every derived attribute,
+every entity's rank by key and every relationship's partner groups once; the
+plan's steps and the naive flattener both read them. Each derived attribute
+is one ``expr.eval_column`` over all rows of its entity. G4 summaries are
+grouped reductions over one relationship's partner index
+(``expr.group_reduce``, the kernel a derivation's aggregates run on), each a
+whole-column numpy operation.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import hashlib
-import json
 import math
+import operator
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -118,8 +120,9 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
 
 class Derivations:
     """The work one command shares between the plan's steps and the naive
-    flattener: each derived attribute's cells, evaluated once, and each
-    relationship's partner groups, sorted once. Holds the command's clock.
+    flattener: each derived attribute's cells, evaluated once; each entity's
+    rows ranked by key, sorted once; and each relationship's partner groups,
+    read off its child's rank. Holds the command's clock.
 
     Cells are indexed like the rows of the entity's bound table, which the
     working tables keep until they are split or emitted. A derivation reads
@@ -149,20 +152,21 @@ class Derivations:
         derivations and G4 summaries aggregate a parent's children."""
         if rel_name not in self._groups:
             partners = self.bound.partners[rel_name]  # in child row order
-            rank = self._rank_by_key(self.bound.schema.relationship(rel_name).child_entity())
+            rank = self.key_rank(self.bound.schema.relationship(rel_name).child_entity())
             # stable: by parent row, then child key
             order = np.lexsort((rank[partners.rows], partners.gid))
             self._groups[rel_name] = Groups(partners.rows[order], partners.sizes)
         return self._groups[rel_name]
 
-    def _rank_by_key(self, entity: str) -> np.ndarray:
-        """Each row's position in the entity's rows sorted by key, one sort
-        per table for all of its relationships."""
+    def key_rank(self, entity: str) -> np.ndarray:
+        """Each row's position in the entity's rows sorted by the repr of its
+        key (``Table.order_key``), from one sort per table. The partner
+        groups of its relationships, the naive flattener's row ranks and the
+        emitted datasets' row order all read it."""
         if entity not in self._key_rank:
             table = self.bound.bundle.table(entity)
-            rank = np.empty(table.row_count, dtype=np.int64)
-            rank[sorted(range(table.row_count), key=table.order_key())] = np.arange(table.row_count)
-            self._key_rank[entity] = rank
+            # keys are unique once bound: positions are dense ranks
+            self._key_rank[entity] = _rank(table.order_key(), table.row_count, dense=False)
         return self._key_rank[entity]
 
     def _cells(self, entity: str, attr_name: str) -> Vec:
@@ -203,6 +207,8 @@ class _Execution:
         # which a name collision may have renamed
         self.derived_columns: dict[tuple[str, str], Column] = {}
         self.datasets: dict[str, Table] = {}
+        # the root rows that a split's dataset holds; every row when unsplit
+        self.members: dict[str, np.ndarray] = {}
         self.emitted: dict[str, TrainingDataset] = {}
 
     def _add(self, table: Table, col: Column, values: Vec) -> None:
@@ -380,6 +386,7 @@ class _Execution:
                 self.warnings.warning("empty-subtype",
                                       f"subtype {st.name} has zero members; dataset {name} is empty")
             self.datasets[name] = frame
+            self.members[name] = members
 
     def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype,
                                picked: np.ndarray) -> None:
@@ -449,7 +456,9 @@ class _Execution:
 
     def emit_dataset(self, dataset: str) -> None:
         """The dataset's table: keys, then predictors, the target last, each
-        column cloned under its final name; rows with a null target dropped."""
+        column cloned under its final name; rows with a null target dropped,
+        the others in the order of the root entity's rows by key
+        (``Derivations.key_rank``)."""
         frame = self._dataset(dataset)
         target_attr = self.plan.binding.target_attr
         keys, predictors, target = [], [], None
@@ -481,7 +490,8 @@ class _Execution:
 
         known = np.flatnonzero(frame.cells[target].null == 0)
         dropped = frame.row_count - len(known)
-        kept = np.array(sorted(known.tolist(), key=frame.order_key()), dtype=np.int64)
+        rank = self.derivations.key_rank(self.plan.binding.target_entity)
+        kept = known[np.argsort(rank[self.members.get(dataset, slice(None))][known])]
         # null codes survive in memory (CSV renders both as empty)
         cells = [frame.cells[ci].take(kept) for ci in ordered]
         table = Table(dataset, columns, key_columns=[c.name for c in columns[:len(keys)]],
@@ -653,12 +663,64 @@ def _write_outputs(out_dir: Path, datasets: list[TrainingDataset], manifest: dic
             if options.holdout:
                 _write_holdout(out_dir, ds, options.holdout, written)
         mpath = out_dir / "manifest.json"
-        mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        mpath.write_text(_manifest_json(manifest) + "\n", encoding="utf-8")
         written.append(mpath)
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
         raise
+
+
+def _manifest_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
+    manifest holds: dicts with ``str`` keys, lists, ``str``, ``int``,
+    ``float``, ``bool`` and None. ``indent`` makes ``json`` use its
+    pure-Python encoder; this one appends to a list. Any other value or key
+    raises TypeError."""
+    out: list[str] = []
+    _encode_json(value, "\n", out)
+    return "".join(out)
+
+
+def _encode_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value``'s JSON text to ``out``, its items on lines that start
+    with ``newline`` plus two spaces, as ``json``'s encoder orders its checks."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if math.isfinite(value)
+                   else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, (list, dict)):
+        if not value:
+            out.append("[]" if isinstance(value, list) else "{}")
+            return
+        inner = newline + "  "
+        if isinstance(value, list):
+            out.append("[")
+            for item in value:
+                out.append(inner)
+                _encode_json(item, inner, out)
+                out.append(",")
+            out[-1] = newline + "]"
+            return
+        out.append("{")
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"a manifest key must be str, not {type(key).__name__}")
+            out.append(inner + encode_basestring_ascii(key) + ": ")
+            _encode_json(value[key], inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"a manifest holds no {type(value).__name__}")
 
 
 def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
@@ -683,6 +745,22 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
 # Naive flat dataset (no summarization)
 
 
+def _rank(key: Callable[[int], object], n: int, dense: bool = True) -> np.ndarray:
+    """Each of the rows ``0 .. n-1``'s rank by ``key(row)``, smallest first,
+    from one stable sort of the row indexes, so rows that are already in key
+    order are one run: with ``dense`` its rank among the distinct keys, else
+    its position in that order (the same when the keys are unique)."""
+    order = sorted(range(n), key=key)
+    ranks = np.empty(n, dtype=np.int64)
+    if not dense:
+        ranks[order] = np.arange(n)
+        return ranks
+    ordered = list(map(key, order))
+    # each key against the one before it in order, the first against itself
+    ranks[order] = np.cumsum(np.fromiter(map(operator.ne, ordered, ordered[:1] + ordered), bool, n))
+    return ranks
+
+
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
     """Each key's rank among the distinct keys, smallest first."""
     order = np.argsort(keys, kind="stable")
@@ -691,28 +769,50 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _project_and_rank(frame: Table) -> tuple[list[Column], list[Vec], np.ndarray]:
+def _before_none(key: Vec) -> int:
+    """How many cells of a key column, every cell known, print before
+    ``'None'``: each quoted text and each finite number, no date (printed
+    ``datetime.date(…)``), and of the booleans ``False`` but not ``True``."""
+    kind = key.values.dtype.kind
+    if kind == "i":  # day ordinals
+        return 0
+    if kind == "b":
+        return int(np.count_nonzero(~key.values))
+    return len(key)
+
+
+def _project_and_rank(frame: Table, key_rank: Optional[Callable[[str], np.ndarray]] = None
+                      ) -> tuple[list[Column], list[Vec], np.ndarray]:
     """The frame's output columns, their cells and each row's dense rank by
     the reprs of its output cells, left to right, a null of either code
     printed as None. The all-null row of an absent partner is appended last,
     unknown (1): the naive join does not know why a partner is absent.
 
-    Columns are printed one at a time and ranking stops once every row is
-    distinct: later columns cannot reorder distinct rows, so the ranks equal
-    those over every cell. A unique key in front is the only column printed."""
+    When the entity's key columns lead the output columns, in key order,
+    ``key_rank(frame.name)`` (its rows' positions by key,
+    ``Derivations.key_rank``) ranks every row and no cell is printed: a bound
+    key is unique and known, so later columns cannot reorder the rows, and
+    the absent row's None takes its place among the first key column's
+    reprs. Otherwise, or without ``key_rank``, columns are printed one at a
+    time and ranking stops once every row is distinct: later columns cannot
+    reorder distinct rows, so the ranks equal those over every cell."""
     keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
     columns = [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
                for ci in keep]
     cells = [frame.cells[ci].with_absent(1) for ci in keep]
     n = frame.row_count + 1
     ranks = np.zeros(n, dtype=np.int64)
+    keys = list(frame.key_columns)
+    leads = [frame.columns[ci].name for ci in keep[:len(keys)]] == keys
+    if key_rank is not None and keys and leads:
+        rank = key_rank(frame.name)
+        absent = _before_none(frame.cells[keep[0]])  # the absent row's rank; later rows move up one
+        ranks = np.append(rank + (rank >= absent), absent)
     for column in cells:
         if ranks.max() == n - 1:
             break
-        printed = reprs(column)
-        rank_of = {text: k for k, text in enumerate(sorted(set(printed)))}
-        ranks = _dense_rank(ranks * len(rank_of)
-                            + np.fromiter(map(rank_of.__getitem__, printed), np.int64, n))
+        column_ranks = _rank(reprs(column).__getitem__, n)
+        ranks = _dense_rank(ranks * (int(column_ranks.max()) + 1) + column_ranks)
     return columns, cells, ranks
 
 
@@ -744,6 +844,8 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     The join stays factorized: the table's rows are a ``JoinRows`` view over
     each entity's projected cells and one block-row index per entity, so the
     cost is linear in entity cells plus output rows."""
+    if not bound.ok:
+        raise ValueError("bound model has error diagnostics; fix the data before flattening")
     st = _Execution(bound, binding, derivations)
     for entity, attr in derivation_order(bound.schema, binding):
         st.derive_attr(entity, attr.name, ex.pretty_print(attr.derivation))
@@ -758,7 +860,8 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     ranks: list[np.ndarray] = []
     entities = [root] + [edge.child for edge in binding.spanning_tree]
     for name in entities:
-        entity_columns, entity_cells, entity_ranks = _project_and_rank(frames[name])
+        entity_columns, entity_cells, entity_ranks = _project_and_rank(frames[name],
+                                                                       derivations.key_rank)
         columns += entity_columns
         blocks.append(entity_cells)
         ranks.append(entity_ranks)

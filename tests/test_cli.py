@@ -771,6 +771,34 @@ def test_evaluate_sorts_each_relationships_partners_once(tmp_path, monkeypatch, 
     assert calls == {"LINE": 1, "ORDER": 1, "CUSTOMER": 1}
 
 
+def test_flatten_sorts_each_entity_by_key_once_and_prints_no_cell(tmp_path, monkeypatch):
+    """flatten ranks each entity's rows by the one key sort of its table
+    that the partner groups use: every key leads its entity's columns in the
+    chain case, so the naive flattener prints no cell to rank them."""
+    from collections import Counter
+    from cmml import engine
+    from cmml.tabular import Table
+    from test_golden import CHAIN_DATA, CHAIN_SCHEMA, _inline
+    calls = Counter()
+    order_key = Table.order_key
+
+    def counting(self):
+        calls[self.name] += 1
+        return order_key(self)
+
+    def refuse(vec):
+        raise AssertionError("the naive flattener printed a column to rank it")
+
+    monkeypatch.setattr(Table, "order_key", counting)
+    monkeypatch.setattr(engine, "reprs", refuse)
+    schema, data, task = _inline(CHAIN_SCHEMA, CHAIN_DATA)(tmp_path)
+    assert run("flatten", "--schema", str(schema), "--data-dir", str(data), "--task", task,
+               "--out", str(tmp_path / "out"), "--quiet") == 0
+    # LINE's and ORDER's key sorts serve both the partner groups and the
+    # flattener's ranks; CUSTOMER's serves the flattener alone
+    assert calls == {"LINE": 1, "ORDER": 1, "CUSTOMER": 1}
+
+
 # ---------------------------------------------------------------------------
 # Text diagnostics: at most five of a kind
 

@@ -1,13 +1,18 @@
+import csv
 import datetime as dt
+import io
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 
-from cmml import binder, engine, planner
+from cmml import binder, dsl, eer, engine, planner
 from cmml.tabular import Column, Table
-from cmml.values import NOT_APPLICABLE, UNKNOWN, box, is_null
-from conftest import CLOCK, parse_full
+from cmml.values import NOT_APPLICABLE, UNKNOWN, box, format_cell, is_null
+from conftest import CLOCK, column, parse_full
+from test_golden import CASES as GOLDEN_CASES
 
 
 def _run(schema_text, tables, tmp_path, task_name="T", out_dir=None, **overrides):
@@ -709,10 +714,24 @@ def _all_cells_rank(cells):
     return [rank_of[p] for p in printed]
 
 
+# Distinct key values of each kind, among them values whose repr order is
+# not their value or text order
+KEY_POOLS = {
+    "identifier": ["a", "a b", "a'b", "B", "b'c", 'a"b', ""] + [f"k{i}" for i in range(30)],
+    "numeric": [float(v) for v in range(-20, 21)] + [0.25, -1.5, 1e16, 5e-324],
+    "date": [dt.date(2019, 1, 1) + dt.timedelta(days=d) for d in range(-20, 21)],
+}
+# One-column and composite keys; a composite key's first column repeats
+KEYS = [["identifier"], ["numeric"], ["date"], ["boolean", "numeric"], ["date", "identifier"],
+        ["identifier", "date"]]
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_lazy_rank_equals_all_cells_rank(seed):
+def test_lazy_rank_equals_all_cells_rank(seed, monkeypatch):
     # few distinct values per column, so leading columns tie and rows repeat;
-    # the ranking may stop after any column, or read them all
+    # the ranking may stop after any column, or read them all. Given the
+    # entity's rank by key, the ranks are the same, and when the key leads
+    # they are read off it without printing a cell.
     rng = random.Random(seed)
     width = rng.randint(0, 5)
     values = {"numeric": [0.5, -1.0, 7.0, -0.0], "text": ["a", "b", "a b", "a'b"],
@@ -723,17 +742,123 @@ def test_lazy_rank_equals_all_cells_rank(seed):
     rows = [[rng.choice(pool) for pool in pools] for _ in range(rng.randint(0, 25))]
     if rows and rng.random() < 0.3:
         rows += [list(rows[0])] * 2
-    if rng.random() < 0.3:  # a unique key in front: the only column printed
-        rows = [[f"k{i:02d}"] + row for i, row in enumerate(rows)]
-        kinds = ["identifier"] + kinds
-        width += 1
+    names = [f"c{j}" for j in range(width)]
+    key_names = []
+    if rng.random() < 0.7:  # a unique key, in front or after the first column
+        key_kinds = rng.choice(KEYS)
+        last = rng.sample(KEY_POOLS[key_kinds[-1]], len(rows))
+        firsts = [[rng.choice(values.get(kind) or KEY_POOLS[kind][:3]) for _ in rows]
+                  for kind in key_kinds[:-1]]
+        at = 0 if not width or rng.random() < 0.7 else 1
+        key_names = [f"k{j}" for j in range(len(key_kinds))]
+        rows = [row[:at] + [first[i] for first in firsts] + [last[i]] + row[at:]
+                for i, row in enumerate(rows)]
+        names[at:at] = key_names
+        kinds[at:at] = key_kinds
+        width += len(key_kinds)
+        if len(key_kinds) > 1 and rng.random() < 0.3:  # the key's columns out of key order
+            key_names.reverse()
     rng.shuffle(rows)
-    frame = Table("E", [Column(f"c{j}", kind, origin_entities=["E"]) for j, kind in enumerate(kinds)],
-                  rows)
+    frame = Table("E", [Column(name, kind, origin_entities=["E"])
+                        for name, kind in zip(names, kinds)], rows, key_columns=key_names)
     columns, cells, ranks = engine._project_and_rank(frame)
-    assert [c.name for c in columns] == [f"E_c{j}" for j in range(width)]
+    assert [c.name for c in columns] == [f"E_{name}" for name in names]
     cells = [box(column) for column in cells]
     assert [column[-1] for column in cells] == [UNKNOWN] * width
     # a table without columns has no rows: only the absent row is ranked
     assert ranks.tolist() == _all_cells_rank([tuple(column[i] for column in cells)
                                               for i in range(frame.row_count + 1)])
+
+    where = [names.index(k) for k in key_names]
+    by_key = sorted(range(len(rows)), key=lambda i: [repr(rows[i][j]) for j in where])
+    key_rank = np.empty(len(rows), dtype=np.int64)
+    key_rank[by_key] = np.arange(len(rows))
+    leads = bool(key_names) and names[:len(key_names)] == key_names
+    if leads:
+        monkeypatch.setattr(engine, "reprs", None)  # no column is printed
+    asked = []
+    _, _, given = engine._project_and_rank(frame, lambda name: asked.append(name) or key_rank)
+    assert given.tolist() == ranks.tolist()
+    assert asked == (["E"] if leads else [])
+
+
+SPLITS = {
+    None: "",
+    "disjoint": """generalization G of E disjoint {
+                     subtype SMALL when (size < 10) { attr s_extra: numeric }
+                     subtype BIG when (size >= 10) { attr b_extra: numeric }
+                   }""",
+    "overlap": """generalization G of E overlap {
+                    subtype SMALL when (size < 10) { attr s_extra: numeric }
+                    subtype BIG when (size >= 5) { attr b_extra: numeric }
+                  }""",
+}
+
+
+@pytest.mark.parametrize("split", list(SPLITS))
+@pytest.mark.parametrize("kind", sorted(KEY_POOLS))
+def test_emitted_rows_are_the_kept_rows_sorted_by_key_repr(kind, split, tmp_path):
+    rng = random.Random(f"{kind} {split}")
+    keys = rng.sample([k for k in KEY_POOLS[kind] if k != ""], 30)  # an empty key is null
+    sizes = [rng.randrange(20) for _ in keys]
+    targets = [rng.choice([None, 1.5, 2.0, -3.0]) for _ in keys]
+    header = ["id", "t", "size"] + (["s_extra", "b_extra"] if split else [])
+    data = io.StringIO()
+    csv.writer(data, lineterminator="\n").writerows(
+        [header] + [[format_cell(k), format_cell(t), z] + [""] * (len(header) - 3)
+                    for k, t, z in zip(keys, targets, sizes)])
+    text = (f"entity E {{ key id: {kind} attr t: numeric attr size: numeric }}\n{SPLITS[split]}\n"
+            f"task T {{ target E.t{' split_by G' if split else ''} }}")
+    datasets, _ = _run(text, {"E": data.getvalue()}, tmp_path)
+    members = {"T": lambda z: True, "T_SMALL": lambda z: z < 10,
+               "T_BIG": (lambda z: z >= 10) if split == "disjoint" else (lambda z: z >= 5)}
+    assert [ds.name for ds in datasets] == (["T_SMALL", "T_BIG"] if split else ["T"])
+    for ds in datasets:
+        kept = [k for k, t, z in zip(keys, targets, sizes) if t is not None and members[ds.name](z)]
+        assert len(kept) < len(keys)
+        assert [repr(k) for k in column(ds.table, "E_id")] == sorted(map(repr, kept))
+
+
+# ---------------------------------------------------------------------------
+# manifest.json text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_manifest_text_equals_json_dumps_on_golden_manifests(name, tmp_path):
+    schema_path, data_dir, task_name = GOLDEN_CASES[name](tmp_path)
+    schema = eer.rewrite_many_to_many(dsl.parse_schema_file(str(schema_path))[0])
+    bundle, rep = binder.load_bundle(schema, data_dir)
+    assert rep.ok, rep.render()
+    bound = binder.bind(schema, bundle, CLOCK)
+    task = schema.task(task_name)
+    plan = planner.compile_plan(schema, task, planner.PlanOptions.from_task(task))
+    _, manifest = engine.prepare(plan, bound, engine.Derivations(bound, CLOCK))
+    assert engine._manifest_json(manifest) == json.dumps(manifest, indent=2, sort_keys=True)
+
+
+def _json_value(rng, depth=0):
+    """A random value of the kinds a manifest holds, its texts non-ASCII,
+    control and escaped characters, its floats signed zeros, extremes and
+    non-finite values, its containers empty or nested."""
+    texts = ["", "a", "é ü", " ", "\U0001F600", "\x00\x1f\x7f", 'q"uote\\back', "tab\tnew\nline\r"]
+    if depth == 0 or depth < 4 and rng.random() < 0.5:
+        if rng.random() < 0.5:
+            return [_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        keys = [rng.choice(texts) + str(rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+        return {k: _json_value(rng, depth + 1) for k in keys}
+    return rng.choice([None, True, False, 0, -1, 2**70, 0.0, -0.0, 1e16, 5e-324, 0.1, -1.5e-7,
+                       1e308, math.nan, math.inf, -math.inf] + texts)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_manifest_text_equals_json_dumps_on_random_values(seed):
+    value = _json_value(random.Random(seed))
+    assert engine._manifest_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "x"}, {None: 1}, {"a": {2.5: 1}}, {"a": {1, 2}}, [b"x"],
+                                   (1, 2), {"a": [1, (2,)]}, np.int64(3), dt.date(2019, 1, 1)],
+                         ids=repr)
+def test_manifest_text_refuses_what_a_manifest_never_holds(value):
+    with pytest.raises(TypeError):
+        engine._manifest_json(value)
