@@ -781,7 +781,7 @@ def _before_none(key: Vec) -> int:
     return len(key)
 
 
-def _project_and_rank(frame: Table, key_rank: Optional[Callable[[str], np.ndarray]] = None
+def _project_and_rank(frame: Table, key_rank: Callable[[str], np.ndarray]
                       ) -> tuple[list[Column], list[Vec], np.ndarray]:
     """The frame's output columns, their cells and each row's dense rank by
     the reprs of its output cells, left to right, a null of either code
@@ -793,9 +793,9 @@ def _project_and_rank(frame: Table, key_rank: Optional[Callable[[str], np.ndarra
     ``Derivations.key_rank``) ranks every row and no cell is printed: a bound
     key is unique and known, so later columns cannot reorder the rows, and
     the absent row's None takes its place among the first key column's
-    reprs. Otherwise, or without ``key_rank``, columns are printed one at a
-    time and ranking stops once every row is distinct: later columns cannot
-    reorder distinct rows, so the ranks equal those over every cell."""
+    reprs. Otherwise columns are printed one at a time and ranking stops
+    once every row is distinct: later columns cannot reorder distinct rows,
+    so the ranks equal those over every cell."""
     keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
     columns = [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
                for ci in keep]
@@ -803,8 +803,7 @@ def _project_and_rank(frame: Table, key_rank: Optional[Callable[[str], np.ndarra
     n = frame.row_count + 1
     ranks = np.zeros(n, dtype=np.int64)
     keys = list(frame.key_columns)
-    leads = [frame.columns[ci].name for ci in keep[:len(keys)]] == keys
-    if key_rank is not None and keys and leads:
+    if keys and [frame.columns[ci].name for ci in keep[:len(keys)]] == keys:
         rank = key_rank(frame.name)
         absent = _before_none(frame.cells[keep[0]])  # the absent row's rank; later rows move up one
         ranks = np.append(rank + (rank >= absent), absent)

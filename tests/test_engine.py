@@ -759,9 +759,14 @@ def test_lazy_rank_equals_all_cells_rank(seed, monkeypatch):
         if len(key_kinds) > 1 and rng.random() < 0.3:  # the key's columns out of key order
             key_names.reverse()
     rng.shuffle(rows)
-    frame = Table("E", [Column(name, kind, origin_entities=["E"])
-                        for name, kind in zip(names, kinds)], rows, key_columns=key_names)
-    columns, cells, ranks = engine._project_and_rank(frame)
+    declared = [Column(name, kind, origin_entities=["E"]) for name, kind in zip(names, kinds)]
+    frame = Table("E", declared, rows, key_columns=key_names)
+
+    def unsorted(name):
+        raise AssertionError("a table without a key was ranked by key")
+
+    # without a key, every column is printed until the rows are distinct
+    columns, cells, ranks = engine._project_and_rank(Table("E", declared, rows), unsorted)
     assert [c.name for c in columns] == [f"E_{name}" for name in names]
     cells = [box(column) for column in cells]
     assert [column[-1] for column in cells] == [UNKNOWN] * width
@@ -769,6 +774,7 @@ def test_lazy_rank_equals_all_cells_rank(seed, monkeypatch):
     assert ranks.tolist() == _all_cells_rank([tuple(column[i] for column in cells)
                                               for i in range(frame.row_count + 1)])
 
+    # with the key's rank: the same ranks, and none printed when the key leads
     where = [names.index(k) for k in key_names]
     by_key = sorted(range(len(rows)), key=lambda i: [repr(rows[i][j]) for j in where])
     key_rank = np.empty(len(rows), dtype=np.int64)
