@@ -698,19 +698,18 @@ def _encode_json(value, newline: str, out: list[str]) -> None:
     elif isinstance(value, float):
         out.append(float.__repr__(value) if math.isfinite(value)
                    else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
-    elif isinstance(value, (list, dict)):
-        if not value:
-            out.append("[]" if isinstance(value, list) else "{}")
-            return
+    elif isinstance(value, (list, dict)) and not value:
+        out.append("[]" if isinstance(value, list) else "{}")
+    elif isinstance(value, list):
         inner = newline + "  "
-        if isinstance(value, list):
-            out.append("[")
-            for item in value:
-                out.append(inner)
-                _encode_json(item, inner, out)
-                out.append(",")
-            out[-1] = newline + "]"
-            return
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _encode_json(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"  # in place of the last comma
+    elif isinstance(value, dict):
+        inner = newline + "  "
         out.append("{")
         for key in sorted(value):
             if not isinstance(key, str):

@@ -481,6 +481,24 @@ def test_flatten_single_entity_equals_table(tmp_path):
     assert len(flat.table.rows) == 2
 
 
+def test_execute_and_flatten_refuse_a_model_with_errors(tmp_path):
+    # both order rows by key, which needs the keys that bind checks unique
+    schema = parse_full("""
+        entity E { key id: identifier attr t: numeric }
+        task T { target E.t }
+    """)
+    (tmp_path / "E.csv").write_text("id,t\na,1\na,2\n")
+    bundle, _ = binder.load_bundle(schema, tmp_path)
+    bound = binder.bind(schema, bundle)
+    assert not bound.ok
+    task = schema.task("T")
+    plan = planner.compile_plan(schema, task, planner.PlanOptions.from_task(task))
+    with pytest.raises(ValueError, match="error diagnostics"):
+        engine.execute(plan, bound, engine.Derivations(bound, CLOCK))
+    with pytest.raises(ValueError, match="error diagnostics"):
+        engine.flatten_naive(bound, plan.binding, engine.Derivations(bound, CLOCK))
+
+
 def test_flatten_keeps_target_read_by_a_derivation(tmp_path):
     from cmml import eer
     schema = parse_full("""
