@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import json
 import math
-import operator
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -165,8 +164,9 @@ class Derivations:
         emitted datasets' row order all read it."""
         if entity not in self._key_rank:
             table = self.bound.bundle.table(entity)
-            # keys are unique once bound: positions are dense ranks
-            self._key_rank[entity] = _rank(table.order_key(), table.row_count, dense=False)
+            rank = np.empty(table.row_count, dtype=np.int64)
+            rank[sorted(range(table.row_count), key=table.order_key())] = np.arange(table.row_count)
+            self._key_rank[entity] = rank
         return self._key_rank[entity]
 
     def _cells(self, entity: str, attr_name: str) -> Vec:
@@ -663,63 +663,12 @@ def _write_outputs(out_dir: Path, datasets: list[TrainingDataset], manifest: dic
             if options.holdout:
                 _write_holdout(out_dir, ds, options.holdout, written)
         mpath = out_dir / "manifest.json"
-        mpath.write_text(_manifest_json(manifest) + "\n", encoding="utf-8")
+        mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         written.append(mpath)
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
         raise
-
-
-def _manifest_json(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
-    manifest holds: dicts with ``str`` keys, lists, ``str``, ``int``,
-    ``float``, ``bool`` and None. ``indent`` makes ``json`` use its
-    pure-Python encoder; this one appends to a list. Any other value or key
-    raises TypeError."""
-    out: list[str] = []
-    _encode_json(value, "\n", out)
-    return "".join(out)
-
-
-def _encode_json(value, newline: str, out: list[str]) -> None:
-    """Append ``value``'s JSON text to ``out``, its items on lines that start
-    with ``newline`` plus two spaces, as ``json``'s encoder orders its checks."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(float.__repr__(value) if math.isfinite(value)
-                   else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
-    elif isinstance(value, (list, dict)) and not value:
-        out.append("[]" if isinstance(value, list) else "{}")
-    elif isinstance(value, list):
-        inner = newline + "  "
-        out.append("[")
-        for item in value:
-            out.append(inner)
-            _encode_json(item, inner, out)
-            out.append(",")
-        out[-1] = newline + "]"  # in place of the last comma
-    elif isinstance(value, dict):
-        inner = newline + "  "
-        out.append("{")
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"a manifest key must be str, not {type(key).__name__}")
-            out.append(inner + encode_basestring_ascii(key) + ": ")
-            _encode_json(value[key], inner, out)
-            out.append(",")
-        out[-1] = newline + "}"
-    else:
-        raise TypeError(f"a manifest holds no {type(value).__name__}")
 
 
 def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
@@ -742,22 +691,6 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
 
 # ---------------------------------------------------------------------------
 # Naive flat dataset (no summarization)
-
-
-def _rank(key: Callable[[int], object], n: int, dense: bool = True) -> np.ndarray:
-    """Each of the rows ``0 .. n-1``'s rank by ``key(row)``, smallest first,
-    from one stable sort of the row indexes, so rows that are already in key
-    order are one run: with ``dense`` its rank among the distinct keys, else
-    its position in that order (the same when the keys are unique)."""
-    order = sorted(range(n), key=key)
-    ranks = np.empty(n, dtype=np.int64)
-    if not dense:
-        ranks[order] = np.arange(n)
-        return ranks
-    ordered = list(map(key, order))
-    # each key against the one before it in order, the first against itself
-    ranks[order] = np.cumsum(np.fromiter(map(operator.ne, ordered, ordered[:1] + ordered), bool, n))
-    return ranks
 
 
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
@@ -809,8 +742,10 @@ def _project_and_rank(frame: Table, key_rank: Callable[[str], np.ndarray]
     for column in cells:
         if ranks.max() == n - 1:
             break
-        column_ranks = _rank(reprs(column).__getitem__, n)
-        ranks = _dense_rank(ranks * (int(column_ranks.max()) + 1) + column_ranks)
+        printed = reprs(column)
+        rank_of = {text: k for k, text in enumerate(sorted(set(printed)))}
+        ranks = _dense_rank(ranks * len(rank_of)
+                            + np.fromiter(map(rank_of.__getitem__, printed), np.int64, n))
     return columns, cells, ranks
 
 

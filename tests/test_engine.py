@@ -2,17 +2,15 @@ import csv
 import datetime as dt
 import io
 import json
-import math
 import random
 
 import numpy as np
 import pytest
 
-from cmml import binder, dsl, eer, engine, planner
+from cmml import binder, eer, engine, planner
 from cmml.tabular import Column, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN, box, format_cell, is_null
 from conftest import CLOCK, column, parse_full
-from test_golden import CASES as GOLDEN_CASES
 
 
 def _run(schema_text, tables, tmp_path, task_name="T", out_dir=None, **overrides):
@@ -841,48 +839,3 @@ def test_emitted_rows_are_the_kept_rows_sorted_by_key_repr(kind, split, tmp_path
         kept = [k for k, t, z in zip(keys, targets, sizes) if t is not None and members[ds.name](z)]
         assert len(kept) < len(keys)
         assert [repr(k) for k in column(ds.table, "E_id")] == sorted(map(repr, kept))
-
-
-# ---------------------------------------------------------------------------
-# manifest.json text
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_manifest_text_equals_json_dumps_on_golden_manifests(name, tmp_path):
-    schema_path, data_dir, task_name = GOLDEN_CASES[name](tmp_path)
-    schema = eer.rewrite_many_to_many(dsl.parse_schema_file(str(schema_path))[0])
-    bundle, rep = binder.load_bundle(schema, data_dir)
-    assert rep.ok, rep.render()
-    bound = binder.bind(schema, bundle, CLOCK)
-    task = schema.task(task_name)
-    plan = planner.compile_plan(schema, task, planner.PlanOptions.from_task(task))
-    _, manifest = engine.prepare(plan, bound, engine.Derivations(bound, CLOCK))
-    assert engine._manifest_json(manifest) == json.dumps(manifest, indent=2, sort_keys=True)
-
-
-def _json_value(rng, depth=0):
-    """A random value of the kinds a manifest holds, its texts non-ASCII,
-    control and escaped characters, its floats signed zeros, extremes and
-    non-finite values, its containers empty or nested."""
-    texts = ["", "a", "é ü", " ", "\U0001F600", "\x00\x1f\x7f", 'q"uote\\back', "tab\tnew\nline\r"]
-    if depth == 0 or depth < 4 and rng.random() < 0.5:
-        if rng.random() < 0.5:
-            return [_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-        keys = [rng.choice(texts) + str(rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
-        return {k: _json_value(rng, depth + 1) for k in keys}
-    return rng.choice([None, True, False, 0, -1, 2**70, 0.0, -0.0, 1e16, 5e-324, 0.1, -1.5e-7,
-                       1e308, math.nan, math.inf, -math.inf] + texts)
-
-
-@pytest.mark.parametrize("seed", range(60))
-def test_manifest_text_equals_json_dumps_on_random_values(seed):
-    value = _json_value(random.Random(seed))
-    assert engine._manifest_json(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("value", [{1: "x"}, {None: 1}, {"a": {2.5: 1}}, {"a": {1, 2}}, [b"x"],
-                                   (1, 2), {"a": [1, (2,)]}, np.int64(3), dt.date(2019, 1, 1)],
-                         ids=repr)
-def test_manifest_text_refuses_what_a_manifest_never_holds(value):
-    with pytest.raises(TypeError):
-        engine._manifest_json(value)
