@@ -11,11 +11,15 @@ lineage from an emitted table's columns. ``ds0`` holds a ``JoinRows``
 instead of cells: a factorized join, each joined entity's columns once and
 per output row one row index into each entity's block. ``Table.rows`` is a
 read-only row view of either storage that boxes each cell (``values.box``);
-nothing in the pipeline reads it. The writer formats a column at a time by
-its kind, printing each distinct number or day once (``format_float``'s text,
-the ISO form), quoting a text column with ``csv.writer`` only when a field
-needs quotes, and writing an empty field for a null of either code; it joins
-the fields into lines with ``str.join``.
+nothing in the pipeline reads it. The writer formats a column a chunk of
+rows at a time by its kind, printing each distinct number or day once
+(``format_float``'s text, the ISO form), quoting a text column with
+``csv.writer`` only when a field needs quotes, and writing an empty field for
+a null of either code. It joins the fields into lines with ``str.join`` and
+writes them to the file a piece at a time (``write_csv``), so neither the
+file's text nor its bytes are ever held whole. A join view's block whose
+rows repeat along the index (a parent entity's) is formatted once a block
+row; any other block is formatted along the index.
 
 ``read_csv`` goes from the file's text to columns a chunk of lines at a
 time, never through a list of every row: a quote-free text is split with
@@ -38,7 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -391,29 +395,31 @@ class _Lines:
         self.write = lines.append
 
 
-def _quoted(fields: list[str]) -> list[str]:
-    """Each field as csv.writer writes it inside a wider row. A column with
-    no comma, quote, CR or LF is returned as it is; any other is quoted by
-    csv.writer, one field a row, so the running Python decides (3.13 quotes
-    a bare CR, 3.10-3.12 do not)."""
-    joined = "".join(fields)
+def _quoted(fields: np.ndarray) -> np.ndarray:
+    """Each field as csv.writer writes it inside a wider row, an object
+    array. A column with no comma, quote, CR or LF is returned as it is; any
+    other is quoted by csv.writer, one field a row, so the running Python
+    decides (3.13 quotes a bare CR, 3.10-3.12 do not)."""
+    listed = fields.tolist()
+    joined = "".join(listed)
     if not any(c in joined for c in ',"\r\n'):
         return fields
     lines: list[str] = []
-    csv.writer(_Lines(lines), lineterminator="\n").writerows(zip(fields))
-    return ["" if line == '""\n' else line[:-1] for line in lines]
+    csv.writer(_Lines(lines), lineterminator="\n").writerows(zip(listed))
+    return np.array(["" if line == '""\n' else line[:-1] for line in lines], dtype=object)
 
 
-def _column_text(vec: Vec, kind: str) -> list[str]:
+def _column_text(vec: Vec, kind: str) -> np.ndarray:
     """Each row's CSV field as csv.writer writes ``format_cell``'s text of its
-    boxed cell inside a wider row: each distinct number printed once as
-    ``format_float`` prints it, each distinct day's ISO form, a text quoted
-    only where it needs quotes, and an empty field for a null of either code."""
+    boxed cell inside a wider row, an object array: each distinct number
+    printed once as ``format_float`` prints it, each distinct day's ISO form,
+    a text quoted only where it needs quotes, and an empty field for a null
+    of either code. Equal numbers, days and booleans share one string."""
     null = vec.null != 0
     if kind == "boolean":
-        return _BOOLEAN_TEXT[np.where(null, 2, vec.values)].tolist()
+        return _BOOLEAN_TEXT[np.where(null, 2, vec.values)]
     if kind not in ("numeric", "date"):
-        return _quoted(np.where(null, "", vec.values).tolist())
+        return _quoted(np.where(null, "", vec.values).astype(object, copy=False))
     distinct, inverse = np.unique(vec.values[~null], return_inverse=True)
     if kind == "date":
         printed = [_dt.date.fromordinal(d).isoformat() for d in distinct.tolist()]
@@ -425,53 +431,100 @@ def _column_text(vec: Vec, kind: str) -> list[str]:
         printed[integral] = distinct[integral].astype(np.int64).astype(str)
     codes = np.full(len(null), len(distinct))
     codes[~null] = inverse
-    return printed[codes].tolist()
+    return printed[codes]
 
 
-_CHUNK_ROWS = 4096  # output rows formatted, joined and encoded at a time
+_CHUNK_ROWS = 4096  # rows formatted a column at a time, and a column-major table's rows written
+_PIECE_ROWS = 512   # rows of a join view assembled, encoded and written at a time
+
+
+def _repeats(idx: np.ndarray, rows: int) -> bool:
+    """Whether some block row but the last is taken more than once along the
+    index. The last row of a ``flatten_naive`` block is the absent partner's,
+    which every parent row without partners takes."""
+    return bool((np.bincount(idx, minlength=rows)[:-1] > 1).any())
+
+
+def _lines(columns: list[Vec], kinds: list[str], rows, lone: bool) -> list[str]:
+    """The fields of the columns' ``rows`` (a slice or row indexes), each
+    column formatted at once (``_column_text``), joined into one string a
+    row with ``str.join``. ``lone``: the table has one column, whose empty
+    field csv.writer writes as ``""``."""
+    fields = []
+    for vec, kind in zip(columns, kinds):
+        text = _column_text(vec.take(rows), kind)
+        fields.append((np.where(text == "", '""', text) if lone else text).tolist())
+    return list(map(",".join, zip(*fields)))
+
+
+def _write_table(table: Table, out: BinaryIO) -> None:
+    """Write the table's CSV to the binary file ``out``: format_cell's text
+    for every cell, as csv.writer would write it. Columns are formatted
+    ``_CHUNK_ROWS`` rows at a time (``_lines``), and the text is encoded and
+    written as it is assembled, so neither the file's text nor its bytes are
+    held whole.
+
+    A join view writes ``_PIECE_ROWS`` output rows at a time, each row
+    assembled from one string per block. A block whose rows repeat along the
+    index formats each block row once, and the output rows share its string;
+    any other block is formatted along the index, a chunk of output rows at
+    a time, so each of its rows is formatted once too and no string per
+    block row is kept."""
+    lone = len(table.columns) == 1
+    if table.columns:
+        names = _quoted(np.array(table.column_names, dtype=object))
+        out.write((",".join('""' if lone and n == "" else n for n in names) + "\n").encode("utf-8"))
+    kinds = [c.kind for c in table.columns]
+    if table.join is None:
+        for start in range(0, table.row_count, _CHUNK_ROWS):
+            lines = _lines(table.cells, kinds, slice(start, start + _CHUNK_ROWS), lone)
+            out.write(("\n".join(lines) + "\n").encode("utf-8"))
+        return
+    starts = np.cumsum([0] + table.join.widths).tolist()
+    # per block with columns: its index, its columns and kinds, and when its
+    # rows repeat, each block row's string
+    blocks = []
+    for block, idx, a, b in zip(table.join.blocks, table.join.index, starts, starts[1:]):
+        if b == a:
+            continue
+        shared = None
+        if _repeats(idx, len(block[0])):
+            shared = np.empty(len(block[0]), dtype=object)
+            for start in range(0, len(shared), _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                shared[rows] = _lines(block, kinds[a:b], rows, lone)
+        blocks.append((idx, block, kinds[a:b], shared))
+    # a piece's lines, one string a block, with a comma between and a newline after
+    step = 2 * len(blocks)
+    line = [","] * (step - 1) + ["\n"]
+    for first in range(0, table.row_count, _CHUNK_ROWS):
+        count = min(_CHUNK_ROWS, table.row_count - first)
+        chunk = [_lines(block, block_kinds, idx[first:first + count], lone) if shared is None
+                 else shared[idx[first:first + count]].tolist()
+                 for idx, block, block_kinds, shared in blocks]
+        for start in range(0, count, _PIECE_ROWS):
+            body = line * min(_PIECE_ROWS, count - start)
+            for b, strings in enumerate(chunk):
+                body[2 * b::step] = strings[start:start + _PIECE_ROWS]
+            out.write("".join(body).encode("utf-8"))
 
 
 def table_to_csv_bytes(table: Table) -> bytes:
-    """Serialize with format_cell's text for every cell, as csv.writer would
-    write it, formatting one column at a time (``_column_text``) and joining
-    the fields with ``str.join``. Each block row of a join view is formatted
-    and joined once, and its fragment is repeated along the index; a
-    column-major table is formatted as it is written. Rows are formatted,
-    joined and encoded a chunk at a time, so the whole text is never held
-    beside its bytes."""
-    kinds = [c.kind for c in table.columns]
-
-    def lines(fields: list[Iterable[str]]) -> list[str]:
-        if len(table.columns) == 1:  # csv.writer writes a row's lone empty field as ""
-            fields = [['""' if f == "" else f for f in fields[0]]]
-        return list(map(",".join, zip(*fields)))
-
-    def block_lines(columns: list[Vec], kinds: list[str], end=()) -> list[str]:
-        return lines([*(_column_text(vec, kind) for vec, kind in zip(columns, kinds)), *end])
-
+    """The table's CSV bytes, as ``write_csv`` writes them, gathered in
+    memory: the whole file is held, so it serves tables of one row per root
+    entity (``prepare``'s datasets)."""
     out = io.BytesIO()
-    out.write("".join(line + "\n" for line in lines([[name] for name in _quoted(
-        table.column_names)])).encode("utf-8"))
-    if table.join is None:
-        for start in range(0, table.row_count, _CHUNK_ROWS):
-            chunk = [column.take(slice(start, start + _CHUNK_ROWS)) for column in table.cells]
-            out.write(("\n".join(block_lines(chunk, kinds)) + "\n").encode("utf-8"))
-        return out.getvalue()
-    starts = np.cumsum([0] + table.join.widths).tolist()
-    blocks = [(block, idx, kinds[a:b]) for block, idx, a, b
-              in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
-    # each block row's fragment, ended by the comma before the next block; a
-    # chunk's body holds each row's fragments and then one shared newline string
-    fragments = [(idx, block_lines(block, kinds, [repeat("")] if b < len(blocks) - 1 else ()))
-                 for b, (block, idx, kinds) in enumerate(blocks)]
-    step = len(fragments) + 1
-    for start in range(0, table.row_count, _CHUNK_ROWS):
-        body = ["\n"] * step * min(_CHUNK_ROWS, table.row_count - start)
-        for b, (idx, text) in enumerate(fragments):
-            body[b::step] = map(text.__getitem__, idx[start:start + _CHUNK_ROWS].tolist())
-        out.write("".join(body).encode("utf-8"))
+    _write_table(table, out)
     return out.getvalue()
 
 
 def write_csv(table: Table, path: str | Path) -> None:
-    Path(path).write_bytes(table_to_csv_bytes(table))
+    """Write the table's CSV to ``path`` a piece at a time (``_write_table``).
+    A write that fails removes the partly written file and re-raises."""
+    path = Path(path)
+    try:
+        with path.open("wb") as out:
+            _write_table(table, out)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise

@@ -207,6 +207,31 @@ def test_flatten(tmp_path):
     assert len(lines) == 9  # header + 8 rows
 
 
+def test_flatten_write_failure_exit_1_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the disk fills after the first piece of ds0.csv: a coded exit, no
+    # traceback, and no partly written file
+    from cmml import tabular
+    real, sizes = tabular._write_table, []
+
+    def failing(table, out):
+        class Full:
+            def write(self, data):
+                if sizes:
+                    raise OSError(28, "No space left on device")
+                sizes.append(len(data))
+                return out.write(data)
+        real(table, Full())
+
+    monkeypatch.setattr(tabular, "_write_table", failing)
+    out = tmp_path / "out"
+    assert run("flatten", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(EXAMPLE_DATA),
+               "--task", "PREDICT_LTV", "--out", str(out), "--quiet") == 1
+    err = capsys.readouterr().err
+    assert sizes and err.startswith("error: ") and "No space left" in err
+    assert "Traceback" not in err
+    assert out.is_dir() and not (out / "ds0.csv").exists()
+
+
 def test_generate_and_evaluate(tmp_path, capsys):
     out = tmp_path / "synth"
     assert run("generate", "--out", str(out), "--seed", "42", "--quiet") == 0
@@ -823,3 +848,4 @@ def test_text_diagnostics_capped_per_code(tmp_path, capsys):
     assert run("validate", *common, "--json") == 0
     diags = json.loads(capsys.readouterr().out)["diagnostics"]
     assert [d["code"] for d in diags] == ["membership-null"] * 20 + ["applicability-null"] * 20
+

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cmml import cli, dsl, eer, engine, evalkit, planner
+from cmml import cli, dsl, eer, engine, evalkit, planner, tabular
 from cmml.tabular import write_csv
 from conftest import EXAMPLE_DATA, EXAMPLE_SCHEMA
 from propgen import Case
@@ -485,6 +485,30 @@ def _digests(build, tmp_path, capsys, evaluate: bool) -> dict[str, str]:
 def test_golden_outputs(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CMML_TODAY", "2019-06-01")
     assert _digests(CASES[name], tmp_path, capsys, name in EVALUATED) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("sizes", [(512, 4096), (2, 3)])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_streamed_ds0_equals_in_memory_bytes_and_pin(name, sizes, tmp_path, monkeypatch):
+    # flatten writes ds0.csv a piece at a time; its bytes are
+    # table_to_csv_bytes' and the pinned ones, whatever the piece sizes
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    monkeypatch.setattr(tabular, "_PIECE_ROWS", sizes[0])
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", sizes[1])
+    in_memory = []
+
+    def both(table, path):
+        write_csv(table, path)
+        in_memory.append(tabular.table_to_csv_bytes(table))
+
+    monkeypatch.setattr(cli, "write_csv", both)
+    (tmp_path / "data").mkdir()
+    schema, data_dir, task = CASES[name](tmp_path / "data")
+    assert cli.main(["flatten", "--schema", str(schema), "--task", task, "--quiet",
+                     "--data-dir", str(data_dir), "--out", str(tmp_path / "flatten")]) == 0
+    written = (tmp_path / "flatten" / "ds0.csv").read_bytes()
+    assert in_memory == [written]
+    assert _sha(written) == GOLDEN[name]["flatten/ds0.csv"]
 
 
 def test_every_step_kind_is_run_covered_and_explained(tmp_path):

@@ -463,6 +463,17 @@ def test_table_to_csv_bytes_across_chunk_boundaries(chunk, seed, monkeypatch):
         _check_view(_random_join(rng, n))
 
 
+@pytest.mark.parametrize("piece", [1, 3])
+@pytest.mark.parametrize("chunk", [2, 7])
+@pytest.mark.parametrize("seed", range(8))
+def test_join_view_across_piece_boundaries(chunk, piece, seed, monkeypatch):
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(tabular, "_PIECE_ROWS", piece)
+    rng = random.Random(seed)
+    for n in (0, 1, piece, piece + 1, chunk + 1, 3 * chunk + rng.randint(0, 5)):
+        _check_view(_random_join(rng, n))
+
+
 def test_table_to_csv_bytes_numbers_shared_across_columns():
     # each column prints its own distinct values; both null codes and both
     # zeros sit in several columns, at different rows
@@ -517,3 +528,158 @@ def test_join_view_one_column_blocks():
     text = _check_view(_join_table([[(None,), ("x",)], [("k", 1.0)], [("",), ('"',)]],
                                    [[0, 1, 0], [0, 0, 0], [1, 0, 0]]))
     assert text == 'c0,c1,c2,c3\n,k,1,""""\nx,k,1,\n,k,1,\n'
+
+
+# ---------------------------------------------------------------------------
+# write_csv streams to the file a piece at a time: its bytes equal
+# table_to_csv_bytes' and the materialized rows', whatever the piece sizes.
+
+
+def _streamed(table, tmp_path):
+    """write_csv's bytes, checked against table_to_csv_bytes' and the
+    materialized rows' csv.writer bytes."""
+    path = tmp_path / "streamed.csv"
+    write_csv(table, path)
+    data = path.read_bytes()
+    assert data == table_to_csv_bytes(table) == _reference_csv_bytes(_materialized(table))
+    return data.decode("utf-8")
+
+
+def _blocks(table):
+    """Each block's index and whether its rows repeat along it."""
+    return [(idx, tabular._repeats(idx, len(block[0])))
+            for block, idx in zip(table.join.blocks, table.join.index)]
+
+
+@pytest.mark.parametrize("sizes", [(512, 4096), (3, 5), (1, 1)])
+@pytest.mark.parametrize("seed", range(40))
+def test_write_csv_equals_in_memory_bytes_propgen(seed, sizes, tmp_path, monkeypatch):
+    piece, chunk = sizes
+    monkeypatch.setattr(tabular, "_PIECE_ROWS", piece)
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", chunk)
+    case = Case(seed)
+    flat = engine.flatten_naive(case.bound, case.binding, engine.Derivations(case.bound, CLOCK))
+    _streamed(flat.table, tmp_path)
+    for table in case.bundle.tables.values():
+        _streamed(table, tmp_path)
+
+
+def test_write_csv_one_column_join_view(tmp_path):
+    # csv.writer's "" for a lone empty field, from a block row's shared
+    # string (rows repeat) and from a block formatted along the index
+    repeated = _join_table([[(None,), ("a",), ("",)]], [[0, 1, 0, 2, 2]])
+    unrepeated = _join_table([[("b",), (None,), ("a",)]], [[2, 1, 0]])
+    assert [r for _, r in _blocks(repeated)] == [True]
+    assert [r for _, r in _blocks(unrepeated)] == [False]
+    assert _streamed(repeated, tmp_path) == 'c0\n""\na\n""\n""\n""\n'
+    assert _streamed(unrepeated, tmp_path) == 'c0\na\n""\nb\n'
+
+
+def test_write_csv_unrepeated_block_with_absent_partner_row(tmp_path):
+    # c2 and c3 have no ORDER: the ORDER block's absent row is taken twice,
+    # and no other ORDER row more than once, so that block is formatted
+    # along the index, the absent row's empty fields included
+    schema = parse_full("""
+entity CUSTOMER { key cust_id: identifier attr ltv: numeric }
+entity ORDER { key order_id: identifier attr total: numeric attr day: date }
+relationship PLACES { CUSTOMER (0,1) -- (0,N) ORDER via cust_id }
+task T { target CUSTOMER.ltv }
+""")
+    data = {"CUSTOMER": "cust_id,ltv\nc1,10\nc2,4.5\nc3,\n",
+            "ORDER": "order_id,cust_id,total,day\no1,c1,3,2019-01-02\no2,c1,,\n"}
+    for name, text in data.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    bundle, rep = binder.load_bundle(schema, tmp_path)
+    assert rep.ok, rep.render()
+    bound = binder.bind(schema, bundle, CLOCK)
+    binding = eer.resolve_target(schema, schema.task("T"))
+    flat = engine.flatten_naive(bound, binding, engine.Derivations(bound, CLOCK))
+    (customers, repeats), (orders, unrepeated) = _blocks(flat.table)
+    absent = len(flat.table.join.blocks[1][0]) - 1
+    assert repeats and not unrepeated and list(orders).count(absent) == 2
+    assert _streamed(flat.table, tmp_path) == (
+        "CUSTOMER_cust_id,CUSTOMER_ltv,ORDER_order_id,ORDER_total,ORDER_day,ORDER_cust_id\n"
+        "c1,10,o1,3,2019-01-02,c1\n"
+        "c1,10,o2,,,c1\n"
+        "c2,4.5,,,,\n"
+        "c3,,,,,\n")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_write_csv_view_longer_than_a_piece(seed, tmp_path):
+    # a parent block whose rows repeat and a child block whose rows do not,
+    # over more than two pieces and one chunk of rows at the default sizes
+    rng = random.Random(seed)
+    n = 2 * tabular._PIECE_ROWS + 7 + (tabular._CHUNK_ROWS if seed else 0)
+    parents = list(zip(*[_random_cells(rng, kind, 40) for kind in ("numeric", "text")]))
+    children = list(zip(*[_random_cells(rng, kind, n) for kind in POOLS]))
+    order = list(range(n))
+    rng.shuffle(order)
+    table = _join_table([parents, children],
+                        [sorted(rng.randrange(40) for _ in range(n)), order])
+    assert [r for _, r in _blocks(table)] == [True, False]
+    assert len(_streamed(table, tmp_path).splitlines()) >= n + 1
+
+
+def test_write_csv_generate_tables(tmp_path, monkeypatch):
+    # generate's tables are written column-major, a chunk of rows at a time
+    from cmml import cli, evalkit
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", 7)
+    assert cli.main(["generate", "--seed", "3", "--out", str(tmp_path / "gen"), "--quiet"]) == 0
+    bundle = evalkit.synth_generate(evalkit.SynthSpec(), 3)
+    for name, table in bundle.tables.items():
+        data = (tmp_path / "gen" / f"{name}.csv").read_bytes()
+        assert data == table_to_csv_bytes(table) == _reference_csv_bytes(table), name
+
+
+def test_write_csv_removes_a_partly_written_file(tmp_path, monkeypatch):
+    # a write that fails after the first piece leaves no file behind
+    table = _join_table([[("a", 1.0), ("b", None)]], [[0, 1, 0]])
+    path = tmp_path / "out.csv"
+    real, writes = tabular._write_table, []
+
+    def failing(table, out):
+        class Full:
+            def write(self, data):
+                if writes:
+                    raise OSError(28, "No space left on device")
+                writes.append(path.stat().st_size)
+                return out.write(data)
+        real(table, Full())
+
+    monkeypatch.setattr(tabular, "_write_table", failing)
+    with pytest.raises(OSError, match="No space left"):
+        write_csv(table, path)
+    assert writes == [0] and not path.exists()
+
+
+def test_write_csv_holds_less_than_the_file(tmp_path):
+    # a 4 MB join view: distinct ids, numbers and days, and a parent block
+    # whose rows repeat. The writer's traced peak stays below the file's
+    # size: it was 0.4 of it, and 3.1 when the whole file was held in memory
+    # beside one string per row of every block.
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    parents, children = 4000, 80000
+    days = [dt.date(2020, 1, 1) + dt.timedelta(days=int(d)) for d in rng.integers(0, 900, children)]
+    blocks = [[pack([f"c{i:06d}" for i in range(parents)] + [None], "identifier"),
+               pack([float(v) for v in rng.integers(0, 1000, parents)] + [None], "numeric"),
+               pack([("north", "south", "east")[i % 3] for i in range(parents)] + [None], "nominal")],
+              [pack([f"o{i:07d}" for i in range(children)] + [None], "identifier"),
+               pack([round(float(v), 2) for v in rng.uniform(0, 500, children)] + [None], "numeric"),
+               pack(days + [None], "date"),
+               pack([("web", "store", "phone")[i % 3] for i in range(children)] + [None], "nominal")]]
+    kinds = ["identifier", "numeric", "nominal", "identifier", "numeric", "date", "nominal"]
+    table = Table("J", [Column(f"c{j}", kind) for j, kind in enumerate(kinds)],
+                  JoinRows(blocks, [np.repeat(np.arange(parents), children // parents),
+                                    rng.permutation(children)]))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(table, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak < size, (peak, size)
