@@ -210,6 +210,14 @@ class EerSchema:
                             names.add(a.name)
         return tuple(cols)
 
+    def key_columns(self, entity: str) -> frozenset[str]:
+        """The entity's key columns and the foreign key of each relationship
+        it is the child of, whatever their kinds: they name rows, so no step
+        makes a feature of them."""
+        fks = {rel.fk_columns[0] for rel in self.relationships
+               if not rel.is_many_to_many and rel.child_entity() == entity}
+        return frozenset(self.entity(entity).key_names) | fks
+
     def subtype_owner(self, entity: str, column: str):
         """(generalization, subtype) owning a predicate-subtype column stored
         on the supertype's table, or (None, None)."""

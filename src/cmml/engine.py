@@ -98,11 +98,12 @@ def build_frames(bound: BoundModel, entities: list[str]) -> dict[str, Table]:
     for name in entities:
         ent = bound.schema.entity(name)
         table = bound.bundle.table(name)
+        keys = bound.schema.key_columns(name)
         cols: list[Column] = []
         for a in bound.schema.effective_columns(name):
             gen, st = bound.schema.subtype_owner(name, a.name)
             cols.append(Column(
-                name=a.name, kind=a.kind,
+                name=a.name, kind=a.kind, key=a.name in keys,
                 origin_entities=[st.name if st else name],
                 source_attributes=[f"{st.name if st else name}.{a.name}"],
                 guidelines=["G5"] if st else [],
@@ -275,7 +276,7 @@ class _Execution:
         has = partners.sizes > 0
         partner[has] = partners.rows[partners.offsets[:-1][has]]
         for ci, col in enumerate(cframe.columns):
-            if col.consumed or col.kind == "identifier":
+            if col.consumed or col.identifying:
                 continue
             new = col.clone(name=col.name if col.prefixed else feature_name(col.name, [child], "raw"),
                             prefixed=True)
@@ -300,7 +301,7 @@ class _Execution:
         numeric_aggs = [a for a in eer.AGG_SET_ALL if a != "count" and a in aggregates]
         for want_kind in KIND_SUMMARY_ORDER:
             for ci, col in enumerate(cframe.columns):
-                if col.kind != want_kind or col.consumed:
+                if col.kind != want_kind or col.consumed or col.identifying:
                     continue
                 # subtype-owned columns are not applicable to most child rows;
                 # they surface only when their own entity's datasets are split
@@ -409,7 +410,7 @@ class _Execution:
         target = self.plan.binding.target_attr
         const = strategy[len("constant:"):] if strategy.startswith("constant:") else None
         for ci, col in enumerate(frame.columns):
-            if col.consumed or col.name == target or col.kind == "identifier":
+            if col.consumed or col.name == target or col.identifying:
                 continue
             vec = frame.cells[ci]
             unknown = vec.null == 1
@@ -467,7 +468,7 @@ class _Execution:
                 keys.append(ci)
             elif col.name == target_attr and not col.prefixed:
                 target = ci
-            elif not col.consumed and col.kind != "identifier":
+            elif not col.consumed and not col.identifying:
                 predictors.append(ci)
         if target is None:
             raise ValueError(f"dataset {dataset}: target column {target_attr!r} missing")

@@ -197,8 +197,9 @@ class OneHotDesign:
     """Ridge fits over a Table's design: the intercept's ones, the numeric
     columns (nulls filled with the train mean), booleans as 0/1 (a null reads
     0), then per nominal a 0/1 column per train category but the lexically
-    last (the reference level). Key columns, the target, identifiers, dates
-    and text are excluded.
+    last (the reference level). The table's key columns, the target, every
+    key, foreign key and identifier (``Column.identifying``), dates and text
+    are excluded.
 
     Each column is encoded once in its join block (a plain table is one block,
     index None), read off its ``Vec``: numeric and boolean columns in one
@@ -228,7 +229,7 @@ class OneHotDesign:
 
     def __init__(self, table: Table, target_column: str):
         skip = set(table.key_columns) | {target_column}
-        kinds = [None if c.name in skip else c.kind for c in table.columns]
+        kinds = [None if c.name in skip or c.identifying else c.kind for c in table.columns]
         self.n_numeric = kinds.count("numeric")
         self.n_dense = self.n_numeric + kinds.count("boolean")
         numeric, boolean = 1, 1 + self.n_numeric  # the next design column of each kind

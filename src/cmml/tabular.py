@@ -61,6 +61,7 @@ class Column:
     guidelines: list[str] = field(default_factory=list)
     prefixed: bool = False
     consumed: bool = False          # feeds a same-entity derived attribute; dropped at emit
+    key: bool = False               # a key or foreign key of its entity (EerSchema.key_columns)
     subtype: Optional[tuple[str, str]] = None  # (generalization, subtype) owning the column
     imputed_cells: int = 0
 
@@ -69,6 +70,11 @@ class Column:
         return replace(self, origin_entities=list(self.origin_entities),
                        source_attributes=list(self.source_attributes),
                        params=dict(self.params), guidelines=list(self.guidelines), **changes)
+
+    @property
+    def identifying(self) -> bool:
+        """A key, a foreign key or an identifier: never a feature."""
+        return self.key or self.kind == "identifier"
 
     def output_name(self) -> str:
         """The column's name in an output dataset (G1): a prefixed name is

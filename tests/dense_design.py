@@ -53,7 +53,8 @@ class OneHotDesign:
     """Design-matrix builder over a Table: numeric columns pass through
     (train-mean filled), booleans become 0/1, nominals are one-hot encoded
     with the lexically last category dropped as reference level. The table's
-    key columns, the target, identifiers, dates and text are excluded.
+    key columns, the target, every key, foreign key and identifier
+    (``Column.identifying``), dates and text are excluded.
 
     One float design is built at construction: the numeric columns (nan =
     null), the booleans as 0/1, then one 0/1 column per category of each
@@ -69,7 +70,7 @@ class OneHotDesign:
         skip = set(table.key_columns) | {target_column}
         columns: dict[str, list[np.ndarray]] = {"numeric": [], "boolean": [], "nominal": []}
         for i, c in enumerate(table.columns):
-            if c.name not in skip and c.kind in columns:
+            if c.name not in skip and not c.identifying and c.kind in columns:
                 columns[c.kind].append(_encoded(table, i, _ENCODERS[c.kind]))
         self.nominal = columns["nominal"]
         dense = columns["numeric"] + columns["boolean"]

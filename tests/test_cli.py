@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cmml import cli
-from conftest import EXAMPLE_DATA, EXAMPLE_SCHEMA
+from conftest import CLOCK, EXAMPLE_DATA, EXAMPLE_SCHEMA
 
 
 @pytest.fixture(autouse=True)
@@ -849,3 +849,33 @@ def test_text_diagnostics_capped_per_code(tmp_path, capsys):
     diags = json.loads(capsys.readouterr().out)["diagnostics"]
     assert [d["code"] for d in diags] == ["membership-null"] * 20 + ["applicability-null"] * 20
 
+
+def test_numeric_and_date_keys_are_never_features(tmp_path, capsys):
+    # DAY's date key, TILL's numeric key and TILL's date foreign key name
+    # rows: no summary reads them, and evaluate's design leaves them out of
+    # both arms; ds0.csv keeps them, as a plain join would
+    from cmml import binder, dsl, eer, engine, evalkit
+    from test_golden import KEY_ORDER_DATA, KEY_ORDER_SCHEMA, _inline
+    schema, data, task = _inline(KEY_ORDER_SCHEMA, KEY_ORDER_DATA)(tmp_path)
+    common = ["--schema", str(schema), "--data-dir", str(data), "--task", task, "--quiet"]
+    assert run("prepare", *common, "--out", str(tmp_path / "prep")) == 0
+    assert run("flatten", *common, "--out", str(tmp_path / "flat")) == 0
+    header = (tmp_path / "prep" / "T.csv").read_text().splitlines()[0].split(",")
+    assert header == ["SHOP_code", "SHOP_region", "DAY_count", "DAY_visitors_mean",
+                      "DAY_TILL_count_mean", "DAY_TILL_amount_mean_mean", "SHOP_sales"]
+    keys = {"SHOP.code", "DAY.day", "DAY.code", "TILL.till_no", "TILL.day"}
+    manifest = json.loads((tmp_path / "prep" / "manifest.json").read_text())
+    for record in manifest["datasets"]["T"]["features"]:
+        if record["role"] != "key":
+            assert not keys & set(record["source_attributes"]), record["name"]
+    ds0 = (tmp_path / "flat" / "ds0.csv").read_text().splitlines()[0].split(",")
+    assert {"DAY_day", "DAY_code", "TILL_till_no", "TILL_day"} <= set(ds0)
+
+    parsed = eer.rewrite_many_to_many(dsl.parse_schema_file(str(schema))[0])
+    bundle, rep = binder.load_bundle(parsed, data)
+    assert rep.ok, rep.render()
+    bound = binder.bind(parsed, bundle, CLOCK)
+    binding = eer.resolve_target(parsed, parsed.task(task))
+    flat = engine.flatten_naive(bound, binding, engine.Derivations(bound, CLOCK))
+    design = evalkit.OneHotDesign(flat.table, flat.target_column)
+    assert design.n_numeric == 2  # DAY_visitors and TILL_amount; not TILL_till_no

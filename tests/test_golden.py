@@ -270,7 +270,7 @@ GOLDEN = {
     },
     "key_order": {
         "evaluate.json":
-            "1a0d7eb97659e0971f76fb1a6d4789fc97b3e5bc111992713d0038da51d09251",
+            "54f8044399f6dbbbad6e917ebd8f665d0371a7579e7bacd183d00365ae027aa3",
         "flatten/ds0.csv":
             "bdf917c99c30934d020e241d5c4aa11e81fa7124c5045d6d7184c4df15c4c24d",
         "plan.json":
@@ -278,9 +278,9 @@ GOLDEN = {
         "plan.txt":
             "25f9e8ceb6ee8130e6f45e1e721222750a237597d2014b160919829bdb7880a3",
         "prepare/T.csv":
-            "026c6b142ef1c2ff6d840924a487733e3cb07e0750a9a270028b893929a1f2cc",
+            "81cb167fa5d4815a67e3839759b8f2212023844a769de23e353ab6625856bf82",
         "prepare/manifest.json":
-            "12f846cbaa5d63e55eda8ec6ee7045cd11851eaaf00f2c9067b4e4d512077376",
+            "18305643c110fd51d6e7c0268bac8150594207613e40bf5acb9ad0fcb4253cb3",
     },
     "n_side_target": {
         "flatten/ds0.csv":
