@@ -440,8 +440,8 @@ def _column_text(vec: Vec, kind: str) -> np.ndarray:
     return printed[codes]
 
 
-_CHUNK_ROWS = 4096  # rows formatted a column at a time, and a column-major table's rows written
-_PIECE_ROWS = 512   # rows of a join view assembled, encoded and written at a time
+_CHUNK_ROWS = 4096  # rows formatted a column at a time
+_PIECE_ROWS = 512   # rows assembled, encoded and written at a time
 
 
 def _repeats(idx: np.ndarray, rows: int) -> bool:
@@ -466,48 +466,46 @@ def _lines(columns: list[Vec], kinds: list[str], rows, lone: bool) -> list[str]:
 def _write_table(table: Table, out: BinaryIO) -> None:
     """Write the table's CSV to the binary file ``out``: format_cell's text
     for every cell, as csv.writer would write it. Columns are formatted
-    ``_CHUNK_ROWS`` rows at a time (``_lines``), and the text is encoded and
-    written as it is assembled, so neither the file's text nor its bytes are
-    held whole.
+    ``_CHUNK_ROWS`` rows at a time (``_lines``), and ``_PIECE_ROWS`` lines
+    at a time are assembled, encoded and written, so neither the file's text
+    nor its bytes are held whole.
 
-    A join view writes ``_PIECE_ROWS`` output rows at a time, each row
-    assembled from one string per block. A block whose rows repeat along the
-    index formats each block row once, and the output rows share its string;
-    any other block is formatted along the index, a chunk of output rows at
-    a time, so each of its rows is formatted once too and no string per
-    block row is kept."""
+    A join view's line is assembled from one string per block. A block whose
+    rows repeat along the index formats each block row once, and the output
+    rows share its string; any other block is formatted along the index, a
+    chunk of output rows at a time, so each of its rows is formatted once
+    too and no string per block row is kept."""
     lone = len(table.columns) == 1
     if table.columns:
         names = _quoted(np.array(table.column_names, dtype=object))
         out.write((",".join('""' if lone and n == "" else n for n in names) + "\n").encode("utf-8"))
     kinds = [c.kind for c in table.columns]
-    if table.join is None:
-        for start in range(0, table.row_count, _CHUNK_ROWS):
-            lines = _lines(table.cells, kinds, slice(start, start + _CHUNK_ROWS), lone)
-            out.write(("\n".join(lines) + "\n").encode("utf-8"))
-        return
-    starts = np.cumsum([0] + table.join.widths).tolist()
-    # per block with columns: its index, its columns and kinds, and when its
-    # rows repeat, each block row's string
-    blocks = []
-    for block, idx, a, b in zip(table.join.blocks, table.join.index, starts, starts[1:]):
-        if b == a:
-            continue
-        shared = None
-        if _repeats(idx, len(block[0])):
-            shared = np.empty(len(block[0]), dtype=object)
-            for start in range(0, len(shared), _CHUNK_ROWS):
-                rows = slice(start, start + _CHUNK_ROWS)
-                shared[rows] = _lines(block, kinds[a:b], rows, lone)
-        blocks.append((idx, block, kinds[a:b], shared))
+    # per block with columns: its index (None: a column-major table's rows in
+    # order), its columns and kinds, and when its rows repeat, each row's string
+    blocks = [(None, table.cells, kinds, None)]
+    if table.join is not None:
+        blocks = []
+        starts = np.cumsum([0] + table.join.widths).tolist()
+        for block, idx, a, b in zip(table.join.blocks, table.join.index, starts, starts[1:]):
+            if b == a:
+                continue
+            shared = None
+            if _repeats(idx, len(block[0])):
+                shared = np.empty(len(block[0]), dtype=object)
+                for start in range(0, len(shared), _CHUNK_ROWS):
+                    rows = slice(start, start + _CHUNK_ROWS)
+                    shared[rows] = _lines(block, kinds[a:b], rows, lone)
+            blocks.append((idx, block, kinds[a:b], shared))
     # a piece's lines, one string a block, with a comma between and a newline after
     step = 2 * len(blocks)
     line = [","] * (step - 1) + ["\n"]
     for first in range(0, table.row_count, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, table.row_count - first)
-        chunk = [_lines(block, block_kinds, idx[first:first + count], lone) if shared is None
-                 else shared[idx[first:first + count]].tolist()
-                 for idx, block, block_kinds, shared in blocks]
+        chunk = []
+        for idx, block, block_kinds, shared in blocks:
+            rows = slice(first, first + count) if idx is None else idx[first:first + count]
+            chunk.append(_lines(block, block_kinds, rows, lone) if shared is None
+                         else shared[rows].tolist())
         for start in range(0, count, _PIECE_ROWS):
             body = line * min(_PIECE_ROWS, count - start)
             for b, strings in enumerate(chunk):

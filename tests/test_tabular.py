@@ -632,27 +632,6 @@ def test_write_csv_generate_tables(tmp_path, monkeypatch):
         assert data == table_to_csv_bytes(table) == _reference_csv_bytes(table), name
 
 
-def test_write_csv_removes_a_partly_written_file(tmp_path, monkeypatch):
-    # a write that fails after the first piece leaves no file behind
-    table = _join_table([[("a", 1.0), ("b", None)]], [[0, 1, 0]])
-    path = tmp_path / "out.csv"
-    real, writes = tabular._write_table, []
-
-    def failing(table, out):
-        class Full:
-            def write(self, data):
-                if writes:
-                    raise OSError(28, "No space left on device")
-                writes.append(path.stat().st_size)
-                return out.write(data)
-        real(table, Full())
-
-    monkeypatch.setattr(tabular, "_write_table", failing)
-    with pytest.raises(OSError, match="No space left"):
-        write_csv(table, path)
-    assert writes == [0] and not path.exists()
-
-
 def test_write_csv_holds_less_than_the_file(tmp_path):
     # a 4 MB join view: distinct ids, numbers and days, and a parent block
     # whose rows repeat. The writer's traced peak stays below the file's
