@@ -729,7 +729,8 @@ def _project_and_rank(frame: Table, key_rank: Callable[[str], np.ndarray]
     reprs. Otherwise columns are printed one at a time and ranking stops
     once every row is distinct: later columns cannot reorder distinct rows,
     so the ranks equal those over every cell."""
-    keep = [ci for ci, c in enumerate(frame.columns) if not c.consumed]
+    keep = [ci for ci, c in enumerate(frame.columns)
+            if not c.consumed or c.name in frame.key_columns]
     columns = [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
                for ci in keep]
     cells = [frame.cells[ci].with_absent(1) for ci in keep]
