@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .diagnostics import Report
 from .expr import Groups
 from .planner import PlanError, PlanOptions, TransformationPlan, derivation_order
 from .tabular import Column, JoinRows, Table, table_to_csv_bytes
-from .values import Vec, factorize, parse_cell, reprs
+from .values import NO_TAGS, Vec, box, factorize, parse_cell
 
 KIND_SUMMARY_ORDER = ("numeric", "nominal", "boolean", "text", "date")
 
@@ -122,7 +122,9 @@ class Derivations:
     """The work one command shares between the plan's steps and the naive
     flattener: each derived attribute's cells, evaluated once; each entity's
     rows ranked by key, sorted once; and each relationship's partner groups,
-    read off its child's rank. Holds the command's clock.
+    read off its child's rank. The key rank is the one row order of the
+    command: a parent's children, an emitted dataset's rows and ds0's rows
+    all follow it. Holds the command's clock.
 
     Cells are indexed like the rows of the entity's bound table, which the
     working tables keep until they are split or emitted. A derivation reads
@@ -148,7 +150,7 @@ class Derivations:
 
     def groups(self, rel_name: str) -> Groups:
         """For each row of the relationship's parent, its partner rows in the
-        child in child-key order (``Table.order_key``): the order in which
+        child in child-key order (``key_rank``): the order in which
         derivations and G4 summaries aggregate a parent's children."""
         if rel_name not in self._groups:
             partners = self.bound.partners[rel_name]  # in child row order
@@ -159,14 +161,19 @@ class Derivations:
         return self._groups[rel_name]
 
     def key_rank(self, entity: str) -> np.ndarray:
-        """Each row's position in the entity's rows sorted by the repr of its
-        key (``Table.order_key``), from one sort per table. The partner
-        groups of its relationships, the naive flattener's row ranks and the
-        emitted datasets' row order all read it."""
+        """Each row's position in the entity's rows sorted by the reprs of its
+        key's cells, left to right, a null of either code printed None; ties
+        keep their row order. One sort per table: the partner groups of its
+        relationships, the naive flattener's row order and the emitted
+        datasets' row order all read it."""
         if entity not in self._key_rank:
             table = self.bound.bundle.table(entity)
+            order = list(range(table.row_count))
+            for k in reversed(table.key_columns):  # stable: the first key column decides first
+                order.sort(key=list(map(repr, box(table.cells[table.column_index(k)], NO_TAGS)))
+                           .__getitem__)
             rank = np.empty(table.row_count, dtype=np.int64)
-            rank[sorted(range(table.row_count), key=table.order_key())] = np.arange(table.row_count)
+            rank[order] = np.arange(table.row_count)
             self._key_rank[entity] = rank
         return self._key_rank[entity]
 
@@ -694,63 +701,6 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
 # Naive flat dataset (no summarization)
 
 
-def _dense_rank(keys: np.ndarray) -> np.ndarray:
-    """Each key's rank among the distinct keys, smallest first."""
-    order = np.argsort(keys, kind="stable")
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[order] = np.cumsum(np.concatenate(([0], keys[order][1:] != keys[order][:-1])))
-    return ranks
-
-
-def _before_none(key: Vec) -> int:
-    """How many cells of a key column, every cell known, print before
-    ``'None'``: each quoted text and each finite number, no date (printed
-    ``datetime.date(…)``), and of the booleans ``False`` but not ``True``."""
-    kind = key.values.dtype.kind
-    if kind == "i":  # day ordinals
-        return 0
-    if kind == "b":
-        return int(np.count_nonzero(~key.values))
-    return len(key)
-
-
-def _project_and_rank(frame: Table, key_rank: Callable[[str], np.ndarray]
-                      ) -> tuple[list[Column], list[Vec], np.ndarray]:
-    """The frame's output columns, their cells and each row's dense rank by
-    the reprs of its output cells, left to right, a null of either code
-    printed as None. The all-null row of an absent partner is appended last,
-    unknown (1): the naive join does not know why a partner is absent.
-
-    When the entity's key columns lead the output columns, in key order,
-    ``key_rank(frame.name)`` (its rows' positions by key,
-    ``Derivations.key_rank``) ranks every row and no cell is printed: a bound
-    key is unique and known, so later columns cannot reorder the rows, and
-    the absent row's None takes its place among the first key column's
-    reprs. Otherwise columns are printed one at a time and ranking stops
-    once every row is distinct: later columns cannot reorder distinct rows,
-    so the ranks equal those over every cell."""
-    keep = [ci for ci, c in enumerate(frame.columns)
-            if not c.consumed or c.name in frame.key_columns]
-    columns = [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
-               for ci in keep]
-    cells = [frame.cells[ci].with_absent(1) for ci in keep]
-    n = frame.row_count + 1
-    ranks = np.zeros(n, dtype=np.int64)
-    keys = list(frame.key_columns)
-    if keys and [frame.columns[ci].name for ci in keep[:len(keys)]] == keys:
-        rank = key_rank(frame.name)
-        absent = _before_none(frame.cells[keep[0]])  # the absent row's rank; later rows move up one
-        ranks = np.append(rank + (rank >= absent), absent)
-    for column in cells:
-        if ranks.max() == n - 1:
-            break
-        printed = reprs(column)
-        rank_of = {text: k for k, text in enumerate(sorted(set(printed)))}
-        ranks = _dense_rank(ranks * len(rank_of)
-                            + np.fromiter(map(rank_of.__getitem__, printed), np.int64, n))
-    return columns, cells, ranks
-
-
 def _expand(index: list[np.ndarray], parent: np.ndarray, partners: Groups,
             absent: int) -> list[np.ndarray]:
     """The join index after one more edge: each output row repeated once per
@@ -776,6 +726,14 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
     (``derivation_order``) from ``derivations``, so after ``execute`` on the
     same ``derivations`` none is evaluated again.
 
+    Each entity keeps its unconsumed columns and its key. The rows come out
+    sorted by each entity's key (``Derivations.key_rank``), the target
+    entity's first, then in join order, with no sort of their own: the index
+    starts as the root's rows in key order, and each edge repeats a row once
+    per partner, in child-key order (``Derivations.groups``); a reverse edge
+    gives at most one. A row whose partner is absent is the only row with its
+    prefix, so the absent row needs no place in the key order.
+
     The join stays factorized: the table's rows are a ``JoinRows`` view over
     each entity's projected cells and one block-row index per entity, so the
     cost is linear in entity cells plus output rows."""
@@ -792,29 +750,27 @@ def flatten_naive(bound: BoundModel, binding: eer.TargetBinding,
 
     columns: list[Column] = []
     blocks: list[list[Vec]] = []
-    ranks: list[np.ndarray] = []
     entities = [root] + [edge.child for edge in binding.spanning_tree]
     for name in entities:
-        entity_columns, entity_cells, entity_ranks = _project_and_rank(frames[name],
-                                                                       derivations.key_rank)
-        columns += entity_columns
-        blocks.append(entity_cells)
-        ranks.append(entity_ranks)
+        # the all-null row of an absent partner appended last, unknown (1):
+        # the naive join does not know why a partner is absent
+        frame = frames[name]
+        keep = [ci for ci, c in enumerate(frame.columns)
+                if not c.consumed or c.name in frame.key_columns]
+        columns += [frame.columns[ci].clone(name=frame.columns[ci].output_name(), prefixed=True)
+                    for ci in keep]
+        blocks.append([frame.cells[ci].with_absent(1) for ci in keep])
 
-    # One index array per entity in join order (the final sort fixes the
-    # output order); an absent partner is the block's last, all-null row, and
+    # One index array per entity in join order, starting from the root's rows
+    # in key order; an absent partner is the block's last, all-null row, and
     # an absent parent's row carries that absence on.
     position = {name: k for k, name in enumerate(entities)}
-    index = [np.arange(root_frame.row_count, dtype=np.int64)]
+    index = [np.argsort(derivations.key_rank(root))]
     for edge in binding.spanning_tree:
         index = _expand(index, index[position[edge.parent]],
                         st._partners(edge.parent, edge.child, edge.relationship),
                         frames[edge.child].row_count)
-    # Blocks have a fixed width per entity, so a stable sort by the ranks,
-    # first entity first, orders the output rows by the reprs of all their
-    # cells, left to right.
-    order = np.lexsort([r[idx] for r, idx in zip(ranks[::-1], index[::-1])])
-    rows = JoinRows(blocks, [idx[order] for idx in index])
+    rows = JoinRows(blocks, index)
     root_keys = [root_frame.columns[root_frame.column_index(k)].output_name()
                  for k in root_frame.key_columns]
     return TrainingDataset("ds0", Table("ds0", columns, rows, key_columns=root_keys),

@@ -42,12 +42,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .diagnostics import Report, not_utf8
-from .values import NO_TAGS, Vec, box, pack, parse_column, reprs
+from .values import NO_TAGS, Vec, box, pack, parse_column
 
 
 @dataclass
@@ -173,14 +173,6 @@ class Table:
         else the tuple of its boxed cells; a null key cell is None."""
         cells = [box(self.cells[self.column_index(k)], NO_TAGS) for k in self.key_columns]
         return cells[0] if len(cells) == 1 else list(zip(*cells))
-
-    def order_key(self) -> Callable[[int], object]:
-        """Sort key of a row index: the repr of the row's key. A parent's children
-        are aggregated, and an emitted dataset's rows are put, in this order."""
-        printed = [reprs(self.cells[self.column_index(k)]) for k in self.key_columns]
-        if len(printed) == 1:
-            return printed[0].__getitem__
-        return lambda i: tuple([p[i] for p in printed])
 
 
 @dataclass

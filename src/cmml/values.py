@@ -176,12 +176,6 @@ def box(vec: Vec, tags: Sequence = TAGS) -> list:
     return cells
 
 
-def reprs(vec: Vec) -> list[str]:
-    """Each row's ``repr`` of its boxed cell, ``'None'`` for a null of either
-    code."""
-    return list(map(repr, box(vec, NO_TAGS)))
-
-
 def factorize(vec: Vec) -> tuple[list, np.ndarray]:
     """The sorted distinct values of the column's known rows, and each row's
     position among them, -1 for a null row. Each cell is hashed once and

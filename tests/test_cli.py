@@ -779,17 +779,24 @@ def test_prepare_output_does_not_depend_on_line_ends_but_the_pins_do(tmp_path):
     assert set(pins["crlf"].values()).isdisjoint(pins["lf"].values())
 
 
-def test_evaluate_sorts_each_relationships_partners_once(tmp_path, monkeypatch, capsys):
+def _count_key_sorts(monkeypatch):
+    """Each entity's count of the key sorts that ``Derivations.key_rank``
+    makes, a request it answers from its cache not counted."""
     from collections import Counter
-    from cmml.tabular import Table
+    from cmml.engine import Derivations
     calls = Counter()
-    order_key = Table.order_key
+    key_rank = Derivations.key_rank
 
-    def counting(self):
-        calls[self.name] += 1
-        return order_key(self)
+    def counting(self, entity):
+        calls[entity] += entity not in self._key_rank
+        return key_rank(self, entity)
 
-    monkeypatch.setattr(Table, "order_key", counting)
+    monkeypatch.setattr(Derivations, "key_rank", counting)
+    return calls
+
+
+def test_evaluate_sorts_each_relationships_partners_once(tmp_path, monkeypatch, capsys):
+    calls = _count_key_sorts(monkeypatch)
     assert run(*_chain_evaluate(tmp_path)) == 0
     # LINE's groups per ORDER (CONTAINS), ORDER's per CUSTOMER (PLACES), and
     # the emitted dataset's row order
@@ -797,30 +804,15 @@ def test_evaluate_sorts_each_relationships_partners_once(tmp_path, monkeypatch, 
 
 
 def test_flatten_sorts_each_entity_by_key_once_and_prints_no_cell(tmp_path, monkeypatch):
-    """flatten ranks each entity's rows by the one key sort of its table
-    that the partner groups use: every key leads its entity's columns in the
-    chain case, so the naive flattener prints no cell to rank them."""
-    from collections import Counter
-    from cmml import engine
-    from cmml.tabular import Table
+    """flatten orders ds0's rows by each table's one key sort, the one the
+    partner groups use: no cell but a key's is printed to order them."""
     from test_golden import CHAIN_DATA, CHAIN_SCHEMA, _inline
-    calls = Counter()
-    order_key = Table.order_key
-
-    def counting(self):
-        calls[self.name] += 1
-        return order_key(self)
-
-    def refuse(vec):
-        raise AssertionError("the naive flattener printed a column to rank it")
-
-    monkeypatch.setattr(Table, "order_key", counting)
-    monkeypatch.setattr(engine, "reprs", refuse)
+    calls = _count_key_sorts(monkeypatch)
     schema, data, task = _inline(CHAIN_SCHEMA, CHAIN_DATA)(tmp_path)
     assert run("flatten", "--schema", str(schema), "--data-dir", str(data), "--task", task,
                "--out", str(tmp_path / "out"), "--quiet") == 0
-    # LINE's and ORDER's key sorts serve both the partner groups and the
-    # flattener's ranks; CUSTOMER's serves the flattener alone
+    # LINE's and ORDER's key sorts serve both the partner groups and the join
+    # order; CUSTOMER's starts the join index
     assert calls == {"LINE": 1, "ORDER": 1, "CUSTOMER": 1}
 
 

@@ -4,11 +4,9 @@ import io
 import json
 import random
 
-import numpy as np
 import pytest
 
 from cmml import binder, eer, engine, planner
-from cmml.tabular import Column, Table
 from cmml.values import NOT_APPLICABLE, UNKNOWN, box, format_cell, is_null
 from conftest import CLOCK, column, parse_full
 
@@ -724,12 +722,6 @@ def test_non_finite_mean_fill_leaves_cells_null(tmp_path):
     assert (tmp_path / "out" / "T.csv").read_text().splitlines()[3] == "c,,3"
 
 
-def _all_cells_rank(cells):
-    printed = [tuple(repr(None if is_null(v) else v) for v in row) for row in cells]
-    rank_of = {p: k for k, p in enumerate(sorted(set(printed)))}
-    return [rank_of[p] for p in printed]
-
-
 # Distinct key values of each kind, among them values whose repr order is
 # not their value or text order
 KEY_POOLS = {
@@ -737,72 +729,6 @@ KEY_POOLS = {
     "numeric": [float(v) for v in range(-20, 21)] + [0.25, -1.5, 1e16, 5e-324],
     "date": [dt.date(2019, 1, 1) + dt.timedelta(days=d) for d in range(-20, 21)],
 }
-# One-column and composite keys; a composite key's first column repeats
-KEYS = [["identifier"], ["numeric"], ["date"], ["boolean", "numeric"], ["date", "identifier"],
-        ["identifier", "date"]]
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_lazy_rank_equals_all_cells_rank(seed, monkeypatch):
-    # few distinct values per column, so leading columns tie and rows repeat;
-    # the ranking may stop after any column, or read them all. Given the
-    # entity's rank by key, the ranks are the same, and when the key leads
-    # they are read off it without printing a cell.
-    rng = random.Random(seed)
-    width = rng.randint(0, 5)
-    values = {"numeric": [0.5, -1.0, 7.0, -0.0], "text": ["a", "b", "a b", "a'b"],
-              "boolean": [True, False], "date": [dt.date(2020, 1, 2), dt.date(2019, 10, 1)]}
-    kinds = [rng.choice(sorted(values)) for _ in range(width)]
-    pools = [[rng.choice(values[kind] + [None, NOT_APPLICABLE]) for _ in range(rng.randint(1, 3))]
-             for kind in kinds]
-    rows = [[rng.choice(pool) for pool in pools] for _ in range(rng.randint(0, 25))]
-    if rows and rng.random() < 0.3:
-        rows += [list(rows[0])] * 2
-    names = [f"c{j}" for j in range(width)]
-    key_names = []
-    if rng.random() < 0.7:  # a unique key, in front or after the first column
-        key_kinds = rng.choice(KEYS)
-        last = rng.sample(KEY_POOLS[key_kinds[-1]], len(rows))
-        firsts = [[rng.choice(values.get(kind) or KEY_POOLS[kind][:3]) for _ in rows]
-                  for kind in key_kinds[:-1]]
-        at = 0 if not width or rng.random() < 0.7 else 1
-        key_names = [f"k{j}" for j in range(len(key_kinds))]
-        rows = [row[:at] + [first[i] for first in firsts] + [last[i]] + row[at:]
-                for i, row in enumerate(rows)]
-        names[at:at] = key_names
-        kinds[at:at] = key_kinds
-        width += len(key_kinds)
-        if len(key_kinds) > 1 and rng.random() < 0.3:  # the key's columns out of key order
-            key_names.reverse()
-    rng.shuffle(rows)
-    declared = [Column(name, kind, origin_entities=["E"]) for name, kind in zip(names, kinds)]
-    frame = Table("E", declared, rows, key_columns=key_names)
-
-    def unsorted(name):
-        raise AssertionError("a table without a key was ranked by key")
-
-    # without a key, every column is printed until the rows are distinct
-    columns, cells, ranks = engine._project_and_rank(Table("E", declared, rows), unsorted)
-    assert [c.name for c in columns] == [f"E_{name}" for name in names]
-    cells = [box(column) for column in cells]
-    assert [column[-1] for column in cells] == [UNKNOWN] * width
-    # a table without columns has no rows: only the absent row is ranked
-    assert ranks.tolist() == _all_cells_rank([tuple(column[i] for column in cells)
-                                              for i in range(frame.row_count + 1)])
-
-    # with the key's rank: the same ranks, and none printed when the key leads
-    where = [names.index(k) for k in key_names]
-    by_key = sorted(range(len(rows)), key=lambda i: [repr(rows[i][j]) for j in where])
-    key_rank = np.empty(len(rows), dtype=np.int64)
-    key_rank[by_key] = np.arange(len(rows))
-    leads = bool(key_names) and names[:len(key_names)] == key_names
-    if leads:
-        monkeypatch.setattr(engine, "reprs", None)  # no column is printed
-    asked = []
-    _, _, given = engine._project_and_rank(frame, lambda name: asked.append(name) or key_rank)
-    assert given.tolist() == ranks.tolist()
-    assert asked == (["E"] if leads else [])
-
 
 SPLITS = {
     None: "",
