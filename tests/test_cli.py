@@ -820,20 +820,9 @@ def test_flatten_sorts_each_entity_by_key_once_and_prints_no_cell(tmp_path, monk
 def test_naive_join_keeps_a_key_that_a_derivation_reads(tmp_path, capsys):
     """A derivation consumes the target entity's key, but ds0 keeps it, as
     the prepared dataset does: evaluate matches the two arms' rows by it."""
-    (tmp_path / "s.cmml").write_text("""
-        entity P { attr w: numeric key pk: date
-                   derived attr age: numeric = days_between(pk, today()) + w attr y: numeric }
-        entity C { key ck: boolean attr v: numeric attr pk: date }
-        relationship R { P (0,1) -- (0,N) C via pk }
-        task T { target P.y }
-    """)
-    data = tmp_path / "data"
-    data.mkdir()
-    (data / "P.csv").write_text("w,pk,y\n" + "".join(
-        f"{i},2020-01-0{i},{(3 * i) % 7}\n" for i in range(1, 7)))
-    (data / "C.csv").write_text("ck,v,pk\ntrue,1,2020-01-01\nfalse,2,2020-01-02\n")
-    common = ["--schema", str(tmp_path / "s.cmml"), "--data-dir", str(data), "--task", "T",
-              "--quiet"]
+    from test_golden import CONSUMED_KEY_DATA, CONSUMED_KEY_SCHEMA, _inline
+    schema, data, task = _inline(CONSUMED_KEY_SCHEMA, CONSUMED_KEY_DATA)(tmp_path)
+    common = ["--schema", str(schema), "--data-dir", str(data), "--task", task, "--quiet"]
     assert run("evaluate", *common, "--folds", "2", "--json") == 0
     assert json.loads(capsys.readouterr().out)
     assert run("flatten", *common, "--out", str(tmp_path / "f")) == 0

@@ -213,6 +213,20 @@ KEY_ORDER_DATA = {
              "4,2019-02-14,8\n11,2018-08-08,3.25\n5,2018-08-09,\n"),
 }
 
+# A derivation of the target entity reads its date key; the naive join keeps
+# the key all the same, as the prepared dataset does. Not a golden case.
+CONSUMED_KEY_SCHEMA = """
+entity P { attr w: numeric key pk: date
+           derived attr age: numeric = days_between(pk, today()) + w attr y: numeric }
+entity C { key ck: boolean attr v: numeric attr pk: date }
+relationship R { P (0,1) -- (0,N) C via pk }
+task T { target P.y }
+"""
+CONSUMED_KEY_DATA = {
+    "P": "w,pk,y\n" + "".join(f"{i},2020-01-0{i},{(3 * i) % 7}\n" for i in range(1, 7)),
+    "C": "ck,v,pk\ntrue,1,2020-01-01\nfalse,2,2020-01-02\n",
+}
+
 GOLDEN = {
     "chain": {
         "evaluate.json":

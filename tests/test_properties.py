@@ -11,7 +11,8 @@ from cmml import binder, cli, dsl, eer, engine, planner
 from cmml.values import NOT_APPLICABLE, UNKNOWN, is_null
 from conftest import CLOCK, EXAMPLE_SCHEMA, parse_full
 from propgen import Case
-from test_golden import CASES, CHAIN_SCHEMA, N_SIDE_DATA, _inline
+from test_golden import (CASES, CHAIN_SCHEMA, CONSUMED_KEY_DATA, CONSUMED_KEY_SCHEMA, N_SIDE_DATA,
+                         _inline)
 
 N_CASES = 120
 SEEDS = range(N_CASES)
@@ -280,15 +281,19 @@ def _chain_generated(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["chain", "chain_generated", "propgen_1", "propgen_5",
-                                  "propgen_12", "propgen_36"])
+                                  "propgen_12", "propgen_36", "n_side_keys_last", "consumed_key"])
 def test_outputs_ignore_row_order_of_non_target_csvs(name, tmp_path, monkeypatch):
     """Derivations and summaries aggregate a parent's children in child-key
     order, so shuffling the rows of every CSV but the target entity's leaves
-    the prepared datasets and ds0 byte-identical."""
+    the prepared datasets and ds0 byte-identical. ds0 starts from the target
+    entity's rows in key order, so shuffling those leaves it byte-identical
+    too."""
     monkeypatch.setenv("CMML_TODAY", "2019-06-01")
     data = tmp_path / "data"
     data.mkdir()
-    build = _chain_generated if name == "chain_generated" else CASES[name]
+    build = {"chain_generated": _chain_generated,
+             "n_side_keys_last": _inline(N_SIDE_KEYS_LAST, N_SIDE_DATA),
+             "consumed_key": _inline(CONSUMED_KEY_SCHEMA, CONSUMED_KEY_DATA)}.get(name) or CASES[name]
     schema_path, data_dir, task_name = build(data)
     common = ["--schema", str(schema_path), "--data-dir", str(data_dir), "--task", task_name,
               "--quiet"]
@@ -299,20 +304,23 @@ def test_outputs_ignore_row_order_of_non_target_csvs(name, tmp_path, monkeypatch
         files = sorted((out / "p").glob("*.csv")) + [out / "f" / "ds0.csv"]
         return {path.name: path.read_bytes() for path in files}
 
-    before = outputs(tmp_path / "before")
-    schema, rep = dsl.parse_schema_file(str(schema_path))
-    assert rep.ok, rep.render()
-    target = schema.task(task_name).target_entity
-    rng = random.Random(0)
-    shuffled = 0
-    for path in sorted(data_dir.glob("*.csv")):
-        if path.stem != target:
+    def shuffle(paths):
+        for path in paths:
             header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
             rng.shuffle(rows)
             path.write_text(header + "".join(rows), encoding="utf-8")
-            shuffled += 1
-    assert shuffled
+
+    before = outputs(tmp_path / "before")
+    schema, rep = dsl.parse_schema_file(str(schema_path))
+    assert rep.ok, rep.render()
+    target = data_dir / f"{schema.task(task_name).target_entity}.csv"
+    others = [path for path in sorted(data_dir.glob("*.csv")) if path != target]
+    assert others
+    rng = random.Random(0)
+    shuffle(others)
     assert outputs(tmp_path / "after") == before
+    shuffle([target])
+    assert outputs(tmp_path / "target")["ds0.csv"] == before["ds0.csv"]
 
 
 @pytest.mark.parametrize("seed", range(1, 61))
