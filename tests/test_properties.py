@@ -133,8 +133,9 @@ def _key_order(row, keys):
 
 def _nested_loop_flatten(bound, binding):
     """Reference naive join: for every joined row and every tree edge, scan
-    all rows of the child entity for partners; no indexes, no ranking. The
-    rows are sorted by ``_key_order``; also the key positions it reads."""
+    all rows of the child entity for partners; no indexes, no ranking.
+    Returns the column names, the rows sorted by ``_key_order``, and the key
+    positions that order reads."""
     schema = bound.schema
     frames = engine.build_frames(bound, list(binding.predictor_entities))
     root = binding.target_entity
@@ -222,7 +223,8 @@ def test_flatten_naive_matches_nested_loop_join_n_side_target(tmp_path):
                for e in binding.spanning_tree)
     _check_flatten_matches_nested_loop(bound, binding)
     rows = engine.flatten_naive(bound, binding, engine.Derivations(bound, CLOCK)).table.rows
-    # by key, not by every printed cell as ds0 was once sorted
+    # o2 before o6 and l4 before l7 by key, though o6's and l7's first cells
+    # print first
     assert [(r[1], r[8]) for r in rows] == [("o1", "l1"), ("o1", "l2"), ("o2", UNKNOWN),
                                             ("o3", "l3"), ("o4", "l4"), ("o4", "l7"),
                                             ("o5", "l5"), ("o6", "l6")]
@@ -293,8 +295,8 @@ def test_outputs_ignore_row_order_of_non_target_csvs(name, tmp_path, monkeypatch
     data.mkdir()
     build = {"chain_generated": _chain_generated,
              "n_side_keys_last": _inline(N_SIDE_KEYS_LAST, N_SIDE_DATA),
-             "consumed_key": _inline(CONSUMED_KEY_SCHEMA, CONSUMED_KEY_DATA)}.get(name) or CASES[name]
-    schema_path, data_dir, task_name = build(data)
+             "consumed_key": _inline(CONSUMED_KEY_SCHEMA, CONSUMED_KEY_DATA)}.get(name)
+    schema_path, data_dir, task_name = (build or CASES[name])(data)
     common = ["--schema", str(schema_path), "--data-dir", str(data_dir), "--task", task_name,
               "--quiet"]
 
