@@ -169,7 +169,7 @@ class Derivations:
         if entity not in self._key_rank:
             table = self.bound.bundle.table(entity)
             order = list(range(table.row_count))
-            for k in reversed(table.key_columns):  # stable: the first key column decides first
+            for k in reversed(table.key_columns):  # stable sorts: the first key column decides
                 order.sort(key=list(map(repr, box(table.cells[table.column_index(k)], NO_TAGS)))
                            .__getitem__)
             rank = np.empty(table.row_count, dtype=np.int64)

@@ -816,7 +816,6 @@ def test_flatten_sorts_each_entity_by_key_once_and_prints_no_cell(tmp_path, monk
     assert calls == {"LINE": 1, "ORDER": 1, "CUSTOMER": 1}
 
 
-
 def test_naive_join_keeps_a_key_that_a_derivation_reads(tmp_path, capsys):
     """A derivation consumes the target entity's key, but ds0 keeps it, as
     the prepared dataset does: evaluate matches the two arms' rows by it."""
@@ -828,6 +827,7 @@ def test_naive_join_keeps_a_key_that_a_derivation_reads(tmp_path, capsys):
     assert run("flatten", *common, "--out", str(tmp_path / "f")) == 0
     header = (tmp_path / "f" / "ds0.csv").read_text().splitlines()[0]
     assert header == "P_pk,P_y,P_age,C_ck,C_v,C_pk"
+
 
 # ---------------------------------------------------------------------------
 # Text diagnostics: at most five of a kind
