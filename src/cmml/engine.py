@@ -662,17 +662,19 @@ def _build_manifest(plan, bound, warnings: Report, datasets) -> dict:
 def _write_outputs(out_dir: Path, datasets: list[TrainingDataset], manifest: dict,
                    options: PlanOptions) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a path is listed before its write begins, so a failed write's partial
+    # file is removed with the others
     written: list[Path] = []
     try:
         for ds in datasets:
-            path = out_dir / f"{ds.name}.csv"
-            path.write_bytes(table_to_csv_bytes(ds.table))
-            written.append(path)
+            data = table_to_csv_bytes(ds.table)
+            written.append(out_dir / f"{ds.name}.csv")
+            written[-1].write_bytes(data)
             if options.holdout:
                 _write_holdout(out_dir, ds, options.holdout, written)
-        mpath = out_dir / "manifest.json"
-        mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(mpath)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        written.append(out_dir / "manifest.json")
+        written[-1].write_text(text, encoding="utf-8")
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
@@ -692,9 +694,9 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
     for suffix, picked in (("train", train), ("test", test)):
         t = Table(f"{ds.name}_{suffix}", ds.table.columns, key_columns=ds.table.key_columns,
                   cells=[column.take(np.array(picked, dtype=np.int64)) for column in ds.table.cells])
-        path = out_dir / f"{ds.name}_{suffix}.csv"
-        path.write_bytes(table_to_csv_bytes(t))
-        written.append(path)
+        data = table_to_csv_bytes(t)
+        written.append(out_dir / f"{ds.name}_{suffix}.csv")
+        written[-1].write_bytes(data)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,31 @@ def test_flatten_write_failure_exit_1_leaves_no_file(tmp_path, monkeypatch, caps
     assert out.is_dir() and not (out / "ds0.csv").exists()
 
 
+@pytest.mark.parametrize("method, failing_call", [("write_bytes", 2), ("write_text", 1)])
+def test_prepare_write_failure_exit_1_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                     method, failing_call):
+    # the disk fills halfway through the train part of the holdout split, or
+    # through manifest.json: a coded exit, and no file left behind, the
+    # partly written one included
+    real, calls = getattr(Path, method), []
+
+    def failing(path, data, *args, **kwargs):
+        calls.append(path.name)
+        if len(calls) == failing_call:
+            real(path, data[:len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return real(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, failing)
+    out = tmp_path / "out"
+    assert run("prepare", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(EXAMPLE_DATA),
+               "--task", "PREDICT_LTV", "--out", str(out), "--holdout", "0.5", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert calls[-1] in ("PREDICT_LTV_train.csv", "manifest.json")
+    assert err.startswith("error: ") and "No space left" in err
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
 def test_generate_and_evaluate(tmp_path, capsys):
     out = tmp_path / "synth"
     assert run("generate", "--out", str(out), "--seed", "42", "--quiet") == 0
