@@ -163,6 +163,7 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
 
 def _index_relationships(bound: BoundModel) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
+    indexed: dict[str, tuple[list, dict]] = {}  # per parent: its boxed keys, each key's first row
     for rel in schema.relationships:
         if rel.is_many_to_many:
             rep.error("unrewritten-nm", f"relationship {rel.name} is many-to-many; rewrite the schema first")
@@ -176,9 +177,11 @@ def _index_relationships(bound: BoundModel) -> None:
             continue
         fk = rel.fk_columns[0]
         # a null key is a null-key error and no parent
-        key = parent.cells[parent.column_index(parent.key_columns[0])]
-        key_cells = box(key)
-        first_row = _first_rows(key_cells, key.null != 0)
+        if parent_name not in indexed:
+            key = parent.cells[parent.column_index(parent.key_columns[0])]
+            key_cells = box(key)
+            indexed[parent_name] = key_cells, _first_rows(key_cells, key.null != 0)
+        key_cells, first_row = indexed[parent_name]
         fk_null = child.cells[child.column_index(fk)].null.tolist()
         fk_cells = box(child.cells[child.column_index(fk)])
         parent_row = np.fromiter(map(first_row.get, fk_cells, repeat(-1)), np.int64, len(fk_cells))
