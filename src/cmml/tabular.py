@@ -12,14 +12,14 @@ instead of cells: a factorized join, each joined entity's columns once and
 per output row one row index into each entity's block. ``Table.rows`` is a
 read-only row view of either storage that boxes each cell (``values.box``);
 nothing in the pipeline reads it. The writer formats a column a chunk of
-rows at a time by its kind, printing each distinct number or day once
-(``format_float``'s text, the ISO form), quoting a text column with
+rows at a time by its kind, printing each distinct number or day once a
+chunk (``format_float``'s text, the ISO form), quoting a text column with
 ``csv.writer`` only when a field needs quotes, and writing an empty field for
 a null of either code. It joins the fields into lines with ``str.join`` and
 writes them to the file a piece at a time (``write_csv``), so neither the
-file's text nor its bytes are ever held whole. A join view's block whose
-rows repeat along the index (a parent entity's) is formatted once a block
-row; any other block is formatted along the index.
+file's text nor its bytes are ever held whole. A join view's block is
+formatted a chunk of output rows at a time, each block row the chunk takes
+once.
 
 ``read_csv`` goes from the file's text to columns a chunk of lines at a
 time, never through a list of every row: a quote-free text is split with
@@ -383,6 +383,7 @@ def _parse(path: Path, name: str, columns: list[Column],
 
 
 _BOOLEAN_TEXT = np.array(["false", "true", ""], dtype=object)
+_EPOCH = _dt.date(1970, 1, 1).toordinal()  # a day's ordinal less this is its datetime64[D]
 
 
 class _Lines:
@@ -420,7 +421,7 @@ def _column_text(vec: Vec, kind: str) -> np.ndarray:
         return _quoted(np.where(null, "", vec.values).astype(object, copy=False))
     distinct, inverse = np.unique(vec.values[~null], return_inverse=True)
     if kind == "date":
-        printed = [_dt.date.fromordinal(d).isoformat() for d in distinct.tolist()]
+        printed = np.datetime_as_string((distinct - _EPOCH).astype("datetime64[D]")).tolist()
     else:
         printed = list(map(repr, distinct.tolist()))
     printed = np.array(printed + [""], dtype=object)
@@ -432,15 +433,8 @@ def _column_text(vec: Vec, kind: str) -> np.ndarray:
     return printed[codes]
 
 
-_CHUNK_ROWS = 4096  # rows formatted a column at a time
+_CHUNK_ROWS = 8192  # rows formatted a column at a time; fewer make a join's calls small and many
 _PIECE_ROWS = 512   # rows assembled, encoded and written at a time
-
-
-def _repeats(idx: np.ndarray, rows: int) -> bool:
-    """Whether some block row but the last is taken more than once along the
-    index. The last row of a ``flatten_naive`` block is the absent partner's,
-    which every parent row without partners takes."""
-    return bool((np.bincount(idx, minlength=rows)[:-1] > 1).any())
 
 
 def _lines(columns: list[Vec], kinds: list[str], rows, lone: bool) -> list[str]:
@@ -462,42 +456,35 @@ def _write_table(table: Table, out: BinaryIO) -> None:
     at a time are assembled, encoded and written, so neither the file's text
     nor its bytes are held whole.
 
-    A join view's line is assembled from one string per block. A block whose
-    rows repeat along the index formats each block row once, and the output
-    rows share its string; any other block is formatted along the index, a
-    chunk of output rows at a time, so each of its rows is formatted once
-    too and no string per block row is kept."""
+    A join view's line is assembled from one string per block, each block
+    formatted a chunk of output rows at a time: the block rows the chunk
+    takes are formatted once each and their strings gathered along the
+    index, so no string per block row is kept."""
     lone = len(table.columns) == 1
     if table.columns:
         names = _quoted(np.array(table.column_names, dtype=object))
         out.write((",".join('""' if lone and n == "" else n for n in names) + "\n").encode("utf-8"))
     kinds = [c.kind for c in table.columns]
     # per block with columns: its index (None: a column-major table's rows in
-    # order), its columns and kinds, and when its rows repeat, each row's string
-    blocks = [(None, table.cells, kinds, None)]
+    # order), its columns and kinds
+    blocks = [(None, table.cells, kinds)]
     if table.join is not None:
-        blocks = []
         starts = np.cumsum([0] + table.join.widths).tolist()
-        for block, idx, a, b in zip(table.join.blocks, table.join.index, starts, starts[1:]):
-            if b == a:
-                continue
-            shared = None
-            if _repeats(idx, len(block[0])):
-                shared = np.empty(len(block[0]), dtype=object)
-                for start in range(0, len(shared), _CHUNK_ROWS):
-                    rows = slice(start, start + _CHUNK_ROWS)
-                    shared[rows] = _lines(block, kinds[a:b], rows, lone)
-            blocks.append((idx, block, kinds[a:b], shared))
+        blocks = [(idx, block, kinds[a:b]) for block, idx, a, b
+                  in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
     # a piece's lines, one string a block, with a comma between and a newline after
     step = 2 * len(blocks)
     line = [","] * (step - 1) + ["\n"]
     for first in range(0, table.row_count, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, table.row_count - first)
         chunk = []
-        for idx, block, block_kinds, shared in blocks:
-            rows = slice(first, first + count) if idx is None else idx[first:first + count]
-            chunk.append(_lines(block, block_kinds, rows, lone) if shared is None
-                         else shared[rows].tolist())
+        for idx, block, block_kinds in blocks:
+            if idx is None:
+                chunk.append(_lines(block, block_kinds, slice(first, first + count), lone))
+                continue
+            rows, inverse = np.unique(idx[first:first + count], return_inverse=True)
+            lines = np.array(_lines(block, block_kinds, rows, lone), dtype=object)
+            chunk.append(lines[inverse].tolist())
         for start in range(0, count, _PIECE_ROWS):
             body = line * min(_PIECE_ROWS, count - start)
             for b, strings in enumerate(chunk):

@@ -492,6 +492,21 @@ def test_table_to_csv_bytes_numbers_shared_across_columns():
     assert "-0" not in text.decode()
 
 
+def test_table_to_csv_bytes_prints_days_as_isoformat():
+    # days are printed through numpy's datetime64: a dense sample of the
+    # range parse_date reads, both of its ends and every leap day, each
+    # written as date.isoformat writes it
+    last = dt.date.max.toordinal()
+    ordinals = set(range(1, last + 1, 61)) | set(range(1, 800)) | set(range(last - 800, last + 1))
+    ordinals |= {dt.date(year, 2, 29).toordinal() + shift for year in range(4, 10000, 4)
+                 if year % 100 or not year % 400 for shift in (-1, 0, 1)}
+    days = [dt.date.fromordinal(d) for d in sorted(ordinals)]
+    table = Table("T", [Column("d", "date")], rows=[[d] for d in days])
+    lines = table_to_csv_bytes(table).decode().splitlines()
+    assert lines == ["d"] + [d.isoformat() for d in days]
+    assert lines[1] == "0001-01-01" and lines[-1] == "9999-12-31" and "2000-02-29" in lines
+
+
 @pytest.mark.parametrize("special", [",", '"', "\n", "\r"])
 def test_table_to_csv_bytes_quotes_only_the_column_that_needs_it(special):
     cells = ["a", f"b{special}c", "", None, "d"]
@@ -545,12 +560,6 @@ def _streamed(table, tmp_path):
     return data.decode("utf-8")
 
 
-def _blocks(table):
-    """Each block's index and whether its rows repeat along it."""
-    return [(idx, tabular._repeats(idx, len(block[0])))
-            for block, idx in zip(table.join.blocks, table.join.index)]
-
-
 @pytest.mark.parametrize("sizes", [(512, 4096), (3, 5), (1, 1)])
 @pytest.mark.parametrize("seed", range(40))
 def test_write_csv_equals_in_memory_bytes_propgen(seed, sizes, tmp_path, monkeypatch):
@@ -565,20 +574,18 @@ def test_write_csv_equals_in_memory_bytes_propgen(seed, sizes, tmp_path, monkeyp
 
 
 def test_write_csv_one_column_join_view(tmp_path):
-    # csv.writer's "" for a lone empty field, from a block row's shared
-    # string (rows repeat) and from a block formatted along the index
+    # csv.writer's "" for a lone empty field, from a block whose rows
+    # repeat along the index and from one whose rows do not
     repeated = _join_table([[(None,), ("a",), ("",)]], [[0, 1, 0, 2, 2]])
     unrepeated = _join_table([[("b",), (None,), ("a",)]], [[2, 1, 0]])
-    assert [r for _, r in _blocks(repeated)] == [True]
-    assert [r for _, r in _blocks(unrepeated)] == [False]
     assert _streamed(repeated, tmp_path) == 'c0\n""\na\n""\n""\n""\n'
     assert _streamed(unrepeated, tmp_path) == 'c0\na\n""\nb\n'
 
 
 def test_write_csv_unrepeated_block_with_absent_partner_row(tmp_path):
     # c2 and c3 have no ORDER: the ORDER block's absent row is taken twice,
-    # and no other ORDER row more than once, so that block is formatted
-    # along the index, the absent row's empty fields included
+    # and no other ORDER row more than once; the absent row's empty fields
+    # are written for both
     schema = parse_full("""
 entity CUSTOMER { key cust_id: identifier attr ltv: numeric }
 entity ORDER { key order_id: identifier attr total: numeric attr day: date }
@@ -594,9 +601,8 @@ task T { target CUSTOMER.ltv }
     bound = binder.bind(schema, bundle, CLOCK)
     binding = eer.resolve_target(schema, schema.task("T"))
     flat = engine.flatten_naive(bound, binding, engine.Derivations(bound, CLOCK))
-    (customers, repeats), (orders, unrepeated) = _blocks(flat.table)
     absent = len(flat.table.join.blocks[1][0]) - 1
-    assert repeats and not unrepeated and list(orders).count(absent) == 2
+    assert flat.table.join.index[1].tolist() == [0, 1, absent, absent]
     assert _streamed(flat.table, tmp_path) == (
         "CUSTOMER_cust_id,CUSTOMER_ltv,ORDER_order_id,ORDER_total,ORDER_day,ORDER_cust_id\n"
         "c1,10,o1,3,2019-01-02,c1\n"
@@ -617,7 +623,6 @@ def test_write_csv_view_longer_than_a_piece(seed, tmp_path):
     rng.shuffle(order)
     table = _join_table([parents, children],
                         [sorted(rng.randrange(40) for _ in range(n)), order])
-    assert [r for _, r in _blocks(table)] == [True, False]
     assert len(_streamed(table, tmp_path).splitlines()) >= n + 1
 
 
@@ -632,12 +637,43 @@ def test_write_csv_generate_tables(tmp_path, monkeypatch):
         assert data == table_to_csv_bytes(table) == _reference_csv_bytes(table), name
 
 
+def _traced_write(table, path):
+    """write_csv's traced peak memory and the size of the file it wrote."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        write_csv(table, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, path.stat().st_size
+
+
+def test_write_csv_memory_stays_flat_for_a_repeating_block(tmp_path):
+    # a 100,000-row parent block, each row taken twice: the writer formats
+    # a chunk of output rows at a time, so its traced peak is a small part
+    # of the file's size: 0.3 of it with 8,192-row chunks. It was 1.7 of it
+    # when each row of a block whose rows repeat was kept as one string for
+    # the whole write.
+    rng = np.random.default_rng(1)
+    parents = 100_000
+    days = (dt.date(2020, 1, 1).toordinal() + rng.integers(0, 900, parents)).tolist()
+    block = [pack([f"c{i:06d}" for i in range(parents)] + [None], "identifier"),
+             pack([float(v) for v in rng.integers(0, 100_000, parents)] + [None], "numeric"),
+             pack([dt.date.fromordinal(d) for d in days] + [None], "date")]
+    table = Table("J", [Column("id", "identifier"), Column("v", "numeric"), Column("d", "date")],
+                  JoinRows([block], [np.repeat(np.arange(parents), 2)]))
+    peak, size = _traced_write(table, tmp_path / "repeating.csv")
+    assert size > 4_000_000
+    assert peak < 0.5 * size, (peak, size)
+
+
 def test_write_csv_holds_less_than_the_file(tmp_path):
     # a 4 MB join view: distinct ids, numbers and days, and a parent block
     # whose rows repeat. The writer's traced peak stays below the file's
-    # size: it was 0.4 of it, and 3.1 when the whole file was held in memory
-    # beside one string per row of every block.
-    import tracemalloc
+    # size: it is 0.6 of it with 8,192-row chunks (0.3 with 4,096-row ones),
+    # and it was 3.1 when the whole file was held in memory beside one string
+    # per row of every block.
     rng = np.random.default_rng(0)
     parents, children = 4000, 80000
     days = [dt.date(2020, 1, 1) + dt.timedelta(days=int(d)) for d in rng.integers(0, 900, children)]
@@ -652,13 +688,6 @@ def test_write_csv_holds_less_than_the_file(tmp_path):
     table = Table("J", [Column(f"c{j}", kind) for j, kind in enumerate(kinds)],
                   JoinRows(blocks, [np.repeat(np.arange(parents), children // parents),
                                     rng.permutation(children)]))
-    path = tmp_path / "big.csv"
-    tracemalloc.start()
-    try:
-        write_csv(table, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = path.stat().st_size
+    peak, size = _traced_write(table, tmp_path / "big.csv")
     assert size > 3_000_000
     assert peak < size, (peak, size)
