@@ -232,9 +232,10 @@ def test_flatten_write_failure_exit_1_leaves_no_file(tmp_path, monkeypatch, caps
     assert out.is_dir() and not (out / "ds0.csv").exists()
 
 
-@pytest.mark.parametrize("method, failing_call", [("write_bytes", 2), ("write_text", 1)])
+@pytest.mark.parametrize("method, failing_call, name", [
+    ("write_bytes", 2, "PREDICT_LTV_train.csv"), ("write_text", 1, "manifest.json")])
 def test_prepare_write_failure_exit_1_leaves_no_file(tmp_path, monkeypatch, capsys,
-                                                     method, failing_call):
+                                                     method, failing_call, name):
     # the disk fills halfway through the train part of the holdout split, or
     # through manifest.json: a coded exit, and no file left behind, the
     # partly written one included
@@ -252,7 +253,7 @@ def test_prepare_write_failure_exit_1_leaves_no_file(tmp_path, monkeypatch, caps
     assert run("prepare", "--schema", str(EXAMPLE_SCHEMA), "--data-dir", str(EXAMPLE_DATA),
                "--task", "PREDICT_LTV", "--out", str(out), "--holdout", "0.5", "--quiet") == 1
     err = capsys.readouterr().err
-    assert calls[-1] in ("PREDICT_LTV_train.csv", "manifest.json")
+    assert calls[-1] == name
     assert err.startswith("error: ") and "No space left" in err
     assert out.is_dir() and list(out.iterdir()) == []
 
