@@ -1,5 +1,5 @@
 """Bind a DataBundle to an EerSchema: referential integrity, each
-relationship's partner index, subtype membership resolution, and
+relationship's parent row per child row, subtype membership resolution, and
 classification of every null cell as unknown (imputable) vs not-applicable
 (never imputed).
 
@@ -12,9 +12,10 @@ in each column's ``values.Vec``: ``read_csv`` reads an empty field as unknown
 (code 1), and the binder sets not applicable (code 2) where the subtype or
 the applicable_when predicate says so, so later stages read the class from
 the code. Keys, foreign keys and nulls are checked and coded one column at a
-time. A foreign-key column is mapped to parent rows in one pass and the
-relationship's ``expr.Groups`` built from that; Python visits only rows
-matching no parent.
+time. Each parent and supertype table's keys are mapped to their first rows
+once per bind; a foreign-key column is mapped through that map to parent
+rows in one pass, and the partner counts are one ``np.bincount`` of them.
+Python visits only rows matching no parent.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -51,9 +51,9 @@ class BoundModel:
     # null codes rewritten by bind to unknown (1) or not applicable (2)
     bundle: DataBundle
     report: Report
-    # relationship -> each parent row's partner rows in the child, in child
-    # row order; a parent key's rows all go to its first row
-    partners: dict[str, ex.Groups] = field(default_factory=dict)
+    # relationship -> each child row's parent row, -1 for a null or dangling
+    # foreign key; a parent key's rows all go to its first row
+    parent_rows: dict[str, np.ndarray] = field(default_factory=dict)
     # generalization -> subtype -> for each supertype row, the row holding the
     # member's subtype attributes (its own row for a predicate subtype, its
     # membership-table row for a from-table one), -1 for a non-member; rows
@@ -105,8 +105,13 @@ def bind(schema: eer.EerSchema, bundle: DataBundle, clock: _dt.date | None = Non
         return bound
     if _check_tables(schema, bundle, rep):
         clock = clock or _dt.date.today()
-        _index_relationships(bound)
-        _resolve_memberships(bound, clock)
+        # one key map per parent and supertype table, dropped before nulls are classified
+        key_maps = {name: _key_map(bundle.table(name)) for name in
+                    {rel.parent_entity() for rel in schema.relationships}
+                    | {gen.supertype for gen in schema.generalizations}}
+        _index_relationships(bound, key_maps)
+        _resolve_memberships(bound, clock, key_maps)
+        del key_maps
         _classify_nulls(bound, clock)
     return bound
 
@@ -116,11 +121,12 @@ def _as_tuple(table: Table, key) -> tuple:
     return key if len(table.key_columns) > 1 else (key,)
 
 
-def _first_rows(keys: list, null: Optional[np.ndarray] = None) -> dict:
-    """Each distinct key's first row (filled from the last row back, so the
-    first row is written last), leaving out the rows where ``null`` is set."""
-    rows = np.arange(len(keys))[::-1] if null is None else np.flatnonzero(~null)[::-1]
-    return dict(zip(map(keys.__getitem__, rows.tolist()), rows.tolist()))
+def _key_map(table: Table) -> tuple[list, dict]:
+    """The table's ``row_keys()`` and each distinct key's first row (filled
+    from the last row back, so the first row is written last). A null key is
+    None there; a foreign key's nulls box as tags, so they match no key."""
+    keys = table.row_keys()
+    return keys, dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
 
 
 def _predicate(table: Table, predicate: ex.Expr, clock: _dt.date) -> Vec:
@@ -161,9 +167,8 @@ def _check_tables(schema: eer.EerSchema, bundle: DataBundle, rep: Report) -> boo
     return ok
 
 
-def _index_relationships(bound: BoundModel) -> None:
+def _index_relationships(bound: BoundModel, key_maps: dict) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
-    indexed: dict[str, tuple[list, dict]] = {}  # per parent: its boxed keys, each key's first row
     for rel in schema.relationships:
         if rel.is_many_to_many:
             rep.error("unrewritten-nm", f"relationship {rel.name} is many-to-many; rewrite the schema first")
@@ -176,12 +181,7 @@ def _index_relationships(bound: BoundModel) -> None:
                       "a single foreign-key column cannot reference it")
             continue
         fk = rel.fk_columns[0]
-        # a null key is a null-key error and no parent
-        if parent_name not in indexed:
-            key = parent.cells[parent.column_index(parent.key_columns[0])]
-            key_cells = box(key)
-            indexed[parent_name] = key_cells, _first_rows(key_cells, key.null != 0)
-        key_cells, first_row = indexed[parent_name]
+        first_row = key_maps[parent_name][1]
         fk_null = child.cells[child.column_index(fk)].null.tolist()
         fk_cells = box(child.cells[child.column_index(fk)])
         parent_row = np.fromiter(map(first_row.get, fk_cells, repeat(-1)), np.int64, len(fk_cells))
@@ -197,43 +197,35 @@ def _index_relationships(bound: BoundModel) -> None:
                             f"(null {fk}) under mandatory participation in {rel.name}",
                             f"{child_name}:{i + 1}")
         matched = np.flatnonzero(parent_row >= 0)
-        owner = parent_row[matched]
-        partners = ex.Groups(matched[np.argsort(owner, kind="stable")],
-                             np.bincount(owner, minlength=len(key_cells)))
+        sizes = np.bincount(parent_row[matched], minlength=parent.row_count)
         child_end = rel.child_end()
         if child_end.min >= 1:
-            firsts = np.fromiter(first_row.values(), np.int64, len(first_row))
-            lonely = np.flatnonzero(partners.sizes[firsts] == 0).tolist()
-            keys = list(first_row) if lonely else []
-            for i in sorted(lonely, key=lambda i: repr(keys[i])):
+            distinct = list(first_row)  # a null key (None) is a null-key error and no parent
+            firsts = np.fromiter(first_row.values(), np.int64, len(distinct))
+            lonely = [i for i in np.flatnonzero(sizes[firsts] == 0).tolist() if distinct[i] is not None]
+            for i in sorted(lonely, key=lambda i: repr(distinct[i])):
                 rep.warning("mandatory-participation",
-                            f"{parent_name} {keys[i]!r} has zero {child_name} partners "
+                            f"{parent_name} {distinct[i]!r} has zero {child_name} partners "
                             f"under mandatory participation in {rel.name}",
                             f"{parent_name}:{firsts[i] + 1}")
         if child_end.max == "1":
-            crowded = np.flatnonzero(partners.sizes > 1)
             # in the order of each parent's first child, printing that child's key
-            first_child = partners.rows[partners.offsets[crowded]]
-            for c, p in sorted(zip(first_child.tolist(), crowded.tolist())):
+            owners, first = np.unique(parent_row[matched], return_index=True)
+            for c in np.sort(matched[first[sizes[owners] > 1]]).tolist():
                 rep.warning("cardinality",
-                            f"{parent_name} {fk_cells[c]!r} has {partners.sizes[p]} {child_name} "
+                            f"{parent_name} {fk_cells[c]!r} has {sizes[parent_row[c]]} {child_name} "
                             f"partners in {rel.name} (declared max 1)")
-        bound.partners[rel.name] = partners
+        bound.parent_rows[rel.name] = parent_row
 
 
-def _resolve_memberships(bound: BoundModel, clock: _dt.date) -> None:
+def _resolve_memberships(bound: BoundModel, clock: _dt.date, key_maps: dict) -> None:
     schema, bundle, rep = bound.schema, bound.bundle, bound.report
-    groups: dict[str, tuple[list, dict, np.ndarray]] = {}  # one per supertype table
     for gen in schema.generalizations:
         sup = bundle.table(gen.supertype)
         n = sup.row_count
-        if gen.supertype not in groups:
-            keys = sup.row_keys()
-            first_row = _first_rows(keys)
-            # each row's key's first row: rows sharing a key share a membership
-            groups[gen.supertype] = keys, first_row, np.fromiter(map(first_row.__getitem__, keys),
-                                                                 np.int64, n)
-        keys, first_row, group = groups[gen.supertype]
+        keys, first_row = key_maps[gen.supertype]
+        # each row's key's first row: rows sharing a key share a membership
+        group = np.fromiter(map(first_row.__getitem__, keys), np.int64, n)
         vectors: dict[str, np.ndarray] = {}
         for st in gen.subtypes:
             if st.from_table:
@@ -320,23 +312,26 @@ def cardinality_report(bound: BoundModel) -> list[RelationshipCardinality]:
     """Observed child fan-out per distinct parent key for every relationship,
     with a conformance verdict against the declared cardinalities."""
     out: list[RelationshipCardinality] = []
+    key_maps: dict[str, tuple[list, dict]] = {}  # one per parent, its null key left out
     for rel in bound.schema.relationships:
-        if rel.name not in bound.partners:
+        if rel.name not in bound.parent_rows:
             continue
         parent_name, child_name = rel.parent_entity(), rel.child_entity()
         parent = bound.bundle.table(parent_name)
-        key = parent.cells[parent.column_index(parent.key_columns[0])]
-        key_cells = box(key)
-        # each distinct non-null key's first row, in row order: the row its partners went to
-        first_row = _first_rows(key_cells, key.null != 0)
+        if parent_name not in key_maps:
+            key_maps[parent_name] = _key_map(parent)
+            key_maps[parent_name][1].pop(None, None)  # a null key is no parent
+        keys, first_row = key_maps[parent_name]
+        # each distinct key's first row, in row order: the row its partners went to
         rows = np.sort(np.fromiter(first_row.values(), np.int64, len(first_row)))
-        fanouts = bound.partners[rel.name].sizes[rows]
+        parent_row = bound.parent_rows[rel.name]
+        fanouts = np.bincount(parent_row[parent_row >= 0], minlength=parent.row_count)[rows]
         child_end = rel.child_end()
         few = fanouts < child_end.min
         many = (fanouts > 1) & (child_end.max == "1")
         violations: list[str] = []
-        for i in sorted(np.flatnonzero(few | many).tolist(), key=lambda i: repr(key_cells[rows[i]])):
-            stem = f"{parent_name} {key_cells[rows[i]]!r} has {fanouts[i]} {child_name} partners"
+        for i in sorted(np.flatnonzero(few | many).tolist(), key=lambda i: repr(keys[rows[i]])):
+            stem = f"{parent_name} {keys[rows[i]]!r} has {fanouts[i]} {child_name} partners"
             if few[i]:
                 violations.append(f"{stem} (declared min {child_end.min})")
             if many[i]:

@@ -63,6 +63,7 @@ def _load_schema(args) -> eer.EerSchema:
 
 
 def _emit_report(args, rep: Report) -> None:
+    args.reported.diagnostics += rep.diagnostics
     if rep.diagnostics and not getattr(args, "quiet", False):
         print(rep.render(), file=sys.stderr)
 
@@ -111,8 +112,14 @@ def _options(args, task: eer.TaskDecl) -> planner.PlanOptions:
 
 
 def cmd_validate(args) -> int:
-    schema = _load_schema(args)
-    bound = _bind(args, schema, _clock())
+    try:
+        schema = _load_schema(args)
+        bound = _bind(args, schema, _clock())
+    except DataError:
+        if args.json:  # every diagnostic reported before the error
+            print(json.dumps({"ok": False, "diagnostics": args.reported.to_dicts(),
+                              "cardinalities": []}, indent=2, sort_keys=True))
+        raise
     cards = binder.cardinality_report(bound)
     if args.json:
         out = {
@@ -277,7 +284,7 @@ def cmd_generate(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *, schema=False, data=False, task=False,
-                out=False, tuning=False) -> None:
+                out=False, tuning=False, seed=True, as_json=True) -> None:
     if schema:
         p.add_argument("--schema", required=True, help="path to the .cmml schema file")
     if data:
@@ -296,8 +303,10 @@ def _add_common(p: argparse.ArgumentParser, *, schema=False, data=False, task=Fa
                        help="imputation strategy: mean_mode, none, or constant:<value>")
         p.add_argument("--holdout", type=float, default=None,
                        help="fraction of rows written to a separate holdout CSV (default 0)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (generate/evaluate)")
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON to stdout")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="random seed (generate/evaluate)")
+    if as_json:
+        p.add_argument("--json", action="store_true", help="emit machine-readable JSON to stdout")
     p.add_argument("--quiet", action="store_true", help="suppress log output")
 
 
@@ -314,13 +323,13 @@ def _generate_options(p: argparse.ArgumentParser) -> None:
 # name -> (help, command, the common options it takes, a function adding its own)
 SUBCOMMANDS = {
     "validate": ("check a schema and data against each other", cmd_validate,
-                 dict(schema=True, data=True), None),
+                 dict(schema=True, data=True, seed=False), None),
     "plan": ("compile and print a transformation plan", cmd_plan,
              dict(schema=True, task=True, tuning=True), None),
     "prepare": ("produce training dataset(s) and manifest", cmd_prepare,
                 dict(schema=True, data=True, task=True, out=True, tuning=True), None),
     "flatten": ("produce the naive joined dataset (ds0.csv)", cmd_flatten,
-                dict(schema=True, data=True, task=True, out=True), None),
+                dict(schema=True, data=True, task=True, out=True, seed=False, as_json=False), None),
     "evaluate": ("out-of-sample comparison of naive vs prepared data", cmd_evaluate,
                  dict(schema=True, data=True, task=True, tuning=True), _evaluate_options),
     "generate": ("write a seeded synthetic schema + tables", cmd_generate,
@@ -355,6 +364,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args.reported = Report()  # every diagnostic the command reports
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -149,15 +149,17 @@ class Derivations:
         return self._derived[key]
 
     def groups(self, rel_name: str) -> Groups:
-        """For each row of the relationship's parent, its partner rows in the
-        child in child-key order (``key_rank``): the order in which
-        derivations and G4 summaries aggregate a parent's children."""
+        """For each row of the relationship's parent, the child rows that the
+        binder's ``parent_rows`` give it, in child-key order (``key_rank``): the
+        order in which derivations and G4 summaries aggregate its children."""
         if rel_name not in self._groups:
-            partners = self.bound.partners[rel_name]  # in child row order
-            rank = self.key_rank(self.bound.schema.relationship(rel_name).child_entity())
-            # stable: by parent row, then child key
-            order = np.lexsort((rank[partners.rows], partners.gid))
-            self._groups[rel_name] = Groups(partners.rows[order], partners.sizes)
+            rel = self.bound.schema.relationship(rel_name)
+            parent_row = self.bound.parent_rows[rel_name]
+            rows = np.flatnonzero(parent_row >= 0)
+            owner = parent_row[rows]
+            order = np.lexsort((self.key_rank(rel.child_entity())[rows], owner))  # parent, then key
+            sizes = np.bincount(owner, minlength=self.bound.bundle.table(rel.parent_entity()).row_count)
+            self._groups[rel_name] = Groups(rows[order], sizes)
         return self._groups[rel_name]
 
     def key_rank(self, entity: str) -> np.ndarray:
@@ -235,14 +237,12 @@ class _Execution:
     def _partners(self, parent: str, child: str, rel_name: str) -> Groups:
         """For each row of the parent frame, its partner rows in the child
         frame: the rows whose foreign key holds its key (``Derivations.groups``),
-        or the one row that its own foreign key names, read off the binder's
-        index the other way round."""
+        or the one row that its own foreign key names (the binder's
+        ``parent_rows``, read as they are)."""
         rel = self.bound.schema.relationship(rel_name)
         if rel.child_entity() == child:
             return self.derivations.groups(rel_name)
-        partners = self.bound.partners[rel_name]
-        partner = np.full(self.frames[parent].row_count, -1)
-        partner[partners.rows] = partners.gid
+        partner = self.bound.parent_rows[rel_name]
         return Groups(partner[partner >= 0], (partner >= 0).astype(np.int64))
 
     def derive_attr(self, entity: str, attribute: str, expression: str) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -126,29 +126,22 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult
     ValueError on a non-finite difference, which has no rank."""
     if not pairs:
         raise ValueError("need at least one pair")
-    diffs = [a - b for a, b in pairs if a != b]
-    bad = next((d for d in diffs if not math.isfinite(d)), None)
-    if bad is not None:
-        raise ValueError(f"signed-rank test needs finite paired differences, got {bad}")
+    a, b = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2).T
+    diffs = (a - b)[a != b]
+    bad = diffs[~np.isfinite(diffs)]
+    if len(bad):
+        raise ValueError(f"signed-rank test needs finite paired differences, got {float(bad[0])}")
     n = len(diffs)
     if n == 0:
         return WilcoxonResult(n_nonzero=0, t_plus=0.0, sigma_t=0.0, z=0.0,
                               p_two_tailed=1.0, degenerate=True)
-    mags = sorted(abs(d) for d in diffs)
-    # one scan over the tie groups: mid-rank of each magnitude, tie correction
-    rank_of: dict[float, float] = {}
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and mags[j] == mags[i]:
-            j += 1
-        rank_of[mags[i]] = (i + 1 + j) / 2.0  # mean of ranks i+1 .. j
-        t = j - i
-        if t > 1:
-            var -= (t**3 - t) / 48.0
-        i = j
-    t_plus = sum(rank_of[abs(d)] for d in diffs if d > 0)
+    # each distinct magnitude's tie count and mid-rank; ranks are halves and
+    # tie terms eighths, so these sums are exact in any order
+    _, group, t = np.unique(np.abs(diffs), return_inverse=True, return_counts=True)
+    ends = np.cumsum(t)
+    mid_rank = (ends - t + 1 + ends) / 2.0  # mean of ranks start + 1 .. end
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - sum((k**3 - k) / 48.0 for k in t[t > 1].tolist())
+    t_plus = sum(mid_rank[group[diffs > 0]].tolist())
     sigma_t = math.sqrt(var)
     mean_t = n * (n + 1) / 4.0
     z = (t_plus - mean_t) / sigma_t if sigma_t > 0 else 0.0

@@ -2,6 +2,7 @@ import datetime as dt
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cmml import binder, cli, dsl, eer
@@ -30,16 +31,14 @@ task T { target P.t }
 
 def test_bind_example(example_bound):
     assert example_bound.ok
-    partners = example_bound.partners["PLACES"]
-    customers = example_bound.bundle.table("CUSTOMER")
-    keys = column(customers, "cust_id")
-    assert {k: int(n) for k, n in zip(keys, partners.sizes) if n} == {
+    parent_row = example_bound.parent_rows["PLACES"].tolist()
+    keys = column(example_bound.bundle.table("CUSTOMER"), "cust_id")
+    fk = column(example_bound.bundle.table("ORDER"), "cust_id")
+    assert len(parent_row) == len(fk)
+    # each order's customer: the row holding its key
+    assert [keys[p] for p in parent_row] == fk
+    assert {k: parent_row.count(p) for p, k in enumerate(keys) if p in parent_row} == {
         "101": 4, "400": 1, "223": 2, "398": 1}
-    orders = example_bound.bundle.table("ORDER")
-    fk = column(orders, "cust_id")
-    for p, key in enumerate(keys):  # each customer's orders, in row order
-        rows = partners.rows[partners.offsets[p]:partners.offsets[p + 1]].tolist()
-        assert rows == [i for i, v in enumerate(fk) if v == key]
 
 
 def test_bind_refuses_an_unvalidated_schema(tmp_path):
@@ -55,7 +54,7 @@ def test_bind_refuses_an_unvalidated_schema(tmp_path):
     assert not bound.ok
     assert bound.report.to_dicts() == eer.validate_schema(schema).to_dicts()
     assert [(d.code, d.location) for d in bound.report.errors] == [("unknown-entity", "R")]
-    assert bound.partners == {} and bound.subtype_rows == {}
+    assert bound.parent_rows == {} and bound.subtype_rows == {}
     assert binder.cardinality_report(bound) == []
 
 
@@ -378,13 +377,22 @@ BIND_DIGESTS = {
 }
 
 
+def _partner_record(bound, rel_name: str) -> list:
+    """Each parent row's child rows in child row order, and their counts:
+    the partner index that the digests were recorded from."""
+    parent_row = bound.parent_rows[rel_name]
+    matched = np.flatnonzero(parent_row >= 0)
+    parent = bound.bundle.table(bound.schema.relationship(rel_name).parent_entity())
+    rows = matched[np.argsort(parent_row[matched], kind="stable")]
+    return [rows.tolist(), np.bincount(parent_row[matched], minlength=parent.row_count).tolist()]
+
+
 def _bind_record(bound) -> str:
     return json.dumps({
         "diagnostics": bound.report.to_dicts(),
         "tables": {n: [[repr(v) for v in row] for row in t.rows]
                    for n, t in sorted(bound.bundle.tables.items())},
-        "partners": {r: [g.rows.tolist(), g.sizes.tolist()]
-                     for r, g in sorted(bound.partners.items())},
+        "partners": {r: _partner_record(bound, r) for r in sorted(bound.parent_rows)},
         "membership": {g: {n: v.tolist() for n, v in rows.items()}
                        for g, rows in sorted(bound.subtype_rows.items())},
     })

@@ -46,7 +46,11 @@ def _required(cmd) -> list[str]:
                          + [[cmd, *rest] for cmd in cli.SUBCOMMANDS
                             for rest in (["--help"], [], ["--bogus"], [*_required(cmd), "extra"],
                                          [*_required(cmd), "--bogus"])]
-                         + [["evaluate", "--folds", "x"], ["generate", "--seed"]],
+                         + [["evaluate", "--folds", "x"], ["generate", "--seed"]]
+                         # options a command would not read
+                         + [[cmd, *_required(cmd), *rest] for cmd, rest in (
+                             ("flatten", ["--json"]), ("flatten", ["--seed", "1"]),
+                             ("validate", ["--seed", "1"]))],
                          ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_usage_output_equals_the_full_parser(argv, capsys):
     # main builds only the named subcommand's options; what it prints must
@@ -112,6 +116,36 @@ def test_validate_dangling_fk_exit_1(tmp_path, capsys):
     assert run("validate", "--schema", str(EXAMPLE_SCHEMA),
                "--data-dir", str(tmp_path)) == 1
     assert "999" in capsys.readouterr().err
+
+
+ONE_TABLE = "entity P { key pid: identifier attr y: numeric }\ntask T { target P.y }\n"
+
+
+@pytest.mark.parametrize("schema, table, codes, error", [
+    (ONE_TABLE, "pid,y\n" + "".join(f"p{i},x{i}\n" for i in range(19)) + "p19,1\n",
+     ["bad-cell"] * 19, "failed to load tables from"),
+    (ONE_TABLE, None, ["missing-table"], "failed to load tables from"),
+    ("entity P { key pid: identifier attr y: numeric\n", "pid,y\np1,1\n", ["parse"], "has errors"),
+    (ONE_TABLE + "relationship R { P (1,1) -- (0,N) B via pid }\n", "pid,y\np1,1\n",
+     ["unknown-entity"], "failed validation"),
+], ids=["bad-cells", "missing-table", "parse", "validation"])
+def test_validate_json_lists_every_diagnostic_when_loading_fails(schema, table, codes, error,
+                                                                tmp_path, capsys):
+    (tmp_path / "s.cmml").write_text(schema)
+    if table is not None:
+        (tmp_path / "P.csv").write_text(table)
+    assert run("validate", "--schema", str(tmp_path / "s.cmml"), "--data-dir", str(tmp_path),
+               "--json") == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["cardinalities"] == []
+    assert [d["code"] for d in doc["diagnostics"]] == codes
+    # stderr shows at most five of a kind, then why the command stopped
+    shown = [f"error: {d['code']}: {d['message']}" + (f" [{d['location']}]" if d["location"] else "")
+             for d in doc["diagnostics"][:5]]
+    lines = err.splitlines()
+    assert lines[:len(shown)] == shown
+    assert lines[-1].startswith("error: ") and error in lines[-1]
 
 
 def test_duplicated_csv_column_exit_1(tmp_path, capsys):

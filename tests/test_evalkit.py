@@ -139,6 +139,62 @@ def test_wilcoxon_empty_rejected():
         evalkit.wilcoxon_signed_rank([])
 
 
+def reference_signed_rank(pairs) -> evalkit.WilcoxonResult:
+    """The signed-rank test one pair at a time: one scan over the sorted
+    magnitudes gives each tie group's mid-rank and subtracts its tie term."""
+    diffs = [a - b for a, b in pairs if a != b]
+    n = len(diffs)
+    if n == 0:
+        return evalkit.WilcoxonResult(n_nonzero=0, t_plus=0.0, sigma_t=0.0, z=0.0,
+                                      p_two_tailed=1.0, degenerate=True)
+    mags = sorted(abs(d) for d in diffs)
+    rank_of: dict[float, float] = {}
+    var = n * (n + 1) * (2 * n + 1) / 24.0
+    i = 0
+    while i < n:
+        j = i
+        while j < n and mags[j] == mags[i]:
+            j += 1
+        rank_of[mags[i]] = (i + 1 + j) / 2.0  # mean of ranks i+1 .. j
+        t = j - i
+        if t > 1:
+            var -= (t**3 - t) / 48.0
+        i = j
+    t_plus = sum(rank_of[abs(d)] for d in diffs if d > 0)
+    sigma_t = math.sqrt(var)
+    z = (t_plus - n * (n + 1) / 4.0) / sigma_t if sigma_t > 0 else 0.0
+    return evalkit.WilcoxonResult(n_nonzero=n, t_plus=t_plus, sigma_t=sigma_t, z=z,
+                                  p_two_tailed=min(1.0, 2.0 * evalkit._normal_sf(abs(z))))
+
+
+def _random_pairs(rng: random.Random) -> list[tuple[float, float]]:
+    """1 to 2,000 pairs whose differences are quarters, so that ties are
+    exact: from nearly every magnitude tied (and many zero) to none, some of
+    one sign only; or uniform floats."""
+    n = rng.choice([1, 2, 3, rng.randint(4, 60), rng.randint(60, 2000)])
+    if rng.random() < 0.2:
+        return [(rng.uniform(0, 9), rng.uniform(0, 9)) for _ in range(n)]
+    spread = rng.choice([2, 20, 200, 10**6])
+    sign = rng.choice([(-1, 1), (1,), (-1,)])
+    pairs = []
+    for _ in range(n):
+        b = rng.randint(0, 4000) / 4
+        pairs.append((b + rng.choice(sign) * rng.randint(0, spread) / 4, b))
+    return pairs
+
+
+def test_wilcoxon_equals_the_per_pair_reference_exactly():
+    rng = random.Random(31)
+    cases = [_random_pairs(rng) for _ in range(300)]
+    cases += [[(1.0, 1.0)] * 4, [(0.0, 2.0)] * 3, [(2.0, 0.0)] * 3,
+              [(float(i % 7), float(i % 5)) for i in range(500)]]
+    for pairs in cases:
+        got = evalkit.wilcoxon_signed_rank(pairs).to_dict()
+        want = reference_signed_rank(pairs).to_dict()
+        # same values, same types (an int T+ of 0 when no difference is positive)
+        assert repr(got) == repr(want), pairs
+
+
 # ---------------------------------------------------------------------------
 # OLS
 

@@ -15,16 +15,25 @@ def _pin_clock(monkeypatch):
     monkeypatch.setenv("CMML_TODAY", CLOCK.isoformat())
 
 
-@pytest.mark.parametrize("command, span", [("flatten", "engine.flatten_naive"),
+# the chain case's plan: four derived attributes, two summary edges
+CHAIN_STEPS = {"derive_attr": 4, "summarize_child": 2, "impute_columns": 1, "emit_dataset": 1}
+
+
+@pytest.mark.parametrize("command, span", [("validate", "binder.cardinality_report"),
+                                           ("prepare", "planner.compile_plan"),
+                                           ("flatten", "engine.flatten_naive"),
                                            ("evaluate", "evalkit.compare_datasets")])
 def test_tracer_records_spans_and_restores_every_patch(command, span, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     from tracer import Tracer, layer_metrics
 
     schema, data, task = _inline(CHAIN_SCHEMA, CHAIN_DATA)(tmp_path)  # 7 keys, 5 folds
-    args = [command, "--schema", str(schema), "--data-dir", str(data), "--task", task, "--quiet"]
-    if command == "flatten":
-        args += ["--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    args = [command, "--schema", str(schema), "--data-dir", str(data), "--quiet"]
+    if command != "validate":
+        args += ["--task", task]
+    if command in ("prepare", "flatten"):
+        args += ["--out", str(out)]
     tracer = Tracer(command)
     try:
         tracer.install()
@@ -32,9 +41,16 @@ def test_tracer_records_spans_and_restores_every_patch(command, span, tmp_path, 
         assert cli.main(args) == 0
     finally:
         tracer.uninstall()
-    assert {s[0] for s in tracer.spans} >= {"binder.bind", "engine.flatten_naive", span}
+    assert {s[0] for s in tracer.spans} >= {"binder.bind", span}
     metrics = layer_metrics(tracer.report(0.0, 1.0))
-    assert metrics["engine.flatten_naive.rows_out"] > metrics["engine.flatten_naive.roots"] > 0
+    if command == "prepare":
+        steps = {k.rsplit(".", 1)[1]: v for k, v in metrics.items()
+                 if k.startswith("planner.compile_plan.steps.")}
+        assert steps == CHAIN_STEPS
+        assert metrics["engine.csv_write_outputs.bytes"] == sum(
+            p.stat().st_size for p in out.glob("*.csv")) > 0
+    if command in ("flatten", "evaluate"):
+        assert metrics["engine.flatten_naive.rows_out"] > metrics["engine.flatten_naive.roots"] > 0
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} still patched"
