@@ -501,6 +501,82 @@ def test_golden_outputs(name, tmp_path, capsys, monkeypatch):
     assert _digests(CASES[name], tmp_path, capsys, name in EVALUATED) == GOLDEN[name]
 
 
+# SHA-256 of every file `prepare --holdout 0.5` writes: each dataset, its
+# train and test parts and the manifest, for a case without a split, a
+# disjoint split, an overlap split and from-table subtypes.
+HOLDOUT_GOLDEN = {
+    "example": {
+        "PREDICT_LTV.csv":
+            "6766ef0bedf31245defc1996d8d2989f5284b65c18ff3e0355b877aa1df4f11c",
+        "PREDICT_LTV_test.csv":
+            "6766ef0bedf31245defc1996d8d2989f5284b65c18ff3e0355b877aa1df4f11c",
+        "PREDICT_LTV_train.csv":
+            "af96607c77c4df9d1c8d1ecdf19a91a95605323a6d018658f929a3347775db87",
+        "manifest.json":
+            "c1ac495c0dcab69b54e5768e591454ac64e9eabf2205b4b234ff8c80374111f9",
+    },
+    "from_table": {
+        "T_GOLD.csv":
+            "70ca8c8e0f06372a84d97a43a054d252797774a1d8bc8442a3fb357139bf2b1c",
+        "T_GOLD_test.csv":
+            "74b4ef0f02b26542eb811cc2ce018edc2bb91ee294fbfb1a43f08e9097f3481c",
+        "T_GOLD_train.csv":
+            "35fad13bdd9ed38f69f081a6407ce0e75efcda6fe370504a130917a8284de9fe",
+        "T_TRIAL.csv":
+            "ccfd57897bec319ad2e576dd79dcfc4e19927631bf69a204d7e0bd17667da492",
+        "T_TRIAL_test.csv":
+            "ccfd57897bec319ad2e576dd79dcfc4e19927631bf69a204d7e0bd17667da492",
+        "T_TRIAL_train.csv":
+            "922228a3c1658911fbcaae023ccb3c566192e891f4bf13727259fc1d75d120b4",
+        "manifest.json":
+            "e5aa121ba2082eaddf55100cc9d2a81d51842b4b9b1072c1e754dc9fe48178dc",
+    },
+    "propgen_12": {
+        "T_HIGH.csv":
+            "f522fa82cdd818a78c8fb1303625eb660072a1a86320f18f4a09dd426c4d82c9",
+        "T_HIGH_test.csv":
+            "0a487ab53cc86e200a810de6e9d9fc3127d1ca677d57ed0f85a9c5624c2d7683",
+        "T_HIGH_train.csv":
+            "3abde5fd33efe6523eb601514eb7637d2dbf1d188ebe0d91278f7242929352f9",
+        "T_LOW.csv":
+            "7adb0a6139271eef56cacdc14a65a6014913d432f6aac4ad79f81648734e2fac",
+        "T_LOW_test.csv":
+            "1c6cc220ab8f0a261666367aa8ef5d5da9458aa5f320e1a6bda14cfab0dfaefb",
+        "T_LOW_train.csv":
+            "7adb0a6139271eef56cacdc14a65a6014913d432f6aac4ad79f81648734e2fac",
+        "manifest.json":
+            "170c17709b2a9d9914e093e5e580d4d34f457d60638b0fc4fe57fbd36e0961d1",
+    },
+    "propgen_5": {
+        "T_HIGH.csv":
+            "745045db3f7f69df6846a95d361f86efef2e7edcfa9d331d40a1e9dc7d412c5a",
+        "T_HIGH_test.csv":
+            "076b239bcc017b067613e3182354be47f504f16ea2cca2357aedb57c01f2801c",
+        "T_HIGH_train.csv":
+            "745045db3f7f69df6846a95d361f86efef2e7edcfa9d331d40a1e9dc7d412c5a",
+        "T_LOW.csv":
+            "ea6ffba16404d1896772547495e97d3ec026ff7da9a22478ee311fe64e76e97e",
+        "T_LOW_test.csv":
+            "cf6e4de4c9d8a34615c41a31ad803b2e7556b3088f4130137e4287571f245d34",
+        "T_LOW_train.csv":
+            "f63baae117fa3defe63f2b7ac9b98d7bdb676bcecf1e97d864346652c3da3830",
+        "manifest.json":
+            "01c437038c33e34c30dfebb0a36f836931986db20563a2c8e3f5c3d3b5bd10fc",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLDOUT_GOLDEN))
+def test_golden_holdout_outputs(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("CMML_TODAY", "2019-06-01")
+    (tmp_path / "data").mkdir()
+    schema, data_dir, task = CASES[name](tmp_path / "data")
+    out = tmp_path / "prepare"
+    assert cli.main(["prepare", "--schema", str(schema), "--task", task, "--quiet",
+                     "--data-dir", str(data_dir), "--out", str(out), "--holdout", "0.5"]) == 0
+    assert {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())} == HOLDOUT_GOLDEN[name]
+
+
 @pytest.mark.parametrize("sizes", [(512, 4096), (2, 3)])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_streamed_ds0_equals_in_memory_bytes_and_pin(name, sizes, tmp_path, monkeypatch):
