@@ -87,7 +87,8 @@ def _get_task(schema: eer.EerSchema, name: str) -> eer.TaskDecl:
 
 
 def _options(args, task: eer.TaskDecl) -> planner.PlanOptions:
-    if args.impute not in (None, "mean_mode", "none") and not args.impute.startswith("constant:"):
+    if args.impute not in (None, "mean_mode", "none") and (
+            not args.impute.startswith("constant:") or args.impute == "constant:"):
         raise UsageError(f"--impute must be mean_mode, none or constant:<value>, got {args.impute!r}")
     if args.holdout is not None and not (math.isfinite(args.holdout) and 0 <= args.holdout < 1):
         raise UsageError(f"--holdout must be a fraction with 0 <= h < 1, got {args.holdout!r}")
@@ -230,8 +231,7 @@ def cmd_evaluate(args) -> int:
     if args.range is not None:
         value_range = args.range
     else:
-        ti = tds.table.column_index(tds.target_column)
-        y = tds.table.cells[ti]
+        y = tds.table.column_vec(tds.table.column_index(tds.target_column))
         vals = y.values[y.null == 0].tolist()
         if not vals or max(vals) == min(vals):
             raise DataError("cannot infer target range; pass --range")

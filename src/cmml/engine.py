@@ -126,8 +126,9 @@ class Derivations:
     command: a parent's children, an emitted dataset's rows and ds0's rows
     all follow it. Holds the command's clock.
 
-    Cells are indexed like the rows of the entity's bound table, which the
-    working tables keep until they are split or emitted. A derivation reads
+    Cells are indexed like the rows of the entity's bound table, as are the
+    columns of every working table and emitted dataset: a split or an emit
+    selects rows by an index and copies no column. A derivation reads
     other attributes by their schema names; a derived attribute it reads is
     evaluated on demand (schema validation refuses cycles), so any request
     order gives the same cells.
@@ -216,9 +217,10 @@ class _Execution:
         # (entity, attribute) -> the working column of a derived attribute,
         # which a name collision may have renamed
         self.derived_columns: dict[tuple[str, str], Column] = {}
-        self.datasets: dict[str, Table] = {}
-        # the root rows that a split's dataset holds; every row when unsplit
-        self.members: dict[str, np.ndarray] = {}
+        # per output, its working table and root rows; the root frame and every row until a split
+        root = self.frames[binding.target_entity]
+        self.datasets: dict[str, tuple[Table, np.ndarray]] = {
+            name: (root, np.arange(root.row_count)) for name in (plan.outputs if plan else ())}
         self.emitted: dict[str, TrainingDataset] = {}
 
     def _add(self, table: Table, col: Column, values: Vec) -> None:
@@ -376,6 +378,8 @@ class _Execution:
     # -- splitting / imputation / emission --------------------------------------
 
     def subtype_split(self, generalization: str) -> None:
+        """Each subtype's dataset: a table of the root frame's own columns but
+        its siblings', and the root rows that are its members."""
         gen = self.bound.schema.generalization(generalization)
         root = self.frames[self.plan.binding.target_entity]
         for st in gen.subtypes:
@@ -386,42 +390,38 @@ class _Execution:
             held = self.bound.subtype_rows[gen.name][st.name]
             members = np.flatnonzero(held >= 0)
             frame = Table(root.name, [root.columns[i].clone() for i in keep_cols],
-                          key_columns=root.key_columns,
-                          cells=[root.cells[i].take(members) for i in keep_cols])
+                          key_columns=root.key_columns, cells=[root.cells[i] for i in keep_cols])
             if st.from_table:
-                self._join_membership_table(frame, gen, st, held[members])
+                self._join_membership_table(frame, gen, st, held)
             if not members.size:
                 self.warnings.warning("empty-subtype",
                                       f"subtype {st.name} has zero members; dataset {name} is empty")
-            self.datasets[name] = frame
-            self.members[name] = members
+            self.datasets[name] = (frame, members)
 
     def _join_membership_table(self, frame: Table, gen: eer.Generalization, st: eer.Subtype,
-                               picked: np.ndarray) -> None:
-        """Attach the subtype's attributes from its membership table's rows
-        ``picked``, one per member row of the frame."""
+                               held: np.ndarray) -> None:
+        """Attach the subtype's attributes from its membership table: each
+        root row's ``held`` row, an absent row where it is -1 (no member)."""
         mt = self.bound.bundle.table(st.name)
         for a in st.attributes:
             self._add(frame, Column(
                 name=a.name, kind=a.kind,
                 origin_entities=[st.name], source_attributes=[f"{st.name}.{a.name}"],
                 guidelines=["G5"], subtype=(gen.name, st.name),
-            ), mt.cells[mt.column_index(a.name)].take(picked))
-
-    def _dataset(self, name: str) -> Table:
-        """A split's dataset, or in a single-output plan the root frame."""
-        return self.datasets.get(name, self.frames[self.plan.binding.target_entity])
+            ), mt.cells[mt.column_index(a.name)].with_absent(2).take(held))
 
     def impute_columns(self, dataset: str, strategy: str) -> None:
-        frame = self._dataset(dataset)
+        """Fill the unknown cells of the dataset's rows by a fit on those rows
+        alone, in a new root-length ``Vec``: a sibling sharing the column keeps its cells."""
+        frame, rows = self.datasets[dataset]
         target = self.plan.binding.target_attr
         const = strategy[len("constant:"):] if strategy.startswith("constant:") else None
         for ci, col in enumerate(frame.columns):
             if col.consumed or col.name == target or col.identifying:
                 continue
             vec = frame.cells[ci]
-            unknown = vec.null == 1
-            count = int(np.count_nonzero(unknown))
+            unknown = rows[vec.null[rows] == 1]
+            count = len(unknown)
             if not count:
                 continue
             if const is not None:
@@ -440,7 +440,7 @@ class _Execution:
                         f"dataset {dataset}: text column {col.name!r} is not imputed under "
                         f"mean_mode; {count} unknown cell(s) left null")
                     continue
-                fill, kind = _mean_mode_fill(vec, col.kind)
+                fill, kind = _mean_mode_fill(vec, rows, col.kind)
                 if fill is None:
                     self.warnings.warning(
                         "not-imputed",
@@ -452,9 +452,10 @@ class _Execution:
                     f"dataset {dataset}: column {col.name!r} has a non-finite fill; left null")
                 continue
             # a new Vec: the column may be shared, e.g. with the derivations
-            values = vec.values.copy()
+            values, null = vec.values.copy(), vec.null.copy()
             values[unknown] = fill.toordinal() if isinstance(fill, _dt.date) else fill
-            frame.cells[ci] = Vec(values, np.where(unknown, np.int8(0), vec.null))
+            null[unknown] = 0
+            frame.cells[ci] = Vec(values, null)
             col.imputed_cells += count
             col.params = dict(col.params, imputation={"kind": kind, "fill": _jsonable(fill),
                                                       "base_transform": col.transform})
@@ -463,11 +464,11 @@ class _Execution:
                 col.guidelines = sorted(set(col.guidelines) | {"G3"})
 
     def emit_dataset(self, dataset: str) -> None:
-        """The dataset's table: keys, then predictors, the target last, each
-        column cloned under its final name; rows with a null target dropped,
-        the others in the order of the root entity's rows by key
-        (``Derivations.key_rank``)."""
-        frame = self._dataset(dataset)
+        """The dataset's table, a one-block view over its working columns:
+        keys, then predictors, the target last, each column cloned under its
+        final name; its rows with a null target dropped, the others in the
+        order of the root entity's rows by key (``Derivations.key_rank``)."""
+        frame, rows = self.datasets[dataset]
         target_attr = self.plan.binding.target_attr
         keys, predictors, target = [], [], None
         for ci, col in enumerate(frame.columns):
@@ -496,16 +497,13 @@ class _Execution:
             names_taken.add(final)
             columns.append(col.clone(name=final, prefixed=True))
 
-        known = np.flatnonzero(frame.cells[target].null == 0)
-        dropped = frame.row_count - len(known)
+        known = rows[frame.cells[target].null[rows] == 0]
         rank = self.derivations.key_rank(self.plan.binding.target_entity)
-        kept = known[np.argsort(rank[self.members.get(dataset, slice(None))][known])]
         # null codes survive in memory (CSV renders both as empty)
-        cells = [frame.cells[ci].take(kept) for ci in ordered]
-        table = Table(dataset, columns, key_columns=[c.name for c in columns[:len(keys)]],
-                      cells=cells)
+        view = JoinRows([[frame.cells[ci] for ci in ordered]], [known[np.argsort(rank[known])]])
+        table = Table(dataset, columns, view, key_columns=[c.name for c in columns[:len(keys)]])
         self.emitted[dataset] = TrainingDataset(dataset, table, target_column=columns[-1].name,
-                                                dropped_null_target=dropped)
+                                                dropped_null_target=len(rows) - len(known))
 
 
 def _role(ds: TrainingDataset, column: str) -> str:
@@ -554,10 +552,10 @@ def _category_counts(vec: Vec, groups: Groups, top_k: int):
         yield "OTHER", counts[:, -1]
 
 
-def _mean_mode_fill(vec: Vec, kind: str):
+def _mean_mode_fill(vec: Vec, rows: np.ndarray, kind: str):
     """The fill of a column's unknown cells and its transform kind, from
-    its known cells; (None, None) when it has none."""
-    known = vec.values[vec.null == 0]
+    the known cells of its ``rows``; (None, None) when they have none."""
+    known = vec.values[rows[vec.null[rows] == 0]]
     if not known.size or kind not in ("numeric", "nominal", "boolean", "date"):
         return None, None
     if kind == "numeric":
@@ -569,7 +567,7 @@ def _mean_mode_fill(vec: Vec, kind: str):
         return _dt.date.fromordinal(int(days[(len(days) - 1) // 2])), "imputed_mean"  # lower median
     # the most frequent value; a tie goes to the first in sorted order, which
     # is the least by str (false before true)
-    distinct, codes = factorize(vec)
+    distinct, codes = factorize(vec.take(rows))
     return distinct[int(np.argmax(np.bincount(codes[codes >= 0])))], "imputed_mode"
 
 
@@ -683,7 +681,7 @@ def _write_outputs(out_dir: Path, datasets: list[TrainingDataset], manifest: dic
 
 def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
                    written: list[Path]) -> None:
-    """Deterministic, seed-independent holdout: split by key digest."""
+    """Deterministic, seed-independent holdout: split by key digest into two views."""
     train, test = [], []
     threshold = int(fraction * 2**32)
     composite = len(ds.table.key_columns) > 1
@@ -691,9 +689,10 @@ def _write_holdout(out_dir: Path, ds: TrainingDataset, fraction: float,
         text = "|".join(map(str, key)) if composite else str(key)
         h = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:4], "big")
         (test if h < threshold else train).append(i)
+    rows = ds.table.rows
     for suffix, picked in (("train", train), ("test", test)):
-        t = Table(f"{ds.name}_{suffix}", ds.table.columns, key_columns=ds.table.key_columns,
-                  cells=[column.take(np.array(picked, dtype=np.int64)) for column in ds.table.cells])
+        part = JoinRows(rows.blocks, [idx[np.array(picked, dtype=np.int64)] for idx in rows.index])
+        t = Table(f"{ds.name}_{suffix}", ds.table.columns, part, key_columns=ds.table.key_columns)
         data = table_to_csv_bytes(t)
         written.append(out_dir / f"{ds.name}_{suffix}.csv")
         written[-1].write_bytes(data)

@@ -194,11 +194,12 @@ class OneHotDesign:
     key, foreign key and identifier (``Column.identifying``), dates and text
     are excluded.
 
-    Each column is encoded once in its join block (a plain table is one block,
-    index None), read off its ``Vec``: numeric and boolean columns in one
-    float array (a numeric null is its nan), nominals as codes into their
-    sorted categories (``nominal``, ``values.factorize``, -1 = null); the
-    target is gathered to one float per row (``target``, nan = null).
+    Each column is encoded once in its block of ``Table.rows`` (an emitted
+    dataset's one block, ds0's block per entity), read off its ``Vec``:
+    numeric and boolean columns in one float array (a numeric null is its
+    nan), nominals as codes into their sorted categories (``nominal``,
+    ``values.factorize``, -1 = null); the target is gathered to one float
+    per row (``target``, nan = null).
 
     A fit comes from sums, not from a train design. ``fit(rows)`` encodes
     rows with a known target once, as ``Z = [X0 | N]``: ``X0`` has the
@@ -229,8 +230,8 @@ class OneHotDesign:
         self.blocks = []  # (index, dense values, (design, values) column runs, nominals)
         nullable = [np.zeros(0, bool)]
         self.width, self.x0_slots = 1 + self.n_dense, []  # X0's width and per-block slots
-        for cells, index in ([(table.cells, None)] if table.join is None
-                             else zip(table.join.blocks, table.join.index)):
+        rows = table.rows
+        for cells, index in zip(rows.blocks, rows.index):
             kind, kinds = kinds[:len(cells)], kinds[len(cells):]
             dense = [j for k in ("numeric", "boolean") for j in range(len(cells)) if kind[j] == k]
             values = np.empty((len(cells[0]) if cells else 0, len(dense)))
@@ -240,7 +241,7 @@ class OneHotDesign:
             # only the block rows some row reaches count: a view's child block
             # may end in an absent-partner null row that no row takes
             reached = np.zeros(len(values), bool)
-            reached[slice(None) if index is None else index] = True
+            reached[index] = True
             w = kind.count("numeric")  # values holds w numeric, then boolean columns
             nullable.append(np.isnan(values[reached, :w]).any(axis=0))
             runs = ((slice(numeric, numeric + w), slice(0, w)),
@@ -324,7 +325,7 @@ class OneHotDesign:
         X = np.zeros((len(rows), width))
         X[:, 0] = 1.0
         for (index, values, runs, nominal), block_slots in zip(self.blocks, slots):
-            at = rows if index is None else index[rows]
+            at = index[rows]
             for s in range(0, len(at) if values.shape[1] else 0, self._CHUNK):
                 part = values[at[s:s + self._CHUNK]]
                 for design, value in runs:
@@ -337,11 +338,10 @@ class OneHotDesign:
 
 
 def _encoded(table: Table, j: int, encode) -> np.ndarray:
-    """Column ``j`` of the table, encoded: a join view's block column once,
-    then gathered to one value per row."""
+    """Column ``j`` of the table, encoded: its block column once
+    (``Table.column_cells``), then gathered to one value per row."""
     vec, index = table.column_cells(j)
-    values = encode(vec)
-    return values if index is None else values[index]
+    return encode(vec)[index]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +509,7 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
         raise ValueError("comparison requires a single-column entity key")
 
     t_key = tds.table.column_index(tds.table.key_columns[0])
-    keys = sorted(set(box(tds.table.cells[t_key])))
+    keys = sorted(set(box(tds.table.column_vec(t_key))))
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     n = len(keys)

@@ -4,22 +4,24 @@ A ``Table`` is cells under ``Column``s, stored one ``values.Vec`` per column
 from ``read_csv`` to the CSV writer: ``table.cells[j]`` holds column ``j``'s
 typed values and null codes (0 a value, 1 unknown, 2 not applicable) for
 every row, the validity-buffer layout of the Arrow columnar format. An input
-column is ``Column(name, kind)``; the other fields are
-its lineage (G1) and flags for the engine's steps. The engine's working
-tables, every emitted dataset and ``ds0`` are Tables; the manifest reads
-lineage from an emitted table's columns. ``ds0`` holds a ``JoinRows``
-instead of cells: a factorized join, each joined entity's columns once and
-per output row one row index into each entity's block. ``Table.rows`` is a
-read-only row view of either storage that boxes each cell (``values.box``);
-nothing in the pipeline reads it. The writer formats a column a chunk of
-rows at a time by its kind, printing each distinct number or day once a
-chunk (``format_float``'s text, the ISO form), quoting a text column with
-``csv.writer`` only when a field needs quotes, and writing an empty field for
-a null of either code. It joins the fields into lines with ``str.join`` and
-writes them to the file a piece at a time (``write_csv``), so neither the
-file's text nor its bytes are ever held whole. A join view's block is
-formatted a chunk of output rows at a time, each block row the chunk takes
-once.
+column is ``Column(name, kind)``; the other fields are its lineage (G1) and
+flags for the engine's steps. The engine's working tables, every emitted
+dataset and ``ds0`` are Tables; the manifest reads lineage from an emitted
+table's columns. An emitted dataset, each of its holdout parts and ``ds0``
+hold a ``JoinRows`` view instead of cells: blocks of entity columns, and per
+output row one row index into each block. A dataset's one block holds root
+entity columns; ``ds0`` is a factorized join, a block per joined entity.
+``Table.rows`` is the row view of either storage, a column-major table's one
+block; the pipeline reads its blocks and indexes, never its rows, which box
+each cell (``values.box``). The writer formats a column a chunk of rows at a
+time by its kind, printing each distinct number or day once a chunk
+(``format_float``'s text, the ISO form), quoting a text column with
+``csv.writer`` only when a field needs quotes, and writing an empty field
+for a null of either code. It joins the fields into lines with ``str.join``
+and writes them to the file a piece at a time (``write_csv``), so neither
+the file's text nor its bytes are ever held whole. Each block of the row
+view is formatted a chunk of output rows at a time, each block row the chunk
+takes once.
 
 ``read_csv`` goes from the file's text to columns a chunk of lines at a
 time, never through a list of every row: a quote-free text is split with
@@ -115,12 +117,12 @@ class JoinRows(Sequence):
 
 class Table:
     """Cells under ``Column``s, stored one ``Vec`` per column: ``cells[j]``
-    holds column ``j``'s values and null codes for every row. ``ds0``'s
-    table instead holds a ``JoinRows`` in ``join`` and no ``cells``. ``rows``
-    is a read-only row view of either, boxing each cell; a table can still
-    be built from rows of boxed cells (``rows=``, None for a null).
-    ``source_sha256`` is the SHA-256 of the file bytes ``read_csv`` parsed
-    the table from, None for a table built in memory."""
+    holds column ``j``'s values and null codes for every row. A view (an
+    emitted dataset, ``ds0``) holds a ``JoinRows`` in ``join`` instead of
+    ``cells``. ``rows`` is a read-only row view of either, boxing each cell;
+    a table can still be built from rows of boxed cells (``rows=``, None for
+    a null). ``source_sha256`` is the SHA-256 of the file bytes ``read_csv``
+    parsed the table from, None for a table built in memory."""
 
     def __init__(self, name: str, columns: list[Column], rows: Iterable[Sequence] = (),
                  key_columns: Iterable[str] = (), *, cells: Optional[list[Vec]] = None,
@@ -156,22 +158,26 @@ class Table:
     def column_index(self, name: str) -> int:
         return self.column_names.index(name)
 
-    def column_cells(self, j: int) -> tuple[Vec, Optional[np.ndarray]]:
+    def column_cells(self, j: int) -> tuple[Vec, np.ndarray]:
         """Column ``j`` as ``(vec, index)``: row ``r`` holds row ``index[r]``
-        of ``vec``, or row ``r`` when ``index`` is None. A join view's column
-        is read from its block, so each entity cell is handled once."""
-        if self.join is None:
-            return self.cells[j], None
-        for block, idx in zip(self.join.blocks, self.join.index):
+        of ``vec``, the column's block in the row view (``rows``), so a join
+        view's entity cell is handled once."""
+        view = self.rows
+        for block, idx in zip(view.blocks, view.index):
             if j < len(block):
                 return block[j], idx
             j -= len(block)
         raise IndexError("column index out of range")
 
+    def column_vec(self, j: int) -> Vec:
+        """Column ``j``'s cells in row order (``column_cells``, gathered)."""
+        vec, index = self.column_cells(j)
+        return vec.take(index)
+
     def row_keys(self) -> list:
         """Every row's key, in row order: its boxed cell for a one-column key,
         else the tuple of its boxed cells; a null key cell is None."""
-        cells = [box(self.cells[self.column_index(k)], NO_TAGS) for k in self.key_columns]
+        cells = [box(self.column_vec(self.column_index(k)), NO_TAGS) for k in self.key_columns]
         return cells[0] if len(cells) == 1 else list(zip(*cells))
 
 
@@ -438,10 +444,10 @@ _PIECE_ROWS = 512   # rows assembled, encoded and written at a time
 
 
 def _lines(columns: list[Vec], kinds: list[str], rows, lone: bool) -> list[str]:
-    """The fields of the columns' ``rows`` (a slice or row indexes), each
-    column formatted at once (``_column_text``), joined into one string a
-    row with ``str.join``. ``lone``: the table has one column, whose empty
-    field csv.writer writes as ``""``."""
+    """The fields of the columns' ``rows`` (row indexes), each column
+    formatted at once (``_column_text``), joined into one string a row with
+    ``str.join``. ``lone``: the table has one column, whose empty field
+    csv.writer writes as ``""``."""
     fields = []
     for vec, kind in zip(columns, kinds):
         text = _column_text(vec.take(rows), kind)
@@ -456,22 +462,20 @@ def _write_table(table: Table, out: BinaryIO) -> None:
     at a time are assembled, encoded and written, so neither the file's text
     nor its bytes are held whole.
 
-    A join view's line is assembled from one string per block, each block
-    formatted a chunk of output rows at a time: the block rows the chunk
-    takes are formatted once each and their strings gathered along the
-    index, so no string per block row is kept."""
+    A line is assembled from one string per block of the row view
+    (``Table.rows``), each block formatted a chunk of output rows at a time:
+    the block rows the chunk takes are formatted once each and their strings
+    gathered along the index, so no string per block row is kept."""
     lone = len(table.columns) == 1
     if table.columns:
         names = _quoted(np.array(table.column_names, dtype=object))
         out.write((",".join('""' if lone and n == "" else n for n in names) + "\n").encode("utf-8"))
     kinds = [c.kind for c in table.columns]
-    # per block with columns: its index (None: a column-major table's rows in
-    # order), its columns and kinds
-    blocks = [(None, table.cells, kinds)]
-    if table.join is not None:
-        starts = np.cumsum([0] + table.join.widths).tolist()
-        blocks = [(idx, block, kinds[a:b]) for block, idx, a, b
-                  in zip(table.join.blocks, table.join.index, starts, starts[1:]) if b > a]
+    # per block of the row view with columns: its index, its columns and kinds
+    view = table.rows
+    starts = np.cumsum([0] + view.widths).tolist()
+    blocks = [(idx, block, kinds[a:b]) for block, idx, a, b
+              in zip(view.blocks, view.index, starts, starts[1:]) if b > a]
     # a piece's lines, one string a block, with a comma between and a newline after
     step = 2 * len(blocks)
     line = [","] * (step - 1) + ["\n"]
@@ -479,9 +483,6 @@ def _write_table(table: Table, out: BinaryIO) -> None:
         count = min(_CHUNK_ROWS, table.row_count - first)
         chunk = []
         for idx, block, block_kinds in blocks:
-            if idx is None:
-                chunk.append(_lines(block, block_kinds, slice(first, first + count), lone))
-                continue
             rows, inverse = np.unique(idx[first:first + count], return_inverse=True)
             lines = np.array(_lines(block, block_kinds, rows, lone), dtype=object)
             chunk.append(lines[inverse].tolist())

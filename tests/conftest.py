@@ -16,8 +16,10 @@ CLOCK = dt.date(2019, 6, 1)
 def column(table, name: str) -> list:
     """The named column of a table as a list of boxed cells (``values.box``:
     ``float``, ``bool``, ``datetime.date``, ``str``, or a null's tag), the
-    form the tests compare with their cell-at-a-time references."""
-    return box(table.cells[table.column_index(name)])
+    form the tests compare with their cell-at-a-time references, gathered
+    along the column's index (``Table.column_cells``)."""
+    vec, index = table.column_cells(table.column_index(name))
+    return box(vec.take(index))
 
 
 def parse(text: str) -> eer.EerSchema:

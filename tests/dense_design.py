@@ -174,8 +174,7 @@ def compare_datasets(ds0: TrainingDataset, tds: TrainingDataset, value_range: fl
     if len(tds.table.key_columns) != 1 or len(ds0.table.key_columns) != 1:
         raise ValueError("comparison requires a single-column entity key")
 
-    t_key = tds.table.column_index(tds.table.key_columns[0])
-    keys = sorted(set(box(tds.table.cells[t_key])))
+    keys = sorted(set(_fold_ids(tds, {})[0]))
     if folds > len(keys):
         raise ValueError(f"{folds} folds but only {len(keys)} distinct keys")
     shuffled = list(keys)

@@ -491,6 +491,10 @@ def test_unknown_impute_value_exit_2(command, impute, tmp_path, capsys):
     ("--holdout", "-1", "--holdout must be a fraction with 0 <= h < 1, got -1.0"),
     ("--holdout", "nan", "--holdout must be a fraction with 0 <= h < 1, got nan"),
     ("--holdout", "inf", "--holdout must be a fraction with 0 <= h < 1, got inf"),
+    # an empty constant is a usage error before any data is read, not a fill failure
+    pytest.param("--impute", "constant:",
+                 "--impute must be mean_mode, none or constant:<value>, got 'constant:'",
+                 id="--impute-constant:"),
 ])
 def test_bad_tuning_value_exit_2(command, flag, value, message, tmp_path, capsys):
     argv = [command, "--schema", str(EXAMPLE_SCHEMA), "--task", "PREDICT_LTV", f"{flag}={value}"]
@@ -533,7 +537,7 @@ def test_bad_evaluate_value_exit_2_before_reading_data(flag, value, message, mon
     ("numeric", ("", "5", "6"), "abc"),
     ("numeric", ("", "5", "6"), "inf"),
     ("numeric", ("", "5", "6"), "nan"),
-    ("numeric", ("", "5", "6"), ""),
+    ("numeric", ("", "5", "6"), "1,5"),  # a decimal comma; an empty value exits 2
     ("boolean", ("", "true", "false"), "yes"),
     ("date", ("", "2019-01-01", "2019-01-02"), "2019-13-01"),
 ])

@@ -20,8 +20,8 @@ import pytest
 
 from cmml import binder, dsl, eer, engine, planner
 from cmml.tabular import Column, Table, read_csv, table_to_csv_bytes
-from cmml.values import NOT_APPLICABLE, UNKNOWN, Vec, box, format_cell
-from conftest import CLOCK, parse_full
+from cmml.values import NOT_APPLICABLE, UNKNOWN, Vec, format_cell
+from conftest import CLOCK, column, parse_full
 from test_golden import CASES
 
 KINDS = {"identifier": object, "nominal": object, "text": object, "numeric": np.float64,
@@ -187,12 +187,13 @@ def test_split_join_and_emit_keep_each_rows_code(tmp_path):
     datasets, _ = engine.execute(plan, bound, engine.Derivations(bound, CLOCK))
     by_name = {ds.name: ds.table for ds in datasets}
 
-    def codes(table, column):
-        return table.cells[table.column_index(column)].null.tolist()
+    def codes(table, name):
+        vec, index = table.column_cells(table.column_index(name))
+        return vec.null[index].tolist()
 
     small, big = by_name["T_SMALL"], by_name["T_BIG"]
     # emit puts the rows in key order, each with its own cells and codes
-    assert box(small.cells[0]) == ["e1", "e2", "e3"] and box(big.cells[0]) == ["e4", "e5"]
+    assert column(small, "E_id") == ["e1", "e2", "e3"] and column(big, "E_id") == ["e4", "e5"]
     assert codes(small, "E_note") == [1, 0, 0] and codes(big, "E_note") == [1, 0]
     # a subtype's attribute is not applicable on the other subtype's rows of
     # the bound table, unknown where missing on a member
@@ -202,6 +203,6 @@ def test_split_join_and_emit_keep_each_rows_code(tmp_path):
     # under mandatory; a partner's own null keeps its unknown code
     assert codes(small, "OPT_v") == [1, 2, 0] and codes(big, "OPT_v") == [0, 2]
     assert codes(small, "MAN_w") == [0, 1, 1] and codes(big, "MAN_w") == [0, 1]
-    assert box(small.cells[small.column_index("OPT_v")]) == [UNKNOWN, NOT_APPLICABLE, 30.0]
+    assert column(small, "OPT_v") == [UNKNOWN, NOT_APPLICABLE, 30.0]
     # the split dropped the sibling subtype's column
     assert "BIG_b_only" not in small.column_names and "SMALL_s_only" not in big.column_names
